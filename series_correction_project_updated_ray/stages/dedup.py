@@ -28,6 +28,7 @@ import pyarrow as pa
 
 from ray.data.aggregate import Min
 
+from .joins import _derive_buckets, partition_groups
 from ..functions.hashing import (minhash_signatures, simhash64,
                                  stable_hash_array)
 from ..functions.text import char_ngram_shingles, jaccard
@@ -188,23 +189,25 @@ def _partition_pairs(g: pd.DataFrame, id_col: str,
                          "id_b": np.concatenate(b_out)}).drop_duplicates()
 
 
-def candidate_pairs(band_rows, id_col: str = "doc_id", *, n_parts: int = 32,
+def candidate_pairs(band_rows, id_col: str = "doc_id", *,
                     max_run: int | None = None,
                     threshold: float | None = None):
     """groupby LSH bucket → unordered candidate pairs (deduplicated).
 
     The shuffle groups by a DETERMINISTIC PARTITION of the bucket key
-    (``n_parts`` groups), not by bucket: at web scale nearly every
+    (a size-derived group count), not by bucket: at web scale nearly every
     (band_id, band_hash) bucket is a singleton, and per-bucket
     ``map_groups`` pays |buckets| Python group calls on top of the sort
     (measured 9.2 s → 1.5 s at 80 k band rows).  Same one-shuffle plan,
     same output."""
+    n_groups = _derive_buckets(band_rows)
+
     def _part(t: pa.Table) -> pa.Table:
         bh = t["band_hash"].to_numpy(zero_copy_only=False).astype(np.int64)
         bi = t["band_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         with np.errstate(over="ignore"):
             mixed = bh * np.int64(-7046029254386353131) + bi  # golden-ratio mix
-        part = (mixed % n_parts + n_parts) % n_parts
+        part = (mixed % n_groups + n_groups) % n_groups
         return t.append_column("__part", pa.array(part))
 
     def _pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -226,7 +229,7 @@ def candidate_pairs(band_rows, id_col: str = "doc_id", *, n_parts: int = 32,
         hb = stable_hash_array(t["id_b"])
         with np.errstate(over="ignore"):
             mixed = ha * np.uint64(0x9E3779B97F4A7C15) + hb
-        part = (mixed % np.uint64(n_parts)).astype(np.int64)
+        part = (mixed % np.uint64(n_groups)).astype(np.int64)
         return t.append_column("__ppart", pa.array(part))
 
     def _dedup(g: pd.DataFrame) -> pd.DataFrame:
@@ -1041,21 +1044,14 @@ def _cosine_pairs_in_partition(g: pa.Table, id_col, vec_col, threshold
 
 
 def embedding_near_dup(embeddings, *, vec_col="embedding", id_col="vec_id",
-                       threshold=0.95, planes=12, dim=64, n_parts: int = 32):
+                       threshold=0.95, planes=12, dim=64):
     """Bucketed cosine near-dup pairs (scale path: only in-bucket pairs are
     scored; recall is tunable via the plane count).  The shuffle groups by
-    a partition of the bucket id (``n_parts`` Python group calls), not by
-    bucket (2^planes mostly-singleton groups)."""
+    a partition of the bucket id (a size-derived count of Python group
+    calls), not by bucket (2^planes mostly-singleton groups)."""
     bucketed = embeddings.map_batches(
         HyperplaneLSH(dim, planes, 99, vec_col, id_col),
         batch_format="pyarrow")
-
-    def _part(t: pa.Table) -> pa.Table:
-        b = t["bucket"].to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            mixed = b * np.int64(-7046029254386353131)
-        return t.append_column(
-            "__part", pa.array((mixed % n_parts + n_parts) % n_parts))
 
     def _pairs(g: pa.Table) -> pa.Table:
         return _cosine_pairs_in_partition(g, id_col, vec_col, threshold)
@@ -1065,8 +1061,8 @@ def embedding_near_dup(embeddings, *, vec_col="embedding", id_col="vec_id",
     # path: every vector has exactly ONE hyperplane bucket, so a pair can
     # only arise in the single partition owning that bucket — the pair
     # set is unique by construction
-    return bucketed.map_batches(_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(_pairs, batch_format="pyarrow")
+    return partition_groups(bucketed, "bucket", _pairs,
+                            batch_format="pyarrow")
 
 
 # --- exact duplicated-span statistics (Lee et al. 2022 shape) ----------------
@@ -1149,7 +1145,7 @@ class _DupSpanEmit:
 
 
 def dup_span_stats(docs, *, k: int = 8, text_col: str = "text",
-                   id_col: str = "doc_id", n_parts: int = 64):
+                   id_col: str = "doc_id"):
     """Exact duplicated-substring statistics per document — the
     grouped-span form of Lee et al. 2022's exact-substring dedup signal
     (arXiv:2107.06499): a span is DUPLICATED when the identical k-token
@@ -1167,16 +1163,13 @@ def dup_span_stats(docs, *, k: int = 8, text_col: str = "text",
 
     from ray.data.aggregate import Sum
 
-    from .windows import _add_key_partition
-
     docs = docs.materialize()
     pairs = docs.map_batches(
         functools.partial(_span_pairs_partial, k=k, text_col=text_col,
                           id_col=id_col),
         batch_format="pyarrow")
-    dup_rows = _add_key_partition(pairs, "span", n_parts) \
-        .groupby("__part").map_groups(_DupSpanEmit(id_col),
-                                      batch_format="pyarrow")
+    dup_rows = partition_groups(
+        pairs, "span", _DupSpanEmit(id_col), batch_format="pyarrow")
     totals = docs.map_batches(
         functools.partial(_span_totals_partial, k=k, text_col=text_col,
                           id_col=id_col),

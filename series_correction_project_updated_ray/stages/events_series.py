@@ -24,6 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .joins import partition_groups
 from .. import kernels as K
 from ..functions.rounding import round_half_away
 
@@ -342,25 +343,19 @@ class _PerSeriesPartition:
                          **{c: pa.array(a) for c, a in data.items()}})
 
 
-def _grouped(events, afn, n_parts: int = 64, **kwargs):
+def _grouped(events, afn, **kwargs):
     """Run a per-series array kernel over every series of a partition group.
 
-    The shuffle groups by ``stable_hash(user) % n_parts`` instead of by
-    user: the kernels stay sequential per series (order-dependent folds —
-    that's their semantics), but Ray's per-group machinery (a block
-    slice, conversion and task result PER KEY — billions of keys at
-    scale) collapses to one call per partition with cheap in-process
-    slicing.  Blocks stay Arrow end to end."""
-    from ..functions.hashing import stable_hash_array
-
-    def _part(t: pa.Table) -> pa.Table:
-        part = (stable_hash_array(t["user_id"])
-                % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__part", pa.array(part))
-
-    return events.map_batches(_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(_PerSeriesPartition(afn, **kwargs),
-                                      batch_format="pyarrow")
+    The shuffle groups by a hash partition of the user (group count
+    derived from the input size, see :func:`stages.joins.partition_groups`)
+    instead of by user: the kernels stay sequential per series
+    (order-dependent folds — that's their semantics), but Ray's per-group
+    machinery (a block slice, conversion and task result PER KEY —
+    billions of keys at scale) collapses to one call per partition with
+    cheap in-process slicing.  Blocks stay Arrow end to end."""
+    return partition_groups(events, "user_id",
+                            _PerSeriesPartition(afn, **kwargs),
+                            batch_format="pyarrow")
 
 
 def gap_counts(events, threshold_factor=3.0):

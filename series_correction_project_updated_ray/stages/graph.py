@@ -70,23 +70,20 @@ class _OrderPairsGroup:
         return out.drop_duplicates()
 
 
-def copurchase_edges(lineitem, *, n_parts: int = 64):
+def copurchase_edges(lineitem):
     """Distinct co-purchase edges (u < v): parts appearing in the same
     order.  One partition-group shuffle emits per-order pairs with a
     partition-local distinct; :func:`distributed_distinct` closes the
     global dedup (an edge can arise in many orders, hence many
     partitions)."""
-    from .windows import _add_key_partition
-    from .joins import distributed_distinct
+    from .joins import distributed_distinct, partition_groups
 
     def _prep(t: pa.Table) -> pa.Table:
         return t.select(["l_orderkey", "l_partkey"])
 
-    pairs = _add_key_partition(
-        lineitem.map_batches(_prep, batch_format="pyarrow"),
-        "l_orderkey", n_parts) \
-        .groupby("__part").map_groups(_OrderPairsGroup(),
-                                      batch_format="pandas")
+    pairs = partition_groups(
+        lineitem.map_batches(_prep, batch_format="pyarrow"), "l_orderkey",
+        _OrderPairsGroup())
     return distributed_distinct(pairs, ["u", "v"])
 
 
@@ -120,8 +117,7 @@ class _OrderPairCellsGroup:
         return out.groupby(["u", "v"], as_index=False, sort=False).sum()
 
 
-def copurchase_support_edges(lineitem, *, min_support: int = 2,
-                             n_parts: int = 64):
+def copurchase_support_edges(lineitem, *, min_support: int = 2):
     """Co-purchase edges with ORDER support ≥ ``min_support`` —
     ``(u, v, support)``.  Same partition-group pair emission as
     :func:`copurchase_edges`, but the partition kernel emits mergeable
@@ -131,16 +127,14 @@ def copurchase_support_edges(lineitem, *, min_support: int = 2,
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    from .windows import _add_key_partition
+    from .joins import partition_groups
 
     def _prep(t: pa.Table) -> pa.Table:
         return t.select(["l_orderkey", "l_partkey"])
 
-    cells = _add_key_partition(
-        lineitem.map_batches(_prep, batch_format="pyarrow"),
-        "l_orderkey", n_parts) \
-        .groupby("__part").map_groups(_OrderPairCellsGroup(),
-                                      batch_format="pandas") \
+    cells = partition_groups(
+        lineitem.map_batches(_prep, batch_format="pyarrow"), "l_orderkey",
+        _OrderPairCellsGroup()) \
         .groupby(["u", "v"]).aggregate(Sum("c", alias_name="support"))
 
     def _keep(t: pa.Table) -> pa.Table:
@@ -153,7 +147,6 @@ def copurchase_support_edges(lineitem, *, min_support: int = 2,
 
 
 def copurchase_components(lineitem, *, min_support: int = 2,
-                          n_parts: int = 64,
                           distributed_cc: bool | None = None):
     """Connected components of the support-filtered co-purchase graph —
     ``(part_key, component_id)`` with ``component_id`` = the component's
@@ -169,7 +162,7 @@ def copurchase_components(lineitem, *, min_support: int = 2,
     from .dedup import _cluster_pairs
 
     edges = copurchase_support_edges(
-        lineitem, min_support=min_support, n_parts=n_parts)
+        lineitem, min_support=min_support)
     pairs = edges.map_batches(
         lambda t: pa.table({"id_a": t["u"], "id_b": t["v"]}),
         batch_format="pyarrow")
@@ -241,7 +234,7 @@ class _NonAdjacentGroup:
 
 
 def link_prediction_jaccard(lineitem, *, min_support: int = 2,
-                            k: int = 50, n_parts: int = 64):
+                            k: int = 50):
     """Top-``k`` link predictions over the support-filtered co-purchase
     graph: non-adjacent part pairs ranked by neighborhood Jaccard
     ``|N(a)∩N(b)| / |N(a)∪N(b)|`` — the classic common-neighbors
@@ -258,12 +251,11 @@ def link_prediction_jaccard(lineitem, *, min_support: int = 2,
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from .windows import _add_key_partition
-    from .joins import gather_join
+    from .joins import gather_join, partition_groups
     from ..functions.rounding import round_half_away
 
     edges = copurchase_support_edges(
-        lineitem, min_support=min_support, n_parts=n_parts) \
+        lineitem, min_support=min_support) \
         .map_batches(lambda t: t.select(["u", "v"]),
                      batch_format="pyarrow").materialize()
     if edges.count() == 0:
@@ -281,9 +273,7 @@ def link_prediction_jaccard(lineitem, *, min_support: int = 2,
                                    t["u"].combine_chunks()])})
 
     und = edges.map_batches(_und, batch_format="pyarrow")
-    cn = _add_key_partition(und, "x", n_parts) \
-        .groupby("__part").map_groups(_NeighborPairCellsGroup(),
-                                      batch_format="pandas") \
+    cn = partition_groups(und, "x", _NeighborPairCellsGroup()) \
         .groupby(["a", "b"]).aggregate(Sum("c", alias_name="c"))
 
     def _tag(side: int):
@@ -298,12 +288,10 @@ def link_prediction_jaccard(lineitem, *, min_support: int = 2,
         fn.__name__ = f"tag_side{side}"
         return fn
 
-    nonadj = _add_key_partition(
+    nonadj = partition_groups(
         cn.map_batches(_tag(0), batch_format="pyarrow")
         .union(edges.map_batches(_tag(1), batch_format="pyarrow")),
-        "a", n_parts) \
-        .groupby("__part").map_groups(_NonAdjacentGroup(),
-                                      batch_format="pandas")
+        "a", _NonAdjacentGroup())
 
     def _deg_cells(t: pa.Table) -> pa.Table:
         nodes = np.concatenate([t["u"].to_numpy(zero_copy_only=False),
@@ -421,17 +409,16 @@ class _CloseCountGroup:
         return pd.DataFrame({"node": uniq, "c": cnt.astype(np.int64)})
 
 
-def _triangle_plan(lineitem, n_parts: int):
+def _triangle_plan(lineitem):
     """Shared plan: (deg, counted) Datasets over the co-purchase graph
     — ``deg`` = (node, d) endpoint degrees, ``counted`` = (node,
     triangles) per-node triangle participation (zero-triangle nodes
     absent).  Returns (None, None) on an edgeless input."""
     from ray.data.aggregate import Sum
 
-    from .windows import _add_key_partition
-    from .joins import gather_join
+    from .joins import gather_join, partition_groups
 
-    edges = copurchase_edges(lineitem, n_parts=n_parts).materialize()
+    edges = copurchase_edges(lineitem).materialize()
     if edges.count() == 0:
         return None, None
 
@@ -464,9 +451,7 @@ def _triangle_plan(lineitem, n_parts: int):
         deg, "v", "node", attach_cols=["d"], attach_as={"d": "dv"}) \
         .map_batches(_orient, batch_format="pyarrow").materialize()
 
-    wedges = _add_key_partition(oe, "s", n_parts) \
-        .groupby("__part").map_groups(_WedgesGroup(),
-                                      batch_format="pandas")
+    wedges = partition_groups(oe, "s", _WedgesGroup())
 
     def _tag_wedge(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -481,15 +466,13 @@ def _triangle_plan(lineitem, n_parts: int):
 
     tagged = wedges.map_batches(_tag_wedge, batch_format="pyarrow") \
         .union(oe.map_batches(_tag_edge, batch_format="pyarrow"))
-    cells = _add_key_partition(tagged, "v", n_parts) \
-        .groupby("__part").map_groups(_CloseCountGroup(),
-                                      batch_format="pandas")
+    cells = partition_groups(tagged, "v", _CloseCountGroup())
     counted = cells.groupby("node").aggregate(
         Sum("c", alias_name="triangles"))
     return deg, counted
 
 
-def copurchase_triangles(lineitem, *, n_parts: int = 64):
+def copurchase_triangles(lineitem):
     """Per-part triangle participation counts over the co-purchase
     graph — ``(part_key, triangles)`` where ``triangles`` is the number
     of co-purchase triangles the part belongs to.
@@ -505,7 +488,7 @@ def copurchase_triangles(lineitem, *, n_parts: int = 64):
     textbook triangle count (each triangle credited once per vertex)."""
     import ray.data as rd
 
-    _, counted = _triangle_plan(lineitem, n_parts)
+    _, counted = _triangle_plan(lineitem)
     if counted is None:
         return rd.from_arrow(pa.table({
             "part_key": pa.array([], pa.int64()),
@@ -519,7 +502,7 @@ def copurchase_triangles(lineitem, *, n_parts: int = 64):
     return counted.map_batches(_close, batch_format="pyarrow")
 
 
-def clustering_coefficient(lineitem, *, n_parts: int = 64):
+def clustering_coefficient(lineitem):
     """Local clustering coefficient per part over the co-purchase
     graph — ``(part_key, degree, triangles, coeff)`` for every node
     with degree ≥ 2, ``coeff = 2·T / (d·(d−1))`` rounded half-away to
@@ -536,7 +519,7 @@ def clustering_coefficient(lineitem, *, n_parts: int = 64):
 
     from ..functions.rounding import round_half_away
 
-    deg, counted = _triangle_plan(lineitem, n_parts)
+    deg, counted = _triangle_plan(lineitem)
     if deg is None:
         return rd.from_arrow(pa.table({
             "part_key": pa.array([], pa.int64()),

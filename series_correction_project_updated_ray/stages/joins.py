@@ -336,13 +336,31 @@ _TARGET_BUCKET_BYTES = 64 << 20
 _MAX_BROADCAST_KEYS = 4_000_000
 
 
-def _derive_buckets(left, right, floor: int = 8, cap: int = 4096) -> int:
-    est = max(_estimate_size_bytes(left) or 0,
-              _estimate_size_bytes(right) or 0)
+def _derive_buckets(*datasets, floor: int = 8, cap: int = 4096) -> int:
+    """Bucket / group count for one keyed exchange over ``datasets``: one
+    per ``_TARGET_BUCKET_BYTES`` of the largest input's plan-metadata
+    estimate, clamped to [floor, cap]; 32 when no size is known."""
+    est = max((_estimate_size_bytes(ds) or 0) for ds in datasets)
     if not est:
         return 32
     import math
     return int(min(cap, max(floor, math.ceil(est / _TARGET_BUCKET_BYTES))))
+
+
+def partition_groups(ds, key_col: str, fn, batch_format: str = "pandas"):
+    """Run ``fn`` once per partition group of ``ds`` — the one-shuffle
+    plan of every per-key kernel.  Rows get ``__part =
+    stable_hash(key) % n`` with ``n = _derive_buckets(ds)``, so whole keys
+    are co-located and the group count follows the input size instead of
+    |keys|; ``fn`` sees each group as one batch (``__part`` included) and
+    handles all of its keys vectorized."""
+    n = np.uint64(_derive_buckets(ds))
+
+    def _part(t: pa.Table) -> pa.Table:
+        part = (stable_hash_array(t[key_col]) % n).astype(np.int64)
+        return t.append_column("__part", pa.array(part))
+    return ds.map_batches(_part, batch_format="pyarrow") \
+        .groupby("__part").map_groups(fn, batch_format=batch_format)
 
 
 def distributed_distinct(ds, cols: list[str], *, drop_nulls: bool = False):
@@ -864,7 +882,11 @@ class _GatherKernel:
                 cols[n] = pc.take(col, take)
             else:
                 cols[n] = tgt[n]
-        return pa.table(cols)
+        # pin the declared types: an empty pandas block in the target
+        # (Ray passes those through map_batches unconverted) makes the
+        # shuffle's concat widen int columns to double, and a double key
+        # would hash into a different bucket in a downstream join
+        return pa.table(cols).cast(pa.schema(self.out_fields))
 
 
 def gather_join(target, source, target_key: str, source_key: str,

@@ -119,7 +119,7 @@ def packing_summary(packed):
             Sum("n_tok", alias_name="total_tokens"))
 
 
-def token_vocab_stats(seqs, *, tok_col: str = "tokens", n_parts: int = 64):
+def token_vocab_stats(seqs, *, tok_col: str = "tokens"):
     """Vocabulary statistics over a sequences table: per token id, the
     corpus term frequency (``tf``) and document frequency (``df``) — the
     vocab-coverage report every tokenizer/pre-training run needs.

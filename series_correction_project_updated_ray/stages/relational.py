@@ -9,6 +9,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .joins import partition_groups
 from ..functions.sanitize import sanitize_batch
 
 
@@ -685,12 +686,6 @@ def value_quartiles(events, *, k: int = 4):
     n_total = int(counts["cnt"].sum())
     base, extra = divmod(n_total, k)
 
-    def _rank_part(t: pa.Table) -> pa.Table:
-        from ..functions.hashing import stable_hash_array
-        part = (stable_hash_array(t["cents"])
-                % np.uint64(64)).astype(np.int64)
-        return t.append_column("__part", pa.array(part))
-
     def _rank(g: pd.DataFrame) -> pd.DataFrame:
         c = g["cents"].to_numpy(np.int64)
         ids = g["event_id"].to_numpy()
@@ -715,8 +710,7 @@ def value_quartiles(events, *, k: int = 4):
         })
     _rank.__name__ = "_ntile_rank"
 
-    return with_c.map_batches(_rank_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(_rank, batch_format="pandas")
+    return partition_groups(with_c, "cents", _rank)
 
 
 def winsorize_events(events, *, lo_p: float = 0.01, hi_p: float = 0.99):
@@ -901,11 +895,12 @@ def big_orders(lineitem, orders, customer, *, min_qty: float = 300.0):
     order and customer attributes.
 
     Scale plan: the per-order rollup runs as ONE partition-group
-    shuffle — ``stable_hash(orderkey) % 64`` co-locates whole orders,
-    the per-group kernel sums + applies HAVING vectorized (3× faster
-    than a keyed Ray groupby here: with ~4 lines per order spread
-    across blocks a per-block partial barely reduces, and sorting by
-    64 partition ids beats sorting by 150k distinct orderkeys) → the
+    shuffle — ``stable_hash(orderkey) % n`` (``n`` derived from the
+    input size) co-locates whole orders, the per-group kernel sums +
+    applies HAVING vectorized (3× faster than a keyed Ray groupby here:
+    with ~4 lines per order spread across blocks a per-block partial
+    barely reduces, and sorting by a few partition ids beats sorting by
+    150k distinct orderkeys) → the
     HAVING filter leaves a TINY key set that broadcasts through the
     two big probe tables (orders, then customer) — neither base table
     ever shuffles.  The intermediate matched-orders table is bounded
@@ -913,24 +908,16 @@ def big_orders(lineitem, orders, customer, *, min_qty: float = 300.0):
     million), so the second broadcast is small by construction.
     Quantities are exact integer cents; ``sum_qty`` closes as
     double(cents)/100."""
-    from ..functions.hashing import stable_hash_array
     from .taskcache import class_task
 
     thresh = int(round(min_qty * 100))
-    n_parts = 64
 
     def _qty_prep(t: pa.Table) -> pa.Table:
         if "l_orderkey" not in t.column_names:
             return pa.table({"l_orderkey": pa.array([], pa.int64()),
-                             "q": pa.array([], pa.int64()),
-                             "__part": pa.array([], pa.int64())})
-        # pass the COLUMN (not a numpy array): the Series path hashes
-        # int64 natively; the ndarray path stringifies per element
-        part = (stable_hash_array(t["l_orderkey"])
-                % np.uint64(n_parts)).astype(np.int64)
+                             "q": pa.array([], pa.int64())})
         return pa.table({"l_orderkey": t["l_orderkey"],
-                         "q": pa.array(_scaled_cents(t["l_quantity"])),
-                         "__part": pa.array(part)})
+                         "q": pa.array(_scaled_cents(t["l_quantity"]))})
 
     def _qty_rollup(g: pd.DataFrame) -> pd.DataFrame:
         keys = g["l_orderkey"].to_numpy()
@@ -941,9 +928,9 @@ def big_orders(lineitem, orders, customer, *, min_qty: float = 300.0):
         keep = s > thresh
         return pd.DataFrame({"l_orderkey": u[keep], "qc": s[keep]})
 
-    big = lineitem.map_batches(_qty_prep, batch_format="pyarrow") \
-        .groupby("__part").map_groups(_qty_rollup, batch_format="pandas") \
-        .materialize()
+    big = partition_groups(
+        lineitem.map_batches(_qty_prep, batch_format="pyarrow"),
+        "l_orderkey", _qty_rollup).materialize()
     import ray
     big_df = big.to_pandas()
     if "qc" not in big_df.columns:
@@ -1046,15 +1033,13 @@ class _EntropyGroup:
         })
 
 
-def type_entropy(events, *, key_col="user_id", type_col="event_type",
-                 n_parts: int = 64):
+def type_entropy(events, *, key_col="user_id", type_col="event_type"):
     """Shannon entropy of each key's event-type distribution — the
     label/source-diversity screen of data curation.  Batch-local
     (key, type) count partials flow through ONE partition-group
     shuffle (aggregate-sized rows; same-cell partials from different
     blocks merge in-group), and the close folds −Σ p·ln p bit-exactly
     (libm ln, binary type order)."""
-    from .windows import _add_key_partition
 
     def _partial(t: pa.Table) -> pa.Table:
         if key_col not in t.column_names:
@@ -1076,9 +1061,8 @@ def type_entropy(events, *, key_col="user_id", type_col="event_type",
             "c": pa.array(cnt.astype(np.int64))})
 
     partials = events.map_batches(_partial, batch_format="pyarrow")
-    return _add_key_partition(partials, key_col, n_parts) \
-        .groupby("__part").map_groups(
-            _EntropyGroup(key_col, type_col), batch_format="pandas")
+    return partition_groups(
+        partials, key_col, _EntropyGroup(key_col, type_col))
 
 
 # --- cohort comparison (Welch's t) ------------------------------------------
@@ -1325,19 +1309,17 @@ def _weekend_cohort_cells(t: pa.Table) -> pa.Table:
         "c1": pa.array(c1), "c2": pa.array(c2)})
 
 
-def ks_test_weekend(events, *, n_parts: int = 64):
+def ks_test_weekend(events):
     """Two-sample Kolmogorov-Smirnov test between weekend and weekday
     values per event type — the distribution-shift screen.  Per-block
     (type, cents) cohort-count partials flow through ONE partition-group
     shuffle (rows bounded by |types|·|distinct cents|, a VALUE-DOMAIN
     bound, not a corpus bound) and the close is pure integer arithmetic
     (cross-multiplied ECDFs) until the output ratio."""
-    from .windows import _add_key_partition
 
     partials = events.map_batches(_weekend_cohort_cells,
                                   batch_format="pyarrow")
-    return _add_key_partition(partials, "event_type", n_parts) \
-        .groupby("__part").map_groups(_KsGroup(), batch_format="pandas")
+    return partition_groups(partials, "event_type", _KsGroup())
 
 
 class _MannWhitneyGroup:
@@ -1437,20 +1419,17 @@ class _MannWhitneyGroup:
             "z_stat": np.array(out_z, dtype=np.float64)})
 
 
-def mannwhitney_weekend(events, *, n_parts: int = 64):
+def mannwhitney_weekend(events):
     """Mann-Whitney U rank-sum test between weekday and weekend values
     per event type — the nonparametric cohort-shift screen (rank
     mechanics, complementing Welch's mean test and KS's sup-distance).
     Shares :func:`_weekend_cohort_cells`' value-domain-bounded partials
     and ONE partition-group shuffle; the close is exact integer
     pair-counting with ties, doubles only in the output statistics."""
-    from .windows import _add_key_partition
 
     partials = events.map_batches(_weekend_cohort_cells,
                                   batch_format="pyarrow")
-    return _add_key_partition(partials, "event_type", n_parts) \
-        .groupby("__part").map_groups(_MannWhitneyGroup(),
-                                      batch_format="pandas")
+    return partition_groups(partials, "event_type", _MannWhitneyGroup())
 
 
 # --- active-day streaks (gaps-and-islands) ----------------------------------
@@ -1538,19 +1517,16 @@ class _StreakGroup:
             "streak_start": istart_day[pick]})
 
 
-def active_day_streaks(events, *, n_parts: int = 64):
+def active_day_streaks(events):
     """Longest consecutive-active-day streak per user (gaps-and-islands)
     — the engagement-continuity screen.  Per-block DISTINCT (user, day)
     partials (calendar-domain bounded) flow through ONE partition-group
     shuffle; the close is pure integer island arithmetic with the
     earliest start on tied lengths."""
-    from .windows import _add_key_partition
 
     partials = events.map_batches(_active_day_partial,
                                   batch_format="pyarrow")
-    return _add_key_partition(partials, "user_id", n_parts) \
-        .groupby("__part").map_groups(_StreakGroup(),
-                                      batch_format="pandas")
+    return partition_groups(partials, "user_id", _StreakGroup())
 
 
 # --- activity inequality (Gini) ---------------------------------------------
@@ -1608,13 +1584,12 @@ class _GiniGroup:
         })
 
 
-def gini_activity(events, *, n_parts: int = 16):
+def gini_activity(events):
     """Gini coefficient of per-user event counts per event type — the
     activity-inequality screen (0 = uniform usage, →1 = a few users
     dominate the stream).  Batch-local (type, user) count partials
     flow through ONE partition-group shuffle keyed on event_type; the
     close sorts each type's per-user totals once, vectorized."""
-    from .windows import _add_key_partition
 
     def _partial(t: pa.Table) -> pa.Table:
         if "event_type" not in t.column_names or len(t) == 0:
@@ -1636,9 +1611,7 @@ def gini_activity(events, *, n_parts: int = 16):
             "c": pa.array(cnt.astype(np.int64))})
 
     partials = events.map_batches(_partial, batch_format="pyarrow")
-    return _add_key_partition(partials, "event_type", n_parts) \
-        .groupby("__part").map_groups(_GiniGroup(),
-                                      batch_format="pandas")
+    return partition_groups(partials, "event_type", _GiniGroup())
 
 
 # --- event-type transition entropy ------------------------------------------
@@ -1724,13 +1697,13 @@ class _TransitionEntropyGroup:
         })
 
 
-def transition_entropy(events, *, n_parts: int = 64):
+def transition_entropy(events):
     """Conditional entropy of each user's event-type TRANSITIONS
     (H(next|prev) over consecutive typed events) — the sequence-
     predictability screen (0 = deterministic flows, ln|types| =
     memoryless).  One partition-group shuffle; the bigram cells per
     key are bounded by |types|², so the libm close is tiny."""
-    from .windows import _add_key_partition, _epoch_micros
+    from .windows import _epoch_micros
 
     def _prep(batch: pa.Table) -> pa.Table:
         if "ts" not in batch.column_names or len(batch) == 0:
@@ -1744,9 +1717,7 @@ def transition_entropy(events, *, n_parts: int = 64):
                          "t": pa.array(_epoch_micros(batch["ts"]))})
 
     prepped = events.map_batches(_prep, batch_format="pyarrow")
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(_TransitionEntropyGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", _TransitionEntropyGroup())
 
 
 # --- Benford first-digit screen ---------------------------------------------
@@ -1802,7 +1773,7 @@ class _BenfordGroup:
         })
 
 
-def benford_digits(events, *, n_parts: int = 16):
+def benford_digits(events):
     """Benford's-law first-digit χ² per event type — the fabricated /
     synthetic-numerics screen.  The first significant digit comes from
     the cents integer by repeated div-10 (exact, no float log); zero
@@ -1810,7 +1781,6 @@ def benford_digits(events, *, n_parts: int = 16):
     through ONE tiny partition-group shuffle; the close is 9 libm
     terms per type."""
     from ..functions.rounding import scaled_int
-    from .windows import _add_key_partition
 
     def _partial(t: pa.Table) -> pa.Table:
         if "event_type" not in t.column_names or len(t) == 0:
@@ -1834,9 +1804,7 @@ def benford_digits(events, *, n_parts: int = 16):
             "c": pa.array(cnt.astype(np.int64))})
 
     partials = events.map_batches(_partial, batch_format="pyarrow")
-    return _add_key_partition(partials, "event_type", n_parts) \
-        .groupby("__part").map_groups(_BenfordGroup(),
-                                      batch_format="pandas")
+    return partition_groups(partials, "event_type", _BenfordGroup())
 
 
 # --- Wald–Wolfowitz runs test -----------------------------------------------
@@ -1927,12 +1895,12 @@ class _RunsTestGroup:
             "z": np.where(ok, round_half_away(z, 6), np.nan)})
 
 
-def runs_test(events, *, n_parts: int = 64):
+def runs_test(events):
     """Wald–Wolfowitz runs test per user — is the value sequence
     random around its median, or does it trend/oscillate?  One
     partition-group shuffle; medians, run counting and the z close
     are all vectorized across co-located keys."""
-    from .windows import _add_key_partition, _epoch_micros
+    from .windows import _epoch_micros
 
     def _prep(batch: pa.Table) -> pa.Table:
         if "ts" not in batch.column_names or len(batch) == 0:
@@ -1946,9 +1914,7 @@ def runs_test(events, *, n_parts: int = 64):
                          "t": pa.array(_epoch_micros(batch["ts"]))})
 
     prepped = events.map_batches(_prep, batch_format="pyarrow")
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(_RunsTestGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", _RunsTestGroup())
 
 
 # --- burstiness (Fano factor) -----------------------------------------------
@@ -2002,13 +1968,13 @@ class _FanoGroup:
             "fano": round_half_away(fano, 6)})
 
 
-def fano_factor(events, *, n_parts: int = 64):
+def fano_factor(events):
     """Fano factor (variance-to-mean of hourly event counts over each
     user's active span) — the burstiness screen: ≈1 Poisson, ≫1
     bursty, <1 metronomic.  Batch-local (user, hour) count partials
     through ONE partition-group shuffle; the dense-grid moments need
     only the present cells."""
-    from .windows import _add_key_partition, _epoch_micros
+    from .windows import _epoch_micros
 
     def _partial(t: pa.Table) -> pa.Table:
         if "ts" not in t.column_names or len(t) == 0:
@@ -2033,9 +1999,7 @@ def fano_factor(events, *, n_parts: int = 64):
             "c": pa.array(cnt.astype(np.int64))})
 
     partials = events.map_batches(_partial, batch_format="pyarrow")
-    return _add_key_partition(partials, "user_id", n_parts) \
-        .groupby("__part").map_groups(_FanoGroup(),
-                                      batch_format="pandas")
+    return partition_groups(partials, "user_id", _FanoGroup())
 
 
 # --- cohort retention triangle ----------------------------------------------
@@ -2118,7 +2082,7 @@ class _CohortClose:
             "retention": pa.array(round_half_away(ret, 6))})
 
 
-def cohort_retention(events, *, n_parts: int = 64):
+def cohort_retention(events):
     """Daily cohort-retention triangle — the product-analytics
     staple: for each signup-day cohort (a user's first active day),
     the share of the cohort active at each later age.  Three bounded
@@ -2127,13 +2091,9 @@ def cohort_retention(events, *, n_parts: int = 64):
     keyed groupby of (cohort, age) cells, a single-block close."""
     from ray.data.aggregate import Sum
 
-    from .windows import _add_key_partition
-
     partials = events.map_batches(_active_day_partial,
                                   batch_format="pyarrow")
-    cells = _add_key_partition(partials, "user_id", n_parts) \
-        .groupby("__part").map_groups(_CohortCellsGroup(),
-                                      batch_format="pandas")
+    cells = partition_groups(partials, "user_id", _CohortCellsGroup())
     summed = cells.groupby(["cohort_day", "age_days"]).aggregate(
         Sum("n", alias_name="n"))
     return summed.repartition(1).map_batches(
@@ -2335,15 +2295,13 @@ class _GrubbsGroup:
             "g_stat": np.array(gs, dtype=np.float64)})
 
 
-def grubbs_test(events, *, n_parts: int = 16):
+def grubbs_test(events):
     """Per-event-type Grubbs single-outlier test — the classic
     one-point ESD screen: the most extreme value's studentized
     deviation, with the offending event identified (ties → smallest
     event_id).  One partition-group shuffle over the bounded type
     domain; exact integer moments, one double chain per type."""
     import pyarrow.compute as pc
-
-    from .windows import _add_key_partition
 
     def _prep(batch: pa.Table) -> pa.Table:
         cols = ["event_type", "event_id", "value"]
@@ -2355,9 +2313,7 @@ def grubbs_test(events, *, n_parts: int = 16):
         return batch.select(cols)
 
     prepped = events.map_batches(_prep, batch_format="pyarrow")
-    return _add_key_partition(prepped, "event_type", n_parts) \
-        .groupby("__part").map_groups(_GrubbsGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "event_type", _GrubbsGroup())
 
 
 # --- distribution drift (split-half chi-square) --------------------------------
@@ -2435,20 +2391,17 @@ class _DriftChi2Group:
             "chi2": np.array(x2, dtype=np.float64)})
 
 
-def drift_chi2(events, *, n_parts: int = 16):
+def drift_chi2(events):
     """Per-event-type split-half distribution drift: the chi-square
     homogeneity statistic between the first and second half of the
     type's value stream over 20 fixed cents bins — the ops-monitoring
     drift screen.  One partition-group shuffle over the bounded type
     domain; integer counts, ordered per-bin double folds."""
-    from .windows import _add_key_partition
     from ..stages.timeseries import _prep_events
 
     prepped = _prep_events(events, cols=("event_type", "event_id",
                                          "value"))
-    return _add_key_partition(prepped, "event_type", n_parts) \
-        .groupby("__part").map_groups(_DriftChi2Group(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "event_type", _DriftChi2Group())
 
 
 # --- global user value ranks ----------------------------------------------------
@@ -2876,7 +2829,14 @@ def top_supplier_revenue(lineitem, supplier):
         .groupby("l_suppkey").aggregate(Sum("rev1e4", alias_name="rev1e4")) \
         .materialize()
     from ray.data.aggregate import Max
-    best = per_supp.aggregate(Max("rev1e4", alias_name="m"))["m"]
+    row = per_supp.aggregate(Max("rev1e4", alias_name="m"))
+    if not row or row["m"] is None:   # empty lineitem: no top supplier
+        import ray.data as rd
+        return rd.from_arrow(pa.table({
+            "s_suppkey": pa.array([], pa.int64()),
+            "s_name": pa.array([], pa.string()),
+            "total_revenue": pa.array([], pa.float64())}))
+    best = row["m"]
     import pyarrow.compute as pc
     tied = per_supp.map_batches(
         lambda t: t.filter(pc.equal(t["rev1e4"], best)),
@@ -3246,7 +3206,7 @@ class _BigramCellsGroup:
         return df.groupby(["u", "v"], as_index=False, sort=False).sum()
 
 
-def pagerank_event_types(events, *, iters: int = 4, n_parts: int = 64):
+def pagerank_event_types(events, *, iters: int = 4):
     """PageRank over the corpus-wide event-type transition graph — the
     iterative-graph-algorithm shape (label graphs, site graphs,
     topic-link graphs) on Ray Data.
@@ -3266,7 +3226,7 @@ def pagerank_event_types(events, *, iters: int = 4, n_parts: int = 64):
 
     from ray.data.aggregate import Sum
 
-    from .windows import _add_key_partition, _epoch_micros
+    from .windows import _epoch_micros
     from ..functions.rounding import round_half_away
 
     def _prep(batch: pa.Table) -> pa.Table:
@@ -3280,11 +3240,9 @@ def pagerank_event_types(events, *, iters: int = 4, n_parts: int = 64):
                          "event_type": batch["event_type"],
                          "t": pa.array(_epoch_micros(batch["ts"]))})
 
-    cells = _add_key_partition(
-        events.map_batches(_prep, batch_format="pyarrow"),
-        "user_id", n_parts) \
-        .groupby("__part").map_groups(_BigramCellsGroup(),
-                                      batch_format="pandas") \
+    cells = partition_groups(
+        events.map_batches(_prep, batch_format="pyarrow"), "user_id",
+        _BigramCellsGroup()) \
         .groupby(["u", "v"]).aggregate(Sum("w", alias_name="w"))
     edges = cells.to_pandas()
     import ray.data as rd
@@ -3295,12 +3253,16 @@ def pagerank_event_types(events, *, iters: int = 4, n_parts: int = 64):
     nodes = sorted(set(edges["u"]).union(edges["v"]))
     idx = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
-    wsum = edges.groupby("u")["w"].sum()
+    # w/W as doubles — the exact SQL normalization expression; each
+    # node's incoming list in ascending-source order (the fold order)
+    e = edges.sort_values(["v", "u"])
+    e = e.assign(
+        ui=pd.Index(nodes).get_indexer(e["u"]),
+        wn=e["w"].to_numpy(np.float64)
+        / e.groupby("u")["w"].transform("sum").to_numpy(np.float64))
     incoming: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for _, row in edges.sort_values(["v", "u"]).iterrows():
-        # w/W as doubles — the exact SQL normalization expression
-        incoming[idx[row["v"]]].append(
-            (idx[row["u"]], float(row["w"]) / float(wsum[row["u"]])))
+    for v, g in e.groupby("v", sort=False):
+        incoming[idx[v]] = list(zip(g["ui"].tolist(), g["wn"].tolist()))
     ranks = [1.0 / float(n)] * n
     for _ in range(iters):
         ranks = [0.15 / float(n) + 0.85 * (reduce(
@@ -3328,14 +3290,17 @@ def latest_event_per_user(events):
 
     def _local_latest(g: pd.DataFrame) -> pd.DataFrame:
         out_cols = ["user_id", "event_id", "t", "event_type", "value"]
-        if len(g) == 0:
+        if len(g):
+            g = g[g["user_id"].notna()]
+        if len(g) == 0:   # empty, or every user_id null
             return pd.DataFrame({
                 "user_id": pd.Series([], dtype=np.int64),
                 "event_id": pd.Series([], dtype=np.int64),
                 "t": pd.Series([], dtype=np.int64),
                 "event_type": pd.Series([], dtype=object),
                 "value": pd.Series([], dtype=np.float64)})
-        g = g[g["user_id"].notna()]
+        # a null in the batch made pandas widen the key to float64
+        g = g.assign(user_id=g["user_id"].astype(np.int64))
         codes, _ = pd.factorize(g["user_id"], sort=False)
         t = g["t"].to_numpy(np.int64)
         ids = g["event_id"].to_numpy(np.int64)
@@ -3362,9 +3327,6 @@ def latest_event_per_user(events):
         return pa.Table.from_pandas(_local_latest(t.to_pandas()),
                                     preserve_index=False)
 
-    from .windows import _add_key_partition
     compacted = events.map_batches(_prep, batch_format="pyarrow")
-    # partition-group close: 64 kernel calls, not one per user
-    return _add_key_partition(compacted, "user_id", 64) \
-        .groupby("__part").map_groups(_local_latest,
-                                      batch_format="pandas")
+    # partition-group close: one kernel call per group, not per user
+    return partition_groups(compacted, "user_id", _local_latest)

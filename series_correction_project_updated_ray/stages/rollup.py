@@ -19,6 +19,7 @@ import pyarrow as pa
 
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from .joins import _derive_buckets, partition_groups
 from ..functions.hashing import stable_hash_array
 from ..functions.rounding import round_half_away
 
@@ -130,7 +131,8 @@ class GroupedMedian:
 
     Grouping by a hash partition of the bucket key instead of by bucket
     keeps the shuffle identical but replaces |key×window| Python group
-    calls (billions at scale) with ``n_parts``; medians are computed
+    calls (billions at scale) with one call per partition group, the
+    group count derived from the input size; medians are computed
     vectorized over sorted runs (two middle picks per run — identical to
     np.median, including NaN propagation).  Exact medians need each
     bucket co-located; for percentile sets over buckets too big to
@@ -167,9 +169,10 @@ class GroupedMedian:
 
 
 def grouped_median(events, key_col="event_type", ts_col="ts",
-                   value_col="value", width: int = 3600,
-                   n_parts: int = 64):
+                   value_col="value", width: int = 3600):
     """Exact median per (key, tumbling window)."""
+    n_groups = np.uint64(_derive_buckets(events))
+
     def _bucket(batch: pa.Table) -> pa.Table:
         secs = _epoch_seconds(batch[ts_col])
         win = secs - secs % width
@@ -180,7 +183,7 @@ def grouped_median(events, key_col="event_type", ts_col="ts",
                          "window_start": pa.array(win),
                          "value": batch[value_col],
                          "__part": pa.array(
-                             (mixed % np.uint64(n_parts)).astype(np.int64))})
+                             (mixed % n_groups).astype(np.int64))})
     bucketed = events.map_batches(_bucket, batch_format="pyarrow")
     return bucketed.groupby("__part").map_groups(
         GroupedMedian(key_col), batch_format="pandas")
@@ -227,15 +230,8 @@ class StrideDownsample:
         return out.drop(columns=["__part"], errors="ignore")
 
 
-def downsample_stride(events, n: int = 10, key_col="user_id",
-                      n_parts: int = 64):
-    def _part(t: pa.Table) -> pa.Table:
-        part = (stable_hash_array(t[key_col])
-                % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__part", pa.array(part))
-    return events.map_batches(_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(
-            StrideDownsample(n, key_col), batch_format="pandas")
+def downsample_stride(events, n: int = 10, key_col="user_id"):
+    return partition_groups(events, key_col, StrideDownsample(n, key_col))
 
 
 class CascadePartial:
@@ -347,15 +343,13 @@ def _quantile_lerp(val: np.ndarray, starts: np.ndarray,
     return q
 
 
-def _quantile_proj(key_col: str, value_col: str, n_parts: int):
-    """The shared hash-partition projection of the quantile kernels:
-    (key, value, __part = stable_hash(key) % n_parts)."""
+def _quantile_groups(events, key_col: str, value_col: str, kernel):
+    """The shared plan of the quantile kernels: project to (key, value)
+    and run ``kernel`` once per partition group of the key."""
     def _proj(t: pa.Table) -> pa.Table:
-        part = (stable_hash_array(t[key_col])
-                % np.uint64(n_parts)).astype(np.int64)
-        return pa.table({key_col: t[key_col], "value": t[value_col],
-                         "__part": pa.array(part)})
-    return _proj
+        return pa.table({key_col: t[key_col], "value": t[value_col]})
+    return partition_groups(
+        events.map_batches(_proj, batch_format="pyarrow"), key_col, kernel)
 
 
 class GroupedQuantiles:
@@ -391,12 +385,10 @@ class GroupedQuantiles:
 
 
 def grouped_quantiles(events, key_col="event_type", value_col="value",
-                      probs=(0.5, 0.9, 0.95, 0.99), n_parts: int = 64):
+                      probs=(0.5, 0.9, 0.95, 0.99)):
     """Exact p50/p90/p95/p99 per key."""
-    proj = events.map_batches(_quantile_proj(key_col, value_col, n_parts),
-                              batch_format="pyarrow")
-    return proj.groupby("__part").map_groups(
-        GroupedQuantiles(key_col, probs), batch_format="pandas")
+    return _quantile_groups(events, key_col, value_col,
+                            GroupedQuantiles(key_col, probs))
 
 
 class PartialOHLC:
@@ -452,7 +444,7 @@ class PartialOHLC:
 
 def ohlc_bars(events, *, key_col: str = "user_id", ts_col: str = "ts",
               value_col: str = "value", id_col: str = "event_id",
-              width: int = 3600, n_parts: int = 64):
+              width: int = 3600):
     """OHLC bars per (key, window): open/close anchored at the (ts, id)
     order extremes, high/low/count — the canonical financial-timeseries
     downsample, exact in integer cents.
@@ -520,10 +512,7 @@ def ohlc_bars(events, *, key_col: str = "user_id", ts_col: str = "ts",
         })
     _finalize_cells.__name__ = "_ohlc_finalize"
 
-    from .windows import _add_key_partition
-    return _add_key_partition(partials, key_col, n_parts) \
-        .groupby("__part").map_groups(_finalize_cells,
-                                      batch_format="pandas")
+    return partition_groups(partials, key_col, _finalize_cells)
 
 
 # --- percentile continuous aggregates (mergeable KLL per window) -----------
@@ -669,46 +658,38 @@ class TukeyFencesGroup:
 
 
 def tukey_fences(events, *, key_col: str = "user_id", k: float = 1.5,
-                 value_col: str = "value", n_parts: int = 64):
+                 value_col: str = "value"):
     """Per-key Tukey box-plot screen: exact quartiles + the count of
     values outside the 1.5·IQR fences — the distribution-free outlier
     budget per series.  One partition-group shuffle."""
-    proj = events.map_batches(_quantile_proj(key_col, value_col, n_parts),
-                              batch_format="pyarrow")
-    return proj.groupby("__part").map_groups(
-        TukeyFencesGroup(key_col, k), batch_format="pandas")
+    return _quantile_groups(events, key_col, value_col,
+                            TukeyFencesGroup(key_col, k))
 
 
 def seasonal_quantiles(events, *, key_col: str = "event_type",
-                       probs=(0.1, 0.5, 0.9), n_parts: int = 64):
+                       probs=(0.1, 0.5, 0.9)):
     """Seasonal quantile bands: exact p10/p50/p90 of value per
     (key, hour-of-day) cell — the capacity-planning seasonality
     envelope.  Derives the composite ``key#hod`` cell id in the
     projection map (hour-of-day from epoch micros, UTC) and reuses the
     calibrated :class:`GroupedQuantiles` lerp kernel verbatim; one
     partition-group shuffle over the bounded |keys|·24 cell domain."""
-    from ..functions.hashing import stable_hash_array
     from .windows import _epoch_micros
 
     def _proj(t: pa.Table) -> pa.Table:
         if "ts" not in t.column_names or len(t) == 0:
             return pa.table({"__cell": pa.array([], pa.string()),
-                             "value": pa.array([], pa.float64()),
-                             "__part": pa.array([], pa.int64())})
+                             "value": pa.array([], pa.float64())})
         hod = (np.asarray(_epoch_micros(t["ts"]))
                // 3_600_000_000) % 24
         keys = t[key_col].to_pandas().astype(str)
         cell = keys.str.cat(
             pd.Series(hod).astype(str).str.zfill(2), sep="#")
-        part = (stable_hash_array(cell)
-                % np.uint64(n_parts)).astype(np.int64)
         return pa.table({"__cell": pa.array(cell, pa.string()),
-                         "value": t["value"],
-                         "__part": pa.array(part)})
+                         "value": t["value"]})
 
-    proj = events.map_batches(_proj, batch_format="pyarrow")
-    cells = proj.groupby("__part").map_groups(
-        GroupedQuantiles("__cell", probs), batch_format="pandas")
+    cells = partition_groups(events.map_batches(_proj, batch_format="pyarrow"),
+                             "__cell", GroupedQuantiles("__cell", probs))
 
     def _split(t: pa.Table) -> pa.Table:
         if len(t) == 0:

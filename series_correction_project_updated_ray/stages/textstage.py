@@ -2035,7 +2035,7 @@ class _VocabOverlapPartial:
 
 
 def vocab_overlap_sources(docs, *, text_col="text",
-                          source_col="source", n_parts: int = 64):
+                          source_col="source"):
     """Pairwise Jaccard overlap between source vocabularies — the
     cross-domain similarity matrix of a mixed corpus (which sources
     speak the same language?).  Stages: batch-local distinct (source,
@@ -2050,7 +2050,7 @@ def vocab_overlap_sources(docs, *, text_col="text",
     from ray.data.aggregate import Sum
 
     from .taskcache import class_task
-    from .windows import _add_key_partition
+    from .joins import partition_groups
 
     docs = docs.materialize()
 
@@ -2078,10 +2078,8 @@ def vocab_overlap_sources(docs, *, text_col="text",
         r["source"] for r in distributed_distinct(
             cells, ["source"]).take_all()})
     ref = ray.put(sources)
-    partials = _add_key_partition(cells, "term", n_parts) \
-        .groupby("__part").map_groups(
-            class_task(_VocabOverlapPartial, ref),
-            batch_format="pandas")
+    partials = partition_groups(
+        cells, "term", class_task(_VocabOverlapPartial, ref))
     summed = partials.groupby(["i", "j"]).aggregate(
         Sum("c", alias_name="c"))
 

@@ -17,10 +17,11 @@ rounding out the north rule's "rollup + downsample + retention engine":
   bucket's pick feeds the next triangle), so per-key inside
   partition groups.
 
-All use the one-shuffle partition-group pattern of
-:mod:`stages.windows`: ``stable_hash(key) % n_parts`` co-locates whole
-keys, each kernel handles every co-located key vectorized (boundary
-scans / reduceat), never one Python call per key.
+All use the one-shuffle partition-group primitive
+:func:`stages.joins.partition_groups`: ``stable_hash(key) % n`` (``n``
+derived from the input size) co-locates whole keys, each kernel handles
+every co-located key vectorized (boundary scans / reduceat), never one
+Python call per key.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .windows import _add_key_partition, _epoch_micros
+from .joins import partition_groups
+from .windows import _epoch_micros
 from ..functions.rounding import round_half_away, scaled_int
 
 
@@ -109,13 +111,11 @@ class RateCounterGroup:
         })
 
 
-def rate_counter(events, *, width_s: int = 3600, n_parts: int = 64):
+def rate_counter(events, *, width_s: int = 3600):
     """Reset-aware counter rate per (user, tumbling window) — one
     partition-group shuffle of (key, id, t, cents)-width rows."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(RateCounterGroup(width_s),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", RateCounterGroup(width_s))
 
 
 # --- max drawdown (running-peak regression) ---------------------------------
@@ -191,14 +191,12 @@ class DrawdownGroup:
         })
 
 
-def max_drawdown(events, *, n_parts: int = 64):
+def max_drawdown(events):
     """Per-user max drawdown (largest drop from the running peak) with
     the earliest trough timestamp — one partition-group shuffle, exact
     integer cents."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(DrawdownGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", DrawdownGroup())
 
 
 # --- interval coverage (gaps and islands) ----------------------------------
@@ -249,13 +247,11 @@ class IntervalCoverageGroup:
         })
 
 
-def interval_coverage(events, *, width_s: int = 300, n_parts: int = 64):
+def interval_coverage(events, *, width_s: int = 300):
     """Per-user union of fixed-width event intervals: merged count +
     covered span (integer µs) — one partition-group shuffle."""
     prepped = _prep_events(events, cols=("user_id",))
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(IntervalCoverageGroup(width_s),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", IntervalCoverageGroup(width_s))
 
 
 # --- grid resample with forward fill ---------------------------------------
@@ -354,17 +350,15 @@ class LocalGridResample:
         return self.inner(_append_local_grid(g, self.width_s))
 
 
-def resample_ffill(events, *, width_s: int = 3600, n_parts: int = 64):
+def resample_ffill(events, *, width_s: int = 3600):
     """Regular-grid forward-fill resample: per user, one row per
     ``width_s`` boundary inside the user's observed span, carrying the
     latest prior-or-equal observation.  ONE partition-group shuffle;
     the grid is generated inside each group (keys are co-located) —
     the UPSAMPLE dual of the rollup downsample."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(
-            LocalGridResample(ResampleFfillGroup(), width_s),
-            batch_format="pandas")
+    return partition_groups(
+        prepped, "user_id", LocalGridResample(ResampleFfillGroup(), width_s))
 
 
 # --- EWMA ------------------------------------------------------------------
@@ -453,13 +447,11 @@ class EwmaGroup:
         })
 
 
-def ewma_per_user(events, *, alpha: float = 0.5, n_parts: int = 64):
+def ewma_per_user(events, *, alpha: float = 0.5):
     """Per-user EWMA of value in event-time order — one partition-group
     shuffle; the recursion is bit-exact against a recursive CTE."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(EwmaGroup(alpha),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", EwmaGroup(alpha))
 
 
 # --- LTTB downsample -------------------------------------------------------
@@ -559,13 +551,11 @@ class LttbGroup:
         })
 
 
-def lttb_downsample(events, *, n_out: int = 100, n_parts: int = 64):
+def lttb_downsample(events, *, n_out: int = 100):
     """Shape-preserving per-user downsample to ``n_out`` points
     (largest-triangle-three-buckets) — one partition-group shuffle."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(LttbGroup(n_out),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", LttbGroup(n_out))
 
 
 # --- lag-1 autocorrelation -------------------------------------------------
@@ -638,13 +628,11 @@ class AutocorrGroup:
         })
 
 
-def autocorr_lag1(events, *, n_parts: int = 64):
+def autocorr_lag1(events):
     """Per-user lag-1 autocorrelation of value — one partition-group
     shuffle; integer-exact moments, double-identical closing formula."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(AutocorrGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", AutocorrGroup())
 
 
 # --- seasonal profile ------------------------------------------------------
@@ -790,15 +778,12 @@ class HoltGroup:
         })
 
 
-def holt_per_user(events, *, alpha: float = 0.5, beta: float = 0.5,
-                  n_parts: int = 64):
+def holt_per_user(events, *, alpha: float = 0.5, beta: float = 0.5):
     """Per-user Holt linear-trend smoothing — one partition-group
     shuffle; the two-state float recursion is recursive-CTE-certified
     bit-exactly."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(HoltGroup(alpha, beta),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", HoltGroup(alpha, beta))
 
 
 # --- grid resample with linear interpolation -------------------------------
@@ -871,15 +856,13 @@ class ResampleInterpGroup:
         })
 
 
-def resample_interp(events, *, width_s: int = 3600, n_parts: int = 64):
+def resample_interp(events, *, width_s: int = 3600):
     """Regular-grid linear-interpolation resample — the smooth variant
     of :func:`resample_ffill`, same key-local grid and single-shuffle
     shape."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(
-            LocalGridResample(ResampleInterpGroup(), width_s),
-            batch_format="pandas")
+    return partition_groups(
+        prepped, "user_id", LocalGridResample(ResampleInterpGroup(), width_s))
 
 
 # --- hysteresis alerting ---------------------------------------------------
@@ -951,14 +934,11 @@ class HysteresisGroup:
         })
 
 
-def alert_hysteresis(events, *, hi: float = 150.0, lo: float = 50.0,
-                     n_parts: int = 64):
+def alert_hysteresis(events, *, hi: float = 150.0, lo: float = 50.0):
     """Per-user two-threshold alert state (1 above ``hi`` until dropping
     below ``lo``) — one partition-group shuffle, exact integer fold."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(HysteresisGroup(hi, lo),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", HysteresisGroup(hi, lo))
 
 
 # --- changepoint (binary segmentation, depth 1) -----------------------------
@@ -1042,13 +1022,11 @@ class ChangepointGroup:
         })
 
 
-def changepoint_user(events, *, n_parts: int = 64):
+def changepoint_user(events):
     """Per-user best mean-shift split (depth-1 binary segmentation) —
     one partition-group shuffle of (key, id, t, cents)-width rows."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(ChangepointGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", ChangepointGroup())
 
 
 # --- cross-series correlation (top-k users, hourly grid) --------------------
@@ -1401,14 +1379,12 @@ class TheilSenGroup:
         })
 
 
-def theil_sen(events, *, n_parts: int = 64):
+def theil_sen(events):
     """Per-user Theil-Sen robust slope (median pairwise slope, per
     hour) — one partition-group shuffle; quadratic per key by the
     estimator's definition (document/window long series upstream)."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(TheilSenGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", TheilSenGroup())
 
 
 # --- 1-D Kalman filter (local-level model) ---------------------------------
@@ -1484,14 +1460,12 @@ class KalmanGroup:
 
 
 def kalman_per_user(events, *, q: float = 1.0, r: float = 4.0,
-                    p0: float = 1.0, n_parts: int = 64):
+                    p0: float = 1.0):
     """Per-user scalar Kalman filtering (local-level model) — one
     partition-group shuffle; the two-state recursion with its per-step
     division gain is recursive-CTE-certified bit-exactly."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(KalmanGroup(q, r, p0),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", KalmanGroup(q, r, p0))
 
 
 # --- Holt-Winters additive (triple exponential smoothing) -------------------
@@ -1587,16 +1561,14 @@ class HoltWintersGroup:
 
 def holt_winters_per_user(events, *, alpha: float = 0.5,
                           beta: float = 0.5, gamma: float = 0.25,
-                          m: int = 4, n_parts: int = 64):
+                          m: int = 4):
     """Per-user Holt-Winters additive seasonal smoothing — one
     partition-group shuffle; the (level, trend, m seasonals) float
     recursion is recursive-CTE-certified bit-exactly (scalar phase
     columns, no list carry)."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(
-            HoltWintersGroup(alpha, beta, gamma, m),
-            batch_format="pandas")
+    return partition_groups(
+        prepped, "user_id", HoltWintersGroup(alpha, beta, gamma, m))
 
 
 # --- spectral power (DFT at fixed calendar periods) --------------------------
@@ -1690,14 +1662,12 @@ class SpectralGroup:
         return pd.DataFrame(out)
 
 
-def spectral_power(events, *, n_parts: int = 64):
+def spectral_power(events):
     """Per-user DFT power at the daily and weekly calendar periods —
     one partition-group shuffle; trig terms + ordered float folds are
     bit-exact vs the libm-trig ``list_reduce`` oracle."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(SpectralGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", SpectralGroup())
 
 
 # --- fixed-width piecewise-linear approximation (PLA) -----------------------
@@ -1798,15 +1768,13 @@ class PlaSegmentsGroup:
         })
 
 
-def pla_segments(events, *, width: int = 16, n_parts: int = 64):
+def pla_segments(events, *, width: int = 16):
     """Fixed-width piecewise-linear approximation per series — the
     linear-coefficient downsample tier (slope, intercept, max abs
     residual per width-point segment).  One partition-group shuffle;
     integer-exact sufficient statistics, oracle-exact closes."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(PlaSegmentsGroup(width),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", PlaSegmentsGroup(width))
 
 
 # --- Page-Hinkley drift test -------------------------------------------------
@@ -1908,17 +1876,14 @@ class PageHinkleyGroup:
         })
 
 
-def page_hinkley(events, *, delta: float = 100.0, lam: float = 50000.0,
-                 n_parts: int = 64):
+def page_hinkley(events, *, delta: float = 100.0, lam: float = 50000.0):
     """Per-user two-sided Page-Hinkley drift detection — the streaming
     mean-shift monitor of a training-data ingest pipeline (has this
     source's value distribution drifted since the cohort started?).
     One partition-group shuffle; the running-mean deviation folds are
     recursive-CTE-certified bit-exactly."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(PageHinkleyGroup(delta, lam),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", PageHinkleyGroup(delta, lam))
 
 
 # --- variance-ratio random-walk test ----------------------------------------
@@ -2020,15 +1985,13 @@ class VarianceRatioGroup:
         })
 
 
-def variance_ratio(events, *, q: int = 4, n_parts: int = 64):
+def variance_ratio(events, *, q: int = 4):
     """Per-user Lo–MacKinlay variance-ratio test: is the series a
     random walk (VR≈1), mean-reverting (VR<1) or trending (VR>1)?
     One partition-group shuffle; integer-exact moments, one double
     ratio close."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(VarianceRatioGroup(q),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", VarianceRatioGroup(q))
 
 
 # --- EWM control bands (EWMA level + EW variance) ---------------------------
@@ -2121,8 +2084,7 @@ class EwmBandsGroup:
         })
 
 
-def ewm_bands(events, *, alpha: float = 0.25, k: float = 3.0,
-              n_parts: int = 64):
+def ewm_bands(events, *, alpha: float = 0.25, k: float = 3.0):
     """Per-user EWMA control chart with exponentially-weighted
     variance bands — the streaming per-point anomaly monitor (is THIS
     observation surprising given the series so far?), complementing
@@ -2130,9 +2092,7 @@ def ewm_bands(events, *, alpha: float = 0.25, k: float = 3.0,
     shuffle; the (l, v) recursion INCLUDING the per-row sqrt band test
     is recursive-CTE-certified bit-exactly."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(EwmBandsGroup(alpha, k),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", EwmBandsGroup(alpha, k))
 
 
 # --- classic additive seasonal decomposition --------------------------------
@@ -2225,15 +2185,13 @@ class SeasonalDecomposeGroup:
         })
 
 
-def seasonal_decompose(events, *, m: int = 24, n_parts: int = 64):
+def seasonal_decompose(events, *, m: int = 24):
     """Per-user classic additive seasonal decomposition (period ``m``
     observations): 2×m centered-MA detrend — integer-exact via the
     2m-scaling — then per-phase seasonal means.  One partition-group
     shuffle; the close is one double chain per (user, phase) cell."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(SeasonalDecomposeGroup(m),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", SeasonalDecomposeGroup(m))
 
 
 # --- peak detection ----------------------------------------------------------
@@ -2295,14 +2253,12 @@ class PeakDetectGroup:
         })
 
 
-def peak_detection(events, *, min_prom: float = 0.5, n_parts: int = 64):
+def peak_detection(events, *, min_prom: float = 0.5):
     """Per-user strict local maxima with a prominence floor — the
     event-stream spike inventory (alerting / motif seeding).  One
     partition-group shuffle; raw-double compares only."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(PeakDetectGroup(min_prom),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", PeakDetectGroup(min_prom))
 
 
 # --- Haar wavelet energies ---------------------------------------------------
@@ -2381,15 +2337,13 @@ class HaarEnergyGroup:
             "energy": np.concatenate(out_energy)})
 
 
-def haar_energy(events, *, n_parts: int = 64):
+def haar_energy(events):
     """Per-user Haar wavelet detail energy at levels 1–3 — the classic
     multi-resolution variance split (which timescale carries the
     signal's power).  One partition-group shuffle, integer-exact
     lifting, one double divide per output cell."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(HaarEnergyGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", HaarEnergyGroup())
 
 
 # --- Ljung-Box portmanteau test ---------------------------------------------
@@ -2461,15 +2415,13 @@ class LjungBoxGroup:
             "q_stat": round_half_away(q, 6)})
 
 
-def ljung_box(events, *, lags: int = 5, n_parts: int = 64):
+def ljung_box(events, *, lags: int = 5):
     """Per-user Ljung-Box portmanteau white-noise test over lags
     1..``lags`` — the classic residual-autocorrelation screen.  One
     partition-group shuffle, integer-exact moments, double-identical
     ascending-lag closing fold."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(LjungBoxGroup(lags),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", LjungBoxGroup(lags))
 
 
 # --- sample entropy ----------------------------------------------------------
@@ -2550,7 +2502,7 @@ class SampleEntropyGroup:
             "sampen": np.array(out_s, dtype=np.float64)})
 
 
-def sample_entropy(events, *, r_cents: int = 200, n_parts: int = 64):
+def sample_entropy(events, *, r_cents: int = 200):
     """Per-user sample entropy SampEn(m=2, r) — the regularity /
     predictability score of each series.  One partition-group shuffle;
     integer-exact match counts, one libm ln per key.  PARTITIONING
@@ -2558,9 +2510,7 @@ def sample_entropy(events, *, r_cents: int = 200, n_parts: int = 64):
     contract) — the match count is quadratic in series length by
     definition, computed in CHUNK-row vectorized slabs."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(SampleEntropyGroup(r_cents),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", SampleEntropyGroup(r_cents))
 
 
 # --- Croston intermittent-demand forecast ------------------------------------
@@ -2647,7 +2597,7 @@ class CrostonGroup:
             "forecast": round_half_away(z[sel] / p[sel], 6)})
 
 
-def croston_demand(events, *, alpha: float = 0.2, n_parts: int = 64):
+def croston_demand(events, *, alpha: float = 0.2):
     """Per-user Croston intermittent-demand forecast over the hourly
     demand grid — the standard sparse-demand smoother (demand size and
     inter-demand interval smoothed separately).  One partition-group
@@ -2661,9 +2611,7 @@ def croston_demand(events, *, alpha: float = 0.2, n_parts: int = 64):
                          "t": pa.array(_epoch_micros(batch["ts"]))})
 
     prepped = events.map_batches(_prep, batch_format="pyarrow")
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(CrostonGroup(alpha),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", CrostonGroup(alpha))
 
 
 # --- Hurst exponent (rescaled range) -----------------------------------------
@@ -2772,15 +2720,13 @@ class HurstRSGroup:
             "hurst": np.array(out_h, dtype=np.float64)})
 
 
-def hurst_rs(events, *, n_parts: int = 64):
+def hurst_rs(events):
     """Per-user rescaled-range Hurst exponent over window sizes
     8/16/32 — the long-memory / trend-persistence score.  One
     partition-group shuffle; integer-exact block statistics, ordered
     double folds, 3-point log-log least squares."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(HurstRSGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", HurstRSGroup())
 
 
 # --- Mann-Kendall trend test --------------------------------------------------
@@ -2848,14 +2794,12 @@ class MannKendallGroup:
             "tau": np.array(out_tau, dtype=np.float64)})
 
 
-def mann_kendall(events, *, n_parts: int = 64):
+def mann_kendall(events):
     """Per-user Mann-Kendall monotone-trend test (S statistic +
     Kendall tau-a) — the distribution-free trend screen.  One
     partition-group shuffle; exact integer pair signs."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(MannKendallGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", MannKendallGroup())
 
 
 # --- Spearman rank trend ------------------------------------------------------
@@ -2941,15 +2885,13 @@ class SpearmanTrendGroup:
             "rho": rho})
 
 
-def spearman_trend(events, *, n_parts: int = 64):
+def spearman_trend(events):
     """Per-user Spearman rank correlation of value against time order
     — the tie-robust monotone-trend strength.  One partition-group
     shuffle; 2-scaled integer ranks, exact moments, autocorr-style
     double close."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(SpearmanTrendGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", SpearmanTrendGroup())
 
 
 # --- partial autocorrelation (Durbin-Levinson, lags 1-3) ----------------------
@@ -3024,14 +2966,12 @@ class PacfGroup:
             "pacf3": round_half_away(p33, 6)})
 
 
-def pacf_lags(events, *, n_parts: int = 64):
+def pacf_lags(events):
     """Per-user partial autocorrelations at lags 1-3 (Durbin-Levinson
     closed forms) — the AR-order identification screen.  One
     partition-group shuffle; integer ACF moments, fixed double chains."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(PacfGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", PacfGroup())
 
 
 # --- isotonic regression (minimax PAVA) ---------------------------------------
@@ -3094,15 +3034,13 @@ class IsotonicGroup:
             "fitted": np.concatenate(out_fit)})
 
 
-def isotonic_fit(events, *, n_parts: int = 64):
+def isotonic_fit(events):
     """Per-user isotonic regression of value on time order — the
     monotone calibration fit (PAVA solution via the exact minimax
     formula).  One partition-group shuffle; exact integer interval
     sums, two window extrema."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(IsotonicGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", IsotonicGroup())
 
 
 # --- next higher value (monotonic stack) ---------------------------------------
@@ -3157,15 +3095,13 @@ class NextHigherGroup:
         return out
 
 
-def next_higher_event(events, *, n_parts: int = 64):
+def next_higher_event(events):
     """Per-event wait until the user's next strictly higher value —
     O(rows) monotonic-stack scan per key (the oracle's first-match
     self-join is quadratic; the engine never pays it).  One
     partition-group shuffle."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(NextHigherGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", NextHigherGroup())
 
 
 # --- Wilder RSI -------------------------------------------------------------
@@ -3245,11 +3181,9 @@ class RsiGroup:
             "rsi": rsi})
 
 
-def rsi_per_user(events, *, period: int = 14, n_parts: int = 64):
+def rsi_per_user(events, *, period: int = 14):
     """Per-user Wilder RSI in event-time order — one partition-group
     shuffle; the double recursion is bit-exact against a recursive
     CTE replaying the identical operand order."""
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(RsiGroup(period),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", RsiGroup(period))

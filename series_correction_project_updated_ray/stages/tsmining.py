@@ -23,9 +23,10 @@ partition-group / mergeable-partial idioms:
   longest run, total over-threshold events, longest duration.
 
 Scale shape: SAX and excursions are one partition-group shuffle
-(``stable_hash(key) % n_parts`` co-locates whole keys, kernels are
-vectorized across keys); DTW's profile build is a partial-first
-aggregation shipping ≤ 24·|keys-per-block| rows per block, and the DP
+(``stable_hash(key) % n``, ``n`` derived from the input size,
+co-locates whole keys; kernels are vectorized across keys); DTW's
+profile build is a partial-first aggregation shipping
+≤ 24·|keys-per-block| rows per block, and the DP
 itself runs over a FIXED, bounded key set (``k_users``) in one small
 task — never corpus-proportional driver state.
 """
@@ -36,7 +37,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .windows import _add_key_partition, _epoch_micros
+from .joins import partition_groups
+from .windows import _epoch_micros
 from ..functions.rounding import round_half_away, scaled_int
 
 # N(0,1) quantiles at 1/4, 2/4, 3/4 — the SAX alphabet-4 breakpoints
@@ -139,14 +141,13 @@ class SaxGroup:
         })
 
 
-def sax_symbols(events, *, w: int = 8, n_parts: int = 64):
+def sax_symbols(events, *, w: int = 8):
     """SAX symbolization (w segments, alphabet abcd) of each user's
     value series — one partition-group shuffle; integer-exact moments
     make the symbols value-exact against the SQL oracle."""
     from .timeseries import _prep_events
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(SaxGroup(w), batch_format="pandas")
+    return partition_groups(prepped, "user_id", SaxGroup(w))
 
 
 # --- threshold excursions (value-conditioned gaps-and-islands) --------------
@@ -206,15 +207,12 @@ class ExcursionGroup:
         })
 
 
-def threshold_excursions(events, *, thresh: float = 150.0,
-                         n_parts: int = 64):
+def threshold_excursions(events, *, thresh: float = 150.0):
     """Per-user maximal over-threshold runs (count / longest / total /
     longest duration) — one partition-group shuffle."""
     from .timeseries import _prep_events
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(ExcursionGroup(thresh),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", ExcursionGroup(thresh))
 
 
 # --- M4 visual downsample (Jugel et al., VLDB 2014) --------------------------
@@ -333,7 +331,7 @@ class M4Finalize:
 
 def m4_downsample(events, *, key_col: str = "user_id", ts_col: str = "ts",
                   value_col: str = "value", id_col: str = "event_id",
-                  width_s: int = 86400, n_parts: int = 64):
+                  width_s: int = 86400):
     """M4 visual downsample (Jugel, Markl et al. 2014): per (key,
     bucket) the first/last/min/max anchor points — the error-free
     line-chart reduction.  First/last anchor on (t, event_id); min/max
@@ -344,9 +342,7 @@ def m4_downsample(events, *, key_col: str = "user_id", ts_col: str = "ts",
     partials = events.map_batches(
         PartialM4(key_col, ts_col, value_col, id_col, width_s),
         batch_format="pyarrow")
-    return _add_key_partition(partials, key_col, n_parts) \
-        .groupby("__part").map_groups(M4Finalize(key_col),
-                                      batch_format="pandas")
+    return partition_groups(partials, key_col, M4Finalize(key_col))
 
 
 # --- DTW over hour-of-day profiles ------------------------------------------
@@ -518,26 +514,24 @@ class MatrixProfileGroup:
         })
 
 
-def matrix_profile(events, *, w: int = 8, n_parts: int = 64):
+def matrix_profile(events, *, w: int = 8):
     """Exact unnormalized matrix profile per user (window ``w``) — one
     partition-group shuffle; quadratic in windows per key by the
     primitive's definition (bound series length upstream for long
     keys, or use an anchored subset)."""
     from .timeseries import _prep_events
     prepped = _prep_events(events)
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(MatrixProfileGroup(w),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", MatrixProfileGroup(w))
 
 
-def mp_discords(events, *, w: int = 8, n_parts: int = 64):
+def mp_discords(events, *, w: int = 8):
     """Top discord per user — the position whose nearest-neighbor
     window distance is LARGEST (the classic matrix-profile anomaly
     read, Yeh et al. 2016 §IV): max mp_dist2, earliest position on
     ties.  Pure composition: :func:`matrix_profile` → the distributed
     per-group top-1 (no global sort)."""
     from .windows import topn_per_group
-    prof = matrix_profile(events, w=w, n_parts=n_parts)
+    prof = matrix_profile(events, w=w)
     out = topn_per_group(prof, "user_id", ["mp_dist2", "pos"],
-                         [True, False], 1, n_parts=n_parts)
+                         [True, False], 1)
     return out.drop_columns(["rn"])

@@ -17,6 +17,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .joins import partition_groups
 from .rollup import _epoch_seconds
 from ..functions.rounding import round_half_away, scaled_int
 
@@ -214,29 +215,12 @@ class AsofJoinGroup:
         })
 
 
-def _add_key_partition(ds, key_col: str, n_parts: int = 64):
-    """Append ``__part = stable_hash(key) % n_parts`` — the partition-
-    group shuffle key that co-locates whole keys while keeping the group
-    count fixed (n_parts) instead of |keys|."""
-    from ..functions.hashing import stable_hash_array
-
-    def _part(t: pa.Table) -> pa.Table:
-        part = (stable_hash_array(t[key_col])
-                % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__part", pa.array(part))
-    return ds.map_batches(_part, batch_format="pyarrow")
+def session_windows(events, timeout_s=1800):
+    return partition_groups(events, "user_id", SessionWindows(timeout_s))
 
 
-def session_windows(events, timeout_s=1800, n_parts: int = 64):
-    return _add_key_partition(events, "user_id", n_parts) \
-        .groupby("__part").map_groups(
-            SessionWindows(timeout_s), batch_format="pandas")
-
-
-def sliding_mean(events, width_s=300, n_parts: int = 64):
-    return _add_key_partition(events, "user_id", n_parts) \
-        .groupby("__part").map_groups(
-            SlidingMean(width_s), batch_format="pandas")
+def sliding_mean(events, width_s=300):
+    return partition_groups(events, "user_id", SlidingMean(width_s))
 
 
 def asof_join_events(events, right_type="purchase"):
@@ -263,9 +247,7 @@ def asof_join_events(events, right_type="purchase"):
 
     left = events.map_batches(lambda b: _prep(b, "l"), batch_format="pyarrow")
     right = events.map_batches(lambda b: _prep(b, "r"), batch_format="pyarrow")
-    both = _add_key_partition(left.union(right), "user_id")
-    return both.groupby("__part").map_groups(
-        AsofJoinGroup(), batch_format="pandas")
+    return partition_groups(left.union(right), "user_id", AsofJoinGroup())
 
 
 class _TopNPerGroup:
@@ -293,15 +275,13 @@ class _TopNPerGroup:
 
 
 def topn_per_group(ds, group_col: str, sort_cols: list[str],
-                   descending: list[bool], n: int, n_parts: int = 64):
+                   descending: list[bool], n: int):
     """Top-n rows per group with a rank column (deterministic only if
     ``sort_cols`` is a total order within a group — pass a unique
     tiebreak column).  One shuffle (the partition groupby); ranking is
     one vectorized sort + cumcount per partition."""
-    return _add_key_partition(ds, group_col, n_parts) \
-        .groupby("__part").map_groups(
-            _TopNPerGroup(group_col, sort_cols, descending, n),
-            batch_format="pandas")
+    return partition_groups(
+        ds, group_col, _TopNPerGroup(group_col, sort_cols, descending, n))
 
 
 class RangeJoinAggGroup:
@@ -383,9 +363,8 @@ def range_join_agg(events, *, left_type="purchase", right_type="click",
                               batch_format="pyarrow")
     right = events.map_batches(lambda b: _prep(b, "r", right_type),
                                batch_format="pyarrow")
-    return _add_key_partition(left.union(right), "user_id") \
-        .groupby("__part").map_groups(
-            RangeJoinAggGroup(window_s * 1_000_000), batch_format="pandas")
+    return partition_groups(
+        left.union(right), "user_id", RangeJoinAggGroup(window_s * 1_000_000))
 
 
 class FunnelGroup:
@@ -432,8 +411,7 @@ class FunnelGroup:
         })
 
 
-def funnel(events, *, first_type="click", then_type="purchase",
-           n_parts: int = 64):
+def funnel(events, *, first_type="click", then_type="purchase"):
     """Per-user 2-step funnel conversion (first→then) — one
     partition-group shuffle; the kernel funnels every co-located user in
     two masked reduceat min-scans.  Timestamps compare in microseconds
@@ -449,11 +427,9 @@ def funnel(events, *, first_type="click", then_type="purchase",
                         value_set=pa.array([first_type, then_type]))
         return out.filter(keep)
 
-    return _add_key_partition(
-        events.map_batches(_prep, batch_format="pyarrow"),
-        "user_id", n_parts) \
-        .groupby("__part").map_groups(
-        FunnelGroup(first_type, then_type), batch_format="pandas")
+    return partition_groups(
+        events.map_batches(_prep, batch_format="pyarrow"), "user_id",
+        FunnelGroup(first_type, then_type))
 
 
 class RunningSumGroup:
@@ -480,7 +456,8 @@ class RunningSumGroup:
         if float(np.abs(v100).sum(dtype=np.float64)) > 2**62:
             raise OverflowError(
                 "running_sum: partition cents magnitude exceeds int64 — "
-                "raise n_parts so fewer keys share a partition")
+                "the group count follows the input's size estimate, so "
+                "this partition group holds far more data than estimated")
         starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]]) \
             if len(codes) else np.array([], dtype=np.int64)
         lens = np.diff(np.r_[starts, len(codes)])
@@ -498,7 +475,7 @@ class RunningSumGroup:
         })
 
 
-def running_sum(events, n_parts: int = 64):
+def running_sum(events):
     """Per-user cumulative value sum in event-time order — one
     partition-group shuffle, segmented cumsum across all co-located
     users."""
@@ -511,9 +488,7 @@ def running_sum(events, n_parts: int = 64):
                          "value": batch["value"]})
 
     prepped = events.map_batches(_prep, batch_format="pyarrow")
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(RunningSumGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", RunningSumGroup())
 
 
 class LagDeltaGroup:
@@ -552,7 +527,7 @@ class LagDeltaGroup:
         })
 
 
-def lag_deltas(events, n_parts: int = 64):
+def lag_deltas(events):
     """Per-user consecutive-event deltas (the LAG window-function shape):
     value and time diffs in (ts, event_id) order — one partition-group
     shuffle, segmented vectorized diffs for all co-located keys."""
@@ -565,9 +540,7 @@ def lag_deltas(events, n_parts: int = 64):
                          "value": batch["value"]})
 
     prepped = events.map_batches(_prep, batch_format="pyarrow")
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(LagDeltaGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", LagDeltaGroup())
 
 
 class EventSequenceGroup:
@@ -607,7 +580,7 @@ class EventSequenceGroup:
         })
 
 
-def user_event_sequences(events, *, sep: str = "->", n_parts: int = 64):
+def user_event_sequences(events, *, sep: str = "->"):
     """Per-user ordered event-type sequences (string_agg ORDER BY shape)
     — one partition-group shuffle; only (user, type, ts, id) rows move,
     and each key's sequence is assembled exactly once."""
@@ -620,9 +593,7 @@ def user_event_sequences(events, *, sep: str = "->", n_parts: int = 64):
                          "t": pa.array(t)})
 
     prepped = events.map_batches(_prep, batch_format="pyarrow")
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(EventSequenceGroup(sep),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", EventSequenceGroup(sep))
 
 
 class TimeWeightedAvgGroup:
@@ -692,7 +663,7 @@ class TimeWeightedAvgGroup:
         return out
 
 
-def time_weighted_avg(events, *, width_s: int = 3600, n_parts: int = 64):
+def time_weighted_avg(events, *, width_s: int = 3600):
     """Trapezoidal time-weighted average per (user, window) — the
     irregular-sampling analogue of the plain window mean.  One
     partition-group shuffle of (user, t, id, cents) rows; every cell's
@@ -706,9 +677,7 @@ def time_weighted_avg(events, *, width_s: int = 3600, n_parts: int = 64):
                          "value": batch["value"]})
 
     prepped = events.map_batches(_prep, batch_format="pyarrow")
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(TimeWeightedAvgGroup(width_s),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", TimeWeightedAvgGroup(width_s))
 
 
 class TrendGroup:
@@ -773,7 +742,7 @@ class TrendGroup:
         })
 
 
-def window_trend(events, *, width_s: int = 3600, n_parts: int = 64):
+def window_trend(events, *, width_s: int = 3600):
     """Per-(user, window) least-squares trend (slope in value/second,
     intercept at the window start) — detection of drifting series, the
     regression analogue of the window mean.  One partition-group
@@ -786,9 +755,7 @@ def window_trend(events, *, width_s: int = 3600, n_parts: int = 64):
                          "value": batch["value"]})
 
     prepped = events.map_batches(_prep, batch_format="pyarrow")
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(TrendGroup(width_s),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", TrendGroup(width_s))
 
 
 class InterarrivalGroup:
@@ -855,7 +822,7 @@ class InterarrivalGroup:
         })
 
 
-def interarrival_stats(events, n_parts: int = 64):
+def interarrival_stats(events):
     """Per-user inter-event-time mean and coefficient of variation —
     one partition-group shuffle; exact integer micros moments."""
 
@@ -866,9 +833,7 @@ def interarrival_stats(events, n_parts: int = 64):
                          "t": pa.array(t)})
 
     prepped = events.map_batches(_prep, batch_format="pyarrow")
-    return _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(InterarrivalGroup(),
-                                      batch_format="pandas")
+    return partition_groups(prepped, "user_id", InterarrivalGroup())
 
 
 class SessionCooccurrence:
@@ -940,8 +905,7 @@ class SessionCooccurrence:
         })
 
 
-def session_cooccurrence(events, timeout_s: int = 1800,
-                         n_parts: int = 64):
+def session_cooccurrence(events, timeout_s: int = 1800):
     """Event-type co-occurrence within session windows (the
     market-basket / association screen): for every unordered pair of
     event types, the number of sessions containing BOTH.  One
@@ -950,9 +914,8 @@ def session_cooccurrence(events, timeout_s: int = 1800,
     import pyarrow as pa
 
     from ray.data.aggregate import Sum
-    partials = _add_key_partition(events, "user_id", n_parts) \
-        .groupby("__part").map_groups(SessionCooccurrence(timeout_s),
-                                      batch_format="pandas")
+    partials = partition_groups(
+        events, "user_id", SessionCooccurrence(timeout_s))
 
     def _to_arrow(t: pa.Table) -> pa.Table:   # arrow re-block before the
         return t                              # keyed groupby (15× faster)
@@ -1001,7 +964,7 @@ class _PathTrigramPartial:
                                count=len(c))})
 
 
-def top_event_paths(events, *, k: int = 10, n_parts: int = 64):
+def top_event_paths(events, *, k: int = 10):
     """Corpus top-k event-type trigram paths (``a>b>c`` within a
     user's time-ordered stream) — the clickstream path-mining staple.
     One user-keyed partition-group shuffle emits |path-vocab| partials,
@@ -1014,15 +977,13 @@ def top_event_paths(events, *, k: int = 10, n_parts: int = 64):
 
     prepped = _prep_events(events, cols=("user_id", "event_id",
                                          "event_type"))
-    partials = _add_key_partition(prepped, "user_id", n_parts) \
-        .groupby("__part").map_groups(_PathTrigramPartial(),
-                                      batch_format="pandas")
+    partials = partition_groups(prepped, "user_id", _PathTrigramPartial())
     merged = partials.groupby("path").aggregate(
         Sum("cnt", alias_name="cnt"))
     return topk_by(merged, ["cnt", "path"], [True, False], k)
 
 
-def bounce_rate(events, *, timeout_s: int = 1800, n_parts: int = 64):
+def bounce_rate(events, *, timeout_s: int = 1800):
     """Per-user session bounce rate: the share of sessions holding a
     single event — the engagement-quality staple, composed on the
     certified sessionization kernel.  Session rows reduce to per-user
@@ -1030,8 +991,7 @@ def bounce_rate(events, *, timeout_s: int = 1800, n_parts: int = 64):
     division."""
     from ray.data.aggregate import Sum
 
-    sessions = session_windows(events, timeout_s=timeout_s,
-                               n_parts=n_parts)
+    sessions = session_windows(events, timeout_s=timeout_s)
 
     def _flags(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

@@ -3372,6 +3372,25 @@ def test_top_supplier_revenue_end_to_end(ray_session):
     assert len(g) >= 1
 
 
+def test_top_supplier_revenue_empty_lineitem(ray_session, sf_dir):
+    """An empty lineitem has no top supplier: an empty table with the
+    output schema, not a crash or a schema-less result from the null
+    max."""
+    import ray.data as rd
+    from series_correction_project_updated_ray.stages.relational import (
+        top_supplier_revenue)
+    d = sf_dir
+    empty = rd.read_parquet(
+        f"{d}/lineitem.parquet",
+        columns=["l_suppkey", "l_extendedprice", "l_discount"]) \
+        .map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
+    got = top_supplier_revenue(
+        empty, rd.read_parquet(f"{d}/supplier.parquet",
+                               columns=["s_suppkey", "s_name"]))
+    assert got.count() == 0
+    assert got.schema().names == ["s_suppkey", "s_name", "total_revenue"]
+
+
 def test_small_qty_revenue_end_to_end(ray_session):
     """Q17-shaped small-quantity revenue over sf0.001 equals the SQL
     oracle and is strictly positive on this data."""
@@ -3585,6 +3604,34 @@ def test_latest_event_per_user_end_to_end(ray_session):
     n_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events "
                           "WHERE user_id IS NOT NULL").fetchone()[0]
     assert len(got) == n_users
+
+
+def test_latest_event_per_user_null_keys(ray_session):
+    """A block whose user_id is all null compacts to nothing (no
+    IndexError), and a partially-null block still emits int64 keys:
+    one winner per non-null user, the max (ts, event_id)."""
+    import ray.data as rd
+    from series_correction_project_updated_ray.stages.relational import (
+        latest_event_per_user)
+    ts = pd.Timestamp("2024-01-01")
+
+    def block(users, ids, secs):
+        return pd.DataFrame({
+            "user_id": pd.array(users, dtype="Int64"),
+            "event_id": ids,
+            "ts": [ts + pd.Timedelta(s, "s") for s in secs],
+            "event_type": "click",
+            "value": [float(i) for i in ids]})
+
+    all_null = block([None, None], [1, 2], [50, 60])
+    part_null = block([7, None, 7, 9], [3, 4, 5, 6], [10, 99, 20, 5])
+    got = latest_event_per_user(rd.from_pandas([all_null, part_null])) \
+        .to_pandas().sort_values("user_id").reset_index(drop=True)
+    assert got["user_id"].dtype == np.int64
+    assert got["user_id"].tolist() == [7, 9]
+    assert got["event_id"].tolist() == [5, 6]
+    # a dataset of only null keys is empty, not an error
+    assert latest_event_per_user(rd.from_pandas(all_null)).count() == 0
 
 
 def test_copurchase_triangles_end_to_end(ray_session):
