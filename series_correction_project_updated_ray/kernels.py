@@ -35,6 +35,22 @@ Numerical parity notes (checked by tests ported from the reference suite):
   positional-linear with constant extrapolation at the edges — pandas
   ``interpolate(method="linear", limit_direction="both")`` ≡ ``np.interp``
   (verified empirically) [discontinuity_utils.py:151-163].
+* Window medians for jump offsets and outlier replacement equal numpy
+  1.26's ``np.nanmedian(rows, axis=1)`` bit for bit (``_nanmedian_rows``).
+  numpy routes rows narrower than 600 through ``np.ma.median``: NaN is
+  masked and sorts last, filled as +inf (so a true +inf sorts among the
+  valid values); with c non-NaN values the picks are the sorted
+  ``(c-1)//2``-th and ``c//2``-th; the two picks are summed from +0.0 and
+  halved, so the result is ``(lo + hi + 0.0) / 2`` — never -0.0, and an
+  odd row still overflows to inf above half the float maximum; an all-NaN
+  row gives NaN.
+* Trailing mean/std for windows narrower than 8 are summed as shifted
+  slices, ``cols[0] + 0.0`` then ``+= cols[k]`` in order: numpy's axis-1
+  add reduce is a sequential sum from +0.0 below 8 elements and pairwise
+  blocks from 8 on, so wider windows keep the ``sliding_window_view``
+  reduce.  NaN positions match; the sign bit of a NaN made by inf - inf
+  inside a window that also holds NaN is not defined by IEEE 754 (numpy's
+  own add changes it with array length) and is not part of the contract.
 """
 
 from __future__ import annotations
@@ -216,14 +232,33 @@ def _trailing_mean_std(values: np.ndarray, window_size: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Trailing rolling mean/std matching pandas ``rolling(w).mean()/.std()``:
     NaN for the first w-1 positions, sample std (ddof=1), NaN-in-window → NaN.
+
+    Below 8 taps the sums run over shifted slices in numpy's own reduce
+    order (see the module parity notes), with no window matrix.
     """
     n = len(values)
     mean = np.full(n, np.nan)
     std = np.full(n, np.nan)
-    if n >= window_size:
-        w = sliding_window_view(values, window_shape=window_size)
-        mean[window_size - 1:] = w.mean(axis=1)
-        std[window_size - 1:] = w.std(axis=1, ddof=1)
+    if n < window_size:
+        return mean, std
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if window_size >= 8:
+            w = sliding_window_view(values, window_shape=window_size)
+            mean[window_size - 1:] = w.mean(axis=1)
+            std[window_size - 1:] = w.std(axis=1, ddof=1)
+            return mean, std
+        m = n - window_size + 1
+        cols = [values[k:k + m] for k in range(window_size)]
+        s = cols[0] + 0.0
+        for c in cols[1:]:
+            s += c
+        mu = s / window_size
+        ss = np.zeros(m)
+        for c in cols:
+            d = c - mu
+            ss += d * d
+        mean[window_size - 1:] = mu
+        std[window_size - 1:] = np.sqrt(ss / (window_size - 1))
     return mean, std
 
 
@@ -262,19 +297,23 @@ def cusum_jumps(values: np.ndarray, window_size: int = 5,
     start = window_size
     prefix = np.cumsum(dev[start:])
     m = len(prefix)
-    # Regime probe: count crossings in a vectorized pass over a sample
-    # prefix window.  Dense regime (the CUSUM fires every few points on any
-    # stationary noise, since the normalized deviations form a unit random
-    # walk) → a pure-Python tight loop that touches each element exactly
-    # once beats per-jump numpy slicing by ~10×.  Sparse regime → galloping
-    # numpy block scans skip long quiet stretches at memory speed.
-    probe_n = min(m, 4096)
+    # Regime probe: run the reset fold over at most the first 4096 prefix
+    # values and stop at its 9th reset.  Dense regime (the CUSUM fires every
+    # few points on any stationary noise, since the normalized deviations
+    # form a unit random walk) → a pure-Python tight loop that touches each
+    # element exactly once beats per-jump numpy slicing by ~10×; the early
+    # exit keeps the probe from walking those points twice.  Sparse regime
+    # (≤ 8 resets in the sample) → galloping numpy block scans skip long
+    # quiet stretches at memory speed.  Both paths are exact, so the probe
+    # only picks a speed.
     _b = 0.0
     _resets = 0
-    for _p in prefix[:probe_n].tolist():
+    for _p in prefix[:4096].tolist():
         _d = _p - _b
         if _d > threshold or _d < -threshold:
             _resets += 1
+            if _resets > 8:
+                break
             _b = _p
     dense = _resets > 8
 
@@ -449,30 +488,54 @@ def correct_gaps(t: np.ndarray, values: np.ndarray,
     return t_all, interp_positional(v_all, method)
 
 
+def _nanmedian_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.nanmedian(rows, axis=1)`` bit for bit, without numpy's
+    masked-array path (rules in the module parity notes).
+
+    Sorting the rows with NaN filled as +inf yields every pick numpy makes:
+    the picks index the non-NaN values, and the only equal keys with
+    different bytes are ±0.0 (whose sign the ``+ 0.0`` erases) and a true
+    +inf tied with a fill (both read +inf).
+    Width-5 rows take the `_median5` network, which returns NaN exactly
+    for the rows holding a NaN; only those are sorted.
+    """
+    k, width = rows.shape
+    with np.errstate(invalid="ignore", over="ignore"):
+        if width == 5:
+            m = _median5(*rows.T)
+            med = (m + m + 0.0) / 2
+            redo = np.flatnonzero(np.isnan(m))
+        else:
+            med, redo = np.empty(k), slice(None)
+        sub = rows[redo]
+        nan = np.isnan(sub)
+        cnt = width - nan @ np.ones(width, dtype=np.intp)
+        srt = np.sort(np.where(nan, np.inf, sub), axis=1)
+        r = np.arange(len(srt))
+        lo, hi = srt[r, (cnt - 1) // 2], srt[r, cnt // 2]
+        med[redo] = np.where(cnt == 0, np.nan, (lo + hi + 0.0) / 2)
+    return med
+
+
 def correct_jumps(values: np.ndarray, jump_indices: np.ndarray,
                   window_size: int = 5) -> np.ndarray:
     """Offset correction: per jump, offset = nanmedian(before) - nanmedian
     (after) from ORIGINAL values; applied via cumsum so segments after later
-    jumps inherit earlier offsets [processor.py:376-401]."""
+    jumps inherit earlier offsets [processor.py:376-401].  A repeated index
+    adds its offset once per occurrence."""
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    valid_jumps = np.asarray(
-        sorted(int(j) for j in jump_indices
-               if window_size <= j < n - window_size), dtype=np.int64)
-    if len(valid_jumps) == 0:
+    jumps = np.sort(np.asarray(jump_indices).astype(np.int64, copy=False))
+    jumps = jumps[(jumps >= window_size) & (jumps < n - window_size)]
+    if len(jumps) == 0:
         return values.copy()
-    out = values.copy()
-    all_windows = sliding_window_view(out, window_shape=window_size)
-    before = all_windows[valid_jumps - window_size]
-    after = all_windows[valid_jumps]
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        mb = np.nanmedian(before, axis=1)
-        ma = np.nanmedian(after, axis=1)
+    all_windows = sliding_window_view(values, window_shape=window_size)
+    mb = _nanmedian_rows(all_windows[jumps - window_size])
+    ma = _nanmedian_rows(all_windows[jumps])
     ok = ~(np.isnan(mb) | np.isnan(ma))
     offsets = np.zeros(n)
-    np.add.at(offsets, valid_jumps[ok], mb[ok] - ma[ok])
-    return out + np.cumsum(offsets)
+    np.add.at(offsets, jumps[ok], mb[ok] - ma[ok])
+    return values + np.cumsum(offsets)
 
 
 def correct_outliers(values: np.ndarray, outlier_indices: np.ndarray,
@@ -482,7 +545,7 @@ def correct_outliers(values: np.ndarray, outlier_indices: np.ndarray,
     'remove' = NaN; unknown method = no-op [processor.py:407-465,
     discontinuity_utils.py:206-258]."""
     values = np.asarray(values, dtype=np.float64)
-    idx = np.asarray(list(outlier_indices), dtype=np.int64)
+    idx = np.asarray(outlier_indices, dtype=np.int64)
     if len(idx) == 0:
         return values.copy()
     out = values.copy()
@@ -494,19 +557,17 @@ def correct_outliers(values: np.ndarray, outlier_indices: np.ndarray,
         return out
     if method not in ("median", "mean"):
         return out
-    n = len(out)
-    mask = np.zeros(n, dtype=bool)
-    mask[idx] = True
     calc = out.copy()
-    calc[mask] = np.nan
+    calc[idx] = np.nan
     pad = window_size // 2
     padded = np.pad(calc, (pad, pad), mode="constant", constant_values=np.nan)
-    windows = sliding_window_view(padded, window_shape=2 * pad + 1)
-    ow = windows[idx]
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        repl = (np.nanmedian(ow, axis=1) if method == "median"
-                else np.nanmean(ow, axis=1))
+    ow = sliding_window_view(padded, window_shape=2 * pad + 1)[idx]
+    if method == "median":
+        repl = _nanmedian_rows(ow)
+    else:
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", category=RuntimeWarning)
+            repl = np.nanmean(ow, axis=1)
     ok = ~np.isnan(repl)
     out[idx[ok]] = repl[ok]
     return out

@@ -7,8 +7,11 @@ test_updated_processor.py, test_apply_refined_corrections.py) — expected
 values are the reference tests' own assertions.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from series_correction_project_updated_ray import kernels as K
 
@@ -330,3 +333,302 @@ def test_rollup_cascade_1d():
     np.testing.assert_array_equal(d1["window_start"], d_direct["window_start"])
     np.testing.assert_array_equal(d1["count"], d_direct["count"])
     np.testing.assert_allclose(d1["min"], d_direct["min"])
+
+
+# --- vectorized hot path: bit-exact parity with the numpy forms ------------
+#
+# Results are compared as raw bytes (``.view(np.uint64)``), so a -0.0 for a
+# +0.0 or a different NaN fails.  Each primitive's fixture is also checked
+# to catch a deliberately naive variant, so the cases stay discriminating.
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _assert_bits_equal(got, want):
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def _numpy_nanmedian_rows(rows):
+    with np.errstate(invalid="ignore", over="ignore"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=RuntimeWarning)
+        return np.nanmedian(rows, axis=1)
+
+
+_MEDIAN_POOL = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 2.5,
+                         1e308, -1e308, 5e-324])
+
+
+def _median_rows_fixture(width):
+    rng = np.random.default_rng(100 + width)
+    rows = rng.choice(_MEDIAN_POOL, size=(400, width))
+    special = np.array([[np.nan] * width, [-0.0] * width, [0.0] * width,
+                        [1e308] * width, [np.inf] + [np.nan] * (width - 1),
+                        [-0.0] + [np.nan] * (width - 1)])
+    clean = np.round(rng.normal(0, 0.6, (200, width)), 0)   # ±0.0 ties
+    return np.concatenate([rows, special, clean])
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_nanmedian_rows_matches_numpy_bytes(width):
+    rows = _median_rows_fixture(width)
+    _assert_bits_equal(K._nanmedian_rows(rows), _numpy_nanmedian_rows(rows))
+
+
+def _sorted_picks(rows, fill):
+    nan = np.isnan(rows)
+    cnt = rows.shape[1] - nan.sum(axis=1)
+    srt = np.sort(np.where(nan, fill, rows), axis=1)
+    r = np.arange(len(rows))
+    return srt[r, (cnt - 1) // 2], srt[r, cnt // 2], cnt
+
+
+def _naive_no_zero_fix(rows):          # keeps -0.0
+    lo, hi, cnt = _sorted_picks(rows, np.inf)
+    return np.where(cnt == 0, np.nan, (lo + hi) / 2)
+
+
+def _naive_finite_fill(rows):          # NaN sorts below a real +inf
+    lo, hi, cnt = _sorted_picks(rows, np.finfo(np.float64).max)
+    return np.where(cnt == 0, np.nan, (lo + hi + 0.0) / 2)
+
+
+def _naive_middle_pick(rows):          # odd rows skip the (x + x) / 2 sum
+    lo, hi, cnt = _sorted_picks(rows, np.inf)
+    return np.where(cnt == 0, np.nan,
+                    np.where(cnt % 2 == 1, lo + 0.0, (lo + hi + 0.0) / 2))
+
+
+def _naive_all_nan(rows):              # an all-NaN row reads as +inf
+    lo, hi, _ = _sorted_picks(rows, np.inf)
+    return (lo + hi + 0.0) / 2
+
+
+@pytest.mark.parametrize("naive", [_naive_no_zero_fix, _naive_finite_fill,
+                                   _naive_middle_pick, _naive_all_nan])
+def test_nanmedian_rows_fixture_catches_naive_variant(naive):
+    with np.errstate(invalid="ignore", over="ignore"):
+        caught = [not np.array_equal(
+            _bits(naive(rows)), _bits(_numpy_nanmedian_rows(rows)))
+            for rows in map(_median_rows_fixture, range(1, 8))]
+    assert any(caught)
+
+
+def _numpy_trailing_mean_std(values, window_size):
+    """The sliding-window reduce form of ``K._trailing_mean_std``."""
+    n = len(values)
+    mean, std = np.full(n, np.nan), np.full(n, np.nan)
+    if n >= window_size:
+        w = sliding_window_view(values, window_shape=window_size)
+        mean[window_size - 1:] = w.mean(axis=1)
+        std[window_size - 1:] = w.std(axis=1, ddof=1)
+    return mean, std
+
+
+def _trailing_fixture(seed):
+    rng = np.random.default_rng(seed)
+    v = np.round(rng.normal(0, 1.5, 600), seed % 3)
+    v[40:70] = -0.0                         # windows of all -0.0
+    v[100:112] = 0.0
+    v[150:160] = np.nan
+    v[rng.random(600) < 0.02] = np.nan
+    v[300:330] = 7.25                        # constant stretch, std 0
+    return v
+
+
+@pytest.mark.parametrize("window_size", range(2, 10))
+def test_trailing_mean_std_matches_numpy_bytes(window_size):
+    for seed in range(6):
+        v = _trailing_fixture(seed)
+        got = K._trailing_mean_std(v, window_size)
+        want = _numpy_trailing_mean_std(v, window_size)
+        _assert_bits_equal(got[0], want[0])
+        _assert_bits_equal(got[1], want[1])
+
+
+def _naive_slice_sums(values, window_size, first=lambda c: c + 0.0,
+                      order=lambda cols: cols):
+    m = len(values) - window_size + 1
+    cols = order([values[k:k + m] for k in range(window_size)])
+    s = first(cols[0])
+    for c in cols[1:]:
+        s = s + c
+    mean = np.full(len(values), np.nan)
+    mean[window_size - 1:] = s / window_size
+    return mean
+
+
+@pytest.mark.parametrize("window_size,naive", [
+    (5, lambda v, w: _naive_slice_sums(v, w, first=np.copy)),       # -0.0
+    (5, lambda v, w: _naive_slice_sums(v, w, order=lambda c: c[::-1])),
+    (8, _naive_slice_sums),        # numpy switches to pairwise blocks at 8
+    (9, _naive_slice_sums),
+])
+def test_trailing_fixture_catches_naive_variant(window_size, naive):
+    caught = [not np.array_equal(
+        _bits(naive(v, window_size)),
+        _bits(_numpy_trailing_mean_std(v, window_size)[0]))
+        for v in map(_trailing_fixture, range(6))]
+    assert any(caught)
+
+
+# Literal copies of the np.nanmedian-based corrections the row-median
+# kernel replaced: the differential reference below.
+
+def _reference_correct_jumps(values, jump_indices, window_size=5):
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    valid_jumps = np.asarray(
+        sorted(int(j) for j in jump_indices
+               if window_size <= j < n - window_size), dtype=np.int64)
+    if len(valid_jumps) == 0:
+        return values.copy()
+    out = values.copy()
+    all_windows = sliding_window_view(out, window_shape=window_size)
+    before = all_windows[valid_jumps - window_size]
+    after = all_windows[valid_jumps]
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=RuntimeWarning)
+        mb = np.nanmedian(before, axis=1)
+        ma = np.nanmedian(after, axis=1)
+    ok = ~(np.isnan(mb) | np.isnan(ma))
+    offsets = np.zeros(n)
+    np.add.at(offsets, valid_jumps[ok], mb[ok] - ma[ok])
+    return out + np.cumsum(offsets)
+
+
+def _reference_correct_outliers(values, outlier_indices, window_size=5,
+                                method="median"):
+    values = np.asarray(values, dtype=np.float64)
+    idx = np.asarray(list(outlier_indices), dtype=np.int64)
+    if len(idx) == 0:
+        return values.copy()
+    out = values.copy()
+    if method == "interpolate":
+        out[idx] = np.nan
+        return K.interp_positional(out)
+    if method == "remove":
+        out[idx] = np.nan
+        return out
+    if method not in ("median", "mean"):
+        return out
+    n = len(out)
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    calc = out.copy()
+    calc[mask] = np.nan
+    pad = window_size // 2
+    padded = np.pad(calc, (pad, pad), mode="constant", constant_values=np.nan)
+    windows = sliding_window_view(padded, window_shape=2 * pad + 1)
+    ow = windows[idx]
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=RuntimeWarning)
+        repl = (np.nanmedian(ow, axis=1) if method == "median"
+                else np.nanmean(ow, axis=1))
+    ok = ~np.isnan(repl)
+    out[idx[ok]] = repl[ok]
+    return out
+
+
+def _differential_series(rng, kind, n):
+    """Sensor-like series: ``dense`` noise (the CUSUM fires every few
+    points), ``sparse`` steps on flat stretches (≤ 8 resets in the probe),
+    ``mixed`` with NaN runs, rounded ±0.0 values and constant stretches."""
+    if kind == "sparse":
+        v = np.repeat(rng.uniform(-5, 5, 6), n // 6 + 1)[:n]
+        v[rng.integers(0, n, 3)] += 40.0
+        return v
+    v = np.round(rng.normal(0, 1, n) + np.repeat(
+        rng.uniform(-3, 3, 8), n // 8 + 1)[:n], 1 if kind == "dense" else 0)
+    if kind == "mixed":
+        for s in rng.integers(0, n - 20, 6):
+            v[s:s + rng.integers(1, 12)] = np.nan
+        c = rng.integers(0, n - 60)
+        v[c:c + 50] = v[c]
+        v[rng.random(n) < 0.01] *= -25.0
+    return v
+
+
+_DIFF_CASES = [(kind, w, thr) for kind in ("dense", "sparse", "mixed")
+               for w in (3, 5, 7, 9) for thr in (0.5, 3.0, 40.0)]
+
+
+@pytest.mark.parametrize("kind,window_size,threshold", _DIFF_CASES)
+def test_process_series_matches_nanmedian_reference(monkeypatch, kind,
+                                                    window_size, threshold):
+    rng = np.random.default_rng(_DIFF_CASES.index((kind, window_size, threshold)))
+    cfg = {"window_size": window_size, "threshold": threshold}
+    for n in (200, 1500, 5000):
+        v = _differential_series(rng, kind, n)
+        t = np.arange(n, dtype=np.int64) * 60
+        if kind == "mixed":
+            t[n // 2:] += 600          # one gap → gap fill + interpolation
+        got_t, got_v = K.process_series(t, v, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(K, "correct_jumps", _reference_correct_jumps)
+            m.setattr(K, "correct_outliers", _reference_correct_outliers)
+            m.setattr(K, "_trailing_mean_std", _numpy_trailing_mean_std)
+            want_t, want_v = K.process_series(t, v, cfg)
+        np.testing.assert_array_equal(got_t, want_t)
+        _assert_bits_equal(got_v, want_v)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_cusum_regime_probe_covers_both_paths(kind):
+    """The differential series reach both CUSUM paths (dense: > 8 resets
+    in the first 4096 prefix values; sparse: ≤ 8).  A NaN deviation stops
+    every later crossing, so ``mixed`` series mostly run sparse."""
+    v = _differential_series(np.random.default_rng(5), kind, 5000)
+    dev = K.cusum_deviations(v, 5)
+    base, resets = 0.0, 0
+    for p in np.cumsum(dev[5:])[:4096].tolist():
+        if abs(p - base) > 3.0:
+            resets, base = resets + 1, p
+    assert (resets > 8) == (kind != "sparse")
+
+
+@pytest.mark.parametrize("window_size", [3, 5, 7, 9])
+def test_correct_jumps_matches_nanmedian_reference(window_size):
+    rng = np.random.default_rng(window_size)
+    for kind in ("dense", "mixed"):
+        v = _differential_series(rng, kind, 3000)
+        for n_jumps in (1, 40, 900):
+            j = rng.integers(-5, 3005, n_jumps)
+            j = np.concatenate([j, j[: n_jumps // 3]])   # duplicates
+            rng.shuffle(j)
+            _assert_bits_equal(K.correct_jumps(v, j, window_size),
+                               _reference_correct_jumps(v, j, window_size))
+
+
+@pytest.mark.parametrize("method", ["median", "mean"])
+@pytest.mark.parametrize("window_size", [3, 5, 7, 9])
+def test_correct_outliers_matches_nanmedian_reference(method, window_size):
+    rng = np.random.default_rng(10 + window_size)
+    for kind in ("dense", "mixed"):
+        v = _differential_series(rng, kind, 3000)
+        for n_out in (1, 60, 1200):
+            idx = np.unique(rng.integers(0, 3000, n_out))
+            _assert_bits_equal(
+                K.correct_outliers(v, idx, window_size, method),
+                _reference_correct_outliers(v, idx, window_size, method))
+
+
+def test_correct_jumps_duplicate_index_applies_offset_twice():
+    v = np.array([1.0] * 6 + [4.0] * 6)
+    out = K.correct_jumps(v, [6, 6], 3)
+    np.testing.assert_array_equal(out, np.r_[[1.0] * 6, [-2.0] * 6])
+    _assert_bits_equal(out, _reference_correct_jumps(v, [6, 6], 3))
+
+
+@pytest.mark.parametrize("indices", [[6], (6,), np.array([6]),
+                                     np.array([6], dtype=np.int32),
+                                     np.array([])])
+def test_corrections_accept_index_containers(indices):
+    v = np.array([1.0] * 6 + [4.0] * 6)
+    v[5] = 50.0
+    _assert_bits_equal(K.correct_jumps(v, indices, 3),
+                       _reference_correct_jumps(v, indices, 3))
+    for method in ("median", "mean"):
+        _assert_bits_equal(K.correct_outliers(v, indices, 5, method),
+                           _reference_correct_outliers(v, indices, 5, method))
