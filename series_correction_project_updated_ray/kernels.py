@@ -36,14 +36,15 @@ Numerical parity notes (checked by tests ported from the reference suite):
   ``interpolate(method="linear", limit_direction="both")`` ≡ ``np.interp``
   (verified empirically) [discontinuity_utils.py:151-163].
 * Window medians for jump offsets and outlier replacement equal numpy
-  1.26's ``np.nanmedian(rows, axis=1)`` bit for bit (``_nanmedian_rows``).
-  numpy routes rows narrower than 600 through ``np.ma.median``: NaN is
-  masked and sorts last, filled as +inf (so a true +inf sorts among the
-  valid values); with c non-NaN values the picks are the sorted
-  ``(c-1)//2``-th and ``c//2``-th; the two picks are summed from +0.0 and
-  halved, so the result is ``(lo + hi + 0.0) / 2`` — never -0.0, and an
-  odd row still overflows to inf above half the float maximum; an all-NaN
-  row gives NaN.
+  1.26's ``np.nanmedian(rows, axis=1)`` bit for bit (``_nanmedian_rows``)
+  for rows narrower than 600, the widths numpy routes through
+  ``np.ma.median``; wider rows are outside the contract (the stages use
+  ``window_size`` 5).  There NaN is masked and sorts last, filled as +inf
+  (so a true +inf sorts among the valid values); with c non-NaN values
+  the picks are the sorted ``(c-1)//2``-th and ``c//2``-th; the two picks
+  are summed from +0.0 and halved, so the result is
+  ``(lo + hi + 0.0) / 2`` — never -0.0, and an odd row still overflows to
+  inf above half the float maximum; an all-NaN row gives NaN.
 * Trailing mean/std for windows narrower than 8 are summed as shifted
   slices, ``cols[0] + 0.0`` then ``+= cols[k]`` in order: numpy's axis-1
   add reduce is a sequential sum from +0.0 below 8 elements and pairwise
@@ -489,32 +490,22 @@ def correct_gaps(t: np.ndarray, values: np.ndarray,
 
 
 def _nanmedian_rows(rows: np.ndarray) -> np.ndarray:
-    """``np.nanmedian(rows, axis=1)`` bit for bit, without numpy's
-    masked-array path (rules in the module parity notes).
+    """``np.nanmedian(rows, axis=1)`` bit for bit for rows narrower than
+    600, without numpy's masked-array path (rules in the module parity
+    notes).
 
     Sorting the rows with NaN filled as +inf yields every pick numpy makes:
     the picks index the non-NaN values, and the only equal keys with
     different bytes are ±0.0 (whose sign the ``+ 0.0`` erases) and a true
     +inf tied with a fill (both read +inf).
-    Width-5 rows take the `_median5` network, which returns NaN exactly
-    for the rows holding a NaN; only those are sorted.
     """
-    k, width = rows.shape
+    nan = np.isnan(rows)
+    cnt = rows.shape[1] - nan.sum(axis=1)
+    srt = np.sort(np.where(nan, np.inf, rows), axis=1)
+    r = np.arange(len(srt))
+    lo, hi = srt[r, (cnt - 1) // 2], srt[r, cnt // 2]
     with np.errstate(invalid="ignore", over="ignore"):
-        if width == 5:
-            m = _median5(*rows.T)
-            med = (m + m + 0.0) / 2
-            redo = np.flatnonzero(np.isnan(m))
-        else:
-            med, redo = np.empty(k), slice(None)
-        sub = rows[redo]
-        nan = np.isnan(sub)
-        cnt = width - nan @ np.ones(width, dtype=np.intp)
-        srt = np.sort(np.where(nan, np.inf, sub), axis=1)
-        r = np.arange(len(srt))
-        lo, hi = srt[r, (cnt - 1) // 2], srt[r, cnt // 2]
-        med[redo] = np.where(cnt == 0, np.nan, (lo + hi + 0.0) / 2)
-    return med
+        return np.where(cnt == 0, np.nan, (lo + hi + 0.0) / 2)
 
 
 def correct_jumps(values: np.ndarray, jump_indices: np.ndarray,
