@@ -2,13 +2,15 @@
 
 Scale-correct two-phase aggregation (SURVEY.md §2.7): a ``map_batches``
 pre-aggregation folds each block to at most one row per (key, window) —
-so the ONLY shuffle moves partials, not raw events — followed by a small
-``groupby().aggregate()`` that merges partials with the mergeable tuple
-(min, max, sum, count).  Mean is derived after the merge.
+so the ONLY shuffle moves partials, not raw events — followed by
+``merge_partials``, which sorts the partials so every (key, window) cell
+lands in one block and folds each block with one vectorized Arrow
+``group_by`` over the mergeable tuple (min, max, sum, count).  Mean is
+derived after the merge.
 
 Windows are event-time buckets ``window_start = ts - ts % width`` on Unix
-seconds; tiers nest (60 | 3600 | 86400) so coarser tiers can fold finer
-partials without re-shuffling (used by ``rollup_tiers``).
+seconds; tiers nest (60 | 3600 | 86400), so ``rollup_tiers`` emits every
+tier's partials from one pass and merges them in one shuffle.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-from ray.data.aggregate import Count, Max, Min, Sum
+import pyarrow.compute as pc
 
 from .joins import _derive_buckets, partition_groups
 from ..functions.hashing import stable_hash_array
@@ -85,6 +86,51 @@ def _finalize(batch: pa.Table, round_to: int | None) -> pa.Table:
     return batch.append_column("vmean", pa.array(vmean))
 
 
+_MERGE_AGGS = [("vmin", "min"), ("vmax", "max"), ("vsum", "sum"),
+               ("vcount", "sum")]
+
+
+def _merge_block(batch: pa.Table, key_cols: list[str]) -> pa.Table:
+    # window_start leads the group keys: pyarrow 16 splits the null group
+    # of a nullable string key that comes first in a multi-key group_by
+    out = batch.group_by(["window_start", *key_cols], use_threads=False) \
+        .aggregate(_MERGE_AGGS)
+    cells = [*key_cols, "window_start"]
+    return out.select(cells + [f"{c}_{f}" for c, f in _MERGE_AGGS]) \
+        .rename_columns(cells + [c for c, _ in _MERGE_AGGS])
+
+
+def merge_partials(partials, key_cols: list[str]):
+    """Merge (key_cols…, window_start, vmin, vmax, vsum, vcount) partial
+    rows into one row per cell — the mergeable-tuple fold of every rollup
+    and of the incremental store.
+
+    The partials are sorted on (hash of the first key, window_start); the
+    sort's reduce emits ONE block per partition, and equal sort keys always
+    fall in the same partition, so one cell never spans two blocks — the
+    same guarantee ``map_groups`` relies on.  Each block is then folded by
+    one vectorized Arrow ``group_by``: nulls form their own group, as in
+    SQL; min/max skip NaN; a NaN partial sum makes the cell's sum NaN (as
+    SQL's sum over +inf and -inf), where Ray's ``Sum`` skipped it.
+    Sorting on the hash rather than the keys keeps null keys out of the
+    sort's sampling, and pairing it with the window gives as many distinct
+    sort keys as there are cells, so the partitions stay balanced."""
+    def _add_hash(t: pa.Table) -> pa.Table:
+        key = t[key_cols[0]]
+        if pa.types.is_integer(key.type):
+            # to_pandas turns a null-bearing int column into float64, whose
+            # bits hash unlike the same keys in a null-free int64 block (a
+            # null may share 0's hash; the block's group_by splits them)
+            key = pc.fill_null(key, 0)
+        h = stable_hash_array(key).view(np.int64)
+        return t.append_column("__h", pa.array(h))
+
+    return partials.map_batches(_add_hash, batch_format="pyarrow") \
+        .sort(["__h", "window_start"]) \
+        .map_batches(_merge_block, batch_size=None, batch_format="pyarrow",
+                     fn_kwargs={"key_cols": key_cols})
+
+
 def rollup_events(events, key_col: str = "event_type", ts_col: str = "ts",
                   value_col: str = "value", width: int = 60,
                   round_to: int | None = 6):
@@ -96,14 +142,8 @@ def rollup_events(events, key_col: str = "event_type", ts_col: str = "ts",
     partials = events.map_batches(
         PartialRollup(key_col, ts_col, value_col, width),
         batch_format="pyarrow")
-    merged = partials.groupby([key_col, "window_start"]).aggregate(
-        Min("vmin", alias_name="vmin"),
-        Max("vmax", alias_name="vmax"),
-        Sum("vsum", alias_name="vsum"),
-        Sum("vcount", alias_name="vcount"),
-    )
-    return merged.map_batches(_finalize, batch_format="pyarrow",
-                              fn_kwargs={"round_to": round_to})
+    return merge_partials(partials, [key_col]).map_batches(
+        _finalize, batch_format="pyarrow", fn_kwargs={"round_to": round_to})
 
 
 def _segment_starts(*sort_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +236,6 @@ def apply_retention(tier_ds, cutoff_epoch_s: int):
     ``tier=/part=`` layout plus per-file window ranges, expired partitions
     are dropped file-by-file without reading them; this stage is the
     in-pipeline form (vectorized predicate, streaming)."""
-    import pyarrow.compute as pc
     return tier_ds.map_batches(
         lambda t: t.filter(pc.greater_equal(t["window_start"],
                                             cutoff_epoch_s)),
@@ -234,22 +273,6 @@ def downsample_stride(events, n: int = 10, key_col="user_id"):
     return partition_groups(events, key_col, StrideDownsample(n, key_col))
 
 
-class CascadePartial:
-    """Fold finer-tier partial rows into a coarser tier inside a batch."""
-
-    def __init__(self, key_col: str, width: int):
-        self.key_col, self.width = key_col, width
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["window_start"] = df["window_start"] - df["window_start"] % self.width
-        g = df.groupby([self.key_col, "window_start"], sort=False,
-                       dropna=False).agg(
-            vmin=("vmin", "min"), vmax=("vmax", "max"),
-            vsum=("vsum", "sum"), vcount=("vcount", "sum")).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-
 class PartialRollupTiers:
     """Per-batch combiner emitting partials for EVERY tier at once (tier
     column added); because the 1m partials already collapse each batch,
@@ -273,54 +296,20 @@ def rollup_tiers(events, key_col: str = "event_type", ts_col: str = "ts",
                  value_col: str = "value", round_to: int | None = 6):
     """All three retention tiers with ONE shuffle: every batch emits
     per-tier partials (windows nest, so the per-tier partial sets are
-    nearly free given the 1m fold), then a single
-    groupby(key, tier, window) merge.  Returns {tier: Dataset}."""
+    nearly free given the 1m fold), then a single merge over
+    (key, tier, window).  Returns {tier: Dataset}."""
     partials = events.map_batches(
         PartialRollupTiers(key_col, ts_col, value_col),
         batch_format="pyarrow")
-    merged = partials.groupby([key_col, "tier", "window_start"]).aggregate(
-        Min("vmin", alias_name="vmin"), Max("vmax", alias_name="vmax"),
-        Sum("vsum", alias_name="vsum"), Sum("vcount", alias_name="vcount"),
-    ).map_batches(_finalize, batch_format="pyarrow",
-                  fn_kwargs={"round_to": round_to}).materialize()
-    import pyarrow.compute as pc
+    merged = merge_partials(partials, [key_col, "tier"]).map_batches(
+        _finalize, batch_format="pyarrow",
+        fn_kwargs={"round_to": round_to}).materialize()
     out = {}
     for tier in TIER_WIDTHS:
         out[tier] = merged.map_batches(
             lambda t, _tier=tier: t.filter(pc.equal(t["tier"], _tier))
             .drop_columns(["tier"]),
             batch_format="pyarrow")
-    return out
-
-
-def rollup_tiers_cascade(events, key_col: str = "event_type",
-                         ts_col: str = "ts", value_col: str = "value",
-                         round_to: int | None = 6):
-    """Alternative plan: shuffle merged 1m once, fold 1h/1d from the merged
-    1m partials map-side (CascadePartial) with small per-tier merges —
-    preferable when the 1m tier itself is consumed incrementally."""
-    partials = events.map_batches(
-        PartialRollup(key_col, ts_col, value_col, TIER_WIDTHS["1m"]),
-        batch_format="pyarrow")
-    merged_1m = partials.groupby([key_col, "window_start"]).aggregate(
-        Min("vmin", alias_name="vmin"), Max("vmax", alias_name="vmax"),
-        Sum("vsum", alias_name="vsum"), Sum("vcount", alias_name="vcount"),
-    ).materialize()
-
-    out = {}
-    tier_src = merged_1m
-    for tier, width in (("1m", 60), ("1h", 3600), ("1d", 86400)):
-        if tier != "1m":
-            folded = tier_src.map_batches(
-                CascadePartial(key_col, width), batch_format="pyarrow")
-            tier_src = folded.groupby([key_col, "window_start"]).aggregate(
-                Min("vmin", alias_name="vmin"), Max("vmax", alias_name="vmax"),
-                Sum("vsum", alias_name="vsum"),
-                Sum("vcount", alias_name="vcount"))
-        out[tier] = tier_src.map_batches(
-            _finalize, batch_format="pyarrow", fn_kwargs={"round_to": round_to})
-        if tier != "1d":
-            tier_src = tier_src.materialize() if tier != "1m" else merged_1m
     return out
 
 

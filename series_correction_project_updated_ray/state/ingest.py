@@ -29,7 +29,7 @@ import os
 
 import pandas as pd
 
-from ..stages.rollup import PartialRollup, _finalize
+from ..stages.rollup import PartialRollup, _finalize, merge_partials
 
 _LEDGER = "_ingested.json"
 
@@ -105,14 +105,10 @@ def _delta_files(store: str, delta_names: list[str]) -> list[str]:
 
 def _merge_deltas(store: str, delta_names: list[str], key_col: str):
     import ray.data as rd
-    from ray.data.aggregate import Max, Min, Sum
     paths = _delta_files(store, delta_names)
     if not paths:
         raise FileNotFoundError(f"no deltas ingested under {store}")
-    return rd.read_parquet(paths).groupby([key_col, "window_start"]) \
-        .aggregate(
-        Min("vmin", alias_name="vmin"), Max("vmax", alias_name="vmax"),
-        Sum("vsum", alias_name="vsum"), Sum("vcount", alias_name="vcount"))
+    return merge_partials(rd.read_parquet(paths), [key_col])
 
 
 def ingest(store: str, files: list[str], *, key_col: str = "event_type",
@@ -120,11 +116,6 @@ def ingest(store: str, files: list[str], *, key_col: str = "event_type",
            width: int = 60) -> int:
     """Ingest any not-yet-seen files as one delta; returns the number of
     NEW files processed (0 = everything already ingested)."""
-    import ray.data as rd
-    from ray.data.aggregate import Max, Min, Sum
-
-    import shutil
-
     with _store_lock(store):
         return _ingest_locked(store, files, key_col=key_col, ts_col=ts_col,
                               value_col=value_col, width=width)
@@ -134,7 +125,6 @@ def _ingest_locked(store, files, *, key_col, ts_col, value_col, width):
     import shutil
 
     import ray.data as rd
-    from ray.data.aggregate import Max, Min, Sum
 
     ledger = _load_ledger(store)
     done = set(ledger["files"])
@@ -167,10 +157,7 @@ def _ingest_locked(store, files, *, key_col, ts_col, value_col, width):
         .map_batches(PartialRollup(key_col, ts_col, value_col, width),
                      batch_format="pyarrow")
     # merge within the wave (unrounded — rounding happens once, at read)
-    merged = partials.groupby([key_col, "window_start"]).aggregate(
-        Min("vmin", alias_name="vmin"), Max("vmax", alias_name="vmax"),
-        Sum("vsum", alias_name="vsum"), Sum("vcount", alias_name="vcount"))
-    merged.write_parquet(delta_dir)
+    merge_partials(partials, [key_col]).write_parquet(delta_dir)
     if not glob.glob(os.path.join(delta_dir, "*.parquet")):
         # empty wave (all-empty input files): Ray skips empty blocks, but
         # a ledger entry must never reference a fileless dir
