@@ -3,21 +3,28 @@
 The driver calls ``ray.init`` itself before importing this module; nothing
 here (or in the library) calls ``ray.init``/``ray.shutdown``.
 
-``queries()`` exposes one entry per implemented operator/pipeline from
-SURVEY.md §2 plus the rebuild-only training-data operators; every
-SQL-expressible one has a matching ``oracle_sql()`` entry whose column
-names and rounding exactly mirror the Ray implementation.
+Every pipeline is declared once, as one row of ``REGISTRY``: its name,
+the library entry point it runs (``"module:function"``, resolved at call
+time so importing this module never imports Ray), the table reads it
+takes and its constant arguments.  ``queries()`` is a view over the
+registry whose first ``DRIVER_WINDOW`` entries are ``driver_window()``'s
+pick; every SQL-expressible pipeline has a matching ``oracle_sql()``
+entry whose column names and rounding exactly mirror the Ray
+implementation.
 """
 
 from __future__ import annotations
 
 import glob
+import importlib
 import os
-from collections.abc import Callable
-from typing import Any
+from collections.abc import Callable, Container, Iterable
+from typing import Any, NamedTuple
 
 import numpy as np
 import pandas as pd
+
+_PKG = "series_correction_project_updated_ray"
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -34,140 +41,85 @@ def entry() -> Any:
 
 
 # ---------------------------------------------------------------------------
-# query implementations
+# the registry row and its runner
 # ---------------------------------------------------------------------------
 
-def _q_rollup(width: int):
-    def q(sf_dir: str):
-        from series_correction_project_updated_ray.stages.rollup import rollup_events
-        ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
-        return rollup_events(ev, key_col="event_type", width=width)
-    return q
+class Query(NamedTuple):
+    """One pipeline.  ``spec`` is ``"module:function"``; a leading-dot
+    module is relative to the package, and the module path is the
+    query's family.  Without a ``body`` the row calls the function on its
+    ``reads`` (each a ``(table, columns)`` pair or an ``sf_dir -> input``
+    callable), then ``args`` and ``kwargs``; with one it calls
+    ``body(function, sf_dir, *args, **kwargs)``."""
+    name: str
+    spec: str
+    reads: tuple = ()
+    args: tuple = ()
+    kwargs: dict = {}
+    body: Callable | None = None
+
+    @property
+    def family(self) -> str:
+        return self.spec.partition(":")[0]
+
+    def __call__(self, sf_dir: str):
+        module, _, attr = self.spec.partition(":")
+        fn = getattr(importlib.import_module(module, _PKG), attr)
+        if self.body is not None:
+            return self.body(fn, sf_dir, *self.args, **self.kwargs)
+        inputs = [r(sf_dir) if callable(r) else _read(sf_dir, *r)
+                  for r in self.reads]
+        return fn(*inputs, *self.args, **self.kwargs)
 
 
-def _q_gap_counts(sf_dir: str):
-    from series_correction_project_updated_ray.stages.events_series import gap_counts
-    return gap_counts(_read(sf_dir, "events",
-                            ["user_id", "event_id", "ts", "value"]))
+def _q(name, spec, /, *reads, args=(), body=None, **kwargs) -> Query:
+    return Query(name, spec, reads, args, kwargs, body)
 
 
-def _q_global_mad(sf_dir: str):
-    from series_correction_project_updated_ray.stages.events_series import (
-        global_mad_outlier_counts)
-    return global_mad_outlier_counts(
-        _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"]))
+# ---------------------------------------------------------------------------
+# shared reads and constants
+# ---------------------------------------------------------------------------
+
+EV_SERIES = ("events", ["user_id", "event_id", "ts", "value"])
+EV_SESSION = ("events", ["user_id", "event_id", "ts"])
+EV_PATH = ("events", ["user_id", "event_id", "ts", "event_type"])
+EV_TRANSITIONS = ("events", ["user_id", "event_id", "event_type", "ts"])
+EV_USER_TS = ("events", ["user_id", "ts"])
+EV_USER_TS_VALUE = ("events", ["user_id", "ts", "value"])
+EV_USER_VALUE = ("events", ["user_id", "value"])
+EV_TYPE_TS_VALUE = ("events", ["event_type", "ts", "value"])
+EV_TYPE_VALUE = ("events", ["event_type", "value"])
+EV_TYPE_USER = ("events", ["event_type", "user_id"])
+EV_ID_TYPE_VALUE = ("events", ["event_id", "event_type", "value"])
+DOCS = ("documents", ["doc_id", "text"])
+DOCS_SRC = ("documents", ["doc_id", "source", "text"])
+DOCS_SRC_TEXT = ("documents", ["source", "text"])
+DOCS_TEXT = ("documents", ["text"])
+EMB = ("embeddings", ["vec_id", "embedding"])
+LI_JOIN = ("lineitem",
+           ["l_orderkey", "l_linenumber", "l_quantity", "l_extendedprice"])
+LI_OP = ("lineitem", ["l_orderkey", "l_partkey"])
+LI_QTY = ("lineitem", ["l_orderkey", "l_quantity"])
+LI_SHIP = ("lineitem", ["l_orderkey", "l_shipdate"])
+ORDERS_JOIN = ("orders", ["o_orderkey", "o_custkey", "o_totalprice"])
+ORDERS_CUST = ("orders", ["o_orderkey", "o_custkey"])
+ORDERS_PRIO = ("orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
+ORDERS_CUST_PRIO = ("orders", ["o_custkey", "o_orderpriority"])
+CUST_NAME = ("customer", ["c_custkey", "c_name"])
+CUST_NATION = ("customer", ["c_custkey", "c_nationkey"])
+NATION = ("nation", ["n_nationkey", "n_name"])
+
+RETENTION_CUTOFF = 1705276800  # 2024-01-15T00:00:00Z — fixed, deterministic
+PRICING_CUTOFF = "1998-09-02"
+Q3_CUTOFF = "1998-06-01"
+EVENT_TYPES = ["click", "view", "signup", "purchase", "error"]
+PACK_SEQ_LEN = 512
+PACK_BUCKETS = 16
 
 
-def _q_hampel(sf_dir: str):
-    from series_correction_project_updated_ray.stages.events_series import hampel_flags
-    return hampel_flags(_read(sf_dir, "events",
-                              ["user_id", "event_id", "ts", "value"]))
-
-
-def _q_cusum(sf_dir: str):
-    from series_correction_project_updated_ray.stages.events_series import cusum_flags
-    return cusum_flags(_read(sf_dir, "events",
-                             ["user_id", "event_id", "ts", "value"]))
-
-
-def _q_cusum_quantized(sf_dir: str):
-    """D2's sequential reset fold made SQL-checkable: deviations quantized
-    to int64 micros so the oracle's recursive CTE compares bit-identical
-    integers (the raw float fold stays covered by cusum_flags rows-only +
-    literal-loop parity tests)."""
-    from series_correction_project_updated_ray.stages.events_series import (
-        cusum_flags_quantized)
-    return cusum_flags_quantized(_read(sf_dir, "events",
-                                       ["user_id", "event_id", "ts", "value"]))
-
-
-def _q_jump_corrected(sf_dir: str):
-    """Composed D2→C2 (quantized detect → median-offset correct) over every
-    event row — certifies correct_jumps' before/after medians and the
-    cumulative offset fold end to end."""
-    from series_correction_project_updated_ray.stages.events_series import (
-        jump_corrected_series)
-    return jump_corrected_series(_read(sf_dir, "events",
-                                       ["user_id", "event_id", "ts", "value"]))
-
-
-def _q_corrected_events(sf_dir: str):
-    from series_correction_project_updated_ray.stages.events_series import (
-        corrected_series)
-    return corrected_series(_read(sf_dir, "events",
-                                  ["user_id", "event_id", "ts", "value"]))
-
-
-def _q_corrected_full(sf_dir: str):
-    """The COMPLETE composed correction (C1 gap-fill → D3/C3 Hampel →
-    D2/C2 quantized jump cascade) certified end-to-end by ONE oracle —
-    all five reference correction operators chained."""
-    from series_correction_project_updated_ray.stages.events_series import (
-        corrected_series_full)
-    return corrected_series_full(
-        _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"]))
-
-
-def _q_corrected_nojump(sf_dir: str):
-    """Composed gap-fill + Hampel-correct (jumps excluded) — the
-    2-step correction pipeline certified END TO END by one oracle."""
-    from series_correction_project_updated_ray.stages.events_series import (
-        corrected_series_nojump)
-    return corrected_series_nojump(
-        _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"]))
-
-
-def _q_gap_filled(sf_dir: str):
-    """Gap insertion + positional linear interpolation in isolation
-    (reference C1): oracle replicates the banker's-rounded missing
-    count, linspace truncation/endpoint and positional interp in SQL."""
-    from series_correction_project_updated_ray.stages.events_series import (
-        gap_filled_series)
-    return gap_filled_series(_read(sf_dir, "events",
-                                   ["user_id", "event_id", "ts", "value"]))
-
-
-def _q_tail_avg(sf_dir: str):
-    from series_correction_project_updated_ray.stages.events_series import (
-        tail_nonzero_avgs)
-    return tail_nonzero_avgs(_read(sf_dir, "events",
-                                   ["user_id", "event_id", "ts", "value"]))
-
-
-def _q_level_shifts(sf_dir: str):
-    from series_correction_project_updated_ray.stages.events_series import level_shifts
-    return level_shifts(_read(sf_dir, "events",
-                              ["user_id", "event_id", "ts", "value"]))
-
-
-def _q_dedup_exact(sf_dir: str):
-    from series_correction_project_updated_ray.stages.dedup import (
-        exact_dedup_survivors)
-    return exact_dedup_survivors(_read(sf_dir, "documents",
-                                       ["doc_id", "text"]))
-
-
-def _q_token_counts(sf_dir: str):
-    from series_correction_project_updated_ray.stages.textstage import token_counts
-    return token_counts(_read(sf_dir, "documents", ["doc_id", "text"]))
-
-
-def _q_quality(sf_dir: str):
-    from series_correction_project_updated_ray.stages.textstage import quality_scores
-    # full feature set incl. ratios: both sides divide identical integers
-    # and round half-away, so the floats are oracle-exact
-    return quality_scores(_read(sf_dir, "documents", ["doc_id", "text"]))
-
-
-def _q_lang(sf_dir: str):
-    from series_correction_project_updated_ray.stages.textstage import language_id
-    return language_id(_read(sf_dir, "documents", ["doc_id", "text"]))
-
-
-def _q_fingerprints(sf_dir: str):
-    from series_correction_project_updated_ray.stages.textstage import fingerprints
-    return fingerprints(_read(sf_dir, "documents", ["doc_id", "text"]))
-
+# ---------------------------------------------------------------------------
+# inputs that are not plain table reads
+# ---------------------------------------------------------------------------
 
 def _query_vector(sf_dir: str):
     """Deterministic query vector: embedding of vec_id == 0 (one-row
@@ -179,35 +131,102 @@ def _query_vector(sf_dir: str):
     return np.asarray(tbl["embedding"][0].as_py(), dtype=np.float64)
 
 
-def _q_knn(sf_dir: str):
-    from series_correction_project_updated_ray.stages.similarity import (
-        knn_brute_force)
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return knn_brute_force(emb, _query_vector(sf_dir), k=10)
+def _seatek_fixture_dir() -> str:
+    """Deterministic Seatek wide-file corpus under /tmp (FIXTURES.md §F2) —
+    the sf tables carry no Seatek files, so the compat pipelines generate
+    their fixture input once and reuse it."""
+    from series_correction_project_updated_ray.sources.seatek import (
+        write_seatek_fixture)
+    d = "/tmp/graft_seatek_fixture"
+    marker = os.path.join(d, "_DONE")
+    if not os.path.exists(marker):
+        import shutil
+        shutil.rmtree(d, ignore_errors=True)  # partial fixture from a crash
+        write_seatek_fixture(d, series_ids=("26", "27"), n_years=3, rows=120)
+        with open(marker, "w") as f:
+            f.write("ok")
+    return d
 
 
-def _q_knn_ivf(sf_dir: str):
-    from series_correction_project_updated_ray.stages.similarity import knn_ivf
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return knn_ivf(emb, _query_vector(sf_dir), k=10)
+def _tokenized_docs(sf_dir: str):
+    """documents → (doc_id, tokens:list<int32>) via the deterministic
+    pseudo-BPE tokenizer (the flagship's sequences payload)."""
+    import pyarrow as pa
+    from series_correction_project_updated_ray.functions.text import (
+        tokenize_to_ids)
+
+    def _tok(batch: pa.Table) -> pa.Table:
+        toks = tokenize_to_ids(batch["text"].to_pandas())
+        flat = (np.concatenate(toks) if toks else
+                np.empty(0, np.int32)).astype(np.int32)
+        offsets = np.zeros(len(toks) + 1, dtype=np.int32)
+        np.cumsum([len(t) for t in toks], out=offsets[1:])
+        return pa.table({
+            "doc_id": batch["doc_id"],
+            "tokens": pa.ListArray.from_arrays(pa.array(offsets, pa.int32()),
+                                               pa.array(flat, pa.int32())),
+        })
+
+    return _read(sf_dir, *DOCS).map_batches(_tok, batch_format="pyarrow")
 
 
-def _q_unpivot(sf_dir: str):
-    from series_correction_project_updated_ray.stages.relational import (
-        unpivot_threshold)
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_linenumber", "l_quantity", "l_extendedprice",
-                "l_discount", "l_tax"])
-    return unpivot_threshold(
-        li, ["l_orderkey", "l_linenumber"],
-        ["l_quantity", "l_extendedprice", "l_discount", "l_tax"],
-        threshold=0.1)
+def _poly_tokenized(sf_dir: str):
+    """documents → (doc_id, tokens:list<int32>) with POLYNOMIAL token
+    ids (the SimHash / text-fingerprint rolling hash % TOKEN_VOCAB) —
+    the SQL-replicable tokenizer shared by the packing, vocab-stats and
+    bigram oracles.  The flagship sequences pipelines keep the pd-hash
+    tokenizer (same downstream operators either way)."""
+    import pyarrow as pa
+    from series_correction_project_updated_ray.functions.hashing import (
+        TOKEN_VOCAB)
+    from series_correction_project_updated_ray.functions.text import (
+        BPE_RE, rolling_fingerprint)
+
+    def _tok(batch: pa.Table) -> pa.Table:
+        texts = batch["text"].to_pandas()
+        tok_lists = [BPE_RE.findall(t or "") for t in texts]
+        flat = pd.Series([tok for ts in tok_lists for tok in ts],
+                         dtype=object)
+        hashes = rolling_fingerprint(flat) if len(flat) else \
+            np.empty(0, np.uint64)
+        ids = (hashes % np.uint64(TOKEN_VOCAB)).astype(np.int32)
+        bounds = np.cumsum([0] + [len(ts) for ts in tok_lists])
+        toks = pa.ListArray.from_arrays(
+            pa.array(bounds, pa.int32()), pa.array(ids, pa.int32()))
+        return pa.table({"doc_id": batch["doc_id"], "tokens": toks})
+
+    return _read(sf_dir, *DOCS).map_batches(_tok, batch_format="pyarrow")
 
 
-def _q_broadcast_enrich(sf_dir: str):
-    from series_correction_project_updated_ray.stages.relational import (
-        broadcast_enrich)
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
+def _distinct_users_of_type(ev, typ, min_value=None):
+    """Distinct user_ids having an event of ``typ`` (optionally value >
+    min_value): batch-local unique → global distinct groupby."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Count
+
+    def _local(t: pa.Table) -> pa.Table:
+        keep = pc.equal(t["event_type"], typ)
+        if min_value is not None:
+            keep = pc.and_(keep, pc.greater(t["value"], min_value))
+        return pa.table({"user_id": pc.unique(t.filter(keep)["user_id"])})
+
+    return ev.map_batches(_local, batch_format="pyarrow") \
+        .groupby("user_id").aggregate(Count(alias_name="n")) \
+        .select_columns(["user_id"])
+
+
+# ---------------------------------------------------------------------------
+# query bodies: pipelines that are more than one library call.  Each takes
+# the function its registry row names, then sf_dir and the row's arguments.
+# ---------------------------------------------------------------------------
+
+def _on_sf_dir(fn, sf_dir: str, **kw):
+    return fn(sf_dir, **kw)
+
+
+def _broadcast_enrich(broadcast_enrich, sf_dir: str):
+    orders = _read(sf_dir, *ORDERS_JOIN)
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_mktsegment"]).to_pandas()
     out = broadcast_enrich(orders, cust, "o_custkey", "c_custkey",
@@ -215,16 +234,10 @@ def _q_broadcast_enrich(sf_dir: str):
     return out.select_columns(["o_orderkey", "o_totalprice", "c_mktsegment"])
 
 
-def _q_sanitize(sf_dir: str):
-    from series_correction_project_updated_ray.stages.relational import (
-        sanitize_dataset)
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return sanitize_dataset(docs)
-
-
-def _q_summary(sf_dir: str):
+def _summary_by_source(read_parquet, sf_dir: str):
     from ray.data.aggregate import Count, Max, Min, Sum
-    docs = _read(sf_dir, "documents", ["source", "n_chars"])
+    docs = read_parquet(os.path.join(sf_dir, "documents.parquet"),
+                        columns=["source", "n_chars"])
     return docs.groupby("source").aggregate(
         Count(alias_name="n_docs"),
         Sum("n_chars", alias_name="total_chars"),
@@ -232,19 +245,11 @@ def _q_summary(sf_dir: str):
         Max("n_chars", alias_name="max_chars"))
 
 
-def _q_rollup_sequences(sf_dir: str):
-    from series_correction_project_updated_ray.pipelines.flagship import (
-        flagship_rollup)
-    return flagship_rollup(sf_dir, buckets_per_source=16)
-
-
-def _q_corrected_sequences(sf_dir: str):
+def _corrected_sequences(flagship_corrected, sf_dir: str):
     """Scalar projection of the corrected-sequences output (list columns
     summarized so the result hashes cleanly): per-doc corrected-value sum
     plus a token checksum proving the token-equality invariant."""
     import pyarrow as pa
-    from series_correction_project_updated_ray.pipelines.flagship import (
-        flagship_corrected)
     ds = flagship_corrected(sf_dir, buckets_per_source=16)
 
     def _project(batch: pa.Table) -> pa.Table:
@@ -275,16 +280,13 @@ def _q_corrected_sequences(sf_dir: str):
     return ds.map_batches(_project, batch_format="pyarrow")
 
 
-def _q_compressed_segments(sf_dir: str):
+def _compressed_segments(compress_series, sf_dir: str):
     """Corrected per-user event series → Gorilla/delta-of-delta segments
     (actor-pool stage); returns segment lineage metadata (binary payloads
     dropped for hashing)."""
-    from series_correction_project_updated_ray.stages.compress import (
-        compress_series)
     from series_correction_project_updated_ray.stages.events_series import (
         corrected_series)
-    corr = corrected_series(_read(sf_dir, "events",
-                                  ["user_id", "event_id", "ts", "value"]))
+    corr = corrected_series(_read(sf_dir, *EV_SERIES))
     renamed = corr.map_batches(
         lambda df: df.rename(columns={"user_id": "series_key",
                                       "value_corrected": "value"})[
@@ -295,100 +297,32 @@ def _q_compressed_segments(sf_dir: str):
                                 "raw_bytes", "compressed_bytes"])
 
 
-def _q_minhash_dedup(sf_dir: str):
-    from series_correction_project_updated_ray.stages.dedup import (
-        minhash_lsh_dedup)
-    return minhash_lsh_dedup(_read(sf_dir, "documents", ["doc_id", "text"]))
+def _simhash(stage, sf_dir: str):
+    return _read(sf_dir, *DOCS).map_batches(
+        stage, batch_format="pyarrow", concurrency=2
+    ).select_columns(["doc_id", "simhash"])
 
 
-def _q_repetition(sf_dir: str):
-    """Gopher-style repetition quality signals (top-word / top-bigram
-    share, duplicate-trigram fraction) per document."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        repetition_features)
-    return repetition_features(_read(sf_dir, "documents",
-                                     ["doc_id", "text"]))
-
-
-def _q_redact_pii(sf_dir: str):
-    """URL/email/IPv4 scrub with per-doc match counts — patterns chosen
-    for bit-identical Python-re/RE2 semantics (see RedactPII)."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        redact_pii)
-    return redact_pii(_read(sf_dir, "documents", ["doc_id", "text"]))
-
-
-def _q_ngram_jaccard(sf_dir: str):
-    """Exact n-gram-Jaccard near-dup pairs (shingle inverted index →
-    bucketed candidates → hash-join text co-location → exact verify);
-    oracle = DuckDB all-pairs Jaccard over exploded 5-gram sets."""
-    from series_correction_project_updated_ray.stages.dedup import (
-        ngram_jaccard_pairs)
-    return ngram_jaccard_pairs(
-        _read(sf_dir, "documents", ["doc_id", "text"]), threshold=0.8)
-
-
-def _q_simhash(sf_dir: str):
-    from series_correction_project_updated_ray.stages.dedup import SimHashStage
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return docs.map_batches(SimHashStage, batch_format="pyarrow",
-                            concurrency=2).select_columns(["doc_id", "simhash"])
-
-
-def _q_embedding_near_dup(sf_dir: str):
-    from series_correction_project_updated_ray.stages.dedup import (
-        embedding_near_dup)
-    # the synthetic embeddings carry no true near-dups (max pair cosine
-    # ≈0.51 at sf0.01); 0.4 exercises the bucket-verify path with output
-    return embedding_near_dup(_read(sf_dir, "embeddings",
-                                    ["vec_id", "embedding"]),
-                              threshold=0.4, planes=6)
-
-
-def _seatek_fixture_dir() -> str:
-    """Deterministic Seatek wide-file corpus under /tmp (FIXTURES.md §F2) —
-    the sf tables carry no Seatek files, so the compat pipelines generate
-    their fixture input once and reuse it."""
-    from series_correction_project_updated_ray.sources.seatek import (
-        write_seatek_fixture)
-    d = "/tmp/graft_seatek_fixture"
-    marker = os.path.join(d, "_DONE")
-    if not os.path.exists(marker):
-        import shutil
-        shutil.rmtree(d, ignore_errors=True)  # partial fixture from a crash
-        write_seatek_fixture(d, series_ids=("26", "27"), n_years=3, rows=120)
-        with open(marker, "w") as f:
-            f.write("ok")
-    return d
-
-
-def _q_seatek_correct(sf_dir: str):
-    from series_correction_project_updated_ray.pipelines.seatek_compat import (
-        batch_correct)
+def _seatek_correct(batch_correct, sf_dir: str):
     return batch_correct(_seatek_fixture_dir()).select_columns(
         ["series", "year_idx", "Time (Seconds)", "Value2", "status"])
 
 
-def _q_seatek_summary(sf_dir: str):
+def _seatek_summary(summarize, sf_dir: str):
     from series_correction_project_updated_ray.pipelines.seatek_compat import (
-        batch_correct, summarize)
+        batch_correct)
     return summarize(batch_correct(_seatek_fixture_dir()))
 
 
-def _q_seatek_all_sensors(sf_dir: str):
+def _seatek_all_sensors(correct_all_sensors, sf_dir: str):
     """Intended-semantics correction: every (series, year, sensor) series
     corrected independently over the real timestamps."""
-    from series_correction_project_updated_ray.pipelines.seatek_compat import (
-        correct_all_sensors)
     ds = correct_all_sensors(_seatek_fixture_dir())
     return ds.map_batches(lambda df: df.round({"value_corrected": 6}),
                           batch_format="pandas")
 
 
-def _q_seatek_level_shifts(sf_dir: str):
-    import pandas as pd
-    from series_correction_project_updated_ray.pipelines.levelshift import (
-        apply_level_shifts)
+def _seatek_level_shifts(apply_level_shifts, sf_dir: str):
     from series_correction_project_updated_ray.sources.seatek import read_seatek
     long_ds = read_seatek(_seatek_fixture_dir(), mode="long")
     yty = pd.DataFrame({
@@ -401,9 +335,7 @@ def _q_seatek_level_shifts(sf_dir: str):
         batch_format="pandas")
 
 
-def _q_seatek_comparison(sf_dir: str):
-    from series_correction_project_updated_ray.pipelines.comparison import (
-        export_comparisons)
+def _seatek_comparison(export_comparisons, sf_dir: str):
     from series_correction_project_updated_ray.pipelines.seatek_compat import (
         batch_correct)
     from series_correction_project_updated_ray.sources.seatek import read_seatek
@@ -415,67 +347,30 @@ def _q_seatek_comparison(sf_dir: str):
          "Value2_processed", "Outlier_Flag"])
 
 
-def _q_seatek_file_stats(sf_dir: str):
-    """Per-file mean/median/outlier-count summary (A7) over the Seatek
-    fixture corpus."""
-    from series_correction_project_updated_ray.pipelines.reports import (
-        per_file_summary)
+def _seatek_file_stats(per_file_summary, sf_dir: str):
     from series_correction_project_updated_ray.sources.seatek import read_seatek
-    compat = read_seatek(_seatek_fixture_dir(), mode="compat")
-    return per_file_summary(compat)
+    return per_file_summary(read_seatek(_seatek_fixture_dir(), mode="compat"))
 
 
-def _q_join_lineitem_orders(sf_dir: str):
-    """Large-×-large partitioned hash join (one bucket shuffle)."""
-    from series_correction_project_updated_ray.stages.joins import hash_join
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_linenumber", "l_quantity", "l_extendedprice"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    j = hash_join(li, orders, "l_orderkey", "o_orderkey", how="inner",
-                  n_buckets=16)
+def _join_li_orders(join, sf_dir: str, **kw):
+    """lineitem ⋈ orders on the order key through one physical join plan;
+    every plan returns the same rows, so one oracle certifies them all."""
+    j = join(_read(sf_dir, *LI_JOIN), _read(sf_dir, *ORDERS_JOIN),
+             "l_orderkey", "o_orderkey", **kw)
     return j.select_columns(["l_orderkey", "l_linenumber", "l_quantity",
                              "l_extendedprice", "o_custkey", "o_totalprice"])
 
 
-
-def _q_join_bloom(sf_dir: str):
-    """Bloom-prefiltered inner join: identical rows to
-    ``join_lineitem_orders`` (equivalence is oracle-covered there and
-    test-pinned); listed so the prefilter path runs under the gate."""
-    from series_correction_project_updated_ray.stages.joins import hash_join_bloom
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_linenumber", "l_quantity", "l_extendedprice"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    j = hash_join_bloom(li, orders, "l_orderkey", "o_orderkey", n_buckets=16)
-    return j.select_columns(["l_orderkey", "l_linenumber", "l_quantity",
-                             "l_extendedprice", "o_custkey", "o_totalprice"])
-
-
-def _q_join_skew(sf_dir: str):
-    """Skew-aware hybrid join (hot keys broadcast around the shuffle):
-    identical rows to ``join_lineitem_orders``."""
-    from series_correction_project_updated_ray.stages.joins import skew_join
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_linenumber", "l_quantity", "l_extendedprice"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    j = skew_join(li, orders, "l_orderkey", "o_orderkey", n_buckets=16,
-                  hot_share=0.001)
-    return j.select_columns(["l_orderkey", "l_linenumber", "l_quantity",
-                             "l_extendedprice", "o_custkey", "o_totalprice"])
-
-
-def _q_user_type_totals_join(sf_dir: str):
+def _user_type_totals_join(hash_join, sf_dir: str):
     """Composite-key hash join: every event row enriched with its
     (user_id, event_type) group totals.  The grouped side is built with
     a partial-first aggregate (one keyed shuffle of group partials) and
     joins back to the fact table on BOTH key columns through the
     multi-column bucket hash — the equi-join shape reference J1 uses on
     (series, year) pairs (/root/reference/scripts/comparison.py)."""
-    import numpy as np
     from ray.data.aggregate import Count, Sum
     from series_correction_project_updated_ray.functions.rounding import (
         round_half_away)
-    from series_correction_project_updated_ray.stages.joins import hash_join
     ev = _read(sf_dir, "events",
                ["event_id", "user_id", "event_type", "value"])
     grouped = ev.groupby(["user_id", "event_type"]).aggregate(
@@ -494,21 +389,15 @@ def _q_user_type_totals_join(sf_dir: str):
                              "type_total", "type_count"])
 
 
-def _q_rollup_user_1h(sf_dir: str):
-    from series_correction_project_updated_ray.stages.rollup import rollup_events
-    ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    return rollup_events(ev, key_col="user_id", width=3600)
-
-
-def _q_distinct_users(sf_dir: str):
+def _distinct_users(read_parquet, sf_dir: str):
     """COUNT(DISTINCT) via partial distinct: batch-local dedup →
     groupby(pair) → per-type count — only distinct pairs shuffle."""
     import pyarrow as pa
     from ray.data.aggregate import Count
-    ev = _read(sf_dir, "events", ["event_type", "user_id"])
+    ev = read_parquet(os.path.join(sf_dir, "events.parquet"),
+                      columns=["event_type", "user_id"])
 
     def _local_distinct(batch: pa.Table) -> pa.Table:
-        import pandas as pd
         df = batch.to_pandas().drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False)
 
@@ -518,123 +407,67 @@ def _q_distinct_users(sf_dir: str):
         Count(alias_name="n_users")).select_columns(["event_type", "n_users"])
 
 
-def _q_top_users(sf_dir: str):
+def _top_users(topk_by, sf_dir: str):
     """Global top-10 users by total value: grouped sum → distributed
     ``topk_by`` (per-block partial top-k, ≤ k×blocks survivor rows, one
     tiny final block) — never a driver-side sort of all |users| sums."""
     from ray.data.aggregate import Sum
-    from series_correction_project_updated_ray.stages.relational import (
-        topk_by)
-    ev = _read(sf_dir, "events", ["user_id", "value"])
-    sums = ev.groupby("user_id").aggregate(
+    from series_correction_project_updated_ray.functions.rounding import (
+        round_half_away)
+    sums = _read(sf_dir, *EV_USER_VALUE).groupby("user_id").aggregate(
         Sum("value", alias_name="total_value"))
     top = topk_by(sums, ["total_value", "user_id"], [True, False], 10) \
         .to_pandas()
-    from series_correction_project_updated_ray.functions.rounding import (
-        round_half_away)
     top["total_value"] = round_half_away(top["total_value"].to_numpy(), 6)
     return top[["user_id", "total_value"]].reset_index(drop=True)
 
 
-def _q_filter_pushdown(sf_dir: str):
+def _filter_pushdown(read_parquet, sf_dir: str):
     """Predicate+projection pushdown read: only matching row groups and the
     three needed columns leave storage."""
     import pyarrow.compute as pc
-    import ray.data
     # the pyarrow filter expression is applied exactly per row during the
     # scan in this Ray version — no residual predicate stage needed
-    return ray.data.read_parquet(
+    return read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "user_id", "value"],
         filter=(pc.field("value") > 50.0))
 
 
-def _q_session_windows(sf_dir: str):
-    from series_correction_project_updated_ray.stages.windows import (
-        session_windows)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
-    return session_windows(ev, timeout_s=1800)
-
-
-def _q_sliding_mean(sf_dir: str):
-    from series_correction_project_updated_ray.stages.windows import sliding_mean
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return sliding_mean(ev, width_s=300)
-
-
-def _q_asof_join(sf_dir: str):
-    from series_correction_project_updated_ray.stages.windows import (
-        asof_join_events)
-    ev = _read(sf_dir, "events",
-               ["user_id", "event_id", "ts", "value", "event_type"])
-    return asof_join_events(ev, right_type="purchase")
-
-
-def _q_semi_join(sf_dir: str):
-    """Broadcast semi-join: orders of BUILDING-segment customers."""
-    from series_correction_project_updated_ray.stages.joins import semi_join
-    import pyarrow.compute as pc
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    building = cust.map_batches(
-        lambda t: t.filter(pc.equal(t["c_mktsegment"], "BUILDING")),
-        batch_format="pyarrow")
-    return semi_join(orders, building, "o_custkey",
-                     right_key="c_custkey"
-                     ).select_columns(["o_orderkey", "o_custkey",
-                                       "o_totalprice"])
-
-
-def _q_anti_join(sf_dir: str):
-    """Broadcast anti-join: orders of customers NOT in BUILDING."""
-    from series_correction_project_updated_ray.stages.joins import semi_join
-    import pyarrow.compute as pc
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    building = cust.map_batches(
-        lambda t: t.filter(pc.equal(t["c_mktsegment"], "BUILDING")),
-        batch_format="pyarrow")
-    return semi_join(orders, building, "o_custkey",
-                     right_key="c_custkey", anti=True
-                     ).select_columns(["o_orderkey", "o_custkey",
-                                       "o_totalprice"])
-
-
-def _q_grouped_median(sf_dir: str):
-    from series_correction_project_updated_ray.stages.rollup import (
-        grouped_median)
-    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
-    return grouped_median(ev, width=3600)
-
-
-RETENTION_CUTOFF = 1705276800  # 2024-01-15T00:00:00Z — fixed, deterministic
-
-
-def _q_rollup_retention(sf_dir: str):
+def _rollup_retention(rollup_events, sf_dir: str):
     """1m rollup with the retention filter applied (windows >= cutoff)."""
     from series_correction_project_updated_ray.stages.rollup import (
-        apply_retention, rollup_events)
-    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
+        apply_retention)
+    ev = _read(sf_dir, *EV_TYPE_TS_VALUE)
     return apply_retention(rollup_events(ev, key_col="event_type", width=60),
                            RETENTION_CUTOFF)
 
 
-def _q_downsample_stride(sf_dir: str):
+def _downsample_stride(downsample_stride, sf_dir: str):
     """Every-10th-point decimation per user (ts, event_id order)."""
-    from series_correction_project_updated_ray.stages.rollup import (
-        downsample_stride)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return downsample_stride(ev, n=10).select_columns(
+    return downsample_stride(_read(sf_dir, *EV_SERIES), n=10).select_columns(
         ["user_id", "event_id", "value"])
 
 
-def _q_resumable_rollup(sf_dir: str):
+def _building_orders(semi_join, sf_dir: str, **kw):
+    """Broadcast semi-join (anti=True: anti-join) of orders against the
+    BUILDING-segment customers."""
+    import pyarrow.compute as pc
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
+    building = cust.map_batches(
+        lambda t: t.filter(pc.equal(t["c_mktsegment"], "BUILDING")),
+        batch_format="pyarrow")
+    return semi_join(_read(sf_dir, *ORDERS_JOIN), building, "o_custkey",
+                     right_key="c_custkey", **kw
+                     ).select_columns(["o_orderkey", "o_custkey",
+                                       "o_totalprice"])
+
+
+def _resumable_rollup(run_resumable, sf_dir: str):
     """Checkpointed flagship over a deterministic synthetic sequences dir;
     returns the per-partition lineage manifest (wall-clock fields dropped
     so the result is value-stable)."""
     import shutil
-    from series_correction_project_updated_ray.pipelines.resumable import (
-        run_resumable)
     from series_correction_project_updated_ray.sources.sequences import (
         write_synthetic_sequences)
     src = "/tmp/graft_resumable_src"
@@ -652,25 +485,16 @@ def _q_resumable_rollup(sf_dir: str):
         .sort_values("part_id").reset_index(drop=True)
 
 
-def _q_approx_distinct(sf_dir: str):
-    """HyperLogLog per-type distinct users (mergeable-sketch scale path;
-    rows-only — approximate by design, accuracy asserted in tests)."""
-    from series_correction_project_updated_ray.stages.sketches import (
-        approx_distinct)
-    ev = _read(sf_dir, "events", ["event_type", "user_id"])
-    return approx_distinct(ev, "event_type", "user_id")
-
-
-def _q_media_frames(sf_dir: str):
+def _media_frames(sample_frames, sf_dir: str):
     """Frame-sampling fan-out stage over the fake media corpus (frame
     payloads summarized to lengths so the result hashes cleanly)."""
     import pyarrow as pa
+    import pyarrow.compute as pc
     import ray.data
     from series_correction_project_updated_ray.stages.multimodal import (
-        sample_frames, synth_media_table)
+        synth_media_table)
     frames = sample_frames(ray.data.from_arrow(synth_media_table(256)),
                            stride=4)
-    import pyarrow.compute as pc
     # binary_length reads the arrow offsets zero-copy — materializing
     # every payload as Python bytes just to measure it would dominate
     # this fan-out stage
@@ -683,14 +507,14 @@ def _q_media_frames(sf_dir: str):
         }), batch_format="pyarrow")
 
 
-def _q_media_features(sf_dir: str):
+def _media_features(media_features, sf_dir: str):
     """Multimodal actor-pool stage over the deterministic fake media corpus
     (decode stubbed — libraries absent; plumbing real).  Returns scalar
     projections of the embeddings so the result hashes cleanly."""
     import pyarrow as pa
     import ray.data
     from series_correction_project_updated_ray.stages.multimodal import (
-        media_features, synth_media_table)
+        synth_media_table)
     ds = ray.data.from_arrow(synth_media_table(256))
     feats = media_features(ds, concurrency=2, batch_size=16)
 
@@ -710,16 +534,11 @@ def _q_media_features(sf_dir: str):
     return feats.map_batches(_proj, batch_format="pyarrow")
 
 
-PRICING_CUTOFF = "1998-09-02"
-
-
-def _q_pricing_summary(sf_dir: str):
+def _pricing_summary(pricing_summary, sf_dir: str):
     """TPC-H-Q1-style exact-arithmetic pricing summary (scaled-int sums;
     shipdate predicate pushed into the parquet scan)."""
     import pyarrow.compute as pc
     import ray.data
-    from series_correction_project_updated_ray.stages.relational import (
-        pricing_summary)
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_returnflag", "l_linestatus", "l_quantity",
@@ -729,40 +548,11 @@ def _q_pricing_summary(sf_dir: str):
     return pricing_summary(li)
 
 
-EVENT_TYPES = ["click", "view", "signup", "purchase", "error"]
-
-
-def _q_grouped_quantiles(sf_dir: str):
-    from series_correction_project_updated_ray.stages.rollup import (
-        grouped_quantiles)
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-    return grouped_quantiles(ev)
-
-
-def _q_topn_per_user(sf_dir: str):
-    """ROW_NUMBER() window shape: top-3 events per user by value (event_id
-    tiebreak makes the ranking a total order)."""
-    from series_correction_project_updated_ray.stages.windows import (
-        topn_per_group)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "value"])
-    return topn_per_group(ev, "user_id", ["value", "event_id"],
-                          [True, False], 3)
-
-
-def _q_pivot_user_event_type(sf_dir: str):
-    from series_correction_project_updated_ray.stages.relational import (
-        pivot_sum_exact)
-    ev = _read(sf_dir, "events", ["user_id", "event_type", "value"])
-    return pivot_sum_exact(ev, "user_id", "event_type", "value", EVENT_TYPES)
-
-
-def _q_vector_stats(sf_dir: str):
+def _vector_stats(round_half_away, sf_dir: str):
     """List-column (vector) scalar functions: per-row dim / L2 norm /
     mean over the embedding array, fully vectorized (one matrix op per
     batch — no per-row Python)."""
     import pyarrow as pa
-    from series_correction_project_updated_ray.functions.rounding import (
-        round_half_away)
 
     def _stats(t: pa.Table) -> pa.Table:
         emb = t["embedding"].combine_chunks()
@@ -795,61 +585,41 @@ def _q_vector_stats(sf_dir: str):
             "vmean": pa.array(round_half_away(mean, 6)),
         })
 
-    return _read(sf_dir, "embeddings", ["vec_id", "embedding"]) \
-        .map_batches(_stats, batch_format="pyarrow")
+    return _read(sf_dir, *EMB).map_batches(_stats, batch_format="pyarrow")
 
 
-def _q_top_windows(sf_dir: str):
+def _top_windows(topk_by, sf_dir: str):
     """Continuous-top-k shape (SAP ICDE'18 problem): the k busiest
     (key, window) cells by rolled-up volume — windowed aggregate feeding
     the distributed top-k, no global sort."""
-    from series_correction_project_updated_ray.stages.relational import (
-        topk_by)
     from series_correction_project_updated_ray.stages.rollup import (
         rollup_events)
-    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
-    roll = rollup_events(ev, key_col="event_type", width=3600)
+    roll = rollup_events(_read(sf_dir, *EV_TYPE_TS_VALUE),
+                         key_col="event_type", width=3600)
     return topk_by(roll, ["vsum", "event_type", "window_start"],
                    [True, False, False], 20)
 
 
-def _distinct_users_of_type(ev, typ, min_value=None):
-    """Distinct user_ids having an event of ``typ`` (optionally value >
-    min_value): batch-local unique → global distinct groupby."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count
-
-    def _local(t: pa.Table) -> pa.Table:
-        keep = pc.equal(t["event_type"], typ)
-        if min_value is not None:
-            keep = pc.and_(keep, pc.greater(t["value"], min_value))
-        return pa.table({"user_id": pc.unique(t.filter(keep)["user_id"])})
-
-    return ev.map_batches(_local, batch_format="pyarrow") \
-        .groupby("user_id").aggregate(Count(alias_name="n")) \
-        .select_columns(["user_id"])
-
-
-def _q_users_except(sf_dir: str):
-    """EXCEPT shape: distinct clickers with no high-value purchase — the
-    INTERSECT plan with the broadcast semi-join flipped to anti."""
-    from series_correction_project_updated_ray.stages.joins import semi_join
-    ev = _read(sf_dir, "events", ["user_id", "event_type", "value"])
+def _clickers_vs_buyers(semi_join, sf_dir: str, min_value=None, **kw):
+    """Set ops over distinct users: clickers ∩ purchasers (INTERSECT), or
+    with anti=True clickers with no purchase above ``min_value`` (EXCEPT)
+    — partial distinct per batch, then a broadcast semi-join (no second
+    shuffle)."""
+    cols = ["user_id", "event_type"] + ([] if min_value is None else
+                                        ["value"])
+    ev = _read(sf_dir, "events", cols)
     return semi_join(_distinct_users_of_type(ev, "click"),
-                     _distinct_users_of_type(ev, "purchase", min_value=95.0),
-                     "user_id", anti=True)
+                     _distinct_users_of_type(ev, "purchase", min_value),
+                     "user_id", **kw)
 
 
-def _q_grouping_sets(sf_dir: str):
+def _grouping_sets(scaled_cents, sf_dir: str):
     """GROUP BY ROLLUP(event_type) shape: per-type totals plus the grand
     total in one result (NULL key = the total row), cents-exact sums —
     multi-level aggregates as a union of grouped and global partials."""
     import pyarrow as pa
     from ray.data.aggregate import Sum
-    from series_correction_project_updated_ray.stages.relational import (
-        _scaled_cents)
-    ev = _read(sf_dir, "events", ["event_type", "value"])
+    ev = _read(sf_dir, *EV_TYPE_VALUE)
 
     # the grand-total level carries a SENTINEL key through the shuffle
     # (Ray's groupby boundary sampling compares keys in Python, where
@@ -857,7 +627,7 @@ def _q_grouping_sets(sf_dir: str):
     sentinel = "\x00__TOTAL__"
 
     def _partial(t: pa.Table) -> pa.Table:
-        v100 = _scaled_cents(t["value"])
+        v100 = scaled_cents(t["value"])
         df = pd.DataFrame({"event_type": t["event_type"].to_pandas(),
                            "v100": v100,
                            "n": np.ones(len(v100), dtype=np.int64)})
@@ -891,1201 +661,27 @@ def _q_grouping_sets(sf_dir: str):
     return agg.map_batches(_final, batch_format="pyarrow")
 
 
-def _q_kmeans_clusters(sf_dir: str):
+def _kmeans_clusters(kmeans_distributed, sf_dir: str):
     """Distributed Lloyd k-means over the embeddings table (iterative
     algorithm: centroids broadcast per round, blocks reduce to ≤k partial
     rows).  Returns per-cluster size + mean cosine (rows-only:
     iterative/approximate by nature)."""
     from ray.data.aggregate import Count, Mean
-    from series_correction_project_updated_ray.stages.similarity import (
-        kmeans_distributed)
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    _, assigns = kmeans_distributed(emb, n_clusters=8, iters=8)
+    _, assigns = kmeans_distributed(_read(sf_dir, *EMB), n_clusters=8,
+                                    iters=8)
     return assigns.groupby("cluster").aggregate(
         Count(alias_name="n_vecs"), Mean("cos_sim", alias_name="mean_cos"))
 
 
-def _q_users_intersect(sf_dir: str):
-    """INTERSECT shape: distinct clickers ∩ distinct purchasers — partial
-    distinct per batch, then a broadcast semi-join (no second shuffle)."""
-    from series_correction_project_updated_ray.stages.joins import semi_join
-    ev = _read(sf_dir, "events", ["user_id", "event_type"])
-    return semi_join(_distinct_users_of_type(ev, "click"),
-                     _distinct_users_of_type(ev, "purchase"), "user_id")
-
-
-def _q_running_sum(sf_dir: str):
-    from series_correction_project_updated_ray.stages.windows import (
-        running_sum)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return running_sum(ev)
-
-
-def _q_interarrival(sf_dir: str):
-    """Per-user inter-event-time mean + CV (burstiness)."""
-    from series_correction_project_updated_ray.stages.windows import (
-        interarrival_stats)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
-    return interarrival_stats(ev)
-
-
-def _q_quality_gate(sf_dir: str):
-    """Cleaning-funnel verdict counts per source."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        quality_gate_summary)
-    return quality_gate_summary(
-        _read(sf_dir, "documents", ["doc_id", "source", "text"]))
-
-
-def _q_token_budget(sf_dir: str):
-    """Token-budgeted per-source subsampling in stable-hash order."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        token_budget_sample)
-    return token_budget_sample(
-        _read(sf_dir, "documents", ["doc_id", "source", "text"]),
-        budget_tokens=1000)
-
-
-def _q_winsorize(sf_dir: str):
-    """Per-type winsorization into the exact [p1, p99] band."""
-    from series_correction_project_updated_ray.stages.relational import (
-        winsorize_events)
-    ev = _read(sf_dir, "events", ["event_id", "event_type", "value"])
-    return winsorize_events(ev)
-
-
-def _q_trend(sf_dir: str):
-    """Least-squares value-vs-time trend per (user, hour)."""
-    from series_correction_project_updated_ray.stages.windows import (
-        window_trend)
-    ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    return window_trend(ev, width_s=3600)
-
-
-def _q_twa(sf_dir: str):
-    """Trapezoidal time-weighted average per (user, hour)."""
-    from series_correction_project_updated_ray.stages.windows import (
-        time_weighted_avg)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return time_weighted_avg(ev, width_s=3600)
-
-
-def _q_ohlc(sf_dir: str):
-    """Hourly OHLC bars per user (partial-first, anchored open/close)."""
-    from series_correction_project_updated_ray.stages.rollup import ohlc_bars
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return ohlc_bars(ev, width=3600)
-
-
-def _q_chunk_documents(sf_dir: str):
-    """Overlapping token-window chunking (RAG / context-window prep)."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        chunk_documents)
-    return chunk_documents(_read(sf_dir, "documents", ["doc_id", "text"]),
-                           chunk_tokens=64, stride=48)
-
-
-def _q_centroid_dist(sf_dir: str):
-    """Per-vector L2 distance to its label's exact centroid."""
-    from series_correction_project_updated_ray.stages.similarity import (
-        embedding_centroid_dist)
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
-    return embedding_centroid_dist(emb)
-
-
-def _q_user_sequences(sf_dir: str):
-    """string_agg ORDER BY shape: per-user behavioral event sequences."""
-    from series_correction_project_updated_ray.stages.windows import (
-        user_event_sequences)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "event_type",
-                                  "ts"])
-    return user_event_sequences(ev)
-
-
-def _q_value_quartiles(sf_dir: str):
-    """Exact NTILE(4) without a global sort (bounded-domain rank)."""
-    from series_correction_project_updated_ray.stages.relational import (
-        value_quartiles)
-    ev = _read(sf_dir, "events", ["event_id", "value"])
-    return value_quartiles(ev, k=4)
-
-
-def _q_tfidf(sf_dir: str):
-    """Per-doc top TF-IDF term: DF shuffle + broadcast scoring pass."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        tfidf_top_term)
-    return tfidf_top_term(_read(sf_dir, "documents", ["doc_id", "text"]))
-
-
-def _q_remove_common_ngrams(sf_dir: str):
-    """C4-style boilerplate removal (common word-3-grams dropped)."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        remove_common_ngrams)
-    return remove_common_ngrams(
-        _read(sf_dir, "documents", ["doc_id", "text"]), n=3, min_df=5)
-
-
-def _q_lag_deltas(sf_dir: str):
-    """LAG window shape: per-user consecutive value/time deltas."""
-    from series_correction_project_updated_ray.stages.windows import (
-        lag_deltas)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return lag_deltas(ev)
-
-
-def _q_rate_counter(sf_dir: str):
-    """PromQL increase/rate shape: reset-aware counter rate per
-    (user, 1h window) — integer-cents deltas, resets contribute the
-    post-reset level."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        rate_counter)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return rate_counter(ev, width_s=3600)
-
-
-def _q_interval_coverage(sf_dir: str):
-    """Gaps-and-islands: per-user union of fixed 300s event intervals →
-    merged count + covered span (integer µs)."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        interval_coverage)
-    ev = _read(sf_dir, "events", ["user_id", "ts"])
-    return interval_coverage(ev, width_s=300)
-
-
-def _q_resample_ffill(sf_dir: str):
-    """Regular-grid forward-fill resample (the upsample dual of the
-    rollups): one row per hourly boundary in each user's span, carrying
-    the latest prior-or-equal observation."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        resample_ffill)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return resample_ffill(ev, width_s=3600)
-
-
-def _q_resample_interp(sf_dir: str):
-    """Linear-interpolation grid resample (the smooth ffill sibling) —
-    prev/next neighbors via forward+backward segmented scans, oracle
-    via two ASOF joins."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        resample_interp)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return resample_interp(ev, width_s=3600)
-
-
-def _q_ewma(sf_dir: str):
-    """Per-user EWMA (α=0.5) in event-time order — the float recursion
-    runs in the oracle's exact operand order, so a recursive CTE
-    certifies it bit-for-bit at 6dp."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        ewma_per_user)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return ewma_per_user(ev, alpha=0.5)
-
-
-def _q_alert_hysteresis(sf_dir: str):
-    """Two-threshold alert state machine per user — exact integer
-    recursion, recursive-CTE-certified."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        alert_hysteresis)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return alert_hysteresis(ev, hi=150.0, lo=50.0)
-
-
-def _q_holt(sf_dir: str):
-    """Per-user Holt linear-trend smoothing — the TWO-state float
-    recursion (level + trend) certified bit-exactly by a recursive CTE
-    running the identical operand order."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        holt_per_user)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return holt_per_user(ev, alpha=0.5, beta=0.5)
-
-
-def _q_seasonal_profile(sf_dir: str):
-    """Hour-of-day diurnal profile per event type — partial-first
-    integer aggregation, exact means."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        seasonal_profile)
-    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
-    return seasonal_profile(ev)
-
-
-def _q_autocorr(sf_dir: str):
-    """Per-user lag-1 autocorrelation — integer-exact moments, the
-    closing Pearson formula cast-to-double-first on both sides."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        autocorr_lag1)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return autocorr_lag1(ev)
-
-
-def _q_rollup_quantiles(sf_dir: str):
-    """Percentile continuous aggregate (p50/p95/p99 per (type, day)) —
-    mergeable KLL sketches per window; rows-only by design
-    (approximate; exact when a cell fits the sketch capacity, and
-    pytest bounds the rank error)."""
-    from series_correction_project_updated_ray.stages.rollup import (
-        rollup_quantiles)
-    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
-    return rollup_quantiles(ev, width_s=86400)
-
-
-def _q_lttb(sf_dir: str):
-    """LTTB visual downsample to 4 points per user.  The pick chain is
-    sequential (each bucket's pick feeds the next triangle) but the
-    per-bucket argmax compares EXACT integer areas (2·area·nn in
-    rebased-µs × cents), so chained SQL argmax steps carrying the
-    previous pick replay it bit-exactly — oracle-checked since round 4.
-    n_out=4 (not the bench's 100) so the ~7-events/user gate corpora
-    actually exercise the chain rather than the n ≤ n_out
-    pass-through."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        lttb_downsample)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return lttb_downsample(ev, n_out=4)
-
-
-def _q_winnow(sf_dir: str):
-    """Winnowed k-gram fingerprints (Schleimer et al. 2003, MOSS) over
-    polynomial-tokenized documents — min-of-window with rightmost ties,
-    map-only (no shuffle)."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        winnow_fingerprints)
-    return winnow_fingerprints(_poly_tokenized(sf_dir), k=5, w=4)
-
-
-def _q_winnow_matches(sf_dir: str):
-    """Cross-document duplicate-span candidates: winnowed fingerprints
-    selected in ≥ 2 distinct documents, with doc/occurrence counts —
-    the aggregate face of span-level dedup."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        winnow_matches)
-    return winnow_matches(_poly_tokenized(sf_dir), k=5, w=4, min_docs=2)
-
-
-def _q_props_stats(sf_dir: str):
-    """Per-event-type stats of the integer `k` field extracted from the
-    JSON props column — Arrow-C++ extract_regex (never a per-row
-    json.loads), equal to json_extract for the corpus's flat shape."""
-    from series_correction_project_updated_ray.stages.relational import (
-        props_field_stats)
-    ev = _read(sf_dir, "events", ["event_type", "props"])
-    return props_field_stats(ev, field="k", by="event_type")
-
-
-def _q_drawdown(sf_dir: str):
-    """Per-user max drawdown (largest drop from the running peak,
-    exact integer cents) with the earliest trough timestamp."""
-    from series_correction_project_updated_ray.stages.timeseries import max_drawdown
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return max_drawdown(ev)
-
-
-def _q_changepoint(sf_dir: str):
-    """Per-user best mean-shift split (depth-1 binary segmentation):
-    integer-cents prefix sums, the between-segment score closed in
-    doubles with the oracle's cast-first operand order, earliest-s tie."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        changepoint_user)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return changepoint_user(ev)
-
-
-def _q_corr_pairs(sf_dir: str):
-    """All-pairs Pearson correlation of hourly value totals between the
-    20 most active users on the global hour grid — distributed top-k +
-    bounded cell aggregate + one integer matmul close."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        corr_pairs_hourly)
-    ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    return corr_pairs_hourly(ev, k=20)
-
-
-def _q_xcorr(sf_dir: str):
-    """Best-lag zero-padded cross-correlation (±24 h) between the 20
-    most active users' dense hourly totals — shares corr_pairs' bounded
-    cell plan; (2L+1) integer matmuls, exact-integer argmax with the
-    smallest lag on ties."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        xcorr_best_lag)
-    ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    return xcorr_best_lag(ev, k=20, max_lag=24)
-
-
-def _q_unigram_logprob(sf_dir: str):
-    """Per-document unigram LM log-likelihood (corpus-level perplexity
-    screen): vocab-count shuffle + broadcast scoring; per-term ln via
-    libm (bit-identical to DuckDB ln), per-doc left fold in position
-    order matching list_reduce."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        unigram_logprob)
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return unigram_logprob(docs)
-
-
-def _q_big_orders(sf_dir: str):
-    """TPC-H-Q18-shaped large-volume orders: per-order quantity rollup
-    with HAVING, the tiny survivor set broadcast through orders and
-    customer (no big-table shuffle)."""
-    from series_correction_project_updated_ray.stages.relational import (
-        big_orders)
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-    orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_custkey", "o_totalprice",
-                    "o_orderdate"])
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    return big_orders(li, orders, cust, min_qty=300.0)
-
-
-def _q_matrix_profile(sf_dir: str):
-    """Exact unnormalized matrix profile per user (w=8): min squared-
-    Euclidean distance from each window to any other window of the
-    same series, smallest-j ties — pure-integer, oracle-exact."""
-    from series_correction_project_updated_ray.stages.tsmining import (
-        matrix_profile)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return matrix_profile(ev, w=8)
-
-
-def _q_ks(sf_dir: str):
-    """Two-sample KS test (weekend vs weekday) per event type — pure
-    integer cross-multiplied ECDF argmax, earliest-value ties."""
-    from series_correction_project_updated_ray.stages.relational import (
-        ks_test_weekend)
-    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
-    return ks_test_weekend(ev)
-
-
-def _q_mannwhitney(sf_dir: str):
-    """Mann-Whitney U rank-sum test (weekday vs weekend) per event
-    type — exact integer pair counting with ties over the shared
-    cohort cells, tie-corrected normal z in the close."""
-    from series_correction_project_updated_ray.stages.relational import (
-        mannwhitney_weekend)
-    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
-    return mannwhitney_weekend(ev)
-
-
-def _q_streaks(sf_dir: str):
-    """Longest consecutive-active-day streak per user — gaps-and-
-    islands over distinct (user, day) pairs, earliest start on ties."""
-    from series_correction_project_updated_ray.stages.relational import (
-        active_day_streaks)
-    ev = _read(sf_dir, "events", ["user_id", "ts"])
-    return active_day_streaks(ev)
-
-
-def _q_cohort(sf_dir: str):
-    """Daily cohort-retention triangle — distinct active days, min-day
-    cohort anchor, (cohort, age) cells, one double ratio close."""
-    from series_correction_project_updated_ray.stages.relational import (
-        cohort_retention)
-    ev = _read(sf_dir, "events", ["user_id", "ts"])
-    return cohort_retention(ev)
-
-
-def _q_tukey(sf_dir: str):
-    """Per-user Tukey box-plot screen: exact quartiles (calibrated
-    quantile_cont lerp) + the 1.5·IQR fence outlier count."""
-    from series_correction_project_updated_ray.stages.rollup import (
-        tukey_fences)
-    ev = _read(sf_dir, "events", ["user_id", "value"])
-    return tukey_fences(ev)
-
-
-def _q_seasonal_decompose(sf_dir: str):
-    """Per-user classic additive decomposition: 2×m centered-MA
-    detrend (integer-exact via 2m-scaling), per-phase seasonal means."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        seasonal_decompose)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return seasonal_decompose(ev)
-
-
-def _q_ewm_bands(sf_dir: str):
-    """Per-user EWMA control chart with EW-variance bands: the (l, v)
-    recursion INCLUDING the per-row sqrt band test is bit-exact vs a
-    recursive CTE (IEEE sqrt is correctly rounded on both sides)."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        ewm_bands)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return ewm_bands(ev)
-
-
-def _q_peak_detection(sf_dir: str):
-    """Per-user strict local maxima with a prominence floor — raw
-    lag/lead double compares, no float fold."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        peak_detection)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return peak_detection(ev)
-
-
-def _q_haar_energy(sf_dir: str):
-    """Per-user Haar wavelet detail energies, levels 1-3 —
-    integer-exact cents lifting, one double divide per cell."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        haar_energy)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return haar_energy(ev)
-
-
-def _q_ljung_box(sf_dir: str):
-    """Per-user Ljung-Box Q over lags 1-5 — n-scaled integer ACF
-    moments, double-identical ascending-lag fold."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        ljung_box)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return ljung_box(ev)
-
-
-def _q_sample_entropy(sf_dir: str):
-    """Per-user SampEn(m=2, r=2.00) — integer template-match counts,
-    one libm ln per key."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        sample_entropy)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return sample_entropy(ev)
-
-
-def _q_bigram_logprob(sf_dir: str):
-    """Per-document add-one bigram LM log-likelihood — two |vocab|-row
-    groupbys + broadcast scoring, position-ordered libm fold."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        bigram_logprob)
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return bigram_logprob(docs)
-
-
-def _q_dup_span_stats(sf_dir: str):
-    """Exact duplicated k-token span stats per document (Lee et al.
-    2022 exact-substring dedup signal) — one span-keyed shuffle."""
-    from series_correction_project_updated_ray.stages.dedup import (
-        dup_span_stats)
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return dup_span_stats(docs)
-
-
-def _q_bm25_topk(sf_dir: str):
-    """BM25 top-10 retrieval for the fixed query-term set — tiny
-    global stats aggregate + vectorized scoring + distributed top-k."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        bm25_topk)
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return bm25_topk(docs)
-
-
-def _q_croston_demand(sf_dir: str):
-    """Per-user Croston intermittent-demand forecast — bit-exact
-    two-state recursion over the hourly demand grid."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        croston_demand)
-    ev = _read(sf_dir, "events", ["user_id", "ts"])
-    return croston_demand(ev)
-
-
-def _q_dsir_weights(sf_dir: str):
-    """Per-document DSIR importance weights vs the lang='en' target
-    slice — two vocab groupbys + broadcast position-ordered fold."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        dsir_weights)
-    docs = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
-    return dsir_weights(docs)
-
-
-def _q_hurst_rs(sf_dir: str):
-    """Per-user rescaled-range Hurst exponent (windows 8/16/32) —
-    integer block stats, ordered folds, 3-point log-log slope."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        hurst_rs)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return hurst_rs(ev)
-
-
-def _q_mann_kendall(sf_dir: str):
-    """Per-user Mann-Kendall S statistic + Kendall tau-a — exact
-    integer pair signs, one double close."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        mann_kendall)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return mann_kendall(ev)
-
-
-def _q_spearman_trend(sf_dir: str):
-    """Per-user Spearman rank trend — 2-scaled tie-averaged integer
-    ranks, exact moments, cast-first double close."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        spearman_trend)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return spearman_trend(ev)
-
-
-def _q_promo_share(sf_dir: str):
-    """TPC-H-Q14-shaped promo revenue share — broadcast part
-    dimension, exact 1e-4-dollar integer partials, one Sum close."""
-    from series_correction_project_updated_ray.stages.relational import (
-        promo_revenue_share)
-    li = _read(sf_dir, "lineitem",
-               ["l_partkey", "l_extendedprice", "l_discount"])
-    part = _read(sf_dir, "part", ["p_partkey", "p_type"])
-    return promo_revenue_share(li, part)
-
-
-def _q_late_shipment(sf_dir: str):
-    """TPC-H-Q12-shaped late-shipment counts per order priority —
-    partitioned hash join + indicator Sum groupby."""
-    from series_correction_project_updated_ray.stages.relational import (
-        late_shipment_priority)
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-    orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    return late_shipment_priority(li, orders)
-
-
-def _q_grubbs(sf_dir: str):
-    """Per-event-type Grubbs single-outlier test — exact integer
-    moments, argmax row with smallest-event_id tie, double close."""
-    from series_correction_project_updated_ray.stages.relational import (
-        grubbs_test)
-    ev = _read(sf_dir, "events", ["event_type", "event_id", "value"])
-    return grubbs_test(ev)
-
-
-def _q_char_entropy(sf_dir: str):
-    """Per-document character-distribution entropy — map-only, exact
-    counts, ordered libm fold."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        char_entropy)
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return char_entropy(docs)
-
-
-def _q_drift_chi2(sf_dir: str):
-    """Split-half chi-square distribution drift per event type —
-    integer bin counts, ordered per-bin double folds."""
-    from series_correction_project_updated_ray.stages.relational import (
-        drift_chi2)
-    ev = _read(sf_dir, "events", ["event_type", "event_id", "ts", "value"])
-    return drift_chi2(ev)
-
-
-def _q_embedding_dim_stats(sf_dir: str):
-    """Per-dimension embedding corpus stats — 1e-6-quantized integer
-    partials, one |dim|-row groupby, exact-int close."""
-    from series_correction_project_updated_ray.stages.similarity import (
-        embedding_dim_stats)
-    emb = _read(sf_dir, "embeddings", ["embedding"])
-    return embedding_dim_stats(emb)
-
-
-def _q_embedding_quantize(sf_dir: str):
-    """Per-vector int8 quantization error report — map-only,
-    position-ordered MSE fold."""
-    from series_correction_project_updated_ray.stages.similarity import (
-        embedding_quantize)
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return embedding_quantize(emb)
-
-
-def _q_heaps_law(sf_dir: str):
-    """Heaps' law vocabulary-growth fit — |vocab|-row Min groupby,
-    |docs|-row close, doc-ordered libm folds."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        heaps_law)
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return heaps_law(docs)
-
-
-def _q_semantic_dedup(sf_dir: str):
-    """SemDeDup-shaped semantic keep/drop labeling over embeddings —
-    rows-only (LSH bucket recall is not SQL-expressible)."""
-    from series_correction_project_updated_ray.stages.dedup import (
-        semantic_dedup)
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    # synthetic embeddings carry no true near-dups at 0.95; 0.4
-    # exercises clustering with output (see embedding_near_dup)
-    return semantic_dedup(emb, threshold=0.4, planes=6)
-
-
-def _q_distinct_ngrams(sf_dir: str):
-    """Corpus distinct-n diversity ratios (n=1..3) — gram-vocab
-    groupby, exact counts, one division per row."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        distinct_ngrams)
-    docs = _read(sf_dir, "documents", ["text"])
-    return distinct_ngrams(docs)
-
-
-def _q_oov_rate(sf_dir: str):
-    """Per-document OOV rate vs the corpus top-1000 vocabulary —
-    count groupby + distributed top-K + broadcast scoring."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        oov_rate)
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return oov_rate(docs)
-
-
-def _q_source_mix(sf_dir: str):
-    """Temperature-scaled (α=0.7) source mixing weights — one bounded
-    groupby, libm pow, source-ordered normalizing fold."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        source_mix_weights)
-    docs = _read(sf_dir, "documents", ["source"])
-    return source_mix_weights(docs)
-
-
-def _q_seasonal_quantiles(sf_dir: str):
-    """Seasonal p10/p50/p90 bands per (event_type, hour-of-day) —
-    composite-cell shuffle reusing the calibrated quantile lerp."""
-    from series_correction_project_updated_ray.stages.rollup import (
-        seasonal_quantiles)
-    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
-    return seasonal_quantiles(ev)
-
-
-def _q_user_value_ranks(sf_dir: str):
-    """Global RANK / PERCENT_RANK / CUME_DIST over per-user value
-    totals — |users|-row reduce + single-block rank close."""
-    from series_correction_project_updated_ray.stages.relational import (
-        user_value_ranks)
-    ev = _read(sf_dir, "events", ["user_id", "value"])
-    return user_value_ranks(ev)
-
-
-def _q_pacf_lags(sf_dir: str):
-    """Per-user PACF at lags 1-3 (Durbin-Levinson) — integer ACF
-    moments, fixed double chains."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        pacf_lags)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return pacf_lags(ev)
-
-
-def _q_order_priority_check(sf_dir: str):
-    """TPC-H-Q4-shaped EXISTS aggregate — late-key semi-join into a
-    priority Count groupby, pure integer counts."""
-    from series_correction_project_updated_ray.stages.relational import (
-        order_priority_check)
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-    orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    return order_priority_check(li, orders)
-
-
-def _q_isotonic_fit(sf_dir: str):
-    """Per-user isotonic regression (minimax PAVA) — exact interval
-    means, two window extrema."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        isotonic_fit)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return isotonic_fit(ev)
-
-
-def _q_next_higher(sf_dir: str):
-    """Per-event wait until the next strictly higher value — O(rows)
-    monotonic stack vs the oracle's quadratic first-match join."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        next_higher_event)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return next_higher_event(ev)
-
-
-def _q_top_event_paths(sf_dir: str):
-    """Corpus top-10 event-type trigram paths — path-vocab partials,
-    tiny Sum merge, partial top-k."""
-    from series_correction_project_updated_ray.stages.windows import (
-        top_event_paths)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts",
-                                  "event_type"])
-    return top_event_paths(ev)
-
-
-def _q_bounce_rate(sf_dir: str):
-    """Per-user session bounce rate — certified sessionization into a
-    |users|-row integer reduce."""
-    from series_correction_project_updated_ray.stages.windows import (
-        bounce_rate)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
-    return bounce_rate(ev)
-
-
-def _q_rfm_scores(sf_dir: str):
-    """RFM quintile segmentation per user — one |users|-row reduce,
-    deterministic NTILE(5) orders."""
-    from series_correction_project_updated_ray.stages.relational import (
-        rfm_scores)
-    ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    return rfm_scores(ev)
-
-
-def _q_vocab_overlap(sf_dir: str):
-    """Pairwise source-vocabulary Jaccard matrix — cell dedup,
-    term-partitioned intersection partials, tiny Sum merge."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        vocab_overlap_sources)
-    docs = _read(sf_dir, "documents", ["source", "text"])
-    return vocab_overlap_sources(docs)
-
-
-def _q_volume_shipping(sf_dir: str):
-    """TPC-H-Q7-shaped cross-nation shipping volume — pre-aggregated
-    lineitem partials through the bucket-join chain, nation broadcast
-    twice, exact-integer revenue until one close division."""
-    from series_correction_project_updated_ray.stages.relational import (
-        volume_shipping)
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_suppkey", "l_shipdate",
-                "l_extendedprice", "l_discount"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
-    return volume_shipping(li, orders, cust, supp, nation)
-
-
-def _q_returned_items(sf_dir: str):
-    """TPC-H-Q10-shaped returned-item reporting — scan-pass return
-    filter + revenue partials, per-customer pre-aggregation before the
-    dimension join, deterministic exact-integer top-k tie."""
-    from series_correction_project_updated_ray.stages.relational import (
-        returned_item_revenue)
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_returnflag",
-                "l_extendedprice", "l_discount"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    cust = _read(sf_dir, "customer",
-                 ["c_custkey", "c_name", "c_nationkey"])
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
-    return returned_item_revenue(li, orders, cust, nation)
-
-
-def _q_order_count_dist(sf_dir: str):
-    """TPC-H-Q13-shaped customer order-count distribution — filtered
-    per-customer count shuffle, LEFT join keeps zero-order customers,
-    bounded-domain count-of-counts close; exact integers only."""
-    from series_correction_project_updated_ray.stages.relational import (
-        order_count_distribution)
-    cust = _read(sf_dir, "customer", ["c_custkey"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-    return order_count_distribution(cust, orders)
-
-
-def _q_top_supplier(sf_dir: str):
-    """TPC-H-Q15-shaped top supplier — one keyed revenue shuffle, exact
-    integer max tie, dimension join touches only the tied rows."""
-    from series_correction_project_updated_ray.stages.relational import (
-        top_supplier_revenue)
-    li = _read(sf_dir, "lineitem",
-               ["l_suppkey", "l_extendedprice", "l_discount"])
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
-    return top_supplier_revenue(li, supp)
-
-
-def _q_small_qty_revenue(sf_dir: str):
-    """TPC-H-Q17-shaped small-quantity revenue — the correlated AVG
-    subquery as a per-part aggregate join; the 20% threshold is an
-    exact int64 cross-multiplication, never a float gate."""
-    from series_correction_project_updated_ray.stages.relational import (
-        small_quantity_revenue)
-    li = _read(sf_dir, "lineitem",
-               ["l_partkey", "l_quantity", "l_extendedprice"])
-    return small_quantity_revenue(li)
-
-
-def _q_large_volume(sf_dir: str):
-    """TPC-H-Q18-shaped large-volume customers — HAVING filter before
-    any join, exact-cents top-k tie."""
-    from series_correction_project_updated_ray.stages.relational import (
-        large_volume_customers)
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-    orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_custkey", "o_orderdate",
-                    "o_totalprice"])
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    return large_volume_customers(li, orders, cust)
-
-
-def _q_disjunctive_revenue(sf_dir: str):
-    """TPC-H-Q19-shaped disjunctive revenue — OR-of-ANDs clauses as
-    vectorized boolean columns over the bucket join, one exact-integer
-    partial per batch."""
-    from series_correction_project_updated_ray.stages.relational import (
-        disjunctive_revenue)
-    li = _read(sf_dir, "lineitem",
-               ["l_partkey", "l_quantity", "l_extendedprice",
-                "l_discount"])
-    part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
-    return disjunctive_revenue(li, part)
-
-
-def _q_inactive_high_balance(sf_dir: str):
-    """TPC-H-Q22-shaped inactive high-balance customers — the global
-    positive-average gate cross-multiplied in int64, anti semi-join
-    against urgent orders, |nations|-row integer close."""
-    from series_correction_project_updated_ray.stages.relational import (
-        inactive_high_balance)
-    cust = _read(sf_dir, "customer",
-                 ["c_custkey", "c_nationkey", "c_acctbal"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-    return inactive_high_balance(cust, orders)
-
-
-def _q_rsi_per_user(sf_dir: str):
-    """Per-user Wilder RSI — bit-exact double recursion vs a recursive
-    CTE replaying the identical operand order; al=0 → 100 convention."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        rsi_per_user)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return rsi_per_user(ev)
-
-
-def _q_rolling_active(sf_dir: str):
-    """Trailing-7-day distinct actives per day — windowed
-    COUNT(DISTINCT) via mergeable distinct cells fanned to the windows
-    they serve; integer counts only."""
-    from series_correction_project_updated_ray.stages.windows import (
-        rolling_active_users)
-    ev = _read(sf_dir, "events", ["user_id", "ts"])
-    return rolling_active_users(ev)
-
-
-def _q_weighted_sample(sf_dir: str):
-    """Weighted sample without replacement (Efraimidis–Spirakis over
-    the stable hash, weight = n_chars) — deterministic at any cluster
-    size, SQL-replayable scores."""
-    from series_correction_project_updated_ray.stages.relational import (
-        weighted_sample)
-    docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-    return weighted_sample(docs, "doc_id", "n_chars", k=50)
-
-
-def _q_mode_per_type(sf_dir: str):
-    """Per-event-type MODE with a deterministic smallest-value tie —
-    bounded (type, cents) cells, integer counts."""
-    from series_correction_project_updated_ray.stages.relational import (
-        mode_per_type)
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-    return mode_per_type(ev)
-
-
-def _q_pagerank(sf_dir: str):
-    """PageRank over the event-type transition graph — one bigram-cell
-    shuffle; the power iteration replays bit-exactly in a list-typed
-    recursive CTE (ascending-source list_reduce folds)."""
-    from series_correction_project_updated_ray.stages.relational import (
-        pagerank_event_types)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts",
-                                  "event_type"])
-    return pagerank_event_types(ev)
-
-
-def _q_latest_event(sf_dir: str):
-    """CDC keep-latest compaction — per-batch local argmax before the
-    one keyed shuffle; deterministic (t, event_id) winner."""
-    from series_correction_project_updated_ray.stages.relational import (
-        latest_event_per_user)
-    ev = _read(sf_dir, "events",
-               ["user_id", "event_id", "ts", "event_type", "value"])
-    return latest_event_per_user(ev)
-
-
-def _q_copurchase_triangles(sf_dir: str):
-    """Per-part triangle counts over the within-order co-purchase
-    graph — degree-oriented wedge plan (compact-forward): bounded
-    per-order pair emission, gather-joined endpoint degrees, one
-    wedge shuffle, tagged-union closing probe, count-cell close."""
-    from series_correction_project_updated_ray.stages.graph import (
-        copurchase_triangles)
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    return copurchase_triangles(li)
-
-
-def _q_copurchase_components(sf_dir: str):
-    """Connected components of the support-2 co-purchase graph —
-    frequent-pair screen (mergeable order-count cells + keyed Sum)
-    then the dedup module's equivalence-tested min-label CC."""
-    from series_correction_project_updated_ray.stages.graph import (
-        copurchase_components)
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    return copurchase_components(li)
-
-
-def _q_link_prediction(sf_dir: str):
-    """Top-50 common-neighbor Jaccard link predictions over the
-    support-2 co-purchase graph — per-center neighbor-pair cells, a
-    composite-key co-partition anti-join against existing edges,
-    gather-joined degrees, per-block top-k prune before the global
-    sort-limit."""
-    from series_correction_project_updated_ray.stages.graph import (
-        link_prediction_jaccard)
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    return link_prediction_jaccard(li)
-
-
-def _q_clustering_coefficient(sf_dir: str):
-    """Local clustering coefficient per part — the triangle plan's
-    (node, triangles) cells zero-fill-joined with degrees via a tagged
-    union + ONE keyed Sum (no join operator), integer-ratio close."""
-    from series_correction_project_updated_ray.stages.graph import (
-        clustering_coefficient)
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    return clustering_coefficient(li)
-
-
-def _q_lexical_richness(sf_dir: str):
-    """Per-source lexical richness (type-token ratio, hapax share) —
-    vocab-cells shuffle shared with source_kl, integer-exact close."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        lexical_richness)
-    docs = _read(sf_dir, "documents", ["source", "text"])
-    return lexical_richness(docs)
-
-
-def _q_page_hinkley(sf_dir: str):
-    """Per-user two-sided Page-Hinkley drift test: exact integer
-    running mean (cents cumsum, one double division), recursive-CTE-
-    certified deviation folds, raw-double alarm threshold."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        page_hinkley)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return page_hinkley(ev)
-
-
-def _q_variance_ratio(sf_dir: str):
-    """Per-user Lo–MacKinlay variance-ratio random-walk test (q=4,
-    overlapping diffs): integer-exact moments, one double ratio."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        variance_ratio)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return variance_ratio(ev)
-
-
-def _q_source_kl(sf_dir: str):
-    """Per-source KL divergence from the corpus unigram distribution —
-    vocab-bounded cells, libm-ln ordered fold."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        source_kl)
-    docs = _read(sf_dir, "documents", ["source", "text"])
-    return source_kl(docs)
-
-
-def _q_fano(sf_dir: str):
-    """Fano factor of hourly event counts per user — dense-grid
-    moments from present cells only, one double close."""
-    from series_correction_project_updated_ray.stages.relational import (
-        fano_factor)
-    ev = _read(sf_dir, "events", ["user_id", "ts"])
-    return fano_factor(ev)
-
-
-def _q_runs(sf_dir: str):
-    """Wald–Wolfowitz runs test per user — median split, sign-run
-    counting in event order, exact-integer counts, double z close."""
-    from series_correction_project_updated_ray.stages.relational import (
-        runs_test)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return runs_test(ev)
-
-
-def _q_pmi(sf_dir: str):
-    """PMI between top-50-DF term pairs — broadcast vocabulary,
-    mergeable k×k presence-matmul partials, libm-ln close."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        pmi_pairs)
-    docs = _read(sf_dir, "documents", ["text"])
-    return pmi_pairs(docs, top_k=50, min_cooc=5)
-
-
-def _q_benford(sf_dir: str):
-    """Benford first-digit χ² per event type — integer digit
-    extraction, 9 libm terms per type folded in digit order."""
-    from series_correction_project_updated_ray.stages.relational import (
-        benford_digits)
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-    return benford_digits(ev)
-
-
-def _q_trans_entropy(sf_dir: str):
-    """Conditional entropy of per-user event-type transitions —
-    bigram cells, libm-ln ordered fold, bit-exact vs the oracle."""
-    from series_correction_project_updated_ray.stages.relational import (
-        transition_entropy)
-    ev = _read(sf_dir, "events",
-               ["user_id", "event_id", "event_type", "ts"])
-    return transition_entropy(ev)
-
-
-def _q_gini(sf_dir: str):
-    """Gini coefficient of per-user event counts per event type —
-    integer rank·count sums, one double close."""
-    from series_correction_project_updated_ray.stages.relational import (
-        gini_activity)
-    ev = _read(sf_dir, "events", ["event_type", "user_id"])
-    return gini_activity(ev)
-
-
-def _q_pla(sf_dir: str):
-    """Fixed-width piecewise-linear approximation per user series —
-    per-segment least-squares (slope, intercept) over local position
-    plus the max absolute residual, all integer-exact statistics."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        pla_segments)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return pla_segments(ev, width=16)
-
-
-def _q_zipf(sf_dir: str):
-    """Zipf law least-squares fit ln(freq) ≈ a + b·ln(rank) over the
-    corpus top-1000 vocabulary — libm-ln terms, rank-ordered fold."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        zipf_fit)
-    docs = _read(sf_dir, "documents", ["text"])
-    return zipf_fit(docs, top_k=1000)
-
-
-def _q_welch(sf_dir: str):
-    """Welch's t between weekend and weekday values per event type —
-    limb-split exact moments, cast-first double close."""
-    from series_correction_project_updated_ray.stages.relational import (
-        welch_ttest_weekend)
-    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
-    return welch_ttest_weekend(ev)
-
-
-def _q_mp_discords(sf_dir: str):
-    """Top discord per user: the window position with the LARGEST
-    nearest-neighbor distance (matrix-profile anomaly read)."""
-    from series_correction_project_updated_ray.stages.tsmining import (
-        mp_discords)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return mp_discords(ev, w=8)
-
-
-def _q_type_entropy(sf_dir: str):
-    """Shannon entropy of each user's event-type distribution — count
-    partials + a bit-exact −Σ p·ln p fold (libm ln, binary type
-    order)."""
-    from series_correction_project_updated_ray.stages.relational import (
-        type_entropy)
-    ev = _read(sf_dir, "events", ["user_id", "event_type"])
-    return type_entropy(ev)
-
-
-def _q_spectral(sf_dir: str):
-    """Per-user DFT power at the daily/weekly calendar periods —
-    libm-trig terms (DuckDB cos/sin == math.cos/sin bit-for-bit,
-    0/200k mismatches measured) folded in (t, event_id) order, the
-    list_reduce certification family."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        spectral_power)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return spectral_power(ev)
-
-
-def _q_holt_winters(sf_dir: str):
-    """Per-user Holt-Winters additive seasonal smoothing (period 4):
-    the (level, trend, 4-phase seasonal) float recursion, bit-exact vs
-    a recursive CTE carrying the seasonals as scalar columns."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        holt_winters_per_user)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return holt_winters_per_user(ev)
-
-
-def _q_session_cooccurrence(sf_dir: str):
-    """Event-type co-occurrence within 30-min session windows (the
-    market-basket screen): sessions containing each unordered type
-    pair; partial pair counts per partition, tiny final groupby."""
-    from series_correction_project_updated_ray.stages.windows import (
-        session_cooccurrence)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts",
-                                  "event_type"])
-    return session_cooccurrence(ev, timeout_s=1800)
-
-
-def _q_kalman(sf_dir: str):
-    """Per-user 1-D Kalman filter (local-level model): the two-state
-    recursion with a per-step DIVISION gain, bit-exact vs a recursive
-    CTE replaying the identical operand order."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        kalman_per_user)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return kalman_per_user(ev)
-
-
-def _q_theil_sen(sf_dir: str):
-    """Per-user Theil-Sen robust slope: median of all strict-t pairwise
-    slopes (exact-int double divisions; DuckDB quantile_cont(0.5) ==
-    np.median bitwise, measured), scaled to value-units per hour."""
-    from series_correction_project_updated_ray.stages.timeseries import (
-        theil_sen)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return theil_sen(ev)
-
-
-def _q_sax(sf_dir: str):
-    """SAX symbolization (Lin et al. 2007): per-user z-normalized PAA
-    into 8 segments mapped through the alphabet-4 Gaussian breakpoints.
-    Integer-cents moments + the oracle's exact closing operand order
-    make the symbol strings value-exact."""
-    from series_correction_project_updated_ray.stages.tsmining import sax_symbols
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return sax_symbols(ev, w=8)
-
-
-def _q_excursions(sf_dir: str):
-    """Threshold excursions: per-user maximal runs of consecutive
-    over-threshold events (count / longest run / total / longest
-    duration) — value-conditioned gaps-and-islands."""
-    from series_correction_project_updated_ray.stages.tsmining import (
-        threshold_excursions)
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return threshold_excursions(ev, thresh=150.0)
-
-
-def _q_m4(sf_dir: str):
-    """M4 visual downsample (Jugel et al. 2014): per (user, day) the
-    first/last/min/max anchor points with deterministic tie rules —
-    the error-free line-chart reduction, mergeable partials only."""
-    from series_correction_project_updated_ray.stages.tsmining import m4_downsample
-    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    return m4_downsample(ev, width_s=86400)
-
-
-def _q_dtw(sf_dir: str):
-    """Pairwise DTW distances (Sakoe-Chiba 1978) between the 12 smallest
-    user_ids' hour-of-day integer-cents profiles.  Profile build is a
-    mergeable partial aggregation; the DP runs in exact int64."""
-    from series_correction_project_updated_ray.stages.tsmining import (
-        dtw_profile_pairs)
-    ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    return dtw_profile_pairs(ev, k_users=12)
-
-
-def _q_value_histogram(sf_dir: str):
-    """Fixed-width exact histogram per event type (partial-first)."""
-    from series_correction_project_updated_ray.stages.relational import (
-        value_histogram)
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-    return value_histogram(ev, width_cents=5000)
-
-
-def _q_zscore_events(sf_dir: str):
-    """Group-wise z-score normalization from integer moment sums."""
-    from series_correction_project_updated_ray.stages.relational import (
-        zscore_events)
-    ev = _read(sf_dir, "events", ["event_id", "event_type", "value"])
-    return zscore_events(ev)
-
-
-def _q_incremental_rollup(sf_dir: str):
+def _incremental_rollup(ingest, sf_dir: str):
     """Incremental continuous-aggregate ingest: the events table arrives
     as 3 waves into a delta store; reading the store must equal the batch
-    1h rollup SQL — the oracle is the SAME as rollup_1h's."""
+    1h rollup SQL — its oracle is the 1h rollup's."""
     import hashlib
 
     import pyarrow.parquet as pq
-    from series_correction_project_updated_ray.state import ingest as ING
+    from series_correction_project_updated_ray.state.ingest import (
+        read_rollup)
     # stable digest of path AND content identity (size+mtime): builtin
     # hash() is per-process randomized, and a path-only key would serve
     # stale waves if the testdata were regenerated in place
@@ -2099,8 +695,7 @@ def _q_incremental_rollup(sf_dir: str):
     marker = os.path.join(waves_dir, "_DONE")
     if not os.path.exists(marker):
         os.makedirs(waves_dir, exist_ok=True)
-        src = pq.read_table(os.path.join(sf_dir, "events.parquet"),
-                            columns=["event_type", "ts", "value"])
+        src = pq.read_table(ev_path, columns=["event_type", "ts", "value"])
         n = len(src)
         for i, (lo, hi) in enumerate(((0, n // 3), (n // 3, 2 * n // 3),
                                       (2 * n // 3, n))):
@@ -2109,160 +704,29 @@ def _q_incremental_rollup(sf_dir: str):
         with open(marker, "w") as f:
             f.write("ok")
     store = os.path.join(base, "store")
-    waves = sorted(glob.glob(os.path.join(waves_dir, "*.parquet")))
-    for w in waves:              # one ingest call per arriving wave
-        ING.ingest(store, [w], width=3600)
-    return ING.read_rollup(store)
+    for w in sorted(glob.glob(os.path.join(waves_dir, "*.parquet"))):
+        ingest(store, [w], width=3600)  # one ingest call per arriving wave
+    return read_rollup(store)
 
 
-def _q_heavy_hitters(sf_dir: str):
-    """Misra-Gries frequent users per event type (rows-only: estimates
-    are ≤ true counts by construction; bounds tested in
-    tests/test_sketches.py)."""
-    from series_correction_project_updated_ray.stages.sketches import (
-        heavy_hitters)
-    ev = _read(sf_dir, "events", ["event_type", "user_id"])
-    return heavy_hitters(ev, "event_type", "user_id", k=64, top_n=10)
-
-
-def _q_revenue_by_nation(sf_dir: str):
-    from series_correction_project_updated_ray.stages.relational import (
-        revenue_by_nation)
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_extendedprice", "l_discount"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
-    return revenue_by_nation(li, orders, cust, nation)
-
-
-def _q_hash_sample(sf_dir: str):
-    """Deterministic 10% sample of events keyed by user (all rows of a
-    sampled user survive together — consistent across tables/runs)."""
-    from series_correction_project_updated_ray.stages.relational import (
-        hash_sample)
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "value"])
-    return hash_sample(ev, "user_id", 0.10)
-
-
-def _q_stratified_sample(sf_dir: str):
-    """Source-mix rebalancing sample: per-source keep rates over one
-    stable doc_id hash (no shuffle; nested across rates)."""
-    from series_correction_project_updated_ray.stages.relational import (
-        stratified_hash_sample)
-    docs = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"])
-    return stratified_hash_sample(
-        docs, "doc_id", "source",
-        {"src0": 1.0, "src1": 0.5, "src2": 0.25}, default_rate=0.1)
-
-
-def _q_hash_split(sf_dir: str):
+def _split_documents(hash_split, sf_dir: str):
     """Deterministic train/val/test split of documents (per-split counts;
     no-leakage property is asserted in tests/test_stages.py)."""
     from ray.data.aggregate import Count
-    from series_correction_project_updated_ray.stages.relational import (
-        hash_split)
-    docs = _read(sf_dir, "documents", ["doc_id"])
-    tagged = hash_split(docs, "doc_id",
+    tagged = hash_split(_read(sf_dir, "documents", ["doc_id"]), "doc_id",
                         {"train": 0.8, "val": 0.1, "test": 0.1})
     return tagged.groupby("split").aggregate(Count(alias_name="n_docs"))
 
 
-def _q_contamination(sf_dir: str):
-    """Benchmark-decontamination scan: (doc_id, n_hits) of training docs
-    containing any probe snippet (probes derived deterministically from
-    the corpus — substring [10:34] of every doc_id ≡ 0 mod 97 — so the
-    SQL oracle can derive the identical probe set)."""
-    from series_correction_project_updated_ray.stages.textstage import (
-        contamination_scan)
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return contamination_scan(docs)
-
-
-PACK_SEQ_LEN = 512
-PACK_BUCKETS = 16
-
-
-def _tokenized_docs(sf_dir: str):
-    """documents → (doc_id, tokens:list<int32>) via the deterministic
-    pseudo-BPE tokenizer (the flagship's sequences payload)."""
-    import pyarrow as pa
-    from series_correction_project_updated_ray.functions.text import (
-        tokenize_to_ids)
-
-    def _tok(batch: pa.Table) -> pa.Table:
-        toks = tokenize_to_ids(batch["text"].to_pandas())
-        flat = (np.concatenate(toks) if toks else
-                np.empty(0, np.int32)).astype(np.int32)
-        offsets = np.zeros(len(toks) + 1, dtype=np.int32)
-        np.cumsum([len(t) for t in toks], out=offsets[1:])
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "tokens": pa.ListArray.from_arrays(pa.array(offsets, pa.int32()),
-                                               pa.array(flat, pa.int32())),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]) \
-        .map_batches(_tok, batch_format="pyarrow")
-
-
-def _poly_tokenized(sf_dir: str):
-    """documents → (doc_id, tokens:list<int32>) with POLYNOMIAL token
-    ids (the SimHash / doc_fingerprints rolling hash % TOKEN_VOCAB) —
-    the SQL-replicable tokenizer shared by the packing, vocab-stats and
-    bigram oracles.  The flagship sequences pipelines keep the pd-hash
-    tokenizer (same downstream operators either way)."""
-    import pyarrow as pa
-    from series_correction_project_updated_ray.functions.hashing import (
-        TOKEN_VOCAB)
-    from series_correction_project_updated_ray.functions.text import (
-        BPE_RE, rolling_fingerprint)
-
-    def _tok(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pandas()
-        tok_lists = [BPE_RE.findall(t or "") for t in texts]
-        flat = pd.Series([tok for ts in tok_lists for tok in ts],
-                         dtype=object)
-        hashes = rolling_fingerprint(flat) if len(flat) else \
-            np.empty(0, np.uint64)
-        ids = (hashes % np.uint64(TOKEN_VOCAB)).astype(np.int32)
-        bounds = np.cumsum([0] + [len(ts) for ts in tok_lists])
-        toks = pa.ListArray.from_arrays(
-            pa.array(bounds, pa.int32()), pa.array(ids, pa.int32()))
-        return pa.table({"doc_id": batch["doc_id"], "tokens": toks})
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return docs.map_batches(_tok, batch_format="pyarrow")
-
-
-def _q_token_vocab_stats(sf_dir: str):
-    """Vocabulary tf/df over polynomial-tokenized documents — per-block
-    zero-copy partial counts, one groupby-sum."""
-    from series_correction_project_updated_ray.stages.packing import (
-        token_vocab_stats)
-    return token_vocab_stats(_poly_tokenized(sf_dir))
-
-
-def _q_token_bigrams(sf_dir: str):
-    """Token-transition (bigram) counts ≥ 2 over polynomial-tokenized
-    documents — encoded-pair partials, one groupby-sum."""
-    from series_correction_project_updated_ray.stages.packing import (
-        token_bigrams)
-    return token_bigrams(_poly_tokenized(sf_dir), min_n=2)
-
-
-def _q_packed_sequences(sf_dir: str):
+def _packed_sequences(pack_token_sequences, sf_dir: str):
     """Fixed-length training-sequence packing, FULLY oracle-checked:
     token ids here derive from the repo's polynomial rolling hash
-    (SQL-replicable, like SimHash/doc_fingerprints) so every packed
+    (SQL-replicable, like SimHash and the text fingerprints) so every packed
     row's (bucket, seq_idx, n_tok, is_full, token checksum) is verified
     value-exact — bucketing, doc_id ordering, cutting and conservation
     all certified.  The flagship sequences pipelines keep the pd-hash
     tokenizer (same packing operator either way)."""
     import pyarrow as pa
-    from series_correction_project_updated_ray.stages.packing import (
-        pack_token_sequences)
-
     packed = pack_token_sequences(_poly_tokenized(sf_dir), PACK_SEQ_LEN,
                                   n_buckets=PACK_BUCKETS)
 
@@ -2291,48 +755,22 @@ def _q_packed_sequences(sf_dir: str):
     return packed.map_batches(_project, batch_format="pyarrow")
 
 
-def _q_packing_summary(sf_dir: str):
+def _packing_summary(packing_summary, sf_dir: str):
     """Per-bucket packing accounting — oracle-checked: the bucket hash
     (splitmix64) and per-doc token counts (BPE regex) are both
     replicated exactly in the DuckDB oracle."""
     from series_correction_project_updated_ray.stages.packing import (
-        pack_token_sequences, packing_summary)
-    packed = pack_token_sequences(_tokenized_docs(sf_dir), PACK_SEQ_LEN,
-                                  n_buckets=PACK_BUCKETS)
-    return packing_summary(packed)
+        pack_token_sequences)
+    return packing_summary(pack_token_sequences(
+        _tokenized_docs(sf_dir), PACK_SEQ_LEN, n_buckets=PACK_BUCKETS))
 
 
-def _q_term_frequencies(sf_dir: str):
-    from series_correction_project_updated_ray.stages.textstage import (
-        term_frequencies)
-    docs = _read(sf_dir, "documents", ["source", "text"])
-    return term_frequencies(docs, top_k=20)
-
-
-def _q_funnel(sf_dir: str):
-    from series_correction_project_updated_ray.stages.windows import funnel
-    ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-    return funnel(ev, first_type="click", then_type="purchase")
-
-
-def _q_approx_quantiles(sf_dir: str):
-    """Mergeable KLL quantile sketch per event_type (rows-only: the
-    estimate is approximate by construction; accuracy is asserted by the
-    rank-error tests in tests/test_sketches.py)."""
-    from series_correction_project_updated_ray.stages.sketches import (
-        approx_quantiles)
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-    return approx_quantiles(ev, "event_type", "value",
-                            probs=(0.5, 0.9, 0.99))
-
-
-def _q_left_join_customer_orders(sf_dir: str):
+def _left_join_customer_orders(hash_join, sf_dir: str):
     """LEFT outer hash join with real unmatched lefts: customers joined to
     only their high-value orders (filter pushed into the orders scan) —
     customers with none survive with typed-null order columns."""
     import pyarrow.compute as pc
     import ray.data
-    from series_correction_project_updated_ray.stages.joins import hash_join
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
     orders = ray.data.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -2342,26 +780,12 @@ def _q_left_join_customer_orders(sf_dir: str):
                      n_buckets=16)
 
 
-def _q_range_join(sf_dir: str):
-    from series_correction_project_updated_ray.stages.windows import (
-        range_join_agg)
-    ev = _read(sf_dir, "events",
-               ["user_id", "event_id", "event_type", "ts", "value"])
-    return range_join_agg(ev, left_type="purchase", right_type="click",
-                          window_s=3600)
-
-
-Q3_CUTOFF = "1998-06-01"
-
-
-def _q_shipping_priority(sf_dir: str):
+def _shipping_priority(shipping_priority, sf_dir: str):
     """TPC-H-Q3-shaped segment revenue top-10 (broadcast semi + one hash
     join + partial agg + distributed top-k); date predicates pushed into
     both parquet scans."""
     import pyarrow.compute as pc
     import ray.data
-    from series_correction_project_updated_ray.stages.relational import (
-        shipping_priority)
     cutoff = pc.scalar(np.datetime64(Q3_CUTOFF, "us"))
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     orders = ray.data.read_parquet(
@@ -2375,1146 +799,497 @@ def _q_shipping_priority(sf_dir: str):
     return shipping_priority(cust, orders, li, segment="BUILDING", k=10)
 
 
-def _q_revenue_summary(sf_dir: str):
-    from series_correction_project_updated_ray.stages.relational import (
-        revenue_summary)
-    li = _read(sf_dir, "lineitem",
-               ["l_quantity", "l_extendedprice", "l_discount"])
-    return revenue_summary(li)
+# ---------------------------------------------------------------------------
+# the registry, in declaration order (newest last)
+# ---------------------------------------------------------------------------
+
+REGISTRY: tuple[Query, ...] = (
+    # continuous aggregates (north rule)
+    _q("rollup_1m", ".stages.rollup:rollup_events", EV_TYPE_TS_VALUE,
+       key_col="event_type", width=60),
+    _q("rollup_1h", ".stages.rollup:rollup_events", EV_TYPE_TS_VALUE,
+       key_col="event_type", width=3600),
+    _q("rollup_1d", ".stages.rollup:rollup_events", EV_TYPE_TS_VALUE,
+       key_col="event_type", width=86400),
+    # the paper's correction operators (reference §2.3): gap detection
+    # (D1), gap insertion + positional interpolation (C1), the composed
+    # 2-step (C1 → D3/C3) and full (C1 → D3/C3 → D2/C2) corrections,
+    # Hampel (D3), the quantized CUSUM (integer micros, recursive-CTE
+    # reset scan) and its composed jump correction (D2 → C2), the raw
+    # float CUSUM fold (bit-exact recursive-CTE replay of the kernel's
+    # IEEE operand order), and the level-shift building block (A6)
+    _q("gap_counts", ".stages.events_series:gap_counts", EV_SERIES),
+    _q("gap_filled_events", ".stages.events_series:gap_filled_series",
+       EV_SERIES),
+    _q("corrected_events_nojump",
+       ".stages.events_series:corrected_series_nojump", EV_SERIES),
+    _q("corrected_events_full", ".stages.events_series:corrected_series_full",
+       EV_SERIES),
+    _q("global_mad_outliers",
+       ".stages.events_series:global_mad_outlier_counts", EV_SERIES),
+    _q("hampel_flags", ".stages.events_series:hampel_flags", EV_SERIES),
+    _q("cusum_flags_q", ".stages.events_series:cusum_flags_quantized",
+       EV_SERIES),
+    _q("jump_corrected_events", ".stages.events_series:jump_corrected_series",
+       EV_SERIES),
+    _q("cusum_flags", ".stages.events_series:cusum_flags", EV_SERIES),
+    _q("corrected_events", ".stages.events_series:corrected_series",
+       EV_SERIES),
+    _q("level_shifts_events", ".stages.events_series:level_shifts", EV_SERIES),
+    _q("tail_nonzero_avg", ".stages.events_series:tail_nonzero_avgs",
+       EV_SERIES),
+    # relational operators (S6/A9, J2/J4, A7/A8, K3)
+    _q("unpivot_lineitem", ".stages.relational:unpivot_threshold",
+       ("lineitem", ["l_orderkey", "l_linenumber", "l_quantity",
+                     "l_extendedprice", "l_discount", "l_tax"]),
+       args=(["l_orderkey", "l_linenumber"],
+             ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]),
+       threshold=0.1),
+    _q("broadcast_enrich_orders", ".stages.relational:broadcast_enrich",
+       body=_broadcast_enrich),
+    _q("sanitize_docs", ".stages.relational:sanitize_dataset", DOCS),
+    _q("summary_by_source", "ray.data:read_parquet", body=_summary_by_source),
+    # large-×-large partitioned hash join (one bucket shuffle)
+    _q("join_lineitem_orders", ".stages.joins:hash_join", body=_join_li_orders,
+       how="inner", n_buckets=16),
+    _q("user_type_totals_join", ".stages.joins:hash_join",
+       body=_user_type_totals_join),
+    _q("rollup_user_1h", ".stages.rollup:rollup_events", EV_USER_TS_VALUE,
+       key_col="user_id", width=3600),
+    _q("distinct_users", "ray.data:read_parquet", body=_distinct_users),
+    _q("top_users_by_value", ".stages.relational:topk_by", body=_top_users),
+    _q("filter_pushdown_events", "ray.data:read_parquet",
+       body=_filter_pushdown),
+    _q("rollup_1m_retention", ".stages.rollup:rollup_events",
+       body=_rollup_retention),
+    _q("downsample_stride", ".stages.rollup:downsample_stride",
+       body=_downsample_stride),
+    # streaming-window operators
+    _q("session_windows", ".stages.windows:session_windows", EV_SESSION,
+       timeout_s=1800),
+    _q("sliding_mean", ".stages.windows:sliding_mean", EV_SERIES, width_s=300),
+    _q("asof_join_purchases", ".stages.windows:asof_join_events",
+       ("events", ["user_id", "event_id", "ts", "value", "event_type"]),
+       right_type="purchase"),
+    _q("semi_join_orders", ".stages.joins:semi_join", body=_building_orders),
+    _q("anti_join_orders", ".stages.joins:semi_join", body=_building_orders,
+       anti=True),
+    _q("grouped_median_1h", ".stages.rollup:grouped_median", EV_TYPE_TS_VALUE,
+       width=3600),
+    # checkpoint/resume lineage manifests — rows-only
+    _q("resumable_rollup", ".pipelines.resumable:run_resumable",
+       body=_resumable_rollup),
+    # training-data operators; the quality ratios divide identical
+    # integers and round half-away on both sides, so they are exact
+    _q("dedup_exact", ".stages.dedup:exact_dedup_survivors", DOCS),
+    _q("token_counts", ".stages.textstage:token_counts", DOCS),
+    _q("quality_features", ".stages.textstage:quality_scores", DOCS),
+    # URL/email/IPv4 scrub — patterns with bit-identical Python-re/RE2
+    # semantics (see RedactPII)
+    _q("redact_pii", ".stages.textstage:redact_pii", DOCS),
+    # Gopher-style repetition signals (top-word / top-bigram share,
+    # duplicate-trigram fraction)
+    _q("repetition_features", ".stages.textstage:repetition_features", DOCS),
+    _q("knn_topk", ".stages.similarity:knn_brute_force",
+       EMB, _query_vector, k=10),
+    # approximate / signature operators — rows-only
+    _q("lang_id", ".stages.textstage:language_id", DOCS),
+    _q("doc_fingerprints", ".stages.textstage:fingerprints", DOCS),
+    _q("minhash_dedup", ".stages.dedup:minhash_lsh_dedup", DOCS),
+    # exact n-gram Jaccard pairs (shingle inverted index → bucketed
+    # candidates → exact verify); oracle = DuckDB all-pairs Jaccard
+    _q("ngram_jaccard_pairs", ".stages.dedup:ngram_jaccard_pairs", DOCS,
+       threshold=0.8),
+    # 64-bit SimHash — bit-exact via the polynomial token hash
+    _q("simhash_signatures", ".stages.dedup:SimHashStage", body=_simhash),
+    # the synthetic embeddings carry no true near-dups (max pair cosine
+    # ≈0.51 at sf0.01); 0.4 exercises the bucket-verify path with output
+    _q("embedding_near_dup", ".stages.dedup:embedding_near_dup", EMB,
+       threshold=0.4, planes=6),
+    _q("knn_ivf", ".stages.similarity:knn_ivf", EMB, _query_vector, k=10),
+    # flagship sequences pipelines — rows-only (token-derived series)
+    _q("rollup_sequences", ".pipelines.flagship:flagship_rollup",
+       body=_on_sf_dir, buckets_per_source=16),
+    _q("corrected_sequences", ".pipelines.flagship:flagship_corrected",
+       body=_corrected_sequences),
+    # Gorilla/delta-of-delta segment compression — rows-only
+    _q("compressed_segments", ".stages.compress:compress_series",
+       body=_compressed_segments),
+    # Seatek exact-compat workflows (reference entry points 3.1-3.3) over
+    # the deterministic /tmp fixture corpus — rows-only
+    _q("seatek_batch_correct", ".pipelines.seatek_compat:batch_correct",
+       body=_seatek_correct),
+    _q("seatek_summary", ".pipelines.seatek_compat:summarize",
+       body=_seatek_summary),
+    _q("seatek_level_shifts", ".pipelines.levelshift:apply_level_shifts",
+       body=_seatek_level_shifts),
+    _q("seatek_comparison", ".pipelines.comparison:export_comparisons",
+       body=_seatek_comparison),
+    _q("seatek_all_sensors", ".pipelines.seatek_compat:correct_all_sensors",
+       body=_seatek_all_sensors),
+    # multimodal actor-pool stages (stubbed decode) — rows-only
+    _q("media_features", ".stages.multimodal:media_features",
+       body=_media_features),
+    _q("media_frame_sample", ".stages.multimodal:sample_frames",
+       body=_media_frames),
+    # per-file mean/median/outlier-count summary (A7) — rows-only
+    _q("seatek_file_stats", ".pipelines.reports:per_file_summary",
+       body=_seatek_file_stats),
+    # mergeable HLL sketch — rows-only (approximate by design, accuracy
+    # asserted in tests)
+    _q("approx_distinct_users", ".stages.sketches:approx_distinct",
+       EV_TYPE_USER, args=("event_type", "user_id")),
+    # exact-arithmetic pricing aggregates (TPC-H Q1/Q6/Q3 style) —
+    # bit-exact via scaled-int sums
+    _q("pricing_summary", ".stages.relational:pricing_summary",
+       body=_pricing_summary),
+    _q("revenue_summary", ".stages.relational:revenue_summary",
+       ("lineitem", ["l_quantity", "l_extendedprice", "l_discount"])),
+    _q("shipping_priority", ".stages.relational:shipping_priority",
+       body=_shipping_priority),
+    # window-function / quantile / pivot shapes; the top-3 ranking per
+    # user is a total order through the event_id tiebreak
+    _q("grouped_quantiles", ".stages.rollup:grouped_quantiles", EV_TYPE_VALUE),
+    _q("topn_per_user", ".stages.windows:topn_per_group",
+       ("events", ["user_id", "event_id", "value"]),
+       args=("user_id", ["value", "event_id"], [True, False], 3)),
+    _q("pivot_user_event_type", ".stages.relational:pivot_sum_exact",
+       ("events", ["user_id", "event_type", "value"]),
+       args=("user_id", "event_type", "value", EVENT_TYPES)),
+    _q("range_join_purchases", ".stages.windows:range_join_agg",
+       ("events", ["user_id", "event_id", "event_type", "ts", "value"]),
+       left_type="purchase", right_type="click", window_s=3600),
+    _q("left_join_customer_orders", ".stages.joins:hash_join",
+       body=_left_join_customer_orders),
+    # mergeable KLL quantile sketch — rows-only (approximate; rank-error
+    # tests in tests/test_sketches.py)
+    _q("approx_quantiles_value", ".stages.sketches:approx_quantiles",
+       EV_TYPE_VALUE, args=("event_type", "value"), probs=(0.5, 0.9, 0.99)),
+    # sequence-match funnel, distributed word count + per-source top-k,
+    # benchmark decontamination (probes = substring [10:34] of every
+    # doc_id ≡ 0 mod 97, so the oracle derives the identical set)
+    _q("funnel_click_purchase", ".stages.windows:funnel",
+       ("events", ["user_id", "event_type", "ts"]),
+       first_type="click", then_type="purchase"),
+    _q("term_frequencies", ".stages.textstage:term_frequencies", DOCS_SRC_TEXT,
+       top_k=20),
+    _q("contamination_scan", ".stages.textstage:contamination_scan", DOCS),
+    # training-sequence packing: the accounting summary and every packed
+    # row (bucket hash, token counts, polynomial token ids in SQL)
+    _q("packing_summary", ".stages.packing:packing_summary",
+       body=_packing_summary),
+    _q("packed_sequences", ".stages.packing:pack_token_sequences",
+       body=_packed_sequences),
+    # deterministic hash sampling (all rows of a sampled user survive
+    # together), per-source keep rates over one stable doc_id hash, and
+    # the train/val/test split
+    _q("sample_users_10pct", ".stages.relational:hash_sample",
+       ("events", ["event_id", "user_id", "value"]), args=("user_id", 0.10)),
+    _q("stratified_sample_docs", ".stages.relational:stratified_hash_sample",
+       ("documents", ["doc_id", "source", "n_chars"]),
+       args=("doc_id", "source", {"src0": 1.0, "src1": 0.5, "src2": 0.25}),
+       default_rate=0.1),
+    _q("split_documents", ".stages.relational:hash_split",
+       body=_split_documents),
+    # multi-hop join aggregate (Q5-lite)
+    _q("revenue_by_nation", ".stages.relational:revenue_by_nation",
+       ("lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]),
+       ORDERS_CUST, CUST_NATION, NATION),
+    # Misra-Gries heavy hitters — rows-only (estimates ≤ true counts;
+    # bounds tested in tests/test_sketches.py)
+    _q("heavy_hitter_users", ".stages.sketches:heavy_hitters", EV_TYPE_USER,
+       args=("event_type", "user_id"), k=64, top_n=10),
+    # incremental ingest: 3 waves must merge to the batch 1h rollup
+    _q("incremental_rollup_1h", ".state.ingest:ingest",
+       body=_incremental_rollup),
+    # cumulative frame, LAG deltas, reset-aware counter rate (PromQL
+    # increase/rate), gaps-and-islands interval union, regular-grid
+    # forward-fill and linear-interp resamples (ASOF-join semantics)
+    _q("running_sum_per_user", ".stages.windows:running_sum", EV_SERIES),
+    _q("lag_deltas_per_user", ".stages.windows:lag_deltas", EV_SERIES),
+    _q("rate_counter_1h", ".stages.timeseries:rate_counter",
+       EV_SERIES, width_s=3600),
+    _q("interval_coverage", ".stages.timeseries:interval_coverage", EV_USER_TS,
+       width_s=300),
+    _q("resample_ffill_1h", ".stages.timeseries:resample_ffill",
+       EV_SERIES, width_s=3600),
+    _q("resample_interp_1h", ".stages.timeseries:resample_interp", EV_SERIES,
+       width_s=3600),
+    # EWMA / Holt / hysteresis recursions, bit-exact via recursive CTEs
+    # running the identical operand order; lag-1 autocorrelation and the
+    # hour-of-day profile from exact integer moments
+    _q("ewma_per_user", ".stages.timeseries:ewma_per_user",
+       EV_SERIES, alpha=0.5),
+    _q("autocorr_lag1", ".stages.timeseries:autocorr_lag1", EV_SERIES),
+    _q("seasonal_profile", ".stages.timeseries:seasonal_profile",
+       EV_TYPE_TS_VALUE),
+    _q("holt_per_user", ".stages.timeseries:holt_per_user", EV_SERIES,
+       alpha=0.5, beta=0.5),
+    _q("alert_hysteresis", ".stages.timeseries:alert_hysteresis", EV_SERIES,
+       hi=150.0, lo=50.0),
+    # LTTB: exact integer-area argmax replayed by chained SQL argmax
+    # steps; n_out=4 (not the bench's 100) so the ~7-events/user corpora
+    # exercise the pick chain rather than the n ≤ n_out pass-through
+    _q("lttb_downsample", ".stages.timeseries:lttb_downsample",
+       EV_SERIES, n_out=4),
+    # percentile continuous aggregate — rows-only (KLL sketch)
+    _q("rollup_quantiles_1d", ".stages.rollup:rollup_quantiles",
+       EV_TYPE_TS_VALUE, width_s=86400),
+    # SAX, over-threshold runs, pairwise DTW over hour-of-day profiles
+    # (exact int64 DP), M4 first/last/min/max anchors
+    _q("sax_symbols", ".stages.tsmining:sax_symbols", EV_SERIES, w=8),
+    _q("threshold_excursions", ".stages.tsmining:threshold_excursions",
+       EV_SERIES, thresh=150.0),
+    _q("dtw_profile_pairs", ".stages.tsmining:dtw_profile_pairs",
+       EV_USER_TS_VALUE, k_users=12),
+    _q("m4_downsample", ".stages.tsmining:m4_downsample",
+       EV_SERIES, width_s=86400),
+    # winnowing span-dedup fingerprints (MOSS) + the cross-doc
+    # duplicate-span aggregate
+    _q("winnow_fingerprints", ".stages.textstage:winnow_fingerprints",
+       _poly_tokenized, k=5, w=4),
+    _q("winnow_matches", ".stages.textstage:winnow_matches", _poly_tokenized,
+       k=5, w=4, min_docs=2),
+    _q("max_drawdown", ".stages.timeseries:max_drawdown", EV_SERIES),
+    _q("changepoint_user", ".stages.timeseries:changepoint_user", EV_SERIES),
+    _q("theil_sen_slope", ".stages.timeseries:theil_sen", EV_SERIES),
+    _q("kalman_per_user", ".stages.timeseries:kalman_per_user", EV_SERIES),
+    _q("session_cooccurrence", ".stages.windows:session_cooccurrence", EV_PATH,
+       timeout_s=1800),
+    _q("holt_winters_per_user", ".stages.timeseries:holt_winters_per_user",
+       EV_SERIES),
+    _q("type_entropy", ".stages.relational:type_entropy",
+       ("events", ["user_id", "event_type"])),
+    _q("matrix_profile", ".stages.tsmining:matrix_profile", EV_SERIES, w=8),
+    _q("mp_discords", ".stages.tsmining:mp_discords", EV_SERIES, w=8),
+    _q("welch_ttest_weekend", ".stages.relational:welch_ttest_weekend",
+       EV_TYPE_TS_VALUE),
+    _q("ks_test_weekend", ".stages.relational:ks_test_weekend",
+       EV_TYPE_TS_VALUE),
+    _q("mannwhitney_weekend", ".stages.relational:mannwhitney_weekend",
+       EV_TYPE_TS_VALUE),
+    _q("active_day_streaks", ".stages.relational:active_day_streaks",
+       EV_USER_TS),
+    _q("zipf_fit", ".stages.textstage:zipf_fit", DOCS_TEXT, top_k=1000),
+    _q("pla_segments", ".stages.timeseries:pla_segments", EV_SERIES, width=16),
+    _q("gini_activity", ".stages.relational:gini_activity", EV_TYPE_USER),
+    _q("transition_entropy", ".stages.relational:transition_entropy",
+       EV_TRANSITIONS),
+    _q("benford_digits", ".stages.relational:benford_digits", EV_TYPE_VALUE),
+    _q("pmi_pairs", ".stages.textstage:pmi_pairs",
+       DOCS_TEXT, top_k=50, min_cooc=5),
+    _q("runs_test", ".stages.relational:runs_test", EV_SERIES),
+    _q("fano_factor", ".stages.relational:fano_factor", EV_USER_TS),
+    _q("source_kl", ".stages.textstage:source_kl", DOCS_SRC_TEXT),
+    _q("cohort_retention", ".stages.relational:cohort_retention", EV_USER_TS),
+    _q("page_hinkley", ".stages.timeseries:page_hinkley", EV_SERIES),
+    _q("variance_ratio", ".stages.timeseries:variance_ratio", EV_SERIES),
+    _q("lexical_richness", ".stages.textstage:lexical_richness",
+       DOCS_SRC_TEXT),
+    _q("ewm_bands", ".stages.timeseries:ewm_bands", EV_SERIES),
+    _q("seasonal_decompose", ".stages.timeseries:seasonal_decompose",
+       EV_SERIES),
+    _q("tukey_fences", ".stages.rollup:tukey_fences", EV_USER_VALUE),
+    _q("peak_detection", ".stages.timeseries:peak_detection", EV_SERIES),
+    _q("haar_energy", ".stages.timeseries:haar_energy", EV_SERIES),
+    _q("ljung_box", ".stages.timeseries:ljung_box", EV_SERIES),
+    _q("sample_entropy", ".stages.timeseries:sample_entropy", EV_SERIES),
+    _q("bigram_logprob", ".stages.textstage:bigram_logprob", DOCS),
+    _q("dup_span_stats", ".stages.dedup:dup_span_stats", DOCS),
+    _q("bm25_topk", ".stages.textstage:bm25_topk", DOCS),
+    _q("croston_demand", ".stages.timeseries:croston_demand", EV_USER_TS),
+    # DSIR importance weights vs the lang='en' target slice
+    _q("dsir_weights", ".stages.textstage:dsir_weights",
+       ("documents", ["doc_id", "lang", "text"])),
+    _q("hurst_rs", ".stages.timeseries:hurst_rs", EV_SERIES),
+    _q("mann_kendall", ".stages.timeseries:mann_kendall", EV_SERIES),
+    _q("spearman_trend", ".stages.timeseries:spearman_trend", EV_SERIES),
+    # TPC-H Q14 / Q12 shapes
+    _q("promo_revenue_share", ".stages.relational:promo_revenue_share",
+       ("lineitem", ["l_partkey", "l_extendedprice", "l_discount"]),
+       ("part", ["p_partkey", "p_type"])),
+    _q("late_shipment_priority", ".stages.relational:late_shipment_priority",
+       LI_SHIP, ORDERS_PRIO),
+    _q("grubbs_test", ".stages.relational:grubbs_test",
+       ("events", ["event_type", "event_id", "value"])),
+    _q("char_entropy", ".stages.textstage:char_entropy", DOCS),
+    _q("drift_chi2", ".stages.relational:drift_chi2",
+       ("events", ["event_type", "event_id", "ts", "value"])),
+    _q("embedding_dim_stats", ".stages.similarity:embedding_dim_stats",
+       ("embeddings", ["embedding"])),
+    _q("embedding_quantize", ".stages.similarity:embedding_quantize", EMB),
+    _q("heaps_law", ".stages.textstage:heaps_law", DOCS),
+    # SemDeDup-shaped keep/drop labeling — rows-only (LSH bucket recall
+    # is not SQL-expressible); 0.4 as for the embedding near-dups
+    _q("semantic_dedup", ".stages.dedup:semantic_dedup", EMB,
+       threshold=0.4, planes=6),
+    _q("distinct_ngrams", ".stages.textstage:distinct_ngrams", DOCS_TEXT),
+    _q("oov_rate", ".stages.textstage:oov_rate", DOCS),
+    _q("source_mix_weights", ".stages.textstage:source_mix_weights",
+       ("documents", ["source"])),
+    _q("seasonal_quantiles", ".stages.rollup:seasonal_quantiles",
+       EV_TYPE_TS_VALUE),
+    _q("user_value_ranks", ".stages.relational:user_value_ranks",
+       EV_USER_VALUE),
+    _q("pacf_lags", ".stages.timeseries:pacf_lags", EV_SERIES),
+    # TPC-H Q4 shape
+    _q("order_priority_check", ".stages.relational:order_priority_check",
+       LI_SHIP, ORDERS_PRIO),
+    _q("isotonic_fit", ".stages.timeseries:isotonic_fit", EV_SERIES),
+    _q("next_higher_event", ".stages.timeseries:next_higher_event", EV_SERIES),
+    _q("top_event_paths", ".stages.windows:top_event_paths", EV_PATH),
+    _q("bounce_rate", ".stages.windows:bounce_rate", EV_SESSION),
+    _q("rfm_scores", ".stages.relational:rfm_scores", EV_USER_TS_VALUE),
+    _q("vocab_overlap_sources", ".stages.textstage:vocab_overlap_sources",
+       DOCS_SRC_TEXT),
+    # TPC-H Q7 / Q10 / Q13 / Q15 / Q17 / Q18 / Q19 / Q22 shapes
+    _q("volume_shipping", ".stages.relational:volume_shipping",
+       ("lineitem", ["l_orderkey", "l_suppkey", "l_shipdate",
+                     "l_extendedprice", "l_discount"]),
+       ORDERS_CUST, CUST_NATION, ("supplier", ["s_suppkey", "s_nationkey"]),
+       NATION),
+    _q("returned_item_revenue", ".stages.relational:returned_item_revenue",
+       ("lineitem", ["l_orderkey", "l_returnflag", "l_extendedprice",
+                     "l_discount"]),
+       ORDERS_CUST, ("customer", ["c_custkey", "c_name", "c_nationkey"]),
+       NATION),
+    _q("order_count_dist", ".stages.relational:order_count_distribution",
+       ("customer", ["c_custkey"]), ORDERS_CUST_PRIO),
+    _q("top_supplier_revenue", ".stages.relational:top_supplier_revenue",
+       ("lineitem", ["l_suppkey", "l_extendedprice", "l_discount"]),
+       ("supplier", ["s_suppkey", "s_name"])),
+    _q("small_qty_revenue", ".stages.relational:small_quantity_revenue",
+       ("lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])),
+    _q("large_volume_customers", ".stages.relational:large_volume_customers",
+       LI_QTY, ("orders", ["o_orderkey", "o_custkey", "o_orderdate",
+                   "o_totalprice"]), CUST_NAME),
+    _q("disjunctive_revenue", ".stages.relational:disjunctive_revenue",
+       ("lineitem", ["l_partkey", "l_quantity", "l_extendedprice",
+                     "l_discount"]),
+       ("part", ["p_partkey", "p_brand", "p_size"])),
+    _q("inactive_high_balance", ".stages.relational:inactive_high_balance",
+       ("customer", ["c_custkey", "c_nationkey", "c_acctbal"]),
+       ORDERS_CUST_PRIO),
+    _q("rsi_per_user", ".stages.timeseries:rsi_per_user", EV_SERIES),
+    _q("rolling_active_users", ".stages.windows:rolling_active_users",
+       EV_USER_TS),
+    # Efraimidis–Spirakis over the stable hash, weight = n_chars
+    _q("weighted_sample_docs", ".stages.relational:weighted_sample",
+       ("documents", ["doc_id", "n_chars"]), args=("doc_id", "n_chars"), k=50),
+    _q("mode_per_type", ".stages.relational:mode_per_type", EV_TYPE_VALUE),
+    _q("pagerank_event_types", ".stages.relational:pagerank_event_types",
+       EV_PATH),
+    _q("latest_event_per_user", ".stages.relational:latest_event_per_user",
+       ("events", ["user_id", "event_id", "ts", "event_type", "value"])),
+    # the within-order co-purchase graph
+    _q("copurchase_triangles", ".stages.graph:copurchase_triangles", LI_OP),
+    _q("copurchase_components", ".stages.graph:copurchase_components", LI_OP),
+    _q("link_prediction_jaccard", ".stages.graph:link_prediction_jaccard",
+       LI_OP),
+    _q("clustering_coefficient", ".stages.graph:clustering_coefficient",
+       LI_OP),
+    _q("spectral_power", ".stages.timeseries:spectral_power", EV_SERIES),
+    # the 20 most active users' hourly totals: all-pairs Pearson and the
+    # best ±24 h lag of the zero-padded cross-correlation
+    _q("corr_pairs_hourly", ".stages.timeseries:corr_pairs_hourly",
+       EV_USER_TS_VALUE, k=20),
+    _q("xcorr_best_lag", ".stages.timeseries:xcorr_best_lag", EV_USER_TS_VALUE,
+       k=20, max_lag=24),
+    _q("unigram_logprob", ".stages.textstage:unigram_logprob", DOCS),
+    # TPC-H Q18 shape
+    _q("big_orders", ".stages.relational:big_orders", LI_QTY,
+       ("orders", ["o_orderkey", "o_custkey", "o_totalprice",
+                   "o_orderdate"]), CUST_NAME, min_qty=300.0),
+    _q("props_field_stats", ".stages.relational:props_field_stats",
+       ("events", ["event_type", "props"]), field="k", by="event_type"),
+    _q("token_vocab_stats", ".stages.packing:token_vocab_stats",
+       _poly_tokenized),
+    _q("token_bigrams", ".stages.packing:token_bigrams",
+       _poly_tokenized, min_n=2),
+    _q("tfidf_top_term", ".stages.textstage:tfidf_top_term", DOCS),
+    # C4-style boilerplate removal (common word-3-grams dropped)
+    _q("remove_common_ngrams", ".stages.textstage:remove_common_ngrams", DOCS,
+       n=3, min_df=5),
+    _q("user_event_sequences", ".stages.windows:user_event_sequences",
+       EV_TRANSITIONS),
+    _q("value_quartiles", ".stages.relational:value_quartiles",
+       ("events", ["event_id", "value"]), k=4),
+    _q("embedding_centroid_dist", ".stages.similarity:embedding_centroid_dist",
+       ("embeddings", ["vec_id", "embedding", "label"])),
+    _q("chunk_documents", ".stages.textstage:chunk_documents", DOCS,
+       chunk_tokens=64, stride=48),
+    _q("ohlc_user_1h", ".stages.rollup:ohlc_bars", EV_SERIES, width=3600),
+    _q("twa_user_1h", ".stages.windows:time_weighted_avg",
+       EV_SERIES, width_s=3600),
+    _q("trend_user_1h", ".stages.windows:window_trend", EV_USER_TS_VALUE,
+       width_s=3600),
+    _q("winsorize_events", ".stages.relational:winsorize_events",
+       EV_ID_TYPE_VALUE),
+    _q("quality_gate_summary", ".stages.textstage:quality_gate_summary",
+       DOCS_SRC),
+    _q("token_budget_sample", ".stages.textstage:token_budget_sample",
+       DOCS_SRC, budget_tokens=1000),
+    _q("interarrival_stats", ".stages.windows:interarrival_stats", EV_SESSION),
+    _q("value_histogram", ".stages.relational:value_histogram", EV_TYPE_VALUE,
+       width_cents=5000),
+    _q("zscore_events", ".stages.relational:zscore_events", EV_ID_TYPE_VALUE),
+    _q("users_click_and_purchase", ".stages.joins:semi_join",
+       body=_clickers_vs_buyers),
+    _q("kmeans_clusters", ".stages.similarity:kmeans_distributed",
+       body=_kmeans_clusters),
+    _q("users_click_no_purchase", ".stages.joins:semi_join",
+       body=_clickers_vs_buyers, min_value=95.0, anti=True),
+    _q("rollup_grouping_sets", ".stages.relational:_scaled_cents",
+       body=_grouping_sets),
+    _q("top_windows_by_volume", ".stages.relational:topk_by",
+       body=_top_windows),
+    _q("vector_stats", ".functions.rounding:round_half_away",
+       body=_vector_stats),
+    # the bloom-prefiltered and skew-aware (hot keys broadcast around the
+    # shuffle) plans of the lineitem ⋈ orders join
+    _q("join_lineitem_orders_bloom", ".stages.joins:hash_join_bloom",
+       body=_join_li_orders, n_buckets=16),
+    _q("join_lineitem_orders_skew", ".stages.joins:skew_join",
+       body=_join_li_orders, n_buckets=16, hot_share=0.001),
+)
+
+
+# ---------------------------------------------------------------------------
+# the driver window
+# ---------------------------------------------------------------------------
+
+DRIVER_WINDOW = 50
+CORRECTION_FAMILY = ".stages.events_series"
+
+
+class DriverWindowError(ValueError):
+    """The registry has fewer oracle-backed queries than the window."""
+
+
+def driver_window(registry: Iterable[Query],
+                  backed: Container[str]) -> list[str]:
+    """The ``DRIVER_WINDOW`` names the driver evaluates, all oracle-backed:
+    every backed correction operator (``CORRECTION_FAMILY``) first, then
+    the newest-declared backed entry of every other family, then the
+    remaining backed entries in registry order."""
+    rows = [r for r in registry if r.name in backed]
+    if len(rows) < DRIVER_WINDOW:
+        raise DriverWindowError(
+            f"{len(rows)} oracle-backed queries for a driver window of "
+            f"{DRIVER_WINDOW}")
+    newest = {r.family: r.name for r in rows}
+    first = [r.name for r in rows if r.family == CORRECTION_FAMILY] + \
+        [r.name for r in rows
+         if r.family != CORRECTION_FAMILY and newest[r.family] == r.name]
+    return list(dict.fromkeys(first + [r.name for r in rows]))[:DRIVER_WINDOW]
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """All pipelines, oracle-backed entries FIRST.
-
-    The driver evaluates a fixed-size window of entries in dict order, so
-    entries with an ``oracle_sql()`` counterpart (full rows+schema+hash
-    check) must come before rows-only ones or they earn no oracle credit.
-    """
-    q = _all_queries()
-    backed = set(oracle_sql())
-    # the window holds 50 entries and more queries carry oracles; the
-    # demoted ones are the most REDUNDANT checks — every demoted entry's
-    # mechanism stays certified by a kept sibling (hash sampling by
-    # stratified_sample_docs; the bloom/skew plans by the base join's
-    # oracle; rollup_1m/1d and the user-keyed/retention variants by
-    # rollup_1h which the incremental ingest also shares; the
-    # trend/TWA cell aggregates by ohlc_user_1h's anchored cells;
-    # histogram/winsorize normalization by zscore + grouped_quantiles;
-    # token_counts/doc_fingerprints by term_frequencies/simhash) —
-    # ordered weakest-first
-    n_over = max(0, len(backed) - 50)
-    late = ["split_documents", "rollup_user_1h",
-            "join_lineitem_orders_bloom", "join_lineitem_orders_skew",
-            "rollup_1m_retention", "top_windows_by_volume",
-            "users_click_and_purchase", "vector_stats",
-            "grouped_median_1h", "rollup_1m", "rollup_1d",
-            "summary_by_source", "filter_pushdown_events",
-            "distinct_users", "revenue_summary", "semi_join_orders",
-            "doc_fingerprints", "token_counts", "value_histogram",
-            "winsorize_events", "trend_user_1h", "twa_user_1h",
-            "lag_deltas_per_user", "quality_features",
-            # round-3 additions (cusum_flags_q / jump_corrected_events /
-            # sample_users_10pct enter the window): packing_summary is
-            # strictly subsumed by packed_sequences' per-row check;
-            # revenue_by_nation's multi-join agg by shipping_priority;
-            # top_users_by_value's distributed top-k by knn_topk;
-            # grouping sets by rollup_1h + pivot; the except set-op by
-            # the kept anti-join; budget sampling by stratified_sample;
-            # inter-arrival moments and zscore by ohlc/grouped_quantiles'
-            # exact-moment machinery
-            "packing_summary", "revenue_by_nation", "top_users_by_value",
-            "rollup_grouping_sets", "users_click_no_purchase",
-            "token_budget_sample", "interarrival_stats",
-            "zscore_events",
-            # corrected_events_full (C1→D3/C3→D2/C2, ALL five correction
-            # operators composed) strictly subsumes the 2-step nojump
-            # certification; gap_filled_events/hampel_flags still cover
-            # those stages in isolation
-            "corrected_events_nojump",
-            # round-3 additions (rate_counter_1h / interval_coverage /
-            # resample_ffill_1h / ewma_per_user enter the window):
-            # strided decimation is covered by resample_ffill's grid
-            # selection; gap-split islands by interval_coverage's
-            # overlap-merge (same boundary-scan mechanism, stronger
-            # aggregate); latest-prior-or-equal asof semantics by
-            # resample_ffill's grid ASOF; the cumulative-fold frame by
-            # ewma's bit-exact recursive fold (strictly harder: float
-            # recursion vs integer prefix sum)
-            "downsample_stride", "session_windows",
-            "asof_join_purchases", "running_sum_per_user",
-            # token_vocab_stats (tf+df over SQL-replicable token ids)
-            # strictly subsumes the word-count mechanism of
-            # term_frequencies; the pivot reshape's keyed partial
-            # aggregation is rollup_1h's mechanism and the melt
-            # direction (the one the reference actually has, S6) stays
-            # certified by unpivot_lineitem
-            "term_frequencies", "pivot_user_event_type",
-            # the polynomial-hash token construction behind simhash is
-            # now certified three ways (packed_sequences per-row
-            # checksums, token_vocab_stats, token_bigrams); the banded
-            # bucketing mechanism stays covered by minhash's pytest
-            # battery
-            "simhash_signatures",
-            # funnel's earliest-qualifying ordered-match per user is the
-            # same latest/earliest-prior scan family as the kept
-            # resample_ffill grid ASOF; user_event_sequences certifies
-            # the per-user ordered aggregation itself
-            "funnel_click_purchase",
-            # contamination_scan's broadcast substring probe is the
-            # broadcast-state mechanism redact_pii (regex scrub) and
-            # remove_common_ngrams (broadcast marker set) keep certified
-            "contamination_scan",
-            # resample_interp strictly subsumes resample_ffill: same
-            # grid generation and forward scan, plus the backward scan
-            # and the interpolation formula on top
-            "resample_ffill_1h",
-            # sliding_mean's trailing event-time RANGE frame is the
-            # special case of range_join_purchases' windowed range-join
-            # aggregation (kept), and the per-key ordered machinery is
-            # certified across the whole timeseries family
-            "sliding_mean",
-            # round-4 swap: cusum_flags (the RAW FLOAT fold, bit-exact
-            # recursive-CTE oracle) enters the window; the quantized
-            # variant it was built to approximate is strictly subsumed
-            # (same reset recursion, weaker integer-micros comparison)
-            "cusum_flags_q",
-            # round-4 additions (sax_symbols / threshold_excursions /
-            # dtw_profile_pairs enter the window): EWMA's one-state
-            # bit-exact float fold is strictly subsumed by the kept
-            # Holt-Winters SIX-state fold (same recursive-CTE replay,
-            # harder; it also subsumes the intermediate Holt);
-            # gap detection (D1) is the first half of the kept
-            # gap_filled_events C1 composition; seasonal_profile's
-            # hour-of-day integer aggregation is byte-identical to the
-            # DTW oracle's profile-build CTE (prof_raw), which the DP
-            # then consumes
-            "ewma_per_user", "gap_counts", "seasonal_profile",
-            # m4_downsample enters the window: its first/last anchors
-            # are OHLC's open/close mechanism verbatim and it adds the
-            # tie-ruled extremum timestamps on top, so ohlc_user_1h is
-            # strictly subsumed
-            "ohlc_user_1h",
-            # winnow_fingerprints / winnow_matches enter the window:
-            # the ordered-string-assembly certification moves to
-            # sax_symbols' string_agg-ORDER-BY oracle (strictly harder:
-            # moments + breakpoints on top), demoting
-            # user_event_sequences; value_quartiles' bounded-domain
-            # exact rank is the q=4 special case of the kept
-            # grouped_quantiles machinery
-            "user_event_sequences", "value_quartiles",
-            # lttb_downsample's integer-area oracle enters the window:
-            # topn_per_user's per-key ordered rank selection is the
-            # bounded special case of the kept knn_topk distributed
-            # top-k and grouped_quantiles' exact-rank machinery
-            "topn_per_user",
-            # max_drawdown enters the window: sample_users_10pct's
-            # splitmix64 threshold sampling is certified by the kept
-            # stratified_sample_docs (same hash, same threshold
-            # arithmetic, plus the per-stratum budget on top)
-            "sample_users_10pct",
-            # props_field_stats enters the window: tail_nonzero_avg's
-            # filtered mean is the scalar core of the kept
-            # level_shifts_events oracle (same tail window, same
-            # filtered aggregation, plus the shift response on top)
-            "tail_nonzero_avg",
-            # corr_pairs_hourly enters the window: autocorr_lag1's
-            # integer sufficient statistics and cast-each-stat-first
-            # Pearson close are replayed VERBATIM by the kept pair
-            # correlation (strictly harder: cross-series moments via
-            # matmul, top-k selection, global grid) — the lag-pairing
-            # itself stays covered by lag_deltas' pytest battery
-            "autocorr_lag1",
-            # unigram_logprob enters the window: tfidf_top_term's
-            # two-pass count-shuffle → broadcast-ln-score mechanism is
-            # the same machinery certified strictly harder by the LM
-            # score (a bit-exact per-position float fold vs one rounded
-            # per-doc scalar); the per-doc top-1 rank pick stays
-            # certified by the kept knn_topk / grouped_quantiles rank
-            # oracles
-            "tfidf_top_term",
-            # big_orders enters the window: broadcast_enrich_orders'
-            # single broadcast-lookup enrich is the first stage of the
-            # kept Q18 plan (two CHAINED broadcast joins + the HAVING
-            # rollup on top)
-            "broadcast_enrich_orders",
-            # changepoint_user enters the window: max_drawdown's
-            # segmented extremum + earliest-tie pick is the same
-            # reduceat-argmax machinery on a strictly simpler statistic
-            # (running peak vs the double-precision split score); the
-            # running-fold family stays certified by cusum_flags'
-            # bit-exact reset fold
-            "max_drawdown",
-            # theil_sen_slope enters the window: sanitize_docs' prefix-
-            # quote scrub is the simplest member of the per-row string-
-            # transform family whose harder regex member (redact_pii)
-            # stays in the window, and the package-wide sink-guard
-            # pytest battery pins the sanitizer at every export gate
-            # (K1) independently of the driver
-            "sanitize_docs",
-            # kalman_per_user enters the window: alert_hysteresis'
-            # two-threshold boolean carry is the boolean special case
-            # of the kept cusum_flags conditional reset fold (float
-            # accumulation + threshold resets, bit-exact CTE), and the
-            # per-step state-carry family is now certified at three
-            # escalating hardness levels (kalman's division gain,
-            # cusum's resets, holt-winters' six states) — the
-            # hysteresis kernel's own semantics battery stays in pytest
-            "alert_hysteresis",
-            # session_cooccurrence enters the window: token_bigrams'
-            # adjacent-pair count (lockstep shift + groupby sum) is the
-            # simplest member of the pair-emission family the
-            # co-occurrence op certifies strictly harder (ragged
-            # all-pairs within sessionized distinct sets, partial
-            # counts); the polynomial token-id machinery itself stays
-            # certified by the kept token_vocab_stats and
-            # packed_sequences' per-row checksums
-            "token_bigrams",
-            # holt_winters_per_user enters the window: the l/b operand
-            # recursion and CTE-replay certification mechanism are
-            # identical (γ=0 zeroes the seasonals; only the b₁ seed
-            # differs — x₂−x₁ vs 0), and HW adds 4 seasonal states plus
-            # the phase selector on top; Holt's own seeding stays
-            # pinned by its kernel-vs-recursive-SQL pytest
-            "holt_per_user",
-            # type_entropy is oracle-backed but windowed out AT BIRTH:
-            # its (key, type) count partial is the term_frequencies /
-            # seasonal_profile cell-count mechanism and its −Σ p·ln p
-            # left fold is unigram_logprob's libm-ln ordered fold
-            # (kept in-window) — nothing mechanically new to certify
-            "type_entropy",
-            # matrix_profile enters the window: rate_counter_1h is a
-            # composition of two mechanisms certified harder elsewhere
-            # — its reset-aware conditional delta is cusum_flags' reset
-            # fold in simplest form and its tumbling-window sum-close
-            # is rollup_1h's (both kept); the matrix profile's
-            # pairwise-Gram argmin is a NEW mechanism class
-            "rate_counter_1h",
-            # mp_discords is oracle-backed but windowed out at birth:
-            # it is matrix_profile (kept) composed with the
-            # topn_per_group rank pick certified by knn_topk /
-            # grouped_quantiles — nothing mechanically new
-            "mp_discords",
-            # welch_ttest_weekend is oracle-backed but windowed out at
-            # birth: limb-split integer moments are zscore_events'
-            # mechanism and the cast-each-stat-first statistical close
-            # is autocorr/corr_pairs' (corr_pairs kept in-window)
-            "welch_ttest_weekend",
-            # ks_test_weekend likewise windowed out at birth: the
-            # bounded-domain cumulative rank is value_quartiles' exact
-            # NTILE mechanism, the argmax-with-earliest-tie is
-            # changepoint_user's (kept), and the cohort split is
-            # welch's — the cross-multiplied integer ratio is the only
-            # novelty and it is pure arithmetic
-            "ks_test_weekend",
-            # spectral_power enters the window (round 5): the libm-trig
-            # certification is a NEW mechanism class; demoted to make
-            # room is threshold_excursions, whose boolean run/boundary
-            # scan is the kept interval_coverage's overlap-merge
-            # mechanism and whose threshold comparisons are
-            # cusum_flags' reset-fold comparisons (both kept); its own
-            # excursion-shape battery stays in pytest
-            "threshold_excursions",
-            # mannwhitney_weekend is oracle-backed but windowed out at
-            # birth: it shares ks_test_weekend's cohort-cell partial
-            # verbatim (_weekend_cohort_cells), its integer prefix
-            # counting is changepoint_user's cents-prefix-sum mechanism
-            # (kept) and its cast-first double close is corr_pairs'
-            # (kept); the tie-corrected pair count is the only novelty
-            # and it is pure arithmetic over the same cells
-            "mannwhitney_weekend",
-            # xcorr_best_lag is oracle-backed but windowed out at
-            # birth: it shares corr_pairs_hourly's (kept) topk/bounded
-            # dense-grid/integer-matmul plan verbatim
-            # (_topk_hourly_cells) and its argmax-with-earliest-tie is
-            # changepoint_user's (kept); the lag shift is an index
-            # offset, not a new mechanism
-            "xcorr_best_lag",
-            # active_day_streaks is oracle-backed but windowed out at
-            # birth: island/run boundary detection is the kept
-            # interval_coverage's overlap-merge mechanism, the
-            # distinct-cell dedup partial is ks/mannwhitney's cohort
-            # cells, and the argmax-with-earliest-tie is
-            # changepoint_user's (kept); the day − row_number() island
-            # id is the only novelty and it is pure arithmetic
-            "active_day_streaks",
-            # zipf_fit is oracle-backed but windowed out at birth: the
-            # vocab-count shuffle is unigram_logprob's (kept) exact
-            # mechanism, the per-entry libm ln + rank-ordered left
-            # fold is likewise unigram_logprob's certified fold, the
-            # distributed top-k is knn_topk's (kept) topk_by verbatim,
-            # and the least-squares close is pure double arithmetic
-            # over those folds
-            "zipf_fit",
-            # pla_segments enters the window (per-segment coefficient
-            # fit + join-back residual bound — the downsample tier's
-            # new mechanism); kalman_per_user demotes: its (x, p)
-            # float recursion replay is holt_winters_per_user's (kept)
-            # strictly-larger 6-state recursive-CTE fold and the
-            # division inside the recursion is cusum_flags' (kept)
-            # division-bearing reset fold — no mechanism of its own
-            # loses certification
-            "kalman_per_user",
-            # gini_activity is oracle-backed but windowed out at
-            # birth: the merged (type, user) count partial is
-            # token_vocab_stats' (kept) mergeable count machinery (and
-            # type_entropy's partial verbatim), the ascending-rank
-            # Σi·x_i integer aggregate is grouped_quantiles' (kept)
-            # bounded-rank machinery, and the close is one double
-            # expression over exact integers
-            "gini_activity",
-            # transition_entropy is oracle-backed but windowed out at
-            # birth: the consecutive-pair construction in (t, event_id)
-            # order is session_cooccurrence's (kept) ordered-pair
-            # mechanism, and the −Σ p·ln p libm fold is
-            # unigram_logprob's (kept) certified fold with the same
-            # per-cell math.log discipline
-            "transition_entropy",
-            # benford_digits is oracle-backed but windowed out at
-            # birth: the digit-cell count partial is
-            # token_vocab_stats' (kept) mergeable count machinery, the
-            # libm-ln expected terms + ordered fold are
-            # unigram_logprob's (kept) certified discipline, and the
-            # χ² close is welch's cast-first statistical close family
-            # (whose moments stay certified by corr_pairs_hourly,
-            # kept)
-            "benford_digits",
-            # pmi_pairs is oracle-backed but windowed out at birth:
-            # the DF pass + broadcast-vocabulary scoring is
-            # token_vocab_stats' + remove_common_ngrams' (both kept)
-            # mechanism, the integer presence-matmul partial is
-            # corr_pairs_hourly's (kept) integer-matmul close, and the
-            # per-pair libm ln is unigram_logprob's (kept) discipline
-            "pmi_pairs",
-            # runs_test is oracle-backed but windowed out at birth:
-            # the per-key median is grouped_quantiles' (kept)
-            # quantile_cont==np.median identity, the boundary-masked
-            # run counting is interval_coverage's (kept) island scan,
-            # and the sqrt-normalized deviation close is cusum_flags'
-            # (kept) certified (x−μ)/σ arithmetic
-            "runs_test",
-            # fano_factor is oracle-backed but windowed out at birth:
-            # the merged (user, hour) count partial and dense-zero
-            # present-cells-only moment convention are
-            # corr_pairs_hourly's (kept) certified machinery, and the
-            # variance-to-mean close is one double expression over
-            # exact integers
-            "fano_factor",
-            # source_kl is oracle-backed but windowed out at birth:
-            # the (source, term) count shuffle is term_frequencies' /
-            # token_vocab_stats' (kept) mechanism, and the p·ln(p/q)
-            # libm fold in term order is unigram_logprob's (kept)
-            # certified discipline — only the q denominator differs
-            "source_kl",
-            # cohort_retention is oracle-backed but windowed out at
-            # birth: the distinct (user, day) partial is
-            # active_day_streaks' partial verbatim (whose island scan
-            # stays certified by interval_coverage, kept), the min-day
-            # anchor + per-key cells are resample/ffill's (kept)
-            # key-local grid family, and the close is one double
-            # division
-            "cohort_retention",
-            # page_hinkley is oracle-backed but windowed out at birth:
-            # the position-major float recursion replay is
-            # holt_winters_per_user's (kept) strictly-larger certified
-            # fold, the running min/max carry is cusum_flags' (kept)
-            # extremum-tracking fold, and the exact integer running
-            # mean is one windowed BIGINT cumsum — pure int arithmetic
-            "page_hinkley",
-            # variance_ratio is oracle-backed but windowed out at
-            # birth: the integer Σd/Σd² moments of key-local lag
-            # diffs are autocorr_lag1's (kept) HUGEINT moment
-            # machinery (lag-q instead of lag-1), and the close is one
-            # cast-first double ratio like welch_ttest's (certified by
-            # ks_test_weekend, kept)
-            "variance_ratio",
-            # lexical_richness is oracle-backed but windowed out at
-            # birth: the (source, term) vocab-cells shuffle is
-            # term_frequencies' (kept) mechanism shared verbatim via
-            # TermFreqPartial, and the close is three integer
-            # bincount reductions + two double divisions — no float
-            # fold to certify
-            "lexical_richness",
-            # ewm_bands is oracle-backed but windowed out at birth:
-            # the (l, v) two-state float recursion replay is
-            # holt_winters_per_user's (kept) strictly-larger certified
-            # fold and the anchor/level mechanism is ewma's (certified
-            # via the kept recursion family); the per-row sqrt is
-            # IEEE-correctly-rounded on both sides (no fold of its
-            # own), and the raw-double flag compare is page_hinkley's
-            # alarm convention
-            "ewm_bands",
-            # seasonal_decompose is oracle-backed but windowed out at
-            # birth: the windowed integer sums are twa/ohlc's (kept)
-            # anchored-window machinery, the phase bucketing is
-            # seasonal_profile's (kept) mechanism, and the 2m-scaled
-            # detrend keeps the whole pipe in exact integers until one
-            # double chain per cell — no novel float fold
-            "seasonal_decompose",
-            # tukey_fences is oracle-backed but windowed out at birth:
-            # the exact quantile lerp is grouped_quantiles' (kept)
-            # calibrated kernel verbatim, the fence count is one
-            # raw-double compare per row (winsorize_events, kept,
-            # certifies the percentile-clip sibling), and no new fold
-            # or shuffle mechanism appears
-            "tukey_fences",
-            # peak_detection is oracle-backed but windowed out at
-            # birth: the lag/lead boundary-safe shifts are
-            # lag_deltas_per_user's (kept) mechanism and every compare
-            # is on raw doubles — no fold, no new shuffle shape
-            "peak_detection",
-            # haar_energy is oracle-backed but windowed out at birth:
-            # the pairwise integer lifting is exact in any order (the
-            # HUGEINT Σd² is fano_factor's, kept, moment machinery)
-            # and the close is one double divide per cell — no float
-            # fold, no new shuffle shape
-            "haar_energy",
-            # ljung_box is oracle-backed but windowed out at birth:
-            # the n-scaled integer moments are autocorr_lag1's (kept)
-            # HUGEINT machinery at lags 1..5 and the ascending-lag
-            # close is variance_ratio's (kept) cast-first double chain
-            "ljung_box",
-            # sample_entropy is oracle-backed but windowed out at
-            # birth: exact integer pair counts (dtw_profile_pairs',
-            # kept, quadratic-compare discipline) closed by one libm
-            # ln — unigram_logprob's (kept) certified primitive
-            "sample_entropy",
-            # bigram_logprob is oracle-backed but windowed out at
-            # birth: the pair-count shuffle is token_bigrams' (kept)
-            # mechanism over string terms and the position-ordered
-            # libm fold is unigram_logprob's (kept) certified fold —
-            # only the smoothing numerator differs
-            "bigram_logprob",
-            # dup_span_stats is oracle-backed but windowed out at
-            # birth: the span-keyed distinct-doc groupby is
-            # winnow_matches' (kept) mechanism over exact strings, the
-            # zero-padded union+Sum close is funnel-family machinery,
-            # and the only float op is one rounded division
-            "dup_span_stats",
-            # bm25_topk is oracle-backed but windowed out at birth:
-            # the tf/df sufficient-statistic pass is quality_features'
-            # (kept) Counter discipline, the per-term ln and the
-            # fixed-order 4-term fold are zipf_fit's (kept) certified
-            # libm chain, and top-k is top_users_by_value's (kept)
-            # partial top-k mechanism
-            "bm25_topk",
-            # croston_demand is oracle-backed but windowed out at
-            # birth: the (l, v)-style two-state float recursion replay
-            # is holt_winters_per_user's (kept) strictly-larger
-            # certified fold and the hourly demand cells are
-            # rollup_1h's (kept) grid mechanism
-            "croston_demand",
-            # dsir_weights is oracle-backed but windowed out at birth:
-            # both count shuffles and the position-ordered libm fold
-            # are unigram_logprob's (kept) certified machinery — only
-            # the per-vocab λ (a difference of two certified lns)
-            # differs
-            "dsir_weights",
-            # hurst_rs is oracle-backed but windowed out at birth: the
-            # w-scaled integer centering is ljung_box's (kept via the
-            # autocorr family) n-scaling trick, the block-ordered R/S
-            # fold is zipf_fit's (kept) ordered-fold discipline, and
-            # the 3-point close is zipf_fit's exact LS expression
-            "hurst_rs",
-            # mann_kendall is oracle-backed but windowed out at birth:
-            # the chunk-vectorized integer pair compares are
-            # sample_entropy's (demoted for the same reason) and
-            # dtw_profile_pairs' (kept) quadratic-compare discipline,
-            # closed by one exact-int double division
-            "mann_kendall",
-            # spearman_trend is oracle-backed but windowed out at
-            # birth: the 2-scaled integer ranks are value_quartiles'
-            # (kept) exact-rank mechanism and the moment close is
-            # autocorr_lag1's (kept) certified cast-first formula
-            "spearman_trend",
-            # promo_revenue_share is oracle-backed but windowed out at
-            # birth: the broadcast-dimension semi-lookup is
-            # broadcast_enrich_orders' (kept) mechanism and the whole
-            # pipe is exact integers until three final divisions
-            "promo_revenue_share",
-            # late_shipment_priority is oracle-backed but windowed out
-            # at birth: the bucket hash join is join_lineitem_orders'
-            # (kept) machinery and the close is pure integer indicator
-            # counts — no float fold at all
-            "late_shipment_priority",
-            # grubbs_test is oracle-backed but windowed out at birth:
-            # the n-scaled integer deviations are ljung_box-family
-            # machinery (kept via autocorr), the group-level exact-int
-            # Σy² identity avoids per-row 128-bit work, and the close
-            # is one sqrt-bearing double chain (welch family, kept via
-            # ks_test_weekend)
-            "grubbs_test",
-            # char_entropy is oracle-backed but windowed out at birth:
-            # map-only exact counts with unigram_logprob's (kept)
-            # ordered-libm-fold discipline, no shuffle at all
-            "char_entropy",
-            # drift_chi2 is oracle-backed but windowed out at birth:
-            # the split-half rank mechanism is ks_test_weekend's
-            # (kept) two-sample discipline, bins are value_histogram's
-            # (kept) exact integer cells, the fold order is the
-            # benford_digits (kept) chi-square family
-            "drift_chi2",
-            # embedding_dim_stats is oracle-backed but windowed out at
-            # birth: the quantized-integer moment partials are
-            # embedding_centroid_dist's (kept) scaled-int mechanism
-            # and the close is the welch-family sqrt chain (kept via
-            # ks_test_weekend)
-            "embedding_dim_stats",
-            # embedding_quantize is oracle-backed but windowed out at
-            # birth: map-only with vector_stats' (kept) zero-copy
-            # matrix discipline and unigram_logprob's (kept)
-            # position-ordered fold — no shuffle at all
-            "embedding_quantize",
-            # heaps_law is oracle-backed but windowed out at birth:
-            # the first-occurrence Min groupby is token_vocab_stats'
-            # (kept) vocab mechanism and the ordered log-log LS close
-            # is zipf_fit's (kept) certified expression
-            "heaps_law",
-            # distinct_ngrams is oracle-backed but windowed out at
-            # birth: the (n, gram) count shuffle is token_bigrams'
-            # (kept) mechanism generalized one step, and the close is
-            # two integer reductions + one rounded division
-            "distinct_ngrams",
-            # oov_rate is oracle-backed but windowed out at birth: the
-            # vocab groupby + deterministic top-K is tfidf/zipf (kept)
-            # machinery with top_users_by_value's (kept) partial top-k,
-            # and the close is integer counts + one rounded division
-            "oov_rate",
-            # source_mix_weights is oracle-backed but windowed out at
-            # birth: one bounded-domain Count groupby (summary family,
-            # kept) closed by libm pow + an ordered 5-term fold
-            # (zipf_fit's, kept, discipline)
-            "source_mix_weights",
-            # seasonal_quantiles is oracle-backed but windowed out at
-            # birth: the calibrated quantile lerp is
-            # grouped_quantiles' (kept) kernel verbatim on a
-            # composite (type, hour-of-day) cell key — no new fold
-            "seasonal_quantiles",
-            # user_value_ranks is oracle-backed but windowed out at
-            # birth: the exact-cents rank mechanism is
-            # value_quartiles' (kept) bounded-domain rank and the
-            # close is two integer-ratio divisions
-            "user_value_ranks",
-            # pacf_lags is oracle-backed but windowed out at birth:
-            # the ρ_k moments are ljung_box's (demoted, certified via
-            # the kept autocorr family) machinery and the D-L close is
-            # a fixed double chain with no fold
-            "pacf_lags",
-            # order_priority_check is oracle-backed but windowed out
-            # at birth: the distinct-key semi-join is semi_join_orders'
-            # (kept) mechanism behind join_lineitem_orders' (kept)
-            # bucket join, and the close is one integer Count groupby
-            "order_priority_check",
-            # isotonic_fit is oracle-backed but windowed out at birth:
-            # interval means are exact-integer prefix-sum ratios (the
-            # twa family, kept) and the minimax close is two window
-            # extrema over identical doubles — no fold
-            "isotonic_fit",
-            # next_higher_event is oracle-backed but windowed out at
-            # birth: exact integer compares and waits only (the
-            # max_drawdown, kept, extremum-scan family) — the stack is
-            # an execution detail the oracle's join restates
-            "next_higher_event",
-            # top_event_paths is oracle-backed but windowed out at
-            # birth: the trigram emission is transition_entropy's
-            # (kept) bigram mechanism one step wider and top-k is the
-            # kept partial top-k — integer counts only
-            "top_event_paths",
-            # bounce_rate is oracle-backed but windowed out at birth:
-            # it composes session_windows' (kept) certified boundary
-            # scan with integer counts and one rounded division
-            "bounce_rate",
-            # rfm_scores is oracle-backed but windowed out at birth:
-            # the exact-statistic reduce is user_value_ranks' (demoted
-            # for the same reason, certified via value_quartiles kept)
-            # mechanism and NTILE's equal-fill rule is integer
-            # arithmetic with a fully deterministic order
-            "rfm_scores",
-            # vocab_overlap_sources is oracle-backed but windowed out
-            # at birth: the (source, term) cells are lexical_richness'
-            # (demoted; certified via term_frequencies kept) shuffle
-            # and the intersection matmul is pmi_pairs' (kept)
-            # presence-matrix mechanism — integer counts only
-            "vocab_overlap_sources",
-            # volume_shipping is oracle-backed but windowed out at
-            # birth: the bucket join chain is join_lineitem_orders'
-            # (kept) machinery composed three deep, the nation lookups
-            # are broadcast_enrich_orders' (kept) mechanism, and
-            # revenue stays in the certified exact-integer family
-            "volume_shipping",
-            # returned_item_revenue is oracle-backed but windowed out
-            # at birth: scan-filter + join are kept machinery and the
-            # partial top-k with exact-int tie is knn_topk's (kept)
-            # and shipping_priority's (kept) mechanism
-            "returned_item_revenue",
-            # order_count_dist is oracle-backed but windowed out at
-            # birth: the left join is left_join_customer_orders'
-            # (kept) machinery and the close is pure integer
-            # count-of-counts — no float anywhere
-            "order_count_dist",
-            # top_supplier_revenue is oracle-backed but windowed out
-            # at birth: the keyed revenue shuffle + exact-int max tie
-            # are the kept revenue family's machinery
-            "top_supplier_revenue",
-            # small_qty_revenue is oracle-backed but windowed out at
-            # birth: the per-part aggregate join is kept bucket-join
-            # machinery and the int64 cross-multiplied gate is
-            # inactive_high_balance's (also demoted) exact-gate trick
-            # over the kept exact-cents family
-            "small_qty_revenue",
-            # large_volume_customers is oracle-backed but windowed out
-            # at birth: pre-join HAVING over the kept keyed-Sum
-            # machinery, exact-cents top-k = shipping_priority (kept)
-            "large_volume_customers",
-            # disjunctive_revenue is oracle-backed but windowed out at
-            # birth: one bucket join (kept) + vectorized boolean
-            # clauses into the kept exact-integer partial family
-            "disjunctive_revenue",
-            # inactive_high_balance is oracle-backed but windowed out
-            # at birth: the anti semi-join is anti_join_orders' (kept)
-            # mechanism and the balance gate is exact integers
-            "inactive_high_balance",
-            # rsi_per_user is oracle-backed but windowed out at birth:
-            # the position-major double recursion is ewma_per_user's
-            # (kept) certified bit-exact fold machinery, two state
-            # vectors instead of one
-            "rsi_per_user",
-            # rolling_active_users is oracle-backed but windowed out
-            # at birth: distinct cells are distinct_users' (demoted,
-            # certified via kept set-op family) mechanism and the
-            # fan-out join is cohort_retention's (kept) window shape
-            "rolling_active_users",
-            # weighted_sample_docs is oracle-backed but windowed out
-            # at birth: the splitmix hash is sample_users_10pct's
-            # (demoted, certified via stratified_sample kept) SQL
-            # replica, ln is the certified libm fold family, top-k is
-            # knn_topk's (kept) partial top-k
-            "weighted_sample_docs",
-            # mode_per_type is oracle-backed but windowed out at
-            # birth: the (type, cents) cells are value_histogram's
-            # (demoted, certified via zscore/grouped_quantiles kept)
-            # exact integer cells with an argmax close
-            "mode_per_type",
-            # pagerank_event_types is oracle-backed but windowed out
-            # at birth: the bigram-cell shuffle is transition_entropy's
-            # (kept) machinery and the label-domain power iteration is
-            # a driver close in the certified ordered-fold family
-            "pagerank_event_types",
-            # latest_event_per_user is oracle-backed but windowed out
-            # at birth: the composite-key argmax is ohlc_user_1h's
-            # (kept) open/close extremum mechanism with the engine-wide
-            # (t, event_id) tie convention
-            "latest_event_per_user",
-            # copurchase_triangles is oracle-backed but windowed out at
-            # birth: pair/wedge cells are the bigram-cell machinery
-            # (pagerank, demoted-certified), the degree gather is
-            # gather_join (kept via broadcast_enrich/dedup verify), and
-            # the count close is integer Sum cells
-            "copurchase_triangles",
-            # copurchase_components is oracle-backed but windowed out
-            # at birth: the support cells are the pair-cell partials
-            # above and the labeling is minhash_dedup's (kept)
-            # equivalence-tested CC machinery verbatim
-            "copurchase_components",
-            # link_prediction_jaccard is oracle-backed but windowed out
-            # at birth: neighbor-pair cells + gather_join degrees are
-            # the triangle/pagerank cell machinery, and the top-k close
-            # is knn_topk's (kept) per-block prune + sort-limit
-            "link_prediction_jaccard",
-            # clustering_coefficient is oracle-backed but windowed out
-            # at birth: it composes copurchase_triangles' certified
-            # cells with a zero-fill tagged-cell Sum — no new kernel
-            "clustering_coefficient"][:n_over]
-    if n_over > len(late):
-        # more oracles than the preference list covers: demote the
-        # newest-declared backed entries so the window always holds
-        # exactly 50 oracle-backed queries (never silently drops one)
-        late += [k for k in reversed(list(q))
-                 if k in backed and k not in late][:n_over - len(late)]
-    ordered = {k: v for k, v in q.items() if k in backed and k not in late}
-    ordered.update({k: q[k] for k in late})
-    ordered.update({k: v for k, v in q.items() if k not in backed})
-    return ordered
-
-
-def _all_queries() -> dict[str, Callable[[str], Any]]:
-    return {
-        # continuous aggregates (north rule) — oracle-checked
-        "rollup_1m": _q_rollup(60),
-        "rollup_1h": _q_rollup(3600),
-        "rollup_1d": _q_rollup(86400),
-        # per-series detection operators (reference §2.3) — oracle-checked
-        "gap_counts": _q_gap_counts,
-        # gap insertion + interpolation (C1) — oracle-checked
-        "gap_filled_events": _q_gap_filled,
-        # composed 2-step correction (C1 → D3/C3, jumps excluded) —
-        # oracle-checked end to end
-        "corrected_events_nojump": _q_corrected_nojump,
-        "corrected_events_full": _q_corrected_full,
-        "global_mad_outliers": _q_global_mad,
-        "hampel_flags": _q_hampel,
-        # quantized CUSUM + composed jump correction — oracle-checked
-        # (recursive-CTE reset scan over integer prefix sums)
-        "cusum_flags_q": _q_cusum_quantized,
-        "jump_corrected_events": _q_jump_corrected,
-        # raw float CUSUM fold — oracle-checked BIT-EXACTLY (round 4):
-        # the recursive CTE replays the kernel's IEEE operand order
-        # (window-5 left-fold mean/std, cum+dev recursion, float
-        # reset comparisons), same certification family as ewma/holt
-        "cusum_flags": _q_cusum,
-        "corrected_events": _q_corrected_events,
-        "level_shifts_events": _q_level_shifts,
-        # level-shift building block (A6) — oracle-checked
-        "tail_nonzero_avg": _q_tail_avg,
-        # relational operators (S6/A9, J2/J4, A7/A8, K3) — oracle-checked
-        "unpivot_lineitem": _q_unpivot,
-        "broadcast_enrich_orders": _q_broadcast_enrich,
-        "sanitize_docs": _q_sanitize,
-        "summary_by_source": _q_summary,
-        "join_lineitem_orders": _q_join_lineitem_orders,
-        # composite-key (multi-column) hash join — oracle-checked
-        "user_type_totals_join": _q_user_type_totals_join,
-        "rollup_user_1h": _q_rollup_user_1h,
-        "distinct_users": _q_distinct_users,
-        "top_users_by_value": _q_top_users,
-        "filter_pushdown_events": _q_filter_pushdown,
-        "rollup_1m_retention": _q_rollup_retention,
-        "downsample_stride": _q_downsample_stride,
-        # streaming-window operators — oracle-checked
-        "session_windows": _q_session_windows,
-        "sliding_mean": _q_sliding_mean,
-        "asof_join_purchases": _q_asof_join,
-        "semi_join_orders": _q_semi_join,
-        "anti_join_orders": _q_anti_join,
-        "grouped_median_1h": _q_grouped_median,
-        # checkpoint/resume lineage manifests — rows-only
-        "resumable_rollup": _q_resumable_rollup,
-        # training-data operators — oracle-checked where SQL-expressible
-        "dedup_exact": _q_dedup_exact,
-        "token_counts": _q_token_counts,
-        "quality_features": _q_quality,
-        # privacy scrub (URL/email/IP redaction) — oracle-checked
-        "redact_pii": _q_redact_pii,
-        # repetition quality signals (Gopher-style) — oracle-checked
-        "repetition_features": _q_repetition,
-        "knn_topk": _q_knn,
-        # approximate / signature operators — rows-only
-        "lang_id": _q_lang,
-        "doc_fingerprints": _q_fingerprints,
-        "minhash_dedup": _q_minhash_dedup,
-        # exact n-gram Jaccard pairs — oracle-checked (DuckDB all-pairs)
-        "ngram_jaccard_pairs": _q_ngram_jaccard,
-        # 64-bit SimHash — oracle-checked bit-exact (polynomial token hash)
-        "simhash_signatures": _q_simhash,
-        "embedding_near_dup": _q_embedding_near_dup,
-        "knn_ivf": _q_knn_ivf,
-        # flagship sequences pipelines — rows-only (token-derived series)
-        "rollup_sequences": _q_rollup_sequences,
-        "corrected_sequences": _q_corrected_sequences,
-        # Gorilla/delta-of-delta segment compression — rows-only
-        "compressed_segments": _q_compressed_segments,
-        # Seatek exact-compat workflows (reference entry points 3.1-3.3)
-        # over the deterministic /tmp fixture corpus — rows-only
-        "seatek_batch_correct": _q_seatek_correct,
-        "seatek_summary": _q_seatek_summary,
-        "seatek_level_shifts": _q_seatek_level_shifts,
-        "seatek_comparison": _q_seatek_comparison,
-        "seatek_all_sensors": _q_seatek_all_sensors,
-        # multimodal actor-pool stage (stubbed decode) — rows-only
-        "media_features": _q_media_features,
-        "media_frame_sample": _q_media_frames,
-        # per-file stats summary (A7) — rows-only
-        "seatek_file_stats": _q_seatek_file_stats,
-        # mergeable HLL sketch — rows-only (approximate by design)
-        "approx_distinct_users": _q_approx_distinct,
-        # exact-arithmetic pricing aggregates (TPC-H Q1/Q6 style) —
-        # oracle-checked bit-exact via scaled-int sums
-        "pricing_summary": _q_pricing_summary,
-        "revenue_summary": _q_revenue_summary,
-        "shipping_priority": _q_shipping_priority,
-        # window-function / quantile / pivot shapes — oracle-checked
-        "grouped_quantiles": _q_grouped_quantiles,
-        "topn_per_user": _q_topn_per_user,
-        "pivot_user_event_type": _q_pivot_user_event_type,
-        "range_join_purchases": _q_range_join,
-        "left_join_customer_orders": _q_left_join_customer_orders,
-        # mergeable KLL quantile sketch — rows-only (approximate by design)
-        "approx_quantiles_value": _q_approx_quantiles,
-        # sequence-match / funnel shape — oracle-checked
-        "funnel_click_purchase": _q_funnel,
-        # distributed word count + per-source top-k — oracle-checked
-        "term_frequencies": _q_term_frequencies,
-        # benchmark decontamination (probe-substring scan) — oracle-checked
-        "contamination_scan": _q_contamination,
-        # fixed-length training-sequence packing: BOTH the accounting
-        # summary and every packed row are oracle-checked (bucket hash,
-        # token counts and polynomial token ids replicated in SQL)
-        "packing_summary": _q_packing_summary,
-        "packed_sequences": _q_packed_sequences,
-        # deterministic hash sampling / splits — rows-only (engine hash)
-        "sample_users_10pct": _q_hash_sample,
-        # per-source keep rates over one stable hash — oracle-checked
-        "stratified_sample_docs": _q_stratified_sample,
-        "split_documents": _q_hash_split,
-        # multi-hop join aggregate (Q5-lite) — oracle-checked
-        "revenue_by_nation": _q_revenue_by_nation,
-        # Misra-Gries heavy hitters — rows-only (approximate by design)
-        "heavy_hitter_users": _q_heavy_hitters,
-        # incremental continuous-aggregate ingest — oracle-checked (same
-        # oracle as the batch 1h rollup: 3 waves must merge to identity)
-        "incremental_rollup_1h": _q_incremental_rollup,
-        # cumulative window frame (SUM OVER ... ROWS UNBOUNDED PRECEDING)
-        "running_sum_per_user": _q_running_sum,
-        # LAG window shape (per-user deltas) — oracle-checked
-        "lag_deltas_per_user": _q_lag_deltas,
-        # reset-aware counter rate (PromQL increase/rate shape) —
-        # oracle-checked
-        "rate_counter_1h": _q_rate_counter,
-        # gaps-and-islands interval union per user — oracle-checked
-        "interval_coverage": _q_interval_coverage,
-        # regular-grid forward-fill + linear-interp resamples (upsample
-        # duals) — oracle-checked (ASOF-join grid semantics)
-        "resample_ffill_1h": _q_resample_ffill,
-        "resample_interp_1h": _q_resample_interp,
-        # EWMA float recursion — oracle-checked bit-exactly via a
-        # recursive CTE running the identical operand order
-        "ewma_per_user": _q_ewma,
-        # lag-1 autocorrelation (exact cross-moments) — oracle-checked
-        "autocorr_lag1": _q_autocorr,
-        # hour-of-day seasonal profile — oracle-checked
-        "seasonal_profile": _q_seasonal_profile,
-        # Holt linear smoothing (two-state float recursion) —
-        # oracle-checked bit-exactly via a recursive CTE
-        "holt_per_user": _q_holt,
-        # hysteresis alert state machine (conditional integer
-        # recursion) — oracle-checked
-        "alert_hysteresis": _q_alert_hysteresis,
-        # LTTB visual downsample — oracle-checked (exact integer-area
-        # argmax replayed by chained SQL argmax steps; n_out=4 so the
-        # gate corpora exercise the pick chain)
-        "lttb_downsample": _q_lttb,
-        # percentile continuous aggregate — rows-only (KLL sketch,
-        # approximate by design; pytest-bounded accuracy)
-        "rollup_quantiles_1d": _q_rollup_quantiles,
-        # SAX symbolization (z-norm → PAA → Gaussian alphabet) —
-        # oracle-checked (integer moments, exact operand order)
-        "sax_symbols": _q_sax,
-        # over-threshold maximal runs (value-conditioned
-        # gaps-and-islands) — oracle-checked
-        "threshold_excursions": _q_excursions,
-        # pairwise DTW over hour-of-day profiles — exact int64 DP over
-        # a fixed bounded key set; oracle-checked (anti-diagonal
-        # recursive-CTE replay)
-        "dtw_profile_pairs": _q_dtw,
-        # M4 visual downsample (first/last/min/max anchors per pixel
-        # bucket, deterministic tie rules) — oracle-checked
-        "m4_downsample": _q_m4,
-        # winnowing span-dedup fingerprints (MOSS) + the cross-doc
-        # duplicate-span aggregate — oracle-checked
-        "winnow_fingerprints": _q_winnow,
-        "winnow_matches": _q_winnow_matches,
-        # max drawdown from the running peak (segmented cummax, exact
-        # cents, earliest-trough tie) — oracle-checked
-        "max_drawdown": _q_drawdown,
-        # depth-1 binary-segmentation changepoint (best mean-shift
-        # split per user, earliest-s double-tie rule) — oracle-checked
-        "changepoint_user": _q_changepoint,
-        # Theil-Sen robust slope (median pairwise slope, bitwise
-        # np.median == quantile_cont) — oracle-checked
-        "theil_sen_slope": _q_theil_sen,
-        # 1-D Kalman filter (two-state recursion, per-step division
-        # gain) — oracle-checked bit-exactly via a recursive CTE
-        "kalman_per_user": _q_kalman,
-        # session-window event-type co-occurrence (market-basket) —
-        # oracle-checked
-        "session_cooccurrence": _q_session_cooccurrence,
-        # Holt-Winters additive seasonal (triple exponential, 6-state
-        # recursion) — oracle-checked bit-exactly via a recursive CTE
-        # with scalar phase columns
-        "holt_winters_per_user": _q_holt_winters,
-        # per-user event-type Shannon entropy — oracle-checked
-        "type_entropy": _q_type_entropy,
-        # exact integer matrix profile (nearest-neighbor window
-        # distance per position) — oracle-checked
-        "matrix_profile": _q_matrix_profile,
-        # top discord per user (max-MP anomaly) — oracle-checked
-        "mp_discords": _q_mp_discords,
-        # weekday/weekend Welch t per event type — oracle-checked
-        "welch_ttest_weekend": _q_welch,
-        # weekday/weekend two-sample KS test — oracle-checked
-        "ks_test_weekend": _q_ks,
-        # weekday/weekend Mann-Whitney U rank-sum test — oracle-checked
-        "mannwhitney_weekend": _q_mannwhitney,
-        # longest consecutive-active-day streak per user
-        # (gaps-and-islands) — oracle-checked
-        "active_day_streaks": _q_streaks,
-        # Zipf law least-squares fit over the corpus top-1000
-        # vocabulary (libm-ln terms, rank-ordered folds) —
-        # oracle-checked bit-exactly
-        "zipf_fit": _q_zipf,
-        # fixed-width piecewise-linear approximation per series
-        # (slope/intercept/max-residual per segment) — oracle-checked
-        "pla_segments": _q_pla,
-        # per-type Gini coefficient of user activity — oracle-checked
-        "gini_activity": _q_gini,
-        # per-user event-type transition (bigram conditional) entropy
-        # — oracle-checked bit-exactly
-        "transition_entropy": _q_trans_entropy,
-        # Benford first-digit χ² per event type — oracle-checked
-        "benford_digits": _q_benford,
-        # PMI between top-DF term pairs (broadcast vocab, mergeable
-        # k×k matmul partials) — oracle-checked
-        "pmi_pairs": _q_pmi,
-        # Wald–Wolfowitz runs test per user — oracle-checked
-        "runs_test": _q_runs,
-        # Fano factor (hourly burstiness) per user — oracle-checked
-        "fano_factor": _q_fano,
-        # per-source KL divergence from the corpus term distribution
-        # — oracle-checked bit-exactly
-        "source_kl": _q_source_kl,
-        # daily cohort-retention triangle — oracle-checked
-        "cohort_retention": _q_cohort,
-        # two-sided Page-Hinkley drift test per user — oracle-checked
-        # bit-exactly (recursive-CTE deviation folds)
-        "page_hinkley": _q_page_hinkley,
-        # Lo–MacKinlay variance-ratio random-walk test per user —
-        # oracle-checked (integer moments, one double ratio)
-        "variance_ratio": _q_variance_ratio,
-        # per-source lexical richness (TTR, hapax share) —
-        # oracle-checked (integer-exact vocab-cell reductions)
-        "lexical_richness": _q_lexical_richness,
-        # EWMA control chart with EW-variance bands — oracle-checked
-        # bit-exactly (sqrt-bearing recursive-CTE fold)
-        "ewm_bands": _q_ewm_bands,
-        # classic additive seasonal decomposition — oracle-checked
-        # (integer-exact 2×m MA detrend, one double close per cell)
-        "seasonal_decompose": _q_seasonal_decompose,
-        # Tukey 1.5·IQR fence screen per user — oracle-checked
-        # (exact quartile lerp, raw-double fence compares)
-        "tukey_fences": _q_tukey,
-        # strict local-maxima peaks with a prominence floor —
-        # oracle-checked (raw lag/lead double compares)
-        "peak_detection": _q_peak_detection,
-        # Haar wavelet detail energy per level (multi-resolution
-        # variance split) — oracle-checked (integer-exact lifting)
-        "haar_energy": _q_haar_energy,
-        # Ljung-Box white-noise portmanteau test per user —
-        # oracle-checked (integer ACF moments, ordered 5-term fold)
-        "ljung_box": _q_ljung_box,
-        # sample entropy SampEn(m=2, r) per user — oracle-checked
-        # (integer Chebyshev match counts, one libm ln per key)
-        "sample_entropy": _q_sample_entropy,
-        # add-one bigram LM fluency score per document —
-        # oracle-checked (position-ordered libm fold)
-        "bigram_logprob": _q_bigram_logprob,
-        # exact duplicated-span stats (Lee et al. exact-substring
-        # dedup signal) — oracle-checked (integer counts + one divide)
-        "dup_span_stats": _q_dup_span_stats,
-        # BM25 lexical retrieval, fixed query, Lucene +1 idf —
-        # oracle-checked (fixed-term-order score fold, top-k)
-        "bm25_topk": _q_bm25_topk,
-        # Croston intermittent-demand forecast per user —
-        # oracle-checked bit-exactly (two-state recursive-CTE fold)
-        "croston_demand": _q_croston_demand,
-        # DSIR importance-resampling weights vs a target slice —
-        # oracle-checked (per-vocab log-ratio, position-ordered fold)
-        "dsir_weights": _q_dsir_weights,
-        # rescaled-range Hurst exponent per user — oracle-checked
-        # (integer block stats, ordered folds, 3-point LS slope)
-        "hurst_rs": _q_hurst_rs,
-        # Mann-Kendall monotone-trend test per user — oracle-checked
-        # (exact integer pair signs, tau-a close)
-        "mann_kendall": _q_mann_kendall,
-        # Spearman rank trend per user — oracle-checked (2-scaled
-        # tie-averaged integer ranks, exact Pearson moments)
-        "spearman_trend": _q_spearman_trend,
-        # TPC-H-Q14-shaped promo revenue share — oracle-checked
-        # (broadcast dimension, exact integer revenue partials)
-        "promo_revenue_share": _q_promo_share,
-        # TPC-H-Q12-shaped late-shipment priority counts —
-        # oracle-checked (hash join + integer indicator groupby)
-        "late_shipment_priority": _q_late_shipment,
-        # Grubbs single-outlier test per event type — oracle-checked
-        # (integer moments, tie-broken argmax, one double chain)
-        "grubbs_test": _q_grubbs,
-        # character-distribution Shannon entropy per document —
-        # oracle-checked (exact counts, codepoint-ordered libm fold)
-        "char_entropy": _q_char_entropy,
-        # split-half chi-square drift screen per event type —
-        # oracle-checked (integer bin counts, bin-ordered folds)
-        "drift_chi2": _q_drift_chi2,
-        # per-dimension embedding corpus stats (whitening prep) —
-        # oracle-checked (1e-6-quantized integer moments)
-        "embedding_dim_stats": _q_embedding_dim_stats,
-        # int8 quantization error per vector — oracle-checked
-        # (position-ordered MSE fold, order-free scale/max)
-        "embedding_quantize": _q_embedding_quantize,
-        # Heaps' law vocabulary-growth fit — oracle-checked
-        # (exact cumulative counts, doc-ordered libm LS folds)
-        "heaps_law": _q_heaps_law,
-        # SemDeDup-shaped semantic keep/drop labeling — rows-only
-        # (LSH recall; composes certified near-dup + CC machinery)
-        "semantic_dedup": _q_semantic_dedup,
-        # corpus distinct-n diversity ratios — oracle-checked
-        # (exact gram counts, one division per n)
-        "distinct_ngrams": _q_distinct_ngrams,
-        # per-doc OOV rate vs the top-K corpus vocab — oracle-checked
-        # (deterministic tie-broken top-K, integer counts)
-        "oov_rate": _q_oov_rate,
-        # α-temperature source mixing weights — oracle-checked
-        # (libm pow, ordered normalizing fold)
-        "source_mix_weights": _q_source_mix,
-        # seasonal p10/p50/p90 bands per (type, hour-of-day) —
-        # oracle-checked (calibrated quantile_cont lerp)
-        "seasonal_quantiles": _q_seasonal_quantiles,
-        # global window-rank family over user totals — oracle-checked
-        # (exact cents ties, integer ranks, two divisions)
-        "user_value_ranks": _q_user_value_ranks,
-        # PACF lags 1-3 per user (Durbin-Levinson) — oracle-checked
-        # (integer ACF moments, fixed double chains)
-        "pacf_lags": _q_pacf_lags,
-        # TPC-H-Q4-shaped EXISTS aggregate — oracle-checked
-        # (distinct late-key semi-join, integer counts)
-        "order_priority_check": _q_order_priority_check,
-        # isotonic regression per user (minimax PAVA) —
-        # oracle-checked (exact interval means, window extrema)
-        "isotonic_fit": _q_isotonic_fit,
-        # next-higher-value wait per event (monotonic stack) —
-        # oracle-checked (exact cents compares, integer waits)
-        "next_higher_event": _q_next_higher,
-        # top event-type trigram paths (clickstream mining) —
-        # oracle-checked (integer counts, deterministic top-k ties)
-        "top_event_paths": _q_top_event_paths,
-        # session bounce rate per user — oracle-checked (certified
-        # sessionization, integer counts, one division)
-        "bounce_rate": _q_bounce_rate,
-        # RFM quintile segmentation — oracle-checked (deterministic
-        # NTILE orders over exact integer statistics)
-        "rfm_scores": _q_rfm_scores,
-        # pairwise source-vocabulary Jaccard — oracle-checked
-        # (exact integer intersections, one division per pair)
-        "vocab_overlap_sources": _q_vocab_overlap,
-        # TPC-H-Q7-shaped cross-nation volume — oracle-checked (exact
-        # integer revenue through a 3-join chain, one close division)
-        "volume_shipping": _q_volume_shipping,
-        # TPC-H-Q10-shaped returned-item top-k — oracle-checked
-        # (exact-integer revenue ties, deterministic rank-k boundary)
-        "returned_item_revenue": _q_returned_items,
-        # TPC-H-Q13-shaped order-count distribution — oracle-checked
-        # (left join keeps the zero class; integers only)
-        "order_count_dist": _q_order_count_dist,
-        # TPC-H-Q15-shaped top supplier — oracle-checked (exact
-        # integer revenue max with ALL ties surviving)
-        "top_supplier_revenue": _q_top_supplier,
-        # TPC-H-Q17-shaped small-quantity revenue — oracle-checked
-        # (correlated AVG as an exact cross-multiplied int64 gate)
-        "small_qty_revenue": _q_small_qty_revenue,
-        # TPC-H-Q18-shaped large-volume customers — oracle-checked
-        # (pre-join HAVING, exact-cents deterministic top-k)
-        "large_volume_customers": _q_large_volume,
-        # TPC-H-Q19-shaped disjunctive revenue — oracle-checked
-        # (vectorized OR-of-ANDs, one integer partial per batch)
-        "disjunctive_revenue": _q_disjunctive_revenue,
-        # TPC-H-Q22-shaped inactive high-balance — oracle-checked
-        # (int64 cross-multiplied balance gate, anti join)
-        "inactive_high_balance": _q_inactive_high_balance,
-        # per-user Wilder RSI — oracle-checked bit-exactly (recursive
-        # CTE replays the identical double fold)
-        "rsi_per_user": _q_rsi_per_user,
-        # trailing-7-day distinct actives — oracle-checked (mergeable
-        # distinct cells; integer counts)
-        "rolling_active_users": _q_rolling_active,
-        # weighted sample without replacement (A-ES over the stable
-        # hash) — oracle-checked (identical ln-score expression)
-        "weighted_sample_docs": _q_weighted_sample,
-        # per-type MODE with deterministic tie — oracle-checked
-        # (bounded integer cells)
-        "mode_per_type": _q_mode_per_type,
-        # PageRank power iteration over the transition graph —
-        # oracle-checked bit-exactly (list-typed recursive CTE)
-        "pagerank_event_types": _q_pagerank,
-        # CDC keep-latest compaction — oracle-checked (deterministic
-        # composite-key argmax, partial-first)
-        "latest_event_per_user": _q_latest_event,
-        # co-purchase graph triangle counts — oracle-checked
-        "copurchase_triangles": _q_copurchase_triangles,
-        # support-filtered co-purchase connected components — oracle-checked
-        "copurchase_components": _q_copurchase_components,
-        # common-neighbor Jaccard link prediction — oracle-checked
-        "link_prediction_jaccard": _q_link_prediction,
-        # per-part local clustering coefficient — oracle-checked
-        "clustering_coefficient": _q_clustering_coefficient,
-        # per-user DFT power at daily/weekly periods (libm-trig terms,
-        # ordered float folds) — oracle-checked bit-exactly
-        "spectral_power": _q_spectral,
-        # all-pairs hourly-total Pearson correlation between the top-k
-        # users (integer matmul moments on the global hour grid) —
-        # oracle-checked
-        "corr_pairs_hourly": _q_corr_pairs,
-        # best-lag cross-correlation between top-20 users' hourly
-        # totals (±24 h, integer matmuls, smallest-lag tie) —
-        # oracle-checked
-        "xcorr_best_lag": _q_xcorr,
-        # per-doc unigram LM log-likelihood (libm ln == DuckDB ln,
-        # position-order left fold == list_reduce) — oracle-checked
-        "unigram_logprob": _q_unigram_logprob,
-        # TPC-H-Q18-shaped large-volume orders (HAVING rollup +
-        # chained broadcast joins) — oracle-checked
-        "big_orders": _q_big_orders,
-        # JSON props field extraction + per-type stats (vectorized
-        # extract_regex = json_extract on the flat shape) —
-        # oracle-checked
-        "props_field_stats": _q_props_stats,
-        # vocab tf/df + bigram transition counts over polynomial token
-        # ids — oracle-checked
-        "token_vocab_stats": _q_token_vocab_stats,
-        "token_bigrams": _q_token_bigrams,
-        # per-doc top TF-IDF term / boilerplate n-gram removal —
-        # oracle-checked
-        "tfidf_top_term": _q_tfidf,
-        "remove_common_ngrams": _q_remove_common_ngrams,
-        # string_agg sequences / exact NTILE rank — oracle-checked
-        "user_event_sequences": _q_user_sequences,
-        "value_quartiles": _q_value_quartiles,
-        # per-label exact centroid distance (embedding outliers) —
-        # oracle-checked (scaled-int centroids, list_distance parity)
-        "embedding_centroid_dist": _q_centroid_dist,
-        # overlapping token-window chunking — oracle-checked
-        "chunk_documents": _q_chunk_documents,
-        # hourly OHLC bars (anchored open/close, exact cents) —
-        # oracle-checked
-        "ohlc_user_1h": _q_ohlc,
-        # trapezoidal time-weighted average — oracle-checked
-        "twa_user_1h": _q_twa,
-        # least-squares per-window trend — oracle-checked
-        "trend_user_1h": _q_trend,
-        # per-type percentile winsorization — oracle-checked
-        "winsorize_events": _q_winsorize,
-        # cleaning-funnel verdict counts / token-budget mixing —
-        # oracle-checked
-        "quality_gate_summary": _q_quality_gate,
-        "token_budget_sample": _q_token_budget,
-        # inter-event-time burstiness stats — oracle-checked
-        "interarrival_stats": _q_interarrival,
-        # exact fixed-width histogram / group-wise z-score — oracle-checked
-        "value_histogram": _q_value_histogram,
-        "zscore_events": _q_zscore_events,
-        # set op (INTERSECT) via distinct + broadcast semi-join
-        "users_click_and_purchase": _q_users_intersect,
-        # distributed iterative k-means — rows-only (iterative algorithm)
-        "kmeans_clusters": _q_kmeans_clusters,
-        # EXCEPT set op and GROUPING SETS shapes — oracle-checked
-        "users_click_no_purchase": _q_users_except,
-        "rollup_grouping_sets": _q_grouping_sets,
-        # continuous top-k over windowed aggregates — oracle-checked
-        "top_windows_by_volume": _q_top_windows,
-        # list/vector scalar functions — oracle-checked
-        "vector_stats": _q_vector_stats,
-        # join-variant equivalents of join_lineitem_orders — same oracle
-        # certifies each physical plan (declared last so the 50-window
-        # demotion prefers dropping these redundant checks)
-        "join_lineitem_orders_bloom": _q_join_bloom,
-        "join_lineitem_orders_skew": _q_join_skew,
-    }
+    """Every pipeline by name: ``driver_window()``'s pick first, then the
+    rest of the registry in declaration order."""
+    rows = {r.name: r for r in REGISTRY}
+    window = driver_window(REGISTRY, set(oracle_sql()))
+    return {n: rows[n] for n in window} | rows
 
 
 EPOCH_S = "(epoch_us(ts) // 1000000)"

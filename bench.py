@@ -198,8 +198,8 @@ def run_bench() -> dict:
                   docs_path, columns=["doc_id", "text"])).count())
 
         def _winnow():
-            from __ray_entry__ import _q_winnow_matches
-            return _q_winnow_matches(SF_DIR).count()
+            import __ray_entry__ as E
+            return E.queries()["winnow_matches"](SF_DIR).count()
         timed("winnow_matches", _winnow)
 
         from series_correction_project_updated_ray.stages.timeseries import (

@@ -2,11 +2,10 @@
 
 Media payloads are opaque ``binary`` columns with typed metadata
 (``media_type``, ``width``/``height`` or ``sample_rate``/``duration``).
-The decode / feature-extraction libraries are NOT available in this
-container, so the decode step is STUBBED — by default it raises
-NotImplementedError; with ``fake=True`` it produces a deterministic fake
-(bytes-derived) so the Ray-side plumbing (schema, batch sizing, actor
-signature, output layout) is real and tested end to end.
+No decode / feature-extraction library is installed, so the decode step
+is STUBBED: it produces a deterministic fake (bytes-derived) so the
+Ray-side plumbing (schema, batch sizing, actor signature, output layout)
+is real and tested end to end.
 
 Scale notes: media rows are heavy → small ``batch_size`` (default 16) so
 batch × concurrency stays inside a worker heap; the actor pool loads its
@@ -54,11 +53,7 @@ def synth_media_table(n: int = 64, seed: int = 42) -> pa.Table:
     })
 
 
-def _decode_stub(payload: bytes, media_type: str, fake: bool) -> np.ndarray:
-    if not fake:
-        raise NotImplementedError(
-            "media decode requires image/audio libraries not present in "
-            "this container; pass fake=True for the deterministic stub")
+def _decode_stub(payload: bytes, media_type: str) -> np.ndarray:
     # deterministic fake decode: bytes → pseudo-signal
     arr = np.frombuffer(payload[:4096], dtype=np.uint8).astype(np.float32)
     return arr / 255.0
@@ -74,16 +69,15 @@ class MediaFeatureExtractor:
 
     FEATURE_DIM = 32
 
-    def __init__(self, fake: bool = True, seed: int = 7):
+    def __init__(self, seed: int = 7):
         rng = np.random.default_rng(seed)
         self.proj = rng.normal(size=(4096, self.FEATURE_DIM)).astype(np.float32)
-        self.fake = fake
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         feats = []
         for payload, mtype in zip(batch["payload"].to_pylist(),
                                   batch["media_type"].to_pylist()):
-            sig = _decode_stub(payload, mtype, self.fake)
+            sig = _decode_stub(payload, mtype)
             padded = np.zeros(4096, dtype=np.float32)
             padded[:len(sig)] = sig[:4096]
             feats.append(padded @ self.proj)
@@ -103,14 +97,10 @@ class ImageResizeStub:
     (the real kernel would decode → resize → re-encode; the Ray contract —
     binary in, binary out, metadata columns updated — is identical)."""
 
-    def __init__(self, target: int = 256, fake: bool = True):
+    def __init__(self, target: int = 256):
         self.target = target
-        self.fake = fake
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.fake:
-            raise NotImplementedError("image resize needs an image library")
-        n = len(batch)
         is_img = pa.compute.equal(batch["media_type"], "image")
         w = np.where(is_img.to_numpy(zero_copy_only=False),
                      self.target, batch["width"].to_numpy(zero_copy_only=False))
@@ -122,20 +112,17 @@ class ImageResizeStub:
                                 "height", pa.array(h.astype(np.int32)))
 
 
-def media_features(media_ds, *, concurrency=2, batch_size: int = 16,
-                   fake: bool = True):
+def media_features(media_ds, *, concurrency=2, batch_size: int = 16):
     return media_ds.map_batches(
         MediaFeatureExtractor, batch_format="pyarrow",
-        batch_size=batch_size, concurrency=concurrency,
-        fn_constructor_kwargs={"fake": fake})
+        batch_size=batch_size, concurrency=concurrency)
 
 
 def resize_images(media_ds, *, target: int = 256, concurrency=2,
-                  batch_size: int = 16, fake: bool = True):
+                  batch_size: int = 16):
     return media_ds.map_batches(
         ImageResizeStub, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_kwargs={"target": target, "fake": fake})
+        concurrency=concurrency, fn_constructor_kwargs={"target": target})
 
 
 class FrameSampleStub:
@@ -143,23 +130,19 @@ class FrameSampleStub:
 
     flat_map-shaped: one input row expands to ceil(n_frames/stride) frame
     rows.  The payload is treated as a fixed-size-frame container (the
-    real kernel would demux with an av library — absent here; with
-    ``fake=True`` frames are deterministic byte slices so the Ray
-    contract — binary in, MORE binary rows out, frame index metadata — is
-    real and tested).  Every payload is frame-sliced regardless of
+    real kernel would demux with an av library — absent here, so
+    frames are deterministic byte slices and the Ray contract — binary
+    in, MORE binary rows out, frame index metadata — is real and
+    tested).  Every payload is frame-sliced regardless of
     ``media_type`` — filter the input to video rows first (the real
     demux would reject non-video containers at decode time)."""
 
     FRAME_BYTES = 1024
 
-    def __init__(self, stride: int = 4, fake: bool = True):
+    def __init__(self, stride: int = 4):
         self.stride = stride
-        self.fake = fake
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.fake:
-            raise NotImplementedError(
-                "frame sampling needs a video demux library")
         ids, idxs, frames = [], [], []
         for mid, payload in zip(batch["media_id"].to_pylist(),
                                 batch["payload"].to_pylist()):
@@ -177,11 +160,11 @@ class FrameSampleStub:
 
 
 def sample_frames(media_ds, *, stride: int = 4, concurrency=2,
-                  batch_size: int = 16, fake: bool = True):
+                  batch_size: int = 16):
     """Every-stride-th frame of each media row (fan-out stage: output has
     MORE rows than input — small batch_size bounds the expansion held in
     one worker heap at a time)."""
     return media_ds.map_batches(
         FrameSampleStub, batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency,
-        fn_constructor_kwargs={"stride": stride, "fake": fake})
+        fn_constructor_kwargs={"stride": stride})

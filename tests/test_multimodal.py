@@ -2,7 +2,6 @@
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 from series_correction_project_updated_ray.stages.multimodal import (
     ImageResizeStub, MediaFeatureExtractor, media_features, resize_images,
@@ -19,19 +18,13 @@ def test_synth_media_schema():
     assert t["payload"][0].as_py() == t2["payload"][0].as_py()
 
 
-def test_decode_stub_raises_without_fake():
-    ex = MediaFeatureExtractor(fake=False)
-    with pytest.raises(NotImplementedError):
-        ex(synth_media_table(2))
-
-
 def test_feature_extractor_direct():
-    ex = MediaFeatureExtractor(fake=True)
+    ex = MediaFeatureExtractor()
     out = ex(synth_media_table(8))
     assert out.column_names == ["media_id", "media_type", "embedding"]
     emb = np.asarray(out["embedding"].combine_chunks().flatten()).reshape(8, -1)
     assert emb.shape == (8, 32)
-    out2 = MediaFeatureExtractor(fake=True)(synth_media_table(8))
+    out2 = MediaFeatureExtractor()(synth_media_table(8))
     emb2 = np.asarray(out2["embedding"].combine_chunks().flatten()).reshape(8, -1)
     np.testing.assert_array_equal(emb, emb2)
 

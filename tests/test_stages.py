@@ -225,23 +225,82 @@ def test_queries_have_oracles_subset(ray_session):
 
 
 def test_driver_window_holds_exactly_50_oracle_backed():
-    """The driver gate evaluates the FIRST 50 queries() entries; every
-    slot must carry an oracle and no oracle-backed entry may fall out
-    unintentionally (|backed| − |distinct demotions| must be exactly
-    50 — a duplicate in the demotion list once silently pushed a
-    backed query to position 51)."""
-    import inspect
-    import re
+    """The driver gate evaluates the FIRST 50 queries() entries: they are
+    driver_window()'s pick, every slot carries an oracle, no name repeats,
+    and every backed entry after them is really outside the window."""
     import __ray_entry__ as E
     names = list(E.queries())
     backed = set(E.oracle_sql())
-    assert all(n in backed for n in names[:50])
-    src = inspect.getsource(E.queries)
-    late = re.findall(r'"([a-z0-9_]+)"(?:,|\])', src)
-    assert len(late) == len(set(late)), "duplicate demotion entry"
-    in_window_backed = [n for n in names[:50] if n in backed]
-    assert len(backed) - len([n for n in names[50:] if n in backed]) \
-        == len(in_window_backed) == 50
+    window = E.driver_window(E.REGISTRY, backed)
+    assert names[:50] == window
+    assert all(n in backed for n in window)
+    assert len(window) == len(set(window)) == 50
+    assert len(names) == len(set(names)) == len(E.REGISTRY)
+    assert len(backed) - len([n for n in names[50:] if n in backed]) == 50
+
+
+def test_driver_window_covers_every_family():
+    import __ray_entry__ as E
+    backed = set(E.oracle_sql())
+    window = set(E.driver_window(E.REGISTRY, backed))
+    families = {r.family for r in E.REGISTRY if r.name in backed}
+    assert len(families) > 1
+    assert {r.family for r in E.REGISTRY if r.name in window} == families
+
+
+def test_driver_window_holds_every_correction_oracle():
+    import __ray_entry__ as E
+    backed = set(E.oracle_sql())
+    correction = {r.name for r in E.REGISTRY
+                  if r.family == E.CORRECTION_FAMILY and r.name in backed}
+    assert len(correction) >= 5
+    assert correction <= set(E.driver_window(E.REGISTRY, backed))
+
+
+def test_driver_window_is_deterministic():
+    """Same registry and backed names, same window: independent of the
+    order the names come in and of the interpreter's string hash seed."""
+    import os
+    import subprocess
+    import sys
+    import __ray_entry__ as E
+    backed = set(E.oracle_sql())
+    want = E.driver_window(E.REGISTRY, backed)
+    assert E.driver_window(E.REGISTRY, sorted(backed, reverse=True)) == want
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import __ray_entry__ as E; print(list(E.queries()))"],
+            cwd=root, env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True).stdout
+        assert out.strip() == repr(list(E.queries()))
+
+
+def test_driver_window_rule_on_synthetic_registry():
+    """Correction family first, then the newest backed entry of each other
+    family, then the remaining backed entries in registry order; rows-only
+    entries never enter."""
+    import __ray_entry__ as E
+    fams = [E.CORRECTION_FAMILY, ".stages.a", ".stages.b", ".stages.c"]
+    rows = [E.Query(f"q{i}", f"{fams[i % 4]}:f") for i in range(80)]
+    backed = {r.name for r in rows if r.name != "q78"}
+    got = E.driver_window(rows, backed)
+    correction = [f"q{i}" for i in range(0, 80, 4)]
+    # family b's newest row, q78, is rows-only, so q74 stands in for it
+    newest = ["q74", "q77", "q79"]
+    rest = [r.name for r in rows
+            if r.name in backed and r.name not in correction + newest]
+    assert got == (correction + newest + rest)[:50]
+
+
+def test_driver_window_rejects_short_registry():
+    import __ray_entry__ as E
+    rows = [E.Query(f"q{i}", ".stages.a:f") for i in range(60)]
+    with pytest.raises(E.DriverWindowError, match="49 oracle-backed"):
+        E.driver_window(rows, {f"q{i}" for i in range(49)})
+    assert issubclass(E.DriverWindowError, ValueError)
+    assert len(E.driver_window(rows, {f"q{i}" for i in range(50)})) == 50
 
 
 def test_connected_components_distributed_matches_driver(ray_session):

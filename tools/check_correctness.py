@@ -4,13 +4,17 @@ Runs every ``queries()`` entry at the given sf, converts the result to
 pandas, and for entries with an ``oracle_sql()`` twin compares against
 DuckDB on: row count, sorted column-name schema, and order-insensitive
 values (columns sorted by name, rows sorted by all columns, exact
-comparison).  Prints one line per query.
+comparison).  Prints one line per query, each ending in ``digest=``: the
+first 16 hex digits of a sha256 over ``canon(df)`` (column names, dtypes
+and hashed values), so two runs can be compared query by query, rows-only
+queries included.
 
 Usage: python tools/check_correctness.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 import time
@@ -41,6 +45,14 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
             df[c] = df[c].astype(str)
     df = df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
     return df
+
+
+def digest(df: pd.DataFrame) -> str:
+    c = canon(df)
+    h = hashlib.sha256(repr([(str(k), str(t)) for k, t in c.dtypes.items()])
+                       .encode())
+    h.update(pd.util.hash_pandas_object(c, index=False).to_numpy().tobytes())
+    return h.hexdigest()[:16]
 
 
 def compare(ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
@@ -114,9 +126,10 @@ def main():
             n_bad += 1
             continue
         dt = time.time() - t0
+        dg = f"digest={digest(ray_df)}"
         if name not in oracles:
             print(f"[rows-only] {name}: {len(ray_df)} rows "
-                  f"{sorted(map(str, ray_df.columns))} ({dt:.1f}s)")
+                  f"{sorted(map(str, ray_df.columns))} ({dt:.1f}s) {dg}")
             continue
         try:
             sql_df = con.execute(oracles[name]).df()
@@ -131,10 +144,12 @@ def main():
             problems = [f"compare raised: {type(e).__name__}: {e}"]
         if problems:
             n_bad += 1
-            print(f"[MISMATCH] {name} ({dt:.1f}s): " + "; ".join(problems))
+            print(f"[MISMATCH] {name} ({dt:.1f}s): " + "; ".join(problems)
+                  + f" {dg}")
         else:
             n_ok += 1
-            print(f"[OK] {name}: {len(ray_df)} rows match oracle ({dt:.1f}s)")
+            print(f"[OK] {name}: {len(ray_df)} rows match oracle ({dt:.1f}s) "
+                  f"{dg}")
     print(f"\n{n_ok} oracle-matched, {n_bad} failures")
     ray.shutdown()
     sys.exit(1 if n_bad else 0)
