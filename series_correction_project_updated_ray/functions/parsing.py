@@ -7,16 +7,11 @@ Citations refer to the reference repo at /root/reference:
 * P4 parse_sensor_index — scripts/apply_refined_corrections.py:129-138
 * P5 find_sensor_columns — scripts/apply_refined_corrections.py:31-36
 * P7 _safe_round — scripts/generate_overview_table.py:9-14
-* P8 _safe_numeric — scripts/batch_correction.py:381-387
-* P9 time→Unix-seconds conversion — scripts/discontinuity_utils.py:261-277
 """
 
 from __future__ import annotations
 
 import re
-
-import numpy as np
-import pandas as pd
 
 RAW_FILE_RE = re.compile(r"S(.+?)_Y(\d+)\.txt$")
 PROCESSED_SERIES_RE = re.compile(r"Series(\d+)_File(\d+)_Processed")
@@ -85,25 +80,3 @@ def safe_round(value, ndigits: int = 3):
         return round(value, ndigits)
     except TypeError:
         return value
-
-
-def safe_numeric(col: pd.Series) -> pd.Series:
-    """Best-effort column numeric cast; unconvertible columns pass through."""
-    try:
-        converted = pd.to_numeric(col)
-    except (ValueError, TypeError):
-        return col
-    return converted
-
-
-def time_to_unix_seconds(col: pd.Series) -> pd.Series:
-    """Non-numeric time column → Unix seconds (mixed-format datetimes,
-    epoch floor-division), raising ValueError when unparseable."""
-    if pd.api.types.is_numeric_dtype(col):
-        return col
-    try:
-        ts = pd.to_datetime(col, format="mixed")
-    except Exception:
-        raise ValueError(
-            "Time column is not numeric and could not be converted") from None
-    return (ts - pd.Timestamp("1970-01-01")) // pd.Timedelta("1s")

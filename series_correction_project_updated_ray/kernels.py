@@ -88,17 +88,6 @@ def merge_config(config: dict | None) -> dict:
 # Gap detection [processor.py:31-115]
 # ---------------------------------------------------------------------------
 
-def median_time_diff(t: np.ndarray) -> float | None:
-    """Median of consecutive time diffs; None if empty or non-positive."""
-    if len(t) < 2:
-        return None
-    diffs = np.diff(t)
-    med = np.median(diffs)
-    if med <= 0:
-        return None
-    return float(med)
-
-
 def detect_gaps(t: np.ndarray, threshold_factor: float = 3.0) -> np.ndarray:
     """Indices of the first point *after* each gap (int64 array).
 

@@ -8,7 +8,7 @@ rolled-up points.  Streaming end to end; nothing materializes the corpus.
 
 from __future__ import annotations
 
-from ..sources.sequences import sequences_from_documents, read_sequences
+from ..sources.sequences import sequences_from_documents
 from ..stages.correction import correct_and_rollup, correct_sequences
 
 
@@ -16,15 +16,6 @@ def flagship_rollup(sf_dir: str, *, buckets_per_source: int = 64,
                     config: dict | None = None):
     seqs = sequences_from_documents(sf_dir)
     return correct_and_rollup(seqs, buckets_per_source=buckets_per_source,
-                              config=config)
-
-
-def flagship_rollup_from_sequences(path: str, *, buckets_per_source: int = 64,
-                                   config: dict | None = None):
-    """Same pipeline over a pre-tokenized sequences Parquet table (the
-    canonical 100 TB input shape)."""
-    return correct_and_rollup(read_sequences(path),
-                              buckets_per_source=buckets_per_source,
                               config=config)
 
 

@@ -78,54 +78,6 @@ def write_excel_safely(df: pd.DataFrame, path: str, *,
     sanitized.to_excel(path, sheet_name=sheet_name, index=index, **kwargs)
 
 
-def write_summary_workbook(summary_df: pd.DataFrame, path: str, *,
-                           sheet_name: str = "Summary",
-                           chart_col: str = "Outlier_Count",
-                           chart_title: str = "Outlier Count per File",
-                           col_width: int = 25):
-    """Summary workbook with bolded headers, fixed column widths and a
-    bar chart of ``chart_col`` per file — the twin of the reference's
-    summary report (generate_summary.py:49-91 ``format_summary_excel``
-    + :80-95 ``main``: bold row 1, width-25 columns, BarChart over the
-    outlier-count column with the first column as categories, anchored
-    three rows below the data).
-
-    The frame goes through the :func:`write_excel_safely` sanitizer
-    gateway FIRST (single-gateway rule), then the saved workbook is
-    re-opened for formatting.  Raises ImportError where openpyxl is
-    absent (this sandbox); the assembly logic is stub-proven in
-    tests/test_excel_sink.py.
-    """
-    cols = list(summary_df.columns)
-    if chart_col not in cols:
-        raise ValueError(f"chart_col {chart_col!r} not in columns {cols}")
-    write_excel_safely(summary_df, path, sheet_name=sheet_name, index=False)
-
-    from openpyxl import load_workbook
-    from openpyxl.chart import BarChart, Reference
-    from openpyxl.styles import Font
-    from openpyxl.utils import get_column_letter
-
-    wb = load_workbook(path)
-    ws = wb.active
-    for col in range(1, ws.max_column + 1):
-        ws.cell(row=1, column=col).font = Font(bold=True)
-        ws.column_dimensions[get_column_letter(col)].width = col_width
-
-    chart = BarChart()
-    chart.title = chart_title
-    chart.x_axis.title = cols[0]
-    chart.y_axis.title = chart_col
-    ccol = cols.index(chart_col) + 1
-    data = Reference(ws, min_col=ccol, min_row=1,
-                     max_row=ws.max_row, max_col=ccol)
-    categories = Reference(ws, min_col=1, min_row=2, max_row=ws.max_row)
-    chart.add_data(data, titles_from_data=True)
-    chart.set_categories(categories)
-    ws.add_chart(chart, f"A{ws.max_row + 3}")
-    wb.save(path)
-
-
 class _FileStats:
     """map_groups: per (series, year_idx) mean/median/outlier stats over the
     compat value column (A7)."""

@@ -280,9 +280,9 @@ def summarize(corrected, first_year: int = 1995,
     map is configured (the reference's optional config key), else
     positional ``first_year + yidx - 1``; filename template K4
     'Year_{year} (Y{yi:02d})_Data'."""
-    from ray.data.aggregate import Count
-    df = corrected.groupby(["series", "year_idx"]).aggregate(
-        Count(alias_name="Records")).to_pandas()
+    from ..stages.rollup import combine
+    df = combine(corrected, ["series", "year_idx"],
+                 [([], "count_all", "Records")]).to_pandas()
     if year_index_map:
         df["Year"] = df["year_idx"].map(
             lambda i: year_index_map.get(int(i), first_year + int(i) - 1))

@@ -179,16 +179,6 @@ def write_synthetic_sequences_bucketed(out_dir: str, num_docs: int,
     return out_dir
 
 
-def read_sequences_bucketed(path: str) -> "ray.data.Dataset":
-    """Plain Dataset over the bucket files.  NOTE: block boundaries are NOT
-    guaranteed to follow file boundaries (Ray may re-slice under
-    override_num_blocks), so the zero-shuffle plan does not read through
-    this — it maps over file paths instead (correct_and_rollup_local)."""
-    import glob
-    files = sorted(glob.glob(os.path.join(path, "bucket-*.parquet")))
-    return ray.data.read_parquet(files)
-
-
 def read_sequences(path: str, num_blocks: int | None = None
                    ) -> "ray.data.Dataset":
     """num_blocks sizes the read for the downstream groupby shuffle —

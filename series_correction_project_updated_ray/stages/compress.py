@@ -1,13 +1,12 @@
-"""Stateful actor-pool segment compression stage.
+"""Segment compression stage.
 
-``SegmentCompactor`` is a callable class for ``map_batches(...,
-concurrency=(m, n))``: each actor holds reusable encoder state and an
-open-segment buffer, turning corrected series rows ``(series_key, t,
-value)`` into Gorilla/delta-of-delta compressed segments of at most
-``max_points`` points, cut on day boundaries (the retention-tier flush
-rule).  Segments are self-contained, so a series whose rows land on two
-actors simply yields two segments — decode-concat is lossless; only the
-compression ratio varies with routing.
+``compact_segments`` is a plain per-batch function for ``map_batches``: it
+turns corrected series rows ``(series_key, t, value)`` into Gorilla/
+delta-of-delta compressed segments of at most ``max_points`` points, cut
+on day boundaries (the retention-tier flush rule).  Segments are
+self-contained, so a series whose rows land in two batches simply yields
+two segments — decode-concat is lossless; only the compression ratio
+varies with routing.
 
 Output schema: one row per segment with the binary payloads and lineage
 fields (n_points, t range, raw/compressed bytes).
@@ -16,7 +15,6 @@ fields (n_points, t range, raw/compressed bytes).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..state.gorilla import decode_segment, encode_segment
@@ -34,47 +32,30 @@ SEGMENT_SCHEMA = pa.schema([
 ])
 
 
-class SegmentCompactor:
-    """Actor: encode (series_key, t, value) rows into compressed segments.
-
-    State initialized once per actor (the actor-pool pattern the north
-    rule requires); per batch the work is numpy-grouped, then each
-    (series, day) run is bit-packed.
-    """
-
-    def __init__(self, max_points: int = 65536,
-                 key_col: str = "series_key", t_col: str = "t",
-                 value_col: str = "value"):
-        self.max_points = max_points
-        self.key_col, self.t_col, self.value_col = key_col, t_col, value_col
-        self.segments_encoded = 0  # actor-lifetime counter (lineage metric)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch[self.key_col].to_numpy(zero_copy_only=False)
-        t = batch[self.t_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch[self.value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        day = t // 86400
-        order = np.lexsort((t, day, keys))
-        keys, t, v, day = keys[order], t[order], v[order], day[order]
-        boundary = np.r_[True, (keys[1:] != keys[:-1]) | (day[1:] != day[:-1])]
-        starts = np.flatnonzero(boundary)
-        ends = np.r_[starts[1:], len(keys)]
-        rows = {name: [] for name in SEGMENT_SCHEMA.names}
-        for s, e in zip(starts, ends):
-            for cs in range(s, e, self.max_points):
-                ce = min(cs + self.max_points, e)
-                seg = encode_segment(t[cs:ce], v[cs:ce])
-                rows["series_key"].append(int(keys[cs]))
-                rows["seg_day"].append(int(day[cs]))
-                rows["n_points"].append(seg["n_points"])
-                rows["t_min"].append(seg["t_min"])
-                rows["t_max"].append(seg["t_max"])
-                rows["ts_bytes"].append(seg["ts_bytes"])
-                rows["val_bytes"].append(seg["val_bytes"])
-                rows["raw_bytes"].append(seg["raw_bytes"])
-                rows["compressed_bytes"].append(seg["compressed_bytes"])
-                self.segments_encoded += 1
-        return pa.Table.from_pydict(rows, schema=SEGMENT_SCHEMA)
+def compact_segments(batch: pa.Table, max_points: int = 65536,
+                     key_col: str = "series_key", t_col: str = "t",
+                     value_col: str = "value") -> pa.Table:
+    """Encode (series_key, t, value) rows into compressed segments: the
+    batch is numpy-grouped, then each (series, day) run is bit-packed."""
+    keys = batch[key_col].to_numpy(zero_copy_only=False)
+    t = batch[t_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+    day = t // 86400
+    order = np.lexsort((t, day, keys))
+    keys, t, v, day = keys[order], t[order], v[order], day[order]
+    boundary = np.r_[True, (keys[1:] != keys[:-1]) | (day[1:] != day[:-1])]
+    starts = np.flatnonzero(boundary)
+    ends = np.r_[starts[1:], len(keys)]
+    rows = {name: [] for name in SEGMENT_SCHEMA.names}
+    for s, e in zip(starts, ends):
+        for cs in range(s, e, max_points):
+            ce = min(cs + max_points, e)
+            seg = encode_segment(t[cs:ce], v[cs:ce])
+            rows["series_key"].append(int(keys[cs]))
+            rows["seg_day"].append(int(day[cs]))
+            for name in SEGMENT_SCHEMA.names[2:]:
+                rows[name].append(seg[name])
+    return pa.Table.from_pydict(rows, schema=SEGMENT_SCHEMA)
 
 
 def decompress_segments(batch: pa.Table) -> pa.Table:
@@ -97,18 +78,17 @@ def decompress_segments(batch: pa.Table) -> pa.Table:
                      "value": pa.array(np.concatenate(out_v))})
 
 
-def compress_series(ds, *, max_points: int = 65536, concurrency=(2, 8),
+def compress_series(ds, *, max_points: int = 65536, concurrency=None,
                     **ray_remote_args):
-    """(series_key, t, value) Dataset → compressed-segment Dataset via the
-    actor pool.
+    """(series_key, t, value) Dataset → compressed-segment Dataset, one
+    :func:`compact_segments` task per block.
 
-    The stage is idempotent per batch (pure function of the batch rows),
-    so actor death is recoverable: pass ``max_restarts=-1,
-    max_task_retries=-1`` and Ray restarts the actor and replays only the
-    in-flight batch — a batch's segments materialize only on task
-    success, so a replay can never double-emit (drilled in
+    The stage is a pure function of the batch rows, so a task whose
+    worker dies is retried by Ray and replays only its own batch — a
+    batch's segments materialize only on task success, so a retry can
+    never double-emit (drilled in
     ``tests/test_state.py::test_compactor_actor_death_no_duplicates``)."""
-    return ds.map_batches(SegmentCompactor, batch_format="pyarrow",
+    return ds.map_batches(compact_segments, batch_format="pyarrow",
                           # whole blocks as batches: the 1024-row default
                           # would fragment every (series, day) run into
                           # micro-segments — worse ratio AND ~5× slower
@@ -116,7 +96,7 @@ def compress_series(ds, *, max_points: int = 65536, concurrency=(2, 8),
                           # is the segment-granularity knob
                           batch_size=None,
                           concurrency=concurrency,
-                          fn_constructor_kwargs={"max_points": max_points},
+                          fn_kwargs={"max_points": max_points},
                           **ray_remote_args)
 
 

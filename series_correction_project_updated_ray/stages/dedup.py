@@ -26,9 +26,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ray.data.aggregate import Min
-
 from .joins import _derive_buckets, partition_groups
+from .rollup import combine, sums_of
 from ..functions.hashing import (minhash_signatures, simhash64,
                                  stable_hash_array)
 from ..functions.text import char_ngram_shingles, jaccard
@@ -51,8 +50,8 @@ def exact_dedup_survivors(docs, text_col: str = "text",
     hashed = docs.map_batches(add_content_hash, batch_format="pyarrow",
                               fn_kwargs={"text_col": text_col}) \
                  .select_columns(["content_hash", id_col])
-    return hashed.groupby("content_hash").aggregate(
-        Min(id_col, alias_name=id_col)).select_columns([id_col])
+    return combine(hashed, ["content_hash"], [(id_col, "min", id_col)]) \
+        .select_columns([id_col])
 
 
 # --- candidate-pair machinery ---------------------------------------------
@@ -240,6 +239,9 @@ def candidate_pairs(band_rows, id_col: str = "doc_id", *,
         .groupby("__ppart").map_groups(_dedup, batch_format="pandas")
 
 
+_MIN_LABEL = [("label", "min", "label")]
+
+
 def connected_components_distributed(pairs, *, max_rounds: int = 16,
                                      n_blocks: int = 8):
     """Min-label propagation over a verified-pair Dataset — the scale path
@@ -255,7 +257,6 @@ def connected_components_distributed(pairs, *, max_rounds: int = 16,
     pandas (doc_id, cluster_id) like the driver version.
     """
     import ray.data as rd
-    from ray.data.aggregate import Min as AggMin
 
     edges = pairs.map_batches(
         lambda t: pa.table({
@@ -268,10 +269,9 @@ def connected_components_distributed(pairs, *, max_rounds: int = 16,
         return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
                              "cluster_id": pd.Series([], dtype=np.int64)})
     # labels: node -> current min label (init: own id)
-    labels = edges.map_batches(
+    labels = combine(edges.map_batches(
         lambda t: pa.table({"node": t["src"], "label": t["src"]}),
-        batch_format="pyarrow").groupby("node").aggregate(
-        AggMin("label", alias_name="label")) \
+        batch_format="pyarrow"), ["node"], _MIN_LABEL) \
         .repartition(n_blocks).materialize()
 
     from .joins import hash_join
@@ -293,8 +293,7 @@ def connected_components_distributed(pairs, *, max_rounds: int = 16,
         carried = hash_join(edges, labels, "src", "node", how="inner",
                             n_buckets=16).map_batches(
             _pairs("dst", "label"), batch_format="pyarrow")
-        new_labels = carried.union(labels).groupby("node").aggregate(
-            AggMin("label", alias_name="label")) \
+        new_labels = combine(carried.union(labels), ["node"], _MIN_LABEL) \
             .repartition(n_blocks).materialize()
         # (2) pointer jumping: label[x] <- label[label[x]] — halves the
         # effective path length each round, so convergence is O(log D)
@@ -308,9 +307,8 @@ def connected_components_distributed(pairs, *, max_rounds: int = 16,
                 "node": t["node_x"].combine_chunks().cast(pa.int64()),
                 "label": t["label_y"].combine_chunks().cast(pa.int64())}),
             batch_format="pyarrow")
-        new_labels = jumped.union(new_labels).groupby("node").aggregate(
-            AggMin("label", alias_name="label")) \
-            .repartition(n_blocks).materialize()
+        new_labels = combine(jumped.union(new_labels), ["node"],
+                             _MIN_LABEL).repartition(n_blocks).materialize()
         # labels are monotonically nonincreasing: an unchanged total sum
         # means a fixed point
         new_sum = int(new_labels.sum("label"))
@@ -670,26 +668,24 @@ def shingle_df_map(docs, *, text_col="text", id_col="doc_id", ngram=5,
             per_doc.append(sh)
         allsh = (np.concatenate(per_doc) if per_doc
                  else np.empty(0, np.uint64))
-        # int64 view: Ray's groupby boundary sampling mangles uint64
-        # keys past 2^63 (pickled-object blocks downstream)
         u, c = np.unique(allsh.view(np.int64), return_counts=True)
         return pa.table({"h": pa.array(u),
                          "c": pa.array(c.astype(np.int64))})
 
-    tot = docs.map_batches(_partial, batch_format="pyarrow") \
-        .groupby("h").sum("c")
+    tot = combine(docs.map_batches(_partial, batch_format="pyarrow"),
+                  ["h"], sums_of("c"))
 
     def _hot(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        return t.filter(pc.greater_equal(t["sum(c)"], pa.scalar(2)))
+        return t.filter(pc.greater_equal(t["c"], pa.scalar(2)))
 
     hot = topk_by(tot.map_batches(_hot, batch_format="pyarrow"),
-                  ["sum(c)", "h"], [True, False], cap)
+                  ["c", "h"], [True, False], cap)
     arr = hot.to_pandas()
     if "h" not in arr.columns:  # all-empty datasets lose their columns
         return np.empty(0, np.uint64), np.empty(0, np.int64)
     h = arr["h"].to_numpy(np.int64).view(np.uint64)
-    df = arr["sum(c)"].to_numpy(np.int64)
+    df = arr["c"].to_numpy(np.int64)
     order = np.argsort(h)
     return h[order], df[order]
 
@@ -947,23 +943,6 @@ class SimHashStage:
         return batch.append_column("simhash", pa.array(sh.astype(np.int64)))
 
 
-def simhash_bands(batch: pa.Table, id_col="doc_id", bands=4) -> pa.Table:
-    """(band_id, band_bits, id) rows: near-dups within hamming ≤ bands-1
-    share at least one full 16-bit band (pigeonhole)."""
-    sh = batch["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    ids = batch[id_col].to_pandas().to_numpy()
-    width = 64 // bands
-    mask = np.uint64((1 << width) - 1)
-    band_ids, bits, out_ids = [], [], []
-    for b in range(bands):
-        band_ids.append(np.full(len(ids), b, dtype=np.int32))
-        bits.append(((sh >> np.uint64(b * width)) & mask).astype(np.int64))
-        out_ids.append(ids)
-    return pa.table({"band_id": pa.array(np.concatenate(band_ids)),
-                     "band_hash": pa.array(np.concatenate(bits)),
-                     id_col: pa.array(np.concatenate(out_ids))})
-
-
 # --- embedding cosine near-dup --------------------------------------------
 
 class HyperplaneLSH:
@@ -1161,8 +1140,6 @@ def dup_span_stats(docs, *, k: int = 8, text_col: str = "text",
     at any point."""
     import functools
 
-    from ray.data.aggregate import Sum
-
     docs = docs.materialize()
     pairs = docs.map_batches(
         functools.partial(_span_pairs_partial, k=k, text_col=text_col,
@@ -1174,9 +1151,8 @@ def dup_span_stats(docs, *, k: int = 8, text_col: str = "text",
         functools.partial(_span_totals_partial, k=k, text_col=text_col,
                           id_col=id_col),
         batch_format="pyarrow")
-    combined = totals.union(dup_rows).groupby(id_col).aggregate(
-        Sum("n_spans", alias_name="n_spans"),
-        Sum("n_dup", alias_name="n_dup"))
+    combined = combine(totals.union(dup_rows), [id_col],
+                       sums_of("n_spans", "n_dup"))
 
     def _close(t: pa.Table) -> pa.Table:
         from ..functions.rounding import round_half_away

@@ -11,7 +11,6 @@ contiguous slices of shared numpy arrays, each array kernel returns plain
 output arrays, and the partition emits ONE concatenated Arrow table (the
 key column is a single ``pc.take`` of the original Arrow column — no
 per-series DataFrame construction, no pandas-backed blocks downstream).
-Thin pandas ``*_group`` wrappers remain for direct per-series use.
 
 Where an operator is SQL-expressible its output shape is designed to match
 a DuckDB oracle (rounding documented per function).
@@ -197,87 +196,6 @@ def corrected_full_arrays(ids, t, v):
 
 
 # --- pandas wrappers (direct per-series use; tests pin their semantics) -----
-
-def _series_sorted(g: pd.DataFrame, ts_col="ts", value_col="value",
-                   id_col="event_id"):
-    """Deterministic in-group order: (ts, event_id) — the tie-safe analog of
-    the reference's time sort."""
-    g = g.sort_values([ts_col, id_col], kind="stable")
-    ts = g[ts_col]
-    if pd.api.types.is_datetime64_any_dtype(ts):
-        t = ts.astype("datetime64[ns]").astype("int64").to_numpy() // 1_000_000_000
-    else:
-        t = ts.to_numpy(np.int64)
-    return g, t, g[value_col].to_numpy(np.float64)
-
-
-def _wrap_group(g: pd.DataFrame, afn, key_col="user_id", id_col="event_id",
-                **kwargs) -> pd.DataFrame:
-    g, t, v = _series_sorted(g, id_col=id_col)
-    ids = g[id_col].to_numpy(np.int64)
-    out = afn(ids, t, v, **kwargs)
-    n_out = len(next(iter(out.values())))
-    return pd.DataFrame({key_col: np.full(n_out, g[key_col].iloc[0]), **out})
-
-
-def gap_counts_group(g, threshold_factor=3.0, key_col="user_id"):
-    return _wrap_group(g, gap_counts_arrays, key_col,
-                       threshold_factor=threshold_factor)
-
-
-def global_mad_group(g, threshold=3.0, key_col="user_id"):
-    return _wrap_group(g, global_mad_arrays, key_col, threshold=threshold)
-
-
-def hampel_flags_group(g, window_size=5, threshold=3.0, key_col="user_id",
-                       id_col="event_id"):
-    return _wrap_group(g, hampel_flags_arrays, key_col, id_col,
-                       window_size=window_size, threshold=threshold)
-
-
-def cusum_flags_group(g, window_size=5, threshold=3.0, key_col="user_id",
-                      id_col="event_id"):
-    return _wrap_group(g, cusum_flags_arrays, key_col, id_col,
-                       window_size=window_size, threshold=threshold)
-
-
-def cusum_flags_q_group(g, window_size=5, threshold=3.0, key_col="user_id",
-                        id_col="event_id"):
-    return _wrap_group(g, cusum_flags_q_arrays, key_col, id_col,
-                       window_size=window_size, threshold=threshold)
-
-
-def jump_corrected_group(g, window_size=5, threshold=3.0, key_col="user_id",
-                         id_col="event_id"):
-    return _wrap_group(g, jump_corrected_arrays, key_col, id_col,
-                       window_size=window_size, threshold=threshold)
-
-
-def corrected_series_group(g, config=None, key_col="user_id",
-                           id_col="event_id"):
-    return _wrap_group(g, corrected_series_arrays, key_col, id_col,
-                       config=config)
-
-
-def tail_nonzero_avg_group(g, n=5, key_col="user_id"):
-    return _wrap_group(g, tail_nonzero_avg_arrays, key_col, n=n)
-
-
-def level_shift_group(g, segment_col="day", n=5, key_col="user_id"):
-    return _wrap_group(g, level_shift_arrays, key_col, n=n)
-
-
-def gap_fill_group(g, key_col="user_id"):
-    return _wrap_group(g, gap_fill_arrays, key_col)
-
-
-def corrected_nojump_group(g, key_col="user_id"):
-    return _wrap_group(g, corrected_nojump_arrays, key_col)
-
-
-def corrected_full_group(g, key_col="user_id"):
-    return _wrap_group(g, corrected_full_arrays, key_col)
-
 
 # --- the partition-group driver ---------------------------------------------
 

@@ -36,6 +36,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .rollup import combine, sums_of
+
 
 _EMPTY_PAIRS = pd.DataFrame({"u": pd.Series([], dtype=np.int64),
                              "v": pd.Series([], dtype=np.int64)})
@@ -125,17 +127,15 @@ def copurchase_support_edges(lineitem, *, min_support: int = 2):
     the support filter (the classic frequent-itemset pair screen that
     strips coincidence edges from the graph)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from .joins import partition_groups
 
     def _prep(t: pa.Table) -> pa.Table:
         return t.select(["l_orderkey", "l_partkey"])
 
-    cells = partition_groups(
+    cells = combine(partition_groups(
         lineitem.map_batches(_prep, batch_format="pyarrow"), "l_orderkey",
-        _OrderPairCellsGroup()) \
-        .groupby(["u", "v"]).aggregate(Sum("c", alias_name="support"))
+        _OrderPairCellsGroup()), ["u", "v"], [("c", "sum", "support")])
 
     def _keep(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater_equal(t["support"], min_support))
@@ -249,7 +249,6 @@ def link_prediction_jaccard(lineitem, *, min_support: int = 2,
     prunes to its local top-k before the final global sort-limit, so
     the sort sees ≤ k·|blocks| rows."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from .joins import gather_join, partition_groups
     from ..functions.rounding import round_half_away
@@ -273,8 +272,8 @@ def link_prediction_jaccard(lineitem, *, min_support: int = 2,
                                    t["u"].combine_chunks()])})
 
     und = edges.map_batches(_und, batch_format="pyarrow")
-    cn = partition_groups(und, "x", _NeighborPairCellsGroup()) \
-        .groupby(["a", "b"]).aggregate(Sum("c", alias_name="c"))
+    cn = combine(partition_groups(und, "x", _NeighborPairCellsGroup()),
+                 ["a", "b"], sums_of("c"))
 
     def _tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
@@ -300,8 +299,8 @@ def link_prediction_jaccard(lineitem, *, min_support: int = 2,
         return pa.table({"node": pa.array(uniq, pa.int64()),
                          "d": pa.array(cnt.astype(np.int64))})
 
-    deg = edges.map_batches(_deg_cells, batch_format="pyarrow") \
-        .groupby("node").aggregate(Sum("d", alias_name="d")).materialize()
+    deg = combine(edges.map_batches(_deg_cells, batch_format="pyarrow"),
+                  ["node"], sums_of("d")).materialize()
 
     scored = gather_join(
         gather_join(nonadj, deg, "a", "node",
@@ -414,8 +413,6 @@ def _triangle_plan(lineitem):
     — ``deg`` = (node, d) endpoint degrees, ``counted`` = (node,
     triangles) per-node triangle participation (zero-triangle nodes
     absent).  Returns (None, None) on an edgeless input."""
-    from ray.data.aggregate import Sum
-
     from .joins import gather_join, partition_groups
 
     edges = copurchase_edges(lineitem).materialize()
@@ -429,8 +426,8 @@ def _triangle_plan(lineitem):
         return pa.table({"node": pa.array(uniq, pa.int64()),
                          "d": pa.array(cnt.astype(np.int64))})
 
-    deg = edges.map_batches(_deg_cells, batch_format="pyarrow") \
-        .groupby("node").aggregate(Sum("d", alias_name="d")).materialize()
+    deg = combine(edges.map_batches(_deg_cells, batch_format="pyarrow"),
+                  ["node"], sums_of("d")).materialize()
 
     def _orient(t: pa.Table) -> pa.Table:
         u = t["u"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -467,8 +464,7 @@ def _triangle_plan(lineitem):
     tagged = wedges.map_batches(_tag_wedge, batch_format="pyarrow") \
         .union(oe.map_batches(_tag_edge, batch_format="pyarrow"))
     cells = partition_groups(tagged, "v", _CloseCountGroup())
-    counted = cells.groupby("node").aggregate(
-        Sum("c", alias_name="triangles"))
+    counted = combine(cells, ["node"], [("c", "sum", "triangles")])
     return deg, counted
 
 
@@ -515,7 +511,6 @@ def clustering_coefficient(lineitem):
     vectorized integer-ratio map."""
     import ray.data as rd
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from ..functions.rounding import round_half_away
 
@@ -539,10 +534,10 @@ def clustering_coefficient(lineitem):
             "d": pa.array(np.zeros(len(t), dtype=np.int64)),
             "t": t["triangles"].cast(pa.int64())})
 
-    merged = deg.map_batches(_deg_side, batch_format="pyarrow") \
-        .union(counted.map_batches(_tri_side, batch_format="pyarrow")) \
-        .groupby("node").aggregate(Sum("d", alias_name="d"),
-                                   Sum("t", alias_name="t"))
+    merged = combine(
+        deg.map_batches(_deg_side, batch_format="pyarrow")
+        .union(counted.map_batches(_tri_side, batch_format="pyarrow")),
+        ["node"], sums_of("d", "t"))
 
     def _close(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater_equal(t["d"], 2))

@@ -365,13 +365,12 @@ def partition_groups(ds, key_col: str, fn, batch_format: str = "pandas"):
 
 def distributed_distinct(ds, cols: list[str], *, drop_nulls: bool = False):
     """Distinct rows of ``cols`` with a two-level plan: per-batch local
-    distinct (arrow group_by) shrinks what the grouped aggregate
-    shuffles, then one Ray groupby dedups across batches.  The result is
-    |distinct| rows — safe to materialize/collect only when that is known
-    small.  ``drop_nulls`` removes rows with a null in any of ``cols``
-    (Ray's groupby boundary sampling compares keys in Python and chokes
-    on None)."""
-    from ray.data.aggregate import Count
+    distinct (arrow group_by) shrinks what the shuffle moves, then one
+    ``combine`` dedups across batches (null keys form one row).  The
+    result is |distinct| rows — safe to materialize/collect only when that
+    is known small.  ``drop_nulls`` removes rows with a null in any of
+    ``cols``."""
+    from .rollup import combine
 
     def _local_distinct(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -381,10 +380,8 @@ def distributed_distinct(ds, cols: list[str], *, drop_nulls: bool = False):
                 t = t.filter(pc.is_valid(t[c]))
         return t.group_by(cols).aggregate([])
 
-    return ds.map_batches(_local_distinct, batch_format="pyarrow") \
-        .groupby(cols[0] if len(cols) == 1 else cols) \
-        .aggregate(Count(alias_name="__n")) \
-        .select_columns(cols)
+    return combine(ds.map_batches(_local_distinct, batch_format="pyarrow"),
+                   cols, [])
 
 
 def semi_join(left, right_keys, key_col: str, *, right_key: str | None = None,

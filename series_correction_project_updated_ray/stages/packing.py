@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .rollup import combine, sums_of
 from ..functions.hashing import stable_hash_array
 
 
@@ -101,8 +102,6 @@ def packing_summary(packed):
     """Per-bucket packing accounting: (bucket, n_full_seqs, rem_tokens,
     total_tokens) — SQL-oracle-checkable because the bucket hash and the
     per-doc token counts are both replicable in DuckDB."""
-    from ray.data.aggregate import Max, Sum
-
     def _partial(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         full = pc.cast(t["is_full"], pa.int64())
@@ -112,11 +111,10 @@ def packing_summary(packed):
         return pa.table({"bucket": t["bucket"], "full": full,
                          "rem": rem, "n_tok": n_tok64})
 
-    return packed.map_batches(_partial, batch_format="pyarrow") \
-        .groupby("bucket").aggregate(
-            Sum("full", alias_name="n_full_seqs"),
-            Max("rem", alias_name="rem_tokens"),
-            Sum("n_tok", alias_name="total_tokens"))
+    return combine(packed.map_batches(_partial, batch_format="pyarrow"),
+                   ["bucket"], [("full", "sum", "n_full_seqs"),
+                                ("rem", "max", "rem_tokens"),
+                                ("n_tok", "sum", "total_tokens")])
 
 
 def token_vocab_stats(seqs, *, tok_col: str = "tokens"):
@@ -161,10 +159,8 @@ def token_vocab_stats(seqs, *, tok_col: str = "tokens"):
                          "tf": pa.array(tf_map.to_numpy(np.int64)),
                          "df": pa.array(df_map.to_numpy(np.int64))})
 
-    from ray.data.aggregate import Sum
-    return seqs.map_batches(_partial, batch_format="pyarrow") \
-        .groupby("tid").aggregate(Sum("tf", alias_name="tf"),
-                                  Sum("df", alias_name="df"))
+    return combine(seqs.map_batches(_partial, batch_format="pyarrow"),
+                   ["tid"], sums_of("tf", "df"))
 
 
 def token_bigrams(seqs, *, tok_col: str = "tokens", min_n: int = 2,
@@ -205,9 +201,8 @@ def token_bigrams(seqs, *, tok_col: str = "tokens", min_n: int = 2,
         return pa.table({"pair": pa.array(u),
                          "n": pa.array(c.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-    tot = seqs.map_batches(_partial, batch_format="pyarrow") \
-        .groupby("pair").aggregate(Sum("n", alias_name="n"))
+    tot = combine(seqs.map_batches(_partial, batch_format="pyarrow"),
+                  ["pair"], sums_of("n"))
 
     def _decode(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

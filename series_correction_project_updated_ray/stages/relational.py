@@ -10,6 +10,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .joins import partition_groups
+from .rollup import combine, sums_of
 from ..functions.sanitize import sanitize_batch
 
 
@@ -174,15 +175,10 @@ def pricing_summary(lineitem):
     integers on both engines, so even the avg_* columns compare with
     atol=0.  Partial aggregation inside map_batches keeps the global
     groupby tiny (≤6 rows per block)."""
-    from ray.data.aggregate import Sum
     partials = lineitem.map_batches(_pricing_partial, batch_format="pyarrow")
-    agg = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("q100", alias_name="q100"), Sum("p100", alias_name="p100"),
-        Sum("d100", alias_name="d100"), Sum("n", alias_name="n"),
-        Sum("disc1e4_hi", alias_name="disc1e4_hi"),
-        Sum("disc1e4_lo", alias_name="disc1e4_lo"),
-        Sum("charge1e6_hi", alias_name="charge1e6_hi"),
-        Sum("charge1e6_lo", alias_name="charge1e6_lo"))
+    agg = combine(partials, ["l_returnflag", "l_linestatus"], sums_of(
+        "q100", "p100", "d100", "n", "disc1e4_hi", "disc1e4_lo",
+        "charge1e6_hi", "charge1e6_lo"))
 
     def _finalize(t: pa.Table) -> pa.Table:
         q100 = t["q100"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -222,8 +218,6 @@ def revenue_summary(lineitem, disc_lo: int = 5, disc_hi: int = 7,
     discount-band/quantity filter — one row out, zero shuffles (per-batch
     partial sums → a single global Sum).  Predicates evaluate on the
     scaled-int representation so the oracle can mirror them exactly."""
-    from ray.data.aggregate import Sum
-
     def _partial(batch: pa.Table) -> pa.Table:
         q100 = _scaled_cents(batch["l_quantity"])
         p100 = _scaled_cents(batch["l_extendedprice"])
@@ -271,7 +265,6 @@ def shipping_priority(customer, orders, lineitem, *, segment: str = "BUILDING",
     Revenue is exact scaled-int arithmetic (see pricing_summary).
     Date predicates are expected to be pushed into the scans by the caller.
     """
-    from ray.data.aggregate import Sum
     from .joins import hash_join, semi_join
 
     seg_keys = customer.map_batches(
@@ -301,9 +294,9 @@ def shipping_priority(customer, orders, lineitem, *, segment: str = "BUILDING",
         return pa.Table.from_pandas(part, schema=schema,
                                     preserve_index=False)
 
-    agg = j.map_batches(_partial, batch_format="pyarrow") \
-        .groupby(["l_orderkey", "o_orderdate", "o_orderpriority"]) \
-        .aggregate(Sum("rev1e4", alias_name="rev1e4"))
+    agg = combine(j.map_batches(_partial, batch_format="pyarrow"),
+                  ["l_orderkey", "o_orderdate", "o_orderpriority"],
+                  sums_of("rev1e4"))
     top = topk_by(agg, ["rev1e4", "o_orderdate", "l_orderkey"],
                   [True, False, False], k)
     return top.map_batches(
@@ -329,8 +322,6 @@ def pivot_sum_exact(ds, index_col: str, pivot_col: str, value_col: str,
     carries only those partials; the final division back to decimal is
     identical on both engines → bit-exact vs conditional-aggregation SQL.
     """
-    from ray.data.aggregate import Sum
-
     def _partial(t: pa.Table) -> pa.Table:
         idx = t[index_col].to_numpy(zero_copy_only=False)
         cat = t[pivot_col].to_pandas().to_numpy()
@@ -347,10 +338,8 @@ def pivot_sum_exact(ds, index_col: str, pivot_col: str, value_col: str,
         return pa.Table.from_pandas(part, schema=schema,
                                     preserve_index=False)
 
-    agg = ds.map_batches(_partial, batch_format="pyarrow") \
-        .groupby(index_col).aggregate(
-        *[Sum(c, alias_name=c) for c in categories],
-        Sum("n_events", alias_name="n_events"))
+    agg = combine(ds.map_batches(_partial, batch_format="pyarrow"),
+                  [index_col], sums_of(*categories, "n_events"))
 
     def _finalize(t: pa.Table) -> pa.Table:
         cols = {index_col: t[index_col]}
@@ -457,7 +446,6 @@ def revenue_by_nation(lineitem, orders, customer, nation):
     NOT broadcastable at real TPC-H scale), and only the 25-row nation dim
     broadcasts.  Revenue partials combine per batch before the final tiny
     groupby, cents-scaled for bit-exactness."""
-    from ray.data.aggregate import Sum
     from .joins import hash_join
 
     def _li_partial(t: pa.Table) -> pa.Table:
@@ -485,13 +473,10 @@ def revenue_by_nation(lineitem, orders, customer, nation):
                                 {"n_name": "n_name"})
 
     # a missed nationkey leaves n_name NULL; the null group must SURVIVE
-    # (LEFT-JOIN-style SQL emits it) — sentinel through the shuffle, null
-    # on output, same pattern as the grouping-sets total row
-    null_sentinel = "\x00__NULL__"
-
+    # (LEFT-JOIN-style SQL emits it)
     def _nat_partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame({
-            "n_name": t["n_name"].to_pandas().fillna(null_sentinel),
+            "n_name": t["n_name"].to_pandas(),
             "rev1e4": t["rev1e4"].to_numpy(zero_copy_only=False)
             .astype(np.int64)})
         part = df.groupby("n_name", as_index=False, sort=False,
@@ -501,18 +486,12 @@ def revenue_by_nation(lineitem, orders, customer, nation):
         return pa.Table.from_pandas(part, schema=schema,
                                     preserve_index=False)
 
-    agg = enriched.map_batches(_nat_partial, batch_format="pyarrow") \
-        .groupby("n_name").aggregate(Sum("rev1e4", alias_name="rev1e4"))
+    agg = combine(enriched.map_batches(_nat_partial, batch_format="pyarrow"),
+                  ["n_name"], sums_of("rev1e4"))
 
     def _final(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        key = t["n_name"]
-        if isinstance(key, pa.ChunkedArray):
-            key = key.combine_chunks()
-        key = pc.if_else(pc.equal(key, null_sentinel),
-                         pa.nulls(len(key), pa.string()), key)
         return pa.table({
-            "n_name": key,
+            "n_name": t["n_name"],
             "revenue": pa.array(
                 t["rev1e4"].to_numpy(zero_copy_only=False).astype(np.int64)
                 / 10000.0)})
@@ -528,8 +507,6 @@ def value_histogram(events, *, width_cents: int = 5000):
     block).  Binning is integer-exact: cents = round(value·100) as
     int64, bin = floor(cents / width) via the identical double division
     the SQL oracle runs."""
-    from ray.data.aggregate import Sum
-
     def _partial(batch: pa.Table) -> pa.Table:
         from ..functions.rounding import scaled_int
         cents = scaled_int(batch["value"].to_numpy(zero_copy_only=False))
@@ -545,13 +522,16 @@ def value_histogram(events, *, width_cents: int = 5000):
             "n": pa.array(cnt["n"].to_numpy(np.int64)),
         })
 
-    totals = events.map_batches(_partial, batch_format="pyarrow") \
-        .groupby(["event_type", "bin"]).aggregate(Sum("n", alias_name="n"))
+    totals = combine(events.map_batches(_partial, batch_format="pyarrow"),
+                     ["event_type", "bin"], sums_of("n"))
 
     def _lo(t: pa.Table) -> pa.Table:
         lo = t["bin"].to_numpy(zero_copy_only=False) * (width_cents / 100.0)
         return t.append_column("bin_lo", pa.array(lo))
     return totals.map_batches(_lo, batch_format="pyarrow")
+
+
+_MOMENT_SUMS = sums_of("n", "sc_hi", "sc_lo", "sq_hi", "sq_lo")
 
 
 def zscore_events(events):
@@ -568,8 +548,6 @@ def zscore_events(events):
     comparison is exact at atol=0.  Zero-variance groups (constant or
     singleton types) emit NULL on both sides — DuckDB would otherwise
     error on sqrt of a float-rounding-negative variance."""
-    from ray.data.aggregate import Sum
-
     def _moments(batch: pa.Table) -> pa.Table:
         from ..functions.rounding import scaled_int
         cents = scaled_int(batch["value"].to_numpy(zero_copy_only=False))
@@ -599,13 +577,8 @@ def zscore_events(events):
             "sq_hi": pa.array(sq_hi), "sq_lo": pa.array(sq_lo),
         })
 
-    stats = events.map_batches(_moments, batch_format="pyarrow") \
-        .groupby("event_type").aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sc_hi", alias_name="sc_hi"),
-            Sum("sc_lo", alias_name="sc_lo"),
-            Sum("sq_hi", alias_name="sq_hi"),
-            Sum("sq_lo", alias_name="sq_lo")).to_pandas()
+    stats = combine(events.map_batches(_moments, batch_format="pyarrow"),
+                    ["event_type"], _MOMENT_SUMS).to_pandas()
     # |event types| rows — driver-sized by construction; limb
     # recombination in exact Python ints, ONE float conversion each
     # (identical to the oracle's CAST(HUGEINT SUM AS DOUBLE))
@@ -667,8 +640,6 @@ def value_quartiles(events, *, k: int = 4):
     ranks same-cents rows locally inside one partition-group shuffle.
     Bucket sizes replicate SQL NTILE exactly: the first n % k buckets
     get ⌈n/k⌉ rows."""
-    from ray.data.aggregate import Count
-
     def _cents(batch: pa.Table) -> pa.Table:
         from ..functions.rounding import scaled_int
         c = scaled_int(batch["value"].to_numpy(zero_copy_only=False))
@@ -677,8 +648,8 @@ def value_quartiles(events, *, k: int = 4):
 
     with_c = events.map_batches(_cents, batch_format="pyarrow") \
         .materialize()
-    counts = with_c.groupby("cents").aggregate(
-        Count(alias_name="cnt")).to_pandas().sort_values("cents")
+    counts = combine(with_c, ["cents"], [([], "count_all", "cnt")]) \
+        .to_pandas().sort_values("cents")
     # |distinct cents| ≤ value-domain width — driver-sized by construction
     cents_sorted = counts["cents"].to_numpy(np.int64)
     below = np.concatenate([[0], np.cumsum(
@@ -782,7 +753,6 @@ def props_field_stats(events, *, field: str = "k", by: str = "event_type",
     SQL oracle.  Partial-first: per-block cells ship fixed-size rows
     into one small groupby."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min, Sum
 
     pat = '"' + field + '"\\s*:\\s*(?P<v>-?\\d+)'
     try:                       # empty/column-less blocks need the real
@@ -827,12 +797,10 @@ def props_field_stats(events, *, field: str = "k", by: str = "event_type",
             "min_k": pa.array(mn), "max_k": pa.array(mx),
         })
 
-    tot = events.map_batches(_partial, batch_format="pyarrow") \
-        .groupby(by).aggregate(Sum("n", alias_name="n"),
-                               Sum("n_null", alias_name="n_null"),
-                               Sum("sum_k", alias_name="sum_k"),
-                               Min("min_k", alias_name="min_k"),
-                               Max("max_k", alias_name="max_k"))
+    tot = combine(events.map_batches(_partial, batch_format="pyarrow"),
+                  [by], [*sums_of("n", "n_null", "sum_k"),
+                         ("min_k", "min", "min_k"),
+                         ("max_k", "max", "max_k")])
 
     def _final(t: pa.Table) -> pa.Table:
         from ..functions.rounding import round_half_away
@@ -1080,8 +1048,6 @@ def welch_ttest_weekend(events):
     ``(epoch_days + 4) % 7 ∈ {0, 6}`` (verified identical).  Types
     missing either cohort drop (the oracle's self-join); n < 2 on a
     side or zero pooled variance emits NULL t."""
-    from ray.data.aggregate import Sum
-
     def _moments(batch: pa.Table) -> pa.Table:
         from ..functions.rounding import scaled_int
         from .windows import _epoch_micros
@@ -1119,13 +1085,8 @@ def welch_ttest_weekend(events):
             "sc_hi": pa.array(sc_hi), "sc_lo": pa.array(sc_lo),
             "sq_hi": pa.array(sq_hi), "sq_lo": pa.array(sq_lo)})
 
-    stats = events.map_batches(_moments, batch_format="pyarrow") \
-        .groupby(["event_type", "we"]).aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sc_hi", alias_name="sc_hi"),
-            Sum("sc_lo", alias_name="sc_lo"),
-            Sum("sq_hi", alias_name="sq_hi"),
-            Sum("sq_lo", alias_name="sq_lo"))
+    stats = combine(events.map_batches(_moments, batch_format="pyarrow"),
+                    ["event_type", "we"], _MOMENT_SUMS)
 
     def _close(t: pa.Table) -> pa.Table:
         out_ty, out_n1, out_n2 = [], [], []
@@ -2089,13 +2050,10 @@ def cohort_retention(events):
     stages: distinct (user, day) partials (calendar-domain bound),
     one partition-group shuffle by user to anchor cohorts, one tiny
     keyed groupby of (cohort, age) cells, a single-block close."""
-    from ray.data.aggregate import Sum
-
     partials = events.map_batches(_active_day_partial,
                                   batch_format="pyarrow")
     cells = partition_groups(partials, "user_id", _CohortCellsGroup())
-    summed = cells.groupby(["cohort_day", "age_days"]).aggregate(
-        Sum("n", alias_name="n"))
+    summed = combine(cells, ["cohort_day", "age_days"], sums_of("n"))
     return summed.repartition(1).map_batches(
         _CohortClose(), batch_format="pyarrow", batch_size=None)
 
@@ -2188,8 +2146,6 @@ def late_shipment_priority(lineitem, orders, *, grace_days: int = 90):
     order date vs on time.  One partitioned hash join on orderkey (the
     package's bucket-join machinery), then integer indicator partials
     into a 5-row groupby."""
-    from ray.data.aggregate import Sum
-
     from .joins import hash_join
     from .windows import _epoch_micros
 
@@ -2210,10 +2166,8 @@ def late_shipment_priority(lineitem, orders, *, grace_days: int = 90):
             "late_count": pa.array(late.astype(np.int64)),
             "ontime_count": pa.array((~late).astype(np.int64))})
 
-    return j.map_batches(_flags, batch_format="pyarrow") \
-        .groupby("o_orderpriority").aggregate(
-            Sum("late_count", alias_name="late_count"),
-            Sum("ontime_count", alias_name="ontime_count"))
+    return combine(j.map_batches(_flags, batch_format="pyarrow"),
+                   ["o_orderpriority"], sums_of("late_count", "ontime_count"))
 
 
 # --- Grubbs single-outlier test ----------------------------------------------
@@ -2415,7 +2369,6 @@ def user_value_ranks(events):
     single-block rank close (ties share min-rank / max-cume exactly
     like the SQL window)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from ..functions.rounding import round_half_away, scaled_int
 
@@ -2431,8 +2384,8 @@ def user_value_ranks(events):
             "cents": pa.array(scaled_int(
                 t["value"].to_numpy(zero_copy_only=False)))})
 
-    sums = events.map_batches(_cents, batch_format="pyarrow") \
-        .groupby("user_id").aggregate(Sum("cents", alias_name="cents"))
+    sums = combine(events.map_batches(_cents, batch_format="pyarrow"),
+                   ["user_id"], sums_of("cents"))
 
     def _close(t: pa.Table) -> pa.Table:
         empty = pa.table({
@@ -2479,8 +2432,6 @@ def order_priority_check(lineitem, orders, *, grace_days: int = 90):
     after the order date.  The late-lineitem ORDERKEY SET (distinct,
     orders-bounded) semi-joins orders — the fact table never shuffles
     whole rows; counts are pure integers."""
-    from ray.data.aggregate import Count
-
     from .joins import hash_join, semi_join
     from .windows import _epoch_micros
 
@@ -2502,8 +2453,8 @@ def order_priority_check(lineitem, orders, *, grace_days: int = 90):
     hit = semi_join(orders.select_columns(["o_orderkey",
                                            "o_orderpriority"]),
                     late_keys, "o_orderkey")
-    return hit.groupby("o_orderpriority").aggregate(
-        Count(alias_name="late_orders"))
+    return combine(hit, ["o_orderpriority"],
+                   [([], "count_all", "late_orders")])
 
 
 # --- RFM quintile scores ---------------------------------------------------------
@@ -2520,7 +2471,6 @@ def rfm_scores(events):
     (metric, then user_id) — the SQL twin states the identical
     orders."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Max, Sum
 
     from .windows import _epoch_micros
     from ..functions.rounding import scaled_int
@@ -2539,11 +2489,10 @@ def rfm_scores(events):
             "cents": pa.array(scaled_int(
                 t["value"].to_numpy(zero_copy_only=False)))})
 
-    sums = events.map_batches(_prep, batch_format="pyarrow") \
-        .groupby("user_id").aggregate(
-            Max("t", alias_name="last_t"),
-            Count(alias_name="freq"),
-            Sum("cents", alias_name="cents"))
+    sums = combine(events.map_batches(_prep, batch_format="pyarrow"),
+                   ["user_id"], [("t", "max", "last_t"),
+                                 ([], "count_all", "freq"),
+                                 ("cents", "sum", "cents")])
 
     def _ntile(order_keys: np.ndarray, uid: np.ndarray) -> np.ndarray:
         """NTILE(5) positions over (key asc, user_id asc) — DuckDB's
@@ -2606,8 +2555,6 @@ def volume_shipping(lineitem, orders, customer, supplier, nation):
     three fact/dimension sides is broadcastable at real TPC-H scale —
     and only the 25-row nation dim broadcasts (twice, one lookup per
     endpoint).  The final groupby is tiny (|nations|² × |years|)."""
-    from ray.data.aggregate import Sum
-
     from .joins import hash_join
 
     def _li_partial(t: pa.Table) -> pa.Table:
@@ -2660,9 +2607,8 @@ def volume_shipping(lineitem, orders, customer, supplier, nation):
         return pa.Table.from_pandas(part, schema=schema,
                                     preserve_index=False)
 
-    agg = e2.map_batches(_partial, batch_format="pyarrow") \
-        .groupby(["supp_nation", "cust_nation", "l_year"]) \
-        .aggregate(Sum("rev1e4", alias_name="rev1e4"))
+    agg = combine(e2.map_batches(_partial, batch_format="pyarrow"),
+                  ["supp_nation", "cust_nation", "l_year"], sums_of("rev1e4"))
     return agg.map_batches(
         lambda t: pa.table({
             "supp_nation": t["supp_nation"],
@@ -2689,7 +2635,6 @@ def returned_item_revenue(lineitem, orders, customer, nation, *, k: int = 20):
     (no global sort).  The tie at rank k is deterministic: ordered by
     exact integer revenue desc, then custkey asc."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from .joins import hash_join
 
@@ -2724,8 +2669,8 @@ def returned_item_revenue(lineitem, orders, customer, nation, *, k: int = 20):
         return pa.Table.from_pandas(part, schema=schema,
                                     preserve_index=False)
 
-    per_cust = j1.map_batches(_cust_partial, batch_format="pyarrow") \
-        .groupby("o_custkey").aggregate(Sum("rev1e4", alias_name="rev1e4"))
+    per_cust = combine(j1.map_batches(_cust_partial, batch_format="pyarrow"),
+                       ["o_custkey"], sums_of("rev1e4"))
     j2 = hash_join(per_cust, customer.select_columns(
         ["c_custkey", "c_name", "c_nationkey"]), "o_custkey", "c_custkey",
         how="inner", n_buckets=16)
@@ -2759,7 +2704,6 @@ def order_count_distribution(customer, orders, *,
     bounded-domain count-of-counts groupby.  Exact integers
     throughout — no float appears anywhere."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from .joins import hash_join
 
@@ -2775,8 +2719,9 @@ def order_count_distribution(customer, orders, *,
         return pa.Table.from_pandas(part, schema=schema,
                                     preserve_index=False)
 
-    per_cust = orders.map_batches(_ord_partial, batch_format="pyarrow") \
-        .groupby("o_custkey").aggregate(Sum("n_orders", alias_name="n_orders"))
+    per_cust = combine(
+        orders.map_batches(_ord_partial, batch_format="pyarrow"),
+        ["o_custkey"], sums_of("n_orders"))
     j = hash_join(customer.select_columns(["c_custkey"]), per_cust,
                   "c_custkey", "o_custkey", how="left", n_buckets=16)
 
@@ -2791,8 +2736,8 @@ def order_count_distribution(customer, orders, *,
                                     ("custdist", pa.int64())]),
             preserve_index=False)
 
-    return j.map_batches(_cnt_partial, batch_format="pyarrow") \
-        .groupby("c_count").aggregate(Sum("custdist", alias_name="custdist"))
+    return combine(j.map_batches(_cnt_partial, batch_format="pyarrow"),
+                   ["c_count"], sums_of("custdist"))
 
 
 # --- TPC-H-Q15-shaped top supplier ---------------------------------------
@@ -2808,8 +2753,6 @@ def top_supplier_revenue(lineitem, supplier):
     filter + supplier-dimension join touch only the tied rows.
     Revenue is exact 1e-4-dollar integers so the tie is exact, not a
     float accident."""
-    from ray.data.aggregate import Sum
-
     from .joins import hash_join
 
     def _li_partial(t: pa.Table) -> pa.Table:
@@ -2825,9 +2768,9 @@ def top_supplier_revenue(lineitem, supplier):
         return pa.Table.from_pandas(part, schema=schema,
                                     preserve_index=False)
 
-    per_supp = lineitem.map_batches(_li_partial, batch_format="pyarrow") \
-        .groupby("l_suppkey").aggregate(Sum("rev1e4", alias_name="rev1e4")) \
-        .materialize()
+    per_supp = combine(
+        lineitem.map_batches(_li_partial, batch_format="pyarrow"),
+        ["l_suppkey"], sums_of("rev1e4")).materialize()
     from ray.data.aggregate import Max
     row = per_supp.aggregate(Max("rev1e4", alias_name="m"))
     if not row or row["m"] is None:   # empty lineitem: no top supplier
@@ -2883,9 +2826,8 @@ def small_quantity_revenue(lineitem):
         return pa.Table.from_pandas(part, schema=schema,
                                     preserve_index=False)
 
-    stats = lineitem.map_batches(_per_part, batch_format="pyarrow") \
-        .groupby("l_partkey").aggregate(Sum("n", alias_name="n"),
-                                        Sum("sumq100", alias_name="sumq100"))
+    stats = combine(lineitem.map_batches(_per_part, batch_format="pyarrow"),
+                    ["l_partkey"], sums_of("n", "sumq100"))
     j = hash_join(lineitem.select_columns(
         ["l_partkey", "l_quantity", "l_extendedprice"]), stats,
         "l_partkey", "l_partkey", how="inner", n_buckets=16)
@@ -2920,8 +2862,6 @@ def large_volume_customers(lineitem, orders, customer, *,
     before any join, and the two dimension joins touch only survivors.
     Top-k orders by exact total-price cents with the orderkey tie —
     never a global sort."""
-    from ray.data.aggregate import Sum
-
     from .joins import hash_join
 
     def _qty_partial(t: pa.Table) -> pa.Table:
@@ -2938,10 +2878,11 @@ def large_volume_customers(lineitem, orders, customer, *,
 
     thresh100 = int(round(min_qty * 100))
     import pyarrow.compute as pc
-    heavy = lineitem.map_batches(_qty_partial, batch_format="pyarrow") \
-        .groupby("l_orderkey").aggregate(Sum("q100", alias_name="q100")) \
-        .map_batches(lambda t: t.filter(pc.greater(t["q100"], thresh100)),
-                     batch_format="pyarrow")
+    heavy = combine(
+        lineitem.map_batches(_qty_partial, batch_format="pyarrow"),
+        ["l_orderkey"], sums_of("q100")).map_batches(
+        lambda t: t.filter(pc.greater(t["q100"], thresh100)),
+        batch_format="pyarrow")
     j1 = hash_join(heavy, orders.select_columns(
         ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]),
         "l_orderkey", "o_orderkey", how="inner", n_buckets=16)
@@ -3068,10 +3009,8 @@ def inactive_high_balance(customer, orders, *,
         return pa.Table.from_pandas(part, schema=schema,
                                     preserve_index=False)
 
-    agg = quiet.map_batches(_nat_partial, batch_format="pyarrow") \
-        .groupby("c_nationkey").aggregate(
-            Sum("numcust", alias_name="numcust"),
-            Sum("bal100", alias_name="bal100"))
+    agg = combine(quiet.map_batches(_nat_partial, batch_format="pyarrow"),
+                  ["c_nationkey"], sums_of("numcust", "bal100"))
     return agg.map_batches(
         lambda t: pa.table({
             "c_nationkey": t["c_nationkey"],
@@ -3134,8 +3073,6 @@ def mode_per_type(events):
     carries |types|×|distinct cents| rows bounded by the value domain,
     never |events| — and the argmax close reads the whole tiny cell
     table in one block."""
-    from ray.data.aggregate import Sum
-
     def _cell_partial(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         t = t.filter(pc.is_valid(t["value"]))
@@ -3151,8 +3088,8 @@ def mode_per_type(events):
                                     ("n", pa.int64())]),
             preserve_index=False)
 
-    cells = events.map_batches(_cell_partial, batch_format="pyarrow") \
-        .groupby(["event_type", "cents"]).aggregate(Sum("n", alias_name="n"))
+    cells = combine(events.map_batches(_cell_partial, batch_format="pyarrow"),
+                    ["event_type", "cents"], sums_of("n"))
 
     def _close(t: pa.Table) -> pa.Table:
         df = t.to_pandas()
@@ -3224,8 +3161,6 @@ def pagerank_event_types(events, *, iters: int = 4):
     from functools import reduce
     from operator import add
 
-    from ray.data.aggregate import Sum
-
     from .windows import _epoch_micros
     from ..functions.rounding import round_half_away
 
@@ -3240,10 +3175,9 @@ def pagerank_event_types(events, *, iters: int = 4):
                          "event_type": batch["event_type"],
                          "t": pa.array(_epoch_micros(batch["ts"]))})
 
-    cells = partition_groups(
+    cells = combine(partition_groups(
         events.map_batches(_prep, batch_format="pyarrow"), "user_id",
-        _BigramCellsGroup()) \
-        .groupby(["u", "v"]).aggregate(Sum("w", alias_name="w"))
+        _BigramCellsGroup()), ["u", "v"], sums_of("w"))
     edges = cells.to_pandas()
     import ray.data as rd
     if len(edges) == 0:

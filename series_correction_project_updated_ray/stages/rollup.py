@@ -3,10 +3,13 @@
 Scale-correct two-phase aggregation (SURVEY.md §2.7): a ``map_batches``
 pre-aggregation folds each block to at most one row per (key, window) —
 so the ONLY shuffle moves partials, not raw events — followed by
-``merge_partials``, which sorts the partials so every (key, window) cell
-lands in one block and folds each block with one vectorized Arrow
-``group_by`` over the mergeable tuple (min, max, sum, count).  Mean is
-derived after the merge.
+``merge_partials``, one ``combine`` over the mergeable tuple (min, max,
+sum, count) per (key, window) cell.  Mean is derived after the merge.
+
+``combine`` is the engine's one keyed aggregate: every stage that folds
+rows per key (sums, counts, min/max, distinct) calls it.  It sorts rows
+on a hash of the keys, so each group lands in one block, and folds each
+block with one vectorized Arrow ``group_by``.
 
 Windows are event-time buckets ``window_start = ts - ts % width`` on Unix
 seconds; tiers nest (60 | 3600 | 86400), so ``rollup_tiers`` emits every
@@ -86,49 +89,111 @@ def _finalize(batch: pa.Table, round_to: int | None) -> pa.Table:
     return batch.append_column("vmean", pa.array(vmean))
 
 
-_MERGE_AGGS = [("vmin", "min"), ("vmax", "max"), ("vsum", "sum"),
-               ("vcount", "sum")]
+_SORT_BLOCK_ROWS = 1 << 16
 
 
-def _merge_block(batch: pa.Table, key_cols: list[str]) -> pa.Table:
-    # window_start leads the group keys: pyarrow 16 splits the null group
-    # of a nullable string key that comes first in a multi-key group_by
-    out = batch.group_by(["window_start", *key_cols], use_threads=False) \
-        .aggregate(_MERGE_AGGS)
-    cells = [*key_cols, "window_start"]
-    return out.select(cells + [f"{c}_{f}" for c, f in _MERGE_AGGS]) \
-        .rename_columns(cells + [c for c, _ in _MERGE_AGGS])
+def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """int64 hash of each row's keys, equal for equal keys in every block
+    whatever the block's null layout; a null key hashes as 0."""
+    h = np.zeros(t.num_rows, dtype=np.uint64)
+    for k in keys:
+        col = t[k]
+        if pa.types.is_integer(col.type) or pa.types.is_boolean(col.type):
+            # to_pandas would turn a null-bearing int column into float64,
+            # whose bits hash unlike the same ints in a null-free block
+            vals = pc.fill_null(col.cast(pa.int64()), 0).to_numpy()
+        elif pa.types.is_floating(col.type):
+            # + 0.0 folds -0.0 into 0.0
+            vals = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy() + 0.0
+        else:
+            vals = col.to_pandas()
+        hk = pd.util.hash_array(vals) if isinstance(vals, np.ndarray) \
+            else stable_hash_array(vals)
+        if col.null_count:
+            hk[pc.is_null(col).to_numpy(zero_copy_only=False)] = 0
+        with np.errstate(over="ignore"):
+            h = h * np.uint64(0x9E3779B97F4A7C15) + hk
+    return h.view(np.int64)
+
+
+def _is_var_width(t: pa.DataType) -> bool:
+    try:
+        t.bit_width
+    except ValueError:
+        return True
+    return False
+
+
+def combine(ds, keys: list[str], aggs: list[tuple]):
+    """The one keyed aggregate: one row per distinct ``keys`` tuple, with
+    ``aggs`` — pyarrow ``(column, function, alias)`` entries such as
+    ``("c", "sum", "c")``, ``("v", "min", "lo")`` or ``([], "count_all",
+    "n")`` (a row count, nulls included; ``"count"`` skips nulls) — as the
+    columns after the keys.  ``aggs=[]`` is a distinct over ``keys``.
+    Only the key and aggregated columns are shuffled.
+
+    Rows get ``__h``, a never-null int64 hash of the keys, and are sorted
+    on it: the sort's reduce emits one block per partition and equal
+    hashes never straddle two, so one group never spans two blocks.  Each
+    block is then folded by one ``pa.Table.group_by(["__h", *keys])``,
+    with the variable-width keys (strings, binary) after the fixed-width
+    ones: pyarrow 16 splits the null group of a nullable string key that
+    a fixed-width key follows.  Sorting on the hash keeps null keys out
+    of the sort's sampling and balances the partitions.
+
+    Semantics (pyarrow's hash aggregates):
+    - null keys form one group, as SQL's GROUP BY;
+    - a sum over a NaN (or over +inf and -inf) is NaN, where Ray's
+      ``Sum`` treated NaN as null;
+    - min and max skip NaN (an all-NaN group gets min +inf, max -inf, as
+      Ray's ``Min``/``Max`` did);
+    - keys keep their input type (Ray's aggregate widened int32 keys to
+      int64 and cut timestamp[us] keys to timestamp[s]);
+    - ``sum``, ``count`` and ``count_all`` are int64 over integer input
+      (int32 included) and float64 over float input; ``min``/``max`` keep
+      the input type.
+    Output is grouped by hash, not sorted by key: a caller that needs key
+    order sorts."""
+    keys = list(keys)
+    cols = list(dict.fromkeys([*keys, *(c for c, _, _ in aggs if c)]))
+
+    def _hash(t: pa.Table) -> pa.Table:
+        return t.select(cols).append_column(
+            "__h", pa.array(_key_hash(t, keys)))
+
+    def _fold(t: pa.Table) -> pa.Table:
+        order = sorted(keys, key=lambda k: _is_var_width(t[k].type))
+        aliases = [alias for _, _, alias in aggs]
+        out = t.group_by(["__h", *order], use_threads=False) \
+            .aggregate([(c, f) for c, f, _ in aggs])
+        # pyarrow puts the group keys first, then the aggregates in order
+        return out.rename_columns(["__h", *order, *aliases]) \
+            .select([*keys, *aliases])
+
+    # the sort emits as many blocks as it takes in and exchanges one
+    # object per (input, output) block pair: hashing in batches of
+    # _SORT_BLOCK_ROWS rows coalesces many small blocks (a union of
+    # partition-group outputs) into few, so the exchange does not square
+    # their count
+    return ds.map_batches(_hash, batch_size=_SORT_BLOCK_ROWS,
+                          batch_format="pyarrow").sort("__h") \
+        .map_batches(_fold, batch_size=None, batch_format="pyarrow")
+
+
+def sums_of(*cols: str) -> list[tuple]:
+    """``combine`` entries summing each of ``cols`` under its own name."""
+    return [(c, "sum", c) for c in cols]
+
+
+_MERGE_AGGS = [("vmin", "min", "vmin"), ("vmax", "max", "vmax"),
+               ("vsum", "sum", "vsum"), ("vcount", "sum", "vcount")]
 
 
 def merge_partials(partials, key_cols: list[str]):
     """Merge (key_cols…, window_start, vmin, vmax, vsum, vcount) partial
     rows into one row per cell — the mergeable-tuple fold of every rollup
-    and of the incremental store.
-
-    The partials are sorted on (hash of the first key, window_start); the
-    sort's reduce emits ONE block per partition, and equal sort keys always
-    fall in the same partition, so one cell never spans two blocks — the
-    same guarantee ``map_groups`` relies on.  Each block is then folded by
-    one vectorized Arrow ``group_by``: nulls form their own group, as in
-    SQL; min/max skip NaN; a NaN partial sum makes the cell's sum NaN (as
-    SQL's sum over +inf and -inf), where Ray's ``Sum`` skipped it.
-    Sorting on the hash rather than the keys keeps null keys out of the
-    sort's sampling, and pairing it with the window gives as many distinct
-    sort keys as there are cells, so the partitions stay balanced."""
-    def _add_hash(t: pa.Table) -> pa.Table:
-        key = t[key_cols[0]]
-        if pa.types.is_integer(key.type):
-            # to_pandas turns a null-bearing int column into float64, whose
-            # bits hash unlike the same keys in a null-free int64 block (a
-            # null may share 0's hash; the block's group_by splits them)
-            key = pc.fill_null(key, 0)
-        h = stable_hash_array(key).view(np.int64)
-        return t.append_column("__h", pa.array(h))
-
-    return partials.map_batches(_add_hash, batch_format="pyarrow") \
-        .sort(["__h", "window_start"]) \
-        .map_batches(_merge_block, batch_size=None, batch_format="pyarrow",
-                     fn_kwargs={"key_cols": key_cols})
+    and of the incremental store."""
+    return combine(partials, [*key_cols, "window_start"], _MERGE_AGGS)
 
 
 def rollup_events(events, key_col: str = "event_type", ts_col: str = "ts",

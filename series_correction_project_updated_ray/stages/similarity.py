@@ -15,6 +15,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .rollup import combine, sums_of
 from ..functions.rounding import round_half_away
 
 
@@ -259,8 +260,6 @@ def embedding_centroid_dist(embeddings, *, label_col: str = "label",
     per block, and the tiny centroid table broadcasts into the distance
     pass.  Per-row reductions replay DuckDB's sequential element order
     (np.cumsum, verified bit-identical to ``list_distance``)."""
-    from ray.data.aggregate import Sum
-
     SCALE = float(1 << 20)
 
     def _partial(batch: pa.Table) -> pa.Table:
@@ -289,10 +288,9 @@ def embedding_centroid_dist(embeddings, *, label_col: str = "label",
             "n": pa.array(np.repeat(counts, dims)),
         })
 
-    stats = embeddings.map_batches(_partial, batch_format="pyarrow") \
-        .groupby([label_col, "dim"]).aggregate(
-            Sum("ssum", alias_name="ssum"), Sum("n", alias_name="n")) \
-        .to_pandas()
+    stats = combine(embeddings.map_batches(_partial, batch_format="pyarrow"),
+                    [label_col, "dim"],
+                    sums_of("ssum", "n")).to_pandas()
     # |labels| × dims rows — driver-sized by construction
     cents: dict = {}
     for lab, grp in stats.groupby(label_col):
@@ -413,15 +411,12 @@ def embedding_dim_stats(embeddings, *, vec_col: str = "embedding"):
     vector stream never shuffles."""
     import functools
 
-    from ray.data.aggregate import Max, Min, Sum
-
     partials = embeddings.map_batches(
         functools.partial(_dim_stats_partial, vec_col=vec_col),
         batch_format="pyarrow")
-    agg = partials.groupby("pos").aggregate(
-        Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-        Sum("s2", alias_name="s2"), Min("mn", alias_name="mn"),
-        Max("mx", alias_name="mx"))
+    agg = combine(partials, ["pos"], [*sums_of("n", "s", "s2"),
+                                       ("mn", "min", "mn"),
+                                       ("mx", "max", "mx")])
     return agg.map_batches(_dim_stats_close, batch_format="pyarrow")
 
 

@@ -13,6 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .rollup import combine, sums_of
 from ..functions import text as T
 
 
@@ -183,8 +184,6 @@ def winnow_matches(seqs, *, k: int = 5, w: int = 4, min_docs: int = 2,
     counts.  One small groupby over the (already ≈ n/(w+1)-sparse)
     winnowed selections — the aggregate view of span-level dedup; the
     per-pair verify step is `ngram_jaccard_pairs`' machinery."""
-    from ray.data.aggregate import Sum
-
     winnow = WinnowFingerprints(k, w, tok_col)
 
     def _partial(seq_block: pa.Table) -> pa.Table:
@@ -209,9 +208,8 @@ def winnow_matches(seqs, *, k: int = 5, w: int = 4, min_docs: int = 2,
         return pa.table({"fp": pa.array(u), "n_docs": pa.array(nd),
                          "n_occ": pa.array(no.astype(np.int64))})
 
-    tot = seqs.map_batches(_partial, batch_format="pyarrow") \
-        .groupby("fp").aggregate(Sum("n_docs", alias_name="n_docs"),
-                                 Sum("n_occ", alias_name="n_occ"))
+    tot = combine(seqs.map_batches(_partial, batch_format="pyarrow"),
+                  ["fp"], sums_of("n_docs", "n_occ"))
 
     def _filt(t: pa.Table) -> pa.Table:
         return t.filter(pc.greater_equal(t["n_docs"],
@@ -253,11 +251,9 @@ def term_frequencies(docs, *, top_k: int = 20):
     """Top-k terms per source by total count (ties broken by term) —
     batch-local vocabulary partials, ONE (source, term) groupby, then the
     distributed top-k (no global sort)."""
-    from ray.data.aggregate import Sum
     from .windows import topn_per_group
     partials = docs.map_batches(TermFreqPartial(), batch_format="pyarrow")
-    totals = partials.groupby(["source", "term"]).aggregate(
-        Sum("cnt", alias_name="cnt"))
+    totals = combine(partials, ["source", "term"], sums_of("cnt"))
     return topn_per_group(totals, "source", ["cnt", "term"],
                           [True, False], top_k)
 
@@ -498,8 +494,6 @@ def tfidf_top_term(docs, *, n_docs: int | None = None):
     ln(N/df) with raw term counts, top-1 by (score DESC, term ASC)."""
     import re
 
-    from ray.data.aggregate import Sum
-
     word_re = re.compile(r"[a-z]+")
 
     def _doc_terms(batch: pa.Table) -> pa.Table:
@@ -517,9 +511,8 @@ def tfidf_top_term(docs, *, n_docs: int | None = None):
     docs = docs.materialize()
     if n_docs is None:
         n_docs = docs.count()
-    df_tbl = docs.map_batches(_doc_terms, batch_format="pyarrow") \
-        .groupby("term").aggregate(Sum("df", alias_name="df")) \
-        .materialize()
+    df_tbl = combine(docs.map_batches(_doc_terms, batch_format="pyarrow"),
+                     ["term"], sums_of("df")).materialize()
     refs = df_tbl.to_arrow_refs()
     from .taskcache import class_task
     out = docs.map_batches(class_task(_TfIdfScore, refs, n_docs),
@@ -601,8 +594,6 @@ def remove_common_ngrams(docs, *, n: int = 3, min_df: int = 50):
     the common set of a min_df this high stays small (boilerplate is by
     definition rare in TYPE count, huge in token count); were it not, a
     Bloom filter over the hashes ships instead — same plan shape."""
-    from ray.data.aggregate import Sum
-
     from ..functions import text as T
     from ..functions.hashing import stable_hash_array
 
@@ -616,9 +607,8 @@ def remove_common_ngrams(docs, *, n: int = 3, min_df: int = 50):
             grams = np.asarray(
                 [" ".join(toks[i:i + n])
                  for i in range(len(toks) - n + 1)], dtype=object)
-            # int64 VIEW of the uint64 hash: Ray's groupby boundary
-            # sampling mangles uint64 keys past 2^63 (observed pickled-
-            # object blocks); the reinterpret keeps identity
+            # int64 VIEW of the uint64 hash (the reinterpret keeps
+            # identity)
             for h in np.unique(stable_hash_array(grams)).view(np.int64):
                 out[h] = out.get(h, 0) + 1
         return pa.table({
@@ -633,8 +623,8 @@ def remove_common_ngrams(docs, *, n: int = 3, min_df: int = 50):
         return t.filter(pc.greater_equal(t["df"], min_df)).select(["gh"])
 
     docs = docs.materialize()
-    common = docs.map_batches(_doc_grams, batch_format="pyarrow") \
-        .groupby("gh").aggregate(Sum("df", alias_name="df")) \
+    common = combine(docs.map_batches(_doc_grams, batch_format="pyarrow"),
+                     ["gh"], sums_of("df")) \
         .map_batches(_common_only, batch_format="pyarrow").materialize()
     refs = common.to_arrow_refs()
     from .taskcache import class_task
@@ -695,8 +685,6 @@ def quality_gate_summary(docs, *, min_tokens: int = 20,
     integer counts (no rounding), so the threshold comparisons are
     bit-identical to the SQL oracle.  Partial-first: each batch emits
     ≤ |sources|×4 count rows."""
-    from ray.data.aggregate import Sum
-
     def _verdicts(batch: pa.Table) -> pa.Table:
         texts = batch["text"].to_pandas()
         sources = batch["source"].to_pandas().to_numpy()
@@ -729,8 +717,8 @@ def quality_gate_summary(docs, *, min_tokens: int = 20,
                                       count=len(out))),
         })
 
-    return docs.map_batches(_verdicts, batch_format="pyarrow") \
-        .groupby(["source", "verdict"]).aggregate(Sum("n", alias_name="n"))
+    return combine(docs.map_batches(_verdicts, batch_format="pyarrow"),
+                   ["source", "verdict"], sums_of("n"))
 
 
 def token_budget_sample(docs, *, budget_tokens: int = 50_000):
@@ -876,16 +864,12 @@ def unigram_logprob(docs, *, text_col="text", id_col="doc_id"):
     oracle)."""
     import functools
 
-    from ray.data.aggregate import Sum
-
     from .taskcache import class_task
 
     docs = docs.materialize()
-    cnt_tbl = docs.map_batches(
+    cnt_tbl = combine(docs.map_batches(
         functools.partial(_vocab_count_partial, text_col=text_col),
-        batch_format="pyarrow") \
-        .groupby("term").aggregate(Sum("cnt", alias_name="cnt")) \
-        .materialize()
+        batch_format="pyarrow"), ["term"], sums_of("cnt")).materialize()
     total = cnt_tbl.sum("cnt")
     if total is None:                  # token-less corpus → typed empty
         import ray.data as rd
@@ -959,14 +943,11 @@ def zipf_fit(docs, *, top_k: int = 1000):
     term groupby → distributed top-k (never a global sort) → a bounded
     one-block close; ln terms and ordered folds are bit-exact vs the
     libm-ln ``list_reduce`` oracle."""
-    from ray.data.aggregate import Sum
-
     from .relational import topk_by
 
     partials = docs.map_batches(_vocab_count_partial,
                                 batch_format="pyarrow")
-    totals = partials.groupby("term").aggregate(
-        Sum("cnt", alias_name="cnt"))
+    totals = combine(partials, ["term"], sums_of("cnt"))
     top = topk_by(totals, ["cnt", "term"], [True, False], top_k)
     return top.repartition(1).map_batches(
         _ZipfClose(), batch_format="pyarrow", batch_size=None)
@@ -1076,7 +1057,6 @@ def pmi_pairs(docs, *, top_k: int = 50, min_cooc: int = 5):
     fixed-size k×k co-occurrence partial merged by ONE tiny keyed
     groupby; the close is k(k−1)/2 libm terms."""
     import ray
-    from ray.data.aggregate import Sum
 
     import re
 
@@ -1099,8 +1079,8 @@ def pmi_pairs(docs, *, top_k: int = 50, min_cooc: int = 5):
 
     docs = docs.materialize()
     n_docs = docs.count()
-    df_tbl = docs.map_batches(_doc_terms, batch_format="pyarrow") \
-        .groupby("term").aggregate(Sum("df", alias_name="df"))
+    df_tbl = combine(docs.map_batches(_doc_terms, batch_format="pyarrow"),
+                     ["term"], sums_of("df"))
     top = topk_by(df_tbl, ["df", "term"], [True, False], top_k) \
         .take_all()                     # ≤ top_k rows — driver-safe
     vocab = sorted(r["term"] for r in top)   # index order == string order
@@ -1108,8 +1088,7 @@ def pmi_pairs(docs, *, top_k: int = 50, min_cooc: int = 5):
     from .taskcache import class_task
     partials = docs.map_batches(class_task(_PmiPresence, ref),
                                 batch_format="pyarrow")
-    summed = partials.groupby(["i", "j"]).aggregate(
-        Sum("c", alias_name="c"))
+    summed = combine(partials, ["i", "j"], sums_of("c"))
     return summed.repartition(1).map_batches(
         class_task(_PmiClose, ref, n_docs, min_cooc),
         batch_format="pyarrow", batch_size=None)
@@ -1178,11 +1157,8 @@ def _source_term_cells(docs):
     """The shared (source, term) vocabulary-cells builder behind
     :func:`source_kl` and :func:`lexical_richness`: batch-local
     :class:`TermFreqPartial` counts (THE one tokenizer — the token
-    stream never shuffles) with NULL sources dropped before the keyed
-    groupby (out of scope, and they would break the Python boundary
-    comparison), summed to one (source, term, c) cell per pair."""
-    from ray.data.aggregate import Sum
-
+    stream never shuffles) with NULL sources dropped (out of scope),
+    summed to one (source, term, c) cell per pair."""
     tf = TermFreqPartial()
 
     def _partial(batch: pa.Table) -> pa.Table:
@@ -1193,8 +1169,8 @@ def _source_term_cells(docs):
         out = tf(batch)
         return out.filter(pc.is_valid(out["source"]))
 
-    return docs.map_batches(_partial, batch_format="pyarrow") \
-        .groupby(["source", "term"]).aggregate(Sum("cnt", alias_name="c"))
+    return combine(docs.map_batches(_partial, batch_format="pyarrow"),
+                   ["source", "term"], [("cnt", "sum", "c")])
 
 
 def source_kl(docs):
@@ -1371,21 +1347,15 @@ def bigram_logprob(docs, *, text_col="text", id_col="doc_id"):
     (no pair rows in the oracle)."""
     import functools
 
-    from ray.data.aggregate import Sum
-
     from .taskcache import class_task
 
     docs = docs.materialize()
-    bg_tbl = docs.map_batches(
+    bg_tbl = combine(docs.map_batches(
         functools.partial(_bigram_count_partial, text_col=text_col),
-        batch_format="pyarrow") \
-        .groupby(["w1", "w2"]).aggregate(Sum("cnt", alias_name="cnt")) \
-        .materialize()
-    uni_tbl = docs.map_batches(
+        batch_format="pyarrow"), ["w1", "w2"], sums_of("cnt")).materialize()
+    uni_tbl = combine(docs.map_batches(
         functools.partial(_vocab_count_partial, text_col=text_col),
-        batch_format="pyarrow") \
-        .groupby("term").aggregate(Sum("cnt", alias_name="cnt")) \
-        .materialize()
+        batch_format="pyarrow"), ["term"], sums_of("cnt")).materialize()
     v_size = uni_tbl.count()
     if v_size == 0:
         import ray.data as rd
@@ -1583,26 +1553,21 @@ def dsir_weights(docs, *, target_lang: str = "en", text_col="text",
     import functools
 
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from .taskcache import class_task
 
     docs = docs.materialize()
-    raw_tbl = docs.map_batches(
+    raw_tbl = combine(docs.map_batches(
         functools.partial(_vocab_count_partial, text_col=text_col),
-        batch_format="pyarrow") \
-        .groupby("term").aggregate(Sum("cnt", alias_name="cnt")) \
-        .materialize()
+        batch_format="pyarrow"), ["term"], sums_of("cnt")).materialize()
 
     def _tgt_filter(t: pa.Table) -> pa.Table:
         return t.filter(pc.equal(t[lang_col], target_lang))
 
-    tgt_tbl = docs.map_batches(_tgt_filter, batch_format="pyarrow") \
-        .map_batches(
+    tgt_tbl = combine(
+        docs.map_batches(_tgt_filter, batch_format="pyarrow").map_batches(
             functools.partial(_vocab_count_partial, text_col=text_col),
-            batch_format="pyarrow") \
-        .groupby("term").aggregate(Sum("cnt", alias_name="cnt")) \
-        .materialize()
+            batch_format="pyarrow"), ["term"], sums_of("cnt")).materialize()
     v_size = raw_tbl.count()
     if v_size == 0:
         import ray.data as rd
@@ -1737,8 +1702,6 @@ def heaps_law(docs, *, text_col="text", id_col="doc_id"):
     ordered close."""
     import functools
 
-    from ray.data.aggregate import Min, Sum
-
     docs = docs.materialize()
 
     def _tok_totals(batch: pa.Table) -> pa.Table:
@@ -1774,8 +1737,9 @@ def heaps_law(docs, *, text_col="text", id_col="doc_id"):
             "fdoc": pa.array(np.fromiter(first.values(), dtype=np.int64,
                                          count=len(first)))})
 
-    firsts = docs.map_batches(_first_doc_partial, batch_format="pyarrow") \
-        .groupby("term").aggregate(Min("fdoc", alias_name="fdoc"))
+    firsts = combine(
+        docs.map_batches(_first_doc_partial, batch_format="pyarrow"),
+        ["term"], [("fdoc", "min", "fdoc")])
 
     def _new_counts(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1791,9 +1755,8 @@ def heaps_law(docs, *, text_col="text", id_col="doc_id"):
 
     new_rows = firsts.map_batches(_new_counts, batch_format="pyarrow")
     totals = docs.map_batches(_tok_totals, batch_format="pyarrow")
-    combined = totals.union(new_rows).groupby(id_col).aggregate(
-        Sum("n_tok", alias_name="n_tok"),
-        Sum("new_terms", alias_name="new_terms"))
+    combined = combine(totals.union(new_rows), [id_col],
+                       sums_of("n_tok", "new_terms"))
 
     def _only_token_docs(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1841,16 +1804,12 @@ def distinct_ngrams(docs, *, max_n: int = 3, text_col="text"):
     never shuffles and nothing reaches the driver."""
     import functools
 
-    from ray.data.aggregate import Count, Sum
-
-    merged = docs.map_batches(
+    merged = combine(docs.map_batches(
         functools.partial(_ngram_count_partial, max_n=max_n,
                           text_col=text_col),
-        batch_format="pyarrow") \
-        .groupby(["n", "gram"]).aggregate(Sum("cnt", alias_name="cnt"))
-    per_n = merged.groupby("n").aggregate(
-        Sum("cnt", alias_name="total"),
-        Count(alias_name="n_distinct"))
+        batch_format="pyarrow"), ["n", "gram"], sums_of("cnt"))
+    per_n = combine(merged, ["n"], [("cnt", "sum", "total"),
+                                    ([], "count_all", "n_distinct")])
 
     def _close(t: pa.Table) -> pa.Table:
         from ..functions.rounding import round_half_away
@@ -1918,16 +1877,13 @@ def oov_rate(docs, *, top_k: int = 1000, text_col="text",
     shuffles."""
     import functools
 
-    from ray.data.aggregate import Sum
-
     from .relational import topk_by
     from .taskcache import class_task
 
     docs = docs.materialize()
-    cnt = docs.map_batches(
+    cnt = combine(docs.map_batches(
         functools.partial(_vocab_count_partial, text_col=text_col),
-        batch_format="pyarrow") \
-        .groupby("term").aggregate(Sum("cnt", alias_name="cnt"))
+        batch_format="pyarrow"), ["term"], sums_of("cnt"))
     top = topk_by(cnt, ["cnt", "term"], [True, False], top_k) \
         .select_columns(["term"]).materialize()
     out = docs.map_batches(
@@ -1950,10 +1906,7 @@ def source_mix_weights(docs, *, alpha: float = 0.7,
     ONE tiny groupby (source domain is bounded) + a single-block
     close; the per-source ``pow`` is libm (glibc == DuckDB bit-for-
     bit) and the normalizing Σ folds in source order."""
-    from ray.data.aggregate import Count
-
-    counts = docs.groupby(source_col).aggregate(
-        Count(alias_name="n_docs"))
+    counts = combine(docs, [source_col], [([], "count_all", "n_docs")])
 
     def _close(t: pa.Table) -> pa.Table:
         import math
@@ -2047,7 +2000,6 @@ def vocab_overlap_sources(docs, *, text_col="text",
     import functools
 
     import ray
-    from ray.data.aggregate import Sum
 
     from .taskcache import class_task
     from .joins import partition_groups
@@ -2080,8 +2032,7 @@ def vocab_overlap_sources(docs, *, text_col="text",
     ref = ray.put(sources)
     partials = partition_groups(
         cells, "term", class_task(_VocabOverlapPartial, ref))
-    summed = partials.groupby(["i", "j"]).aggregate(
-        Sum("c", alias_name="c"))
+    summed = combine(partials, ["i", "j"], sums_of("c"))
 
     def _close(t: pa.Table) -> pa.Table:
         from ..functions.rounding import round_half_away

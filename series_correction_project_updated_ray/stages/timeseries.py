@@ -31,6 +31,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .joins import partition_groups
+from .rollup import combine, sums_of
 from .windows import _epoch_micros
 from ..functions.rounding import round_half_away, scaled_int
 
@@ -649,7 +650,6 @@ def seasonal_profile(events, *, by: str = "event_type",
     ...); ``key_type`` only sets the type emitted for column-less
     empty blocks (default string, matching the ``event_type``
     default key)."""
-    from ray.data.aggregate import Sum
     empty_key_type = key_type if key_type is not None else pa.string()
 
     def _partial(t: pa.Table) -> pa.Table:
@@ -682,9 +682,8 @@ def seasonal_profile(events, *, by: str = "event_type",
             "n": pa.array(nc),
         })
 
-    tot = events.map_batches(_partial, batch_format="pyarrow") \
-        .groupby([by, "hod"]).aggregate(Sum("c", alias_name="c"),
-                                        Sum("n", alias_name="n"))
+    tot = combine(events.map_batches(_partial, batch_format="pyarrow"),
+                  [by, "hod"], sums_of("c", "n"))
 
     def _final(t: pa.Table) -> pa.Table:
         c = t["c"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -1111,7 +1110,7 @@ def _topk_hourly_cells(events, k: int):
     Ray spills it past memory, and at a scale where spilling three
     passes' worth is worse than re-scanning, drop the ``materialize()``
     and let each consumer re-read the pruned columns."""
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Max, Min
 
     from .relational import topk_by
 
@@ -1137,8 +1136,8 @@ def _topk_hourly_cells(events, k: int):
         return pa.table({"user_id": pa.array(u),
                          "cnt": pa.array(cnts.astype(np.int64))})
 
-    counts = hourly.map_batches(_cnt_partial, batch_format="pyarrow") \
-        .groupby("user_id").aggregate(Sum("cnt", alias_name="cnt"))
+    counts = combine(hourly.map_batches(_cnt_partial, batch_format="pyarrow"),
+                     ["user_id"], sums_of("cnt"))
     top = topk_by(counts, ["cnt", "user_id"], [True, False], k) \
         .select_columns(["user_id"]).take_all()
     users = np.array([r["user_id"] for r in top], dtype=np.int64)
@@ -1156,8 +1155,7 @@ def _topk_hourly_cells(events, k: int):
         v = b["value"].to_numpy(zero_copy_only=False) \
             .astype(np.float64)
         # NULL/NaN values drop — scaled_int(NaN) is INT64_MIN and
-        # would poison the cents sums (and Ray's Sum would promote
-        # the overflowing column to pickled objects downstream)
+        # would poison the cents sums
         keep = np.isin(u, users) & np.isfinite(v)
         u = u[keep]
         h = b["h"].to_numpy()[keep]
@@ -1174,8 +1172,8 @@ def _topk_hourly_cells(events, k: int):
                          "h": pa.array(uq & ((1 << 40) - 1)),
                          "v": pa.array(sums)})
 
-    cells = hourly.map_batches(_cell_partial, batch_format="pyarrow") \
-        .groupby(["user_id", "h"]).aggregate(Sum("v", alias_name="v"))
+    cells = combine(hourly.map_batches(_cell_partial, batch_format="pyarrow"),
+                    ["user_id", "h"], sums_of("v"))
     return users, hmin, hmax, cells
 
 

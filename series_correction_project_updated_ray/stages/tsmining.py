@@ -38,6 +38,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .joins import partition_groups
+from .rollup import combine, sums_of
 from .windows import _epoch_micros
 from ..functions.rounding import round_half_away, scaled_int
 
@@ -385,8 +386,6 @@ def dtw_profile_pairs(events, *, k_users: int = 12):
     one task on a single ≤ k_users·24-int block — the all-pairs step
     never sees corpus-proportional data.  Output (user_a, user_b, dtw)
     with dtw in value units (exact cents DP / 100, rounded 6dp)."""
-    from ray.data.aggregate import Sum
-
     def _partial(t: pa.Table) -> pa.Table:
         if "ts" not in t.column_names:   # column-less empty block
             e = np.empty(0, np.int64)
@@ -403,8 +402,8 @@ def dtw_profile_pairs(events, *, k_users: int = 12):
                          "hod": pa.array(cell % 24),
                          "c": pa.array(sc)})
 
-    prof = events.map_batches(_partial, batch_format="pyarrow") \
-        .groupby(["user_id", "hod"]).aggregate(Sum("c", alias_name="c"))
+    prof = combine(events.map_batches(_partial, batch_format="pyarrow"),
+                   ["user_id", "hod"], sums_of("c"))
 
     # keep the k smallest user_ids: tiny sort over the ≤24·|users|
     # profile rows, then ONE block through the pair DP

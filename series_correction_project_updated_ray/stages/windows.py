@@ -18,7 +18,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .joins import partition_groups
-from .rollup import _epoch_seconds
+from .rollup import _epoch_seconds, combine, sums_of
 from ..functions.rounding import round_half_away, scaled_int
 
 
@@ -52,16 +52,6 @@ def _session_boundaries(codes: np.ndarray, t: np.ndarray,
         boundary[1:] = (codes[1:] != codes[:-1]) \
             | (np.diff(t) > timeout_s)
     return boundary
-
-
-def _sorted_group(g: pd.DataFrame, ts_col="ts", id_col="event_id"):
-    g = g.sort_values([ts_col, id_col], kind="stable").reset_index(drop=True)
-    ts = g[ts_col]
-    if pd.api.types.is_datetime64_any_dtype(ts):
-        t = ts.astype("datetime64[ns]").astype("int64").to_numpy() // 1_000_000_000
-    else:
-        t = ts.to_numpy(np.int64)
-    return g, t
 
 
 class SessionWindows:
@@ -911,17 +901,10 @@ def session_cooccurrence(events, timeout_s: int = 1800):
     event types, the number of sessions containing BOTH.  One
     partition-group shuffle + a tiny ≤|types|²-row final groupby of
     per-partition partial counts."""
-    import pyarrow as pa
-
-    from ray.data.aggregate import Sum
     partials = partition_groups(
         events, "user_id", SessionCooccurrence(timeout_s))
-
-    def _to_arrow(t: pa.Table) -> pa.Table:   # arrow re-block before the
-        return t                              # keyed groupby (15× faster)
-    return partials.map_batches(_to_arrow, batch_format="pyarrow") \
-        .groupby(["type_a", "type_b"]) \
-        .aggregate(Sum("cnt", alias_name="n_sessions"))
+    return combine(partials, ["type_a", "type_b"],
+                   [("cnt", "sum", "n_sessions")])
 
 
 # --- event-path mining ----------------------------------------------------------
@@ -970,16 +953,13 @@ def top_event_paths(events, *, k: int = 10):
     One user-keyed partition-group shuffle emits |path-vocab| partials,
     a tiny Sum groupby merges them, and top-k is the partial top-k (no
     global sort).  Ties break lexicographically on the path."""
-    from ray.data.aggregate import Sum
-
     from .relational import topk_by
     from .timeseries import _prep_events
 
     prepped = _prep_events(events, cols=("user_id", "event_id",
                                          "event_type"))
     partials = partition_groups(prepped, "user_id", _PathTrigramPartial())
-    merged = partials.groupby("path").aggregate(
-        Sum("cnt", alias_name="cnt"))
+    merged = combine(partials, ["path"], sums_of("cnt"))
     return topk_by(merged, ["cnt", "path"], [True, False], k)
 
 
@@ -989,8 +969,6 @@ def bounce_rate(events, *, timeout_s: int = 1800):
     certified sessionization kernel.  Session rows reduce to per-user
     integer counts (one |users|-row groupby); the close is one rounded
     division."""
-    from ray.data.aggregate import Sum
-
     sessions = session_windows(events, timeout_s=timeout_s)
 
     def _flags(g: pd.DataFrame) -> pd.DataFrame:
@@ -1001,9 +979,9 @@ def bounce_rate(events, *, timeout_s: int = 1800):
             .astype(np.int64)})
 
     flagged = sessions.map_batches(_flags, batch_format="pandas")
-    summed = flagged.groupby("user_id").aggregate(
-        Sum("one", alias_name="n_sessions"),
-        Sum("bounce", alias_name="n_bounce"))
+    summed = combine(flagged, ["user_id"],
+                     [("one", "sum", "n_sessions"),
+                      ("bounce", "sum", "n_bounce")])
 
     def _close(t: pa.Table) -> pa.Table:
         from ..functions.rounding import round_half_away
@@ -1044,7 +1022,6 @@ def rolling_active_users(events, *, window_days: int = 7):
     count partials close per day.  Shuffle volume is O(cells ×
     window_days), never O(events)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from .joins import distributed_distinct
 
@@ -1088,5 +1065,6 @@ def rolling_active_users(events, *, window_days: int = 7):
                                     ("active", pa.int64())]),
             preserve_index=False)
 
-    return expanded.map_batches(_count_partial, batch_format="pyarrow") \
-        .groupby("day").aggregate(Sum("active", alias_name="active"))
+    return combine(
+        expanded.map_batches(_count_partial, batch_format="pyarrow"),
+        ["day"], sums_of("active"))

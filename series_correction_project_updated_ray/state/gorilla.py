@@ -27,7 +27,7 @@ gathered vectorized (``_extract_fields``, the inverse of
 cumsum / ``bitwise_xor.accumulate``.  The original per-bit readers are
 kept as ``_decode_*_loop`` spec references; tests assert identical
 output.
-These are segment codecs for the SegmentCompactor actor-pool stage
+These are segment codecs for the segment compression stage
 (stages/compress.py) — one segment = one series' points for one tier
 window range.
 """

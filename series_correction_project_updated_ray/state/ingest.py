@@ -83,10 +83,6 @@ def _write_ledger(store: str, ledger: dict):
     os.replace(tmp, _ledger_path(store))
 
 
-def ingested_files(store: str) -> set[str]:
-    return set(_load_ledger(store)["files"])
-
-
 def _wave_fingerprint(new_files: list[str]) -> str:
     items = sorted((os.path.abspath(f), os.path.getsize(f))
                    for f in new_files)

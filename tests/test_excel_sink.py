@@ -67,145 +67,6 @@ def test_excel_import_guard_without_openpyxl(tmp_path):
                            str(tmp_path / "o.xlsx"))
 
 
-def _fake_openpyxl(captured):
-    """Minimal openpyxl stand-in capturing every formatting/chart call
-    write_summary_workbook makes (mirrors the API surface the reference's
-    format_summary_excel uses)."""
-    mod = types.ModuleType("openpyxl")
-    chart_mod = types.ModuleType("openpyxl.chart")
-    styles_mod = types.ModuleType("openpyxl.styles")
-    utils_mod = types.ModuleType("openpyxl.utils")
-
-    class FakeCell:
-        def __init__(self):
-            self.font = None
-
-    class FakeWS:
-        def __init__(self, max_row, max_column):
-            self.max_row, self.max_column = max_row, max_column
-            self.cells = {}
-            self.column_dimensions = {}
-            self.charts = []
-
-        def cell(self, row, column):
-            return self.cells.setdefault((row, column), FakeCell())
-
-        def add_chart(self, chart, anchor):
-            self.charts.append((chart, anchor))
-
-    class FakeDim:
-        def __init__(self):
-            self.width = None
-
-    class FakeColumnDims(dict):
-        def __missing__(self, k):
-            self[k] = FakeDim()
-            return self[k]
-
-    class FakeWB:
-        def __init__(self, ws):
-            self.active = ws
-
-        def save(self, path):
-            captured["saved"] = path
-
-    def load_workbook(path):
-        captured["loaded"] = path
-        ws = FakeWS(max_row=captured["n_rows"] + 1,
-                    max_column=captured["n_cols"])
-        ws.column_dimensions = FakeColumnDims()
-        captured["ws"] = ws
-        return FakeWB(ws)
-
-    class BarChart:
-        def __init__(self):
-            self.title = None
-            self.x_axis = types.SimpleNamespace(title=None)
-            self.y_axis = types.SimpleNamespace(title=None)
-            self.data_calls = []
-            self.categories = None
-
-        def add_data(self, ref, titles_from_data=False):
-            self.data_calls.append((ref, titles_from_data))
-
-        def set_categories(self, ref):
-            self.categories = ref
-
-    class Reference:
-        def __init__(self, ws, min_col, min_row, max_row, max_col=None):
-            self.min_col, self.min_row = min_col, min_row
-            self.max_row, self.max_col = max_row, max_col
-
-    class Font:
-        def __init__(self, bold=False):
-            self.bold = bold
-
-    mod.load_workbook = load_workbook
-    chart_mod.BarChart, chart_mod.Reference = BarChart, Reference
-    styles_mod.Font = Font
-    utils_mod.get_column_letter = lambda i: chr(ord("A") + i - 1)
-    mod.chart, mod.styles, mod.utils = chart_mod, styles_mod, utils_mod
-    return {"openpyxl": mod, "openpyxl.chart": chart_mod,
-            "openpyxl.styles": styles_mod, "openpyxl.utils": utils_mod}
-
-
-def test_summary_workbook_chart_assembly(tmp_path, monkeypatch):
-    """write_summary_workbook formats the reference way: bold header row,
-    width-25 columns, BarChart over Outlier_Count with column-1
-    categories, anchored 3 rows below the data (generate_summary.py:49-91)
-    — and the data frame still passes the sanitizer gateway first."""
-    from series_correction_project_updated_ray.pipelines.reports import (
-        write_summary_workbook)
-
-    df = pd.DataFrame({
-        "File": ["=a.xlsx", "b.xlsx", "c.xlsx"],
-        "Mean_Processed_Value": [1.0, 2.0, 3.0],
-        "Median_Processed_Value": [1.0, 2.0, 3.0],
-        "Outlier_Count": [4, 0, 2],
-    })
-    captured = {"n_rows": len(df), "n_cols": len(df.columns)}
-    for name, m in _fake_openpyxl(captured).items():
-        monkeypatch.setitem(sys.modules, name, m)
-
-    def fake_to_excel(self, path, **kwargs):
-        captured["df"] = self
-        captured["to_excel_kwargs"] = kwargs
-
-    monkeypatch.setattr(pd.DataFrame, "to_excel", fake_to_excel)
-    out = str(tmp_path / "Summary_Report.xlsx")
-    write_summary_workbook(df, out)
-
-    # sanitizer gateway ran first
-    assert captured["df"]["File"].tolist() == ["'=a.xlsx", "b.xlsx", "c.xlsx"]
-    assert captured["to_excel_kwargs"]["sheet_name"] == "Summary"
-    # formatting: every header cell bold, every column width 25
-    ws = captured["ws"]
-    assert all(ws.cells[(1, c)].font.bold for c in range(1, 5))
-    assert all(ws.column_dimensions[chr(ord("A") + c)].width == 25
-               for c in range(4))
-    # one chart: Outlier_Count data (col 4, header row included for the
-    # series title), categories = file names (col 1, rows 2..max)
-    (chart, anchor), = ws.charts
-    assert chart.title == "Outlier Count per File"
-    assert chart.x_axis.title == "File" and chart.y_axis.title == "Outlier_Count"
-    (data, titled), = chart.data_calls
-    assert titled is True
-    assert (data.min_col, data.max_col, data.min_row, data.max_row) == \
-        (4, 4, 1, ws.max_row)
-    cats = chart.categories
-    assert (cats.min_col, cats.min_row, cats.max_row) == (1, 2, ws.max_row)
-    assert anchor == f"A{ws.max_row + 3}"
-    assert captured["saved"] == out and captured["loaded"] == out
-
-
-def test_summary_workbook_rejects_missing_chart_col(tmp_path):
-    from series_correction_project_updated_ray.pipelines.reports import (
-        write_summary_workbook)
-    with pytest.raises(ValueError, match="chart_col"):
-        write_summary_workbook(pd.DataFrame({"a": [1]}),
-                               str(tmp_path / "o.xlsx"))
-
-
 def test_single_gateway_rule():
     """No production module outside the gateway touches to_excel /
     openpyxl / ExcelWriter (the reference's sink-guard CI rule)."""

@@ -552,19 +552,16 @@ def test_hash_join_semantics_battery(ray_session):
 
 
 def test_corrected_series_group_id_mapping():
-    """Pins the searchsorted id→timestamp mapping of corrected_series_group:
-    original timestamps come out inserted=False, gap-filled ones
-    inserted=True, including under duplicate input timestamps."""
+    """Pins the searchsorted id→timestamp mapping of the per-series
+    corrected kernel: original timestamps come out inserted=False,
+    gap-filled ones inserted=True, including under duplicate input
+    timestamps."""
     from series_correction_project_updated_ray.stages.events_series import (
-        corrected_series_group)
+        corrected_series_arrays)
     t = np.array([0, 10, 10, 20, 30, 40, 200, 210, 220], np.int64)
-    g = pd.DataFrame({
-        "user_id": np.full(len(t), 7, np.int64),
-        "event_id": np.arange(1, len(t) + 1, dtype=np.int64),
-        "ts": t,
-        "value": np.linspace(1.0, 2.0, len(t)),
-    })
-    out = corrected_series_group(g)
+    ids = np.arange(1, len(t) + 1, dtype=np.int64)
+    out = pd.DataFrame(corrected_series_arrays(
+        ids, t, np.linspace(1.0, 2.0, len(t))))
     orig = set(t.tolist())
     kept = out[~out["inserted"]]
     filled = out[out["inserted"]]

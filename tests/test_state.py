@@ -399,32 +399,26 @@ def test_kill_during_shuffle_resume(ray_session, tmp_path):
         pd.testing.assert_frame_equal(a, b)
 
 
-class _SuicidalCompactor:
-    """SegmentCompactor that crashes its worker process exactly once
+def _compact_dying_once(batch, flag_path: str, max_points: int):
+    """compact_segments whose worker process crashes exactly once
     cluster-wide (atomic flag-file election), then behaves normally —
-    the actor-death drill for the compression stage."""
-
-    def __init__(self, flag_path: str, **kw):
-        from series_correction_project_updated_ray.stages.compress import (
-            SegmentCompactor)
-        self._inner = SegmentCompactor(**kw)
-        self._flag = flag_path
-
-    def __call__(self, batch):
-        try:
-            fd = os.open(self._flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass
-        else:
-            os.close(fd)
-            os._exit(1)  # hard actor death mid-task, exactly once
-        return self._inner(batch)
+    the task-death drill for the compression stage."""
+    from series_correction_project_updated_ray.stages.compress import (
+        compact_segments)
+    try:
+        fd = os.open(flag_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        pass
+    else:
+        os.close(fd)
+        os._exit(1)  # hard worker death mid-task, exactly once
+    return compact_segments(batch, max_points=max_points)
 
 
 def test_compactor_actor_death_no_duplicates(ray_session, tmp_path):
-    """Multi-node-shaped drill #2: a SegmentCompactor actor dies mid-task;
-    Ray restarts it (max_restarts/max_task_retries) and replays only the
-    in-flight batch.  Asserts the job completes, the decoded output equals
+    """Multi-node-shaped drill #2: a compaction task's worker dies
+    mid-task; Ray retries the task (``max_retries``), which replays only
+    its own batch.  Asserts the job completes, the decoded output equals
     the input exactly (no lost rows), and no duplicate segments exist —
     the (series_key, seg_day, t_min) lineage ids stay unique."""
     import ray.data as rd
@@ -442,14 +436,13 @@ def test_compactor_actor_death_no_duplicates(ray_session, tmp_path):
     flag = str(tmp_path / "died.flag")
 
     segs = rd.from_pandas(df).repartition(8).map_batches(
-        _SuicidalCompactor, batch_format="pyarrow",
-        concurrency=2,
-        fn_constructor_kwargs={"flag_path": flag, "max_points": 4096},
-        max_restarts=-1, max_task_retries=-1).materialize()
+        _compact_dying_once, batch_format="pyarrow", batch_size=None,
+        concurrency=2, fn_kwargs={"flag_path": flag, "max_points": 4096},
+        max_retries=3).materialize()
 
     assert os.path.exists(flag)  # the death actually happened
     sdf = segs.to_pandas()
-    # lineage ids unique → the replayed batch did not double-emit
+    # lineage ids unique → the retried task did not double-emit
     lineage = sdf[["series_key", "seg_day", "t_min"]]
     assert not lineage.duplicated().any()
     assert sdf["n_points"].sum() == len(df)
