@@ -200,10 +200,10 @@ def _poly_tokenized(sf_dir: str):
 
 def _distinct_users_of_type(ev, typ, min_value=None):
     """Distinct user_ids having an event of ``typ`` (optionally value >
-    min_value): batch-local unique → global distinct groupby."""
+    min_value): batch-local unique → global distinct ``combine``."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count
+    from series_correction_project_updated_ray.stages.rollup import combine
 
     def _local(t: pa.Table) -> pa.Table:
         keep = pc.equal(t["event_type"], typ)
@@ -211,9 +211,8 @@ def _distinct_users_of_type(ev, typ, min_value=None):
             keep = pc.and_(keep, pc.greater(t["value"], min_value))
         return pa.table({"user_id": pc.unique(t.filter(keep)["user_id"])})
 
-    return ev.map_batches(_local, batch_format="pyarrow") \
-        .groupby("user_id").aggregate(Count(alias_name="n")) \
-        .select_columns(["user_id"])
+    return combine(ev.map_batches(_local, batch_format="pyarrow"),
+                   ["user_id"], [])
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +234,12 @@ def _broadcast_enrich(broadcast_enrich, sf_dir: str):
 
 
 def _summary_by_source(read_parquet, sf_dir: str):
-    from ray.data.aggregate import Count, Max, Min, Sum
+    from series_correction_project_updated_ray.stages.rollup import combine
     docs = read_parquet(os.path.join(sf_dir, "documents.parquet"),
                         columns=["source", "n_chars"])
-    return docs.groupby("source").aggregate(
-        Count(alias_name="n_docs"),
-        Sum("n_chars", alias_name="total_chars"),
-        Min("n_chars", alias_name="min_chars"),
-        Max("n_chars", alias_name="max_chars"))
+    return combine(docs, ["source"], [
+        ([], "count_all", "n_docs"), ("n_chars", "sum", "total_chars"),
+        ("n_chars", "min", "min_chars"), ("n_chars", "max", "max_chars")])
 
 
 def _corrected_sequences(flagship_corrected, sf_dir: str):
@@ -368,14 +365,13 @@ def _user_type_totals_join(hash_join, sf_dir: str):
     joins back to the fact table on BOTH key columns through the
     multi-column bucket hash — the equi-join shape reference J1 uses on
     (series, year) pairs (/root/reference/scripts/comparison.py)."""
-    from ray.data.aggregate import Count, Sum
     from series_correction_project_updated_ray.functions.rounding import (
         round_half_away)
+    from series_correction_project_updated_ray.stages.rollup import combine
     ev = _read(sf_dir, "events",
                ["event_id", "user_id", "event_type", "value"])
-    grouped = ev.groupby(["user_id", "event_type"]).aggregate(
-        Sum("value", alias_name="type_total"),
-        Count(alias_name="type_count"))
+    grouped = combine(ev, ["user_id", "event_type"], [
+        ("value", "sum", "type_total"), ([], "count_all", "type_count")])
 
     def _round_total(batch):
         batch["type_total"] = round_half_away(
@@ -391,9 +387,9 @@ def _user_type_totals_join(hash_join, sf_dir: str):
 
 def _distinct_users(read_parquet, sf_dir: str):
     """COUNT(DISTINCT) via partial distinct: batch-local dedup →
-    groupby(pair) → per-type count — only distinct pairs shuffle."""
+    distinct pairs → per-type count — only distinct pairs shuffle."""
     import pyarrow as pa
-    from ray.data.aggregate import Count
+    from series_correction_project_updated_ray.stages.rollup import combine
     ev = read_parquet(os.path.join(sf_dir, "events.parquet"),
                       columns=["event_type", "user_id"])
 
@@ -401,21 +397,20 @@ def _distinct_users(read_parquet, sf_dir: str):
         df = batch.to_pandas().drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    pairs = ev.map_batches(_local_distinct, batch_format="pyarrow") \
-        .groupby(["event_type", "user_id"]).aggregate(Count(alias_name="_n"))
-    return pairs.groupby("event_type").aggregate(
-        Count(alias_name="n_users")).select_columns(["event_type", "n_users"])
+    pairs = combine(ev.map_batches(_local_distinct, batch_format="pyarrow"),
+                    ["event_type", "user_id"], [])
+    return combine(pairs, ["event_type"], [([], "count_all", "n_users")])
 
 
 def _top_users(topk_by, sf_dir: str):
     """Global top-10 users by total value: grouped sum → distributed
     ``topk_by`` (per-block partial top-k, ≤ k×blocks survivor rows, one
     tiny final block) — never a driver-side sort of all |users| sums."""
-    from ray.data.aggregate import Sum
     from series_correction_project_updated_ray.functions.rounding import (
         round_half_away)
-    sums = _read(sf_dir, *EV_USER_VALUE).groupby("user_id").aggregate(
-        Sum("value", alias_name="total_value"))
+    from series_correction_project_updated_ray.stages.rollup import combine
+    sums = combine(_read(sf_dir, *EV_USER_VALUE), ["user_id"],
+                   [("value", "sum", "total_value")])
     top = topk_by(sums, ["total_value", "user_id"], [True, False], 10) \
         .to_pandas()
     top["total_value"] = round_half_away(top["total_value"].to_numpy(), 6)
@@ -618,12 +613,13 @@ def _grouping_sets(scaled_cents, sf_dir: str):
     total in one result (NULL key = the total row), cents-exact sums —
     multi-level aggregates as a union of grouped and global partials."""
     import pyarrow as pa
-    from ray.data.aggregate import Sum
+    from series_correction_project_updated_ray.stages.rollup import (
+        combine, sums_of)
     ev = _read(sf_dir, *EV_TYPE_VALUE)
 
-    # the grand-total level carries a SENTINEL key through the shuffle
-    # (Ray's groupby boundary sampling compares keys in Python, where
-    # None < str raises) and becomes SQL's NULL row on output
+    # the grand-total level carries a SENTINEL key through the merge (a
+    # NULL key would fold into the NULL event_type group) and becomes
+    # SQL's NULL total row on output
     sentinel = "\x00__TOTAL__"
 
     def _partial(t: pa.Table) -> pa.Table:
@@ -638,9 +634,8 @@ def _grouping_sets(scaled_cents, sf_dir: str):
         return pa.Table.from_pandas(pd.concat([per_key, total]),
                                     preserve_index=False)
 
-    agg = ev.map_batches(_partial, batch_format="pyarrow") \
-        .groupby("event_type").aggregate(
-        Sum("v100", alias_name="v100"), Sum("n", alias_name="n"))
+    agg = combine(ev.map_batches(_partial, batch_format="pyarrow"),
+                  ["event_type"], sums_of("v100", "n"))
 
     def _final(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -666,11 +661,11 @@ def _kmeans_clusters(kmeans_distributed, sf_dir: str):
     algorithm: centroids broadcast per round, blocks reduce to ≤k partial
     rows).  Returns per-cluster size + mean cosine (rows-only:
     iterative/approximate by nature)."""
-    from ray.data.aggregate import Count, Mean
+    from series_correction_project_updated_ray.stages.rollup import combine
     _, assigns = kmeans_distributed(_read(sf_dir, *EMB), n_clusters=8,
                                     iters=8)
-    return assigns.groupby("cluster").aggregate(
-        Count(alias_name="n_vecs"), Mean("cos_sim", alias_name="mean_cos"))
+    return combine(assigns, ["cluster"], [
+        ([], "count_all", "n_vecs"), ("cos_sim", "mean", "mean_cos")])
 
 
 def _incremental_rollup(ingest, sf_dir: str):
@@ -712,10 +707,10 @@ def _incremental_rollup(ingest, sf_dir: str):
 def _split_documents(hash_split, sf_dir: str):
     """Deterministic train/val/test split of documents (per-split counts;
     no-leakage property is asserted in tests/test_stages.py)."""
-    from ray.data.aggregate import Count
+    from series_correction_project_updated_ray.stages.rollup import combine
     tagged = hash_split(_read(sf_dir, "documents", ["doc_id"]), "doc_id",
                         {"train": 0.8, "val": 0.1, "test": 0.1})
-    return tagged.groupby("split").aggregate(Count(alias_name="n_docs"))
+    return combine(tagged, ["split"], [([], "count_all", "n_docs")])
 
 
 def _packed_sequences(pack_token_sequences, sf_dir: str):
@@ -776,8 +771,7 @@ def _left_join_customer_orders(hash_join, sf_dir: str):
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
         filter=(pc.field("o_totalprice") > 400000.0))
-    return hash_join(cust, orders, "c_custkey", "o_custkey", how="left",
-                     n_buckets=16)
+    return hash_join(cust, orders, "c_custkey", "o_custkey", how="left")
 
 
 def _shipping_priority(shipping_priority, sf_dir: str):
@@ -851,7 +845,7 @@ REGISTRY: tuple[Query, ...] = (
     _q("summary_by_source", "ray.data:read_parquet", body=_summary_by_source),
     # large-×-large partitioned hash join (one bucket shuffle)
     _q("join_lineitem_orders", ".stages.joins:hash_join", body=_join_li_orders,
-       how="inner", n_buckets=16),
+       how="inner"),
     _q("user_type_totals_join", ".stages.joins:hash_join",
        body=_user_type_totals_join),
     _q("rollup_user_1h", ".stages.rollup:rollup_events", EV_USER_TS_VALUE,
@@ -1248,9 +1242,9 @@ REGISTRY: tuple[Query, ...] = (
     # the bloom-prefiltered and skew-aware (hot keys broadcast around the
     # shuffle) plans of the lineitem ⋈ orders join
     _q("join_lineitem_orders_bloom", ".stages.joins:hash_join_bloom",
-       body=_join_li_orders, n_buckets=16),
+       body=_join_li_orders),
     _q("join_lineitem_orders_skew", ".stages.joins:skew_join",
-       body=_join_li_orders, n_buckets=16, hot_share=0.001),
+       body=_join_li_orders, hot_share=0.001),
 )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .joins import _derive_buckets, partition_groups
+from .joins import _with_hash, keyed_exchange, partition_groups
 from .rollup import combine, sums_of
 from ..functions.hashing import (minhash_signatures, simhash64,
                                  stable_hash_array)
@@ -193,50 +193,21 @@ def candidate_pairs(band_rows, id_col: str = "doc_id", *,
                     threshold: float | None = None):
     """groupby LSH bucket → unordered candidate pairs (deduplicated).
 
-    The shuffle groups by a DETERMINISTIC PARTITION of the bucket key
-    (a size-derived group count), not by bucket: at web scale nearly every
-    (band_id, band_hash) bucket is a singleton, and per-bucket
+    One ``keyed_exchange`` on (band_id, band_hash) co-locates each bucket
+    and runs the pair kernel once per sorted block, not per bucket: at
+    web scale nearly every bucket is a singleton, and per-bucket
     ``map_groups`` pays |buckets| Python group calls on top of the sort
-    (measured 9.2 s → 1.5 s at 80 k band rows).  Same one-shuffle plan,
-    same output."""
-    n_groups = _derive_buckets(band_rows)
-
-    def _part(t: pa.Table) -> pa.Table:
-        bh = t["band_hash"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bi = t["band_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            mixed = bh * np.int64(-7046029254386353131) + bi  # golden-ratio mix
-        part = (mixed % n_groups + n_groups) % n_groups
-        return t.append_column("__part", pa.array(part))
-
+    (measured 9.2 s → 1.5 s at 80 k band rows).  The same pair can arise
+    from different bands in different blocks, so one ``combine`` distinct
+    over (id_a, id_b) dedups across blocks."""
     def _pairs(g: pd.DataFrame) -> pd.DataFrame:
         return _partition_pairs(g, id_col, max_run, threshold)
     _pairs.__name__ = "_partition_pairs"
 
-    pairs = band_rows.map_batches(_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(_pairs, batch_format="pandas")
-
-    # cross-partition dedup (the same pair can arise from different bands
-    # landing in different partitions).  NOT a groupby over the pandas
-    # map_groups output: Ray's sort over PANDAS-backed blocks is ~15×
-    # slower than over arrow blocks (measured 234 s vs 15 s on 1.2 M
-    # pair rows), and a composite (id_a, id_b) sort key costs more than
-    # a single int — so re-block to arrow in a map_batches and partition
-    # by one int pair hash, dedup per group.
-    def _pair_part(t: pa.Table) -> pa.Table:
-        ha = stable_hash_array(t["id_a"])
-        hb = stable_hash_array(t["id_b"])
-        with np.errstate(over="ignore"):
-            mixed = ha * np.uint64(0x9E3779B97F4A7C15) + hb
-        part = (mixed % np.uint64(n_groups)).astype(np.int64)
-        return t.append_column("__ppart", pa.array(part))
-
-    def _dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["id_a", "id_b"]].drop_duplicates()
-    _dedup.__name__ = "_pair_dedup"
-
-    return pairs.map_batches(_pair_part, batch_format="pyarrow") \
-        .groupby("__ppart").map_groups(_dedup, batch_format="pandas")
+    pairs = keyed_exchange(
+        [(band_rows, lambda t: _with_hash(t, ["band_id", "band_hash"]))],
+        _pairs, batch_format="pandas")
+    return combine(pairs, ["id_a", "id_b"], [])
 
 
 _MIN_LABEL = [("label", "min", "label")]
@@ -290,8 +261,8 @@ def connected_components_distributed(pairs, *, max_rounds: int = 16,
     converged = False
     for _ in range(max_rounds):
         # (1) edge propagation: edge (src,dst) carries src's label to dst
-        carried = hash_join(edges, labels, "src", "node", how="inner",
-                            n_buckets=16).map_batches(
+        carried = hash_join(edges, labels, "src", "node",
+                            how="inner").map_batches(
             _pairs("dst", "label"), batch_format="pyarrow")
         new_labels = combine(carried.union(labels), ["node"], _MIN_LABEL) \
             .repartition(n_blocks).materialize()
@@ -301,7 +272,7 @@ def connected_components_distributed(pairs, *, max_rounds: int = 16,
         jumped = hash_join(
             new_labels.map_batches(_pairs("node", "label"),
                                    batch_format="pyarrow"),
-            new_labels, "label", "node", how="inner", n_buckets=16,
+            new_labels, "label", "node", how="inner",
             suffixes=("_x", "_y")).map_batches(
             lambda t: pa.table({
                 "node": t["node_x"].combine_chunks().cast(pa.int64()),
@@ -1025,9 +996,9 @@ def _cosine_pairs_in_partition(g: pa.Table, id_col, vec_col, threshold
 def embedding_near_dup(embeddings, *, vec_col="embedding", id_col="vec_id",
                        threshold=0.95, planes=12, dim=64):
     """Bucketed cosine near-dup pairs (scale path: only in-bucket pairs are
-    scored; recall is tunable via the plane count).  The shuffle groups by
-    a partition of the bucket id (a size-derived count of Python group
-    calls), not by bucket (2^planes mostly-singleton groups)."""
+    scored; recall is tunable via the plane count).  The kernel runs
+    once per block of the keyed exchange on the bucket id, not once per
+    bucket (2^planes mostly-singleton groups)."""
     bucketed = embeddings.map_batches(
         HyperplaneLSH(dim, planes, 99, vec_col, id_col),
         batch_format="pyarrow")

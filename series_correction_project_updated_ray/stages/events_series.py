@@ -223,7 +223,6 @@ class _PerSeriesPartition:
         self.__name__ = getattr(afn, "__name__", "per_series_kernel")
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__part"])
         key_arr = tbl[self.key_col].combine_chunks()
         t = _epoch_seconds_array(tbl[self.ts_col])
         ids = tbl[self.id_col].to_numpy(zero_copy_only=False) \
@@ -264,9 +263,9 @@ class _PerSeriesPartition:
 def _grouped(events, afn, **kwargs):
     """Run a per-series array kernel over every series of a partition group.
 
-    The shuffle groups by a hash partition of the user (group count
-    derived from the input size, see :func:`stages.joins.partition_groups`)
-    instead of by user: the kernels stay sequential per series
+    The shuffle co-locates users by a sort on their hash (one call per
+    block, see :func:`stages.joins.partition_groups`) instead of grouping
+    by user: the kernels stay sequential per series
     (order-dependent folds — that's their semantics), but Ray's per-group
     machinery (a block slice, conversion and task result PER KEY —
     billions of keys at scale) collapses to one call per partition with

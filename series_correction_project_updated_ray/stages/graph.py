@@ -250,7 +250,8 @@ def link_prediction_jaccard(lineitem, *, min_support: int = 2,
     the sort sees ≤ k·|blocks| rows."""
     import ray.data as rd
 
-    from .joins import gather_join, partition_groups
+    from .joins import (_with_hash, gather_join, keyed_exchange,
+                        partition_groups)
     from ..functions.rounding import round_half_away
 
     edges = copurchase_support_edges(
@@ -280,17 +281,16 @@ def link_prediction_jaccard(lineitem, *, min_support: int = 2,
             c = t["c"].cast(pa.int64()) if side == 0 \
                 else pa.array(np.zeros(len(t), dtype=np.int64))
             names = ("a", "b") if side == 0 else ("u", "v")
-            return pa.table({
+            return _with_hash(pa.table({
                 "a": t[names[0]].cast(pa.int64()),
                 "b": t[names[1]].cast(pa.int64()), "c": c,
-                "__side": pa.array(np.full(len(t), side, dtype=np.int8))})
+                "__side": pa.array(np.full(len(t), side, dtype=np.int8))}),
+                ["a"])
         fn.__name__ = f"tag_side{side}"
         return fn
 
-    nonadj = partition_groups(
-        cn.map_batches(_tag(0), batch_format="pyarrow")
-        .union(edges.map_batches(_tag(1), batch_format="pyarrow")),
-        "a", _NonAdjacentGroup())
+    nonadj = keyed_exchange([(cn, _tag(0)), (edges, _tag(1))],
+                            _NonAdjacentGroup(), batch_format="pandas")
 
     def _deg_cells(t: pa.Table) -> pa.Table:
         nodes = np.concatenate([t["u"].to_numpy(zero_copy_only=False),
@@ -413,7 +413,8 @@ def _triangle_plan(lineitem):
     — ``deg`` = (node, d) endpoint degrees, ``counted`` = (node,
     triangles) per-node triangle participation (zero-triangle nodes
     absent).  Returns (None, None) on an edgeless input."""
-    from .joins import gather_join, partition_groups
+    from .joins import (_with_hash, gather_join, keyed_exchange,
+                        partition_groups)
 
     edges = copurchase_edges(lineitem).materialize()
     if edges.count() == 0:
@@ -451,19 +452,18 @@ def _triangle_plan(lineitem):
     wedges = partition_groups(oe, "s", _WedgesGroup())
 
     def _tag_wedge(t: pa.Table) -> pa.Table:
-        return pa.table({
+        return _with_hash(pa.table({
             "a": t["a"], "v": t["v"], "w": t["w"],
-            "__side": pa.array(np.zeros(len(t), dtype=np.int8))})
+            "__side": pa.array(np.zeros(len(t), dtype=np.int8))}), ["v"])
 
     def _tag_edge(t: pa.Table) -> pa.Table:
-        return pa.table({
+        return _with_hash(pa.table({
             "a": pa.array(np.full(len(t), -1, dtype=np.int64)),
             "v": t["s"], "w": t["t"],
-            "__side": pa.array(np.ones(len(t), dtype=np.int8))})
+            "__side": pa.array(np.ones(len(t), dtype=np.int8))}), ["v"])
 
-    tagged = wedges.map_batches(_tag_wedge, batch_format="pyarrow") \
-        .union(oe.map_batches(_tag_edge, batch_format="pyarrow"))
-    cells = partition_groups(tagged, "v", _CloseCountGroup())
+    cells = keyed_exchange([(wedges, _tag_wedge), (oe, _tag_edge)],
+                           _CloseCountGroup(), batch_format="pandas")
     counted = combine(cells, ["node"], [("c", "sum", "triangles")])
     return deg, counted
 

@@ -1,14 +1,19 @@
-"""Join operators.
+"""Join operators and the engine's one keyed exchange.
 
 The reference has only broadcast lookups and a co-partitioned outer merge
 (SURVEY.md §2.6); a complete engine also needs a large-×-large equi-join.
-Implemented as an explicit partitioned hash join (the portable Ray Data
-pattern): both sides get a ``__bucket = hash(key) % B`` column, a single
-``groupby(__bucket).map_groups`` co-locates matching buckets, and the
-per-bucket merge is a vectorized pandas join.  B bounds per-task memory
-(pick B so the larger side's bucket ≈ tens of MB); the bucket hash is
-uniform in the key, so skew only arises from individual hot KEYS, which an
-equi-join must co-locate anyway.
+
+Every operator that must see all rows of a key in one task — ``combine``,
+``partition_groups`` and the joins here — runs ``keyed_exchange``: each
+row gets ``__h``, a never-null int64 hash of its keys (``_key_hash``), the
+rows are sorted on it, and a kernel runs once per sorted block.  The sort
+never splits equal hashes across blocks, so a key is whole in one call;
+the sort also picks the partition count, so no bucket count is set by
+hand.  A join tags both sides into one union (side marker, null-padded to
+a shared schema) and probes each block with one vectorized merge.  The
+hash is uniform in the key, so skew only arises from individual hot KEYS,
+which an equi-join must co-locate anyway (``skew_join`` routes those
+around the exchange).
 """
 
 from __future__ import annotations
@@ -16,78 +21,110 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.hashing import stable_hash_array
 
-
-def _hash_of(keys) -> tuple[np.ndarray, np.ndarray]:
-    """(uint64 hash, null mask) of one key column."""
-    null_mask = np.asarray(pa.compute.is_null(keys))
-    if pa.types.is_integer(keys.type):
-        # fill nulls on the ARROW side so to_numpy stays an exact integer
-        # array: a numpy conversion of a null-bearing int column degrades
-        # to float64 and keys with |k| > 2^53 would hash differently from
-        # the same key in a null-free batch, silently dropping matches
-        filled = pa.compute.fill_null(keys, 0)
-        if isinstance(filled, pa.ChunkedArray):
-            filled = filled.combine_chunks()
-        with np.errstate(over="ignore"):
-            h = filled.to_numpy(zero_copy_only=False).astype(np.uint64)
-            h = h * np.uint64(0x9E3779B97F4A7C15)  # splitmix-style spread
-    else:
-        h = stable_hash_array(keys)
-    return h, null_mask
+_SORT_BLOCK_ROWS = 1 << 16
 
 
-def _bucket_of(batch: pa.Table, keys: list[str], n_buckets: int
-               ) -> np.ndarray:
-    """Bucket id per row over one or more key columns; a NULL in ANY key
-    gets bucket -1 (a null key can never satisfy an equi-join predicate —
-    SQL NULL = NULL is not true)."""
-    h = np.zeros(len(batch), dtype=np.uint64)
-    null_mask = np.zeros(len(batch), dtype=bool)
+def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """int64 hash of each row's keys, equal for equal keys in every block
+    whatever the block's null layout; a null key hashes as 0."""
+    h = np.zeros(t.num_rows, dtype=np.uint64)
     for k in keys:
-        hk, nk = _hash_of(batch[k])
+        col = t[k]
+        if pa.types.is_integer(col.type) or pa.types.is_boolean(col.type):
+            # to_pandas would turn a null-bearing int column into float64,
+            # whose bits hash unlike the same ints in a null-free block
+            vals = pc.fill_null(col.cast(pa.int64()), 0).to_numpy()
+        elif pa.types.is_floating(col.type):
+            # + 0.0 folds -0.0 into 0.0
+            vals = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy() + 0.0
+        else:
+            vals = col.to_pandas()
+        hk = pd.util.hash_array(vals) if isinstance(vals, np.ndarray) \
+            else stable_hash_array(vals)
+        if col.null_count:
+            hk[pc.is_null(col).to_numpy(zero_copy_only=False)] = 0
         with np.errstate(over="ignore"):
-            h = h * np.uint64(0x100000001B3) + hk  # FNV-style combine
-        null_mask |= nk
-    bucket = (h % np.uint64(n_buckets)).astype(np.int64)
-    bucket[null_mask] = -1
-    return bucket
+            h = h * np.uint64(0x9E3779B97F4A7C15) + hk
+    return h.view(np.int64)
+
+
+def _with_hash(t: pa.Table, keys: list[str]) -> pa.Table:
+    return t.append_column("__h", pa.array(_key_hash(t, keys)))
+
+
+def keyed_exchange(sides, fn, batch_format: str = "pyarrow"):
+    """Run ``fn`` once per block of rows co-located by key.
+
+    ``sides`` are ``(ds, tag)`` pairs; ``tag`` maps a pyarrow batch to the
+    rows to exchange with ``__h`` appended (``_with_hash`` of its keys).
+    The sides are tagged, unioned and sorted on ``__h``: the sort's reduce
+    emits one block per partition and equal hashes never straddle two, so
+    every key is whole in exactly one block.  ``fn`` sees each block once,
+    in ``batch_format`` and without ``__h``, and handles all of its keys
+    vectorized.  Tagging runs in batches of ``_SORT_BLOCK_ROWS`` rows: the
+    sort emits as many blocks as it takes in and exchanges one object per
+    (input, output) block pair, so coalescing many small blocks (a union
+    of per-block kernel outputs) keeps the exchange from squaring their
+    count.  Pass tagged inputs as separate sides rather than one union:
+    with a union in front of the tagging map, Ray held the union's
+    queued blocks while an upstream task that emitted a large output was
+    backpressured (the triangle wedges: 3× the wall time)."""
+    tagged = [ds.map_batches(tag, batch_size=_SORT_BLOCK_ROWS,
+                             batch_format="pyarrow") for ds, tag in sides]
+    rows = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+
+    def _block(batch):
+        if isinstance(batch, pd.DataFrame):
+            return fn(batch.drop(columns="__h"))
+        return fn(batch.drop_columns(["__h"]))
+    _block.__name__ = getattr(fn, "__name__", type(fn).__name__)
+    return rows.sort("__h").map_batches(_block, batch_size=None,
+                                        batch_format=batch_format)
+
+
+def partition_groups(ds, key_col: str, fn, batch_format: str = "pandas"):
+    """Run ``fn`` once per block of ``ds`` after the keyed exchange on
+    ``key_col`` — the one-shuffle plan of every per-key kernel: whole keys
+    are co-located, the block count follows the input size instead of
+    |keys|, and ``fn`` handles all keys of its block vectorized."""
+    return keyed_exchange([(ds, lambda t: _with_hash(t, [key_col]))], fn,
+                          batch_format)
 
 
 class _TagPad:
-    """Tag side + bucket and align to the union schema (missing columns →
-    typed nulls) so the two sides can union."""
+    """Tag side + key hash and align to the union schema (missing columns
+    → typed nulls) so the two sides can union.  The hash is taken over
+    the union-typed key columns, so both sides hash a key alike."""
 
-    def __init__(self, key, n_buckets: int, side: str,
+    def __init__(self, key, side: str,
                  union_fields: list[tuple[str, pa.DataType]]):
         self.keys = [key] if isinstance(key, str) else list(key)
-        self.n_buckets, self.side = n_buckets, side
+        self.side = side
         self.union_fields = union_fields
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = len(batch)
-        bucket = _bucket_of(batch, self.keys, self.n_buckets)
-        cols, names = [], []
+        cols = {}
         for name, typ in self.union_fields:
             if name in batch.column_names:
                 col = batch[name]
                 if isinstance(col, pa.ChunkedArray):
                     col = col.combine_chunks()
-                cols.append(col.cast(typ))
+                cols[name] = col.cast(typ)
             else:
-                cols.append(pa.nulls(n, typ))
-            names.append(name)
-        cols.append(pa.array(bucket))
-        names.append("__bucket")
-        cols.append(pa.array(np.full(n, self.side, dtype=object), pa.string()))
-        names.append("__side")
-        return pa.table(dict(zip(names, cols)))
+                cols[name] = pa.nulls(n, typ)
+        cols["__side"] = pa.array(np.full(n, self.side, dtype=object),
+                                  pa.string())
+        return _with_hash(pa.table(cols), self.keys)
 
 
 class BucketJoin:
-    """map_groups kernel over one bucket of the unioned tagged rows.
+    """``keyed_exchange`` kernel over one block of the unioned tagged
+    rows (every key of the block whole, both sides).
 
     Arrow-native probe: the sides split in Arrow, ONLY the key columns
     (null-free after the SQL null-key drop, so integer keys keep exact
@@ -143,20 +180,18 @@ class BucketJoin:
 
     @staticmethod
     def _valid_keys(t: pa.Table, keys: list[str]):
-        import pyarrow.compute as pc
         m = pc.is_valid(t[keys[0]])
         for k in keys[1:]:
             m = pc.and_(m, pc.is_valid(t[k]))
         return m
 
     def __call__(self, g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         side = g["__side"]
         left = g.filter(pc.equal(side, "l")).select(self.l_cols)
         right = g.filter(pc.equal(side, "r")).select(self.r_cols)
         if self.how not in ("inner", "left", "right", "outer"):
-            # hash_join validates up front; a bucketed plan cannot
-            # express non-equi joins (cross within a bucket ≠ cross)
+            # hash_join validates up front; a keyed plan cannot
+            # express non-equi joins (cross within a block ≠ cross)
             raise ValueError(f"unsupported how={self.how!r}")
         # SQL equi-join semantics: NULL keys never match.  Null-key rows
         # drop from the probe on both sides; they divert to the
@@ -264,7 +299,6 @@ class KeySetFilter:
         self.key_col, self.anti = key_col, anti
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         mask = pc.is_in(batch[self.key_col], value_set=self.keys)
         if self.anti:
             mask = pc.invert(mask)
@@ -302,65 +336,7 @@ def _arrow_backed(ds):
     return ds, sch
 
 
-def _estimate_size_bytes(ds) -> int | None:
-    """Best-effort byte estimate WITHOUT executing the plan: sums the
-    metadata estimates of the plan's source operators (parquet reads and
-    from_* inputs carry sizes; transformed interior stages don't change
-    the order of magnitude for bucket sizing).  None when nothing is
-    known — callers fall back to a fixed default."""
-    try:
-        total, seen = 0, False
-        stack = [ds._logical_plan.dag]
-        while stack:
-            op = stack.pop()
-            deps = getattr(op, "input_dependencies", None) or []
-            if deps:
-                stack.extend(deps)
-                continue
-            meta = op.infer_metadata() if hasattr(op, "infer_metadata") \
-                else None
-            sb = getattr(meta, "size_bytes", None)
-            if sb:
-                total += int(sb)
-                seen = True
-        return total if seen else None
-    except Exception:
-        return None
-
-
-# per-bucket working-set target for the bucket-join kernel: the pandas
-# merge roughly triples the bucket's bytes (two frames + output), so
-# 64 MB keeps a task comfortably inside a 2 GB worker heap even if the
-# on-disk estimate undercounts decompressed width by ~4x
-_TARGET_BUCKET_BYTES = 64 << 20
 _MAX_BROADCAST_KEYS = 4_000_000
-
-
-def _derive_buckets(*datasets, floor: int = 8, cap: int = 4096) -> int:
-    """Bucket / group count for one keyed exchange over ``datasets``: one
-    per ``_TARGET_BUCKET_BYTES`` of the largest input's plan-metadata
-    estimate, clamped to [floor, cap]; 32 when no size is known."""
-    est = max((_estimate_size_bytes(ds) or 0) for ds in datasets)
-    if not est:
-        return 32
-    import math
-    return int(min(cap, max(floor, math.ceil(est / _TARGET_BUCKET_BYTES))))
-
-
-def partition_groups(ds, key_col: str, fn, batch_format: str = "pandas"):
-    """Run ``fn`` once per partition group of ``ds`` — the one-shuffle
-    plan of every per-key kernel.  Rows get ``__part =
-    stable_hash(key) % n`` with ``n = _derive_buckets(ds)``, so whole keys
-    are co-located and the group count follows the input size instead of
-    |keys|; ``fn`` sees each group as one batch (``__part`` included) and
-    handles all of its keys vectorized."""
-    n = np.uint64(_derive_buckets(ds))
-
-    def _part(t: pa.Table) -> pa.Table:
-        part = (stable_hash_array(t[key_col]) % n).astype(np.int64)
-        return t.append_column("__part", pa.array(part))
-    return ds.map_batches(_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(fn, batch_format=batch_format)
 
 
 def distributed_distinct(ds, cols: list[str], *, drop_nulls: bool = False):
@@ -373,7 +349,6 @@ def distributed_distinct(ds, cols: list[str], *, drop_nulls: bool = False):
     from .rollup import combine
 
     def _local_distinct(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         t = t.select(cols)
         if drop_nulls:
             for c in cols:
@@ -385,8 +360,7 @@ def distributed_distinct(ds, cols: list[str], *, drop_nulls: bool = False):
 
 
 def semi_join(left, right_keys, key_col: str, *, right_key: str | None = None,
-              anti: bool = False, max_broadcast: int = _MAX_BROADCAST_KEYS,
-              n_buckets: int | None = None):
+              anti: bool = False, max_broadcast: int = _MAX_BROADCAST_KEYS):
     """left rows whose key ∈ right_keys (semi) or ∉ (anti).
 
     ``right_keys``: a Dataset (its ``right_key`` — default ``key_col`` —
@@ -404,8 +378,7 @@ def semi_join(left, right_keys, key_col: str, *, right_key: str | None = None,
         distinct = distributed_distinct(right_keys, [rk],
                                         drop_nulls=True).materialize()
         if distinct.count() > max_broadcast:
-            return _shuffle_semi_join(left, distinct, key_col, rk, anti,
-                                      n_buckets)
+            return _shuffle_semi_join(left, distinct, key_col, rk, anti)
         keys = [r[rk] for r in distinct.take_all()]
     else:
         keys = [k for k in right_keys if k is not None]
@@ -415,8 +388,7 @@ def semi_join(left, right_keys, key_col: str, *, right_key: str | None = None,
                             batch_format="pyarrow")
 
 
-def _shuffle_semi_join(left, distinct, key_col: str, rk: str, anti: bool,
-                       n_buckets: int | None):
+def _shuffle_semi_join(left, distinct, key_col: str, rk: str, anti: bool):
     """Shuffle fallback: join ``left`` against the distinct-key Dataset.
 
     Semi = inner join with the (unique) key set — left multiplicity is
@@ -434,8 +406,7 @@ def _shuffle_semi_join(left, distinct, key_col: str, rk: str, anti: bool,
 
     marked = distinct.map_batches(_mark, batch_format="pyarrow")
     joined = hash_join(left, marked, key_col, "__semi_key",
-                       how="left" if anti else "inner",
-                       n_buckets=n_buckets)
+                       how="left" if anti else "inner")
     if anti:
         joined = joined.map_batches(
             lambda t: t.filter(pa.compute.is_null(t["__present"])),
@@ -473,32 +444,29 @@ def _join_field_plan(l_sch, r_sch, left_key, right_key, suffixes):
 
 
 def hash_join(left, right, left_key, right_key,
-              how: str = "inner", n_buckets: int | None = None,
-              suffixes=("_l", "_r")):
+              how: str = "inner", suffixes=("_l", "_r")):
     """Partitioned hash equi-join of two Datasets — ONE shuffle total.
 
     ``left_key`` / ``right_key`` may be single column names or equal-
     length lists (composite keys: rows match when EVERY key pair is
-    equal and null-free; the bucket hash combines all key columns).
+    equal and null-free; the key hash combines all key columns).
     Shared non-key column names are suffixed pandas-style before the
-    union; each side is null-padded to the union schema so the bucket
-    groupby can co-locate both sides in one exchange.  ``n_buckets``
-    defaults to ceil(larger-side estimated bytes / 64 MB) from plan
-    metadata (no execution), so a 100× input keeps per-bucket memory
-    bounded instead of per-bucket tasks growing 100× larger."""
+    union; each side is null-padded to the union schema and hashed by its
+    own keys, so one ``keyed_exchange`` co-locates both sides and
+    ``BucketJoin`` probes each sorted block once.  The sort sets the
+    block count from the input size, so per-task memory is bounded by
+    the block size, not by a hand-set bucket count."""
     n_l = 1 if isinstance(left_key, str) else len(left_key)
     n_r = 1 if isinstance(right_key, str) else len(right_key)
     if n_l != n_r:
         raise ValueError(f"key lists must pair up: {n_l} left vs "
                          f"{n_r} right")
     if how not in ("inner", "left", "right", "outer"):
-        # a bucketed equi-join plan cannot express non-equi joins
-        # (crossing within a bucket is not a cross join)
+        # a keyed equi-join plan cannot express non-equi joins
+        # (crossing within a block is not a cross join)
         raise ValueError(f"hash_join supports inner/left/right/outer; "
                          f"got {how!r} — use cross_join for Cartesian "
                          f"products")
-    if n_buckets is None:
-        n_buckets = _derive_buckets(left, right)
 
     (left, l_sch), (right, r_sch) = _arrow_backed(left), _arrow_backed(right)
     if l_sch is None or r_sch is None:
@@ -516,18 +484,12 @@ def hash_join(left, right, left_key, right_key,
     if clash:
         left = _rename_stage(left, {c: c + suffixes[0] for c in clash})
         right = _rename_stage(right, {c: c + suffixes[1] for c in clash})
-    l_tagged = left.map_batches(
-        _TagPad(l_keys, n_buckets, "l", union_fields),
-        batch_format="pyarrow")
-    r_tagged = right.map_batches(
-        _TagPad(r_keys, n_buckets, "r", union_fields),
-        batch_format="pyarrow")
-    both = l_tagged.union(r_tagged)
-    return both.groupby("__bucket").map_groups(
+    return keyed_exchange(
+        [(left, _TagPad(l_keys, "l", union_fields)),
+         (right, _TagPad(r_keys, "r", union_fields))],
         BucketJoin(l_keys, r_keys,
                    [n for n, _ in l_fields], [n for n, _ in r_fields],
-                   dict(union_fields), how),
-        batch_format="pyarrow")
+                   dict(union_fields), how))
 
 
 def cross_join(left, right, suffixes=("_l", "_r"),
@@ -556,7 +518,6 @@ def cross_join(left, right, suffixes=("_l", "_r"),
     refs = tuple(right.to_arrow_refs())
 
     def _cross(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         tbls = [b for b in ray.get(list(refs))
                 if getattr(b, "num_rows", 0)]
         if not tbls or len(t) == 0:
@@ -646,7 +607,6 @@ class BloomProbe:
         self.key_col, self.bits_log2, self.k = key_col, bits_log2, k
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         col = t[self.key_col]
         valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
         if not valid.any():
@@ -675,18 +635,18 @@ def bloom_prefilter(left, right, left_key: str, right_key: str, *,
 
 
 def hash_join_bloom(left, right, left_key: str, right_key: str, *,
-                    n_buckets: int | None = None, suffixes=("_l", "_r"),
+                    suffixes=("_l", "_r"),
                     bits_log2: int = 23, k: int = 4):
     """INNER hash_join with a Bloom pre-filter on the left (probe) side.
 
     Result is identical to ``hash_join(..., how='inner')`` — the join
     removes the Bloom's false positives — but only candidate left rows
-    enter the bucket shuffle.  Inner-only: an outer variant would need
+    enter the keyed exchange.  Inner-only: an outer variant would need
     the unmatched rows the prefilter exists to drop."""
     slim = bloom_prefilter(left, right, left_key, right_key,
                            bits_log2=bits_log2, k=k)
     return hash_join(slim, right, left_key, right_key, how="inner",
-                     n_buckets=n_buckets, suffixes=suffixes)
+                     suffixes=suffixes)
 
 
 # --- Skew-aware (hot-key hybrid) join --------------------------------------
@@ -731,13 +691,13 @@ def _global_heavy_keys(ds, key_col: str, *, mg_k: int = 256
 
 
 def skew_join(left, right, left_key: str, right_key: str, *,
-              n_buckets: int | None = None, suffixes=("_l", "_r"),
+              suffixes=("_l", "_r"),
               hot_share: float = 0.01, mg_k: int | None = None,
               max_hot_right_rows: int = 1_000_000):
     """INNER equi-join that routes HOT left keys around the shuffle.
 
-    A single hot key sends its entire row mass through one bucket task of
-    ``hash_join`` no matter how many buckets there are — co-location is
+    A single hot key sends its entire row mass through one block task of
+    ``hash_join`` no matter how many blocks there are — co-location is
     the predicate's requirement.  This variant detects keys holding more
     than ``hot_share`` of the left side (mergeable Misra-Gries partials,
     ≤ mg_k rows per batch to the driver), BROADCASTS the right side's
@@ -766,7 +726,7 @@ def skew_join(left, right, left_key: str, right_key: str, *,
                  if total and c >= hot_share * total)
     if not hot:
         return hash_join(left, right, left_key, right_key, how="inner",
-                         n_buckets=n_buckets, suffixes=suffixes)
+                         suffixes=suffixes)
 
     hot_ref = ray.put(set(hot))
     from .taskcache import class_task
@@ -790,7 +750,7 @@ def skew_join(left, right, left_key: str, right_key: str, *,
             "(co-location is unavoidable) or salt the key upstream")
 
     cold_join = hash_join(cold_l, cold_r, left_key, right_key, how="inner",
-                          n_buckets=n_buckets, suffixes=suffixes)
+                          suffixes=suffixes)
 
     # hot path: same TagPad/BucketJoin kernels as the shuffle path, with
     # the (small) tagged right table broadcast once instead of exchanged
@@ -807,14 +767,14 @@ def skew_join(left, right, left_key: str, right_key: str, *,
              for c in r_tbl.column_names])
     # cast right columns to the declared union types (to_pandas round-
     # trips can widen/narrow)
-    r_tagged = _TagPad(r_keys, 1, "r", union_fields)(r_tbl)
+    r_tagged = _TagPad(r_keys, "r", union_fields)(r_tbl)
     r_ref = ray.put(r_tagged)
 
     class _HotJoin:
         def __init__(self, r_ref, left_key, right_key, l_cols, r_cols,
                      types):
             self.r_tagged = ray.get(r_ref)
-            self.tag = _TagPad(left_key, 1, "l", union_fields)
+            self.tag = _TagPad(left_key, "l", union_fields)
             self.kernel = BucketJoin(left_key, right_key, l_cols, r_cols,
                                      types, "inner")
 
@@ -833,8 +793,8 @@ def skew_join(left, right, left_key: str, right_key: str, *,
 
 
 class _GatherKernel:
-    """map_groups kernel for :func:`gather_join` — one bucket of the
-    tagged union.  Splits sides in Arrow, probes the (unique) source key
+    """``keyed_exchange`` kernel for :func:`gather_join` — one block of
+    the tagged union.  Splits sides in Arrow, probes the (unique) source key
     with a pandas hash index (C-speed for int and string keys alike) and
     attaches payload columns via ``pyarrow.compute.take`` — payloads
     (texts, list/tensor columns) NEVER convert to pandas, which is the
@@ -850,7 +810,6 @@ class _GatherKernel:
         return pa.table({n: pa.nulls(0, t) for n, t in self.out_fields})
 
     def __call__(self, g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         side = g["__side"].to_numpy(zero_copy_only=False)
         is_src = side == "s"
         src = g.filter(pa.array(is_src))
@@ -882,23 +841,22 @@ class _GatherKernel:
         # pin the declared types: an empty pandas block in the target
         # (Ray passes those through map_batches unconverted) makes the
         # shuffle's concat widen int columns to double, and a double key
-        # would hash into a different bucket in a downstream join
+        # would hash unlike the int keys in a downstream join
         return pa.table(cols).cast(pa.schema(self.out_fields))
 
 
 def gather_join(target, source, target_key: str, source_key: str,
                 attach_cols: list[str] | None = None, *,
-                attach_as: dict[str, str] | None = None,
-                n_buckets: int | None = None):
+                attach_as: dict[str, str] | None = None):
     """Distributed lookup join (inner): attach ``attach_cols`` from
     ``source`` — whose ``source_key`` must be UNIQUE, enforced per
-    bucket — onto every matching ``target`` row.  ``attach_as`` renames
+    block — onto every matching ``target`` row.  ``attach_as`` renames
     attached columns on output ({source_name: output_name}), so callers
     never need a renaming map_batches in front (which would discard the
     source's metadata schema and force an extra materialization).
 
-    Same one-shuffle tagged-union plan as :func:`hash_join`, but the
-    bucket kernel is Arrow-native end to end: built for wide payloads
+    Same one-exchange tagged-union plan as :func:`hash_join`, but the
+    block kernel is Arrow-native end to end: built for wide payloads
     (document texts, shingle/embedding list columns) where the pandas
     merge in :class:`BucketJoin` dominates wall time.  Target rows with
     keys absent from ``source`` are dropped (inner); NULL keys never
@@ -913,8 +871,6 @@ def gather_join(target, source, target_key: str, source_key: str,
     if clash:
         raise ValueError(f"gather_join attach columns {sorted(clash)} "
                          "already exist on the target; rename first")
-    if n_buckets is None:
-        n_buckets = _derive_buckets(target, source)
     t_fields = list(zip(t_sch.names, t_sch.types))
     s_types = dict(zip(s_sch.names, s_sch.types))
     key_t = s_types[source_key]
@@ -927,12 +883,8 @@ def gather_join(target, source, target_key: str, source_key: str,
         keep = [source_key] + attach_src
         t = t.select(keep)
         return t.rename_columns(["__gkey"] + attach)
-    t_tagged = target.map_batches(
-        _TagPad([target_key], n_buckets, "t", union_fields),
-        batch_format="pyarrow")
-    s_tagged = source.map_batches(_as_src, batch_format="pyarrow") \
-        .map_batches(_TagPad(["__gkey"], n_buckets, "s", union_fields),
-                     batch_format="pyarrow")
-    return t_tagged.union(s_tagged).groupby("__bucket").map_groups(
-        _GatherKernel(target_key, out_fields, attach),
-        batch_format="pyarrow")
+    s_tag = _TagPad(["__gkey"], "s", union_fields)
+    return keyed_exchange(
+        [(target, _TagPad([target_key], "t", union_fields)),
+         (source, lambda t: s_tag(_as_src(t)))],
+        _GatherKernel(target_key, out_fields, attach))

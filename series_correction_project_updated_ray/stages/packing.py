@@ -70,6 +70,32 @@ class PackGroup:
         })
 
 
+def _estimate_size_bytes(ds) -> int | None:
+    """Best-effort byte estimate WITHOUT executing the plan: sums the
+    metadata estimates of the plan's source operators (parquet reads and
+    from_* inputs carry sizes; transformed interior stages don't change
+    the order of magnitude for bucket sizing).  None when nothing is
+    known — the caller falls back to a fixed default."""
+    try:
+        total, seen = 0, False
+        stack = [ds._logical_plan.dag]
+        while stack:
+            op = stack.pop()
+            deps = getattr(op, "input_dependencies", None) or []
+            if deps:
+                stack.extend(deps)
+                continue
+            meta = op.infer_metadata() if hasattr(op, "infer_metadata") \
+                else None
+            sb = getattr(meta, "size_bytes", None)
+            if sb:
+                total += int(sb)
+                seen = True
+        return total if seen else None
+    except Exception:
+        return None
+
+
 def pack_token_sequences(docs, seq_len: int, *, n_buckets: int | None = 64,
                          id_col: str = "doc_id", tok_col: str = "tokens"):
     """Dataset[(doc_id, tokens)] → Dataset[(bucket, seq_idx, tokens,
@@ -80,7 +106,6 @@ def pack_token_sequences(docs, seq_len: int, *, n_buckets: int | None = 64,
     each bucket stays well under the int32 list-offset limit (~2^31
     tokens) that caps a single PackGroup task."""
     if n_buckets is None:
-        from .joins import _estimate_size_bytes
         est = _estimate_size_bytes(docs) or 0
         # tokens are int32: bound each bucket near 2^28 tokens (~1 GiB)
         n_buckets = max(64, -(-est // (4 * (1 << 28))))

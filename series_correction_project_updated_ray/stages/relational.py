@@ -272,7 +272,7 @@ def shipping_priority(customer, orders, lineitem, *, segment: str = "BUILDING",
         batch_format="pyarrow")
     orders_f = semi_join(orders, seg_keys, "o_custkey", right_key="c_custkey")
     j = hash_join(lineitem, orders_f, "l_orderkey", "o_orderkey",
-                  how="inner", n_buckets=16)
+                  how="inner")
 
     def _partial(t: pa.Table) -> pa.Table:
         p100 = _scaled_cents(t["l_extendedprice"])
@@ -465,9 +465,9 @@ def revenue_by_nation(lineitem, orders, customer, nation):
     # shuffle then moves |orders| rows instead of |lineitems|
     li_per_order = lineitem.map_batches(_li_partial, batch_format="pyarrow")
     j1 = hash_join(li_per_order, orders, "l_orderkey", "o_orderkey",
-                   how="inner", n_buckets=16)
+                   how="inner")
     j2 = hash_join(j1, customer, "o_custkey", "c_custkey",
-                   how="inner", n_buckets=16)
+                   how="inner")
     nat = nation.to_pandas()
     enriched = broadcast_enrich(j2, nat, "c_nationkey", "n_nationkey",
                                 {"n_name": "n_name"})
@@ -2150,7 +2150,7 @@ def late_shipment_priority(lineitem, orders, *, grace_days: int = 90):
     from .windows import _epoch_micros
 
     j = hash_join(lineitem, orders, "l_orderkey", "o_orderkey",
-                  how="inner", n_buckets=16)
+                  how="inner")
     grace_us = grace_days * 86_400_000_000
 
     def _flags(t: pa.Table) -> pa.Table:
@@ -2437,7 +2437,7 @@ def order_priority_check(lineitem, orders, *, grace_days: int = 90):
 
     j = hash_join(lineitem, orders.select_columns(["o_orderkey",
                                                    "o_orderdate"]),
-                  "l_orderkey", "o_orderkey", how="inner", n_buckets=16)
+                  "l_orderkey", "o_orderkey", how="inner")
     grace_us = grace_days * 86_400_000_000
 
     def _late_keys(t: pa.Table) -> pa.Table:
@@ -2578,13 +2578,13 @@ def volume_shipping(lineitem, orders, customer, supplier, nation):
     li_pre = lineitem.map_batches(_li_partial, batch_format="pyarrow")
     j1 = hash_join(li_pre, supplier.select_columns(
         ["s_suppkey", "s_nationkey"]), "l_suppkey", "s_suppkey",
-        how="inner", n_buckets=16)
+        how="inner")
     j2 = hash_join(j1, orders.select_columns(
         ["o_orderkey", "o_custkey"]), "l_orderkey", "o_orderkey",
-        how="inner", n_buckets=16)
+        how="inner")
     j3 = hash_join(j2, customer.select_columns(
         ["c_custkey", "c_nationkey"]), "o_custkey", "c_custkey",
-        how="inner", n_buckets=16)
+        how="inner")
     nat = nation.to_pandas()
     e1 = broadcast_enrich(j3, nat, "s_nationkey", "n_nationkey",
                           {"n_name": "supp_nation"})
@@ -2655,7 +2655,7 @@ def returned_item_revenue(lineitem, orders, customer, nation, *, k: int = 20):
     li_pre = lineitem.map_batches(_li_partial, batch_format="pyarrow")
     j1 = hash_join(li_pre, orders.select_columns(
         ["o_orderkey", "o_custkey"]), "l_orderkey", "o_orderkey",
-        how="inner", n_buckets=16)
+        how="inner")
 
     def _cust_partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -2673,7 +2673,7 @@ def returned_item_revenue(lineitem, orders, customer, nation, *, k: int = 20):
                        ["o_custkey"], sums_of("rev1e4"))
     j2 = hash_join(per_cust, customer.select_columns(
         ["c_custkey", "c_name", "c_nationkey"]), "o_custkey", "c_custkey",
-        how="inner", n_buckets=16)
+        how="inner")
     enriched = broadcast_enrich(j2, nation.to_pandas(), "c_nationkey",
                                 "n_nationkey", {"n_name": "n_name"})
     top = topk_by(enriched, ["rev1e4", "c_custkey"], [True, False], k)
@@ -2723,7 +2723,7 @@ def order_count_distribution(customer, orders, *,
         orders.map_batches(_ord_partial, batch_format="pyarrow"),
         ["o_custkey"], sums_of("n_orders"))
     j = hash_join(customer.select_columns(["c_custkey"]), per_cust,
-                  "c_custkey", "o_custkey", how="left", n_buckets=16)
+                  "c_custkey", "o_custkey", how="left")
 
     def _cnt_partial(t: pa.Table) -> pa.Table:
         n = t["n_orders"].to_pandas().fillna(0).to_numpy(np.int64)
@@ -2785,7 +2785,7 @@ def top_supplier_revenue(lineitem, supplier):
         lambda t: t.filter(pc.equal(t["rev1e4"], best)),
         batch_format="pyarrow")
     j = hash_join(tied, supplier.select_columns(["s_suppkey", "s_name"]),
-                  "l_suppkey", "s_suppkey", how="inner", n_buckets=4)
+                  "l_suppkey", "s_suppkey", how="inner")
     return j.map_batches(
         lambda t: pa.table({
             "s_suppkey": t["s_suppkey"],
@@ -2830,7 +2830,7 @@ def small_quantity_revenue(lineitem):
                     ["l_partkey"], sums_of("n", "sumq100"))
     j = hash_join(lineitem.select_columns(
         ["l_partkey", "l_quantity", "l_extendedprice"]), stats,
-        "l_partkey", "l_partkey", how="inner", n_buckets=16)
+        "l_partkey", "l_partkey", how="inner")
 
     def _filtered_partial(t: pa.Table) -> pa.Table:
         q100 = _scaled_cents(t["l_quantity"])
@@ -2885,9 +2885,9 @@ def large_volume_customers(lineitem, orders, customer, *,
         batch_format="pyarrow")
     j1 = hash_join(heavy, orders.select_columns(
         ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]),
-        "l_orderkey", "o_orderkey", how="inner", n_buckets=16)
+        "l_orderkey", "o_orderkey", how="inner")
     j2 = hash_join(j1, customer.select_columns(["c_custkey", "c_name"]),
-                   "o_custkey", "c_custkey", how="inner", n_buckets=16)
+                   "o_custkey", "c_custkey", how="inner")
 
     def _cents(t: pa.Table) -> pa.Table:
         return t.append_column(
@@ -2931,7 +2931,7 @@ def disjunctive_revenue(lineitem, part, *, clauses=_Q19_CLAUSES):
     j = hash_join(lineitem.select_columns(
         ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"]),
         part.select_columns(["p_partkey", "p_brand", "p_size"]),
-        "l_partkey", "p_partkey", how="inner", n_buckets=16)
+        "l_partkey", "p_partkey", how="inner")
 
     def _partial(t: pa.Table) -> pa.Table:
         brand = t["p_brand"].to_pandas().to_numpy(dtype=object)

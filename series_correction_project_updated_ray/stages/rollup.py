@@ -7,9 +7,11 @@ so the ONLY shuffle moves partials, not raw events — followed by
 sum, count) per (key, window) cell.  Mean is derived after the merge.
 
 ``combine`` is the engine's one keyed aggregate: every stage that folds
-rows per key (sums, counts, min/max, distinct) calls it.  It sorts rows
-on a hash of the keys, so each group lands in one block, and folds each
-block with one vectorized Arrow ``group_by``.
+rows per key (sums, counts, min/max, mean, distinct) calls it.  It is
+one ``keyed_exchange`` (``stages/joins.py``, shared with
+``partition_groups``, ``grouped_median`` and the joins): rows are sorted
+on a hash of the keys, so each group lands in one block, and each block
+is folded with one vectorized Arrow ``group_by``.
 
 Windows are event-time buckets ``window_start = ts - ts % width`` on Unix
 seconds; tiers nest (60 | 3600 | 86400), so ``rollup_tiers`` emits every
@@ -23,8 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .joins import _derive_buckets, partition_groups
-from ..functions.hashing import stable_hash_array
+from .joins import _with_hash, keyed_exchange, partition_groups
 from ..functions.rounding import round_half_away
 
 TIER_WIDTHS = {"1m": 60, "1h": 3600, "1d": 86400}
@@ -89,33 +90,6 @@ def _finalize(batch: pa.Table, round_to: int | None) -> pa.Table:
     return batch.append_column("vmean", pa.array(vmean))
 
 
-_SORT_BLOCK_ROWS = 1 << 16
-
-
-def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
-    """int64 hash of each row's keys, equal for equal keys in every block
-    whatever the block's null layout; a null key hashes as 0."""
-    h = np.zeros(t.num_rows, dtype=np.uint64)
-    for k in keys:
-        col = t[k]
-        if pa.types.is_integer(col.type) or pa.types.is_boolean(col.type):
-            # to_pandas would turn a null-bearing int column into float64,
-            # whose bits hash unlike the same ints in a null-free block
-            vals = pc.fill_null(col.cast(pa.int64()), 0).to_numpy()
-        elif pa.types.is_floating(col.type):
-            # + 0.0 folds -0.0 into 0.0
-            vals = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy() + 0.0
-        else:
-            vals = col.to_pandas()
-        hk = pd.util.hash_array(vals) if isinstance(vals, np.ndarray) \
-            else stable_hash_array(vals)
-        if col.null_count:
-            hk[pc.is_null(col).to_numpy(zero_copy_only=False)] = 0
-        with np.errstate(over="ignore"):
-            h = h * np.uint64(0x9E3779B97F4A7C15) + hk
-    return h.view(np.int64)
-
-
 def _is_var_width(t: pa.DataType) -> bool:
     try:
         t.bit_width
@@ -132,10 +106,9 @@ def combine(ds, keys: list[str], aggs: list[tuple]):
     columns after the keys.  ``aggs=[]`` is a distinct over ``keys``.
     Only the key and aggregated columns are shuffled.
 
-    Rows get ``__h``, a never-null int64 hash of the keys, and are sorted
-    on it: the sort's reduce emits one block per partition and equal
-    hashes never straddle two, so one group never spans two blocks.  Each
-    block is then folded by one ``pa.Table.group_by(["__h", *keys])``,
+    It is one ``keyed_exchange`` (``stages/joins.py``): rows are sorted
+    on a never-null hash of the keys, so one group never spans two
+    blocks, and each block is folded by one ``pa.Table.group_by(keys)``,
     with the variable-width keys (strings, binary) after the fixed-width
     ones: pyarrow 16 splits the null group of a nullable string key that
     a fixed-width key follows.  Sorting on the hash keeps null keys out
@@ -151,33 +124,27 @@ def combine(ds, keys: list[str], aggs: list[tuple]):
       int64 and cut timestamp[us] keys to timestamp[s]);
     - ``sum``, ``count`` and ``count_all`` are int64 over integer input
       (int32 included) and float64 over float input; ``min``/``max`` keep
-      the input type.
+      the input type; ``mean`` is float64 and skips nulls, as Ray's
+      ``Mean``;
+    - a float ``sum`` or ``mean`` adds each group's rows in one pass over
+      its block, where Ray added per-block partial sums, so the last bit
+      can differ from Ray's.
     Output is grouped by hash, not sorted by key: a caller that needs key
     order sorts."""
     keys = list(keys)
     cols = list(dict.fromkeys([*keys, *(c for c, _, _ in aggs if c)]))
 
-    def _hash(t: pa.Table) -> pa.Table:
-        return t.select(cols).append_column(
-            "__h", pa.array(_key_hash(t, keys)))
-
     def _fold(t: pa.Table) -> pa.Table:
         order = sorted(keys, key=lambda k: _is_var_width(t[k].type))
         aliases = [alias for _, _, alias in aggs]
-        out = t.group_by(["__h", *order], use_threads=False) \
+        out = t.group_by(order, use_threads=False) \
             .aggregate([(c, f) for c, f, _ in aggs])
         # pyarrow puts the group keys first, then the aggregates in order
-        return out.rename_columns(["__h", *order, *aliases]) \
+        return out.rename_columns([*order, *aliases]) \
             .select([*keys, *aliases])
 
-    # the sort emits as many blocks as it takes in and exchanges one
-    # object per (input, output) block pair: hashing in batches of
-    # _SORT_BLOCK_ROWS rows coalesces many small blocks (a union of
-    # partition-group outputs) into few, so the exchange does not square
-    # their count
-    return ds.map_batches(_hash, batch_size=_SORT_BLOCK_ROWS,
-                          batch_format="pyarrow").sort("__h") \
-        .map_batches(_fold, batch_size=None, batch_format="pyarrow")
+    return keyed_exchange(
+        [(ds, lambda t: _with_hash(t.select(cols), keys))], _fold)
 
 
 def sums_of(*cols: str) -> list[tuple]:
@@ -230,14 +197,14 @@ def _segment_starts(*sort_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class GroupedMedian:
-    """Per-PARTITION kernel: exact median for every (key, window) bucket
-    co-located in one partition group — the exact-quantile grain the
-    reference's per-series medians establish (A1/A5), lifted to windows.
+    """Per-block kernel: exact median for every (key, window) cell
+    co-located in one block of the keyed exchange — the exact-quantile
+    grain the reference's per-series medians establish (A1/A5), lifted to
+    windows.
 
-    Grouping by a hash partition of the bucket key instead of by bucket
-    keeps the shuffle identical but replaces |key×window| Python group
-    calls (billions at scale) with one call per partition group, the
-    group count derived from the input size; medians are computed
+    One call per sorted block instead of one per cell replaces
+    |key×window| Python group calls (billions at scale) with a count set
+    by the input size; medians are computed
     vectorized over sorted runs (two middle picks per run — identical to
     np.median, including NaN propagation).  Exact medians need each
     bucket co-located; for percentile sets over buckets too big to
@@ -276,22 +243,14 @@ class GroupedMedian:
 def grouped_median(events, key_col="event_type", ts_col="ts",
                    value_col="value", width: int = 3600):
     """Exact median per (key, tumbling window)."""
-    n_groups = np.uint64(_derive_buckets(events))
-
-    def _bucket(batch: pa.Table) -> pa.Table:
+    def _cells(batch: pa.Table) -> pa.Table:
         secs = _epoch_seconds(batch[ts_col])
-        win = secs - secs % width
-        h = stable_hash_array(batch[key_col])
-        with np.errstate(over="ignore"):
-            mixed = h + win.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return pa.table({key_col: batch[key_col],
-                         "window_start": pa.array(win),
-                         "value": batch[value_col],
-                         "__part": pa.array(
-                             (mixed % n_groups).astype(np.int64))})
-    bucketed = events.map_batches(_bucket, batch_format="pyarrow")
-    return bucketed.groupby("__part").map_groups(
-        GroupedMedian(key_col), batch_format="pandas")
+        return _with_hash(pa.table({
+            key_col: batch[key_col],
+            "window_start": pa.array(secs - secs % width),
+            "value": batch[value_col]}), [key_col, "window_start"])
+    return keyed_exchange([(events, _cells)], GroupedMedian(key_col),
+                          batch_format="pandas")
 
 
 def apply_retention(tier_ds, cutoff_epoch_s: int):
@@ -329,9 +288,7 @@ class StrideDownsample:
         # index within each series run, then every-Nth mask
         idx = np.arange(len(codes))
         rel = idx - np.repeat(starts, ends - starts)
-        keep = order[rel % self.n == 0]
-        out = g.iloc[keep]
-        return out.drop(columns=["__part"], errors="ignore")
+        return g.iloc[order[rel % self.n == 0]]
 
 
 def downsample_stride(events, n: int = 10, key_col="user_id"):

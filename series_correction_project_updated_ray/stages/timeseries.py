@@ -18,8 +18,8 @@ rounding out the north rule's "rollup + downsample + retention engine":
   partition groups.
 
 All use the one-shuffle partition-group primitive
-:func:`stages.joins.partition_groups`: ``stable_hash(key) % n`` (``n``
-derived from the input size) co-locates whole keys, each kernel handles
+:func:`stages.joins.partition_groups`: a sort on the key hash co-locates
+whole keys in blocks sized by the input, each kernel handles
 every co-located key vectorized (boundary scans / reduceat), never one
 Python call per key.
 """

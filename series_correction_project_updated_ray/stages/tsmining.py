@@ -23,8 +23,8 @@ partition-group / mergeable-partial idioms:
   longest run, total over-threshold events, longest duration.
 
 Scale shape: SAX and excursions are one partition-group shuffle
-(``stable_hash(key) % n``, ``n`` derived from the input size,
-co-locates whole keys; kernels are vectorized across keys); DTW's
+(the keyed exchange's hash sort co-locates whole keys; kernels are
+vectorized across keys); DTW's
 profile build is a partial-first aggregation shipping
 ≤ 24·|keys-per-block| rows per block, and the DP
 itself runs over a FIXED, bounded key set (``k_users``) in one small

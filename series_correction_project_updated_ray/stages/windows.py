@@ -17,7 +17,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .joins import partition_groups
+from .joins import _with_hash, keyed_exchange, partition_groups
 from .rollup import _epoch_seconds, combine, sums_of
 from ..functions.rounding import round_half_away, scaled_int
 
@@ -235,9 +235,10 @@ def asof_join_events(events, right_type="purchase"):
             out = out.filter(pc.equal(batch["event_type"], right_type))
         return out
 
-    left = events.map_batches(lambda b: _prep(b, "l"), batch_format="pyarrow")
-    right = events.map_batches(lambda b: _prep(b, "r"), batch_format="pyarrow")
-    return partition_groups(left.union(right), "user_id", AsofJoinGroup())
+    return keyed_exchange(
+        [(events, lambda b, side=side: _with_hash(_prep(b, side),
+                                                  ["user_id"]))
+         for side in ("l", "r")], AsofJoinGroup(), batch_format="pandas")
 
 
 class _TopNPerGroup:
@@ -260,8 +261,7 @@ class _TopNPerGroup:
         rn = out.groupby(self.group_col, sort=False,
                          dropna=False).cumcount() + 1
         out = out.assign(rn=rn.astype(np.int64))
-        out = out[out["rn"] <= self.n]
-        return out.drop(columns=["__part"], errors="ignore")
+        return out[out["rn"] <= self.n]
 
 
 def topn_per_group(ds, group_col: str, sort_cols: list[str],
@@ -349,12 +349,11 @@ def range_join_agg(events, *, left_type="purchase", right_type="click",
         })
         return out.filter(pc.equal(batch["event_type"], typ))
 
-    left = events.map_batches(lambda b: _prep(b, "l", left_type),
-                              batch_format="pyarrow")
-    right = events.map_batches(lambda b: _prep(b, "r", right_type),
-                               batch_format="pyarrow")
-    return partition_groups(
-        left.union(right), "user_id", RangeJoinAggGroup(window_s * 1_000_000))
+    return keyed_exchange(
+        [(events, lambda b, side=side, typ=typ:
+          _with_hash(_prep(b, side, typ), ["user_id"]))
+         for side, typ in (("l", left_type), ("r", right_type))],
+        RangeJoinAggGroup(window_s * 1_000_000), batch_format="pandas")
 
 
 class FunnelGroup:
@@ -446,8 +445,8 @@ class RunningSumGroup:
         if float(np.abs(v100).sum(dtype=np.float64)) > 2**62:
             raise OverflowError(
                 "running_sum: partition cents magnitude exceeds int64 — "
-                "the group count follows the input's size estimate, so "
-                "this partition group holds far more data than estimated")
+                "one block of the keyed exchange holds more cents than "
+                "int64 can sum")
         starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]]) \
             if len(codes) else np.array([], dtype=np.int64)
         lens = np.diff(np.r_[starts, len(codes)])

@@ -25,8 +25,8 @@ def _ray(ray_session):
 def _block_per_bundle(monkeypatch):
     """Hash each input block on its own, so these small inputs reach the
     sort as several blocks instead of one coalesced bundle."""
-    from series_correction_project_updated_ray.stages import rollup
-    monkeypatch.setattr(rollup, "_SORT_BLOCK_ROWS", 1)
+    from series_correction_project_updated_ray.stages import joins
+    monkeypatch.setattr(joins, "_SORT_BLOCK_ROWS", 1)
 
 
 def _combine(blocks, keys, aggs) -> pa.Table:
@@ -178,11 +178,12 @@ def _groupby_aggregate_calls(path: pathlib.Path) -> list[int]:
 
 
 def test_no_ray_groupby_aggregate_in_package():
-    """Every keyed aggregate under stages/ and pipelines/ goes through
-    rollup.combine; a `.groupby(...).aggregate(` chain is the second
-    path this keeps out."""
+    """Every keyed aggregate under stages/ and pipelines/, and in the
+    query bodies of __ray_entry__.py, goes through rollup.combine; a
+    `.groupby(...).aggregate(` chain is the second path this keeps out."""
     files = sorted([*(PKG / "stages").glob("*.py"),
                     *(PKG / "pipelines").glob("*.py")])
+    files.append(PKG.parent / "__ray_entry__.py")
     assert len(files) > 20
     hits = {f"{p.parent.name}/{p.name}": lines for p in files
             if (lines := _groupby_aggregate_calls(p))}

@@ -192,3 +192,12 @@ def test_token_vocab_stats_and_bigrams(ray_session):
     got2_map = {(int(r.tid_a), int(r.tid_b)): int(r.n)
                 for r in got2_b.itertuples()}
     assert got2_map == dict(bg2)
+
+
+def test_estimate_size_bytes_reads_plan_metadata(ray_session):
+    """A small in-memory dataset has a known size without executing its
+    plan — what ``pack_token_sequences(n_buckets=None)`` sizes from."""
+    from series_correction_project_updated_ray.stages.packing import (
+        _estimate_size_bytes)
+    ds = rd.from_pandas(pd.DataFrame({"user_id": range(100)}))
+    assert _estimate_size_bytes(ds) > 0

@@ -514,7 +514,7 @@ def test_hash_join_semantics_battery(ray_session):
 
     for how in ("inner", "left"):
         got = hash_join(rd.from_arrow(left_t), rd.from_arrow(right_t),
-                        "k", "k2", how=how, n_buckets=4).to_pandas()
+                        "k", "k2", how=how).to_pandas()
         want = ref(how)
         assert len(got) == len(want), how
         g = got.sort_values(["lv", "rv"], na_position="last") \
@@ -527,26 +527,26 @@ def test_hash_join_semantics_battery(ray_session):
     # int64 keys survive the join output (the chained-join regression):
     j = hash_join(rd.from_arrow(left_t.drop_null()),
                   rd.from_arrow(right_t.drop_null()),
-                  "k", "k2", how="inner", n_buckets=4)
+                  "k", "k2", how="inner")
     sch = dict(zip(j.schema().names, j.schema().types))
     assert str(sch["k"]) == "int64" and str(sch["k2"]) == "int64"
     # ...and the output joins AGAIN without loss (two-hop chain)
     extra = pd.DataFrame({"k3": [2, 5], "xv": ["a", "b"]})
-    j2 = hash_join(j, rd.from_pandas(extra), "k", "k3", how="inner",
-                   n_buckets=4).to_pandas()
+    j2 = hash_join(j, rd.from_pandas(extra), "k", "k3",
+                   how="inner").to_pandas()
     assert len(j2) == len(ref("inner").dropna())
     # shared column names on both sides get pandas-style suffixes
     lshare = pd.DataFrame({"a": [1, 2], "c": [5, 6]})
     rshare = pd.DataFrame({"b": [1, 2], "c": [7, 8]})
     js = hash_join(rd.from_pandas(lshare), rd.from_pandas(rshare),
-                   "a", "b", n_buckets=2).to_pandas()
+                   "a", "b").to_pandas()
     assert {"a", "b", "c_l", "c_r"} == set(js.columns)
     # disjoint key sets → empty result whose DATASET schema stays intact
     # (what a chained consumer sees; Ray's to_pandas drops columns for
     # zero-block results)
     je = hash_join(rd.from_pandas(pd.DataFrame({"k": [1], "lv": [1]})),
                    rd.from_pandas(pd.DataFrame({"k2": [9], "rv": [2]})),
-                   "k", "k2", n_buckets=2)
+                   "k", "k2")
     assert je.count() == 0
     assert set(je.schema().names) == {"k", "lv", "k2", "rv"}
 
@@ -605,7 +605,7 @@ def test_hash_join_bigint_keys_with_nulls(ray_session):
     right_t = pa.table({"k2": pa.array([big, big + 1, 7], pa.int64()),
                         "rv": pa.array([10, 11, 12], pa.int64())})
     out = hash_join(rd.from_arrow(left_t), rd.from_arrow(right_t),
-                    "k", "k2", how="inner", n_buckets=8).to_pandas()
+                    "k", "k2", how="inner").to_pandas()
     assert sorted(out["k"].tolist()) == [7, big]
     assert sorted(out["rv"].tolist()) == [10, 12]
 
@@ -832,8 +832,7 @@ def test_hash_join_composite_keys(ray_session):
 
     for how in ("inner", "left"):
         got = hash_join(rd.from_arrow(left_t), rd.from_arrow(right_t),
-                        ["k", "g"], ["k", "g2"], how=how,
-                        n_buckets=4).to_pandas()
+                        ["k", "g"], ["k", "g2"], how=how).to_pandas()
         want = ref(how)
         assert sorted(got.columns) == sorted(want.columns), how
         g = got.sort_values(["lv"]).reset_index(drop=True)
@@ -1170,8 +1169,7 @@ def test_hash_join_same_name_cross_position_keys(ray_session):
                         "a": pa.array(["p", "q", "r"]),
                         "rv": pa.array([10, 20, 30], pa.int64())})
     out_ds = hash_join(rd.from_arrow(left_t), rd.from_arrow(right_t),
-                       ["a", "b"], ["b", "a"], how="inner",
-                       n_buckets=4).materialize()
+                       ["a", "b"], ["b", "a"], how="inner").materialize()
     # match requires left.a == right.b AND left.b == right.a: none here
     # (schema asserted on the Dataset — to_pandas of an all-empty
     # dataset loses columns)
@@ -1183,8 +1181,7 @@ def test_hash_join_same_name_cross_position_keys(ray_session):
                        "a": pa.array(["x", "zz"]),
                        "rv": pa.array([10, 20], pa.int64())})
     out2 = hash_join(rd.from_arrow(left_t), rd.from_arrow(right2),
-                     ["a", "b"], ["b", "a"], how="inner",
-                     n_buckets=4).to_pandas()
+                     ["a", "b"], ["b", "a"], how="inner").to_pandas()
     assert len(out2) == 1
     assert out2.iloc[0]["a_l"] == 1 and out2.iloc[0]["b_l"] == "x" \
         and out2.iloc[0]["rv"] == 10
@@ -1200,7 +1197,7 @@ def test_gather_join_semantics(ray_session):
                     "payload": pa.array([[10, 11], [20], [99]],
                                         pa.list_(pa.int64()))})
     out = gather_join(rd.from_arrow(tgt), rd.from_arrow(src),
-                      "k", "id", ["payload"], n_buckets=4).to_pandas()
+                      "k", "id", ["payload"]).to_pandas()
     # inner: k=4 unmatched dropped; NULL keys never match (neither side)
     out = out.sort_values(["k", "v"]).reset_index(drop=True)
     assert list(out["k"]) == [1, 2, 2]
@@ -1215,7 +1212,7 @@ def test_gather_join_semantics(ray_session):
                     "payload": pa.array([[1], [2]], pa.list_(pa.int64()))})
     with pytest.raises(Exception):
         gather_join(rd.from_arrow(tgt), rd.from_arrow(dup),
-                    "k", "id", n_buckets=1).materialize()
+                    "k", "id").materialize()
 
 
 def test_ngram_jaccard_gather_fallback_matches_broadcast(ray_session):
@@ -1679,7 +1676,7 @@ def test_hash_join_outer_right_and_collapsed_keys(ray_session):
 
     for how in ("right", "outer"):
         got = hash_join(rd.from_arrow(left_t), rd.from_arrow(right_t),
-                        "k", "k2", how=how, n_buckets=4).to_pandas()
+                        "k", "k2", how=how).to_pandas()
         want = ref(how)
         assert len(got) == len(want), how
         g = got.sort_values(["lv", "rv"], na_position="last") \
@@ -1696,7 +1693,7 @@ def test_hash_join_outer_right_and_collapsed_keys(ray_session):
     rc = pa.table({"k": pa.array([2, 3], pa.int64()),
                    "rv": pa.array([200, 300], pa.int64())})
     out = hash_join(rd.from_arrow(lc), rd.from_arrow(rc), "k", "k",
-                    how="outer", n_buckets=2).to_pandas() \
+                    how="outer").to_pandas() \
         .sort_values("k").reset_index(drop=True)
     assert out["k"].tolist() == [1, 2, 3]
     assert str(out["k"].dtype) == "int64"  # never floatified
@@ -1712,7 +1709,7 @@ def test_hash_join_outer_right_and_collapsed_keys(ray_session):
     rb = pa.table({"k2": pa.array([big], pa.int64()),
                    "rv": pa.array([10], pa.int64())})
     obd = hash_join(rd.from_arrow(lb), rd.from_arrow(rb), "k", "k2",
-                    how="left", n_buckets=2)
+                    how="left")
     # ARROW schema stays int64 (pandas renders the null-bearing column
     # as float64, but the engine never degrades the stored values)
     osch = dict(zip(obd.schema().names, obd.schema().types))
@@ -1734,8 +1731,7 @@ def test_hash_join_outer_right_and_collapsed_keys(ray_session):
                    "b": pa.array(["x"]),
                    "rv": pa.array([10], pa.int64())})
     o2 = hash_join(rd.from_arrow(l2), rd.from_arrow(r2),
-                   ["a", "b"], ["a", "b"], how="left",
-                   n_buckets=2).to_pandas() \
+                   ["a", "b"], ["a", "b"], how="left").to_pandas() \
         .sort_values("lv").reset_index(drop=True)
     assert o2["rv"].fillna(-1).tolist() == [10, -1, -1]
 

@@ -299,39 +299,13 @@ def test_bounce_rate_end_to_end(ray_session):
     assert got["bounce_rate"].between(0, 1).all()
 
 
-# --- the size-derived partition-group primitive -------------------------------
-
-def test_derive_buckets_floor_growth_cap_fallback(monkeypatch):
-    """Group count = ceil(max estimated bytes / target), clamped to
-    [8, 4096]; 32 when no input has a size estimate."""
-    from series_correction_project_updated_ray.stages import joins
-    target = joins._TARGET_BUCKET_BYTES
-    sizes = {"unknown": None, "tiny": 1_000, "mid": 20 * target,
-             "big": 100 * target, "huge": 10_000 * target}
-    monkeypatch.setattr(joins, "_estimate_size_bytes", sizes.get)
-    assert joins._derive_buckets("unknown") == 32
-    assert joins._derive_buckets("tiny") == 8
-    assert joins._derive_buckets("mid") == 20
-    assert joins._derive_buckets("big") == 100
-    assert joins._derive_buckets("huge") == 4096
-    # several inputs: sized by the largest; unknown ones don't count
-    assert joins._derive_buckets("tiny", "big", "unknown") == 100
-
-
-def test_derive_buckets_reads_plan_metadata(ray_session):
-    """A small in-memory dataset has a known size (no execution) and
-    sits at the floor."""
-    import ray.data as rd
-    from series_correction_project_updated_ray.stages import joins
-    ds = rd.from_pandas(pd.DataFrame({"user_id": range(100)}))
-    assert joins._estimate_size_bytes(ds) > 0
-    assert joins._derive_buckets(ds) == 8
-
+# --- partition groups over the keyed exchange ------------------------------
 
 def test_partition_groups_output_invariant_to_group_count(ray_session,
                                                           monkeypatch):
-    """Keys stay whole whatever the group count: session_windows gives
-    the same rows at the floor count and at the cap."""
+    """Keys stay whole whatever the block count: session_windows gives
+    the same rows with every input block sorted on its own
+    (``_SORT_BLOCK_ROWS = 1``) and with the default coalescing."""
     import ray.data as rd
     from series_correction_project_updated_ray.stages import joins
     from series_correction_project_updated_ray.stages.windows import (
@@ -348,13 +322,11 @@ def test_partition_groups_output_invariant_to_group_count(ray_session,
         return session_windows(ds).to_pandas() \
             .sort_values(["user_id", "session_id"]).reset_index(drop=True)
 
-    assert joins._derive_buckets(ds) == 8
-    at_floor = run()
-    monkeypatch.setattr(joins, "_TARGET_BUCKET_BYTES", 1)
-    assert joins._derive_buckets(ds) == 4096
-    at_cap = run()
-    pd.testing.assert_frame_equal(at_floor, at_cap)
-    assert at_floor["user_id"].nunique() == df["user_id"].nunique()
+    coalesced = run()
+    monkeypatch.setattr(joins, "_SORT_BLOCK_ROWS", 1)
+    per_block = run()
+    pd.testing.assert_frame_equal(coalesced, per_block)
+    assert coalesced["user_id"].nunique() == df["user_id"].nunique()
 
 
 def test_no_stage_function_takes_n_parts():
