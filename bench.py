@@ -119,7 +119,7 @@ def run_bench() -> dict:
         n_rollup_rows = roll.count()
     timed("rollup_sequences_synth", _headline, reps=3)
 
-    # general-input plan (one groupby shuffle) for comparison
+    # general-input plan (one keyed exchange on series_key) for comparison
     timed("rollup_sequences_shuffle",
           lambda: correct_and_rollup(read_sequences(SYNTH_DIR, num_blocks=64),
                                      buckets_per_source=128,

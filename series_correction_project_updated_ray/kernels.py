@@ -6,12 +6,13 @@ semantics of the reference engine (``/root/reference/scripts/processor.py``,
 ``/root/reference/scripts/export_comparison_sheets.py``,
 ``/root/reference/updated_processor.py``) but are expressed as stateless
 numpy functions over ``(t, values)`` arrays so they can run inside Ray Data
-``map_batches`` / ``map_groups`` stages with zero pandas overhead.
+``map_batches`` stages and keyed-exchange block kernels with zero pandas
+overhead.
 
 Every function operates on ONE series (one group). State (CUSUM accumulator,
 cumulative jump offsets) never crosses a series boundary, so a series must be
 whole within a group — that partitioning invariant is enforced upstream by
-the groupby shuffle key (see ``stages/correction.py``).
+the keyed exchange on the series key (see ``stages/correction.py``).
 
 Numerical parity notes (checked by tests ported from the reference suite):
 

@@ -6,33 +6,32 @@ Per (series, year): outer-join raw and corrected frames on the time column
 comparison-variant Hampel detector (D4 — the zero-MAD rule WITHOUT the
 threshold·1e-6 tier) on the raw value column.
 
-Both sides share the (series, year_idx) partitioning, so the join is a
-co-grouped merge inside one map_groups — no second shuffle.
+Both sides go through one keyed exchange on (series, year_idx), each
+tagged with its side before the union, so the join is a co-grouped merge
+per (series, year_idx) — no second shuffle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from .. import kernels as K
+from ..stages.joins import _with_hash, keyed_exchange, per_key
 
 
 class ComparisonKernel:
-    """cogroup kernel over union-tagged rows of one (series, year_idx)."""
+    """cogroup kernel over side-tagged rows of one (series, year_idx)."""
 
     def __init__(self, time_col="Time (Seconds)", value_col="Value2",
                  window_size=5, threshold=3.0):
         self.time_col, self.value_col = time_col, value_col
         self.window_size, self.threshold = window_size, threshold
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         raw = g[g["__side"] == "raw"].drop(columns="__side")
         proc = g[g["__side"] == "processed"].drop(columns="__side")
-        keep = ["series", "year_idx", self.time_col, self.value_col]
-        raw = raw[[c for c in keep if c in raw.columns]]
-        proc = proc[[c for c in keep if c in proc.columns]]
         merged = raw.merge(proc, on=["series", "year_idx", self.time_col],
                            how="outer", suffixes=("_raw", "_processed"))
         merged = merged.sort_values(self.time_col, kind="stable") \
@@ -49,11 +48,17 @@ class ComparisonKernel:
 def export_comparisons(raw_ds, corrected_ds, time_col="Time (Seconds)",
                        value_col="Value2", window_size=5, threshold=3.0):
     """raw + corrected compat Datasets → comparison Dataset."""
-    tag_raw = raw_ds.map_batches(
-        lambda df: df.assign(__side="raw"), batch_format="pandas")
-    tag_proc = corrected_ds.map_batches(
-        lambda df: df.assign(__side="processed"), batch_format="pandas")
-    both = tag_raw.union(tag_proc)
-    return both.groupby(["series", "year_idx"]).map_groups(
-        ComparisonKernel(time_col, value_col, window_size, threshold),
-        batch_format="pandas")
+    keys = ["series", "year_idx"]
+    cols = [*keys, time_col, value_col]
+
+    def tag(side: str):
+        def _tag(t: pa.Table) -> pa.Table:
+            t = t.select([c for c in cols if c in t.column_names])
+            t = t.append_column("__side", pa.array([side] * len(t)))
+            return _with_hash(t, keys)
+        return _tag
+
+    kernel = ComparisonKernel(time_col, value_col, window_size, threshold)
+    return keyed_exchange([(raw_ds, tag("raw")),
+                           (corrected_ds, tag("processed"))],
+                          per_key(keys, kernel), "pyarrow")

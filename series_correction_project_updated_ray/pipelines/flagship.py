@@ -2,7 +2,7 @@
 correction → 1m/1h/1d continuous aggregates.
 
 read_parquet (pruned columns) → map_batches tokenize → map_batches
-series-key → ONE groupby shuffle → fused correct+rollup group kernel →
+series-key → ONE keyed exchange → fused correct+rollup block kernel →
 rolled-up points.  Streaming end to end; nothing materializes the corpus.
 """
 

@@ -15,7 +15,7 @@ Semantics (apply_refined_corrections.py):
 
 Ray plan: the instruction table is tiny (≤ 32 sensors × years) → broadcast;
 the fold is per (series, sensor) sequential over year-ordered groups —
-exactly one groupby shuffle of the long-form data.
+exactly one keyed exchange of the long-form data (``each_key``).
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ def plan_corrections(instructions: pd.DataFrame,
 
 
 class LevelShiftFold:
-    """map_groups kernel over one (series, sensor_id) long-form group:
-    apply the planned boundary shifts in year order, cumulatively."""
+    """Per-key kernel (``each_key``) over one (series, sensor_id)
+    long-form group: apply the planned boundary shifts in year order,
+    cumulatively."""
 
     def __init__(self, plan_ref, min_rows: int = 5):
         import ray
@@ -78,7 +79,6 @@ class LevelShiftFold:
             self.by_key.setdefault(
                 (r["series"], int(r["sensor_idx"]) + 1), []).append(r)
         self.min_rows = min_rows
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         series = g["series"].iloc[0]
@@ -112,7 +112,7 @@ def apply_level_shifts(long_ds, yty_df: pd.DataFrame,
     """long-form Seatek Dataset + wide differences table →
     (shifted Dataset, correction log DataFrame)."""
     import ray
-    from ..stages.joins import distributed_distinct
+    from ..stages.joins import distributed_distinct, each_key
     instructions = melt_instructions(yty_df, threshold)
 
     # distinct (series, year_idx) distributed — only the tiny
@@ -122,8 +122,8 @@ def apply_level_shifts(long_ds, yty_df: pd.DataFrame,
                        for s, g in meta.groupby("series")}
     plan = plan_corrections(instructions, years_by_series)
     plan_ref = ray.put(plan)
-    shifted = long_ds.groupby(["series", "sensor_id"]).map_groups(
-        LevelShiftFold(plan_ref, min_rows), batch_format="pandas")
+    shifted = each_key(long_ds, ["series", "sensor_id"],
+                       LevelShiftFold(plan_ref, min_rows))
     return shifted, plan
 
 
@@ -137,24 +137,26 @@ def correction_log(shifted, plan: pd.DataFrame) -> pd.DataFrame:
         lambda df: df.loc[~df["shift_log"].isna(),
                           ["series", "sensor_id", "year_idx", "shift_log"]],
         batch_format="pandas").to_pandas()
-    rows = []
-    for _, r in plan.iterrows():
-        m = applied[(applied["series"] == r["series"])
-                    & (applied["sensor_id"] == r["sensor_idx"] + 1)
-                    & (applied["year_idx"] == r["next_yy"])]
-        if m.empty:
-            continue
-        shift = float(m["shift_log"].iloc[0])
-        rows.append({
-            "Series": f"S{r['series']}",
-            "Year_Pair_Outlier": r["Year_Pair"],
-            "Sensor": r["Sensor"],
-            "Original_Difference_Summary": r["Difference"],
-            "Calculated_Level_Shift": shift,
-            "Correction_Type": "Level Shift",
-            "File_Corrected":
-                f"S{r['series']}_Y{int(r['next_yy']):02d}_refined_corrected.csv",
-            "Rationale": (f"Aligned Y{int(r['next_yy']):02d} head with "
-                          f"Y{int(r['prev_yy']):02d} tail."),
-        })
-    return pd.DataFrame(rows)
+    if plan.empty or applied.empty:
+        return pd.DataFrame()
+    # one marker row per applied shift: an inner merge in plan order
+    keys = ["series", "sensor_id", "year_idx"]
+    m = plan.assign(sensor_id=plan["sensor_idx"] + 1,
+                    year_idx=plan["next_yy"]) \
+        .merge(applied.drop_duplicates(keys), on=keys)
+    if m.empty:
+        return pd.DataFrame()
+    series = "S" + m["series"].astype(str)
+    next_yy = m["next_yy"].map("{:02d}".format)
+    prev_yy = m["prev_yy"].map("{:02d}".format)
+    return pd.DataFrame({
+        "Series": series,
+        "Year_Pair_Outlier": m["Year_Pair"],
+        "Sensor": m["Sensor"],
+        "Original_Difference_Summary": m["Difference"],
+        "Calculated_Level_Shift": m["shift_log"].astype(float),
+        "Correction_Type": "Level Shift",
+        "File_Corrected": series + "_Y" + next_yy + "_refined_corrected.csv",
+        "Rationale": "Aligned Y" + next_yy + " head with Y" + prev_yy
+                     + " tail.",
+    })

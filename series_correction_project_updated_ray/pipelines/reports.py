@@ -19,6 +19,7 @@ import pandas as pd
 from .. import kernels as K
 from ..functions.parsing import safe_round
 from ..functions.sanitize import sanitize_dataframe
+from ..stages.joins import each_key
 
 
 def write_csv_safely(ds_or_df, path: str, **kwargs):
@@ -79,12 +80,11 @@ def write_excel_safely(df: pd.DataFrame, path: str, *,
 
 
 class _FileStats:
-    """map_groups: per (series, year_idx) mean/median/outlier stats over the
-    compat value column (A7)."""
+    """Per-key kernel (``each_key``): per (series, year_idx)
+    mean/median/outlier stats over the compat value column (A7)."""
 
     def __init__(self, value_col="Value2", threshold=3.0):
         self.value_col, self.threshold = value_col, threshold
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         v = g[self.value_col].to_numpy(float)
@@ -101,8 +101,8 @@ class _FileStats:
 
 def per_file_summary(compat_ds, value_col="Value2", threshold=3.0):
     """Dataset[series, year_idx, Value2, …] → per-file stats Dataset."""
-    return compat_ds.groupby(["series", "year_idx"]).map_groups(
-        _FileStats(value_col, threshold), batch_format="pandas")
+    return each_key(compat_ds, ["series", "year_idx"],
+                    _FileStats(value_col, threshold))
 
 
 def overview_table(correction_log: pd.DataFrame,

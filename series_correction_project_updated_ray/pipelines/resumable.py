@@ -7,9 +7,9 @@ The flagship correct+rollup pipeline wrapped in the checkpoint layer:
 3. read manifests → completed partition set → a vectorized filter drops
    those partitions' rows BEFORE the shuffle (a killed run re-reads the
    input but re-processes only incomplete partitions);
-4. one groupby shuffle on ``part_id``; the group writer runs every series
-   of the partition through the fused correct+rollup kernel and writes
-   ``tier=<t>/part=<id>/data.parquet`` atomically + its manifest;
+4. one keyed exchange on ``part_id``; the partition writer runs every
+   series of the partition through the fused correct+rollup kernel and
+   writes ``tier=<t>/part=<id>/data.parquet`` atomically + its manifest;
 5. commit marker.
 
 Partition id = series bucket folded to ``n_partitions`` — deterministic,
@@ -25,12 +25,17 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .. import kernels as K
 from ..sources.sequences import read_sequences
-from ..stages.correction import (SERIES_STEP_SECONDS, TIERS, add_series_key,
-                                 tokens_to_values)
+from ..stages.correction import (SERIES_STEP_SECONDS, TIERS,
+                                 CorrectAndRollupGroup, add_series_key)
+from ..stages.joins import each_key
 from ..state import checkpoint as CP
+
+TIER_COLUMNS = ["series_key", "window_start", "vmin", "vmax", "vsum",
+                "vcount"]
+MANIFEST_COLUMNS = ["part_id", "status"]
 
 
 def _add_part_id(batch: pa.Table, n_partitions: int) -> pa.Table:
@@ -48,8 +53,9 @@ def _drop_completed(batch: pa.Table, done: frozenset) -> pa.Table:
 
 
 class PartitionWriter:
-    """map_groups kernel over one checkpoint partition: run every series,
-    write tier parquet + manifest, emit the manifest row."""
+    """Per-partition kernel (``each_key`` on part_id): run the fused
+    correct+rollup kernel over the partition's series, write one tier
+    parquet per tier + the manifest, emit the manifest row."""
 
     def __init__(self, out_root: str, fingerprint: str,
                  config: dict | None = None,
@@ -57,47 +63,18 @@ class PartitionWriter:
                  tiers=TIERS):
         self.out_root = out_root
         self.fingerprint = fingerprint
-        self.config = K.merge_config(config)
-        self.step = step_seconds
-        self.tiers = tiers
-        self.__name__ = type(self).__name__
+        self.kernel = CorrectAndRollupGroup(config, step_seconds, tiers)
 
     def __call__(self, group: pa.Table) -> pd.DataFrame:
         t0 = time.time()
         part_id = int(group["part_id"][0].as_py())
-        df = group.select(["series_key", "doc_id", "tokens"]).to_pandas()
-        rows_in = len(df)
-        tier_chunks: dict[str, list[dict]] = {name: [] for name, _ in self.tiers}
-        for key, g in df.groupby("series_key", sort=True):
-            g = g.sort_values("doc_id")
-            flat = np.concatenate([np.asarray(x, dtype=np.int32)
-                                   for x in g["tokens"]]) \
-                if len(g) else np.empty(0, np.int32)
-            v = tokens_to_values(flat)
-            t = np.arange(len(v), dtype=np.int64) * self.step
-            t, v = K.process_series(t, v, self.config)
-            partial = None
-            for name, width in self.tiers:
-                partial = (K.rollup_series(t, v, width) if partial is None
-                           else K.rollup_cascade(partial, width))
-                n = len(partial["window_start"])
-                tier_chunks[name].append({
-                    "series_key": np.full(n, key, dtype=np.int64),
-                    "window_start": partial["window_start"],
-                    "vmin": partial["min"], "vmax": partial["max"],
-                    "vsum": partial["sum"],
-                    "vcount": partial["count"].astype(np.int64),
-                })
-        tier_tables = {}
-        for name, chunks in tier_chunks.items():
-            cols = {}
-            for c in ("series_key", "window_start", "vmin", "vmax",
-                      "vsum", "vcount"):
-                cols[c] = np.concatenate([ch[c] for ch in chunks]) \
-                    if chunks else np.empty(0)
-            tier_tables[name] = pa.table(cols)
+        rolled = self.kernel(group)
+        tier_tables = {
+            name: rolled.filter(pc.equal(rolled["tier"], name))
+            .select(TIER_COLUMNS)
+            for name, _ in self.kernel.tiers}
         manifest = CP.write_partition(self.out_root, tier_tables, part_id,
-                                      self.fingerprint, rows_in,
+                                      self.fingerprint, len(group),
                                       time.time() - t0)
         return pd.DataFrame([manifest])
 
@@ -118,7 +95,7 @@ def run_resumable(input_path: str, out_root: str, *,
             f"step={step_seconds};config={sorted((config or {}).items())}")
     fp = CP.plan_fingerprint(files, plan)
     if CP.is_committed(out_root, fp):
-        return pd.DataFrame(columns=["part_id", "status"])
+        return pd.DataFrame(columns=MANIFEST_COLUMNS)
     done = frozenset(CP.completed_partitions(out_root, fp))
     ds = read_sequences(input_path, num_blocks=num_blocks)
     keyed = ds.map_batches(add_series_key, batch_format="pyarrow",
@@ -128,8 +105,11 @@ def run_resumable(input_path: str, out_root: str, *,
     pruned = parts.map_batches(_drop_completed, batch_format="pyarrow",
                                fn_kwargs={"done": done})
     writer = PartitionWriter(out_root, fp, config, step_seconds)
-    manifests = pruned.groupby("part_id").map_groups(
-        writer, batch_format="pyarrow").to_pandas()
+    manifests = each_key(pruned, "part_id", writer, "pyarrow").to_pandas()
+    if manifests.empty:
+        # every partition already had a manifest (a run killed after its
+        # last write, before the commit): nothing ran, same columns
+        manifests = pd.DataFrame(columns=MANIFEST_COLUMNS)
     if len(CP.completed_partitions(out_root, fp)) >= 1:
         CP.commit(out_root, fp,
                   len(CP.completed_partitions(out_root, fp)))

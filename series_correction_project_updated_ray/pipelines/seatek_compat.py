@@ -7,10 +7,10 @@ the auto-detected value column is Value2; gap-inserted rows carry NaN in
 every non-interpolated column; each step re-sorts by the time column when
 configured.
 
-The Ray plan: parse files → group by (series, year_idx) → per-file frame
-kernel (pandas inside map_groups; per-file frames are tiny) → corrected
-Dataset + per-file summary rows [Series, Year, Y-Index, Filename, Status,
-Records] (batch_correction.py:629-663).
+The Ray plan: parse files → ``each_key`` on (series, year_idx) → per-file
+frame kernel (pandas, one call per file; per-file frames are tiny) →
+corrected Dataset + per-file summary rows [Series, Year, Y-Index, Filename,
+Status, Records] (batch_correction.py:629-663).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 import pandas as pd
 
 from .. import kernels as K
+from ..stages.joins import each_key
 
 
 def process_frame(df: pd.DataFrame, config: dict | None = None,
@@ -85,11 +86,11 @@ def process_frame(df: pd.DataFrame, config: dict | None = None,
 
 
 class CompatFileKernel:
-    """map_groups kernel: one (series, year_idx) compat frame → corrected."""
+    """Per-key kernel (``each_key``): one (series, year_idx) compat frame →
+    corrected."""
 
     def __init__(self, config: dict | None = None):
         self.config = config
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         meta = g[["series", "year_idx"]].iloc[0]
@@ -115,8 +116,7 @@ def batch_correct(data_dir: str, config: dict | None = None,
     from ..sources.seatek import read_seatek
     ds = read_seatek(data_dir, mode="compat", series=series,
                      year_range=year_range)
-    return ds.groupby(["series", "year_idx"]).map_groups(
-        CompatFileKernel(config), batch_format="pandas")
+    return each_key(ds, ["series", "year_idx"], CompatFileKernel(config))
 
 
 _FALLBACK_COLUMNS = ["Series", "Year", "Y-Index", "Filename", "Status",
@@ -236,18 +236,16 @@ def batch_process(data_dir: str, config_data: dict | None = None,
 
 
 class LongSeriesKernel:
-    """map_groups kernel for the INTENDED semantics (SURVEY.md §1.2): every
-    (series, year, sensor) is an independent series over the real
-    last-column timestamps — the knowingly-fixed version of the reference's
-    only-Value2 quirk.  Emits the corrected long rows (gap-inserted rows
-    appear with inserted=True)."""
+    """Per-key kernel (``each_key``) for the INTENDED semantics (SURVEY.md
+    §1.2): every (series, year, sensor) is an independent series over the
+    real last-column timestamps — the knowingly-fixed version of the
+    reference's only-Value2 quirk.  Emits the corrected long rows
+    (gap-inserted rows appear with inserted=True)."""
 
     def __init__(self, config: dict | None = None):
         self.config = config
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        from .. import kernels as K
         g = g.sort_values("t", kind="stable")
         t = g["t"].to_numpy(np.float64)
         v = g["value"].to_numpy(np.float64)
@@ -266,11 +264,11 @@ class LongSeriesKernel:
 
 def correct_all_sensors(data_dir: str, config: dict | None = None):
     """Long-form correction of every sensor column independently — one
-    groupby shuffle keyed (series, year_idx, sensor_id)."""
+    keyed exchange on (series, year_idx, sensor_id)."""
     from ..sources.seatek import read_seatek
     long_ds = read_seatek(data_dir, mode="long")
-    return long_ds.groupby(["series", "year_idx", "sensor_id"]).map_groups(
-        LongSeriesKernel(config), batch_format="pandas")
+    return each_key(long_ds, ["series", "year_idx", "sensor_id"],
+                    LongSeriesKernel(config))
 
 
 def summarize(corrected, first_year: int = 1995,

@@ -181,7 +181,7 @@ def write_synthetic_sequences_bucketed(out_dir: str, num_docs: int,
 
 def read_sequences(path: str, num_blocks: int | None = None
                    ) -> "ray.data.Dataset":
-    """num_blocks sizes the read for the downstream groupby shuffle —
+    """num_blocks sizes the read for the downstream keyed exchange —
     ~2 blocks per CPU keeps the sort map/reduce fan balanced (measured:
     64 blocks beats both 32 and 256 at 100k docs / 32 CPUs)."""
     if num_blocks is None:

@@ -25,6 +25,7 @@ import pyarrow.compute as pc
 
 from .. import kernels as K
 from ..functions.hashing import series_bucket, stable_hash_array
+from .joins import each_key, partition_groups
 
 SERIES_STEP_SECONDS = 13090  # Seatek cadence (/root/reference/data/S26_Y01.txt)
 TIERS = (("1m", 60), ("1h", 3600), ("1d", 86400))
@@ -78,7 +79,8 @@ class CorrectAndRollupGroup:
     Accepts a batch holding ONE OR MORE whole series (it partitions by
     series_key internally), so the same class serves both execution plans:
 
-    * general input → ``groupby(series_key).map_groups`` (one shuffle);
+    * general input → ``partition_groups`` on series_key (one keyed
+      exchange; a block holds many whole series);
     * bucket-partitioned input (ingest layout already co-locates whole
       series per file) → plain ``map_batches(batch_size=None)`` — the
       zero-shuffle scale path.
@@ -94,7 +96,6 @@ class CorrectAndRollupGroup:
         self.config = K.merge_config(config)
         self.step = step_seconds
         self.tiers = tiers
-        self.__name__ = type(self).__name__  # map_groups wants a named callable
 
     def _one_series(self, flat: np.ndarray, out: dict, series_key: int,
                     source: str):
@@ -158,7 +159,8 @@ class CorrectAndRollupGroup:
 
 
 class CorrectSequencesGroup:
-    """map_groups kernel: outlier+jump correction mapped back per document.
+    """Per-series kernel (``each_key``): outlier+jump correction mapped
+    back per document.
 
     Runs the value-count-preserving steps (outliers, jumps — gap fill would
     insert rows that belong to no document) and returns each doc's corrected
@@ -168,7 +170,6 @@ class CorrectSequencesGroup:
 
     def __init__(self, config: dict | None = None):
         self.config = K.merge_config(config)
-        self.__name__ = type(self).__name__  # map_groups wants a named callable
 
     def __call__(self, group: pa.Table) -> pa.Table:
         group, flat, offsets = _flatten_group(group)
@@ -195,14 +196,14 @@ def correct_and_rollup(sequences, *, buckets_per_source: int = 64,
                        step_seconds: int = SERIES_STEP_SECONDS):
     """sequences Dataset → rolled-up points Dataset (the flagship pipeline).
 
-    One groupby shuffle keyed on series_key; everything else is map-side.
+    One keyed exchange on series_key; everything else is map-side.
     """
     keyed = sequences.map_batches(
         add_series_key, batch_format="pyarrow",
         fn_kwargs={"buckets_per_source": buckets_per_source})
-    return keyed.groupby("series_key").map_groups(
-        CorrectAndRollupGroup(config, step_seconds=step_seconds),
-        batch_format="pyarrow")
+    return partition_groups(
+        keyed, "series_key",
+        CorrectAndRollupGroup(config, step_seconds=step_seconds), "pyarrow")
 
 
 class BucketFileKernel:
@@ -263,5 +264,5 @@ def correct_sequences(sequences, *, buckets_per_source: int = 64,
     keyed = sequences.map_batches(
         add_series_key, batch_format="pyarrow",
         fn_kwargs={"buckets_per_source": buckets_per_source})
-    return keyed.groupby("series_key").map_groups(
-        CorrectSequencesGroup(config), batch_format="pyarrow")
+    return each_key(keyed, "series_key", CorrectSequencesGroup(config),
+                    "pyarrow")

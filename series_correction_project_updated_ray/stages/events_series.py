@@ -1,9 +1,9 @@
 """Per-series detection/correction stages over the events stream table.
 
 Each user_id is an independent series (the reference's file ≡ partition,
-sensor ≡ series mapping — SURVEY.md §1.2).  One groupby shuffle co-locates a
-whole series; the numpy kernels then run order-dependent detection exactly
-as the reference does per file.
+sensor ≡ series mapping — SURVEY.md §1.2).  One keyed exchange co-locates
+a whole series; the numpy kernels then run order-dependent detection
+exactly as the reference does per file.
 
 Layout: the partition-group kernel is arrow-in/arrow-out.  Each partition
 is lexsorted ONCE ((key, ts, event_id) via numpy), series become

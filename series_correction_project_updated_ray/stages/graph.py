@@ -51,9 +51,6 @@ class _OrderPairsGroup:
     bounded by the order's lineitem count, so the merge blow-up is a
     small constant."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
             return _EMPTY_PAIRS
@@ -93,9 +90,6 @@ class _OrderPairCellsGroup:
     """Per-partition kernel: within-order distinct part pairs with a
     partition-local ORDER count per pair — the mergeable partial for
     support counting (how many orders co-contain the pair)."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"u": pd.Series([], dtype=np.int64),
@@ -179,9 +173,6 @@ class _NeighborPairCellsGroup:
     degree(x)², so the caller must feed a SUPPORT-FILTERED (sparse)
     graph; the support screen is what bounds hub degrees here."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"a": pd.Series([], dtype=np.int64),
                               "b": pd.Series([], dtype=np.int64),
@@ -205,9 +196,6 @@ class _NonAdjacentGroup:
     existing edges (side 1), co-partitioned on the pair's first node —
     a shuffle anti-join on the composite (a, b) key without packing
     part keys into one integer (which would cap the key domain)."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"a": pd.Series([], dtype=np.int64),
@@ -346,9 +334,6 @@ class _WedgesGroup:
     orientation bounds per-source out-degree, so the merge output is
     the O(m^1.5) wedge set."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"a": pd.Series([], dtype=np.int64),
                               "v": pd.Series([], dtype=np.int64),
@@ -378,9 +363,6 @@ class _CloseCountGroup:
     COUNT CELLS (each triangle credits its three vertices), so the
     final exchange carries ≤ 3·|nodes-in-partition| rows, not
     per-triangle rows."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"node": pd.Series([], dtype=np.int64),

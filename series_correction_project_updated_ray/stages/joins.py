@@ -9,11 +9,13 @@ row gets ``__h``, a never-null int64 hash of its keys (``_key_hash``), the
 rows are sorted on it, and a kernel runs once per sorted block.  The sort
 never splits equal hashes across blocks, so a key is whole in one call;
 the sort also picks the partition count, so no bucket count is set by
-hand.  A join tags both sides into one union (side marker, null-padded to
-a shared schema) and probes each block with one vectorized merge.  The
-hash is uniform in the key, so skew only arises from individual hot KEYS,
-which an equi-join must co-locate anyway (``skew_join`` routes those
-around the exchange).
+hand.  A kernel that folds one key at a time wraps in ``per_key``
+(``each_key`` for one input), which splits each block by key value.  A
+join tags both sides into one union (side marker, null-padded to a shared
+schema) and probes each block with one vectorized merge.  The hash is
+uniform in the key, so skew only arises from individual hot KEYS, which
+an equi-join must co-locate anyway (``skew_join`` routes those around
+the exchange).
 """
 
 from __future__ import annotations
@@ -86,13 +88,49 @@ def keyed_exchange(sides, fn, batch_format: str = "pyarrow"):
                                         batch_format=batch_format)
 
 
-def partition_groups(ds, key_col: str, fn, batch_format: str = "pandas"):
+def _key_list(key_col) -> list[str]:
+    return [key_col] if isinstance(key_col, str) else list(key_col)
+
+
+def partition_groups(ds, key_col, fn, batch_format: str = "pandas"):
     """Run ``fn`` once per block of ``ds`` after the keyed exchange on
-    ``key_col`` — the one-shuffle plan of every per-key kernel: whole keys
-    are co-located, the block count follows the input size instead of
-    |keys|, and ``fn`` handles all keys of its block vectorized."""
-    return keyed_exchange([(ds, lambda t: _with_hash(t, [key_col]))], fn,
+    ``key_col`` (a column or a list of columns) — the one-shuffle plan of
+    every per-key kernel: whole keys are co-located, the block count
+    follows the input size instead of |keys|, and ``fn`` handles all keys
+    of its block vectorized."""
+    keys = _key_list(key_col)
+    return keyed_exchange([(ds, lambda t: _with_hash(t, keys))], fn,
                           batch_format)
+
+
+def per_key(key_col, fn, batch_format: str = "pandas"):
+    """Block kernel for ``keyed_exchange`` that runs ``fn`` once per key:
+    the block splits by the key VALUES (nulls form one group; never by
+    ``__h``, so a hash collision cannot merge two keys), each group
+    reaches ``fn`` as its own batch in ``batch_format`` (converted per
+    group, so a column's pandas dtype follows that group's nulls alone),
+    and the outputs are yielded in turn for Ray to concatenate.  Takes
+    pyarrow blocks."""
+    keys = _key_list(key_col)
+
+    def _groups(t: pa.Table):
+        rows = t.select(keys).append_column(
+            "__i", pa.array(np.arange(t.num_rows, dtype=np.int64)))
+        lst = rows.group_by(keys, use_threads=False).aggregate(
+            [("__i", "list")])["__i_list"].combine_chunks()
+        idx, offs = lst.values.to_numpy(), lst.offsets.to_numpy()
+        for b, e in zip(offs[:-1], offs[1:]):
+            g = t.take(idx[b:e])
+            yield fn(g.to_pandas() if batch_format == "pandas" else g)
+    _groups.__name__ = getattr(fn, "__name__", type(fn).__name__)
+    return _groups
+
+
+def each_key(ds, key_col, fn, batch_format: str = "pandas"):
+    """Run ``fn`` once per key of ``ds`` — ``partition_groups`` with a
+    ``per_key`` block kernel, for kernels that fold one key at a time."""
+    return partition_groups(ds, key_col, per_key(key_col, fn, batch_format),
+                            "pyarrow")
 
 
 class _TagPad:
@@ -102,7 +140,7 @@ class _TagPad:
 
     def __init__(self, key, side: str,
                  union_fields: list[tuple[str, pa.DataType]]):
-        self.keys = [key] if isinstance(key, str) else list(key)
+        self.keys = _key_list(key)
         self.side = side
         self.union_fields = union_fields
 
@@ -141,14 +179,10 @@ class BucketJoin:
 
     def __init__(self, left_key, right_key, l_cols: list[str],
                  r_cols: list[str], types: dict, how: str = "inner"):
-        self.l_keys = [left_key] if isinstance(left_key, str) \
-            else list(left_key)
-        self.r_keys = [right_key] if isinstance(right_key, str) \
-            else list(right_key)
+        self.l_keys, self.r_keys = _key_list(left_key), _key_list(right_key)
         self.l_cols, self.r_cols = l_cols, r_cols
         self.types = types
         self.how = how
-        self.__name__ = type(self).__name__
 
     def _merged_columns(self) -> list[tuple[str, str, str]]:
         """(output_name, side, base_name) triples exactly as pandas merge
@@ -307,7 +341,7 @@ class KeySetFilter:
 
 def _known_schema(ds):
     """(ds, schema) without a throwaway execution: ds.schema() on a lazy
-    plan with no metadata schema (any map_batches/map_groups output)
+    plan with no metadata schema (any map_batches output)
     executes the plan and DISCARDS the blocks; materializing first makes
     the schema read and the subsequent consumption share one execution."""
     sch = ds.schema(fetch_if_missing=False)
@@ -425,8 +459,7 @@ def _join_field_plan(l_sch, r_sch, left_key, right_key, suffixes):
     — MUST be suffixed, or the union dict would keep just one side's
     type and silently cast the other side's column to it.  The returned
     l_keys/r_keys carry the post-suffix key names."""
-    l_keys = [left_key] if isinstance(left_key, str) else list(left_key)
-    r_keys = [right_key] if isinstance(right_key, str) else list(right_key)
+    l_keys, r_keys = _key_list(left_key), _key_list(right_key)
     collapsed = {l for l, r in zip(l_keys, r_keys) if l == r}
     l_fields = list(zip(l_sch.names, l_sch.types))
     r_fields = list(zip(r_sch.names, r_sch.types))
@@ -471,7 +504,7 @@ def hash_join(left, right, left_key, right_key,
     (left, l_sch), (right, r_sch) = _arrow_backed(left), _arrow_backed(right)
     if l_sch is None or r_sch is None:
         # a side is EMPTY with no schema (Ray drops all-empty blocks, so
-        # a 0-row aggregate/map_groups plan loses its column metadata —
+        # a 0-row aggregate or keyed-exchange plan loses its metadata —
         # e.g. a candidate-pair set that filtered everything out)
         if how == "inner":
             return left if l_sch is None else right  # zero-block dataset
@@ -804,7 +837,6 @@ class _GatherKernel:
         self.target_key = target_key
         self.out_fields = out_fields      # [(name, type)] target-first
         self.attach = attach              # attach col names
-        self.__name__ = type(self).__name__
 
     def _empty(self) -> pa.Table:
         return pa.table({n: pa.nulls(0, t) for n, t in self.out_fields})

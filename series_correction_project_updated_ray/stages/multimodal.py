@@ -92,37 +92,10 @@ class MediaFeatureExtractor:
         })
 
 
-class ImageResizeStub:
-    """Actor-pool resize stage: passes payload through, rewrites metadata
-    (the real kernel would decode → resize → re-encode; the Ray contract —
-    binary in, binary out, metadata columns updated — is identical)."""
-
-    def __init__(self, target: int = 256):
-        self.target = target
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        is_img = pa.compute.equal(batch["media_type"], "image")
-        w = np.where(is_img.to_numpy(zero_copy_only=False),
-                     self.target, batch["width"].to_numpy(zero_copy_only=False))
-        h = np.where(is_img.to_numpy(zero_copy_only=False),
-                     self.target, batch["height"].to_numpy(zero_copy_only=False))
-        batch = batch.set_column(batch.schema.get_field_index("width"),
-                                 "width", pa.array(w.astype(np.int32)))
-        return batch.set_column(batch.schema.get_field_index("height"),
-                                "height", pa.array(h.astype(np.int32)))
-
-
 def media_features(media_ds, *, concurrency=2, batch_size: int = 16):
     return media_ds.map_batches(
         MediaFeatureExtractor, batch_format="pyarrow",
         batch_size=batch_size, concurrency=concurrency)
-
-
-def resize_images(media_ds, *, target: int = 256, concurrency=2,
-                  batch_size: int = 16):
-    return media_ds.map_batches(
-        ImageResizeStub, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, fn_constructor_kwargs={"target": target})
 
 
 class FrameSampleStub:

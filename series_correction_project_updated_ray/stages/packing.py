@@ -10,7 +10,7 @@ conservation is exact: concat(packed tokens in seq order) ==
 concat(sorted input docs' tokens) per bucket — the north rule's
 per-row token-array invariant carried through the transform.
 
-Scale shape: ONE keyed shuffle (the bucket groupby); a bucket's group is
+Scale shape: ONE keyed exchange on the bucket; a bucket's group is
 |total tokens| / n_buckets, so ``n_buckets`` bounds per-task memory the
 same way the flagship's bucketed plan does.  Packing across bucket
 boundaries would need sequential state for ~seq_len tokens of benefit
@@ -23,16 +23,16 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .joins import each_key
 from .rollup import combine, sums_of
 from ..functions.hashing import stable_hash_array
 
 
 class PackGroup:
-    """map_groups kernel over one bucket: doc_id-ordered concat → cut."""
+    """Per-bucket kernel (``each_key``): doc_id-ordered concat → cut."""
 
     def __init__(self, seq_len: int, tok_col: str = "tokens"):
         self.seq_len, self.tok_col = seq_len, tok_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -118,9 +118,8 @@ def pack_token_sequences(docs, seq_len: int, *, n_buckets: int | None = 64,
             tok_col: t[tok_col],
         })
 
-    return docs.map_batches(_bucketize, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(PackGroup(seq_len, tok_col),
-                                      batch_format="pyarrow")
+    return each_key(docs.map_batches(_bucketize, batch_format="pyarrow"),
+                    "bucket", PackGroup(seq_len, tok_col), "pyarrow")
 
 
 def packing_summary(packed):

@@ -952,7 +952,6 @@ class _EntropyGroup:
 
     def __init__(self, key_col="user_id", type_col="event_type"):
         self.key_col, self.type_col = key_col, type_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
@@ -1153,7 +1152,6 @@ class _KsGroup:
 
     def __init__(self, type_col="event_type"):
         self.type_col = type_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import round_half_away
@@ -1299,7 +1297,6 @@ class _MannWhitneyGroup:
 
     def __init__(self, type_col="event_type"):
         self.type_col = type_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
@@ -1432,7 +1429,6 @@ class _StreakGroup:
 
     def __init__(self, key_col="user_id"):
         self.key_col = key_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -1499,9 +1495,6 @@ class _GiniGroup:
     so no tie-break is needed), and close the Gini coefficient
     G = 2·Σi·x_i/(n·Σx) − (n+1)/n in the oracle's exact double op
     order (i is the 1-based ascending rank)."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import round_half_away
@@ -1585,9 +1578,6 @@ class _TransitionEntropyGroup:
     per cell and the fold LEFT IN (ta, tb) STRING ORDER — bit-identical
     to the SQL ``list_reduce(list(term ORDER BY ta, tb))``.  Keys with
     fewer than 2 typed events emit nothing (the oracle's inner joins)."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
@@ -1691,9 +1681,6 @@ class _BenfordGroup:
     ``ln`` bitwise) and the fold left in digit order, matching the SQL
     ``list_reduce(list(term ORDER BY d))``."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
 
@@ -1778,9 +1765,6 @@ class _RunsTestGroup:
     double op order.  Keys losing every row to the median filter emit
     nothing; one-sided keys (n1·n2 = 0, or n1 = n2 = 1 where the
     variance is zero) emit NULL z."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def _empty(self, g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1887,9 +1871,6 @@ class _FanoGroup:
     Σc² come from present cells alone) close the population
     variance-to-mean ratio in the oracle's double op order."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import round_half_away
         empty = pd.DataFrame({
@@ -1971,9 +1952,6 @@ class _CohortCellsGroup:
     is its MIN day and each active day emits one (cohort_day,
     age_days) cell — already user-distinct by construction."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
             "cohort_day": pd.Series([], dtype=np.int64),
@@ -2013,9 +1991,6 @@ class _CohortClose:
     (cohort_day, age_days, n) cells arrive as ONE calendar-bounded
     block; cohort size is the age-0 count (every user is active on
     its own cohort day) and retention closes as one double division."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, t: pa.Table) -> pa.Table:
         from ..functions.rounding import round_half_away
@@ -2181,9 +2156,6 @@ class _GrubbsGroup:
     to the smallest event_id, and the close replays the SQL double
     chain ``(M/n) / √(D/(n²(n−1)))``."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
 
@@ -2282,9 +2254,6 @@ class _DriftChi2Group:
     6dp.  Types with < 2 rows drop."""
 
     BIN_CENTS, N_BINS = 1000, 20
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import round_half_away, scaled_int
@@ -3116,9 +3085,6 @@ class _BigramCellsGroup:
     """Per-partition kernel: (prev_type → type) transition-count cells
     over each user's (t, event_id) order — bounded |types|² rows out
     per partition regardless of event count."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"u": pd.Series([], dtype=object),

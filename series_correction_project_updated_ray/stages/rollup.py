@@ -25,7 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .joins import _with_hash, keyed_exchange, partition_groups
+from .joins import _with_hash, each_key, keyed_exchange, partition_groups
 from ..functions.rounding import round_half_away
 
 TIER_WIDTHS = {"1m": 60, "1h": 3600, "1d": 86400}
@@ -212,7 +212,6 @@ class GroupedMedian:
 
     def __init__(self, key_col="event_type", round_to=6):
         self.key_col, self.round_to = key_col, round_to
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g[self.key_col], sort=False)
@@ -276,7 +275,6 @@ class StrideDownsample:
                  id_col="event_id"):
         self.n, self.key_col, self.ts_col, self.id_col = (n, key_col,
                                                           ts_col, id_col)
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g[self.key_col], sort=False)
@@ -374,7 +372,6 @@ class GroupedQuantiles:
     def __init__(self, key_col="event_type", probs=(0.5, 0.9, 0.95, 0.99),
                  round_to=6):
         self.key_col, self.probs, self.round_to = key_col, probs, round_to
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g[self.key_col], sort=False)
@@ -470,7 +467,7 @@ def ohlc_bars(events, *, key_col: str = "user_id", ts_col: str = "ts",
 
     def _finalize_cells(g: pd.DataFrame) -> pd.DataFrame:
         # all partials of MANY (key, window) cells arrive in one group
-        # (partition-grouped, not per-cell map_groups); segment and
+        # (partition-grouped, not one call per cell); segment and
         # reduce vectorized
         if len(g) == 0:
             return pd.DataFrame({
@@ -539,7 +536,6 @@ class QuantileRollupPartial:
                  width_s: int, k: int = 200):
         self.key_col, self.ts_col = key_col, ts_col
         self.value_col, self.width_s, self.k = value_col, width_s, k
-        self.__name__ = type(self).__name__
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -584,7 +580,7 @@ def rollup_quantiles(events, *, key_col: str = "event_type",
     """Approximate percentile continuous aggregate: per (key, window),
     KLL-sketched quantiles at ``probs`` — the percentile tier a
     monitoring rollup engine serves next to min/max/mean.  Per-block
-    partial sketches → ONE groupby merge; a cell whose total row count
+    partial sketches → ONE per-cell merge; a cell whose total row count
     fits the sketch capacity is EXACT (the sketch never compacts).
 
     Rows-only by design (sketch answers are approximate); accuracy is
@@ -614,8 +610,7 @@ def rollup_quantiles(events, *, key_col: str = "event_type",
         })
     _merge.__name__ = "QuantileRollupMerge"
 
-    return partial.groupby([key_col, "window_start"]) \
-        .map_groups(_merge, batch_format="pandas")
+    return each_key(partial, [key_col, "window_start"], _merge)
 
 
 class TukeyFencesGroup:
@@ -628,7 +623,6 @@ class TukeyFencesGroup:
 
     def __init__(self, key_col: str = "user_id", k: float = 1.5):
         self.key_col, self.k = key_col, k
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({

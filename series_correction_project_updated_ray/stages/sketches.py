@@ -2,7 +2,7 @@
 
 Exact COUNT(DISTINCT) shuffles every distinct pair (see
 ``distinct_users``); at web scale the standard answer is a mergeable
-sketch: each batch emits ONE fixed-size summary, a tiny groupby merges
+sketch: each batch emits ONE fixed-size summary, one per-key merge folds
 them, and the error is a known function of the sketch size.
 
 Implemented from the published HyperLogLog construction (Flajolet et al.
@@ -19,6 +19,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import stable_hash_array
+from .joins import each_key
 
 
 def hll_from_hashes(h: np.ndarray, p: int = 12) -> np.ndarray:
@@ -91,11 +92,10 @@ class HLLPartial:
 
 
 class HLLMergeGroup:
-    """map_groups: merge a key's sketches and estimate."""
+    """Per-key kernel (``each_key``): merge a key's sketches and estimate."""
 
     def __init__(self, key_col: str):
         self.key_col = key_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         regs = hll_merge([np.frombuffer(b, dtype=np.uint8)
@@ -110,8 +110,7 @@ def approx_distinct(ds, key_col: str, value_col: str, p: int = 12):
     sketches per (key, batch)."""
     partials = ds.map_batches(HLLPartial(key_col, value_col, p),
                               batch_format="pyarrow")
-    return partials.groupby(key_col).map_groups(
-        HLLMergeGroup(key_col), batch_format="pandas")
+    return each_key(partials, key_col, HLLMergeGroup(key_col))
 
 
 # --- KLL quantile sketch ---------------------------------------------------
@@ -245,11 +244,11 @@ class KLLPartial:
 
 
 class KLLMergeGroup:
-    """map_groups: merge one key's sketches, emit quantile estimates."""
+    """Per-key kernel (``each_key``): merge one key's sketches, emit
+    quantile estimates."""
 
     def __init__(self, key_col: str, probs):
         self.key_col, self.probs = key_col, probs
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         sk = KLLSketch.from_bytes(g["sketch"].iloc[0])
@@ -270,8 +269,7 @@ def approx_quantiles(ds, key_col: str, value_col: str,
     when groups are too large to co-locate for ``grouped_quantiles``."""
     partials = ds.map_batches(KLLPartial(key_col, value_col, k),
                               batch_format="pyarrow")
-    return partials.groupby(key_col).map_groups(
-        KLLMergeGroup(key_col, probs), batch_format="pandas")
+    return each_key(partials, key_col, KLLMergeGroup(key_col, probs))
 
 
 # --- Misra-Gries heavy hitters ---------------------------------------------
@@ -338,13 +336,13 @@ class MGPartial:
 
 
 class MGMergeGroup:
-    """map_groups: fold one key's partial counter rows with the mergeable
-    truncation, emit the top-n surviving (item, est) pairs."""
+    """Per-key kernel (``each_key``): fold one key's partial counter rows
+    with the mergeable truncation, emit the top-n surviving (item, est)
+    pairs."""
 
     def __init__(self, key_col: str, item_col: str, k: int, top_n: int):
         self.key_col, self.item_col = key_col, item_col
         self.k, self.top_n = k, top_n
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         acc: dict = {}
@@ -365,5 +363,5 @@ def heavy_hitters(ds, key_col: str, item_col: str, *, k: int = 64,
     underestimate true counts by at most n_key/(k+1)."""
     partials = ds.map_batches(MGPartial(key_col, item_col, k),
                               batch_format="pyarrow")
-    return partials.groupby(key_col).map_groups(
-        MGMergeGroup(key_col, item_col, k, top_n), batch_format="pandas")
+    return each_key(partials, key_col, MGMergeGroup(key_col, item_col, k,
+                                                    top_n))

@@ -13,6 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .joins import each_key
 from .rollup import combine, sums_of
 from ..functions import text as T
 
@@ -106,7 +107,6 @@ class WinnowFingerprints:
 
     def __init__(self, k: int = 5, w: int = 4, tok_col: str = "tokens"):
         self.k, self.w, self.tok_col = k, w, tok_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, t: pa.Table) -> pa.Table:
         k, w = self.k, self.w
@@ -740,14 +740,16 @@ def token_budget_sample(docs, *, budget_tokens: int = 50_000):
             "doc_id": batch["doc_id"],
             "source": batch["source"],
             "n_tok": pa.array(n_tok),
-            # int64 VIEW of the uint64 hash for Ray's groupby machinery;
-            # order must follow the UNSIGNED value like the SQL HUGEINT,
-            # so flip the sign bit to make int64 order == uint64 order
-            "__h": pa.array((hh ^ np.uint64(1 << 63)).view(np.int64)),
+            # int64 VIEW of the uint64 hash (not named ``__h``, the
+            # keyed exchange's own column); order must follow the
+            # UNSIGNED value like the SQL HUGEINT, so flip the sign bit
+            # to make int64 order == uint64 order
+            "__doc_h": pa.array((hh ^ np.uint64(1 << 63)).view(np.int64)),
         })
 
     def _take(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.lexsort((g["doc_id"].to_numpy(), g["__h"].to_numpy()))
+        order = np.lexsort((g["doc_id"].to_numpy(),
+                            g["__doc_h"].to_numpy()))
         g = g.iloc[order]
         cum = np.cumsum(g["n_tok"].to_numpy(np.int64))
         keep = cum <= budget_tokens
@@ -756,8 +758,8 @@ def token_budget_sample(docs, *, budget_tokens: int = 50_000):
         return out
     _take.__name__ = "_token_budget_take"
 
-    return docs.map_batches(_prep, batch_format="pyarrow") \
-        .groupby("source").map_groups(_take, batch_format="pandas")
+    return each_key(docs.map_batches(_prep, batch_format="pyarrow"),
+                    "source", _take)
 
 
 # --- unigram language-model scoring ----------------------------------------
@@ -900,9 +902,6 @@ class _ZipfClose:
     BY rank), (a,b) -> a+b)``), closing slope/intercept in the oracle's
     exact double expression order.  Fewer than 2 terms emit nothing."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, t: pa.Table) -> pa.Table:
         import math
 
@@ -970,7 +969,6 @@ class _PmiPresence:
         self.k = len(vocab)
         self.index = {t: i for i, t in enumerate(vocab)}
         self.rx = re.compile(r"[a-z]+")
-        self.__name__ = type(self).__name__
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         empty = pa.table({"i": pa.array([], pa.int64()),
@@ -1010,7 +1008,6 @@ class _PmiClose:
         self.vocab = list(ray.get(vocab_ref))
         self.n_docs = n_docs
         self.min_cooc = min_cooc
-        self.__name__ = type(self).__name__
 
     def __call__(self, t: pa.Table) -> pa.Table:
         import math
@@ -1104,9 +1101,6 @@ class _SourceKlClose:
     ``math.log`` per cell, folded LEFT IN TERM ORDER per source
     (== the SQL ``list_reduce(list(term_v ORDER BY term))``)."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, t: pa.Table) -> pa.Table:
         import math
 
@@ -1193,9 +1187,6 @@ class _LexicalRichnessClose:
     block; types, tokens, hapax count and the two ratio closes are
     all per-source reductions over it (integer-exact, two double
     divisions rounded 6dp)."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, t: pa.Table) -> pa.Table:
         from ..functions.rounding import round_half_away
@@ -1649,9 +1640,6 @@ class _HeapsClose:
     ORDER — the oracle's ``list_reduce`` operand order — closing
     slope/intercept in the zipf_fit expression order."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, t: pa.Table) -> pa.Table:
         import math
 
@@ -1961,7 +1949,6 @@ class _VocabOverlapPartial:
         import ray
         self.sources = list(ray.get(sources_ref))
         self.index = {s: i for i, s in enumerate(self.sources)}
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         k = len(self.sources)

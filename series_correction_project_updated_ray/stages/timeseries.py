@@ -69,7 +69,6 @@ class RateCounterGroup:
 
     def __init__(self, width_s: int = 3600):
         self.width_s = width_s
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -130,9 +129,6 @@ class DrawdownGroup:
     code·K with K > the global cents range makes every new key's
     values exceed all previous — the cummax resets at each boundary),
     with an exact python-int fallback when the shift could overflow."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -211,7 +207,6 @@ class IntervalCoverageGroup:
 
     def __init__(self, width_s: int = 300):
         self.width_us = width_s * 1_000_000
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -277,9 +272,6 @@ class ResampleFfillGroup:
     value of the latest event at or before it (ties at the same
     microsecond resolve to the highest event_id — the engine-wide
     convention)."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -397,7 +389,6 @@ class EwmaGroup:
 
     def __init__(self, alpha: float = 0.5):
         self.alpha = alpha
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -522,7 +513,6 @@ class LttbGroup:
 
     def __init__(self, n_out: int = 100):
         self.n_out = n_out
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -569,9 +559,6 @@ class AutocorrGroup:
     casts each statistic to double FIRST and runs entirely in doubles —
     the oracle's exact operand order — so r is bit-identical at 6dp.
     Keys with < 2 pairs or a zero-variance side emit NULL r."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -715,7 +702,6 @@ class HoltGroup:
 
     def __init__(self, alpha: float = 0.5, beta: float = 0.5):
         self.alpha, self.beta = alpha, beta
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g["user_id"], sort=False)
@@ -801,9 +787,6 @@ class ResampleInterpGroup:
     CASE arm); the grid never extends past the span, so a missing next
     neighbor implies t_prev = h."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
             return pd.DataFrame({
@@ -888,7 +871,6 @@ class HysteresisGroup:
 
     def __init__(self, hi: float, lo: float):
         self.hi, self.lo = hi, lo
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g["user_id"], sort=False)
@@ -959,9 +941,6 @@ class ChangepointGroup:
     with n < 2 have no admissible split and emit nothing.  Prefix sums
     are exact int64 with the same object-int escape hatch as
     :class:`AutocorrGroup` past the wrap bound."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -1043,7 +1022,6 @@ class _CorrPairsClose:
     def __init__(self, users: np.ndarray, hmin: int, hmax: int):
         self.users = np.sort(np.asarray(users, dtype=np.int64))
         self.hmin, self.hmax = int(hmin), int(hmax)
-        self.__name__ = type(self).__name__
 
     def __call__(self, t: pa.Table) -> pa.Table:
         users = self.users
@@ -1213,7 +1191,6 @@ class _XcorrClose:
         self.users = np.sort(np.asarray(users, dtype=np.int64))
         self.hmin, self.hmax = int(hmin), int(hmax)
         self.max_lag = int(max_lag)
-        self.__name__ = type(self).__name__
 
     def __call__(self, t: pa.Table) -> pa.Table:
         users = self.users
@@ -1315,9 +1292,6 @@ class TheilSenGroup:
     co-located key (ramp indexing, no per-key Python loop).  Keys with
     no strict-t pair (singletons, all-tied timestamps) emit nothing."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
             "user_id": pd.Series([], dtype=np.int64),
@@ -1403,7 +1377,6 @@ class KalmanGroup:
 
     def __init__(self, q: float = 1.0, r: float = 4.0, p0: float = 1.0):
         self.q, self.r, self.p0 = q, r, p0
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g["user_id"], sort=False)
@@ -1489,7 +1462,6 @@ class HoltWintersGroup:
     def __init__(self, alpha: float = 0.5, beta: float = 0.5,
                  gamma: float = 0.25, m: int = 4):
         self.alpha, self.beta, self.gamma, self.m = alpha, beta, gamma, m
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g["user_id"], sort=False)
@@ -1589,9 +1561,6 @@ class SpectralGroup:
 
     PERIODS = (24, 168)
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
         empty = pd.DataFrame({
@@ -1683,7 +1652,6 @@ class PlaSegmentsGroup:
 
     def __init__(self, width: int = 16):
         self.width = width
-        self.__name__ = type(self).__name__
 
     def _empty(self, g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1799,7 +1767,6 @@ class PageHinkleyGroup:
 
     def __init__(self, delta: float = 100.0, lam: float = 50000.0):
         self.delta, self.lam = delta, lam
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g["user_id"], sort=False)
@@ -1904,7 +1871,6 @@ class VarianceRatioGroup:
 
     def __init__(self, q: int = 4):
         self.q = q
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -2014,7 +1980,6 @@ class EwmBandsGroup:
 
     def __init__(self, alpha: float = 0.25, k: float = 3.0):
         self.alpha, self.k = alpha, k
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -2117,7 +2082,6 @@ class SeasonalDecomposeGroup:
     def __init__(self, m: int = 24):
         assert m % 2 == 0, "classic decomposition needs an even period"
         self.m = m
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -2206,7 +2170,6 @@ class PeakDetectGroup:
 
     def __init__(self, min_prom: float = 0.5):
         self.min_prom = min_prom
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -2272,9 +2235,6 @@ class HaarEnergyGroup:
     with an exact Python-int fallback, mirroring the HUGEINT oracle."""
 
     LEVELS = 3
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -2359,7 +2319,6 @@ class LjungBoxGroup:
 
     def __init__(self, lags: int = 5):
         self.lags = lags
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -2440,7 +2399,6 @@ class SampleEntropyGroup:
 
     def __init__(self, r_cents: int = 200):
         self.r = int(r_cents)
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
@@ -2528,7 +2486,6 @@ class CrostonGroup:
 
     def __init__(self, alpha: float = 0.2):
         self.alpha = alpha
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -2629,9 +2586,6 @@ class HurstRSGroup:
     with every block degenerate) emit nothing."""
 
     SIZES = (8, 16, 32)
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
@@ -2739,9 +2693,6 @@ class MannKendallGroup:
 
     CHUNK = 1024
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
             "user_id": g["user_id"].iloc[:0],
@@ -2812,9 +2763,6 @@ class SpearmanTrendGroup:
     cast-first double formula — bit-identical to the SQL twin.  Keys
     with < 2 rows emit nothing; zero-variance value ranks emit NULL
     rho."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -2904,9 +2852,6 @@ class PacfGroup:
     expression replayed verbatim by the SQL twin.  Keys with n < 10 or
     zero variance emit nothing."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
             "user_id": g["user_id"].iloc[:0],
@@ -2986,9 +2931,6 @@ class IsotonicGroup:
     FORMULA (bounded per-series contract), fully vectorized.  The SQL
     twin replays the same two window extrema over the same doubles."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
             "user_id": g["user_id"].iloc[:0],
@@ -3051,9 +2993,6 @@ class NextHigherGroup:
     self-join; the engine never pays it).  Events with no later higher
     value emit NULL wait.  Cents compares are exact; the wait is an
     integer microsecond difference."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -3119,7 +3058,6 @@ class RsiGroup:
 
     def __init__(self, period: int = 14):
         self.period = period
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({

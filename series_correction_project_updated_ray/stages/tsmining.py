@@ -66,7 +66,6 @@ class SaxGroup:
 
     def __init__(self, w: int = 8):
         self.w = w
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         w = self.w
@@ -163,7 +162,6 @@ class ExcursionGroup:
 
     def __init__(self, thresh: float = 150.0):
         self.thresh = thresh
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -246,7 +244,6 @@ class PartialM4:
         self.key_col, self.ts_col = key_col, ts_col
         self.value_col, self.id_col = value_col, id_col
         self.width_s = width_s
-        self.__name__ = type(self).__name__
 
     EMPTY = {"f_t": np.int64, "f_id": np.int64, "f_c": np.int64,
              "l_t": np.int64, "l_id": np.int64, "l_c": np.int64,
@@ -292,7 +289,6 @@ class M4Finalize:
 
     def __init__(self, key_col: str):
         self.key_col = key_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         k = self.key_col
@@ -450,7 +446,6 @@ class MatrixProfileGroup:
 
     def __init__(self, w: int = 8):
         self.w = w
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({

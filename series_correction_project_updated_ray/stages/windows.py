@@ -65,7 +65,6 @@ class SessionWindows:
                  ts_col="ts", id_col="event_id"):
         self.timeout_s, self.key_col = timeout_s, key_col
         self.ts_col, self.id_col = ts_col, id_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g[self.key_col], sort=False)
@@ -111,7 +110,6 @@ class SlidingMean:
         self.width_s, self.key_col = width_s, key_col
         self.ts_col, self.id_col, self.value_col = ts_col, id_col, value_col
         self.round_to = round_to
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g[self.key_col], sort=False)
@@ -164,7 +162,6 @@ class AsofJoinGroup:
         self.key_col, self.ts_col, self.id_col = key_col, ts_col, id_col
         self.right_value, self.out_name = right_value, out_name
         self.round_to = round_to
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g[self.key_col], sort=False)
@@ -249,7 +246,6 @@ class _TopNPerGroup:
     def __init__(self, group_col, sort_cols, descending, n):
         self.group_col, self.sort_cols = group_col, sort_cols
         self.descending, self.n = descending, n
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         out = g.sort_values(
@@ -275,9 +271,10 @@ def topn_per_group(ds, group_col: str, sort_cols: list[str],
 
 
 class RangeJoinAggGroup:
-    """map_groups kernel for one user: every left row aggregated over the
-    right rows whose timestamp falls in [t_left - window, t_left]
-    (inclusive — microsecond semantics, matching the SQL BETWEEN oracle).
+    """Per-block kernel (every user of the block whole): each left row
+    aggregated over the same user's right rows whose timestamp falls in
+    [t_left - window, t_left] (inclusive — microsecond semantics,
+    matching the SQL BETWEEN oracle).
 
     Vectorized: rights sorted once, two searchsorted calls give each left
     row's window bounds, a cents-scaled prefix sum makes the per-window
@@ -287,7 +284,6 @@ class RangeJoinAggGroup:
 
     def __init__(self, window_us: int):
         self.window_us = window_us
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g["user_id"], sort=False)
@@ -357,14 +353,14 @@ def range_join_agg(events, *, left_type="purchase", right_type="click",
 
 
 class FunnelGroup:
-    """map_groups kernel for one user: first ``first_type`` event, then the
-    first ``then_type`` event at-or-after it — the 2-step funnel /
-    sequence-match shape (MATCH_RECOGNIZE's simplest pattern).  Emits one
-    row per converting user with the conversion latency."""
+    """Per-block kernel (every user of the block whole): per user, the
+    first ``first_type`` event, then the first ``then_type`` event
+    at-or-after it — the 2-step funnel / sequence-match shape
+    (MATCH_RECOGNIZE's simplest pattern).  Emits one row per converting
+    user with the conversion latency."""
 
     def __init__(self, first_type: str, then_type: str):
         self.first_type, self.then_type = first_type, then_type
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g["user_id"], sort=False)
@@ -428,9 +424,6 @@ class RunningSumGroup:
     every key in the partition group (global int64 cents cumsum minus
     per-segment base; exact, so the oracle matches at atol=0)."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g["user_id"], sort=False)
         t = g["t"].to_numpy(np.int64)
@@ -486,9 +479,6 @@ class LagDeltaGroup:
     float division on output) and ``dt_us`` = t - lag(t); the first row
     of every key emits NULL for both, matching LAG's default."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(g["user_id"], sort=False)
         t = g["t"].to_numpy(np.int64)
@@ -539,7 +529,6 @@ class EventSequenceGroup:
 
     def __init__(self, sep: str = "->"):
         self.sep = sep
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         codes, uniq = pd.factorize(g["user_id"], sort=False)
@@ -595,7 +584,6 @@ class TimeWeightedAvgGroup:
 
     def __init__(self, width_s: int):
         self.width_us = width_s * 1_000_000
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from .rollup import _segment_starts
@@ -679,7 +667,6 @@ class TrendGroup:
 
     def __init__(self, width_s: int):
         self.width_s = width_s
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         ucodes, _ = pd.factorize(g["user_id"], sort=False)
@@ -754,9 +741,6 @@ class InterarrivalGroup:
     (ts, event_id) order, so Σdt telescopes to an exact span and Σdt² is
     an exact (guarded) int64 sum; the float formula runs in oracle op
     order.  Keys with <2 gaps or zero mean emit NULL stats."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from .rollup import _segment_starts
@@ -841,7 +825,6 @@ class SessionCooccurrence:
                  ts_col="ts", id_col="event_id", type_col="event_type"):
         self.timeout_s, self.key_col = timeout_s, key_col
         self.ts_col, self.id_col, self.type_col = ts_col, id_col, type_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -913,9 +896,6 @@ class _PathTrigramPartial:
     event-type stream in (t, event_id) order emits its length-3
     transition paths ``a>b>c``; the partition-local (path, cnt)
     Counter partial keeps the shuffle at |path-vocab| rows."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter

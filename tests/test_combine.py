@@ -2,7 +2,8 @@
 
 Every case feeds at least two input blocks, so groups straddle blocks
 and the sort does the co-location.  The guard test at the end keeps
-Ray's per-group ``groupby().aggregate()`` out of the package."""
+Ray's per-group ``groupby().aggregate()`` and ``map_groups`` out of the
+package."""
 
 import ast
 import pathlib
@@ -162,29 +163,36 @@ def test_value_histogram_null_event_type():
     assert got["n"].tolist() == [1, 1, 2, 2, 1]
 
 
-# --- guard: one keyed aggregate -------------------------------------------
+# --- guard: one keyed exchange --------------------------------------------
 
-def _groupby_aggregate_calls(path: pathlib.Path) -> list[int]:
+def _second_path_calls(path: pathlib.Path) -> list[str]:
+    """Ray's own keyed paths: a `.groupby(...).aggregate(` chain or any
+    `.map_groups(` call, as `"<call>:<line>"`."""
     hits = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "aggregate"
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr == "map_groups":
+            hits.append(f"map_groups:{node.lineno}")
+        elif (node.func.attr == "aggregate"
                 and isinstance(node.func.value, ast.Call)
                 and isinstance(node.func.value.func, ast.Attribute)
                 and node.func.value.func.attr == "groupby"):
-            hits.append(node.lineno)
+            hits.append(f"groupby.aggregate:{node.lineno}")
     return hits
 
 
 def test_no_ray_groupby_aggregate_in_package():
     """Every keyed aggregate under stages/ and pipelines/, and in the
-    query bodies of __ray_entry__.py, goes through rollup.combine; a
-    `.groupby(...).aggregate(` chain is the second path this keeps out."""
+    query bodies of __ray_entry__.py, goes through rollup.combine, and
+    every per-group kernel through joins.keyed_exchange
+    (partition_groups / each_key); a `.groupby(...).aggregate(` chain or
+    a `.map_groups(` call is the second path this keeps out."""
     files = sorted([*(PKG / "stages").glob("*.py"),
                     *(PKG / "pipelines").glob("*.py")])
     files.append(PKG.parent / "__ray_entry__.py")
     assert len(files) > 20
     hits = {f"{p.parent.name}/{p.name}": lines for p in files
-            if (lines := _groupby_aggregate_calls(p))}
+            if (lines := _second_path_calls(p))}
     assert hits == {}

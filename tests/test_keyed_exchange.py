@@ -1,5 +1,6 @@
 """keyed_exchange: the one hash → sort → per-block step under combine,
-partition_groups, grouped_median, candidate_pairs and the joins.
+partition_groups (and its per-key form each_key), grouped_median,
+candidate_pairs and the joins.
 
 Every case runs with each input block hashed on its own
 (``_SORT_BLOCK_ROWS = 1``) and at the default, where small blocks
@@ -102,6 +103,61 @@ def test_downsample_stride_null_int_key_one_series_per_key(layout):
     rank = df.groupby("user_id", dropna=False).cumcount()
     want = sorted(df.loc[rank % 2 == 0, "event_id"])
     assert sorted(got["event_id"]) == want
+
+
+# --- per-key merges: a null string key is one NULL group -------------------
+
+def _null_str_key_blocks() -> list[pa.Table]:
+    """Nulls beside real string keys in both blocks: Ray's groupby sort
+    sampling compared None with str here and raised TypeError."""
+    return [pa.table({"event_type": ["a", "a", None, "b", None],
+                      "user_id": pa.array([1, 2, 3, 1, 3], pa.int64()),
+                      "value": [1.0, 2.0, 3.0, 4.0, 5.0]}),
+            pa.table({"event_type": [None, "b", "a", None],
+                      "user_id": pa.array([4, 1, 1, 3], pa.int64()),
+                      "value": [6.0, 7.0, 8.0, 9.0]})]
+
+
+def _quantile_p50(v):
+    # the KLL rank rule on a sketch that never compacted
+    return np.quantile(v, 0.5, method="inverted_cdf")
+
+
+# operator → (kwargs, exact pandas answer per event_type group, key cols)
+_SKETCH_CASES = {
+    "approx_distinct": (
+        {"value_col": "user_id"},
+        lambda g: g["user_id"].nunique().rename("approx_distinct"),
+        ["event_type"]),
+    "heavy_hitters": (
+        {"item_col": "user_id"},
+        lambda g: g["user_id"].value_counts().rename("est"),
+        ["event_type", "user_id"]),
+    "approx_quantiles": (
+        {"value_col": "value", "probs": (0.5,)},
+        lambda g: g["value"].agg(n="size", p50=_quantile_p50),
+        ["event_type"]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_SKETCH_CASES))
+def test_sketch_merge_null_str_key_one_group(layout, op):
+    import ray.data as rd
+    from series_correction_project_updated_ray.stages import sketches
+    kw, exact, key = _SKETCH_CASES[op]
+    blocks = _null_str_key_blocks()
+    got = getattr(sketches, op)(rd.from_arrow(blocks), "event_type",
+                                **kw).to_pandas()
+    df = pa.concat_tables(blocks).to_pandas()
+    want = exact(df.groupby("event_type", dropna=False)).reset_index()
+    assert got["event_type"].isna().sum() \
+        == want["event_type"].isna().sum() > 0
+
+    def canon(d):
+        d = d[list(want.columns)].fillna({"event_type": "<null>"})
+        return d.sort_values(key).reset_index(drop=True)
+    pd.testing.assert_frame_equal(canon(got), canon(want),
+                                  check_dtype=False)
 
 
 # --- joins: same rows as a pandas merge whatever the block layout ----------

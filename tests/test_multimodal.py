@@ -4,8 +4,7 @@ import numpy as np
 import pyarrow as pa
 
 from series_correction_project_updated_ray.stages.multimodal import (
-    ImageResizeStub, MediaFeatureExtractor, media_features, resize_images,
-    synth_media_table)
+    MediaFeatureExtractor, media_features, synth_media_table)
 
 
 def test_synth_media_schema():
@@ -34,12 +33,6 @@ def test_media_pipeline_actor_pool(ray_session):
     ds = rd.from_arrow(synth_media_table(48))
     feats = media_features(ds, concurrency=2, batch_size=16).to_pandas()
     assert len(feats) == 48
-    resized = resize_images(rd.from_arrow(synth_media_table(48)),
-                            target=128).to_pandas()
-    imgs = resized[resized["media_type"] == "image"]
-    auds = resized[resized["media_type"] == "audio"]
-    assert (imgs["width"] == 128).all() and (imgs["height"] == 128).all()
-    assert (auds["width"] == 0).all()
 
 
 def test_frame_sampling_expansion(ray_session):

@@ -182,6 +182,13 @@ def test_resumable_run_and_skip(ray_session, synth_input, tmp_path):
     m2 = run_resumable(synth_input, out, n_partitions=8,
                        buckets_per_source=8, step_seconds=1)
     assert len(m2) == 0
+    # killed after the last manifest, before the commit: nothing reruns,
+    # the (empty) manifest table keeps its columns, and the run commits
+    os.remove(os.path.join(out, "_COMMIT"))
+    m3 = run_resumable(synth_input, out, n_partitions=8,
+                       buckets_per_source=8, step_seconds=1)
+    assert list(m3["part_id"]) == []
+    assert os.path.exists(os.path.join(out, "_COMMIT"))
 
 
 def test_resume_after_partial_failure(ray_session, synth_input, tmp_path):
