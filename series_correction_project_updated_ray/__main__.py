@@ -53,7 +53,6 @@ def cmd_rollup(args) -> int:
 
 def cmd_seatek_correct(args) -> int:
     _ensure_ray(args.num_cpus)
-    import pandas as pd
     from .pipelines.reports import write_csv_safely
     from .pipelines.seatek_compat import batch_correct, summarize
     from .sources.config import (enrich_with_river_mappings,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from typing import Any
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 

@@ -25,7 +25,6 @@ import pandas as pd
 
 from .. import kernels as K
 from ..functions.parsing import parse_sensor_index, parse_year_pair
-from ..stages.relational import unpivot_threshold
 
 
 def melt_instructions(yty_df: pd.DataFrame, threshold: float = 0.1

@@ -16,7 +16,6 @@ the normalization is one zero-copy-in map_batches.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 

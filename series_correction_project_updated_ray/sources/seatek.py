@@ -18,13 +18,12 @@ normalized long form ``(series, year_idx, sensor_id, t, value)``.
 from __future__ import annotations
 
 import os
-import re
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.parsing import RAW_FILE_RE, parse_raw_filename
+from ..functions.parsing import parse_raw_filename
 
 
 def discover_files(data_dir: str, series: list[str] | None = None,

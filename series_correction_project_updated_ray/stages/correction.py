@@ -19,7 +19,6 @@ through the exact 3-step pipeline of /root/reference/scripts/processor.py
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 

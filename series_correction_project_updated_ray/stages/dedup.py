@@ -30,7 +30,7 @@ from .joins import partition_groups
 from .rollup import combine, sums_of
 from ..functions.hashing import (minhash_signatures, simhash64,
                                  stable_hash_array)
-from ..functions.text import char_ngram_shingles, jaccard
+from ..functions.text import char_ngram_shingles
 
 
 # --- exact dedup -----------------------------------------------------------

@@ -20,6 +20,8 @@ the exchange).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -131,6 +133,54 @@ def each_key(ds, key_col, fn, batch_format: str = "pandas"):
     ``per_key`` block kernel, for kernels that fold one key at a time."""
     return partition_groups(ds, key_col, per_key(key_col, fn, batch_format),
                             "pyarrow")
+
+
+def _segment_starts(*sort_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of equal-key runs in already-sorted parallel arrays."""
+    n = len(sort_cols[0])
+    if n == 0:
+        # np.append(starts[1:], 0) would yield a 1-long ends for a
+        # 0-long starts — keep the pair consistently empty
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    change = np.ones(n, dtype=bool)
+    if n > 1:
+        acc = np.zeros(n - 1, dtype=bool)
+        for c in sort_cols:
+            acc |= c[1:] != c[:-1]
+        change[1:] = acc
+    starts = np.flatnonzero(change)
+    return starts, np.append(starts[1:], n)
+
+
+class KeyRuns(NamedTuple):
+    rows: pd.DataFrame      # the kept rows in (key, *by) order
+    keys: np.ndarray        # rows[key] values
+    codes: np.ndarray       # factorize code of each row's key (-1: null)
+    starts: np.ndarray      # first row of each key's run
+    ends: np.ndarray        # one past its last row
+
+
+def key_runs(g: pd.DataFrame, key: str = "user_id", by=("t", "event_id"),
+             keep=None) -> KeyRuns:
+    """The prologue of every per-key pandas kernel: the rows of ``g``
+    where ``keep`` holds (all rows when None), sorted stably by the key's
+    factorize code (first appearance in ``g``) and then by ``by`` — column
+    names or arrays aligned with ``g`` — plus the bounds of each key's
+    run.  Null keys share code -1, so they form one run sorted first;
+    kernels that drop them pass ``keep=g[key].notna()``.  The order is
+    ``np.lexsort((*reversed(by), codes))``, ties included; an empty input
+    gives empty bounds."""
+    codes, _ = pd.factorize(g[key], sort=False)
+    cols = [g[c].to_numpy() if isinstance(c, str) else np.asarray(c)
+            for c in reversed(by)]
+    idx = np.arange(len(g)) if keep is None \
+        else np.flatnonzero(np.asarray(keep, dtype=bool))
+    codes = codes[idx]
+    order = np.lexsort([c[idx] for c in cols] + [codes])
+    rows = g.iloc[idx[order]]
+    codes = codes[order]
+    return KeyRuns(rows, rows[key].to_numpy(), codes, *_segment_starts(codes))
 
 
 class _TagPad:

@@ -9,7 +9,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .joins import partition_groups
+from .joins import _segment_starts, key_runs, partition_groups
 from .rollup import combine, sums_of
 from ..functions.sanitize import sanitize_batch
 
@@ -662,9 +662,8 @@ def value_quartiles(events, *, k: int = 4):
         ids = g["event_id"].to_numpy()
         order = np.lexsort((ids, c))
         c, ids = c[order], ids[order]
-        starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]]) \
-            if len(c) else np.array([], dtype=np.int64)
-        lens = np.diff(np.r_[starts, len(c)])
+        starts, ends = _segment_starts(c)
+        lens = ends - starts
         local = np.arange(len(c), dtype=np.int64) \
             - np.repeat(starts, lens)
         rnk = below[np.searchsorted(cents_sorted, c)] + local
@@ -955,33 +954,21 @@ class _EntropyGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
-        empty = pd.DataFrame({
-            self.key_col: pd.Series([], dtype=np.int64),
-            "n_types": pd.Series([], dtype=np.int64),
-            "n_events": pd.Series([], dtype=np.int64),
-            "entropy": pd.Series([], dtype=np.float64)})
-        codes, _ = pd.factorize(g[self.key_col], sort=False)
-        if (codes < 0).any():
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-        if len(g) == 0:
-            return empty
-        types = g[self.type_col].to_numpy()
-        order = np.lexsort((types, codes))
-        codes, types = codes[order], types[order]
-        keys = g[self.key_col].to_numpy()[order]
-        c = g["c"].to_numpy(np.int64)[order]
+        rows, keys, codes, _, _ = key_runs(
+            g, self.key_col, (self.type_col,),
+            keep=g[self.key_col].notna())
+        if len(rows) == 0:
+            return pd.DataFrame({
+                self.key_col: rows[self.key_col],
+                "n_types": pd.Series([], dtype=np.int64),
+                "n_events": pd.Series([], dtype=np.int64),
+                "entropy": pd.Series([], dtype=np.float64)})
         # per-block partials of the same (key, type) arrive unmerged
         # (ONE shuffle, no keyed pre-groupby): combine in-group
-        dup = np.r_[True, (codes[1:] != codes[:-1])
-                    | (types[1:] != types[:-1])]
-        cell = np.flatnonzero(dup)
-        c = np.add.reduceat(c, cell)
-        codes, types, keys = codes[cell], types[cell], keys[cell]
-        n = len(c)
-        first = np.r_[True, codes[1:] != codes[:-1]]
-        starts = np.flatnonzero(first)
-        ends = np.r_[starts[1:], n]
+        cell, _ = _segment_starts(codes, rows[self.type_col].to_numpy())
+        c = np.add.reduceat(rows["c"].to_numpy(np.int64), cell)
+        codes, keys = codes[cell], keys[cell]
+        starts, ends = _segment_starts(codes)
         lens = ends - starts
         tot = np.add.reduceat(c, starts)
         q = c.astype(np.float64) / np.repeat(tot, lens).astype(np.float64)
@@ -1162,29 +1149,16 @@ class _KsGroup:
             "d_num": pd.Series([], dtype=np.int64),
             "d_stat": pd.Series([], dtype=np.float64),
             "at_value": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        tcodes, tuniq = pd.factorize(g[self.type_col], sort=False)
-        keep = tcodes >= 0              # null types drop (oracle join)
-        g, tcodes = g.iloc[keep], tcodes[keep]
-        if len(g) == 0:
-            return empty
-        cents = g["cents"].to_numpy(np.int64)
-        order = np.lexsort((cents, tcodes))
-        tcodes, cents = tcodes[order], cents[order]
-        c1 = g["c1"].to_numpy(np.int64)[order]
-        c2 = g["c2"].to_numpy(np.int64)[order]
+        # null types drop (oracle join)
+        rows, keys, tcodes, _, _ = key_runs(
+            g, self.type_col, ("cents",), keep=g[self.type_col].notna())
+        cents = rows["cents"].to_numpy(np.int64)
         # merge same-(type, cents) partials from different blocks
-        dup = np.r_[True, (tcodes[1:] != tcodes[:-1])
-                    | (cents[1:] != cents[:-1])]
-        cell = np.flatnonzero(dup)
-        c1 = np.add.reduceat(c1, cell)
-        c2 = np.add.reduceat(c2, cell)
-        tcodes, cents = tcodes[cell], cents[cell]
-        n = len(cents)
-        first = np.r_[True, tcodes[1:] != tcodes[:-1]]
-        starts = np.flatnonzero(first)
-        ends = np.r_[starts[1:], n]
+        cell, _ = _segment_starts(tcodes, cents)
+        c1 = np.add.reduceat(rows["c1"].to_numpy(np.int64), cell)
+        c2 = np.add.reduceat(rows["c2"].to_numpy(np.int64), cell)
+        tcodes, cents, keys = tcodes[cell], cents[cell], keys[cell]
+        starts, ends = _segment_starts(tcodes)
         lens = ends - starts
         off1 = np.cumsum(c1)
         off2 = np.cumsum(c2)
@@ -1200,11 +1174,9 @@ class _KsGroup:
         if not valid.any():
             return empty
         numv = num[valid]
-        vcodes = tcodes[valid]
-        vfirst = np.r_[True, vcodes[1:] != vcodes[:-1]]
-        vstarts = np.flatnonzero(vfirst)
+        vstarts, vends = _segment_starts(tcodes[valid])
         maxv = np.maximum.reduceat(numv, vstarts)
-        vlens = np.r_[vstarts[1:], len(numv)] - vstarts
+        vlens = vends - vstarts
         attain = numv == np.repeat(maxv, vlens)
         cand = np.where(attain, np.arange(len(numv)), len(numv))
         pick = np.minimum.reduceat(cand, vstarts)
@@ -1213,7 +1185,7 @@ class _KsGroup:
         d = np.array([float(a) / (float(b) * float(c))
                       for a, b, c in zip(maxv, n1p, n2p)])
         return pd.DataFrame({
-            self.type_col: np.asarray(tuniq, object)[vcodes[vstarts]],
+            self.type_col: np.asarray(keys[valid][vstarts], object),
             "n_weekday": np.array([int(x) for x in n1p], dtype=np.int64),
             "n_weekend": np.array([int(x) for x in n2p], dtype=np.int64),
             "d_num": np.array([int(x) for x in maxv], dtype=np.int64),
@@ -1309,29 +1281,15 @@ class _MannWhitneyGroup:
             "u_num": pd.Series([], dtype=np.int64),
             "u_stat": pd.Series([], dtype=np.float64),
             "z_stat": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        tcodes, tuniq = pd.factorize(g[self.type_col], sort=False)
-        keep = tcodes >= 0              # null types drop (oracle scan)
-        g, tcodes = g.iloc[keep], tcodes[keep]
-        if len(g) == 0:
-            return empty
-        cents = g["cents"].to_numpy(np.int64)
-        order = np.lexsort((cents, tcodes))
-        tcodes, cents = tcodes[order], cents[order]
-        c1 = g["c1"].to_numpy(np.int64)[order]
-        c2 = g["c2"].to_numpy(np.int64)[order]
+        # null types drop (oracle scan)
+        rows, keys, tcodes, _, _ = key_runs(
+            g, self.type_col, ("cents",), keep=g[self.type_col].notna())
         # merge same-(type, cents) partials from different blocks
-        dup = np.r_[True, (tcodes[1:] != tcodes[:-1])
-                    | (cents[1:] != cents[:-1])]
-        cell = np.flatnonzero(dup)
-        c1 = np.add.reduceat(c1, cell)
-        c2 = np.add.reduceat(c2, cell)
-        tcodes = tcodes[cell]
-        n = len(tcodes)
-        first = np.r_[True, tcodes[1:] != tcodes[:-1]]
-        starts = np.flatnonzero(first)
-        ends = np.r_[starts[1:], n]
+        cell, _ = _segment_starts(tcodes, rows["cents"].to_numpy(np.int64))
+        c1 = np.add.reduceat(rows["c1"].to_numpy(np.int64), cell)
+        c2 = np.add.reduceat(rows["c2"].to_numpy(np.int64), cell)
+        tcodes, keys = tcodes[cell], keys[cell]
+        starts, ends = _segment_starts(tcodes)
         lens = ends - starts
         n1 = np.add.reduceat(c1, starts)
         n2 = np.add.reduceat(c2, starts)
@@ -1369,7 +1327,7 @@ class _MannWhitneyGroup:
                 / (float(n1[i]) * float(n2[i]))), 6)
             for i in vi])
         return pd.DataFrame({
-            self.type_col: np.asarray(tuniq, object)[tcodes[starts][vi]],
+            self.type_col: np.asarray(keys[starts][vi], object),
             "n_weekday": n1[vi].astype(np.int64),
             "n_weekend": n2[vi].astype(np.int64),
             "u_num": np.array([int(u2x[i]) for i in vi], dtype=np.int64),
@@ -1431,36 +1389,19 @@ class _StreakGroup:
         self.key_col = key_col
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            self.key_col: pd.Series([], dtype=np.int64),
-            "n_days": pd.Series([], dtype=np.int64),
-            "max_streak": pd.Series([], dtype=np.int64),
-            "streak_start": pd.Series([], dtype=np.int64)})
-        if len(g) == 0:
-            return empty
-        codes, tuniq = pd.factorize(g[self.key_col], sort=False)
-        keep = codes >= 0
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        day = g["day"].to_numpy(np.int64)
-        order = np.lexsort((day, codes))
-        codes, day = codes[order], day[order]
+        rows, keys, codes, _, _ = key_runs(
+            g, self.key_col, ("day",), keep=g[self.key_col].notna())
+        day = rows["day"].to_numpy(np.int64)
         # dedup same (user, day) from different blocks
-        uniq = np.r_[True, (codes[1:] != codes[:-1])
-                     | (day[1:] != day[:-1])]
-        codes, day = codes[uniq], day[uniq]
-        n = len(day)
-        # island boundaries: key change or day gap
-        new_isl = np.r_[True, (codes[1:] != codes[:-1])
-                        | (day[1:] != day[:-1] + 1)]
-        istarts = np.flatnonzero(new_isl)
-        ilen = np.diff(np.r_[istarts, n]).astype(np.int64)
-        ikey = codes[istarts]
+        cell, _ = _segment_starts(codes, day)
+        codes, day, keys = codes[cell], day[cell], keys[cell]
+        # islands: day − row_number is constant along consecutive days
+        istarts, iends = _segment_starts(codes,
+                                         day - np.arange(len(day)))
+        ilen = (iends - istarts).astype(np.int64)
         istart_day = day[istarts]
-        kfirst = np.r_[True, ikey[1:] != ikey[:-1]]
-        kstarts = np.flatnonzero(kfirst)
-        klens = np.diff(np.r_[kstarts, len(ikey)])
+        kstarts, kends = _segment_starts(codes[istarts])
+        klens = kends - kstarts
         n_days = np.add.reduceat(ilen, kstarts)
         maxlen = np.maximum.reduceat(ilen, kstarts)
         # earliest island attaining the max (islands are start-ordered)
@@ -1468,7 +1409,7 @@ class _StreakGroup:
         cand = np.where(attain, np.arange(len(ilen)), len(ilen))
         pick = np.minimum.reduceat(cand, kstarts)
         return pd.DataFrame({
-            self.key_col: np.asarray(tuniq)[ikey[kstarts]],
+            self.key_col: keys[istarts][kstarts],
             "n_days": n_days,
             "max_streak": maxlen,
             "streak_start": istart_day[pick]})
@@ -1503,21 +1444,19 @@ class _GiniGroup:
             "n_users": pd.Series([], dtype=np.int64),
             "total_events": pd.Series([], dtype=np.int64),
             "gini": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
+        # null types and users drop (the oracle's WHERE)
+        rows, keys, tcode, _, _ = key_runs(
+            g, "event_type", ("user_id",),
+            keep=g["event_type"].notna() & g["user_id"].notna())
+        if len(rows) == 0:
             return empty
-        tc, tuniq = pd.factorize(g["event_type"], sort=False)
-        kc, _ = pd.factorize(g["user_id"], sort=False)
-        c = g["c"].to_numpy(np.int64)
-        nu = max(int(kc.max()) + 1, 1) if len(kc) else 1
-        cell = tc.astype(np.int64) * nu + kc
-        u, inv = np.unique(cell, return_inverse=True)
-        x = np.zeros(len(u), dtype=np.int64)
-        np.add.at(x, inv, c)                    # merge block partials
-        tcode = (u // nu).astype(np.int64)
+        cell, _ = _segment_starts(tcode, rows["user_id"].to_numpy())
+        x = np.add.reduceat(rows["c"].to_numpy(np.int64), cell)  # merge
+        tcode, keys = tcode[cell], keys[cell]           # block partials
         order = np.lexsort((x, tcode))
-        tcode, x = tcode[order], x[order]
-        starts = np.flatnonzero(np.r_[True, tcode[1:] != tcode[:-1]])
-        n = np.diff(np.r_[starts, len(x)]).astype(np.int64)
+        tcode, x, keys = tcode[order], x[order], keys[order]
+        starts, ends = _segment_starts(tcode)
+        n = (ends - starts).astype(np.int64)
         sx = np.add.reduceat(x, starts)
         if float(n.max()) * float(sx.max()) >= float(1 << 62):
             raise OverflowError(
@@ -1531,7 +1470,7 @@ class _GiniGroup:
                 / (nf * sx.astype(np.float64))
                 - (nf + 1.0) / nf)
         return pd.DataFrame({
-            "event_type": np.asarray(tuniq, dtype=object)[tcode[starts]],
+            "event_type": np.asarray(keys[starts], dtype=object),
             "n_users": n,
             "total_events": sx,
             "gini": round_half_away(gini, 6),
@@ -1587,20 +1526,11 @@ class _TransitionEntropyGroup:
             "user_id": pd.Series([], dtype=np.int64),
             "n_bigrams": pd.Series([], dtype=np.int64),
             "trans_entropy": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        ucodes, uuniq = pd.factorize(g["user_id"], sort=False)
-        tcodes, tuniq = pd.factorize(g["event_type"], sort=False)
-        ok = (ucodes >= 0) & (tcodes >= 0)
-        if not ok.all():
-            g = g.iloc[ok]
-            ucodes, tcodes = ucodes[ok], tcodes[ok]
-        if len(g) < 2:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, ucodes))
-        ucodes, tcodes = ucodes[order], tcodes[order]
+        rows, keys, _, starts, ends = key_runs(
+            g, keep=g["user_id"].notna() & g["event_type"].notna())
+        # each row's key ordinal (keys are sorted, so this is their rank)
+        ucodes = np.repeat(np.arange(len(starts)), ends - starts)
+        tcodes, tuniq = pd.factorize(rows["event_type"], sort=False)
         same = ucodes[1:] == ucodes[:-1]
         if not same.any():
             return empty
@@ -1641,7 +1571,7 @@ class _TransitionEntropyGroup:
                 * math.log(float(cnt[i]) / float(ca_cell[i]))
         out_h.append(-acc)
         return pd.DataFrame({
-            "user_id": np.asarray(uuniq)[np.array(out_u, dtype=np.int64)],
+            "user_id": keys[starts][np.array(out_u, dtype=np.int64)],
             "n_bigrams": np.array(out_n, dtype=np.int64),
             "trans_entropy": round_half_away(
                 np.array(out_h, dtype=np.float64), 6),
@@ -1766,61 +1696,41 @@ class _RunsTestGroup:
     nothing; one-sided keys (n1·n2 = 0, or n1 = n2 = 1 where the
     variance is zero) emit NULL z."""
 
-    def _empty(self, g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "user_id": pd.Series([], dtype=np.int64),
-            "n_above": pd.Series([], dtype=np.int64),
-            "n_below": pd.Series([], dtype=np.int64),
-            "runs": pd.Series([], dtype=np.int64),
-            "z": pd.Series([], dtype=np.float64)})
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
 
         from ..functions.rounding import round_half_away
-        if len(g) == 0:
-            return self._empty(g)
-        codes, uniq = pd.factorize(g["user_id"], sort=False)
         # NULL keys and NULL/NaN values drop (the oracle's WHERE; a
         # NaN would survive the v != median filter as "below")
-        ok = (codes >= 0) & np.isfinite(
-            g["value"].to_numpy(np.float64))
-        if not ok.all():
-            g = g.iloc[ok]
-            codes = codes[ok]
-        if len(g) == 0:
-            return self._empty(g)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        v = g["value"].to_numpy(np.float64)
-        order = np.lexsort((ids, t, codes))
-        codes, t, v = codes[order], t[order], v[order]
-        keys = g["user_id"].to_numpy()[order]
-        n = len(v)
+        rows, keys, codes, ks, ke = key_runs(
+            g, keep=g["user_id"].notna()
+            & np.isfinite(g["value"].to_numpy(np.float64)))
+        v = rows["value"].to_numpy(np.float64)
         # per-key median from the value-sorted layout
-        vo = np.lexsort((v, codes))
-        cv, vv = codes[vo], v[vo]
-        ks = np.flatnonzero(np.r_[True, cv[1:] != cv[:-1]])
-        kc = np.diff(np.r_[ks, n])
+        vv = v[np.lexsort((v, codes))]
+        kc = ke - ks
         med = (vv[ks + (kc - 1) // 2] + vv[ks + kc // 2]) / 2.0
-        med_by_code = np.empty(int(codes.max()) + 1, dtype=np.float64)
-        med_by_code[cv[ks]] = med
         # event-order pass: drop exact-median rows, count runs
-        m_row = med_by_code[codes]
+        m_row = np.repeat(med, kc)
         keep = v != m_row
         codes2, v2, keys2 = codes[keep], v[keep], keys[keep]
         m2 = m_row[keep]
         if len(v2) == 0:
-            return self._empty(g.iloc[:0])
+            return pd.DataFrame({
+                "user_id": rows["user_id"].iloc[:0],
+                "n_above": pd.Series([], dtype=np.int64),
+                "n_below": pd.Series([], dtype=np.int64),
+                "runs": pd.Series([], dtype=np.int64),
+                "z": pd.Series([], dtype=np.float64)})
         sgn = (v2 > m2).astype(np.int64)
-        starts = np.flatnonzero(np.r_[True, codes2[1:] != codes2[:-1]])
-        cnt = np.diff(np.r_[starts, len(v2)]).astype(np.int64)
+        starts, ends = _segment_starts(codes2)
+        cnt = (ends - starts).astype(np.int64)
         chg = np.r_[0, (sgn[1:] != sgn[:-1]).astype(np.int64)]
         chg[starts] = 0
         cchg = np.concatenate([[0], np.cumsum(chg)])
-        runs = 1 + (cchg[np.r_[starts[1:], len(v2)]] - cchg[starts])
+        runs = 1 + (cchg[ends] - cchg[starts])
         cs = np.concatenate([[0], np.cumsum(sgn)])
-        n1 = cs[np.r_[starts[1:], len(v2)]] - cs[starts]
+        n1 = cs[ends] - cs[starts]
         n2 = cnt - n1
         n1f, n2f = n1.astype(np.float64), n2.astype(np.float64)
         nf = n1f + n2f
@@ -1878,24 +1788,21 @@ class _FanoGroup:
             "n_events": pd.Series([], dtype=np.int64),
             "span_hours": pd.Series([], dtype=np.int64),
             "fano": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
+        # null users drop (the oracle's WHERE)
+        rows, keys, uc, _, _ = key_runs(g, by=("h",),
+                                        keep=g["user_id"].notna())
+        if len(rows) == 0:
             return empty
-        uc, uniq = pd.factorize(g["user_id"], sort=False)
-        h = g["h"].to_numpy(np.int64)
-        c = g["c"].to_numpy(np.int64)
-        order = np.lexsort((h, uc))
-        uc, h, c = uc[order], h[order], c[order]
+        h = rows["h"].to_numpy(np.int64)
         # merge same-(user, hour) partials from different blocks
-        cb = np.r_[True, (uc[1:] != uc[:-1]) | (h[1:] != h[:-1])]
-        cs = np.flatnonzero(cb)
-        cm = np.add.reduceat(c, cs)
-        ucm, hm = uc[cs], h[cs]
+        cs, _ = _segment_starts(uc, h)
+        cm = np.add.reduceat(rows["c"].to_numpy(np.int64), cs)
+        ucm, hm, keys = uc[cs], h[cs], keys[cs]
         if float(np.abs(cm).max()) ** 2 * len(cm) >= float(1 << 62):
             raise OverflowError(
                 "fano_factor: Σc² approaching int64 — accumulate in "
                 "(hi, lo) limbs")
-        us = np.flatnonzero(np.r_[True, ucm[1:] != ucm[:-1]])
-        ends = np.r_[us[1:], len(ucm)]
+        us, ends = _segment_starts(ucm)
         n = np.add.reduceat(cm, us)
         sq = np.add.reduceat(cm * cm, us)
         span = hm[ends - 1] - hm[us] + 1
@@ -1904,7 +1811,7 @@ class _FanoGroup:
         mean = nf / spanf
         fano = (sqf / spanf - mean * mean) / mean
         return pd.DataFrame({
-            "user_id": np.asarray(uniq)[ucm[us]],
+            "user_id": keys[us],
             "n_events": n,
             "span_hours": span.astype(np.int64),
             "fano": round_half_away(fano, 6)})
@@ -1953,27 +1860,16 @@ class _CohortCellsGroup:
     age_days) cell — already user-distinct by construction."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "cohort_day": pd.Series([], dtype=np.int64),
-            "age_days": pd.Series([], dtype=np.int64),
-            "n": pd.Series([], dtype=np.int64)})
-        if len(g) == 0:
-            return empty
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = codes >= 0              # NULL user ids never anchor a cohort
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        day = g["day"].to_numpy(np.int64)
-        order = np.lexsort((day, codes))
-        codes, day = codes[order], day[order]
+        # NULL user ids never anchor a cohort
+        rows, _, codes, _, _ = key_runs(g, by=("day",),
+                                        keep=g["user_id"].notna())
+        day = rows["day"].to_numpy(np.int64)
         # the same (user, day) can arrive from several blocks'
         # partials — dedup before counting
-        first = np.r_[True, (codes[1:] != codes[:-1])
-                      | (day[1:] != day[:-1])]
+        first, _ = _segment_starts(codes, day)
         codes, day = codes[first], day[first]
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        cnt = np.diff(np.r_[starts, len(day)])
+        starts, ends = _segment_starts(codes)
+        cnt = ends - starts
         cohort = np.repeat(day[starts], cnt)    # min day per key
         age = day - cohort
         # count per (cohort, age) cell — ages are bounded by the span
@@ -2166,23 +2062,15 @@ class _GrubbsGroup:
             "outlier_event_id": pd.Series([], dtype=np.int64),
             "outlier_value": pd.Series([], dtype=np.float64),
             "g_stat": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["event_type"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        ids = g["event_id"].to_numpy(np.int64)
-        order = np.lexsort((ids, codes))
-        codes, ids = codes[order], ids[order]
-        types = g["event_type"].to_numpy()[order]
-        vals = vals[keep][order]
+        rows, types, _, starts, ends = key_runs(
+            g, "event_type", ("event_id",),
+            keep=g["event_type"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        ids = rows["event_id"].to_numpy(np.int64)
+        vals = rows["value"].to_numpy(np.float64)
         c = scaled_int(vals)
         n = len(c)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        lens = np.diff(np.r_[starts, n])
+        lens = ends - starts
         s_grp = np.add.reduceat(c, starts)
         nk_row = np.repeat(lens, lens)
         y = nk_row * c - np.repeat(s_grp, lens)
@@ -2227,7 +2115,6 @@ def grubbs_test(events):
     deviation, with the offending event identified (ties → smallest
     event_id).  One partition-group shuffle over the bounded type
     domain; exact integer moments, one double chain per type."""
-    import pyarrow.compute as pc
 
     def _prep(batch: pa.Table) -> pa.Table:
         cols = ["event_type", "event_id", "value"]
@@ -2262,23 +2149,12 @@ class _DriftChi2Group:
             "n": pd.Series([], dtype=np.int64),
             "dof": pd.Series([], dtype=np.int64),
             "chi2": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["event_type"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        types = g["event_type"].to_numpy()[order]
-        cents = scaled_int(vals[keep][order])
+        rows, types, _, starts, ends = key_runs(
+            g, "event_type", keep=g["event_type"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        cents = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(cents)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        lens = np.diff(np.r_[starts, n])
+        lens = ends - starts
         local = np.arange(n) - np.repeat(starts, lens)
         nk_row = np.repeat(lens, lens)
         second = local >= (nk_row // 2)        # rn > nk//2
@@ -3090,17 +2966,9 @@ class _BigramCellsGroup:
         empty = pd.DataFrame({"u": pd.Series([], dtype=object),
                               "v": pd.Series([], dtype=object),
                               "w": pd.Series([], dtype=np.int64)})
-        if len(g) == 0:
-            return empty
-        g = g[g["event_type"].notna() & g["user_id"].notna()]
-        if len(g) < 2:
-            return empty
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        typ = g["event_type"].to_numpy()[order]
+        rows, _, codes, _, _ = key_runs(
+            g, keep=g["event_type"].notna() & g["user_id"].notna())
+        typ = rows["event_type"].to_numpy()
         same = codes[1:] == codes[:-1]
         if not same.any():
             return empty
@@ -3190,26 +3058,18 @@ def latest_event_per_user(events):
 
     def _local_latest(g: pd.DataFrame) -> pd.DataFrame:
         out_cols = ["user_id", "event_id", "t", "event_type", "value"]
-        if len(g):
-            g = g[g["user_id"].notna()]
-        if len(g) == 0:   # empty, or every user_id null
+        rows, _, _, _, ends = key_runs(g, keep=g["user_id"].notna())
+        if len(rows) == 0:   # empty, or every user_id null
             return pd.DataFrame({
                 "user_id": pd.Series([], dtype=np.int64),
                 "event_id": pd.Series([], dtype=np.int64),
                 "t": pd.Series([], dtype=np.int64),
                 "event_type": pd.Series([], dtype=object),
                 "value": pd.Series([], dtype=np.float64)})
-        # a null in the batch made pandas widen the key to float64
-        g = g.assign(user_id=g["user_id"].astype(np.int64))
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy(np.int64)
-        # last row per key of the (key, t, id) lexsort = the max
-        order = np.lexsort((ids, t, codes))
-        codes_o = codes[order]
-        last = np.flatnonzero(
-            np.r_[codes_o[1:] != codes_o[:-1], True])
-        return g.iloc[order[last]][out_cols]
+        # the last row of each key's (t, id) run is its max; a null in
+        # the batch made pandas widen the key to float64
+        out = rows.iloc[ends - 1][out_cols]
+        return out.assign(user_id=out["user_id"].astype(np.int64))
 
     def _prep(batch: pa.Table) -> pa.Table:
         from .windows import _epoch_micros

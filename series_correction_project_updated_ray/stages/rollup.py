@@ -25,7 +25,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .joins import _with_hash, each_key, keyed_exchange, partition_groups
+from .joins import (_segment_starts, _with_hash, each_key, key_runs,
+                    keyed_exchange, partition_groups)
 from ..functions.rounding import round_half_away
 
 TIER_WIDTHS = {"1m": 60, "1h": 3600, "1d": 86400}
@@ -178,24 +179,6 @@ def rollup_events(events, key_col: str = "event_type", ts_col: str = "ts",
         _finalize, batch_format="pyarrow", fn_kwargs={"round_to": round_to})
 
 
-def _segment_starts(*sort_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends) of equal-key runs in already-sorted parallel arrays."""
-    n = len(sort_cols[0])
-    if n == 0:
-        # np.append(starts[1:], 0) would yield a 1-long ends for a
-        # 0-long starts — keep the pair consistently empty
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    change = np.ones(n, dtype=bool)
-    if n > 1:
-        acc = np.zeros(n - 1, dtype=bool)
-        for c in sort_cols:
-            acc |= c[1:] != c[:-1]
-        change[1:] = acc
-    starts = np.flatnonzero(change)
-    return starts, np.append(starts[1:], n)
-
-
 class GroupedMedian:
     """Per-block kernel: exact median for every (key, window) cell
     co-located in one block of the keyed exchange — the exact-quantile
@@ -210,16 +193,14 @@ class GroupedMedian:
     bucket co-located; for percentile sets over buckets too big to
     co-locate, use a mergeable histogram sketch instead."""
 
-    def __init__(self, key_col="event_type", round_to=6):
-        self.key_col, self.round_to = key_col, round_to
+    def __init__(self, key_col="event_type"):
+        self.key_col = key_col
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g[self.key_col], sort=False)
-        win = g["window_start"].to_numpy(np.int64)
-        val = g["value"].to_numpy(np.float64)
-        order = np.lexsort((val, win, codes))
-        codes, win, val = codes[order], win[order], val[order]
-        keys = g[self.key_col].to_numpy()[order]
+        rows, keys, codes, _, _ = key_runs(g, self.key_col,
+                                           ("window_start", "value"))
+        win = rows["window_start"].to_numpy(np.int64)
+        val = rows["value"].to_numpy(np.float64)
         starts, ends = _segment_starts(codes, win)
         length = ends - starts
         med = (val[starts + (length - 1) // 2]
@@ -229,13 +210,9 @@ class GroupedMedian:
         has_nan = np.add.reduceat(np.isnan(val), starts) > 0
         med[has_nan] = np.nan
         return pd.DataFrame({
-            # key values from the SORTED ORIGINAL column: factorize gives
-            # null keys code -1, and uniques.take(-1) would wrap to the
-            # last real key, mislabeling the null group (-1 sorts first,
-            # so null keys still form their own runs)
             self.key_col: keys[starts],
             "window_start": win[starts],
-            "vmedian": round_half_away(med, self.round_to),
+            "vmedian": round_half_away(med, 6),
         })
 
 
@@ -271,22 +248,15 @@ class StrideDownsample:
     series of one partition group are decimated in one lexsort +
     segment-relative modulo mask (no per-series Python)."""
 
-    def __init__(self, n: int, key_col="user_id", ts_col="ts",
-                 id_col="event_id"):
-        self.n, self.key_col, self.ts_col, self.id_col = (n, key_col,
-                                                          ts_col, id_col)
+    def __init__(self, n: int, key_col="user_id"):
+        self.n, self.key_col = n, key_col
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g[self.key_col], sort=False)
-        ts = g[self.ts_col].to_numpy()
-        ids = g[self.id_col].to_numpy()
-        order = np.lexsort((ids, ts, codes))
-        codes = codes[order]
-        starts, ends = _segment_starts(codes)
+        rows, _, _, starts, ends = key_runs(g, self.key_col,
+                                            ("ts", "event_id"))
         # index within each series run, then every-Nth mask
-        idx = np.arange(len(codes))
-        rel = idx - np.repeat(starts, ends - starts)
-        return g.iloc[order[rel % self.n == 0]]
+        rel = np.arange(len(rows)) - np.repeat(starts, ends - starts)
+        return rows.iloc[rel % self.n == 0]
 
 
 def downsample_stride(events, n: int = 10, key_col="user_id"):
@@ -369,26 +339,19 @@ class GroupedQuantiles:
     co-located; for percentile sets over groups too big to co-locate,
     use a mergeable histogram/t-digest sketch instead."""
 
-    def __init__(self, key_col="event_type", probs=(0.5, 0.9, 0.95, 0.99),
-                 round_to=6):
-        self.key_col, self.probs, self.round_to = key_col, probs, round_to
+    def __init__(self, key_col="event_type", probs=(0.5, 0.9, 0.95, 0.99)):
+        self.key_col, self.probs = key_col, probs
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g[self.key_col], sort=False)
-        val = g["value"].to_numpy(np.float64)
-        order = np.lexsort((val, codes))
-        codes, val = codes[order], val[order]
-        keys = g[self.key_col].to_numpy()[order]
-        starts, ends = _segment_starts(codes)
+        rows, keys, _, starts, ends = key_runs(g, self.key_col, ("value",))
+        val = rows["value"].to_numpy(np.float64)
         length = ends - starts
         has_nan = np.add.reduceat(np.isnan(val), starts) > 0
-        # keys from the sorted original column, not uniques.take — see
-        # GroupedMedian (factorize codes null keys as -1)
         row = {self.key_col: keys[starts]}
         for p in self.probs:
             q = _quantile_lerp(val, starts, length, p)
             q[has_nan] = np.nan
-            row[f"p{int(p * 100)}"] = round_half_away(q, self.round_to)
+            row[f"p{int(p * 100)}"] = round_half_away(q, 6)
         return pd.DataFrame(row)
 
 
@@ -478,17 +441,9 @@ def ohlc_bars(events, *, key_col: str = "user_id", ts_col: str = "ts",
                 "low": pd.Series([], dtype=np.float64),
                 "close": pd.Series([], dtype=np.float64),
                 "n": pd.Series([], dtype=np.int64)})
-        codes, uniq = pd.factorize(
-            g[key_col].astype(object) if g[key_col].dtype == object
-            else g[key_col], sort=False)
+        g, keys, codes, _, _ = key_runs(g, key_col, ("window_start",))
         w = g["window_start"].to_numpy(np.int64)
-        order = np.lexsort((w, codes))
-        g = g.iloc[order]
-        codes, w = codes[order], w[order]
-        starts = np.flatnonzero(np.r_[True, (codes[1:] != codes[:-1])
-                                      | (w[1:] != w[:-1])]) \
-            if len(codes) else np.array([], dtype=np.int64)
-        ends = np.r_[starts[1:], len(codes)]
+        starts, ends = _segment_starts(codes, w)
         o_t = g["o_t"].to_numpy(np.int64)
         o_id = g["o_id"].to_numpy()
         o_c = g["o_c"].to_numpy(np.int64)
@@ -510,7 +465,7 @@ def ohlc_bars(events, *, key_col: str = "user_id", ts_col: str = "ts",
         hi_m = np.maximum.reduceat(hi, starts)
         n_m = np.add.reduceat(n, starts)
         return pd.DataFrame({
-            key_col: g[key_col].to_numpy()[starts],
+            key_col: keys[starts],
             "window_start": w[starts],
             "open": opens.astype(np.float64) / 100.0,
             "high": hi_m.astype(np.float64) / 100.0,
@@ -555,9 +510,7 @@ class QuantileRollupPartial:
         cell = codes.astype(np.int64) * (np.int64(1) << 40) + w
         order = np.argsort(cell, kind="stable")
         cs, vs = cell[order], vals[order]
-        starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]]) \
-            if len(cs) else np.array([], np.int64)
-        ends = np.r_[starts[1:], len(cs)]
+        starts, ends = _segment_starts(cs)
         out_k, out_w, out_b = [], [], []
         key_vals = np.append(np.asarray(uniq, object), None)
         for s, e in zip(starts, ends):
@@ -625,25 +578,18 @@ class TukeyFencesGroup:
         self.key_col, self.k = key_col, k
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            self.key_col: g[self.key_col].iloc[:0],
-            "n": pd.Series([], dtype=np.int64),
-            "q1": pd.Series([], dtype=np.float64),
-            "q3": pd.Series([], dtype=np.float64),
-            "n_outliers": pd.Series([], dtype=np.int64)})
-        if len(g) == 0:
-            return empty
-        codes, _ = pd.factorize(g[self.key_col], sort=False)
         val = g["value"].to_numpy(np.float64)
-        ok = (codes >= 0) & np.isfinite(val)
-        if not ok.all():
-            g, codes, val = g.iloc[ok], codes[ok], val[ok]
-        if len(g) == 0:
-            return empty
-        order = np.lexsort((val, codes))
-        codes, val = codes[order], val[order]
-        keys = g[self.key_col].to_numpy()[order]
-        starts, ends = _segment_starts(codes)
+        rows, keys, _, starts, ends = key_runs(
+            g, self.key_col, (val,),
+            keep=g[self.key_col].notna() & np.isfinite(val))
+        if len(rows) == 0:
+            return pd.DataFrame({
+                self.key_col: rows[self.key_col],
+                "n": pd.Series([], dtype=np.int64),
+                "q1": pd.Series([], dtype=np.float64),
+                "q3": pd.Series([], dtype=np.float64),
+                "n_outliers": pd.Series([], dtype=np.int64)})
+        val = rows["value"].to_numpy(np.float64)
         length = ends - starts
         q1 = _quantile_lerp(val, starts, length, 0.25)
         q3 = _quantile_lerp(val, starts, length, 0.75)

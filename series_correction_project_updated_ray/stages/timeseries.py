@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .joins import partition_groups
+from .joins import _segment_starts, key_runs, partition_groups
 from .rollup import combine, sums_of
 from .windows import _epoch_micros
 from ..functions.rounding import round_half_away, scaled_int
@@ -71,31 +71,16 @@ class RateCounterGroup:
         self.width_s = width_s
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "user_id": g["user_id"],
-                "window_start": pd.Series([], dtype=np.int64),
-                "n_events": pd.Series([], dtype=np.int64),
-                "increase": pd.Series([], dtype=np.float64),
-                "rate_per_s": pd.Series([], dtype=np.float64)})
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        cents = scaled_int(g["value"].to_numpy(np.float64))[order]
-        n = len(t)
-        first = np.r_[True, codes[1:] != codes[:-1]]
-        dc = np.empty(n, dtype=np.int64)
-        dc[0] = 0
+        rows, keys, codes, kstarts, _ = key_runs(g)
+        t = rows["t"].to_numpy(np.int64)
+        cents = scaled_int(rows["value"].to_numpy(np.float64))
+        dc = np.zeros(len(t), dtype=np.int64)
         dc[1:] = cents[1:] - cents[:-1]
         inc = np.where(dc >= 0, dc, cents)     # reset → post-reset level
-        valid = ~first
+        valid = np.ones(len(t), dtype=bool)
+        valid[kstarts] = False
         w = t // 1_000_000 // self.width_s * self.width_s
-        seg = np.r_[True, (codes[1:] != codes[:-1]) | (w[1:] != w[:-1])]
-        starts = np.flatnonzero(seg)
-        ends = np.r_[starts[1:], n]
+        starts, ends = _segment_starts(codes, w)
         inc_sum = np.add.reduceat(np.where(valid, inc, 0), starts)
         n_valid = np.add.reduceat(valid.astype(np.int64), starts)
         increase = np.where(n_valid > 0, inc_sum / 100.0, np.nan)
@@ -131,24 +116,17 @@ class DrawdownGroup:
     with an exact python-int fallback when the shift could overflow."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
+        # oracle's equi-join drops null keys
+        rows, keys, codes, starts, ends = key_runs(
+            g, keep=g["user_id"].notna())
+        if len(rows) == 0:
             return pd.DataFrame({
-                "user_id": g["user_id"],
+                "user_id": rows["user_id"],
                 "n_events": pd.Series([], dtype=np.int64),
                 "max_drawdown": pd.Series([], dtype=np.float64),
                 "t_trough": pd.Series([], dtype=np.int64)})
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        if (codes < 0).any():   # oracle's equi-join drops null keys
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-            if len(g) == 0:
-                return self.__call__(g)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        cents = scaled_int(g["value"].to_numpy(np.float64))[order]
+        t = rows["t"].to_numpy(np.int64)
+        cents = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(t)
         lo = int(cents.min())
         span = int(cents.max()) - lo + 1
@@ -167,7 +145,6 @@ class DrawdownGroup:
                     cur = obj[i]
                 runmax[i] = cur
         dd = runmax - cents
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
         mdd = np.maximum.reduceat(dd, starts)
         # earliest t attaining the key's max drawdown: lexsort pick on
         # (-dd, t) within key — dd may be object dtype, so order by a
@@ -177,12 +154,10 @@ class DrawdownGroup:
         else:
             neg = -dd
         order2 = np.lexsort((t, neg, codes))
-        c2 = codes[order2]
-        s2 = np.flatnonzero(np.r_[True, c2[1:] != c2[:-1]])
-        pick = order2[s2]
+        pick = order2[_segment_starts(codes[order2])[0]]
         return pd.DataFrame({
             "user_id": keys[starts],
-            "n_events": np.diff(np.r_[starts, n]).astype(np.int64),
+            "n_events": (ends - starts).astype(np.int64),
             "max_drawdown": np.asarray(mdd, dtype=np.float64) / 100.0,
             "t_trough": t[pick],
         })
@@ -209,33 +184,20 @@ class IntervalCoverageGroup:
         self.width_us = width_s * 1_000_000
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "user_id": g["user_id"],
-                "n_intervals": pd.Series([], dtype=np.int64),
-                "covered_us": pd.Series([], dtype=np.int64)})
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        s = g["t"].to_numpy(np.int64)
-        order = np.lexsort((s, codes))
-        codes, s = codes[order], s[order]
-        keys = g["user_id"].to_numpy()[order]
+        rows, keys, codes, starts, _ = key_runs(g, by=("t",))
+        s = rows["t"].to_numpy(np.int64)
         e = s + self.width_us
-        n = len(s)
-        first = np.r_[True, codes[1:] != codes[:-1]]
         # FIXED-width intervals sorted by start have sorted ends, so the
         # running max end within a key is simply the previous row's end
-        # (general widths would need a segmented cummax)
-        prev_e = np.empty(n, dtype=np.int64)
-        prev_e[0] = np.iinfo(np.int64).min
+        # (general widths would need a segmented cummax); a key's first
+        # interval always opens an island
+        prev_e = np.empty_like(e)
         prev_e[1:] = e[:-1]
-        new_island = first | (s > prev_e)
-        istarts = np.flatnonzero(new_island)
-        iends = np.r_[istarts[1:], n]
+        prev_e[starts] = np.iinfo(np.int64).min
+        istarts = np.flatnonzero(s > prev_e)
         island_max_e = np.maximum.reduceat(e, istarts)
         island_len = island_max_e - s[istarts]
-        ikey_first = first[istarts]          # island starts a new key?
-        kstarts = np.flatnonzero(ikey_first)
-        kends = np.r_[kstarts[1:], len(istarts)]
+        kstarts, kends = _segment_starts(codes[istarts])
         return pd.DataFrame({
             "user_id": keys[istarts][kstarts],
             "n_intervals": (kends - kstarts).astype(np.int64),
@@ -274,20 +236,10 @@ class ResampleFfillGroup:
     convention)."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "user_id": g["user_id"],
-                "window_start": pd.Series([], dtype=np.int64),
-                "value": pd.Series([], dtype=np.float64)})
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        side = g["__side"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy(np.int64)
-        order = np.lexsort((ids, side, t, codes))
-        codes, t, side = codes[order], t[order], side[order]
-        keys = g["user_id"].to_numpy()[order]
-        vals = g["value"].to_numpy(np.float64)[order]
-        is_event = side == 0
+        rows, keys, codes, _, _ = key_runs(g, by=("t", "__side", "event_id"))
+        t = rows["t"].to_numpy(np.int64)
+        vals = rows["value"].to_numpy(np.float64)
+        is_event = rows["__side"].to_numpy(np.int64) == 0
         last_evt = _segmented_last(codes, is_event)
         grid = ~is_event
         gsel = np.flatnonzero(grid & (last_evt >= 0))
@@ -364,9 +316,8 @@ def _pos_major_layout(codes: np.ndarray, n: int):
     vectors indexed by rank — O(rows) memory/compute regardless of key
     skew (a dense keys × max_len matrix is O(keys·max_len), which one
     hot key turns into an OOM)."""
-    first = np.r_[True, codes[1:] != codes[:-1]]
-    starts = np.flatnonzero(first)
-    lens = np.diff(np.r_[starts, n])
+    starts, ends = _segment_starts(codes)
+    lens = ends - starts
     K = len(starts)
     rank_order = np.lexsort((np.arange(K), -lens))
     rank_of = np.empty(K, dtype=np.int64)
@@ -391,31 +342,18 @@ class EwmaGroup:
         self.alpha = alpha
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "user_id": g["user_id"],
-                "event_id": pd.Series([], dtype=np.int64),
-                "t": pd.Series([], dtype=np.int64),
-                "ewma": pd.Series([], dtype=np.float64)})
-        codes, _ = pd.factorize(g["user_id"], sort=False)
         # NULL keys cannot chain through the oracle's recursive equality
         # join (only the anchor row would survive) — define the op over
         # non-null keys, like SQL's inner joins everywhere else
-        if (codes < 0).any():
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-        if len(g) == 0:
+        rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
+        if len(rows) == 0:
             return pd.DataFrame({
-                "user_id": g["user_id"],
+                "user_id": rows["user_id"],
                 "event_id": pd.Series([], dtype=np.int64),
                 "t": pd.Series([], dtype=np.int64),
                 "ewma": pd.Series([], dtype=np.float64)})
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        x = g["value"].to_numpy(np.float64)[order]
+        t = rows["t"].to_numpy(np.int64)
+        x = rows["value"].to_numpy(np.float64)
         n = len(t)
         pm, offs = _pos_major_layout(codes, n)
         x_pm = x[pm]
@@ -433,7 +371,7 @@ class EwmaGroup:
         y[pm] = y_pm
         return pd.DataFrame({
             "user_id": keys,
-            "event_id": ids[order],
+            "event_id": rows["event_id"].to_numpy(),
             "t": t,
             "ewma": round_half_away(y, 6),
         })
@@ -515,22 +453,10 @@ class LttbGroup:
         self.n_out = n_out
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "user_id": g["user_id"],
-                "event_id": pd.Series([], dtype=np.int64),
-                "t": pd.Series([], dtype=np.int64),
-                "value": pd.Series([], dtype=np.float64)})
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        ids = ids[order]
-        vals = g["value"].to_numpy(np.float64)[order]
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        ends = np.r_[starts[1:], len(t)]
+        rows, keys, _, starts, ends = key_runs(g)
+        t = rows["t"].to_numpy(np.int64)
+        ids = rows["event_id"].to_numpy()
+        vals = rows["value"].to_numpy(np.float64)
         sel = [s + lttb_select(t[s:e], vals[s:e], self.n_out)
                for s, e in zip(starts, ends)]
         sel = np.concatenate(sel) if sel else np.empty(0, np.int64)
@@ -561,28 +487,15 @@ class AutocorrGroup:
     Keys with < 2 pairs or a zero-variance side emit NULL r."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "user_id": g["user_id"],
-                "n_pairs": pd.Series([], dtype=np.int64),
-                "r1": pd.Series([], dtype=np.float64)})
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(g["value"].to_numpy(np.float64))[order]
+        rows, keys, _, starts, ends = key_runs(g)
+        c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
-        first = np.r_[True, codes[1:] != codes[:-1]]
-        starts = np.flatnonzero(first)
-        ends = np.r_[starts[1:], n]
         # pair arrays aligned to positions 1..n-1, zeroed at key firsts
         # so per-key reduceat sums stay exact without masking
         a = np.zeros(n, dtype=np.int64)
         b = np.zeros(n, dtype=np.int64)
         a[1:], b[1:] = c[:-1], c[1:]
-        a[first], b[first] = 0, 0
+        a[starts], b[starts] = 0, 0
         # Σc² per key must not wrap int64 (the oracle's SUM(BIGINT) is
         # 128-bit): past the safe bound, accumulate exact Python ints
         # via object arrays — same values, rare path
@@ -704,23 +617,17 @@ class HoltGroup:
         self.alpha, self.beta = alpha, beta
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        if (codes < 0).any():   # recursive-CTE equality join drops nulls
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-        if len(g) == 0:
+        # recursive-CTE equality join drops nulls
+        rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
+        if len(rows) == 0:
             return pd.DataFrame({
-                "user_id": g["user_id"],
+                "user_id": rows["user_id"],
                 "event_id": pd.Series([], dtype=np.int64),
                 "t": pd.Series([], dtype=np.int64),
                 "level": pd.Series([], dtype=np.float64),
                 "trend": pd.Series([], dtype=np.float64)})
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        x = g["value"].to_numpy(np.float64)[order]
+        t = rows["t"].to_numpy(np.int64)
+        x = rows["value"].to_numpy(np.float64)
         n = len(t)
         pm, offs = _pos_major_layout(codes, n)
         x_pm = x[pm]
@@ -756,7 +663,7 @@ class HoltGroup:
         tv[pm] = b_pm
         return pd.DataFrame({
             "user_id": keys,
-            "event_id": ids[order],
+            "event_id": rows["event_id"].to_numpy(),
             "t": t,
             "level": round_half_away(lv, 6),
             "trend": round_half_away(tv, 6),
@@ -788,21 +695,11 @@ class ResampleInterpGroup:
     neighbor implies t_prev = h."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "user_id": g["user_id"],
-                "window_start": pd.Series([], dtype=np.int64),
-                "value": pd.Series([], dtype=np.float64)})
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        side = g["__side"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy(np.int64)
-        order = np.lexsort((ids, side, t, codes))
-        codes, t, side = codes[order], t[order], side[order]
-        keys = g["user_id"].to_numpy()[order]
-        vals = g["value"].to_numpy(np.float64)[order]
+        rows, keys, codes, _, _ = key_runs(g, by=("t", "__side", "event_id"))
+        t = rows["t"].to_numpy(np.int64)
+        vals = rows["value"].to_numpy(np.float64)
         n = len(t)
-        is_event = side == 0
+        is_event = rows["__side"].to_numpy(np.int64) == 0
         # dedup duplicate-t events to the LAST (highest event_id): an
         # event followed by another event of the same key and t is shadowed
         shadowed = np.zeros(n, dtype=bool)
@@ -873,22 +770,16 @@ class HysteresisGroup:
         self.hi, self.lo = hi, lo
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        if (codes < 0).any():   # recursive-CTE equality join drops nulls
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-        if len(g) == 0:
+        # recursive-CTE equality join drops nulls
+        rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
+        if len(rows) == 0:
             return pd.DataFrame({
-                "user_id": g["user_id"],
+                "user_id": rows["user_id"],
                 "event_id": pd.Series([], dtype=np.int64),
                 "t": pd.Series([], dtype=np.int64),
                 "alert": pd.Series([], dtype=np.int64)})
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        x = g["value"].to_numpy(np.float64)[order]
+        t = rows["t"].to_numpy(np.int64)
+        x = rows["value"].to_numpy(np.float64)
         n = len(t)
         pm, offs = _pos_major_layout(codes, n)
         x_pm = x[pm]
@@ -909,7 +800,7 @@ class HysteresisGroup:
         s[pm] = s_pm
         return pd.DataFrame({
             "user_id": keys,
-            "event_id": ids[order],
+            "event_id": rows["event_id"].to_numpy(),
             "t": t,
             "alert": s,
         })
@@ -943,24 +834,9 @@ class ChangepointGroup:
     :class:`AutocorrGroup` past the wrap bound."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": pd.Series([], dtype=np.int64),
-            "n": pd.Series([], dtype=np.int64),
-            "split_pos": pd.Series([], dtype=np.int64),
-            "gain": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(g["value"].to_numpy(np.float64))[order]
+        rows, keys, codes, starts, ends = key_runs(g)
+        c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
-        first = np.r_[True, codes[1:] != codes[:-1]]
-        starts = np.flatnonzero(first)
-        ends = np.r_[starts[1:], n]
         lens = ends - starts
         # per-key running sums stay exact: past the int64 cumsum bound
         # fall back to object Python ints (rare; same values)
@@ -974,19 +850,20 @@ class ChangepointGroup:
         nk = np.repeat(lens, lens)
         valid = (pos < nk) & (nk >= 2)
         if not valid.any():
-            return empty
+            return pd.DataFrame({
+                "user_id": rows["user_id"].iloc[:0],
+                "n": pd.Series([], dtype=np.int64),
+                "split_pos": pd.Series([], dtype=np.int64),
+                "gain": pd.Series([], dtype=np.float64)})
         sl = S[valid].astype(np.float64)
         rl = (stot - S)[valid].astype(np.float64)
         sp = pos[valid].astype(np.float64)
         rp = (nk - pos)[valid].astype(np.float64)
         score = sl * sl / sp + rl * rl / rp
-        vcodes = codes[valid]
-        vfirst = np.r_[True, vcodes[1:] != vcodes[:-1]]
-        vstarts = np.flatnonzero(vfirst)
+        vstarts, vends = _segment_starts(codes[valid])
         maxv = np.maximum.reduceat(score, vstarts)
         # earliest split attaining the per-key max (exact double compare)
-        attain = score == np.repeat(maxv, np.r_[vstarts[1:],
-                                                len(score)] - vstarts)
+        attain = score == np.repeat(maxv, vends - vstarts)
         cand = np.where(attain, np.arange(len(score)), len(score))
         pick = np.minimum.reduceat(cand, vstarts)
         nkv = nk[valid][pick].astype(np.float64)
@@ -1293,34 +1170,16 @@ class TheilSenGroup:
     no strict-t pair (singletons, all-tied timestamps) emit nothing."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": pd.Series([], dtype=np.int64),
-            "n_pairs": pd.Series([], dtype=np.int64),
-            "slope_per_hour": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        if (codes < 0).any():   # oracle's equi-self-join drops null keys
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-            if len(g) == 0:
-                return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(g["value"].to_numpy(np.float64))[order]
+        # oracle's equi-self-join drops null keys
+        rows, keys, codes, starts, ends = key_runs(
+            g, keep=g["user_id"].notna())
+        t = rows["t"].to_numpy(np.int64)
+        c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
-        first = np.r_[True, codes[1:] != codes[:-1]]
-        starts = np.flatnonzero(first)
-        ends = np.r_[starts[1:], n]
         lens = ends - starts
         # all intra-key (i, j>i) pairs, vectorized ramp construction
         counts = np.repeat(ends, lens) - np.arange(n) - 1
         P = int(counts.sum())
-        if P == 0:
-            return empty
         a_idx = np.repeat(np.arange(n), counts)
         cum0 = np.r_[0, np.cumsum(counts)][:-1]
         ramp = np.arange(P) - np.repeat(cum0, counts)
@@ -1328,8 +1187,11 @@ class TheilSenGroup:
         dt = t[b_idx] - t[a_idx]
         keep = dt > 0                      # strict time order only
         a_idx, b_idx, dt = a_idx[keep], b_idx[keep], dt[keep]
-        if len(dt) == 0:                   # every pair tied in t
-            return empty
+        if len(dt) == 0:          # no pairs, or every pair tied in t
+            return pd.DataFrame({
+                "user_id": rows["user_id"].iloc[:0],
+                "n_pairs": pd.Series([], dtype=np.int64),
+                "slope_per_hour": pd.Series([], dtype=np.float64)})
         sl = (c[b_idx] - c[a_idx]).astype(np.float64) \
             / dt.astype(np.float64)
         pc = codes[a_idx]
@@ -1379,23 +1241,17 @@ class KalmanGroup:
         self.q, self.r, self.p0 = q, r, p0
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        if (codes < 0).any():   # recursive-CTE equality join drops nulls
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-        if len(g) == 0:
+        # recursive-CTE equality join drops nulls
+        rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
+        if len(rows) == 0:
             return pd.DataFrame({
-                "user_id": g["user_id"],
+                "user_id": rows["user_id"],
                 "event_id": pd.Series([], dtype=np.int64),
                 "t": pd.Series([], dtype=np.int64),
                 "level": pd.Series([], dtype=np.float64),
                 "gain": pd.Series([], dtype=np.float64)})
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        z = g["value"].to_numpy(np.float64)[order]
+        t = rows["t"].to_numpy(np.int64)
+        z = rows["value"].to_numpy(np.float64)
         n = len(t)
         pm, offs = _pos_major_layout(codes, n)
         z_pm = z[pm]
@@ -1423,7 +1279,7 @@ class KalmanGroup:
         kg[pm] = kg_pm
         return pd.DataFrame({
             "user_id": keys,
-            "event_id": ids[order],
+            "event_id": rows["event_id"].to_numpy(),
             "t": t,
             "level": round_half_away(lv, 6),
             "gain": round_half_away(kg, 6),
@@ -1464,24 +1320,18 @@ class HoltWintersGroup:
         self.alpha, self.beta, self.gamma, self.m = alpha, beta, gamma, m
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        if (codes < 0).any():   # recursive-CTE equality join drops nulls
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-        if len(g) == 0:
+        # recursive-CTE equality join drops nulls
+        rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
+        if len(rows) == 0:
             return pd.DataFrame({
-                "user_id": g["user_id"],
+                "user_id": rows["user_id"],
                 "event_id": pd.Series([], dtype=np.int64),
                 "t": pd.Series([], dtype=np.int64),
                 "level": pd.Series([], dtype=np.float64),
                 "trend": pd.Series([], dtype=np.float64),
                 "seasonal": pd.Series([], dtype=np.float64)})
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        z = g["value"].to_numpy(np.float64)[order]
+        t = rows["t"].to_numpy(np.int64)
+        z = rows["value"].to_numpy(np.float64)
         n = len(t)
         pm, offs = _pos_major_layout(codes, n)
         z_pm = z[pm]
@@ -1521,7 +1371,7 @@ class HoltWintersGroup:
         se[pm] = se_pm
         return pd.DataFrame({
             "user_id": keys,
-            "event_id": ids[order],
+            "event_id": rows["event_id"].to_numpy(),
             "t": t,
             "level": round_half_away(lv, 6),
             "trend": round_half_away(tr, 6),
@@ -1568,24 +1418,15 @@ class SpectralGroup:
             "n_events": pd.Series([], dtype=np.int64),
             "power_daily": pd.Series([], dtype=np.float64),
             "power_weekly": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        codes, _ = pd.factorize(g["user_id"], sort=False)
         # NULL keys and NULL/NaN values drop (oracle WHERE; a NaN's
         # scaled_int sentinel would poison the folded sums)
-        ok = (codes >= 0) & np.isfinite(
-            g["value"].to_numpy(np.float64))
-        if not ok.all():
-            g = g.iloc[ok]
-            codes = codes[ok]
-            if len(g) == 0:
-                return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        cf = scaled_int(g["value"].to_numpy(np.float64))[order] \
+        rows, keys, codes, starts, ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & np.isfinite(g["value"].to_numpy(np.float64)))
+        if len(rows) == 0:
+            return empty
+        t = rows["t"].to_numpy(np.int64)
+        cf = scaled_int(rows["value"].to_numpy(np.float64)) \
             .astype(np.float64)
         h = t // 1_000_000 // 3600
         n = len(t)
@@ -1615,9 +1456,6 @@ class SpectralGroup:
             acc_pm[offs[k]:offs[k + 1]] = cur
         acc = np.empty_like(terms)
         acc[pm] = acc_pm
-        first = np.r_[True, codes[1:] != codes[:-1]]
-        starts = np.flatnonzero(first)
-        ends = np.r_[starts[1:], n]
         fin = acc[ends - 1]                    # per-key final fold values
         nk = (ends - starts).astype(np.int64)
         nf = nk.astype(np.float64)
@@ -1653,48 +1491,23 @@ class PlaSegmentsGroup:
     def __init__(self, width: int = 16):
         self.width = width
 
-    def _empty(self, g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "user_id": g["user_id"],
-            "seg": pd.Series([], dtype=np.int64),
-            "t_start": pd.Series([], dtype=np.int64),
-            "n": pd.Series([], dtype=np.int64),
-            "slope": pd.Series([], dtype=np.float64),
-            "intercept": pd.Series([], dtype=np.float64),
-            "max_abs_err": pd.Series([], dtype=np.float64)})
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return self._empty(g)
-        codes, _ = pd.factorize(g["user_id"], sort=False)
         # NULL keys and NULL/NaN values drop, like the SQL side's
         # WHERE before row_number (scaled_int(NaN) is INT64_MIN and
         # would poison the integer sufficient statistics)
-        ok = (codes >= 0) & np.isfinite(
-            g["value"].to_numpy(np.float64))
-        if not ok.all():
-            g = g.iloc[ok]
-            codes = codes[ok]
-        if len(g) == 0:
-            return self._empty(g)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        cents = scaled_int(g["value"].to_numpy(np.float64)[order])
+        rows, keys, codes, key_starts, key_ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & np.isfinite(g["value"].to_numpy(np.float64)))
+        t = rows["t"].to_numpy(np.int64)
+        cents = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(t)
         w = self.width
-        key_starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        key_cnt = np.diff(np.r_[key_starts, n])
         rn = np.arange(n, dtype=np.int64) \
-            - np.repeat(key_starts, key_cnt)
+            - np.repeat(key_starts, key_ends - key_starts)
         seg = rn // w
         j = rn - seg * w
-        brk = np.r_[True, (codes[1:] != codes[:-1])
-                    | (seg[1:] != seg[:-1])]
-        starts = np.flatnonzero(brk)
-        cnt = np.diff(np.r_[starts, n]).astype(np.int64)
+        starts, ends = _segment_starts(codes, seg)
+        cnt = (ends - starts).astype(np.int64)
         maxc = int(np.abs(cents).max()) if n else 0
         # n·Σjv ≤ w²·(w-1)·max|cents| must stay clear of int64
         if w * w * max(w - 1, 1) * maxc >= (1 << 62):
@@ -1769,27 +1582,21 @@ class PageHinkleyGroup:
         self.delta, self.lam = delta, lam
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g["user_id"], sort=False)
         # NULL keys and NULL/NaN values drop (oracle WHERE; a NaN's
         # scaled_int sentinel would poison the exact cents cumsum)
-        ok = (codes >= 0) & np.isfinite(g["value"].to_numpy(np.float64))
-        if not ok.all():
-            g = g.iloc[ok]
-            codes = codes[ok]
-        if len(g) == 0:
+        rows, keys, codes, _, _ = key_runs(
+            g, keep=g["user_id"].notna()
+            & np.isfinite(g["value"].to_numpy(np.float64)))
+        if len(rows) == 0:
             return pd.DataFrame({
-                "user_id": g["user_id"],
+                "user_id": rows["user_id"],
                 "event_id": pd.Series([], dtype=np.int64),
                 "t": pd.Series([], dtype=np.int64),
                 "ph_inc": pd.Series([], dtype=np.float64),
                 "ph_dec": pd.Series([], dtype=np.float64),
                 "alarm": pd.Series([], dtype=np.int64)})
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(g["value"].to_numpy(np.float64)[order])
+        t = rows["t"].to_numpy(np.int64)
+        c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(t)
         pm, offs = _pos_major_layout(codes, n)
         c_pm = c[pm]
@@ -1833,7 +1640,7 @@ class PageHinkleyGroup:
         al[pm] = al_pm
         return pd.DataFrame({
             "user_id": keys,
-            "event_id": ids[order],
+            "event_id": rows["event_id"].to_numpy(),
             "t": t,
             "ph_inc": round_half_away(phi / 100.0, 6),
             "ph_dec": round_half_away(phd / 100.0, 6),
@@ -1877,21 +1684,14 @@ class VarianceRatioGroup:
             "user_id": g["user_id"].iloc[:0],
             "n": pd.Series([], dtype=np.int64),
             "vr": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        codes, _ = pd.factorize(g["user_id"], sort=False)
         # NULL keys and NULL/NaN values drop (oracle WHERE; a NaN's
         # scaled_int sentinel would silently wrap the diff moments)
-        keep = (codes >= 0) & np.isfinite(g["value"].to_numpy(np.float64))
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
+        rows, keys, codes, _, _ = key_runs(
+            g, keep=g["user_id"].notna()
+            & np.isfinite(g["value"].to_numpy(np.float64)))
+        if len(rows) == 0:
             return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(g["value"].to_numpy(np.float64)[order])
+        c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
         q = self.q
         K = int(codes.max()) + 1
@@ -1989,23 +1789,15 @@ class EwmBandsGroup:
             "level": pd.Series([], dtype=np.float64),
             "ewm_std": pd.Series([], dtype=np.float64),
             "flag": pd.Series([], dtype=np.int64)})
-        if len(g) == 0:
-            return empty
-        codes, _ = pd.factorize(g["user_id"], sort=False)
         # NULL keys and NULL/NaN values drop (oracle WHERE; a NaN
         # would poison the recursion with NaN≠NULL semantics)
-        ok = (codes >= 0) & np.isfinite(g["value"].to_numpy(np.float64))
-        if not ok.all():
-            g = g.iloc[ok]
-            codes = codes[ok]
-        if len(g) == 0:
+        rows, keys, codes, _, _ = key_runs(
+            g, keep=g["user_id"].notna()
+            & np.isfinite(g["value"].to_numpy(np.float64)))
+        if len(rows) == 0:
             return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        x = g["value"].to_numpy(np.float64)[order]
+        t = rows["t"].to_numpy(np.int64)
+        x = rows["value"].to_numpy(np.float64)
         n = len(t)
         pm, offs = _pos_major_layout(codes, n)
         x_pm = x[pm]
@@ -2039,7 +1831,7 @@ class EwmBandsGroup:
         fl[pm] = fl_pm
         return pd.DataFrame({
             "user_id": keys,
-            "event_id": ids[order],
+            "event_id": rows["event_id"].to_numpy(),
             "t": t,
             "level": round_half_away(lv, 6),
             "ewm_std": round_half_away(sd, 6),
@@ -2089,25 +1881,13 @@ class SeasonalDecomposeGroup:
             "phase": pd.Series([], dtype=np.int64),
             "n": pd.Series([], dtype=np.int64),
             "seasonal": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        ok = (codes >= 0) & np.isfinite(g["value"].to_numpy(np.float64))
-        if not ok.all():
-            g = g.iloc[ok]
-            codes = codes[ok]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(g["value"].to_numpy(np.float64)[order])
+        rows, keys, _, starts, ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & np.isfinite(g["value"].to_numpy(np.float64)))
+        c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
         m, h = self.m, self.m // 2
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        lens = np.diff(np.r_[starts, n])
+        lens = ends - starts
         # full-window rows: local position in [h, len-1-h]
         local = np.arange(n) - np.repeat(starts, lens)
         valid = (local >= h) & (local <= np.repeat(lens, lens) - 1 - h)
@@ -2178,20 +1958,12 @@ class PeakDetectGroup:
             "t": pd.Series([], dtype=np.int64),
             "value": pd.Series([], dtype=np.float64),
             "prom": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t, ids = codes[order], t[order], ids[order]
-        keys = g["user_id"].to_numpy()[order]
-        v = vals[keep][order]
+        rows, keys, codes, _, _ = key_runs(
+            g, keep=g["user_id"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        t = rows["t"].to_numpy(np.int64)
+        ids = rows["event_id"].to_numpy()
+        v = rows["value"].to_numpy(np.float64)
         n = len(v)
         interior = np.zeros(n, dtype=bool)
         if n >= 3:
@@ -2242,23 +2014,12 @@ class HaarEnergyGroup:
             "level": pd.Series([], dtype=np.int64),
             "n_coef": pd.Series([], dtype=np.int64),
             "energy": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        keys = g["user_id"].to_numpy()[order]
-        x = scaled_int(vals[keep][order])
+        rows, keys, _, starts, ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        x = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(x)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        lens = np.diff(np.r_[starts, n])
+        lens = ends - starts
         trunc = lens - lens % (1 << self.LEVELS)
         local = np.arange(n) - np.repeat(starts, lens)
         kept = local < np.repeat(trunc, lens)
@@ -2325,23 +2086,12 @@ class LjungBoxGroup:
             "user_id": g["user_id"].iloc[:0],
             "n": pd.Series([], dtype=np.int64),
             "q_stat": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(vals[keep][order])
+        rows, keys, codes, starts, ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        lens = np.diff(np.r_[starts, n])
+        lens = ends - starts
         nk_row = np.repeat(lens, lens)
         s_row = np.repeat(np.add.reduceat(c, starts), lens)
         y = nk_row * c - s_row
@@ -2408,23 +2158,10 @@ class SampleEntropyGroup:
             "b_cnt": pd.Series([], dtype=np.int64),
             "a_cnt": pd.Series([], dtype=np.int64),
             "sampen": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        keys = g["user_id"].to_numpy()[order]
-        x = scaled_int(vals[keep][order])
-        n = len(x)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        ends = np.r_[starts[1:], n]
+        rows, keys, _, starts, ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        x = scaled_int(rows["value"].to_numpy(np.float64))
         out_key, out_n, out_b, out_a, out_s = [], [], [], [], []
         for s, e in zip(starts, ends):
             L = (e - s) - 2
@@ -2488,37 +2225,24 @@ class CrostonGroup:
         self.alpha = alpha
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "n_hours": pd.Series([], dtype=np.int64),
-            "level": pd.Series([], dtype=np.float64),
-            "smooth_interval": pd.Series([], dtype=np.float64),
-            "forecast": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        if (codes < 0).any():
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        hour = t // 3_600_000_000
-        keys_all = g["user_id"].to_numpy()
-        order = np.lexsort((hour, codes))
-        codes, hour, keys_all = codes[order], hour[order], keys_all[order]
+        rows, keys, codes, _, _ = key_runs(
+            g, by=(g["t"].to_numpy(np.int64) // 3_600_000_000,),
+            keep=g["user_id"].notna())
+        hour = rows["t"].to_numpy(np.int64) // 3_600_000_000
         # collapse to (key, hour) demand cells with counts
-        cell_first = np.r_[True, (codes[1:] != codes[:-1])
-                                 | (hour[1:] != hour[:-1])]
-        cs = np.flatnonzero(cell_first)
-        d = np.diff(np.r_[cs, len(codes)]).astype(np.float64)
-        ccodes, chour, ckeys = codes[cs], hour[cs], keys_all[cs]
-        n2 = len(cs)
-        pm, offs = _pos_major_layout(ccodes, n2)
+        cs, ce = _segment_starts(codes, hour)
+        d = (ce - cs).astype(np.float64)
+        ccodes, chour, ckeys = codes[cs], hour[cs], keys[cs]
+        pm, offs = _pos_major_layout(ccodes, len(cs))
         d_pm, h_pm = d[pm], chour[pm]
         max_len = len(offs) - 1
-        if max_len < 2:
-            return empty
+        if max_len < 2:       # no key with two demand hours (or no rows)
+            return pd.DataFrame({
+                "user_id": rows["user_id"].iloc[:0],
+                "n_hours": pd.Series([], dtype=np.int64),
+                "level": pd.Series([], dtype=np.float64),
+                "smooth_interval": pd.Series([], dtype=np.float64),
+                "forecast": pd.Series([], dtype=np.float64)})
         m0 = offs[1] - offs[0]
         rank_keys = ckeys[pm[offs[0]:offs[1]]]
         lens = np.zeros(m0, dtype=np.int64)
@@ -2542,8 +2266,6 @@ class CrostonGroup:
             last_h[:m] = hk
             lens[:m] += 1
         sel = lens >= 2
-        if not sel.any():
-            return empty
         return pd.DataFrame({
             "user_id": rank_keys[sel],
             "n_hours": lens[sel],
@@ -2593,23 +2315,12 @@ class HurstRSGroup:
             "user_id": g["user_id"].iloc[:0],
             "n": pd.Series([], dtype=np.int64),
             "hurst": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        keys = g["user_id"].to_numpy()[order]
-        x = scaled_int(vals[keep][order])
+        rows, keys, _, starts, ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        x = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(x)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        lens = np.diff(np.r_[starts, n])
+        lens = ends - starts
         K = len(starts)
         # per-key (w -> (mean_rs or None))
         means: list[dict] = [dict() for _ in range(K)]
@@ -2699,23 +2410,10 @@ class MannKendallGroup:
             "n": pd.Series([], dtype=np.int64),
             "s_stat": pd.Series([], dtype=np.int64),
             "tau": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        keys = g["user_id"].to_numpy()[order]
-        x = scaled_int(vals[keep][order])
-        n = len(x)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        ends = np.r_[starts[1:], n]
+        rows, keys, _, starts, ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        x = scaled_int(rows["value"].to_numpy(np.float64))
         out_key, out_n, out_s, out_tau = [], [], [], []
         for s, e in zip(starts, ends):
             nk = e - s
@@ -2769,36 +2467,20 @@ class SpearmanTrendGroup:
             "user_id": g["user_id"].iloc[:0],
             "n": pd.Series([], dtype=np.int64),
             "rho": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        keys = g["user_id"].to_numpy()[order]
-        cents = scaled_int(vals[keep][order])
+        rows, keys, codes, starts, ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        cents = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(cents)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        lens = np.diff(np.r_[starts, n])
+        lens = ends - starts
         local = np.arange(n) - np.repeat(starts, lens)
         r2x = 2 * (local + 1)
         # tie-averaged value ranks, 2-scaled: sort by (codes, cents)
+        # (the key runs keep their bounds: codes stay the major key)
         ord2 = np.lexsort((cents, codes))
-        c2, cod2 = cents[ord2], codes[ord2]
-        key_first = np.r_[True, cod2[1:] != cod2[:-1]]
-        local2 = np.arange(n) - np.repeat(
-            np.flatnonzero(key_first), np.diff(
-                np.r_[np.flatnonzero(key_first), n]))
-        run_first = key_first | np.r_[True, c2[1:] != c2[:-1]]
-        run_starts = np.flatnonzero(run_first)
-        run_lens = np.diff(np.r_[run_starts, n])
-        r2y_run = 2 * (local2[run_starts] + 1) + run_lens - 1
+        run_starts, run_ends = _segment_starts(codes[ord2], cents[ord2])
+        run_lens = run_ends - run_starts
+        r2y_run = 2 * (local[run_starts] + 1) + run_lens - 1
         r2y = np.empty(n, dtype=np.int64)
         r2y[ord2] = np.repeat(r2y_run, run_lens)
         rmax = int(2 * lens.max()) if n else 0
@@ -2859,23 +2541,12 @@ class PacfGroup:
             "pacf1": pd.Series([], dtype=np.float64),
             "pacf2": pd.Series([], dtype=np.float64),
             "pacf3": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(vals[keep][order])
+        rows, keys, codes, starts, ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        lens = np.diff(np.r_[starts, n])
+        lens = ends - starts
         nk_row = np.repeat(lens, lens)
         s_row = np.repeat(np.add.reduceat(c, starts), lens)
         y = nk_row * c - s_row
@@ -2932,28 +2603,11 @@ class IsotonicGroup:
     twin replays the same two window extrema over the same doubles."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "event_id": pd.Series([], dtype=np.int64),
-            "fitted": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, ids = codes[order], ids[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(vals[keep][order])
-        n = len(c)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        ends = np.r_[starts[1:], n]
-        out_key, out_id, out_fit = [], [], []
+        rows, keys, _, starts, ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        c = scaled_int(rows["value"].to_numpy(np.float64))
+        fitted = np.empty(len(c))
         for s, e in zip(starts, ends):
             m = e - s
             cs = np.concatenate([[0], np.cumsum(c[s:e])])
@@ -2965,13 +2619,11 @@ class IsotonicGroup:
             mean[k < j] = np.inf
             mn = np.minimum.accumulate(mean[:, ::-1], axis=1)[:, ::-1]
             fit = np.diag(np.maximum.accumulate(mn, axis=0))
-            out_key.append(keys[s:e])
-            out_id.append(ids[s:e].astype(np.int64))
-            out_fit.append(round_half_away(fit / 100.0, 6))
+            fitted[s:e] = round_half_away(fit / 100.0, 6)
         return pd.DataFrame({
-            "user_id": np.concatenate(out_key),
-            "event_id": np.concatenate(out_id),
-            "fitted": np.concatenate(out_fit)})
+            "user_id": keys,
+            "event_id": rows["event_id"].to_numpy(np.int64),
+            "fitted": fitted})
 
 
 def isotonic_fit(events):
@@ -2995,27 +2647,13 @@ class NextHigherGroup:
     integer microsecond difference."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "event_id": pd.Series([], dtype=np.int64),
-            "wait_us": pd.Series([], dtype="Int64")})
-        if len(g) == 0:
-            return empty
-        vals = g["value"].to_numpy(np.float64)
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = (codes >= 0) & ~np.isnan(vals)
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t, ids = codes[order], t[order], ids[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(vals[keep][order])
+        rows, keys, _, starts, ends = key_runs(
+            g, keep=g["user_id"].notna()
+            & ~np.isnan(g["value"].to_numpy(np.float64)))
+        t = rows["t"].to_numpy(np.int64)
+        ids = rows["event_id"].to_numpy()
+        c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        ends = np.r_[starts[1:], n]
         wait = np.full(n, -1, dtype=np.int64)
         for s, e in zip(starts, ends):
             stack: list[int] = []           # indices with unmet higher
@@ -3060,25 +2698,15 @@ class RsiGroup:
         self.period = period
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": pd.Series([], dtype=np.int64),
-            "event_id": pd.Series([], dtype=np.int64),
-            "t": pd.Series([], dtype=np.int64),
-            "rsi": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        if (codes < 0).any():
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        x = g["value"].to_numpy(np.float64)[order]
+        rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
+        if len(rows) == 0:
+            return pd.DataFrame({
+                "user_id": rows["user_id"],
+                "event_id": pd.Series([], dtype=np.int64),
+                "t": pd.Series([], dtype=np.int64),
+                "rsi": pd.Series([], dtype=np.float64)})
+        t = rows["t"].to_numpy(np.int64)
+        x = rows["value"].to_numpy(np.float64)
         n = len(t)
         pm, offs = _pos_major_layout(codes, n)
         x_pm = x[pm]
@@ -3112,7 +2740,7 @@ class RsiGroup:
         rsi = np.where(al_o == 0, 100.0, rsi)
         return pd.DataFrame({
             "user_id": keys,
-            "event_id": ids[order],
+            "event_id": rows["event_id"].to_numpy(),
             "t": t,
             "rsi": rsi})
 

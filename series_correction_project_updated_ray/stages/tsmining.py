@@ -37,7 +37,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .joins import partition_groups
+from .joins import _segment_starts, key_runs, partition_groups
 from .rollup import combine, sums_of
 from .windows import _epoch_micros
 from ..functions.rounding import round_half_away, scaled_int
@@ -69,26 +69,15 @@ class SaxGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         w = self.w
-        empty = pd.DataFrame({
-            "user_id": pd.Series([], dtype=np.int64),
-            "n_events": pd.Series([], dtype=np.int64),
-            "sax": pd.Series([], dtype=object)})
-        if len(g) == 0:
-            return empty
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(g["value"].to_numpy(np.float64)[order])
-        n = len(c)
-        first = np.r_[True, codes[1:] != codes[:-1]]
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.r_[starts, n])
+        rows, keys, _, starts, ends = key_runs(g)
+        c = scaled_int(rows["value"].to_numpy(np.float64))
+        lens = ends - starts
         keep = lens >= w
         if not keep.any():
-            return empty
+            return pd.DataFrame({
+                "user_id": rows["user_id"].iloc[:0],
+                "n_events": pd.Series([], dtype=np.int64),
+                "sax": pd.Series([], dtype=object)})
         klens = lens[keep]
         K = len(klens)
         # compact to kept keys so reduceat segments never bleed into a
@@ -164,39 +153,30 @@ class ExcursionGroup:
         self.thresh = thresh
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "user_id": pd.Series([], dtype=np.int64),
-                "n_excursions": pd.Series([], dtype=np.int64),
-                "max_run": pd.Series([], dtype=np.int64),
-                "n_over": pd.Series([], dtype=np.int64),
-                "max_dur_us": pd.Series([], dtype=np.int64)})
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        over = g["value"].to_numpy(np.float64)[order] > self.thresh
-        n = len(t)
-        first = np.r_[True, codes[1:] != codes[:-1]]
+        rows, keys, codes, starts, _ = key_runs(g)
+        t = rows["t"].to_numpy(np.int64)
+        over = rows["value"].to_numpy(np.float64) > self.thresh
         # island starts: over-threshold row whose predecessor (same key)
         # is under threshold or absent
+        first = np.zeros(len(t), dtype=bool)
+        first[starts] = True
         prev_over = np.r_[False, over[:-1]]
         istart = over & (first | ~prev_over)
         # compress to the over-threshold subsequence: runs are
         # contiguous there, so reduceat over its island starts works
         oidx = np.flatnonzero(over)
         if len(oidx) == 0:
-            return self.__call__(g.iloc[:0])
+            return pd.DataFrame({
+                "user_id": rows["user_id"].iloc[:0],
+                "n_excursions": pd.Series([], dtype=np.int64),
+                "max_run": pd.Series([], dtype=np.int64),
+                "n_over": pd.Series([], dtype=np.int64),
+                "max_dur_us": pd.Series([], dtype=np.int64)})
         si = np.flatnonzero(istart[oidx])        # island starts in oidx
         se = np.r_[si[1:], len(oidx)]
         run_len = se - si
         dur = t[oidx[se - 1]] - t[oidx[si]]
-        ikey = codes[oidx[si]]
-        kfirst = np.r_[True, ikey[1:] != ikey[:-1]]
-        ks = np.flatnonzero(kfirst)
-        ke = np.r_[ks[1:], len(si)]
+        ks, ke = _segment_starts(codes[oidx[si]])
         return pd.DataFrame({
             "user_id": keys[oidx[si]][ks],
             "n_excursions": (ke - ks).astype(np.int64),
@@ -216,20 +196,11 @@ def threshold_excursions(events, *, thresh: float = 150.0):
 
 # --- M4 visual downsample (Jugel et al., VLDB 2014) --------------------------
 
-def _cell_bounds(uid: np.ndarray, bucket: np.ndarray):
-    """Segment starts/ends of contiguous (uid, bucket) cells (arrays
-    must already be sorted by those two keys)."""
-    n = len(uid)
-    first = np.r_[True, (uid[1:] != uid[:-1]) | (bucket[1:] != bucket[:-1])]
-    starts = np.flatnonzero(first)
-    return starts, np.r_[starts[1:], np.int64(n)]
-
-
 def _m4_pick(uid, bucket, tie_a, tie_b):
     """Per-(uid, bucket) index of the row minimizing (tie_b, tie_a)
     lexicographically — one lexsort + first-of-segment, no cell loop."""
     order = np.lexsort((tie_a, tie_b, bucket, uid))
-    starts, _ = _cell_bounds(uid[order], bucket[order])
+    starts, _ = _segment_starts(uid[order], bucket[order])
     return order[starts]
 
 
@@ -268,7 +239,7 @@ class PartialM4:
         i_min = _m4_pick(uid, bucket, t_us, cents)       # min (c, t)
         i_max = _m4_pick(uid, bucket, t_us, -cents)      # max (c), min t
         order = np.lexsort((bucket, uid))
-        starts, ends = _cell_bounds(uid[order], bucket[order])
+        starts, ends = _segment_starts(uid[order], bucket[order])
         return pa.table({
             k: pa.array(uid[i_f]).cast(t.schema.field(k).type),
             "bucket_start": pa.array(bucket[i_f]),
@@ -310,7 +281,7 @@ class M4Finalize:
         i_min = _m4_pick(uid, bucket, cols["min_t"], cols["min_c"])
         i_max = _m4_pick(uid, bucket, cols["max_t"], -cols["max_c"])
         order = np.lexsort((bucket, uid))
-        starts, _ = _cell_bounds(uid[order], bucket[order])
+        starts, _ = _segment_starts(uid[order], bucket[order])
         n = np.add.reduceat(cols["n"][order], starts)
         return pd.DataFrame({
             k: uid[i_f], "bucket_start": bucket[i_f],
@@ -448,25 +419,9 @@ class MatrixProfileGroup:
         self.w = w
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": pd.Series([], dtype=np.int64),
-            "pos": pd.Series([], dtype=np.int64),
-            "mp_dist2": pd.Series([], dtype=np.int64),
-            "mp_idx": pd.Series([], dtype=np.int64)})
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        if (codes < 0).any():   # oracle equi-joins drop null keys
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-        if len(g) == 0:
-            return empty
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        keys = g["user_id"].to_numpy()[order]
-        c = scaled_int(g["value"].to_numpy(np.float64))[order]
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        ends = np.r_[starts[1:], len(c)]
+        # oracle equi-joins drop null keys
+        rows, keys, _, starts, ends = key_runs(g, keep=g["user_id"].notna())
+        c = scaled_int(rows["value"].to_numpy(np.float64))
         w = self.w
         out_k, out_p, out_d, out_j = [], [], [], []
         for s, e in zip(starts, ends):
@@ -499,7 +454,11 @@ class MatrixProfileGroup:
             out_d.append(mins.astype(np.int64))
             out_j.append((j + 1).astype(np.int64))
         if not out_k:
-            return empty
+            return pd.DataFrame({
+                "user_id": rows["user_id"].iloc[:0],
+                "pos": pd.Series([], dtype=np.int64),
+                "mp_dist2": pd.Series([], dtype=np.int64),
+                "mp_idx": pd.Series([], dtype=np.int64)})
         return pd.DataFrame({
             "user_id": np.concatenate(out_k),
             "pos": np.concatenate(out_p),

@@ -17,16 +17,17 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .joins import _with_hash, keyed_exchange, partition_groups
+from .joins import (_segment_starts, _with_hash, key_runs, keyed_exchange,
+                    partition_groups)
 from .rollup import _epoch_seconds, combine, sums_of
 from ..functions.rounding import round_half_away, scaled_int
 
 
 def _epoch_micros(ts_col) -> "np.ndarray":
-    """Column → int64 epoch MICROseconds (the engine-wide tie
-    convention): datetime columns via ns normalization, numeric columns
-    are epoch seconds."""
-    ts = ts_col.to_pandas()
+    """Arrow or pandas column → int64 epoch MICROseconds (the engine-wide
+    tie convention): datetime columns via ns normalization, numeric
+    columns are epoch seconds."""
+    ts = ts_col if isinstance(ts_col, pd.Series) else ts_col.to_pandas()
     if pd.api.types.is_datetime64_any_dtype(ts):
         return ts.astype("datetime64[ns]").astype("int64").to_numpy() // 1000
     return ts.to_numpy(np.int64) * 1_000_000
@@ -61,34 +62,23 @@ class SessionWindows:
     group are sessionized by one lexsort + boundary scan — no per-key
     Python calls (a key per call is billions of calls at web scale)."""
 
-    def __init__(self, timeout_s: int = 1800, key_col="user_id",
-                 ts_col="ts", id_col="event_id"):
-        self.timeout_s, self.key_col = timeout_s, key_col
-        self.ts_col, self.id_col = ts_col, id_col
+    def __init__(self, timeout_s: int = 1800):
+        self.timeout_s = timeout_s
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g[self.key_col], sort=False)
-        t = _epoch_seconds(g[self.ts_col])
-        order = np.lexsort((g[self.id_col].to_numpy(), t, codes))
-        codes, t = codes[order], t[order]
-        keys = g[self.key_col].to_numpy()[order]
-        n = len(t)
-        new_key = np.ones(n, dtype=bool)
-        new_key[1:] = codes[1:] != codes[:-1]
+        rows, keys, codes, kstarts, _ = key_runs(
+            g, by=(_epoch_seconds(g["ts"]), "event_id"))
+        t = _epoch_seconds(rows["ts"])
         boundary = _session_boundaries(codes, t, self.timeout_s)
-        starts = np.flatnonzero(boundary)
-        ends = np.r_[starts[1:], n]
+        starts, ends = _segment_starts(np.cumsum(boundary))
         # 1-based session index WITHIN each key: session ordinal minus the
-        # ordinal of the key's first session
-        first_of_key = np.flatnonzero(new_key[starts])
+        # ordinal of the key's first session (a key start is a boundary)
+        first_of_key = np.searchsorted(starts, kstarts)
         runs = np.diff(np.r_[first_of_key, len(starts)])
         sid = (np.arange(len(starts), dtype=np.int64)
                - np.repeat(first_of_key, runs) + 1)
         return pd.DataFrame({
-            # key values from the sorted original column: factorize codes
-            # null keys -1 and uniques.take(-1) would wrap to the last
-            # real key, mislabeling the null group's sessions
-            self.key_col: keys[starts],
+            "user_id": keys[starts],
             "session_id": sid,
             "n_events": (ends - starts).astype(np.int64),
             "t_start": t[starts],
@@ -105,31 +95,17 @@ class SlidingMean:
     bigger), prefix-sum mean evaluated vectorized over the whole
     partition."""
 
-    def __init__(self, width_s: int = 300, key_col="user_id", ts_col="ts",
-                 id_col="event_id", value_col="value", round_to=6):
-        self.width_s, self.key_col = width_s, key_col
-        self.ts_col, self.id_col, self.value_col = ts_col, id_col, value_col
-        self.round_to = round_to
+    def __init__(self, width_s: int = 300):
+        self.width_s = width_s
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g[self.key_col], sort=False)
         # microsecond resolution so RANGE-frame tie semantics can't differ
         # from the SQL oracle (second-floored times could alias two events)
-        ts = g[self.ts_col]
-        if pd.api.types.is_datetime64_any_dtype(ts):
-            t = ts.astype("datetime64[ns]").astype("int64").to_numpy() // 1000
-        else:
-            t = ts.to_numpy(np.int64) * 1_000_000
-        ids = g[self.id_col].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        g = g.iloc[order]
-        v = g[self.value_col].to_numpy(np.float64)
-        n = len(t)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]]) \
-            if n else np.array([], dtype=np.int64)
-        ends = np.r_[starts[1:], n]
-        means = np.empty(n, dtype=np.float64)
+        rows, keys, _, starts, ends = key_runs(
+            g, by=(_epoch_micros(g["ts"]), "event_id"))
+        t = _epoch_micros(rows["ts"])
+        v = rows["value"].to_numpy(np.float64)
+        means = np.empty(len(t), dtype=np.float64)
         w = self.width_s * 1_000_000
         for s, e in zip(starts, ends):
             seg = t[s:e]
@@ -144,9 +120,9 @@ class SlidingMean:
             hi = np.searchsorted(seg, seg, side="right")
             means[s:e] = (csum[hi] - csum[lo]) / (hi - lo)
         return pd.DataFrame({
-            self.key_col: g[self.key_col].to_numpy(),
-            self.id_col: g[self.id_col].to_numpy(),
-            "sliding_mean": round_half_away(means, self.round_to),
+            "user_id": keys,
+            "event_id": rows["event_id"].to_numpy(),
+            "sliding_mean": round_half_away(means, 6),
         })
 
 
@@ -156,26 +132,16 @@ class AsofJoinGroup:
     keep nulls — pandas.merge_asof semantics ≡ SQL ASOF LEFT JOIN.  One
     lexsort per partition; one searchsorted per co-located key."""
 
-    def __init__(self, key_col="user_id", ts_col="t", id_col="event_id",
-                 right_value="value", out_name="last_purchase_value",
-                 round_to=6):
-        self.key_col, self.ts_col, self.id_col = key_col, ts_col, id_col
-        self.right_value, self.out_name = right_value, out_name
-        self.round_to = round_to
-
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g[self.key_col], sort=False)
-        t = g[self.ts_col].to_numpy(np.int64)
-        ids = g[self.id_col].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t, ids = codes[order], t[order], ids[order]
-        is_l = (g["__side"].to_numpy() == "l")[order]
-        rv_all = g[self.right_value].to_numpy(np.float64)[order]
-        keys = g[self.key_col].to_numpy()[order]
-        n = len(t)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]]) \
-            if n else np.array([], dtype=np.int64)
-        ends = np.r_[starts[1:], n]
+        rows, keys, _, starts, ends = key_runs(g)
+        if len(rows) == 0:
+            return pd.DataFrame({
+                "user_id": rows["user_id"], "event_id": rows["event_id"],
+                "last_purchase_value": pd.Series([], dtype=np.float64)})
+        t = rows["t"].to_numpy(np.int64)
+        ids = rows["event_id"].to_numpy()
+        is_l = rows["__side"].to_numpy() == "l"
+        rv_all = rows["value"].to_numpy(np.float64)
         out_k, out_i, out_v = [], [], []
         for s, e in zip(starts, ends):
             m = is_l[s:e]
@@ -191,14 +157,10 @@ class AsofJoinGroup:
             out_k.append(keys[s:e][m])
             out_i.append(ids[s:e][m])
             out_v.append(matched)
-        if not out_k:
-            return pd.DataFrame({self.key_col: [], self.id_col: [],
-                                 self.out_name: []})
         return pd.DataFrame({
-            self.key_col: np.concatenate(out_k),
-            self.id_col: np.concatenate(out_i),
-            self.out_name: round_half_away(np.concatenate(out_v),
-                                           self.round_to),
+            "user_id": np.concatenate(out_k),
+            "event_id": np.concatenate(out_i),
+            "last_purchase_value": round_half_away(np.concatenate(out_v), 6),
         })
 
 
@@ -286,19 +248,17 @@ class RangeJoinAggGroup:
         self.window_us = window_us
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        order = np.lexsort((t, codes))
-        codes, t = codes[order], t[order]
-        is_l = (g["__side"].to_numpy() == "l")[order]
-        g = g.iloc[order]
-        v100_all = scaled_int(g["value"].to_numpy(np.float64))
-        keys = g["user_id"].to_numpy()
-        ids = g["event_id"].to_numpy()
-        n = len(t)
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]]) \
-            if n else np.array([], dtype=np.int64)
-        ends = np.r_[starts[1:], n]
+        rows, keys, _, starts, ends = key_runs(g, by=("t",))
+        if len(rows) == 0:
+            return pd.DataFrame({
+                "user_id": rows["user_id"], "event_id": rows["event_id"],
+                "t": pd.Series([], dtype=np.int64),
+                "n_in_range": pd.Series([], dtype=np.int64),
+                "vsum": pd.Series([], dtype=np.float64)})
+        t = rows["t"].to_numpy(np.int64)
+        is_l = rows["__side"].to_numpy() == "l"
+        v100_all = scaled_int(rows["value"].to_numpy(np.float64))
+        ids = rows["event_id"].to_numpy()
         frames = []
         for s, e in zip(starts, ends):
             m = is_l[s:e]
@@ -315,12 +275,6 @@ class RangeJoinAggGroup:
                 "n_in_range": (hi - lo).astype(np.int64),
                 "vsum": (csum[hi] - csum[lo]) / 100.0,
             }))
-        if not frames:
-            return pd.DataFrame({
-                "user_id": [], "event_id": [],
-                "t": pd.Series([], dtype=np.int64),
-                "n_in_range": pd.Series([], dtype=np.int64),
-                "vsum": pd.Series([], dtype=np.float64)})
         return pd.concat(frames, ignore_index=True)
 
 
@@ -363,20 +317,16 @@ class FunnelGroup:
         self.first_type, self.then_type = first_type, then_type
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        keys = g["user_id"].to_numpy()[order]
-        ts = g["t"].to_numpy(np.int64)[order]
-        typ = g["event_type"].to_numpy()[order]
-        if len(codes) == 0:
+        rows, keys, _, starts, ends = key_runs(g, by=())
+        if len(rows) == 0:
             return pd.DataFrame({
-                "user_id": pd.Series([], dtype=g["user_id"].dtype),
+                "user_id": rows["user_id"],
                 "t_first": pd.Series([], dtype=np.int64),
                 "t_then": pd.Series([], dtype=np.int64),
                 "latency_s": pd.Series([], dtype=np.int64)})
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        lens = np.diff(np.r_[starts, len(codes)])
+        ts = rows["t"].to_numpy(np.int64)
+        typ = rows["event_type"].to_numpy()
+        lens = ends - starts
         BIG = np.iinfo(np.int64).max
         # per-key min A timestamp, then min B timestamp at-or-after it —
         # two masked reduceat min-scans, no per-key Python
@@ -387,8 +337,6 @@ class FunnelGroup:
                      & (ts >= np.repeat(t0, lens)), ts, BIG), starts)
         conv = (t0 < BIG) & (t1 < BIG)
         return pd.DataFrame({
-            # sorted-original key values — not uniques.take, which wraps
-            # factorize's -1 null code onto the last real key
             "user_id": keys[starts][conv],
             "t_first": t0[conv],
             "t_then": t1[conv],
@@ -425,13 +373,8 @@ class RunningSumGroup:
     per-segment base; exact, so the oracle matches at atol=0)."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        g = g.iloc[order]
-        v100 = scaled_int(g["value"].to_numpy(np.float64))
+        rows, keys, _, starts, ends = key_runs(g)
+        v100 = scaled_int(rows["value"].to_numpy(np.float64))
         # segmented prefix sums via one global cumsum; the guard keeps the
         # GLOBAL magnitude inside int64 (per-key prefixes alone don't
         # bound it once many keys share a partition)
@@ -440,18 +383,16 @@ class RunningSumGroup:
                 "running_sum: partition cents magnitude exceeds int64 — "
                 "one block of the keyed exchange holds more cents than "
                 "int64 can sum")
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]]) \
-            if len(codes) else np.array([], dtype=np.int64)
-        lens = np.diff(np.r_[starts, len(codes)])
+        lens = ends - starts
         cs = np.cumsum(v100)
         base = cs[starts] - v100[starts]
         running = cs - np.repeat(base, lens)
-        counts = (np.arange(len(codes), dtype=np.int64)
+        counts = (np.arange(len(rows), dtype=np.int64)
                   - np.repeat(starts, lens) + 1)
         return pd.DataFrame({
-            "user_id": g["user_id"].to_numpy(),
-            "event_id": g["event_id"].to_numpy(),
-            "t": g["t"].to_numpy(np.int64),
+            "user_id": keys,
+            "event_id": rows["event_id"].to_numpy(),
+            "t": rows["t"].to_numpy(np.int64),
             "running_sum": running / 100.0,
             "running_count": counts,
         })
@@ -480,26 +421,18 @@ class LagDeltaGroup:
     of every key emits NULL for both, matching LAG's default."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes, t = codes[order], t[order]
-        g = g.iloc[order]
-        v100 = scaled_int(g["value"].to_numpy(np.float64))
-        n = len(codes)
-        first = np.r_[True, codes[1:] != codes[:-1]] if n \
-            else np.array([], dtype=bool)
-        dv = np.full(n, np.nan)
-        dt = np.full(n, np.nan)
-        if n > 1:
-            dv[1:] = (v100[1:] - v100[:-1]) / 100.0
-            dt[1:] = (t[1:] - t[:-1]).astype(np.float64)
-        dv[first] = np.nan
-        dt[first] = np.nan
+        rows, keys, _, starts, _ = key_runs(g)
+        t = rows["t"].to_numpy(np.int64)
+        v100 = scaled_int(rows["value"].to_numpy(np.float64))
+        dv = np.full(len(t), np.nan)
+        dt = np.full(len(t), np.nan)
+        dv[1:] = (v100[1:] - v100[:-1]) / 100.0
+        dt[1:] = (t[1:] - t[:-1]).astype(np.float64)
+        dv[starts] = np.nan
+        dt[starts] = np.nan
         return pd.DataFrame({
-            "user_id": g["user_id"].to_numpy(),
-            "event_id": g["event_id"].to_numpy(),
+            "user_id": keys,
+            "event_id": rows["event_id"].to_numpy(),
             "t": t,
             "dv": dv,
             "dt_us": dt,
@@ -531,29 +464,19 @@ class EventSequenceGroup:
         self.sep = sep
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        codes, uniq = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        types = g["event_type"].to_numpy()[order]
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]]) \
-            if len(codes) else np.array([], dtype=np.int64)
-        ends = np.r_[starts[1:], len(codes)]
+        rows, keys, _, starts, ends = key_runs(g)
+        types = rows["event_type"].to_numpy()
         # string_agg semantics: NULL event_types are skipped inside the
         # join (an all-NULL group emits NULL seq) while COUNT(*) keeps
-        # every row; key values come from the SORTED ORIGINAL column so a
-        # NULL user_id stays its own group (factorize codes it -1, which
-        # would otherwise wrap onto the LAST real user's slot)
-        keys = g["user_id"].to_numpy()[order]
+        # every row; a NULL user_id is its own group
         seqs = []
         for s, e in zip(starts, ends):
             ts_ = [x for x in types[s:e] if x is not None
                    and not (isinstance(x, float) and np.isnan(x))]
             seqs.append(self.sep.join(ts_) if ts_ else None)
         return pd.DataFrame({
-            "user_id": keys[starts] if len(starts) else keys[:0],
-            "seq": seqs,
+            "user_id": keys[starts],
+            "seq": pd.Series(seqs, dtype=object),
             "n_events": (ends - starts).astype(np.int64),
         })
 
@@ -586,31 +509,33 @@ class TimeWeightedAvgGroup:
         self.width_us = width_s * 1_000_000
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        from .rollup import _segment_starts
-        if len(g) == 0:
+        t = g["t"].to_numpy(np.int64)
+        rows, keys, codes, _, _ = key_runs(
+            g, by=(t // self.width_us, "t", "event_id"))
+        if len(rows) == 0:
             return pd.DataFrame({
-                "user_id": g["user_id"],
+                "user_id": rows["user_id"],
                 "window_start": pd.Series([], dtype=np.int64),
                 "twa": pd.Series([], dtype=np.float64),
                 "n": pd.Series([], dtype=np.int64)})
-        ucodes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
+        t = rows["t"].to_numpy(np.int64)
         w = t // self.width_us * self.width_us
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, w, ucodes))
-        ucodes, t, w = ucodes[order], t[order], w[order]
-        g = g.iloc[order]
-        c = scaled_int(g["value"].to_numpy(np.float64))
+        v = rows["value"].to_numpy(np.float64)
+        c = scaled_int(v)
         n = len(t)
-        starts, ends = _segment_starts(ucodes, w)
+        starts, ends = _segment_starts(codes, w)
+        has_term = np.zeros(len(starts), dtype=bool)
         if n > 1:
             dt = t[1:] - t[:-1]
             cs = c[1:] + c[:-1]
             # the pair that BRIDGES two cells never contributes (and its
             # epoch-scale dt would both wrap the int64 product and trip
-            # the guard) — mask it BEFORE guarding and multiplying
-            bridge = np.zeros(n - 1, dtype=bool)
+            # the guard) — mask it BEFORE guarding and multiplying; a
+            # pair with a NULL (NaN) value drops out of the SQL SUM too
+            bridge = np.isnan(v[1:]) | np.isnan(v[:-1])
             bridge[starts[1:] - 1] = True
+            n_term = np.r_[0, np.cumsum(~bridge)]
+            has_term = n_term[ends - 1] > n_term[starts]
             fdt = np.where(bridge, 0.0, dt.astype(np.float64))
             fcs = np.abs(cs).astype(np.float64)
             if float((fdt * fcs).sum()) > 2**62:
@@ -624,20 +549,19 @@ class TimeWeightedAvgGroup:
             segsum = np.zeros(len(starts), dtype=np.int64)
         span = t[ends - 1] - t[starts]
         cnt = (ends - starts).astype(np.int64)
-        ok = (cnt >= 2) & (span > 0)
+        ok = (cnt >= 2) & (span > 0) & has_term
         twa = np.full(len(starts), np.nan)
         with np.errstate(invalid="ignore"):
             twa[ok] = segsum[ok].astype(np.float64) \
                 / span[ok].astype(np.float64) / 200.0
         from ..functions.rounding import round_half_away
         twr = round_half_away(twa, 6)
-        out = pd.DataFrame({
-            "user_id": g["user_id"].to_numpy()[starts],
+        return pd.DataFrame({
+            "user_id": keys[starts],
             "window_start": (w[starts] // 1_000_000),
             "twa": np.where(ok, twr, np.nan),
             "n": cnt,
         })
-        return out
 
 
 def time_weighted_avg(events, *, width_s: int = 3600):
@@ -669,25 +593,19 @@ class TrendGroup:
         self.width_s = width_s
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        ucodes, _ = pd.factorize(g["user_id"], sort=False)
         ts = g["t"].to_numpy(np.int64) // 1_000_000  # epoch seconds
+        rows, keys, codes, _, _ = key_runs(
+            g, by=(ts - ts % self.width_s, ts))
+        ts = rows["t"].to_numpy(np.int64) // 1_000_000
         w = ts - ts % self.width_s
-        order = np.lexsort((ts, w, ucodes))
-        ucodes, ts, w = ucodes[order], ts[order], w[order]
-        g = g.iloc[order]
-        v = scaled_int(g["value"].to_numpy(np.float64))
+        v = scaled_int(rows["value"].to_numpy(np.float64))
         t = ts - w  # 0 ≤ t < width
-        n = len(t)
-        starts = np.flatnonzero(np.r_[True, (ucodes[1:] != ucodes[:-1])
-                                      | (w[1:] != w[:-1])]) \
-            if n else np.array([], dtype=np.int64)
-        cnt = np.diff(np.r_[starts, n]).astype(np.int64)
-        st = np.add.reduceat(t, starts) if n else np.empty(0, np.int64)
-        sv = np.add.reduceat(v, starts) if n else np.empty(0, np.int64)
-        stv = np.add.reduceat(t * v, starts) if n \
-            else np.empty(0, np.int64)
-        stt = np.add.reduceat(t * t, starts) if n \
-            else np.empty(0, np.int64)
+        starts, ends = _segment_starts(codes, w)
+        cnt = (ends - starts).astype(np.int64)
+        st = np.add.reduceat(t, starts)
+        sv = np.add.reduceat(v, starts)
+        stv = np.add.reduceat(t * v, starts)
+        stt = np.add.reduceat(t * t, starts)
         # numerator/denominator in EXACT integer arithmetic (object
         # arrays = arbitrary-precision Python ints): n·Σtv can exceed
         # 2^53, and the oracle computes the HUGEINT product exactly
@@ -709,7 +627,7 @@ class TrendGroup:
                              - slope[ok] * (stf[ok] / nf[ok]))
         from ..functions.rounding import round_half_away
         return pd.DataFrame({
-            "user_id": g["user_id"].to_numpy()[starts],
+            "user_id": keys[starts],
             "window_start": w[starts],
             "slope": np.where(ok, round_half_away(slope, 6), np.nan),
             "intercept": np.where(ok, round_half_away(intercept, 6),
@@ -743,21 +661,15 @@ class InterarrivalGroup:
     order.  Keys with <2 gaps or zero mean emit NULL stats."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        from .rollup import _segment_starts
-        if len(g) == 0:
+        rows, keys, _, starts, ends = key_runs(g)
+        if len(rows) == 0:
             return pd.DataFrame({
-                "user_id": g["user_id"],
+                "user_id": rows["user_id"],
                 "n_events": pd.Series([], dtype=np.int64),
                 "mean_dt_s": pd.Series([], dtype=np.float64),
                 "cv_dt": pd.Series([], dtype=np.float64)})
-        ucodes, _ = pd.factorize(g["user_id"], sort=False)
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, ucodes))
-        ucodes, t = ucodes[order], t[order]
-        g = g.iloc[order]
-        ts = t // 1_000_000  # epoch seconds (flooring preserves order)
-        starts, ends = _segment_starts(ucodes)
+        # epoch seconds (flooring preserves order)
+        ts = rows["t"].to_numpy(np.int64) // 1_000_000
         cnt = (ends - starts).astype(np.int64)
         n = len(ts)
         if n > 1:
@@ -787,7 +699,7 @@ class InterarrivalGroup:
         good = ok & (mean_dt > 0)
         from ..functions.rounding import round_half_away
         return pd.DataFrame({
-            "user_id": g["user_id"].to_numpy()[starts],
+            "user_id": keys[starts],
             "n_events": cnt,
             "mean_dt_s": np.where(good, round_half_away(mean_dt, 6),
                                   np.nan),
@@ -821,26 +733,15 @@ class SessionCooccurrence:
     few hundred bytes per block regardless of corpus size.  Null keys
     drop (the oracle's equi-self-join semantics)."""
 
-    def __init__(self, timeout_s: int = 1800, key_col="user_id",
-                 ts_col="ts", id_col="event_id", type_col="event_type"):
-        self.timeout_s, self.key_col = timeout_s, key_col
-        self.ts_col, self.id_col, self.type_col = ts_col, id_col, type_col
+    def __init__(self, timeout_s: int = 1800):
+        self.timeout_s = timeout_s
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "type_a": pd.Series([], dtype=object),
-            "type_b": pd.Series([], dtype=object),
-            "cnt": pd.Series([], dtype=np.int64)})
-        codes, _ = pd.factorize(g[self.key_col], sort=False)
-        if (codes < 0).any():
-            g = g.iloc[codes >= 0]
-            codes = codes[codes >= 0]
-        if len(g) == 0:
-            return empty
-        t = _epoch_seconds(g[self.ts_col])
-        order = np.lexsort((g[self.id_col].to_numpy(), t, codes))
-        codes, t = codes[order], t[order]
-        types = g[self.type_col].to_numpy()[order]
+        rows, _, codes, _, _ = key_runs(
+            g, by=(_epoch_seconds(g["ts"]), "event_id"),
+            keep=g["user_id"].notna())
+        t = _epoch_seconds(rows["ts"])
+        types = rows["event_type"].to_numpy()
         boundary = _session_boundaries(codes, t, self.timeout_s)
         gsid = np.cumsum(boundary) - 1          # global session ordinal
         # NULL types shape session boundaries (they are events) but pair
@@ -849,7 +750,10 @@ class SessionCooccurrence:
         nn = ~pd.isnull(types)
         gsid, types = gsid[nn], types[nn]
         if len(types) == 0:
-            return empty
+            return pd.DataFrame({
+                "type_a": pd.Series([], dtype=object),
+                "type_b": pd.Series([], dtype=object),
+                "cnt": pd.Series([], dtype=np.int64)})
         uniq_types = np.unique(types)           # SORTED: code order ==
         ntypes = len(uniq_types)                # lexicographic order
         tcode = np.searchsorted(uniq_types, types)
@@ -863,8 +767,6 @@ class SessionCooccurrence:
         m = len(cells)
         counts = np.repeat(ends, ends - starts) - np.arange(m) - 1
         P = int(counts.sum())
-        if P == 0:
-            return empty
         a = np.repeat(np.arange(m), counts)
         cum0 = np.r_[0, np.cumsum(counts)][:-1]
         b = a + 1 + (np.arange(P) - np.repeat(cum0, counts))
@@ -899,29 +801,15 @@ class _PathTrigramPartial:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter
-        if len(g) == 0:
-            return pd.DataFrame({"path": pd.Series([], dtype=object),
-                                 "cnt": pd.Series([], dtype=np.int64)})
-        codes, _ = pd.factorize(g["user_id"], sort=False)
-        keep = codes >= 0
-        g, codes = g.iloc[keep], codes[keep]
-        if len(g) == 0:
-            return pd.DataFrame({"path": pd.Series([], dtype=object),
-                                 "cnt": pd.Series([], dtype=np.int64)})
-        t = g["t"].to_numpy(np.int64)
-        ids = g["event_id"].to_numpy()
-        order = np.lexsort((ids, t, codes))
-        codes = codes[order]
-        et = g["event_type"].to_numpy()[order]
-        same2 = (codes[2:] == codes[:-2]) if len(codes) > 2 else \
-            np.array([], dtype=bool)
+        rows, _, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
+        et = rows["event_type"].to_numpy()
         c: "Counter[str]" = Counter()
-        idx = np.flatnonzero(same2)
+        idx = np.flatnonzero(codes[2:] == codes[:-2])
         a, b, d = et[idx], et[idx + 1], et[idx + 2]
         for x, y, z in zip(a, b, d):
             c[f"{x}>{y}>{z}"] += 1
         return pd.DataFrame({
-            "path": list(c.keys()),
+            "path": pd.Series(list(c.keys()), dtype=object),
             "cnt": np.fromiter(c.values(), dtype=np.int64,
                                count=len(c))})
 

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq

@@ -315,21 +315,68 @@ def test_sigkill_resume_converges(ray_session, tmp_path):
         pd.testing.assert_frame_equal(a, b)
 
 
-def test_kill_during_shuffle_resume(ray_session, tmp_path):
-    """Multi-node-shaped drill #1: SIGKILL the driver DURING the groupby
-    shuffle (before any partition manifest exists), then resume.
+# Child driver for the kill drill.  ``DyingWriter`` is defined in
+# ``__main__``, so Ray ships the class by value to its workers.  Every
+# partition call claims the next call number cluster-wide with an O_EXCL
+# flag-file election; calls below ``KILL_AT`` write normally, call
+# ``KILL_AT`` waits for those writes, SIGKILLs the driver and exits its
+# worker, and later calls exit without writing.  So exactly ``KILL_AT``
+# manifests land whatever the task layout.
+_KILL_DRIVER = """
+import os, signal, sys, time
+import ray
+from series_correction_project_updated_ray.pipelines import resumable
 
-    Asserts (a) a mid-shuffle kill leaves zero committed partitions, so
-    the resume re-runs ALL of them (the shuffle holds no durable state —
-    only manifests do); (b) any manifest that DID land before the kill
-    is skipped by the resume without being rewritten (mtime_ns
-    unchanged — the manifest-driven prune, not a lucky no-op); (c) the
-    resumed output equals a clean never-killed run bit for bit."""
-    import glob as _glob
+INP, OUT, FLAGS, KILL_AT = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+DRIVER = os.getpid()
+
+
+class DyingWriter(resumable.PartitionWriter):
+    def __call__(self, group):
+        i = 0
+        while True:
+            try:
+                os.close(os.open(os.path.join(FLAGS, f"call{i}"),
+                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                break
+            except FileExistsError:
+                i += 1
+        if i < KILL_AT:
+            out = super().__call__(group)
+            open(os.path.join(FLAGS, f"done{i}"), "w").close()
+            return out
+        if i == KILL_AT:
+            while not all(os.path.exists(os.path.join(FLAGS, f"done{j}"))
+                          for j in range(KILL_AT)):
+                time.sleep(0.01)
+            os.kill(DRIVER, signal.SIGKILL)
+        os._exit(1)
+
+
+ray.init(address="local", num_cpus=4, include_dashboard=False,
+         logging_level="ERROR")
+resumable.PartitionWriter = DyingWriter
+resumable.run_resumable(INP, OUT, n_partitions=16, buckets_per_source=16,
+                        step_seconds=1)
+"""
+
+
+@pytest.mark.parametrize("kill_at", [0, 5])
+def test_kill_during_shuffle_resume(ray_session, tmp_path, kill_at):
+    """Multi-node-shaped drill #1: SIGKILL the driver inside the keyed
+    exchange at the ``kill_at``-th partition call (0: before any
+    partition is written), then resume.
+
+    Asserts (a) exactly ``kill_at`` partitions committed before the kill
+    and the resume re-runs exactly the 16 − ``kill_at`` missing ones
+    (the exchange holds no durable state — only manifests do); (b) the
+    manifests that landed before the kill are skipped by the resume
+    without being rewritten (mtime_ns unchanged — the manifest-driven
+    prune, not a lucky no-op); (c) the resumed output equals a clean
+    never-killed run bit for bit."""
     import signal
     import subprocess
     import sys
-    import time
 
     import pyarrow.parquet as pq
 
@@ -341,59 +388,32 @@ def test_kill_during_shuffle_resume(ray_session, tmp_path):
     inp = str(tmp_path / "seqs")
     write_synthetic_sequences(inp, 12000, seed=17, rows_per_file=750)
     out_clean, out_kill = str(tmp_path / "clean"), str(tmp_path / "kill")
-
-    t0 = time.time()
+    flags = tmp_path / "flags"
+    flags.mkdir()
     run_resumable(inp, out_clean, n_partitions=16, buckets_per_source=16,
                   step_seconds=1)
-    t_clean = time.time() - t0
 
+    script = tmp_path / "kill_driver.py"
+    script.write_text(_KILL_DRIVER)
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=repo)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "series_correction_project_updated_ray", "rollup",
-         "--input", inp, "--output", out_kill, "--n-partitions", "16",
-         "--buckets-per-source", "16", "--step-seconds", "1",
-         "--num-cpus", "4"],
-        env=env, cwd="/tmp", stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
-    # kill as early as possible inside the run: the subprocess pays Ray
-    # startup (several seconds) before the pipeline starts; from there the
-    # first manifest only appears AFTER the groupby shuffle completes, so
-    # killing the instant the manifest dir is born (or on the elapsed-time
-    # guard while no manifest exists) lands in read/shuffle territory
-    mdir = os.path.join(out_kill, "_manifest")
-    t_launch = time.time()
-    deadline = t_launch + 180
-    while time.time() < deadline and proc.poll() is None:
-        if os.path.isdir(mdir) or time.time() - t_launch > 3 * t_clean:
-            break
-        time.sleep(0.01)
-    killed_midway = proc.poll() is None
-    if killed_midway:
-        os.kill(proc.pid, signal.SIGKILL)
-    proc.wait()
-
-    # orphaned workers may still flush in-flight partitions briefly
-    stable_since, last = time.time(), -1
-    while time.time() - stable_since < 3.0:
-        cur = len(CP.load_manifests(out_kill))
-        if cur != last:
-            last, stable_since = cur, time.time()
-        time.sleep(0.2)
+    proc = subprocess.run(
+        [sys.executable, str(script), inp, out_kill, str(flags),
+         str(kill_at)], env=dict(os.environ, PYTHONPATH=repo), cwd="/tmp",
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=600)
+    assert proc.returncode == -signal.SIGKILL
+    assert (flags / f"call{kill_at}").exists()
 
     pre = CP.load_manifests(out_kill)
+    assert len(pre) == kill_at
     pre_mtimes = {pid: os.stat(CP.manifest_path(out_kill, pid)).st_mtime_ns
                   for pid in pre}
     assert not os.path.exists(os.path.join(out_kill, "_COMMIT"))
 
     m = run_resumable(inp, out_kill, n_partitions=16, buckets_per_source=16,
                       step_seconds=1)
-    if killed_midway:
-        # manifest-driven prune: exactly the missing partitions re-ran ...
-        assert sorted(m["part_id"]) == sorted(set(range(16)) - set(pre))
-        # ... and a mid-shuffle kill (the common timing here) means ALL 16
-        if not pre:
-            assert len(m) == 16
+    # manifest-driven prune: exactly the missing partitions re-ran ...
+    assert sorted(m["part_id"]) == sorted(set(range(16)) - set(pre))
+    assert len(m) == 16 - kill_at
     # ... while completed partitions were skipped, not rewritten
     for pid, mt in pre_mtimes.items():
         assert os.stat(CP.manifest_path(out_kill, pid)).st_mtime_ns == mt
