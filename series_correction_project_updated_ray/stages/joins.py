@@ -10,7 +10,10 @@ rows are sorted on it, and a kernel runs once per sorted block.  The sort
 never splits equal hashes across blocks, so a key is whole in one call;
 the sort also picks the partition count, so no bucket count is set by
 hand.  A kernel that folds one key at a time wraps in ``per_key``
-(``each_key`` for one input), which splits each block by key value.  A
+(``each_key`` for one input), which splits each block by key value; a
+pandas kernel that handles every key of its block vectorized opens with
+``key_runs`` (the block sorted by key, then by time, plus each key's run
+bounds).  A
 join tags both sides into one union (side marker, null-padded to a shared
 schema) and probes each block with one vectorized merge.  The hash is
 uniform in the key, so skew only arises from individual hot KEYS, which
