@@ -396,11 +396,20 @@ def test_kill_during_shuffle_resume(ray_session, tmp_path, kill_at):
     script = tmp_path / "kill_driver.py"
     script.write_text(_KILL_DRIVER)
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, str(script), inp, out_kill, str(flags),
          str(kill_at)], env=dict(os.environ, PYTHONPATH=repo), cwd="/tmp",
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=600)
-    assert proc.returncode == -signal.SIGKILL
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    try:
+        assert proc.wait(timeout=600) == -signal.SIGKILL
+    finally:
+        # the killed driver's Ray processes (its dashboard agent survives
+        # the raylet) stay in its process group
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
     assert (flags / f"call{kill_at}").exists()
 
     pre = CP.load_manifests(out_kill)
