@@ -33,7 +33,7 @@ def read_documents_jsonl(paths, *, id_col: str = "doc_id",
     def _norm(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         names = set(t.column_names)
-        if id_col not in names:  # column-less empty block or bad corpus
+        if id_col not in names:  # a corpus without the id field
             return pa.table({
                 "doc_id": pa.array([], pa.string()),
                 "text": pa.array([], pa.string()),

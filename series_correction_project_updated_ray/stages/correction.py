@@ -116,7 +116,9 @@ class CorrectAndRollupGroup:
             out["vcount"].append(partial["count"].astype(np.int64))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:  # Ray may deliver empty blocks on the map path
+        # the map path never calls with 0 rows; the direct callers
+        # (BucketFileKernel, resumable's PartitionWriter) may
+        if len(batch) == 0:
             return ROLLUP_SCHEMA.empty_table()
         batch, flat, offsets = _flatten_group(batch)
         keys = batch["series_key"].to_numpy(zero_copy_only=False)

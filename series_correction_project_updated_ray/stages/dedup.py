@@ -28,6 +28,7 @@ import pyarrow as pa
 
 from .joins import partition_groups
 from .rollup import combine, sums_of
+from .taskcache import nonempty_blocks
 from ..functions.hashing import (minhash_signatures, simhash64,
                                  stable_hash_array)
 from ..functions.text import char_ngram_shingles
@@ -394,15 +395,11 @@ class VerifyJaccardBroadcast:
     def __init__(self, refs, id_col="doc_id", threshold=0.8,
                  bitmap_vocab_cap: int = 1 << 17,
                  bitmap_mem_cap: int = 256 << 20):
-        import ray
-
         from ..functions.rounding import round_half_away
         self.threshold = threshold
         self._round = round_half_away
         self._sh: dict = {}
-        for tbl in ray.get(list(refs)):
-            if id_col not in getattr(tbl, "column_names", ()):
-                continue  # Ray's empty blocks lose their columns
+        for tbl in nonempty_blocks(refs):
             ids = tbl[id_col].to_pandas().to_numpy()
             col = tbl["__sh"]
             if isinstance(col, pa.ChunkedArray):
@@ -1028,12 +1025,11 @@ def _span_pairs_partial(batch: pa.Table, k: int, text_col: str,
 
     from ..functions.text import RE2_WS_RE
     spans: "Counter[tuple]" = Counter()
-    if text_col in batch.column_names:
-        ids = batch[id_col].to_pandas().to_numpy()
-        for d, txt in zip(ids, batch[text_col].to_pandas()):
-            toks = RE2_WS_RE.split(txt or "")
-            for i in range(len(toks) - k + 1):
-                spans[(" ".join(toks[i:i + k]), d)] += 1
+    ids = batch[id_col].to_pandas().to_numpy()
+    for d, txt in zip(ids, batch[text_col].to_pandas()):
+        toks = RE2_WS_RE.split(txt or "")
+        for i in range(len(toks) - k + 1):
+            spans[(" ".join(toks[i:i + k]), d)] += 1
     sp, ids_out = ([], []) if not spans else map(list, zip(*spans.keys()))
     return pa.table({
         "span": pa.array(sp, pa.string()),
@@ -1047,10 +1043,6 @@ def _span_totals_partial(batch: pa.Table, k: int, text_col: str,
     """Per-document span-position totals ``n_spans = max(n_tok-k+1, 0)``
     — same tokenizer as :func:`_span_pairs_partial`, map-only."""
     from ..functions.text import RE2_WS_RE
-    if text_col not in batch.column_names or len(batch) == 0:
-        return pa.table({id_col: pa.array([], pa.int64()),
-                         "n_spans": pa.array([], pa.int64()),
-                         "n_dup": pa.array([], pa.int64())})
     texts = batch[text_col].to_pandas()
     n = np.fromiter((len(RE2_WS_RE.split(t or "")) for t in texts),
                     dtype=np.int64, count=len(texts))
@@ -1074,11 +1066,6 @@ class _DupSpanEmit:
 
     def __call__(self, g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        if len(g) == 0:
-            return pa.table({
-                self.id_col: pa.array([], pa.int64()),
-                "n_spans": pa.array([], pa.int64()),
-                "n_dup": pa.array([], pa.int64())})
         codes = pc.dictionary_encode(g["span"].combine_chunks()) \
             .indices.to_numpy(zero_copy_only=False).astype(np.int64)
         docs_per_span = np.bincount(codes)
@@ -1161,9 +1148,7 @@ def semantic_dedup(embeddings, *, vec_col="embedding", id_col="vec_id",
         lambda t: pa.table({"id_a": t[id_col + "_a"],
                             "id_b": t[id_col + "_b"]})
         if (id_col + "_a") in t.column_names else
-        t.select(["id_a", "id_b"]) if "id_a" in t.column_names else
-        pa.table({"id_a": pa.array([], pa.int64()),
-                  "id_b": pa.array([], pa.int64())}),
+        t.select(["id_a", "id_b"]),
         batch_format="pyarrow")
     labeled = _cluster_pairs(pairs, distributed_cc)
     labeled = labeled.rename(columns={"doc_id": id_col})

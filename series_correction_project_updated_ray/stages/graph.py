@@ -52,8 +52,6 @@ class _OrderPairsGroup:
     small constant."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return _EMPTY_PAIRS
         g = g[g["l_orderkey"].notna() & g["l_partkey"].notna()]
         if len(g) == 0:
             return _EMPTY_PAIRS
@@ -95,8 +93,6 @@ class _OrderPairCellsGroup:
         empty = pd.DataFrame({"u": pd.Series([], dtype=np.int64),
                               "v": pd.Series([], dtype=np.int64),
                               "c": pd.Series([], dtype=np.int64)})
-        if len(g) == 0:
-            return empty
         g = g[g["l_orderkey"].notna() & g["l_partkey"].notna()]
         if len(g) == 0:
             return empty
@@ -177,8 +173,6 @@ class _NeighborPairCellsGroup:
         empty = pd.DataFrame({"a": pd.Series([], dtype=np.int64),
                               "b": pd.Series([], dtype=np.int64),
                               "c": pd.Series([], dtype=np.int64)})
-        if len(g) == 0:
-            return empty
         e = pd.DataFrame({"x": g["x"].to_numpy(np.int64),
                           "n": g["n"].to_numpy(np.int64)})
         m = e.merge(e, on="x", suffixes=("_a", "_b"))
@@ -201,8 +195,6 @@ class _NonAdjacentGroup:
         empty = pd.DataFrame({"a": pd.Series([], dtype=np.int64),
                               "b": pd.Series([], dtype=np.int64),
                               "c": pd.Series([], dtype=np.int64)})
-        if len(g) == 0:
-            return empty
         side = g["__side"].to_numpy()
         cand = g[side == 0]
         edge = g[side == 1]
@@ -338,8 +330,6 @@ class _WedgesGroup:
         empty = pd.DataFrame({"a": pd.Series([], dtype=np.int64),
                               "v": pd.Series([], dtype=np.int64),
                               "w": pd.Series([], dtype=np.int64)})
-        if len(g) == 0:
-            return empty
         e = pd.DataFrame({"s": g["s"].to_numpy(np.int64),
                           "t": g["t"].to_numpy(np.int64),
                           "dt": g["dt"].to_numpy(np.int64)})
@@ -367,8 +357,6 @@ class _CloseCountGroup:
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"node": pd.Series([], dtype=np.int64),
                               "c": pd.Series([], dtype=np.int64)})
-        if len(g) == 0:
-            return empty
         side = g["__side"].to_numpy()
         wed = g[side == 0]
         edg = g[side == 1]

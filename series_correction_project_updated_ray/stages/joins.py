@@ -13,7 +13,10 @@ hand.  A kernel that folds one key at a time wraps in ``per_key``
 (``each_key`` for one input), which splits each block by key value; a
 pandas kernel that handles every key of its block vectorized opens with
 ``key_runs`` (the block sorted by key, then by time, plus each key's run
-bounds).  A
+bounds).  No kernel sees a 0-row block: Ray skips the map call for one,
+so an empty sort partition stays an empty (possibly column-less) block
+of the output, which only a direct block reader (``nonempty_blocks``)
+or the query's caller meets.  A
 join tags both sides into one union (side marker, null-padded to a shared
 schema) and probes each block with one vectorized merge.  The hash is
 uniform in the key, so skew only arises from individual hot KEYS, which
@@ -70,9 +73,11 @@ def keyed_exchange(sides, fn, batch_format: str = "pyarrow"):
     rows to exchange with ``__h`` appended (``_with_hash`` of its keys).
     The sides are tagged, unioned and sorted on ``__h``: the sort's reduce
     emits one block per partition and equal hashes never straddle two, so
-    every key is whole in exactly one block.  ``fn`` sees each block once,
-    in ``batch_format`` and without ``__h``, and handles all of its keys
-    vectorized.  Tagging runs in batches of ``_SORT_BLOCK_ROWS`` rows: the
+    every key is whole in exactly one block.  ``fn`` sees each non-empty
+    block once, in ``batch_format`` and without ``__h``, and handles all
+    of its keys vectorized; it never sees a 0-row block (an empty sort
+    partition passes through as an empty, possibly column-less block).
+    Tagging runs in batches of ``_SORT_BLOCK_ROWS`` rows: the
     sort emits as many blocks as it takes in and exchanges one object per
     (input, output) block pair, so coalescing many small blocks (a union
     of per-block kernel outputs) keeps the exchange from squaring their
@@ -604,12 +609,13 @@ def cross_join(left, right, suffixes=("_l", "_r"),
     refs = tuple(right.to_arrow_refs())
 
     def _cross(t: pa.Table) -> pa.Table:
-        tbls = [b for b in ray.get(list(refs))
-                if getattr(b, "num_rows", 0)]
-        if not tbls or len(t) == 0:
+        from .taskcache import nonempty_blocks
+        tbls = nonempty_blocks(refs)
+        if not tbls:
+            # an empty right side: its 0-row blocks may still carry the
+            # right columns' types
             r_empty = {f.name: pa.nulls(0, f.type)
-                       for b in ray.get(list(refs))
-                       for f in getattr(b, "schema", pa.schema([]))}
+                       for b in ray.get(list(refs)) for f in b.schema}
             out = {c: t[c][:0] for c in t.column_names}
             out.update(r_empty)
             return pa.table(out)

@@ -153,10 +153,6 @@ def token_vocab_stats(seqs, *, tok_col: str = "tokens"):
     per token."""
 
     def _partial(t: pa.Table) -> pa.Table:
-        if tok_col not in t.column_names:  # column-less empty block
-            e = np.empty(0, np.int64)
-            return pa.table({"tid": pa.array(e), "tf": pa.array(e),
-                             "df": pa.array(e)})
         col = t[tok_col]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -201,9 +197,6 @@ def token_bigrams(seqs, *, tok_col: str = "tokens", min_n: int = 2,
     vocab = int(vocab or TOKEN_VOCAB)
 
     def _partial(t: pa.Table) -> pa.Table:
-        if tok_col not in t.column_names:  # column-less empty block
-            e = np.empty(0, np.int64)
-            return pa.table({"pair": pa.array(e), "n": pa.array(e)})
         col = t[tok_col]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()

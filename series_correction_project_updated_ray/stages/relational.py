@@ -11,6 +11,7 @@ import pyarrow as pa
 
 from .joins import _segment_starts, key_runs, partition_groups
 from .rollup import combine, sums_of
+from .windows import _epoch_micros, _prep_events
 from ..functions.sanitize import sanitize_batch
 
 
@@ -754,18 +755,9 @@ def props_field_stats(events, *, field: str = "k", by: str = "event_type",
     import pyarrow.compute as pc
 
     pat = '"' + field + '"\\s*:\\s*(?P<v>-?\\d+)'
-    try:                       # empty/column-less blocks need the real
-        by_type = events.schema().field(by).type     # key dtype
-    except Exception:
-        by_type = pa.string()
 
     def _partial(t: pa.Table) -> pa.Table:
-        if props_col not in t.column_names or len(t) == 0:
-            e = np.empty(0, np.int64)
-            return pa.table({by: pa.array([], by_type),
-                             "n": pa.array(e), "n_null": pa.array(e),
-                             "sum_k": pa.array(e), "min_k": pa.array(e),
-                             "max_k": pa.array(e)})
+        by_type = t.schema.field(by).type  # keep the input key type
         # null-key rows dropped (the oracle filters them identically)
         t = t.filter(pc.is_valid(t[by]))
         m = pc.extract_regex(pc.cast(t[props_col], pa.string()), pat)
@@ -842,9 +834,6 @@ class _BroadcastInnerJoin:
         self.out_schema = out_schema
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.batch_key not in batch.column_names:
-            # Ray's occasional 0-row column-less blocks
-            return self.out_schema.empty_table()
         cols = [f.name for f in self.out_schema]
         bcols = [c for c in batch.column_names
                  if c in cols or c == self.batch_key]
@@ -880,9 +869,6 @@ def big_orders(lineitem, orders, customer, *, min_qty: float = 300.0):
     thresh = int(round(min_qty * 100))
 
     def _qty_prep(t: pa.Table) -> pa.Table:
-        if "l_orderkey" not in t.column_names:
-            return pa.table({"l_orderkey": pa.array([], pa.int64()),
-                             "q": pa.array([], pa.int64())})
         return pa.table({"l_orderkey": t["l_orderkey"],
                          "q": pa.array(_scaled_cents(t["l_quantity"]))})
 
@@ -996,10 +982,6 @@ def type_entropy(events, *, key_col="user_id", type_col="event_type"):
     (libm ln, binary type order)."""
 
     def _partial(t: pa.Table) -> pa.Table:
-        if key_col not in t.column_names:
-            return pa.table({key_col: pa.array([], pa.int64()),
-                             type_col: pa.array([], pa.string()),
-                             "c": pa.array([], pa.int64())})
         kc, kuniq = pd.factorize(t[key_col].to_pandas(), sort=False)
         tc, tuniq = pd.factorize(t[type_col].to_pandas(), sort=False)
         ok = (kc >= 0) & (tc >= 0)   # null keys drop (oracle USING join);
@@ -1036,15 +1018,6 @@ def welch_ttest_weekend(events):
     side or zero pooled variance emits NULL t."""
     def _moments(batch: pa.Table) -> pa.Table:
         from ..functions.rounding import scaled_int
-        from .windows import _epoch_micros
-        if "event_type" not in batch.column_names or len(batch) == 0:
-            return pa.table({"event_type": pa.array([], pa.string()),
-                             "we": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64()),
-                             "sc_hi": pa.array([], pa.int64()),
-                             "sc_lo": pa.array([], pa.int64()),
-                             "sq_hi": pa.array([], pa.int64()),
-                             "sq_lo": pa.array([], pa.int64())})
         cents = scaled_int(batch["value"].to_numpy(zero_copy_only=False))
         cf = cents.astype(np.float64)
         if len(cents) and (np.abs(cents).max() > 3_000_000_000
@@ -1077,41 +1050,40 @@ def welch_ttest_weekend(events):
     def _close(t: pa.Table) -> pa.Table:
         out_ty, out_n1, out_n2 = [], [], []
         out_m1, out_m2, out_t = [], [], []
-        if len(t) and "event_type" in t.column_names:
-            import math
-            rows: dict[str, dict[int, tuple[int, int, int]]] = {}
-            for i in range(len(t)):
-                ty = t["event_type"][i].as_py()
-                we = int(t["we"][i].as_py())
-                s = (int(t["sc_hi"][i].as_py()) * _HI_LO
-                     + int(t["sc_lo"][i].as_py()))
-                ss = (int(t["sq_hi"][i].as_py()) * _HI_LO
-                      + int(t["sq_lo"][i].as_py()))
-                rows.setdefault(ty, {})[we] = (int(t["n"][i].as_py()),
-                                               s, ss)
-            from ..functions.rounding import round_half_away
-            for ty in sorted(k for k in rows if 0 in rows[k]
-                             and 1 in rows[k]):
-                (n1, s1, ss1), (n2, s2, ss2) = rows[ty][0], rows[ty][1]
-                m1 = float(s1) / float(n1)
-                m2 = float(s2) / float(n2)
-                out_ty.append(ty)
-                out_n1.append(n1)
-                out_n2.append(n2)
-                out_m1.append(round_half_away(
-                    np.float64(m1 / 100.0), 6))
-                out_m2.append(round_half_away(
-                    np.float64(m2 / 100.0), 6))
-                tstat = np.nan
-                if n1 >= 2 and n2 >= 2:
-                    v1n = (float(ss1) - float(s1) * float(s1)
-                           / float(n1)) / float(n1 - 1) / float(n1)
-                    v2n = (float(ss2) - float(s2) * float(s2)
-                           / float(n2)) / float(n2 - 1) / float(n2)
-                    if v1n + v2n > 0.0:
-                        tstat = round_half_away(np.float64(
-                            (m1 - m2) / math.sqrt(v1n + v2n)), 6)
-                out_t.append(tstat)
+        import math
+        rows: dict[str, dict[int, tuple[int, int, int]]] = {}
+        for i in range(len(t)):
+            ty = t["event_type"][i].as_py()
+            we = int(t["we"][i].as_py())
+            s = (int(t["sc_hi"][i].as_py()) * _HI_LO
+                 + int(t["sc_lo"][i].as_py()))
+            ss = (int(t["sq_hi"][i].as_py()) * _HI_LO
+                  + int(t["sq_lo"][i].as_py()))
+            rows.setdefault(ty, {})[we] = (int(t["n"][i].as_py()),
+                                           s, ss)
+        from ..functions.rounding import round_half_away
+        for ty in sorted(k for k in rows if 0 in rows[k]
+                         and 1 in rows[k]):
+            (n1, s1, ss1), (n2, s2, ss2) = rows[ty][0], rows[ty][1]
+            m1 = float(s1) / float(n1)
+            m2 = float(s2) / float(n2)
+            out_ty.append(ty)
+            out_n1.append(n1)
+            out_n2.append(n2)
+            out_m1.append(round_half_away(
+                np.float64(m1 / 100.0), 6))
+            out_m2.append(round_half_away(
+                np.float64(m2 / 100.0), 6))
+            tstat = np.nan
+            if n1 >= 2 and n2 >= 2:
+                v1n = (float(ss1) - float(s1) * float(s1)
+                       / float(n1)) / float(n1 - 1) / float(n1)
+                v2n = (float(ss2) - float(s2) * float(s2)
+                       / float(n2)) / float(n2 - 1) / float(n2)
+                if v1n + v2n > 0.0:
+                    tstat = round_half_away(np.float64(
+                        (m1 - m2) / math.sqrt(v1n + v2n)), 6)
+            out_t.append(tstat)
         return pa.table({
             "event_type": pa.array(out_ty, pa.string()),
             "n_weekday": pa.array(out_n1, pa.int64()),
@@ -1202,12 +1174,6 @@ def _weekend_cohort_cells(t: pa.Table) -> pa.Table:
     counts.  Output rows are bounded by |types|·|distinct cents| — a
     VALUE-DOMAIN bound, not a corpus bound."""
     from ..functions.rounding import scaled_int
-    from .windows import _epoch_micros
-    if "event_type" not in t.column_names or len(t) == 0:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "cents": pa.array([], pa.int64()),
-                         "c1": pa.array([], pa.int64()),
-                         "c2": pa.array([], pa.int64())})
     v = t["value"].to_numpy(zero_copy_only=False)
     cents = scaled_int(v)
     t_us = np.asarray(_epoch_micros(t["ts"]))
@@ -1354,10 +1320,6 @@ def _active_day_partial(t: pa.Table) -> pa.Table:
     """Per-block partial for :func:`active_day_streaks`: the DISTINCT
     (user_id, epoch-day) pairs — bounded by |users|·|days span|, a
     calendar-domain bound, not a corpus bound."""
-    from .windows import _epoch_micros
-    if "user_id" not in t.column_names or len(t) == 0:
-        return pa.table({"user_id": pa.array([], pa.int64()),
-                         "day": pa.array([], pa.int64())})
     u = t["user_id"].to_numpy(zero_copy_only=False)
     ok = ~pd.isna(u)
     u = u[ok].astype(np.int64)
@@ -1485,10 +1447,6 @@ def gini_activity(events):
     close sorts each type's per-user totals once, vectorized."""
 
     def _partial(t: pa.Table) -> pa.Table:
-        if "event_type" not in t.column_names or len(t) == 0:
-            return pa.table({"event_type": pa.array([], pa.string()),
-                             "user_id": pa.array([], pa.int64()),
-                             "c": pa.array([], pa.int64())})
         tc, tuniq = pd.factorize(t["event_type"].to_pandas(), sort=False)
         kc, kuniq = pd.factorize(t["user_id"].to_pandas(), sort=False)
         ok = (tc >= 0) & (kc >= 0)              # nulls drop (oracle WHERE)
@@ -1584,20 +1542,8 @@ def transition_entropy(events):
     predictability screen (0 = deterministic flows, ln|types| =
     memoryless).  One partition-group shuffle; the bigram cells per
     key are bounded by |types|², so the libm close is tiny."""
-    from .windows import _epoch_micros
-
-    def _prep(batch: pa.Table) -> pa.Table:
-        if "ts" not in batch.column_names or len(batch) == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "event_id": pa.array([], pa.int64()),
-                             "event_type": pa.array([], pa.string()),
-                             "t": pa.array([], pa.int64())})
-        return pa.table({"user_id": batch["user_id"],
-                         "event_id": batch["event_id"],
-                         "event_type": batch["event_type"],
-                         "t": pa.array(_epoch_micros(batch["ts"]))})
-
-    prepped = events.map_batches(_prep, batch_format="pyarrow")
+    prepped = _prep_events(events, cols=("user_id", "event_id",
+                                         "event_type"))
     return partition_groups(prepped, "user_id", _TransitionEntropyGroup())
 
 
@@ -1615,18 +1561,13 @@ class _BenfordGroup:
         import math
 
         from ..functions.rounding import round_half_away
-        empty = pd.DataFrame({
-            "event_type": pd.Series([], dtype=object),
-            "n": pd.Series([], dtype=np.int64),
-            "chi2": pd.Series([], dtype=np.float64)})
-        if len(g) == 0:
-            return empty
         tc, tuniq = pd.factorize(g["event_type"], sort=False)
-        d = g["d"].to_numpy(np.int64)
-        c = g["c"].to_numpy(np.int64)
+        ok = tc >= 0                    # null types drop (code -1)
+        d = g["d"].to_numpy(np.int64)[ok]
+        c = g["c"].to_numpy(np.int64)[ok]
         nt = len(tuniq)
         mat = np.zeros((nt, 9), dtype=np.int64)
-        np.add.at(mat, (tc, d - 1), c)
+        np.add.at(mat, (tc[ok], d - 1), c)
         n = mat.sum(axis=1)
         ln10 = math.log(10.0)
         out_t, out_n, out_chi = [], [], []
@@ -1661,10 +1602,6 @@ def benford_digits(events):
     from ..functions.rounding import scaled_int
 
     def _partial(t: pa.Table) -> pa.Table:
-        if "event_type" not in t.column_names or len(t) == 0:
-            return pa.table({"event_type": pa.array([], pa.string()),
-                             "d": pa.array([], pa.int64()),
-                             "c": pa.array([], pa.int64())})
         tc, tuniq = pd.factorize(t["event_type"].to_pandas(), sort=False)
         v = t["value"].to_pandas().to_numpy(np.float64)
         cents = scaled_int(np.abs(v))
@@ -1755,20 +1692,7 @@ def runs_test(events):
     random around its median, or does it trend/oscillate?  One
     partition-group shuffle; medians, run counting and the z close
     are all vectorized across co-located keys."""
-    from .windows import _epoch_micros
-
-    def _prep(batch: pa.Table) -> pa.Table:
-        if "ts" not in batch.column_names or len(batch) == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "event_id": pa.array([], pa.int64()),
-                             "value": pa.array([], pa.float64()),
-                             "t": pa.array([], pa.int64())})
-        return pa.table({"user_id": batch["user_id"],
-                         "event_id": batch["event_id"],
-                         "value": batch["value"],
-                         "t": pa.array(_epoch_micros(batch["ts"]))})
-
-    prepped = events.map_batches(_prep, batch_format="pyarrow")
+    prepped = _prep_events(events)
     return partition_groups(prepped, "user_id", _RunsTestGroup())
 
 
@@ -1823,13 +1747,8 @@ def fano_factor(events):
     bursty, <1 metronomic.  Batch-local (user, hour) count partials
     through ONE partition-group shuffle; the dense-grid moments need
     only the present cells."""
-    from .windows import _epoch_micros
 
     def _partial(t: pa.Table) -> pa.Table:
-        if "ts" not in t.column_names or len(t) == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "h": pa.array([], pa.int64()),
-                             "c": pa.array([], pa.int64())})
         uc, uniq = pd.factorize(t["user_id"].to_pandas(), sort=False)
         h = np.asarray(_epoch_micros(t["ts"])) // 1_000_000 // 3600
         ok = uc >= 0
@@ -1890,13 +1809,6 @@ class _CohortClose:
 
     def __call__(self, t: pa.Table) -> pa.Table:
         from ..functions.rounding import round_half_away
-        empty = pa.table({"cohort_day": pa.array([], pa.int64()),
-                          "age_days": pa.array([], pa.int64()),
-                          "n_active": pa.array([], pa.int64()),
-                          "cohort_size": pa.array([], pa.int64()),
-                          "retention": pa.array([], pa.float64())})
-        if len(t) == 0 or "cohort_day" not in t.column_names:
-            return empty
         co = t["cohort_day"].to_numpy()
         age = t["age_days"].to_numpy()
         n = t["n"].to_numpy()
@@ -1946,9 +1858,6 @@ class _PromoScore:
 
     def __call__(self, t: pa.Table) -> pa.Table:
         from ..functions.rounding import scaled_int
-        if len(t) == 0:
-            return pa.table({"prom": pa.array([], pa.int64()),
-                             "tot": pa.array([], pa.int64())})
         ep = scaled_int(t["l_extendedprice"].to_numpy(zero_copy_only=False))
         dc = scaled_int(t["l_discount"].to_numpy(zero_copy_only=False))
         rev4 = ep * (100 - dc)
@@ -1973,10 +1882,10 @@ def promo_revenue_share(lineitem, part):
     import ray
     from ray.data.aggregate import Sum
 
-    from .taskcache import class_task
+    from .taskcache import class_task, nonempty_blocks
 
     dim = part.select_columns(["p_partkey", "p_type"]).to_arrow_refs()
-    parts = [p for p in ray.get(dim) if p is not None and len(p)]
+    parts = nonempty_blocks(dim)
     if parts:
         tbl = pa.concat_tables(parts)
         pk = tbl["p_partkey"].to_numpy(zero_copy_only=False)
@@ -2018,17 +1927,12 @@ def late_shipment_priority(lineitem, orders, *, grace_days: int = 90):
     package's bucket-join machinery), then integer indicator partials
     into a 5-row groupby."""
     from .joins import hash_join
-    from .windows import _epoch_micros
 
     j = hash_join(lineitem, orders, "l_orderkey", "o_orderkey",
                   how="inner")
     grace_us = grace_days * 86_400_000_000
 
     def _flags(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({"o_orderpriority": pa.array([], pa.string()),
-                             "late_count": pa.array([], pa.int64()),
-                             "ontime_count": pa.array([], pa.int64())})
         ship = np.asarray(_epoch_micros(t["l_shipdate"]))
         od = np.asarray(_epoch_micros(t["o_orderdate"]))
         late = ship > od + grace_us
@@ -2118,11 +2022,6 @@ def grubbs_test(events):
 
     def _prep(batch: pa.Table) -> pa.Table:
         cols = ["event_type", "event_id", "value"]
-        if not all(col in batch.column_names for col in cols):
-            return pa.table({
-                "event_type": pa.array([], pa.string()),
-                "event_id": pa.array([], pa.int64()),
-                "value": pa.array([], pa.float64())})
         return batch.select(cols)
 
     prepped = events.map_batches(_prep, batch_format="pyarrow")
@@ -2196,8 +2095,6 @@ def drift_chi2(events):
     type's value stream over 20 fixed cents bins — the ops-monitoring
     drift screen.  One partition-group shuffle over the bounded type
     domain; integer counts, ordered per-bin double folds."""
-    from ..stages.timeseries import _prep_events
-
     prepped = _prep_events(events, cols=("event_type", "event_id",
                                          "value"))
     return partition_groups(prepped, "event_type", _DriftChi2Group())
@@ -2218,9 +2115,6 @@ def user_value_ranks(events):
     from ..functions.rounding import round_half_away, scaled_int
 
     def _cents(t: pa.Table) -> pa.Table:
-        if "value" not in t.column_names or len(t) == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "cents": pa.array([], pa.int64())})
         keep = pc.and_(pc.is_valid(t["user_id"]),
                        pc.is_valid(t["value"]))
         t = t.filter(keep)
@@ -2233,14 +2127,6 @@ def user_value_ranks(events):
                    ["user_id"], sums_of("cents"))
 
     def _close(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "user_id": pa.array([], pa.int64()),
-            "total_value": pa.array([], pa.float64()),
-            "rnk": pa.array([], pa.int64()),
-            "pct_rank": pa.array([], pa.float64()),
-            "cume": pa.array([], pa.float64())})
-        if len(t) == 0:
-            return empty
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         cents = t["cents"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -2278,7 +2164,6 @@ def order_priority_check(lineitem, orders, *, grace_days: int = 90):
     orders-bounded) semi-joins orders — the fact table never shuffles
     whole rows; counts are pure integers."""
     from .joins import hash_join, semi_join
-    from .windows import _epoch_micros
 
     j = hash_join(lineitem, orders.select_columns(["o_orderkey",
                                                    "o_orderdate"]),
@@ -2286,8 +2171,6 @@ def order_priority_check(lineitem, orders, *, grace_days: int = 90):
     grace_us = grace_days * 86_400_000_000
 
     def _late_keys(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({"o_orderkey": pa.array([], pa.int64())})
         ship = np.asarray(_epoch_micros(t["l_shipdate"]))
         od = np.asarray(_epoch_micros(t["o_orderdate"]))
         late = ship > od + grace_us
@@ -2317,14 +2200,9 @@ def rfm_scores(events):
     orders."""
     import pyarrow.compute as pc
 
-    from .windows import _epoch_micros
     from ..functions.rounding import scaled_int
 
     def _prep(t: pa.Table) -> pa.Table:
-        if "ts" not in t.column_names or len(t) == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "t": pa.array([], pa.int64()),
-                             "cents": pa.array([], pa.int64())})
         keep = pc.and_(pc.is_valid(t["user_id"]),
                        pc.is_valid(t["value"]))
         t = t.filter(keep)
@@ -2354,15 +2232,6 @@ def rfm_scores(events):
 
     def _close(t: pa.Table) -> pa.Table:
         from ..functions.rounding import round_half_away
-        empty = pa.table({
-            "user_id": pa.array([], pa.int64()),
-            "r_score": pa.array([], pa.int64()),
-            "f_score": pa.array([], pa.int64()),
-            "m_score": pa.array([], pa.int64()),
-            "rfm": pa.array([], pa.string()),
-            "monetary": pa.array([], pa.float64())})
-        if len(t) == 0:
-            return empty
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         last_t = t["last_t"].to_numpy(zero_copy_only=False)
         freq = t["freq"].to_numpy(zero_copy_only=False)
@@ -2938,10 +2807,6 @@ def mode_per_type(events):
 
     def _close(t: pa.Table) -> pa.Table:
         df = t.to_pandas()
-        if len(df) == 0:
-            return pa.table({"event_type": pa.array([], pa.string()),
-                             "mode_value": pa.array([], pa.float64()),
-                             "n_mode": pa.array([], pa.int64())})
         df = df.sort_values(["event_type", "n", "cents"],
                             ascending=[True, False, True], kind="stable")
         best = df.groupby("event_type", as_index=False, sort=True).first()
@@ -2995,23 +2860,11 @@ def pagerank_event_types(events, *, iters: int = 4):
     from functools import reduce
     from operator import add
 
-    from .windows import _epoch_micros
     from ..functions.rounding import round_half_away
 
-    def _prep(batch: pa.Table) -> pa.Table:
-        if "ts" not in batch.column_names or len(batch) == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "event_id": pa.array([], pa.int64()),
-                             "event_type": pa.array([], pa.string()),
-                             "t": pa.array([], pa.int64())})
-        return pa.table({"user_id": batch["user_id"],
-                         "event_id": batch["event_id"],
-                         "event_type": batch["event_type"],
-                         "t": pa.array(_epoch_micros(batch["ts"]))})
-
     cells = combine(partition_groups(
-        events.map_batches(_prep, batch_format="pyarrow"), "user_id",
-        _BigramCellsGroup()), ["u", "v"], sums_of("w"))
+        _prep_events(events, cols=("user_id", "event_id", "event_type")),
+        "user_id", _BigramCellsGroup()), ["u", "v"], sums_of("w"))
     edges = cells.to_pandas()
     import ray.data as rd
     if len(edges) == 0:
@@ -3072,13 +2925,6 @@ def latest_event_per_user(events):
         return out.assign(user_id=out["user_id"].astype(np.int64))
 
     def _prep(batch: pa.Table) -> pa.Table:
-        from .windows import _epoch_micros
-        if "ts" not in batch.column_names or len(batch) == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "event_id": pa.array([], pa.int64()),
-                             "t": pa.array([], pa.int64()),
-                             "event_type": pa.array([], pa.string()),
-                             "value": pa.array([], pa.float64())})
         t = pa.table({"user_id": batch["user_id"],
                       "event_id": batch["event_id"],
                       "t": pa.array(_epoch_micros(batch["ts"])),

@@ -432,15 +432,6 @@ def ohlc_bars(events, *, key_col: str = "user_id", ts_col: str = "ts",
         # all partials of MANY (key, window) cells arrive in one group
         # (partition-grouped, not one call per cell); segment and
         # reduce vectorized
-        if len(g) == 0:
-            return pd.DataFrame({
-                key_col: g[key_col],
-                "window_start": pd.Series([], dtype=np.int64),
-                "open": pd.Series([], dtype=np.float64),
-                "high": pd.Series([], dtype=np.float64),
-                "low": pd.Series([], dtype=np.float64),
-                "close": pd.Series([], dtype=np.float64),
-                "n": pd.Series([], dtype=np.int64)})
         g, keys, codes, _, _ = key_runs(g, key_col, ("window_start",))
         w = g["window_start"].to_numpy(np.int64)
         starts, ends = _segment_starts(codes, w)
@@ -496,10 +487,6 @@ class QuantileRollupPartial:
         import pandas as pd
 
         from .sketches import KLLSketch
-        if self.key_col not in batch.column_names:
-            return pa.table({self.key_col: pa.array([], pa.string()),
-                             "window_start": pa.array([], pa.int64()),
-                             "__sk": pa.array([], pa.binary())})
         key_type = batch.schema.field(self.key_col).type
         t = _epoch_seconds(batch[self.ts_col])
         w = t // self.width_s * self.width_s
@@ -628,9 +615,6 @@ def seasonal_quantiles(events, *, key_col: str = "event_type",
     from .windows import _epoch_micros
 
     def _proj(t: pa.Table) -> pa.Table:
-        if "ts" not in t.column_names or len(t) == 0:
-            return pa.table({"__cell": pa.array([], pa.string()),
-                             "value": pa.array([], pa.float64())})
         hod = (np.asarray(_epoch_micros(t["ts"]))
                // 3_600_000_000) % 24
         keys = t[key_col].to_pandas().astype(str)
@@ -643,12 +627,6 @@ def seasonal_quantiles(events, *, key_col: str = "event_type",
                              "__cell", GroupedQuantiles("__cell", probs))
 
     def _split(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            cols = {key_col: pa.array([], pa.string()),
-                    "hod": pa.array([], pa.int64())}
-            for p in probs:
-                cols[f"p{int(p * 100)}"] = pa.array([], pa.float64())
-            return pa.table(cols)
         cell = t["__cell"].to_pandas()
         key = cell.str.rsplit("#", n=1).str[0]
         hod = cell.str.rsplit("#", n=1).str[1].astype(np.int64)

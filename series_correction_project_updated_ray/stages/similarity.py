@@ -334,14 +334,6 @@ def _dim_stats_partial(batch: pa.Table, vec_col: str) -> pa.Table:
     makes the float32 column's corpus moments order-free): per pos
     (1-based) n / Σq / Σq² / min / max.  Handles ragged lists."""
     from ..functions.rounding import scaled_int
-    if vec_col not in batch.column_names or len(batch) == 0:
-        return pa.table({
-            "pos": pa.array([], pa.int64()),
-            "n": pa.array([], pa.int64()),
-            "s": pa.array([], pa.int64()),
-            "s2": pa.array([], pa.int64()),
-            "mn": pa.array([], pa.int64()),
-            "mx": pa.array([], pa.int64())})
     col = batch[vec_col]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -432,13 +424,6 @@ def _quantize_batch(batch: pa.Table, vec_col: str,
     the oracle's ``list_reduce`` operand order.  All-zero vectors emit
     scale 0 with zero error."""
     from ..functions.rounding import round_half_away
-    if vec_col not in batch.column_names or len(batch) == 0:
-        return pa.table({
-            id_col: pa.array([], pa.int64()),
-            "dim": pa.array([], pa.int64()),
-            "scale": pa.array([], pa.float64()),
-            "max_abs_err": pa.array([], pa.float64()),
-            "mse": pa.array([], pa.float64())})
     M = _vec_matrix(batch[vec_col])
     n, dim = M.shape
     amax = np.max(np.abs(M), axis=1)

@@ -72,3 +72,12 @@ def class_task(cls, *ctor_args, **ctor_kwargs):
 
     _fn.__name__ = cls.__name__
     return _fn
+
+
+def nonempty_blocks(refs) -> list:
+    """The Arrow tables behind ``refs`` (``Dataset.to_arrow_refs()``)
+    that hold rows.  Map functions never see an empty batch, but a
+    block read directly may be Ray's 0-row block, which can have no
+    columns at all; every direct block reader skips them here."""
+    import ray
+    return [t for t in ray.get(list(refs)) if t.num_rows]

@@ -15,6 +15,7 @@ import pyarrow.compute as pc
 
 from .joins import each_key
 from .rollup import combine, sums_of
+from .taskcache import nonempty_blocks
 from ..functions import text as T
 
 
@@ -114,8 +115,6 @@ class WinnowFingerprints:
             "doc_id": pa.array([], pa.string()),
             "pos": pa.array([], pa.int64()),
             "fp": pa.array([], pa.int64())})
-        if self.tok_col not in t.column_names or len(t) == 0:
-            return empty
         col = t[self.tok_col]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -432,13 +431,10 @@ class _TfIdfScore:
     def __init__(self, df_refs, n_docs: int):
         import re
 
-        import ray
         self.re = re.compile(r"[a-z]+")
         self.n_docs = n_docs
         self.df: dict[str, int] = {}
-        for tbl in ray.get(list(df_refs)):
-            if "term" not in getattr(tbl, "column_names", ()):
-                continue  # Ray's empty blocks lose their columns
+        for tbl in nonempty_blocks(df_refs):
             terms = tbl["term"].to_pylist()
             dfs = tbl["df"].to_numpy(zero_copy_only=False)
             self.df.update(zip(terms, dfs.tolist()))
@@ -531,17 +527,13 @@ class _MarkCommonNgrams:
     common n-gram occurrence, and rebuilds the cleaned text."""
 
     def __init__(self, common_refs, n: int = 3):
-        import ray
-
         from ..functions.hashing import stable_hash_array
         self.n = n
         self._hash = stable_hash_array
         # a corpus with NO n-grams at all (every doc shorter than n)
-        # yields zero gram rows, and Ray's empty blocks lose their
-        # columns — treat column-less blocks as an empty common set
+        # has no common set
         parts = [t["gh"].to_numpy(zero_copy_only=False)
-                 for t in ray.get(list(common_refs))
-                 if "gh" in getattr(t, "column_names", ())]
+                 for t in nonempty_blocks(common_refs)]
         self.common = np.sort(np.concatenate(parts).astype(np.int64)) \
             if parts else np.empty(0, np.int64)
 
@@ -781,9 +773,7 @@ class _UnigramScore:
         import math
         import re
 
-        import ray
-        tbls = [t for t in ray.get(list(cnt_refs))
-                if t is not None and "term" in t.column_names]
+        tbls = nonempty_blocks(cnt_refs)
         terms: list[str] = []
         lps: list[float] = []
         nt = float(n_total)
@@ -842,9 +832,8 @@ def _vocab_count_partial(batch: pa.Table, text_col: str = "text") \
     import re
     word_re = re.compile(r"[a-z]+")
     c: "Counter[str]" = Counter()
-    if text_col in batch.column_names:
-        for txt in batch[text_col].to_pandas():
-            c.update(word_re.findall((txt or "").lower()))
+    for txt in batch[text_col].to_pandas():
+        c.update(word_re.findall((txt or "").lower()))
     return pa.table({
         "term": pa.array(list(c.keys()), pa.string()),
         "cnt": pa.array(np.fromiter(c.values(), dtype=np.int64,
@@ -974,8 +963,6 @@ class _PmiPresence:
         empty = pa.table({"i": pa.array([], pa.int64()),
                           "j": pa.array([], pa.int64()),
                           "c": pa.array([], pa.int64())})
-        if "text" not in batch.column_names or len(batch) == 0:
-            return empty
         texts = batch["text"].to_pandas()
         rows, cols = [], []
         for di, txt in enumerate(texts):
@@ -1013,14 +1000,6 @@ class _PmiClose:
         import math
 
         from ..functions.rounding import round_half_away
-        empty = pa.table({"term_a": pa.array([], pa.string()),
-                          "term_b": pa.array([], pa.string()),
-                          "c_ab": pa.array([], pa.int64()),
-                          "c_a": pa.array([], pa.int64()),
-                          "c_b": pa.array([], pa.int64()),
-                          "pmi": pa.array([], pa.float64())})
-        if len(t) == 0 or "i" not in t.column_names:
-            return empty
         k = len(self.vocab)
         C = np.zeros((k, k), dtype=np.int64)
         i = t["i"].to_numpy()
@@ -1060,9 +1039,6 @@ def pmi_pairs(docs, *, top_k: int = 50, min_cooc: int = 5):
     word_re = re.compile(r"[a-z]+")
 
     def _doc_terms(batch: pa.Table) -> pa.Table:
-        if "text" not in batch.column_names or len(batch) == 0:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "df": pa.array([], pa.int64())})
         terms: dict[str, int] = {}
         for txt in batch["text"].to_pandas():
             for t in set(word_re.findall((txt or "").lower())):
@@ -1108,8 +1084,6 @@ class _SourceKlClose:
         empty = pa.table({"source": pa.array([], pa.string()),
                           "n_tokens": pa.array([], pa.int64()),
                           "kl": pa.array([], pa.float64())})
-        if len(t) == 0 or "source" not in t.column_names:
-            return empty
         sc, suniq = pd.factorize(t["source"].to_pandas(), sort=False)
         term = t["term"].to_pandas().to_numpy()
         c = t["c"].to_numpy()
@@ -1156,10 +1130,6 @@ def _source_term_cells(docs):
     tf = TermFreqPartial()
 
     def _partial(batch: pa.Table) -> pa.Table:
-        if "text" not in batch.column_names:   # empty blocks lose columns
-            return pa.table({"source": pa.array([], pa.string()),
-                             "term": pa.array([], pa.string()),
-                             "cnt": pa.array([], pa.int64())})
         out = tf(batch)
         return out.filter(pc.is_valid(out["source"]))
 
@@ -1196,8 +1166,6 @@ class _LexicalRichnessClose:
                           "n_hapax": pa.array([], pa.int64()),
                           "ttr": pa.array([], pa.float64()),
                           "hapax_ratio": pa.array([], pa.float64())})
-        if len(t) == 0 or "source" not in t.column_names:
-            return empty
         sc, suniq = pd.factorize(t["source"].to_pandas(), sort=False)
         c = t["c"].to_numpy()
         ok = sc >= 0
@@ -1244,10 +1212,9 @@ def _bigram_count_partial(batch: pa.Table, text_col: str = "text") \
     import re
     word_re = re.compile(r"[a-z]+")
     c: "Counter[tuple]" = Counter()
-    if text_col in batch.column_names:
-        for txt in batch[text_col].to_pandas():
-            w = word_re.findall((txt or "").lower())
-            c.update(zip(w, w[1:]))
+    for txt in batch[text_col].to_pandas():
+        w = word_re.findall((txt or "").lower())
+        c.update(zip(w, w[1:]))
     w1, w2 = ([], []) if not c else map(list, zip(*c.keys()))
     return pa.table({
         "w1": pa.array(w1, pa.string()),
@@ -1270,18 +1237,13 @@ class _BigramScore:
         import math
         import re
 
-        import ray
         cu: dict = {}
-        for t in ray.get(list(uni_refs)):
-            if t is None or "term" not in t.column_names:
-                continue
+        for t in nonempty_blocks(uni_refs):
             cu.update(zip(t["term"].to_pylist(),
                           t["cnt"].to_numpy(zero_copy_only=False)))
         self.lp: dict = {}
         v = int(v_size)
-        for t in ray.get(list(bg_refs)):
-            if t is None or "w1" not in t.column_names:
-                continue
+        for t in nonempty_blocks(bg_refs):
             w1s = t["w1"].to_pylist()
             w2s = t["w2"].to_pylist()
             cbs = t["cnt"].to_numpy(zero_copy_only=False)
@@ -1381,8 +1343,7 @@ def _bm25_tf_partial(batch: pa.Table, terms, text_col: str,
     from collections import Counter
     import re
     word_re = re.compile(r"[a-z]+")
-    texts = (batch[text_col].to_pandas() if text_col in batch.column_names
-             else [])
+    texts = batch[text_col].to_pandas()
     n = len(texts)
     dl = np.zeros(n, dtype=np.int64)
     tfs = np.zeros((len(terms), n), dtype=np.int64)
@@ -1475,20 +1436,15 @@ class _DsirScore:
         import math
         import re
 
-        import ray
         ct: dict = {}
-        for t in ray.get(list(tgt_refs)):
-            if t is None or "term" not in t.column_names:
-                continue
+        for t in nonempty_blocks(tgt_refs):
             ct.update(zip(t["term"].to_pylist(),
                           t["cnt"].to_numpy(zero_copy_only=False)))
         v = int(v_size)
         dt = float(n_tgt + v)
         dr = float(n_raw + v)
         self.lam: dict = {}
-        for t in ray.get(list(raw_refs)):
-            if t is None or "term" not in t.column_names:
-                continue
+        for t in nonempty_blocks(raw_refs):
             for w, cr in zip(t["term"].to_pylist(),
                              t["cnt"].to_numpy(zero_copy_only=False)):
                 self.lam[w] = (math.log((int(ct.get(w, 0)) + 1) / dt)
@@ -1593,11 +1549,9 @@ def char_entropy_batch(batch: pa.Table, text_col="text",
     from collections import Counter
 
     from ..functions.rounding import round_half_away
-    texts = (batch[text_col].to_pandas()
-             if text_col in batch.column_names else [])
+    texts = batch[text_col].to_pandas()
     ids, n_cp, n_distinct, ent = [], [], [], []
-    id_arr = (batch[id_col].to_numpy(zero_copy_only=False)
-              if len(texts) else np.array([], dtype=np.int64))
+    id_arr = batch[id_col].to_numpy(zero_copy_only=False)
     for i, txt in enumerate(texts):
         if not txt:
             continue
@@ -1695,14 +1649,12 @@ def heaps_law(docs, *, text_col="text", id_col="doc_id"):
     def _tok_totals(batch: pa.Table) -> pa.Table:
         import re
         word_re = re.compile(r"[a-z]+")
-        texts = (batch[text_col].to_pandas()
-                 if text_col in batch.column_names else [])
+        texts = batch[text_col].to_pandas()
         nt = np.fromiter((len(word_re.findall((x or "").lower()))
                           for x in texts), dtype=np.int64,
                          count=len(texts))
         keep = nt > 0
-        ids = (batch[id_col].to_numpy(zero_copy_only=False)[keep]
-               if len(texts) else np.array([], dtype=np.int64))
+        ids = batch[id_col].to_numpy(zero_copy_only=False)[keep]
         return pa.table({
             id_col: pa.array(ids),
             "n_tok": pa.array(nt[keep]),
@@ -1713,13 +1665,12 @@ def heaps_law(docs, *, text_col="text", id_col="doc_id"):
         import re
         word_re = re.compile(r"[a-z]+")
         first: dict = {}
-        if text_col in batch.column_names:
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
-            for d, txt in zip(ids, batch[text_col].to_pandas()):
-                for w in word_re.findall((txt or "").lower()):
-                    cur = first.get(w)
-                    if cur is None or d < cur:
-                        first[w] = d
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        for d, txt in zip(ids, batch[text_col].to_pandas()):
+            for w in word_re.findall((txt or "").lower()):
+                cur = first.get(w)
+                if cur is None or d < cur:
+                    first[w] = d
         return pa.table({
             "term": pa.array(list(first.keys()), pa.string()),
             "fdoc": pa.array(np.fromiter(first.values(), dtype=np.int64,
@@ -1731,10 +1682,6 @@ def heaps_law(docs, *, text_col="text", id_col="doc_id"):
 
     def _new_counts(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        if len(t) == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "n_tok": pa.array([], pa.int64()),
-                             "new_terms": pa.array([], pa.int64())})
         g = t.group_by("fdoc").aggregate([("fdoc", "count")])
         return pa.table({
             id_col: g["fdoc"],
@@ -1768,12 +1715,11 @@ def _ngram_count_partial(batch: pa.Table, max_n: int,
     import re
     word_re = re.compile(r"[a-z]+")
     c: "Counter[tuple]" = Counter()
-    if text_col in batch.column_names:
-        for txt in batch[text_col].to_pandas():
-            w = word_re.findall((txt or "").lower())
-            for n in range(1, max_n + 1):
-                for i in range(len(w) - n + 1):
-                    c[(n, " ".join(w[i:i + n]))] += 1
+    for txt in batch[text_col].to_pandas():
+        w = word_re.findall((txt or "").lower())
+        for n in range(1, max_n + 1):
+            for i in range(len(w) - n + 1):
+                c[(n, " ".join(w[i:i + n]))] += 1
     ns, grams = ([], []) if not c else map(list, zip(*c.keys()))
     return pa.table({
         "n": pa.array(np.asarray(ns, dtype=np.int64)),
@@ -1824,11 +1770,9 @@ class _OovScore:
     def __init__(self, vocab_refs, text_col="text", id_col="doc_id"):
         import re
 
-        import ray
         vocab: set = set()
-        for t in ray.get(list(vocab_refs)):
-            if t is not None and "term" in t.column_names:
-                vocab.update(t["term"].to_pylist())
+        for t in nonempty_blocks(vocab_refs):
+            vocab.update(t["term"].to_pylist())
         self.vocab = vocab
         self.re = re.compile(r"[a-z]+")
         self.text_col, self.id_col = text_col, id_col
@@ -1905,8 +1849,6 @@ def source_mix_weights(docs, *, alpha: float = 0.7,
             "n_docs": pa.array([], pa.int64()),
             "weight": pa.array([], pa.float64()),
             "boost": pa.array([], pa.float64())})
-        if len(t) == 0:
-            return empty
         src = t[source_col].to_pylist()
         n = t["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = [i for i, s in enumerate(src) if s is not None]
@@ -1952,10 +1894,6 @@ class _VocabOverlapPartial:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         k = len(self.sources)
-        if len(g) == 0:
-            return pd.DataFrame({"i": pd.Series([], dtype=np.int64),
-                                 "j": pd.Series([], dtype=np.int64),
-                                 "c": pd.Series([], dtype=np.int64)})
         codes, _ = pd.factorize(g["term"], sort=False)
         src = g["source"].map(self.index).to_numpy(np.int64)
         order = np.argsort(codes, kind="stable")
@@ -1997,13 +1935,12 @@ def vocab_overlap_sources(docs, *, text_col="text",
         import re
         word_re = re.compile(r"[a-z]+")
         out: set = set()
-        if text_col in batch.column_names:
-            srcs = batch[source_col].to_pylist()
-            for s, txt in zip(srcs, batch[text_col].to_pandas()):
-                if s is None:
-                    continue
-                for t in set(word_re.findall((txt or "").lower())):
-                    out.add((s, t))
+        srcs = batch[source_col].to_pylist()
+        for s, txt in zip(srcs, batch[text_col].to_pandas()):
+            if s is None:
+                continue
+            for t in set(word_re.findall((txt or "").lower())):
+                out.add((s, t))
         ss, ts = ([], []) if not out else map(list, zip(*out))
         return pa.table({"source": pa.array(ss, pa.string()),
                          "term": pa.array(ts, pa.string())})
@@ -2023,14 +1960,6 @@ def vocab_overlap_sources(docs, *, text_col="text",
 
     def _close(t: pa.Table) -> pa.Table:
         from ..functions.rounding import round_half_away
-        empty = pa.table({
-            "src_a": pa.array([], pa.string()),
-            "src_b": pa.array([], pa.string()),
-            "inter": pa.array([], pa.int64()),
-            "union_sz": pa.array([], pa.int64()),
-            "jaccard": pa.array([], pa.float64())})
-        if len(t) == 0:
-            return empty
         i = t["i"].to_numpy(zero_copy_only=False).astype(np.int64)
         j = t["j"].to_numpy(zero_copy_only=False).astype(np.int64)
         c = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -32,27 +32,8 @@ import pyarrow as pa
 
 from .joins import _segment_starts, key_runs, partition_groups
 from .rollup import combine, sums_of
-from .windows import _epoch_micros
+from .windows import _epoch_micros, _prep_events
 from ..functions.rounding import round_half_away, scaled_int
-
-
-def _prep_events(events, cols=("user_id", "event_id", "value")):
-    """Project to (key cols..., t=epoch micros) — the shared prep map."""
-    def _prep(batch: pa.Table) -> pa.Table:
-        if "ts" not in batch.column_names:
-            # Ray occasionally emits 0-row blocks that lose their
-            # columns; emit a typed empty projection
-            out = {c: pa.array([], pa.string()
-                               if c in ("event_type", "source")
-                               else pa.int64()) for c in cols}
-            if "value" in cols:
-                out["value"] = pa.array([], pa.float64())
-            out["t"] = pa.array([], pa.int64())
-            return pa.table(out)
-        out = {c: batch[c] for c in cols if c in batch.column_names}
-        out["t"] = pa.array(_epoch_micros(batch["ts"]))
-        return pa.table(out)
-    return events.map_batches(_prep, batch_format="pyarrow")
 
 
 # --- counter rate (PromQL increase / rate) ---------------------------------
@@ -538,8 +519,7 @@ def autocorr_lag1(events):
 
 # --- seasonal profile ------------------------------------------------------
 
-def seasonal_profile(events, *, by: str = "event_type",
-                     key_type: "pa.DataType | None" = None):
+def seasonal_profile(events, *, by: str = "event_type"):
     """Hour-of-day seasonal profile per key: (key, hod, n, mean_value) —
     the diurnal-pattern summary behind seasonality checks.
 
@@ -547,17 +527,9 @@ def seasonal_profile(events, *, by: str = "event_type",
     partials per (key, hod) cell, ONE groupby-sum over at most
     24·|keys| rows, exact mean = double(Σcents)/n/100 rounded 6dp on
     both sides.  The key column keeps its INPUT type (string, int64,
-    ...); ``key_type`` only sets the type emitted for column-less
-    empty blocks (default string, matching the ``event_type``
-    default key)."""
-    empty_key_type = key_type if key_type is not None else pa.string()
+    ...)."""
 
     def _partial(t: pa.Table) -> pa.Table:
-        if by not in t.column_names:  # column-less empty block
-            return pa.table({by: pa.array([], empty_key_type),
-                             "hod": pa.array([], pa.int64()),
-                             "c": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
         key_type = t.schema.field(by).type  # keep the input key type
         keys = t[by].to_pandas()
         tsec = _epoch_micros(t["ts"]) // 1_000_000
@@ -904,14 +876,6 @@ class _CorrPairsClose:
         users = self.users
         ku = len(users)
         H = self.hmax - self.hmin + 1
-        if len(t) == 0 or "user_id" not in t.column_names:
-            # a stray empty block must NOT fabricate all-zero pairs —
-            # the single real batch (repartition(1), batch_size=None)
-            # carries every cell
-            return pa.table({"user_a": pa.array([], pa.int64()),
-                             "user_b": pa.array([], pa.int64()),
-                             "n_hours": pa.array([], pa.int64()),
-                             "r": pa.array([], pa.float64())})
         M = np.zeros((ku, H), dtype=np.int64)
         ui = np.searchsorted(users, t["user_id"].to_numpy())
         hi = t["h"].to_numpy() - self.hmin
@@ -972,10 +936,6 @@ def _topk_hourly_cells(events, k: int):
     prepped = _prep_events(events, cols=("user_id", "value"))
 
     def _hour(b: pa.Table) -> pa.Table:
-        if "t" not in b.column_names:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "value": pa.array([], pa.float64()),
-                             "h": pa.array([], pa.int64())})
         h = b["t"].to_numpy() // 1_000_000 // 3600
         return pa.table({"user_id": b["user_id"], "value": b["value"],
                          "h": pa.array(h)})
@@ -984,9 +944,6 @@ def _topk_hourly_cells(events, k: int):
         .materialize()
 
     def _cnt_partial(b: pa.Table) -> pa.Table:
-        if "user_id" not in b.column_names:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
         u, cnts = np.unique(b["user_id"].to_numpy(), return_counts=True)
         return pa.table({"user_id": pa.array(u),
                          "cnt": pa.array(cnts.astype(np.int64))})
@@ -1002,10 +959,6 @@ def _topk_hourly_cells(events, k: int):
     hmin, hmax = int(span["min(h)"]), int(span["max(h)"])
 
     def _cell_partial(b: pa.Table) -> pa.Table:
-        if "user_id" not in b.column_names or len(b) == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "h": pa.array([], pa.int64()),
-                             "v": pa.array([], pa.int64())})
         u = b["user_id"].to_numpy()
         v = b["value"].to_numpy(zero_copy_only=False) \
             .astype(np.float64)
@@ -1074,16 +1027,6 @@ class _XcorrClose:
         ku = len(users)
         H = self.hmax - self.hmin + 1
         L = self.max_lag
-        empty = pa.table({"user_a": pa.array([], pa.int64()),
-                          "user_b": pa.array([], pa.int64()),
-                          "best_lag": pa.array([], pa.int64()),
-                          "xc_num": pa.array([], pa.int64()),
-                          "r_best": pa.array([], pa.float64())})
-        if len(t) == 0 or "user_id" not in t.column_names:
-            # a stray empty block must NOT fabricate all-zero pairs —
-            # the single real batch (repartition(1), batch_size=None)
-            # carries every cell
-            return empty
         M = np.zeros((ku, H), dtype=np.int64)
         ui = np.searchsorted(users, t["user_id"].to_numpy())
         hi = t["h"].to_numpy() - self.hmin
@@ -1094,7 +1037,11 @@ class _XcorrClose:
         ia, ib = np.triu_indices(ku, k=1)
         npair = len(ia)
         if npair == 0:
-            return empty
+            return pa.table({"user_a": pa.array([], pa.int64()),
+                             "user_b": pa.array([], pa.int64()),
+                             "best_lag": pa.array([], pa.int64()),
+                             "xc_num": pa.array([], pa.int64()),
+                             "r_best": pa.array([], pa.float64())})
         best_s = None
         best_l = None
         for lag in range(-L, L + 1):
@@ -2280,14 +2227,7 @@ def croston_demand(events, *, alpha: float = 0.2):
     inter-demand interval smoothed separately).  One partition-group
     shuffle; bit-exact vs a recursive-CTE oracle."""
 
-    def _prep(batch: pa.Table) -> pa.Table:
-        if "ts" not in batch.column_names:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "t": pa.array([], pa.int64())})
-        return pa.table({"user_id": batch["user_id"],
-                         "t": pa.array(_epoch_micros(batch["ts"]))})
-
-    prepped = events.map_batches(_prep, batch_format="pyarrow")
+    prepped = _prep_events(events, cols=("user_id",))
     return partition_groups(prepped, "user_id", CrostonGroup(alpha))
 
 

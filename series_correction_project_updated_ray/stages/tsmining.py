@@ -39,7 +39,7 @@ import pyarrow as pa
 
 from .joins import _segment_starts, key_runs, partition_groups
 from .rollup import combine, sums_of
-from .windows import _epoch_micros
+from .windows import _epoch_micros, _prep_events
 from ..functions.rounding import round_half_away, scaled_int
 
 # N(0,1) quantiles at 1/4, 2/4, 3/4 — the SAX alphabet-4 breakpoints
@@ -134,7 +134,6 @@ def sax_symbols(events, *, w: int = 8):
     """SAX symbolization (w segments, alphabet abcd) of each user's
     value series — one partition-group shuffle; integer-exact moments
     make the symbols value-exact against the SQL oracle."""
-    from .timeseries import _prep_events
     prepped = _prep_events(events)
     return partition_groups(prepped, "user_id", SaxGroup(w))
 
@@ -189,7 +188,6 @@ class ExcursionGroup:
 def threshold_excursions(events, *, thresh: float = 150.0):
     """Per-user maximal over-threshold runs (count / longest / total /
     longest duration) — one partition-group shuffle."""
-    from .timeseries import _prep_events
     prepped = _prep_events(events)
     return partition_groups(prepped, "user_id", ExcursionGroup(thresh))
 
@@ -216,18 +214,11 @@ class PartialM4:
         self.value_col, self.id_col = value_col, id_col
         self.width_s = width_s
 
-    EMPTY = {"f_t": np.int64, "f_id": np.int64, "f_c": np.int64,
-             "l_t": np.int64, "l_id": np.int64, "l_c": np.int64,
-             "min_c": np.int64, "min_t": np.int64,
-             "max_c": np.int64, "max_t": np.int64, "n": np.int64}
+    PARTS = ("f_t", "f_id", "f_c", "l_t", "l_id", "l_c",
+             "min_c", "min_t", "max_c", "max_t", "n")
 
     def __call__(self, t: pa.Table) -> pa.Table:
         k = self.key_col
-        if k not in t.column_names or len(t) == 0:
-            e = np.empty(0, np.int64)
-            cols = {k: pa.array(e), "bucket_start": pa.array(e)}
-            cols.update({c: pa.array(e) for c in self.EMPTY})
-            return pa.table(cols)
         uid = t[k].to_numpy(zero_copy_only=False)
         t_us = _epoch_micros(t[self.ts_col])
         ids = t[self.id_col].to_numpy(zero_copy_only=False)
@@ -263,19 +254,10 @@ class M4Finalize:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         k = self.key_col
-        if len(g) == 0:
-            return pd.DataFrame({
-                k: g[k] if k in g else pd.Series([], dtype=np.int64),
-                "bucket_start": pd.Series([], dtype=np.int64),
-                "n": pd.Series([], dtype=np.int64),
-                **{c: pd.Series([], dtype=np.int64)
-                   for c in ("t_first", "t_last", "t_min", "t_max")},
-                **{c: pd.Series([], dtype=np.float64)
-                   for c in ("v_first", "v_last", "v_min", "v_max")}})
         uid = g[k].to_numpy()
         bucket = g["bucket_start"].to_numpy(np.int64)
         cols = {c: g[c].to_numpy(np.int64)
-                for c in PartialM4.EMPTY}
+                for c in PartialM4.PARTS}
         i_f = _m4_pick(uid, bucket, cols["f_id"], cols["f_t"])
         i_l = _m4_pick(uid, bucket, -cols["l_id"], -cols["l_t"])
         i_min = _m4_pick(uid, bucket, cols["min_t"], cols["min_c"])
@@ -354,10 +336,6 @@ def dtw_profile_pairs(events, *, k_users: int = 12):
     never sees corpus-proportional data.  Output (user_a, user_b, dtw)
     with dtw in value units (exact cents DP / 100, rounded 6dp)."""
     def _partial(t: pa.Table) -> pa.Table:
-        if "ts" not in t.column_names:   # column-less empty block
-            e = np.empty(0, np.int64)
-            return pa.table({"user_id": pa.array(e), "hod": pa.array(e),
-                             "c": pa.array(e)})
         uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         tsec = _epoch_micros(t["ts"]) // 1_000_000
         hod = (tsec // 3600) % 24
@@ -472,7 +450,6 @@ def matrix_profile(events, *, w: int = 8):
     partition-group shuffle; quadratic in windows per key by the
     primitive's definition (bound series length upstream for long
     keys, or use an anchored subset)."""
-    from .timeseries import _prep_events
     prepped = _prep_events(events)
     return partition_groups(prepped, "user_id", MatrixProfileGroup(w))
 

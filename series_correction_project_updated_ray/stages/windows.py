@@ -33,6 +33,15 @@ def _epoch_micros(ts_col) -> "np.ndarray":
     return ts.to_numpy(np.int64) * 1_000_000
 
 
+def _prep_events(events, cols=("user_id", "event_id", "value")):
+    """Project to (key cols..., t=epoch micros) — the shared prep map."""
+    def _prep(batch: pa.Table) -> pa.Table:
+        out = {c: batch[c] for c in cols}
+        out["t"] = pa.array(_epoch_micros(batch["ts"]))
+        return pa.table(out)
+    return events.map_batches(_prep, batch_format="pyarrow")
+
+
 def _epoch_seconds(ts: pd.Series) -> np.ndarray:
     """Seconds-resolution epoch ints — the session-gap time base."""
     if pd.api.types.is_datetime64_any_dtype(ts):
@@ -402,15 +411,7 @@ def running_sum(events):
     """Per-user cumulative value sum in event-time order — one
     partition-group shuffle, segmented cumsum across all co-located
     users."""
-
-    def _prep(batch: pa.Table) -> pa.Table:
-        t = _epoch_micros(batch["ts"])
-        return pa.table({"user_id": batch["user_id"],
-                         "event_id": batch["event_id"],
-                         "t": pa.array(t),
-                         "value": batch["value"]})
-
-    prepped = events.map_batches(_prep, batch_format="pyarrow")
+    prepped = _prep_events(events)
     return partition_groups(prepped, "user_id", RunningSumGroup())
 
 
@@ -443,15 +444,7 @@ def lag_deltas(events):
     """Per-user consecutive-event deltas (the LAG window-function shape):
     value and time diffs in (ts, event_id) order — one partition-group
     shuffle, segmented vectorized diffs for all co-located keys."""
-
-    def _prep(batch: pa.Table) -> pa.Table:
-        t = _epoch_micros(batch["ts"])
-        return pa.table({"user_id": batch["user_id"],
-                         "event_id": batch["event_id"],
-                         "t": pa.array(t),
-                         "value": batch["value"]})
-
-    prepped = events.map_batches(_prep, batch_format="pyarrow")
+    prepped = _prep_events(events)
     return partition_groups(prepped, "user_id", LagDeltaGroup())
 
 
@@ -485,15 +478,8 @@ def user_event_sequences(events, *, sep: str = "->"):
     """Per-user ordered event-type sequences (string_agg ORDER BY shape)
     — one partition-group shuffle; only (user, type, ts, id) rows move,
     and each key's sequence is assembled exactly once."""
-
-    def _prep(batch: pa.Table) -> pa.Table:
-        t = _epoch_micros(batch["ts"])
-        return pa.table({"user_id": batch["user_id"],
-                         "event_id": batch["event_id"],
-                         "event_type": batch["event_type"],
-                         "t": pa.array(t)})
-
-    prepped = events.map_batches(_prep, batch_format="pyarrow")
+    prepped = _prep_events(events, cols=("user_id", "event_id",
+                                         "event_type"))
     return partition_groups(prepped, "user_id", EventSequenceGroup(sep))
 
 
@@ -569,15 +555,7 @@ def time_weighted_avg(events, *, width_s: int = 3600):
     irregular-sampling analogue of the plain window mean.  One
     partition-group shuffle of (user, t, id, cents) rows; every cell's
     integral is computed segment-vectorized."""
-
-    def _prep(batch: pa.Table) -> pa.Table:
-        t = _epoch_micros(batch["ts"])
-        return pa.table({"user_id": batch["user_id"],
-                         "event_id": batch["event_id"],
-                         "t": pa.array(t),
-                         "value": batch["value"]})
-
-    prepped = events.map_batches(_prep, batch_format="pyarrow")
+    prepped = _prep_events(events)
     return partition_groups(prepped, "user_id", TimeWeightedAvgGroup(width_s))
 
 
@@ -641,14 +619,7 @@ def window_trend(events, *, width_s: int = 3600):
     intercept at the window start) — detection of drifting series, the
     regression analogue of the window mean.  One partition-group
     shuffle; integer-exact sufficient statistics."""
-
-    def _prep(batch: pa.Table) -> pa.Table:
-        t = _epoch_micros(batch["ts"])
-        return pa.table({"user_id": batch["user_id"],
-                         "t": pa.array(t),
-                         "value": batch["value"]})
-
-    prepped = events.map_batches(_prep, batch_format="pyarrow")
+    prepped = _prep_events(events, cols=("user_id", "value"))
     return partition_groups(prepped, "user_id", TrendGroup(width_s))
 
 
@@ -710,14 +681,7 @@ class InterarrivalGroup:
 def interarrival_stats(events):
     """Per-user inter-event-time mean and coefficient of variation —
     one partition-group shuffle; exact integer micros moments."""
-
-    def _prep(batch: pa.Table) -> pa.Table:
-        t = _epoch_micros(batch["ts"])
-        return pa.table({"user_id": batch["user_id"],
-                         "event_id": batch["event_id"],
-                         "t": pa.array(t)})
-
-    prepped = events.map_batches(_prep, batch_format="pyarrow")
+    prepped = _prep_events(events, cols=("user_id", "event_id"))
     return partition_groups(prepped, "user_id", InterarrivalGroup())
 
 
@@ -821,7 +785,6 @@ def top_event_paths(events, *, k: int = 10):
     a tiny Sum groupby merges them, and top-k is the partial top-k (no
     global sort).  Ties break lexicographically on the path."""
     from .relational import topk_by
-    from .timeseries import _prep_events
 
     prepped = _prep_events(events, cols=("user_id", "event_id",
                                          "event_type"))
@@ -893,9 +856,6 @@ def rolling_active_users(events, *, window_days: int = 7):
     from .joins import distributed_distinct
 
     def _cells(t: pa.Table) -> pa.Table:
-        if "ts" not in t.column_names:
-            return pa.table({"day": pa.array([], pa.int64()),
-                             "user_id": pa.array([], pa.int64())})
         day = np.asarray(_epoch_micros(t["ts"])) // _DAY_US
         out = pa.table({"day": pa.array(day),
                         "user_id": t["user_id"]})

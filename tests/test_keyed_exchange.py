@@ -273,3 +273,70 @@ def test_only_pack_token_sequences_takes_n_buckets():
                         and "n_buckets" in inspect.signature(fn).parameters:
                     takers.append(f"{info.name}.{name}")
     assert takers == ["packing.pack_token_sequences"]
+
+
+# --- map functions never see an empty batch ---------------------------------
+
+def _no_empty_batch(batch):
+    """Identity map that raises on a 0-row batch, in any batch format."""
+    if isinstance(batch, dict):
+        n = len(next(iter(batch.values()))) if batch else 0
+    else:
+        n = len(batch)
+    if n == 0:
+        raise AssertionError(f"a map function saw a 0-row {type(batch)}")
+    return batch
+
+
+def _one_key_over_two_blocks():
+    """A keyed exchange whose sort emits one full and one empty partition:
+    one key spread over 2 input blocks, each hashed on its own."""
+    import ray.data as rd
+    from series_correction_project_updated_ray.stages import joins
+    blocks = [pa.table({"user_id": pa.array([7, 7], pa.int64()),
+                        "value": pa.array([1.0 + i, 2.0 + i])})
+              for i in range(2)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(joins, "_SORT_BLOCK_ROWS", 1)
+        return joins.partition_groups(rd.from_arrow(blocks), "user_id",
+                                      _no_empty_batch, "pyarrow") \
+            .materialize()
+
+
+def _filter_keeping_nothing():
+    import ray.data as rd
+    return rd.from_arrow(pa.table({"v": pa.array([1, 2, 3], pa.int64())})) \
+        .filter(lambda row: row["v"] > 10)
+
+
+def _empty_pandas_frame():
+    import ray.data as rd
+    return rd.from_pandas(pd.DataFrame({"v": pd.Series([], dtype=np.int64)}))
+
+
+@pytest.mark.parametrize("batch_size", [None, 1])
+@pytest.mark.parametrize("batch_format", ["pyarrow", "pandas", "numpy"])
+@pytest.mark.parametrize("source", [_one_key_over_two_blocks,
+                                    _filter_keeping_nothing,
+                                    _empty_pandas_frame])
+def test_map_functions_never_see_an_empty_batch(source, batch_format,
+                                                batch_size):
+    """The contract every map kernel relies on instead of an empty-input
+    guard: Ray skips the map call for a 0-row block, whether it comes from
+    an empty sort partition, a filter that keeps nothing or an empty
+    source.  Blocks read directly are another matter: the exchange's
+    empty partition is a column-less 0-row block, which
+    ``nonempty_blocks`` skips."""
+    import ray
+    from series_correction_project_updated_ray.stages.taskcache import (
+        nonempty_blocks)
+    ds = source()
+    n = ds.count()
+    out = ds.map_batches(_no_empty_batch, batch_format=batch_format,
+                         batch_size=batch_size)
+    assert out.count() == n
+    if source is _one_key_over_two_blocks:
+        refs = ds.to_arrow_refs()
+        blocks = ray.get(list(refs))
+        assert any(b.num_rows == 0 and b.num_columns == 0 for b in blocks)
+        assert [b.num_rows for b in nonempty_blocks(refs)] == [4]

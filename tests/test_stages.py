@@ -2312,8 +2312,9 @@ def test_transition_entropy_kernel_semantics():
 
 def test_benford_kernel_digits_and_chi2():
     """_BenfordGroup: digit cells merge across partials, missing
-    digits contribute (0 − e)²/e, and a perfectly Benford-weighted
-    sample scores near 0."""
+    digits contribute (0 − e)²/e, a perfectly Benford-weighted sample
+    scores near 0, and null types drop instead of adding their counts
+    to another type (an all-null frame gives the typed empty output)."""
     import math
 
     from series_correction_project_updated_ray.stages.relational import (
@@ -2322,11 +2323,13 @@ def test_benford_kernel_digits_and_chi2():
     p = [math.log(1 + 1 / d) / math.log(10) for d in range(1, 10)]
     counts = np.round(np.array(p) * 1_000_000).astype(np.int64)
     g = pd.DataFrame({
-        "event_type": ["x"] * 9 + ["y"],
-        "d": np.r_[np.arange(1, 10), [1]].astype(np.int64),
-        "c": np.r_[counts, [100]].astype(np.int64),
+        "event_type": ["x"] * 9 + ["y", None],
+        "d": np.r_[np.arange(1, 10), [1, 2]].astype(np.int64),
+        "c": np.r_[counts, [100, 7]].astype(np.int64),
     })
     out = _BenfordGroup()(g).set_index("event_type")
+    assert sorted(out.index) == ["x", "y"]
+    assert out.loc["y", "n"] == 100
     assert out.loc["x", "n"] == counts.sum()
     assert out.loc["x", "chi2"] < 1.0           # near-perfect fit
     # y: all mass on digit 1 → χ² = Σ terms with 8 zero cells
@@ -2337,6 +2340,14 @@ def test_benford_kernel_digits_and_chi2():
         o = 100.0 if dd == 1 else 0.0
         acc += (o - e) ** 2 / e
     assert abs(out.loc["y", "chi2"] - round(acc, 6)) < 1e-12
+    nulls = _BenfordGroup()(pd.DataFrame({
+        "event_type": pd.Series([None, None], dtype=object),
+        "d": np.array([1, 3], dtype=np.int64),
+        "c": np.array([4, 5], dtype=np.int64)}))
+    assert len(nulls) == 0
+    assert list(nulls.columns) == ["event_type", "n", "chi2"]
+    assert nulls["n"].dtype == np.int64
+    assert nulls["chi2"].dtype == np.float64
 
 
 def test_pmi_presence_partial_and_close():

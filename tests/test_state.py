@@ -281,26 +281,36 @@ def test_sigkill_resume_converges(ray_session, tmp_path):
          "--buckets-per-source", "16", "--step-seconds", "1",
          "--num-cpus", "4"],
         env=env, cwd="/tmp", stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
-    deadline = time.time() + 180
-    while time.time() < deadline and proc.poll() is None:
-        if len(_glob.glob(os.path.join(out_kill, "_manifest", "*.json"))) >= 3:
-            break
-        time.sleep(0.05)
-    killed_midway = proc.poll() is None
-    if killed_midway:
-        os.kill(proc.pid, signal.SIGKILL)
-    proc.wait()
+        stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        deadline = time.time() + 180
+        while time.time() < deadline and proc.poll() is None:
+            if len(_glob.glob(os.path.join(out_kill, "_manifest",
+                                           "*.json"))) >= 3:
+                break
+            time.sleep(0.05)
+        killed_midway = proc.poll() is None
+        if killed_midway:
+            os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
 
-    # the killed driver's WORKERS survive it briefly and may still finish
-    # (and manifest) their in-flight partitions — wait until the manifest
-    # count has been stable for 3 s before counting what the resume sees
-    stable_since, last = time.time(), -1
-    while time.time() - stable_since < 3.0:
-        cur = len(CP.load_manifests(out_kill))
-        if cur != last:
-            last, stable_since = cur, time.time()
-        time.sleep(0.2)
+        # the killed driver's WORKERS survive it briefly and may still
+        # finish (and manifest) their in-flight partitions — wait until
+        # the manifest count has been stable for 3 s before counting
+        # what the resume sees
+        stable_since, last = time.time(), -1
+        while time.time() - stable_since < 3.0:
+            cur = len(CP.load_manifests(out_kill))
+            if cur != last:
+                last, stable_since = cur, time.time()
+            time.sleep(0.2)
+    finally:
+        # the killed driver's Ray processes (its dashboard agent survives
+        # the raylet) stay in its process group
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
     done_before = len(CP.load_manifests(out_kill))
     m = run_resumable(inp, out_kill, n_partitions=16, buckets_per_source=16,
                       step_seconds=1)
