@@ -29,9 +29,9 @@ BPE_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\t\n\f\r ]")
 # so token_counts / simhash oracles that use RE2 '[^A-Za-z0-9\s]' agree
 # on ANY input, not just the \v-free ASCII corpus
 
-# lowercase ASCII word extractor shared by quality features and the
-# cleaning gate — mirrors the oracle's regexp_extract_all(lower(text),
-# '[a-z]+')
+# lowercase ASCII word extractor of quality_features and, through
+# words(), of every vocabulary operator — mirrors the oracle's
+# regexp_extract_all(lower(text), '[a-z]+')
 WORD_RE = re.compile(r"[a-z]+")
 
 STOPWORDS = frozenset(
@@ -45,6 +45,13 @@ _LANG_MARKERS = {
     "fr": {"le", "la", "les", "et", "des", "est", "une", "dans", "que", "pour"},
     "es": {"el", "la", "los", "las", "que", "de", "en", "una", "por", "con"},
 }
+
+
+def words(text: str | None) -> list[str]:
+    """The ``[a-z]+`` runs of ``lower(text)`` in position order, none for
+    NULL — the one tokenizer of the vocabulary operators, equal to the
+    oracle's ``regexp_extract_all(lower(text), '[a-z]+')``."""
+    return WORD_RE.findall((text or "").lower())
 
 
 def whitespace_token_count(texts: pd.Series) -> np.ndarray:

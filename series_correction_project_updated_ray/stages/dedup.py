@@ -226,8 +226,6 @@ def connected_components_distributed(pairs, *, max_rounds: int = 16,
     block of (int64, int64) pairs is ~100 MB at real scale).  Returns
     pandas (doc_id, cluster_id) like the driver version.
     """
-    import ray.data as rd
-
     edges = pairs.map_batches(
         lambda t: pa.table({
             "src": pa.concat_arrays([t["id_a"].combine_chunks(),

@@ -17,15 +17,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-MEDIA_SCHEMA = pa.schema([
-    ("media_id", pa.int64()),
-    ("media_type", pa.string()),     # "image" | "audio"
-    ("payload", pa.binary()),
-    ("width", pa.int32()),           # image meta (0 for audio)
-    ("height", pa.int32()),
-    ("sample_rate", pa.int32()),     # audio meta (0 for image)
-])
-
 
 def synth_media_table(n: int = 64, seed: int = 42) -> pa.Table:
     """Deterministic fake media corpus (random bytes + plausible metadata)."""

@@ -74,6 +74,22 @@ def class_task(cls, *ctor_args, **ctor_kwargs):
     return _fn
 
 
+def broadcast_map(ds, cls, tables, *ctor_args, **ctor_kwargs):
+    """``ds`` mapped by ``class_task(cls, *refs, *ctor_args,
+    **ctor_kwargs)``, where ``refs`` are the block refs of each
+    materialized dataset in ``tables``: the broadcast side of a scorer
+    ships once per worker, never through the driver.
+
+    The returned lazy dataset pins ``tables``: were they GC'd before it
+    executes, a worker rebuilding ``cls`` could find its constructor-arg
+    refs freed (ray#53727)."""
+    refs = [t.to_arrow_refs() for t in tables]
+    out = ds.map_batches(class_task(cls, *refs, *ctor_args, **ctor_kwargs),
+                         batch_format="pyarrow")
+    out._graft_pin = tuple(tables)
+    return out
+
+
 def nonempty_blocks(refs) -> list:
     """The Arrow tables behind ``refs`` (``Dataset.to_arrow_refs()``)
     that hold rows.  Map functions never see an empty batch, but a

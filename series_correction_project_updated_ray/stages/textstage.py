@@ -8,6 +8,9 @@ DuckDB SQL (the oracle): whitespace token counts follow
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -15,8 +18,9 @@ import pyarrow.compute as pc
 
 from .joins import each_key
 from .rollup import combine, sums_of
-from .taskcache import nonempty_blocks
+from .taskcache import broadcast_map, class_task, nonempty_blocks
 from ..functions import text as T
+from ..functions.rounding import round_half_away
 
 
 def token_count_batch(batch: pa.Table) -> pa.Table:
@@ -29,7 +33,6 @@ def token_count_batch(batch: pa.Table) -> pa.Table:
 
 
 def quality_batch(batch: pa.Table) -> pa.Table:
-    from ..functions.rounding import round_half_away
     texts = batch["text"].to_pandas()
     f = T.quality_features(texts)
     return pa.table({
@@ -73,7 +76,6 @@ def quality_scores(docs):
 
 
 def language_id(docs):
-    from .taskcache import class_task
     return docs.map_batches(class_task(LangIdStage),
                             batch_format="pyarrow")
 
@@ -216,34 +218,42 @@ def winnow_matches(seqs, *, k: int = 5, w: int = 4, min_docs: int = 2,
     return tot.map_batches(_filt, batch_format="pyarrow")
 
 
-class TermFreqPartial:
-    """map_batches combiner for the canonical distributed word count:
-    each batch emits (source, term, cnt) partial rows — the vocabulary of
-    one batch, not its token stream — so the shuffle moves |vocab| rows
-    per block instead of |tokens|.  The word regex is the ASCII class the
-    oracle mirrors with regexp_extract_all(lower(text), '[a-z]+')."""
+def _term_counts(batch: pa.Table, by=(), text_col: str = "text") \
+        -> pa.Table:
+    """Batch-local ``(by…, term, cnt)`` vocabulary partial of the
+    canonical distributed word count: ALL occurrences of the
+    :func:`T.words` tokens per value of the ``by`` columns — the
+    vocabulary of one batch, not its token stream, so the shuffle moves
+    |vocab| rows per block instead of |tokens|."""
+    keys = zip(*(batch[c].to_pylist() for c in by)) if by \
+        else [()] * len(batch)
+    counters: dict[tuple, Counter] = {}
+    for key, txt in zip(keys, batch[text_col].to_pandas()):
+        counters.setdefault(key, Counter()).update(T.words(txt))
+    key_cols: list[list] = [[] for _ in by]
+    terms, cnts = [], []
+    for key, c in counters.items():
+        for col, v in zip(key_cols, key):
+            col.extend([v] * len(c))
+        terms.extend(c.keys())
+        cnts.extend(c.values())
+    cols = {c: pa.array(v, batch.schema.field(c).type)
+            for c, v in zip(by, key_cols)}
+    cols["term"] = pa.array(terms, pa.string())
+    cols["cnt"] = pa.array(np.asarray(cnts, dtype=np.int64))
+    return pa.table(cols)
 
-    def __init__(self, text_col="text", source_col="source"):
-        import re
-        self.re = re.compile(r"[a-z]+")
-        self.text_col, self.source_col = text_col, source_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from collections import Counter
-        texts = batch[self.text_col].to_pandas()
-        sources = batch[self.source_col].to_pandas().to_numpy()
-        counters: dict[str, Counter] = {}
-        for src, txt in zip(sources, texts):
-            counters.setdefault(src, Counter()).update(
-                self.re.findall((txt or "").lower()))
-        srcs, terms, cnts = [], [], []
-        for src, c in counters.items():
-            srcs.extend([src] * len(c))
-            terms.extend(c.keys())
-            cnts.extend(c.values())
-        return pa.table({"source": pa.array(srcs, pa.string()),
-                         "term": pa.array(terms, pa.string()),
-                         "cnt": pa.array(np.asarray(cnts, dtype=np.int64))})
+def _doc_freqs(batch: pa.Table) -> pa.Table:
+    """Batch-local ``(term, df)`` partial: the number of the batch's
+    documents whose :func:`T.words` hold each term."""
+    c: "Counter[str]" = Counter()
+    for txt in batch["text"].to_pandas():
+        c.update(set(T.words(txt)))
+    return pa.table({
+        "term": pa.array(list(c.keys()), pa.string()),
+        "df": pa.array(np.fromiter(c.values(), dtype=np.int64,
+                                   count=len(c)))})
 
 
 def term_frequencies(docs, *, top_k: int = 20):
@@ -251,7 +261,8 @@ def term_frequencies(docs, *, top_k: int = 20):
     batch-local vocabulary partials, ONE (source, term) groupby, then the
     distributed top-k (no global sort)."""
     from .windows import topn_per_group
-    partials = docs.map_batches(TermFreqPartial(), batch_format="pyarrow")
+    partials = docs.map_batches(_term_counts, fn_kwargs={"by": ("source",)},
+                                batch_format="pyarrow")
     totals = combine(partials, ["source", "term"], sums_of("cnt"))
     return topn_per_group(totals, "source", ["cnt", "term"],
                           [True, False], top_k)
@@ -276,7 +287,6 @@ class ContaminationScan:
         self.text_col, self.id_col = text_col, id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         col = batch[self.text_col]
         hits = np.zeros(len(batch), dtype=np.int64)
         for p in self.probes:
@@ -324,7 +334,6 @@ def contamination_scan(docs, probes: list[str] | None = None, **kwargs):
     if probes is None:
         probes = derive_probes(docs, **kwargs)
     ref = ray.put(list(probes))
-    from .taskcache import class_task
     return docs.map_batches(class_task(ContaminationScan, ref),
                             batch_format="pyarrow")
 
@@ -373,7 +382,6 @@ class RedactPII:
 def redact_pii(docs, *, text_col: str = "text", id_col: str = "doc_id",
                concurrency: int = 2):
     """documents → (id, text_redacted, n_url, n_email, n_ip)."""
-    from .taskcache import class_task
     return docs.map_batches(
         class_task(RedactPII, text_col=text_col, id_col=id_col),
         batch_format="pyarrow")
@@ -386,9 +394,6 @@ def repetition_batch(batch: pa.Table) -> pa.Table:
     ``\\s`` is ``[\\t\\n\\f\\r ]`` (no ``\\v``, no Unicode whitespace),
     hence the explicit class; fractions are half-away-rounded to 6dp like
     every compared float."""
-    from collections import Counter
-
-    from ..functions.rounding import round_half_away
     texts = batch["text"].to_pandas()
     n_words = np.zeros(len(texts), dtype=np.int64)
     top_word = np.zeros(len(texts), dtype=np.float64)
@@ -429,9 +434,6 @@ class _TfIdfScore:
     emits the top-scoring term per document."""
 
     def __init__(self, df_refs, n_docs: int):
-        import re
-
-        self.re = re.compile(r"[a-z]+")
         self.n_docs = n_docs
         self.df: dict[str, int] = {}
         for tbl in nonempty_blocks(df_refs):
@@ -440,14 +442,11 @@ class _TfIdfScore:
             self.df.update(zip(terms, dfs.tolist()))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        from ..functions.rounding import round_half_away
         texts = batch["text"].to_pandas()
         ids = batch["doc_id"].to_pandas().to_numpy()
         out_id, out_term, out_tf, out_df, out_score = [], [], [], [], []
         for d, txt in zip(ids, texts):
-            counts = Counter(self.re.findall((txt or "").lower()))
+            counts = Counter(T.words(txt))
             if not counts:
                 continue
             best = None
@@ -488,36 +487,12 @@ def tfidf_top_term(docs, *, n_docs: int | None = None):
 
     Scoring convention mirrors the SQL oracle exactly: score = tf ·
     ln(N/df) with raw term counts, top-1 by (score DESC, term ASC)."""
-    import re
-
-    word_re = re.compile(r"[a-z]+")
-
-    def _doc_terms(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pandas()
-        terms: dict[str, int] = {}
-        for txt in texts:
-            for t in set(word_re.findall((txt or "").lower())):
-                terms[t] = terms.get(t, 0) + 1
-        return pa.table({
-            "term": pa.array(list(terms.keys()), pa.string()),
-            "df": pa.array(np.fromiter(terms.values(), dtype=np.int64,
-                                       count=len(terms))),
-        })
-
     docs = docs.materialize()
     if n_docs is None:
         n_docs = docs.count()
-    df_tbl = combine(docs.map_batches(_doc_terms, batch_format="pyarrow"),
+    df_tbl = combine(docs.map_batches(_doc_freqs, batch_format="pyarrow"),
                      ["term"], sums_of("df")).materialize()
-    refs = df_tbl.to_arrow_refs()
-    from .taskcache import class_task
-    out = docs.map_batches(class_task(_TfIdfScore, refs, n_docs),
-                           batch_format="pyarrow")
-    # pin the DF blocks to the returned (lazy) pipeline: if the
-    # materialized dataset is GC'd before execution, an actor restart
-    # could find its constructor-arg refs freed (ray#53727)
-    out._graft_pin = df_tbl
-    return out
+    return broadcast_map(docs, _TfIdfScore, [df_tbl], n_docs)
 
 
 class _MarkCommonNgrams:
@@ -538,7 +513,6 @@ class _MarkCommonNgrams:
             if parts else np.empty(0, np.int64)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions import text as T
         texts = batch["text"].to_pandas()
         n = self.n
         clean, removed = [], []
@@ -586,7 +560,6 @@ def remove_common_ngrams(docs, *, n: int = 3, min_df: int = 50):
     the common set of a min_df this high stays small (boilerplate is by
     definition rare in TYPE count, huge in token count); were it not, a
     Bloom filter over the hashes ships instead — same plan shape."""
-    from ..functions import text as T
     from ..functions.hashing import stable_hash_array
 
     def _doc_grams(batch: pa.Table) -> pa.Table:
@@ -611,19 +584,13 @@ def remove_common_ngrams(docs, *, n: int = 3, min_df: int = 50):
         })
 
     def _common_only(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         return t.filter(pc.greater_equal(t["df"], min_df)).select(["gh"])
 
     docs = docs.materialize()
     common = combine(docs.map_batches(_doc_grams, batch_format="pyarrow"),
                      ["gh"], sums_of("df")) \
         .map_batches(_common_only, batch_format="pyarrow").materialize()
-    refs = common.to_arrow_refs()
-    from .taskcache import class_task
-    out = docs.map_batches(class_task(_MarkCommonNgrams, refs, n),
-                           batch_format="pyarrow")
-    out._graft_pin = common  # keep the blocks alive until execution
-    return out
+    return broadcast_map(docs, _MarkCommonNgrams, [common], n)
 
 
 def chunk_documents(docs, *, chunk_tokens: int = 64, stride: int = 48,
@@ -687,12 +654,11 @@ def quality_gate_summary(docs, *, min_tokens: int = 20,
             if n < min_tokens:
                 v = "too_short"
             else:
-                from collections import Counter
                 top = Counter(toks).most_common(1)[0][1]
                 if top / n > max_top_word_frac:
                     v = "repetitive"
                 else:
-                    words = T.WORD_RE.findall((txt or "").lower())
+                    words = T.words(txt)
                     nw = len(words)
                     stops = sum(w in T.STOPWORDS for w in words)
                     if nw == 0 or stops / nw < min_stop_ratio:
@@ -754,90 +720,96 @@ def token_budget_sample(docs, *, budget_tokens: int = 50_000):
                     "source", _take)
 
 
-# --- unigram language-model scoring ----------------------------------------
+# --- ordered log-weight scoring (unigram / bigram LM, DSIR) ------------------
 
-class _UnigramScore:
-    """Actor/task-cached scoring stage for :func:`unigram_logprob`: the
-    corpus unigram-count table ships once per worker (object refs); the
-    per-term log-probability ``log(count/N)`` is computed ONCE PER VOCAB
-    ENTRY with ``math.log`` — bit-identical to DuckDB ``ln`` (both call
-    libm; numpy's SIMD log differs by 1 ulp on ~20% of inputs, measured)
-    — and each document folds its tokens' log-probs LEFT TO RIGHT in
-    position order (``((lp₀+lp₁)+lp₂)…``), the exact operand order of
-    the oracle's ``list_reduce(list(lp ORDER BY pos), (a,b) -> a+b)``.
-    The fold runs position-major across the batch (one vector add per
-    position), never one Python loop per document."""
+class _LogWeightScore:
+    """Shared batch kernel of the task-cached log-weight scorers
+    (:class:`_UnigramScore`, :class:`_BigramScore`, :class:`_DsirScore`).
+    Each subclass's ``__init__`` builds ``self.w``, its gram → weight
+    dict, ONCE PER WORKER from broadcast count tables, with ``math.log``
+    per vocab entry — bit-identical to DuckDB ``ln`` (both call libm;
+    numpy's SIMD log differs by 1 ulp on ~20% of inputs, measured).
+    Its grams are the document's :func:`T.words` (``PAIRS`` False) or
+    their adjacent pairs (``PAIRS`` True), and ``NAMES`` are its three
+    output columns (gram count, weight sum, mean weight).
 
-    def __init__(self, cnt_refs, n_total: int,
-                 text_col="text", id_col="doc_id"):
-        import math
-        import re
+    Each document folds its grams' weights LEFT TO RIGHT in position
+    order (``((w₀+w₁)+w₂)…``), the exact operand order of the oracle's
+    ``list_reduce(list(w ORDER BY pos), (a,b) -> a+b)``.  The fold runs
+    position-major across the batch (one vector add per position), never
+    one Python loop per document.  Documents without a gram drop (no
+    unnest rows in the oracle)."""
 
-        tbls = nonempty_blocks(cnt_refs)
-        terms: list[str] = []
-        lps: list[float] = []
-        nt = float(n_total)
-        for t in tbls:
-            cs = t["cnt"].to_numpy(zero_copy_only=False).astype(np.float64)
-            terms.extend(t["term"].to_pylist())
-            # divide-then-log per vocab entry, both IEEE-exact ops
-            lps.extend(math.log(c / nt) for c in cs)
-        self.lp = dict(zip(terms, lps))
-        self.re = re.compile(r"[a-z]+")
-        self.text_col, self.id_col = text_col, id_col
+    PAIRS = False
+    NAMES = ("n_tok", "logprob", "avg_logprob")
+
+    def __init__(self, w: dict, text_col: str, id_col: str):
+        self.w, self.text_col, self.id_col = w, text_col, id_col
+
+    @classmethod
+    def empty(cls, id_col: str) -> pa.Table:
+        """The scorer's typed 0-row output."""
+        n, total, avg = cls.NAMES
+        return pa.table({id_col: pa.array([], pa.int64()),
+                         n: pa.array([], pa.int64()),
+                         total: pa.array([], pa.float64()),
+                         avg: pa.array([], pa.float64())})
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.rounding import round_half_away
         texts = batch[self.text_col].to_pandas()
         ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        lp = self.lp
-        toks: list[np.ndarray] = []
+        w = self.w
+        parts: list[np.ndarray] = []
         lens = np.zeros(len(texts), dtype=np.int64)
         for i, txt in enumerate(texts):
-            words = self.re.findall((txt or "").lower())
-            lens[i] = len(words)
-            if words:
-                toks.append(np.array([lp[w] for w in words],
-                                     dtype=np.float64))
+            grams = T.words(txt)
+            if self.PAIRS:
+                grams = list(zip(grams, grams[1:]))
+            lens[i] = len(grams)
+            if grams:
+                parts.append(np.array([w[g] for g in grams],
+                                      dtype=np.float64))
         keep = lens > 0
         ids, lens = ids[keep], lens[keep]
         if len(lens) == 0:
-            return pa.table({self.id_col: pa.array([], pa.int64()),
-                             "n_tok": pa.array([], pa.int64()),
-                             "logprob": pa.array([], pa.float64()),
-                             "avg_logprob": pa.array([], pa.float64())})
-        flat = np.concatenate(toks)
+            return self.empty(self.id_col)
+        flat = np.concatenate(parts)
         offs = np.r_[0, np.cumsum(lens)][:-1]
         acc = np.zeros(len(lens), dtype=np.float64)
         for j in range(int(lens.max())):
             m = lens > j
             acc[m] += flat[offs[m] + j]
+        n, total, avg = self.NAMES
         return pa.table({
             self.id_col: pa.array(ids),
-            "n_tok": pa.array(lens),
-            "logprob": pa.array(round_half_away(acc, 6)),
-            "avg_logprob": pa.array(
-                round_half_away(acc / lens.astype(np.float64), 6)),
-        })
+            n: pa.array(lens),
+            total: pa.array(round_half_away(acc, 6)),
+            avg: pa.array(round_half_away(acc / lens, 6))})
 
 
-def _vocab_count_partial(batch: pa.Table, text_col: str = "text") \
-        -> pa.Table:
-    """Batch-local (term, cnt) vocabulary partial — ALL occurrences of
-    the ``[a-z]+`` lowercased tokens (the convention every vocabulary
-    oracle replays with ``regexp_extract_all(lower(text), '[a-z]+')``).
-    Shared by :func:`unigram_logprob` and :func:`zipf_fit` so the two
-    queries can never tokenize differently."""
-    from collections import Counter
-    import re
-    word_re = re.compile(r"[a-z]+")
-    c: "Counter[str]" = Counter()
-    for txt in batch[text_col].to_pandas():
-        c.update(word_re.findall((txt or "").lower()))
-    return pa.table({
-        "term": pa.array(list(c.keys()), pa.string()),
-        "cnt": pa.array(np.fromiter(c.values(), dtype=np.int64,
-                                    count=len(c)))})
+class _UnigramScore(_LogWeightScore):
+    """Scorer of :func:`unigram_logprob`: each word weighs its corpus
+    log-probability ``ln(count/N)``."""
+
+    def __init__(self, cnt_refs, n_total: int,
+                 text_col="text", id_col="doc_id"):
+        nt = float(n_total)
+        lp: dict = {}
+        for t in nonempty_blocks(cnt_refs):
+            cs = t["cnt"].to_numpy(zero_copy_only=False).astype(np.float64)
+            # divide-then-log per vocab entry, both IEEE-exact ops
+            lp.update(zip(t["term"].to_pylist(),
+                          (math.log(c / nt) for c in cs)))
+        super().__init__(lp, text_col, id_col)
+
+
+def _vocab_counts(docs, text_col: str = "text"):
+    """The corpus ``(term, cnt)`` table: batch-local :func:`_term_counts`
+    partials summed by ONE |vocab|-row groupby (the token stream never
+    shuffles)."""
+    return combine(docs.map_batches(
+        _term_counts, fn_kwargs={"text_col": text_col},
+        batch_format="pyarrow"), ["term"], sums_of("cnt"))
 
 
 def unigram_logprob(docs, *, text_col="text", id_col="doc_id"):
@@ -853,31 +825,14 @@ def unigram_logprob(docs, *, text_col="text", id_col="doc_id"):
     calls per worker, not |tokens|).  Emits (doc_id, n_tok, logprob,
     avg_logprob); empty-token docs are dropped (no unnest rows in the
     oracle)."""
-    import functools
-
-    from .taskcache import class_task
-
     docs = docs.materialize()
-    cnt_tbl = combine(docs.map_batches(
-        functools.partial(_vocab_count_partial, text_col=text_col),
-        batch_format="pyarrow"), ["term"], sums_of("cnt")).materialize()
+    cnt_tbl = _vocab_counts(docs, text_col).materialize()
     total = cnt_tbl.sum("cnt")
     if total is None:                  # token-less corpus → typed empty
         import ray.data as rd
-        return rd.from_arrow(pa.table({
-            id_col: pa.array([], pa.int64()),
-            "n_tok": pa.array([], pa.int64()),
-            "logprob": pa.array([], pa.float64()),
-            "avg_logprob": pa.array([], pa.float64())}))
-    n_total = int(total)
-    refs = cnt_tbl.to_arrow_refs()
-    out = docs.map_batches(
-        class_task(_UnigramScore, refs, n_total,
-                   text_col=text_col, id_col=id_col),
-        batch_format="pyarrow")
-    # pin the count blocks to the returned lazy pipeline (ray#53727)
-    out._graft_pin = cnt_tbl
-    return out
+        return rd.from_arrow(_UnigramScore.empty(id_col))
+    return broadcast_map(docs, _UnigramScore, [cnt_tbl], int(total),
+                         text_col=text_col, id_col=id_col)
 
 
 # --- Zipf law fit over the corpus vocabulary ---------------------------------
@@ -892,9 +847,6 @@ class _ZipfClose:
     exact double expression order.  Fewer than 2 terms emit nothing."""
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import math
-
-        from ..functions.rounding import round_half_away
         empty = pa.table({"n_terms": pa.array([], pa.int64()),
                           "slope": pa.array([], pa.float64()),
                           "intercept": pa.array([], pa.float64())})
@@ -933,10 +885,7 @@ def zipf_fit(docs, *, top_k: int = 1000):
     libm-ln ``list_reduce`` oracle."""
     from .relational import topk_by
 
-    partials = docs.map_batches(_vocab_count_partial,
-                                batch_format="pyarrow")
-    totals = combine(partials, ["term"], sums_of("cnt"))
-    top = topk_by(totals, ["cnt", "term"], [True, False], top_k)
+    top = topk_by(_vocab_counts(docs), ["cnt", "term"], [True, False], top_k)
     return top.repartition(1).map_batches(
         _ZipfClose(), batch_format="pyarrow", batch_size=None)
 
@@ -951,13 +900,10 @@ class _PmiPresence:
     int64) — fixed-size mergeable output regardless of batch size."""
 
     def __init__(self, vocab_ref):
-        import re
-
         import ray
         vocab = ray.get(vocab_ref)
         self.k = len(vocab)
         self.index = {t: i for i, t in enumerate(vocab)}
-        self.rx = re.compile(r"[a-z]+")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         empty = pa.table({"i": pa.array([], pa.int64()),
@@ -967,7 +913,7 @@ class _PmiPresence:
         rows, cols = [], []
         for di, txt in enumerate(texts):
             seen = {self.index[t]
-                    for t in set(self.rx.findall((txt or "").lower()))
+                    for t in set(T.words(txt))
                     if t in self.index}
             rows.extend([di] * len(seen))
             cols.extend(seen)
@@ -997,9 +943,6 @@ class _PmiClose:
         self.min_cooc = min_cooc
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import math
-
-        from ..functions.rounding import round_half_away
         k = len(self.vocab)
         C = np.zeros((k, k), dtype=np.int64)
         i = t["i"].to_numpy()
@@ -1034,31 +977,16 @@ def pmi_pairs(docs, *, top_k: int = 50, min_cooc: int = 5):
     groupby; the close is k(k−1)/2 libm terms."""
     import ray
 
-    import re
-
-    word_re = re.compile(r"[a-z]+")
-
-    def _doc_terms(batch: pa.Table) -> pa.Table:
-        terms: dict[str, int] = {}
-        for txt in batch["text"].to_pandas():
-            for t in set(word_re.findall((txt or "").lower())):
-                terms[t] = terms.get(t, 0) + 1
-        return pa.table({
-            "term": pa.array(list(terms.keys()), pa.string()),
-            "df": pa.array(np.fromiter(terms.values(), dtype=np.int64,
-                                       count=len(terms)))})
-
     from .relational import topk_by
 
     docs = docs.materialize()
     n_docs = docs.count()
-    df_tbl = combine(docs.map_batches(_doc_terms, batch_format="pyarrow"),
+    df_tbl = combine(docs.map_batches(_doc_freqs, batch_format="pyarrow"),
                      ["term"], sums_of("df"))
     top = topk_by(df_tbl, ["df", "term"], [True, False], top_k) \
         .take_all()                     # ≤ top_k rows — driver-safe
     vocab = sorted(r["term"] for r in top)   # index order == string order
     ref = ray.put(vocab)
-    from .taskcache import class_task
     partials = docs.map_batches(class_task(_PmiPresence, ref),
                                 batch_format="pyarrow")
     summed = combine(partials, ["i", "j"], sums_of("c"))
@@ -1078,9 +1006,6 @@ class _SourceKlClose:
     (== the SQL ``list_reduce(list(term_v ORDER BY term))``)."""
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import math
-
-        from ..functions.rounding import round_half_away
         empty = pa.table({"source": pa.array([], pa.string()),
                           "n_tokens": pa.array([], pa.int64()),
                           "kl": pa.array([], pa.float64())})
@@ -1124,13 +1049,11 @@ class _SourceKlClose:
 def _source_term_cells(docs):
     """The shared (source, term) vocabulary-cells builder behind
     :func:`source_kl` and :func:`lexical_richness`: batch-local
-    :class:`TermFreqPartial` counts (THE one tokenizer — the token
-    stream never shuffles) with NULL sources dropped (out of scope),
-    summed to one (source, term, c) cell per pair."""
-    tf = TermFreqPartial()
-
+    :func:`_term_counts` by source (the one tokenizer, :func:`T.words`
+    — the token stream never shuffles) with NULL sources dropped (out
+    of scope), summed to one (source, term, c) cell per pair."""
     def _partial(batch: pa.Table) -> pa.Table:
-        out = tf(batch)
+        out = _term_counts(batch, by=("source",))
         return out.filter(pc.is_valid(out["source"]))
 
     return combine(docs.map_batches(_partial, batch_format="pyarrow"),
@@ -1159,7 +1082,6 @@ class _LexicalRichnessClose:
     divisions rounded 6dp)."""
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        from ..functions.rounding import round_half_away
         empty = pa.table({"source": pa.array([], pa.string()),
                           "n_tokens": pa.array([], pa.int64()),
                           "n_types": pa.array([], pa.int64()),
@@ -1194,8 +1116,8 @@ def lexical_richness(docs):
     share) — the vocabulary-health / synthetic-text smell test of
     training-data curation (template-generated text has a cratered
     TTR; boilerplate-free natural text keeps hapax share high).
-    Shares :func:`_source_term_cells` (one tokenizer, one cells
-    builder) with :func:`source_kl` / term_frequencies."""
+    Shares :func:`_source_term_cells` (the :func:`T.words` tokenizer,
+    one cells builder) with :func:`source_kl`."""
     return _source_term_cells(docs).repartition(1).map_batches(
         _LexicalRichnessClose(), batch_format="pyarrow", batch_size=None)
 
@@ -1205,15 +1127,11 @@ def lexical_richness(docs):
 def _bigram_count_partial(batch: pa.Table, text_col: str = "text") \
         -> pa.Table:
     """Batch-local ((w1, w2), cnt) partial over within-document adjacent
-    token pairs — same ``[a-z]+`` lowercased tokens as
-    :func:`_vocab_count_partial` so the bigram and unigram tables can
-    never tokenize differently."""
-    from collections import Counter
-    import re
-    word_re = re.compile(r"[a-z]+")
+    :func:`T.words` pairs — the tokenizer of the unigram table, so the
+    two tables can never tokenize differently."""
     c: "Counter[tuple]" = Counter()
     for txt in batch[text_col].to_pandas():
-        w = word_re.findall((txt or "").lower())
+        w = T.words(txt)
         c.update(zip(w, w[1:]))
     w1, w2 = ([], []) if not c else map(list, zip(*c.keys()))
     return pa.table({
@@ -1223,67 +1141,29 @@ def _bigram_count_partial(batch: pa.Table, text_col: str = "text") \
                                     count=len(c)))})
 
 
-class _BigramScore:
-    """Task-cached scoring stage for :func:`bigram_logprob`: the corpus
-    bigram and unigram count tables ship once per worker; the add-one
-    conditional log-probability ``ln((c(w1,w2)+1)/(c(w1)+V))`` is
-    computed ONCE PER BIGRAM-VOCAB ENTRY with ``math.log`` (libm ==
-    DuckDB ``ln``), and each document folds its pairs' log-probs left
-    to right in position order — the oracle's ``list_reduce`` operand
-    order — position-major across the batch."""
+class _BigramScore(_LogWeightScore):
+    """Scorer of :func:`bigram_logprob`: each adjacent word pair weighs
+    its add-one conditional log-probability
+    ``ln((c(w1,w2)+1)/(c(w1)+V))``."""
+
+    PAIRS = True
+    NAMES = ("n_pairs", "logprob", "avg_logprob")
 
     def __init__(self, bg_refs, uni_refs, v_size: int,
                  text_col="text", id_col="doc_id"):
-        import math
-        import re
-
         cu: dict = {}
         for t in nonempty_blocks(uni_refs):
             cu.update(zip(t["term"].to_pylist(),
                           t["cnt"].to_numpy(zero_copy_only=False)))
-        self.lp: dict = {}
+        lp: dict = {}
         v = int(v_size)
         for t in nonempty_blocks(bg_refs):
             w1s = t["w1"].to_pylist()
             w2s = t["w2"].to_pylist()
             cbs = t["cnt"].to_numpy(zero_copy_only=False)
             for w1, w2, cb in zip(w1s, w2s, cbs):
-                self.lp[(w1, w2)] = math.log(
-                    (int(cb) + 1) / (int(cu[w1]) + v))
-        self.re = re.compile(r"[a-z]+")
-        self.text_col, self.id_col = text_col, id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.rounding import round_half_away
-        texts = batch[self.text_col].to_pandas()
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        lp = self.lp
-        lps: list[np.ndarray] = []
-        lens = np.zeros(len(texts), dtype=np.int64)
-        for i, txt in enumerate(texts):
-            w = self.re.findall((txt or "").lower())
-            lens[i] = max(len(w) - 1, 0)
-            if len(w) > 1:
-                lps.append(np.array(
-                    [lp[p] for p in zip(w, w[1:])], dtype=np.float64))
-        keep = lens > 0
-        ids, lens = ids[keep], lens[keep]
-        if len(lens) == 0:
-            return pa.table({self.id_col: pa.array([], pa.int64()),
-                             "n_pairs": pa.array([], pa.int64()),
-                             "logprob": pa.array([], pa.float64()),
-                             "avg_logprob": pa.array([], pa.float64())})
-        flat = np.concatenate(lps)
-        offs = np.r_[0, np.cumsum(lens)][:-1]
-        acc = np.zeros(len(lens), dtype=np.float64)
-        for j in range(int(lens.max())):
-            m = lens > j
-            acc[m] += flat[offs[m] + j]
-        return pa.table({
-            self.id_col: pa.array(ids),
-            "n_pairs": pa.array(lens),
-            "logprob": pa.array(round_half_away(acc, 6)),
-            "avg_logprob": pa.array(round_half_away(acc / lens, 6))})
+                lp[(w1, w2)] = math.log((int(cb) + 1) / (int(cu[w1]) + v))
+        super().__init__(lp, text_col, id_col)
 
 
 def bigram_logprob(docs, *, text_col="text", id_col="doc_id"):
@@ -1298,33 +1178,17 @@ def bigram_logprob(docs, *, text_col="text", id_col="doc_id"):
     shuffles); both count tables broadcast once per worker; scoring is
     one vectorized position-major fold.  Docs with < 2 tokens drop
     (no pair rows in the oracle)."""
-    import functools
-
-    from .taskcache import class_task
-
     docs = docs.materialize()
     bg_tbl = combine(docs.map_batches(
-        functools.partial(_bigram_count_partial, text_col=text_col),
+        _bigram_count_partial, fn_kwargs={"text_col": text_col},
         batch_format="pyarrow"), ["w1", "w2"], sums_of("cnt")).materialize()
-    uni_tbl = combine(docs.map_batches(
-        functools.partial(_vocab_count_partial, text_col=text_col),
-        batch_format="pyarrow"), ["term"], sums_of("cnt")).materialize()
+    uni_tbl = _vocab_counts(docs, text_col).materialize()
     v_size = uni_tbl.count()
     if v_size == 0:
         import ray.data as rd
-        return rd.from_arrow(pa.table({
-            id_col: pa.array([], pa.int64()),
-            "n_pairs": pa.array([], pa.int64()),
-            "logprob": pa.array([], pa.float64()),
-            "avg_logprob": pa.array([], pa.float64())}))
-    out = docs.map_batches(
-        class_task(_BigramScore, bg_tbl.to_arrow_refs(),
-                   uni_tbl.to_arrow_refs(), v_size,
-                   text_col=text_col, id_col=id_col),
-        batch_format="pyarrow")
-    # pin the count blocks to the returned lazy pipeline (ray#53727)
-    out._graft_pin = (bg_tbl, uni_tbl)
-    return out
+        return rd.from_arrow(_BigramScore.empty(id_col))
+    return broadcast_map(docs, _BigramScore, [bg_tbl, uni_tbl], v_size,
+                         text_col=text_col, id_col=id_col)
 
 
 # --- BM25 retrieval -----------------------------------------------------------
@@ -1338,22 +1202,18 @@ BM25_K1, BM25_B = 1.2, 0.75
 def _bm25_tf_partial(batch: pa.Table, terms, text_col: str,
                      id_col: str) -> pa.Table:
     """Per-document length + query-term frequencies (one Counter pass
-    per doc, ``[a-z]+`` lowercased tokens) plus df indicator columns —
-    the mergeable sufficient statistics of BM25."""
-    from collections import Counter
-    import re
-    word_re = re.compile(r"[a-z]+")
+    per doc over its :func:`T.words`) plus df indicator columns — the
+    mergeable sufficient statistics of BM25."""
     texts = batch[text_col].to_pandas()
     n = len(texts)
     dl = np.zeros(n, dtype=np.int64)
     tfs = np.zeros((len(terms), n), dtype=np.int64)
     for i, txt in enumerate(texts):
-        c = Counter(word_re.findall((txt or "").lower()))
+        c = Counter(T.words(txt))
         dl[i] = sum(c.values())
         for j, term in enumerate(terms):
             tfs[j, i] = c.get(term, 0)
-    cols = {id_col: (batch[id_col] if n else pa.array([], pa.int64())),
-            "dl": pa.array(dl)}
+    cols = {id_col: batch[id_col], "dl": pa.array(dl)}
     for j, term in enumerate(terms):
         cols[f"tf_{j}"] = pa.array(tfs[j])
         cols[f"has_{j}"] = pa.array((tfs[j] > 0).astype(np.int64))
@@ -1373,8 +1233,6 @@ def bm25_topk(docs, *, terms=BM25_QUERY_TERMS, k: int = 10,
     with the per-term folds in fixed term order (the oracle's operand
     order), and top-k is per-block partial → single-block final — the
     full corpus is never sorted or collected."""
-    import math
-
     from ray.data.aggregate import Count, Sum
 
     from .relational import topk_by
@@ -1400,7 +1258,6 @@ def bm25_topk(docs, *, terms=BM25_QUERY_TERMS, k: int = 10,
     k1, b = BM25_K1, BM25_B
 
     def _score(t: pa.Table) -> pa.Table:
-        from ..functions.rounding import round_half_away
         dl = t["dl"].to_numpy(zero_copy_only=False).astype(np.float64)
         dln = dl / avgdl
         score = np.zeros(len(t))
@@ -1422,20 +1279,15 @@ def bm25_topk(docs, *, terms=BM25_QUERY_TERMS, k: int = 10,
 
 # --- DSIR importance weights --------------------------------------------------
 
-class _DsirScore:
-    """Task-cached scoring stage for :func:`dsir_weights`: the target
-    and raw unigram count tables ship once per worker; the per-term
-    log-ratio ``λ(w) = ln((c_t+1)/(N_t+V)) − ln((c_r+1)/(N_r+V))`` is
-    computed ONCE PER VOCAB ENTRY with ``math.log`` (libm == DuckDB
-    ``ln``), and each document folds its tokens' λs left to right in
-    position order — the oracle's ``list_reduce`` operand order —
-    position-major across the batch."""
+class _DsirScore(_LogWeightScore):
+    """Scorer of :func:`dsir_weights`: each word weighs its add-one
+    log-ratio ``λ(w) = ln((c_t+1)/(N_t+V)) − ln((c_r+1)/(N_r+V))`` of
+    the target vs the raw unigram model."""
+
+    NAMES = ("n_tok", "log_weight", "avg_log_weight")
 
     def __init__(self, raw_refs, tgt_refs, n_raw: int, n_tgt: int,
                  v_size: int, text_col="text", id_col="doc_id"):
-        import math
-        import re
-
         ct: dict = {}
         for t in nonempty_blocks(tgt_refs):
             ct.update(zip(t["term"].to_pylist(),
@@ -1443,45 +1295,13 @@ class _DsirScore:
         v = int(v_size)
         dt = float(n_tgt + v)
         dr = float(n_raw + v)
-        self.lam: dict = {}
+        lam: dict = {}
         for t in nonempty_blocks(raw_refs):
             for w, cr in zip(t["term"].to_pylist(),
                              t["cnt"].to_numpy(zero_copy_only=False)):
-                self.lam[w] = (math.log((int(ct.get(w, 0)) + 1) / dt)
-                               - math.log((int(cr) + 1) / dr))
-        self.re = re.compile(r"[a-z]+")
-        self.text_col, self.id_col = text_col, id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.rounding import round_half_away
-        texts = batch[self.text_col].to_pandas()
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        lam = self.lam
-        ls: list[np.ndarray] = []
-        lens = np.zeros(len(texts), dtype=np.int64)
-        for i, txt in enumerate(texts):
-            w = self.re.findall((txt or "").lower())
-            lens[i] = len(w)
-            if w:
-                ls.append(np.array([lam[x] for x in w], dtype=np.float64))
-        keep = lens > 0
-        ids, lens = ids[keep], lens[keep]
-        if len(lens) == 0:
-            return pa.table({self.id_col: pa.array([], pa.int64()),
-                             "n_tok": pa.array([], pa.int64()),
-                             "log_weight": pa.array([], pa.float64()),
-                             "avg_log_weight": pa.array([], pa.float64())})
-        flat = np.concatenate(ls)
-        offs = np.r_[0, np.cumsum(lens)][:-1]
-        acc = np.zeros(len(lens), dtype=np.float64)
-        for j in range(int(lens.max())):
-            m = lens > j
-            acc[m] += flat[offs[m] + j]
-        return pa.table({
-            self.id_col: pa.array(ids),
-            "n_tok": pa.array(lens),
-            "log_weight": pa.array(round_half_away(acc, 6)),
-            "avg_log_weight": pa.array(round_half_away(acc / lens, 6))})
+                lam[w] = (math.log((int(ct.get(w, 0)) + 1) / dt)
+                          - math.log((int(cr) + 1) / dr))
+        super().__init__(lam, text_col, id_col)
 
 
 def dsir_weights(docs, *, target_lang: str = "en", text_col="text",
@@ -1497,41 +1317,22 @@ def dsir_weights(docs, *, target_lang: str = "en", text_col="text",
     partials → two |vocab|-row groupbys (raw and target-filtered — the
     token stream never shuffles), both tables broadcast once per
     worker, scoring is one vectorized position-major fold."""
-    import functools
-
-    import pyarrow.compute as pc
-
-    from .taskcache import class_task
-
     docs = docs.materialize()
-    raw_tbl = combine(docs.map_batches(
-        functools.partial(_vocab_count_partial, text_col=text_col),
-        batch_format="pyarrow"), ["term"], sums_of("cnt")).materialize()
+    raw_tbl = _vocab_counts(docs, text_col).materialize()
 
     def _tgt_filter(t: pa.Table) -> pa.Table:
         return t.filter(pc.equal(t[lang_col], target_lang))
 
-    tgt_tbl = combine(
-        docs.map_batches(_tgt_filter, batch_format="pyarrow").map_batches(
-            functools.partial(_vocab_count_partial, text_col=text_col),
-            batch_format="pyarrow"), ["term"], sums_of("cnt")).materialize()
+    tgt_tbl = _vocab_counts(docs.map_batches(
+        _tgt_filter, batch_format="pyarrow"), text_col).materialize()
     v_size = raw_tbl.count()
     if v_size == 0:
         import ray.data as rd
-        return rd.from_arrow(pa.table({
-            id_col: pa.array([], pa.int64()),
-            "n_tok": pa.array([], pa.int64()),
-            "log_weight": pa.array([], pa.float64()),
-            "avg_log_weight": pa.array([], pa.float64())}))
+        return rd.from_arrow(_DsirScore.empty(id_col))
     n_raw = int(raw_tbl.sum("cnt") or 0)
     n_tgt = int(tgt_tbl.sum("cnt") or 0) if tgt_tbl.count() else 0
-    out = docs.map_batches(
-        class_task(_DsirScore, raw_tbl.to_arrow_refs(),
-                   tgt_tbl.to_arrow_refs(), n_raw, n_tgt, v_size,
-                   text_col=text_col, id_col=id_col),
-        batch_format="pyarrow")
-    out._graft_pin = (raw_tbl, tgt_tbl)
-    return out
+    return broadcast_map(docs, _DsirScore, [raw_tbl, tgt_tbl], n_raw,
+                         n_tgt, v_size, text_col=text_col, id_col=id_col)
 
 
 # --- character entropy ---------------------------------------------------------
@@ -1545,10 +1346,6 @@ def char_entropy_batch(batch: pa.Table, text_col="text",
     Σ folded LEFT OVER CHARS IN CODEPOINT ORDER via ``math.log``
     (UTF-8 byte order == codepoint order, so DuckDB's ``ORDER BY ch``
     sees the identical sequence).  Empty texts drop."""
-    import math
-    from collections import Counter
-
-    from ..functions.rounding import round_half_away
     texts = batch[text_col].to_pandas()
     ids, n_cp, n_distinct, ent = [], [], [], []
     id_arr = batch[id_col].to_numpy(zero_copy_only=False)
@@ -1595,9 +1392,6 @@ class _HeapsClose:
     slope/intercept in the zipf_fit expression order."""
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import math
-
-        from ..functions.rounding import round_half_away
         empty = pa.table({"n_points": pa.array([], pa.int64()),
                           "beta": pa.array([], pa.float64()),
                           "ln_k": pa.array([], pa.float64())})
@@ -1642,16 +1436,11 @@ def heaps_law(docs, *, text_col="text", id_col="doc_id"):
     shuffles); new-term counts collapse to |docs| rows; only the tiny
     (doc_id, n_tok, new_terms) table crosses to the single-block
     ordered close."""
-    import functools
-
     docs = docs.materialize()
 
     def _tok_totals(batch: pa.Table) -> pa.Table:
-        import re
-        word_re = re.compile(r"[a-z]+")
         texts = batch[text_col].to_pandas()
-        nt = np.fromiter((len(word_re.findall((x or "").lower()))
-                          for x in texts), dtype=np.int64,
+        nt = np.fromiter((len(T.words(x)) for x in texts), dtype=np.int64,
                          count=len(texts))
         keep = nt > 0
         ids = batch[id_col].to_numpy(zero_copy_only=False)[keep]
@@ -1662,12 +1451,10 @@ def heaps_law(docs, *, text_col="text", id_col="doc_id"):
                                            dtype=np.int64))})
 
     def _first_doc_partial(batch: pa.Table) -> pa.Table:
-        import re
-        word_re = re.compile(r"[a-z]+")
         first: dict = {}
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         for d, txt in zip(ids, batch[text_col].to_pandas()):
-            for w in word_re.findall((txt or "").lower()):
+            for w in T.words(txt):
                 cur = first.get(w)
                 if cur is None or d < cur:
                     first[w] = d
@@ -1681,7 +1468,6 @@ def heaps_law(docs, *, text_col="text", id_col="doc_id"):
         ["term"], [("fdoc", "min", "fdoc")])
 
     def _new_counts(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         g = t.group_by("fdoc").aggregate([("fdoc", "count")])
         return pa.table({
             id_col: g["fdoc"],
@@ -1694,7 +1480,6 @@ def heaps_law(docs, *, text_col="text", id_col="doc_id"):
                        sums_of("n_tok", "new_terms"))
 
     def _only_token_docs(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         return t.filter(pc.greater(t["n_tok"], 0))
 
     return combined.map_batches(_only_token_docs,
@@ -1709,14 +1494,11 @@ def heaps_law(docs, *, text_col="text", id_col="doc_id"):
 def _ngram_count_partial(batch: pa.Table, max_n: int,
                          text_col: str) -> pa.Table:
     """Batch-local ((n, gram), cnt) partials for n = 1..max_n over the
-    ``[a-z]+`` lowercased tokens — the vocabulary-family tokenizer, so
+    :func:`T.words` tokens — the vocabulary-family tokenizer, so
     distinct-n and the vocab ops can never tokenize differently."""
-    from collections import Counter
-    import re
-    word_re = re.compile(r"[a-z]+")
     c: "Counter[tuple]" = Counter()
     for txt in batch[text_col].to_pandas():
-        w = word_re.findall((txt or "").lower())
+        w = T.words(txt)
         for n in range(1, max_n + 1):
             for i in range(len(w) - n + 1):
                 c[(n, " ".join(w[i:i + n]))] += 1
@@ -1736,17 +1518,14 @@ def distinct_ngrams(docs, *, max_n: int = 3, text_col="text"):
     Scale shape: batch-local (n, gram) count partials → ONE
     |gram-vocab|-row groupby → a max_n-row reduce; the token stream
     never shuffles and nothing reaches the driver."""
-    import functools
-
     merged = combine(docs.map_batches(
-        functools.partial(_ngram_count_partial, max_n=max_n,
-                          text_col=text_col),
+        _ngram_count_partial,
+        fn_kwargs={"max_n": max_n, "text_col": text_col},
         batch_format="pyarrow"), ["n", "gram"], sums_of("cnt"))
     per_n = combine(merged, ["n"], [("cnt", "sum", "total"),
                                     ([], "count_all", "n_distinct")])
 
     def _close(t: pa.Table) -> pa.Table:
-        from ..functions.rounding import round_half_away
         tot = t["total"].to_numpy(zero_copy_only=False).astype(np.int64)
         nd = t["n_distinct"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -1768,23 +1547,19 @@ class _OovScore:
     outside it — integer counts, one rounded division."""
 
     def __init__(self, vocab_refs, text_col="text", id_col="doc_id"):
-        import re
-
         vocab: set = set()
         for t in nonempty_blocks(vocab_refs):
             vocab.update(t["term"].to_pylist())
         self.vocab = vocab
-        self.re = re.compile(r"[a-z]+")
         self.text_col, self.id_col = text_col, id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.rounding import round_half_away
         texts = batch[self.text_col].to_pandas()
         ids = batch[self.id_col].to_numpy(zero_copy_only=False)
         voc = self.vocab
         out_id, out_n, out_o = [], [], []
         for i, txt in enumerate(texts):
-            w = self.re.findall((txt or "").lower())
+            w = T.words(txt)
             if not w:
                 continue
             out_id.append(ids[i])
@@ -1807,23 +1582,13 @@ def oov_rate(docs, *, top_k: int = 1000, text_col="text",
     screen.  One |vocab|-row count groupby → distributed top-K →
     broadcast set → vectorized scoring; the token stream never
     shuffles."""
-    import functools
-
     from .relational import topk_by
-    from .taskcache import class_task
 
     docs = docs.materialize()
-    cnt = combine(docs.map_batches(
-        functools.partial(_vocab_count_partial, text_col=text_col),
-        batch_format="pyarrow"), ["term"], sums_of("cnt"))
-    top = topk_by(cnt, ["cnt", "term"], [True, False], top_k) \
-        .select_columns(["term"]).materialize()
-    out = docs.map_batches(
-        class_task(_OovScore, top.to_arrow_refs(),
-                   text_col=text_col, id_col=id_col),
-        batch_format="pyarrow")
-    out._graft_pin = top
-    return out
+    top = topk_by(_vocab_counts(docs, text_col), ["cnt", "term"],
+                  [True, False], top_k).select_columns(["term"]).materialize()
+    return broadcast_map(docs, _OovScore, [top],
+                         text_col=text_col, id_col=id_col)
 
 
 # --- temperature-scaled source mixing weights -----------------------------------
@@ -1841,9 +1606,6 @@ def source_mix_weights(docs, *, alpha: float = 0.7,
     counts = combine(docs, [source_col], [([], "count_all", "n_docs")])
 
     def _close(t: pa.Table) -> pa.Table:
-        import math
-
-        from ..functions.rounding import round_half_away
         empty = pa.table({
             source_col: pa.array([], pa.string()),
             "n_docs": pa.array([], pa.int64()),
@@ -1922,24 +1684,19 @@ def vocab_overlap_sources(docs, *, text_col="text",
     (i, j) Sum groupby → single-block Jaccard close.  The source
     domain is bounded BY CONTRACT (it is the mixture's partition
     key)."""
-    import functools
-
     import ray
 
-    from .taskcache import class_task
     from .joins import partition_groups
 
     docs = docs.materialize()
 
     def _cells(batch: pa.Table) -> pa.Table:
-        import re
-        word_re = re.compile(r"[a-z]+")
         out: set = set()
         srcs = batch[source_col].to_pylist()
         for s, txt in zip(srcs, batch[text_col].to_pandas()):
             if s is None:
                 continue
-            for t in set(word_re.findall((txt or "").lower())):
+            for t in set(T.words(txt)):
                 out.add((s, t))
         ss, ts = ([], []) if not out else map(list, zip(*out))
         return pa.table({"source": pa.array(ss, pa.string()),
@@ -1959,7 +1716,6 @@ def vocab_overlap_sources(docs, *, text_col="text",
     summed = combine(partials, ["i", "j"], sums_of("c"))
 
     def _close(t: pa.Table) -> pa.Table:
-        from ..functions.rounding import round_half_away
         i = t["i"].to_numpy(zero_copy_only=False).astype(np.int64)
         j = t["j"].to_numpy(zero_copy_only=False).astype(np.int64)
         c = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -1935,6 +1935,15 @@ def test_unigram_score_kernel_fold_order():
     assert out.loc[10, "avg_logprob"] == round(want / 3.0, 6)
     assert out.loc[11, "logprob"] == round(lp["cc"], 6)
     assert 12 not in out.index          # no [a-z]+ tokens
+    # words(): the [a-z]+ runs of lower(text); digits, '_' and
+    # non-ASCII letters split words, NULL has none
+    from series_correction_project_updated_ray.functions.text import words
+    for text, want in [(None, []), ("", []), ("123 !!", []),
+                       ("The CAT sat", ["the", "cat", "sat"]),
+                       ("a1b 22 c_d", ["a", "b", "c", "d"]),
+                       ("naïve ÜBER Straße", ["na", "ve", "ber", "stra",
+                                              "e"])]:
+        assert words(text) == want, text
 
 
 def test_unigram_logprob_ray_end_to_end(ray_session):
@@ -1955,6 +1964,50 @@ def test_unigram_logprob_ray_end_to_end(ray_session):
     cols = sorted(got.columns)
     got = got[cols].sort_values("doc_id").reset_index(drop=True)
     want = want[cols].sort_values("doc_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def _docs_oracle_frame(name, got):
+    """The sf0.001 oracle of query ``name`` and ``got``, both with
+    sorted columns and rows, for an exact frame comparison."""
+    import duckdb
+
+    import __ray_entry__ as E
+    sf = "/root/testdata/sf0.001/documents.parquet"
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM '{sf}'")
+    want = con.execute(E.oracle_sql()[name]).df()
+    cols = sorted(got.columns)
+    return [f[cols].sort_values(cols).reset_index(drop=True)
+            for f in (got, want)]
+
+
+def test_term_frequencies_ray_end_to_end(ray_session):
+    """Dataset-level term_frequencies over sf0.001 equals the SQL
+    oracle (the by-source term-count partials + distributed top-k)."""
+    import ray.data as rd
+    from series_correction_project_updated_ray.stages.textstage import (
+        term_frequencies)
+    sf = "/root/testdata/sf0.001/documents.parquet"
+    got = term_frequencies(rd.read_parquet(sf, columns=["source", "text"]),
+                           top_k=20).to_pandas()
+    got, want = _docs_oracle_frame("term_frequencies", got)
+    assert len(got) > 20
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_pmi_pairs_ray_end_to_end(ray_session):
+    """Dataset-level pmi_pairs over sf0.001 equals the SQL oracle (the
+    document-frequency partials pick the vocabulary, the presence
+    partials count the pairs)."""
+    import ray.data as rd
+    from series_correction_project_updated_ray.stages.textstage import (
+        pmi_pairs)
+    sf = "/root/testdata/sf0.001/documents.parquet"
+    got = pmi_pairs(rd.read_parquet(sf, columns=["text"]), top_k=50,
+                    min_cooc=5).to_pandas()
+    got, want = _docs_oracle_frame("pmi_pairs", got)
+    assert len(got) > 0
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
