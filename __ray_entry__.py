@@ -295,8 +295,10 @@ def _compressed_segments(compress_series, sf_dir: str):
 
 
 def _simhash(stage, sf_dir: str):
+    from series_correction_project_updated_ray.stages.taskcache import (
+        class_task)
     return _read(sf_dir, *DOCS).map_batches(
-        stage, batch_format="pyarrow", concurrency=2
+        class_task(stage), batch_format="pyarrow"
     ).select_columns(["doc_id", "simhash"])
 
 

@@ -93,7 +93,8 @@ def quality_features(texts: pd.Series) -> dict[str, np.ndarray]:
     # RE2 (the DuckDB oracle) scans UTF-8 bytes, so a [^\w\s] class would
     # diverge on any non-ASCII character — a closed ASCII set cannot
     n_punct = texts.str.count(r"[!-/:-@\[-`{-~]").fillna(0).to_numpy(np.int64)
-    stop = words.map(lambda ws: sum(w in STOPWORDS for w in ws)).to_numpy(np.int64)
+    stop = words.map(lambda ws: sum(w in STOPWORDS for w in ws),
+                     na_action="ignore").fillna(0).to_numpy(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         punct_ratio = np.where(n_chars > 0, n_punct / np.maximum(n_chars, 1), 0.0)
         stop_ratio = np.where(n_words > 0, stop / np.maximum(n_words, 1), 0.0)

@@ -22,16 +22,24 @@ orders of magnitude smaller than the corpus).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .joins import partition_groups
+from .joins import (_segment_starts, gather_join, hash_join,
+                    partition_groups, semi_join)
+from .relational import topk_by
 from .rollup import combine, sums_of
-from .taskcache import nonempty_blocks
+from .similarity import _vec_matrix
+from .taskcache import class_task, nonempty_blocks
 from ..functions.hashing import (minhash_signatures, simhash64,
                                  stable_hash_array)
-from ..functions.text import char_ngram_shingles
+from ..functions.rounding import round_half_away
+from ..functions.text import (BPE_RE, RE2_WS_RE, char_ngram_shingles,
+                              rolling_fingerprint)
 
 
 # --- exact dedup -----------------------------------------------------------
@@ -66,7 +74,9 @@ class MinHashBands:
 
     def __init__(self, text_col="text", id_col="doc_id", num_perm=128,
                  bands=16, ngram=5, seed=1234):
-        assert num_perm % bands == 0
+        if num_perm % bands:
+            raise ValueError(f"MinHashBands: num_perm={num_perm} is not a "
+                             f"multiple of bands={bands}")
         self.text_col, self.id_col = text_col, id_col
         self.num_perm, self.bands, self.ngram, self.seed = num_perm, bands, ngram, seed
         self.rows_per_band = num_perm // bands
@@ -105,8 +115,8 @@ def _partition_pairs(g: pd.DataFrame, id_col: str,
     a hot-bucket bound: an m-member bucket emits m²/2 pairs, so one
     ubiquitous key would otherwise dominate the pair set.
 
-    When ``threshold`` is given AND the rows carry set-size / prefix-
-    position metadata (``__n`` / ``__pos`` from :class:`ShingleRows`),
+    When ``threshold`` is given (the rows then carry the set-size /
+    prefix-position metadata ``__n`` / ``__pos`` of :class:`ShingleRows`),
     two recall-EXACT PPJoin filters (Xiao et al. 2008) prune pairs that
     provably cannot reach Jaccard ``t`` — essential on low-entropy
     corpora where every document shares some prefix shingle and the
@@ -126,21 +136,16 @@ def _partition_pairs(g: pd.DataFrame, id_col: str,
     bh = g["band_hash"].to_numpy()
     order = np.lexsort((ids, bh, bi))
     bi, bh, ids = bi[order], bh[order], ids[order]
-    filt = threshold is not None and "__n" in g and "__pos" in g
-    if filt:
+    if threshold is not None:
         nn = g["__n"].to_numpy()[order].astype(np.int64)
         pp = g["__pos"].to_numpy()[order].astype(np.int64)
-    change = np.ones(len(ids), dtype=bool)
-    if len(ids) > 1:
-        change[1:] = (bi[1:] != bi[:-1]) | (bh[1:] != bh[:-1])
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], len(ids))
+    starts, ends = _segment_starts(bi, bh)
     keep = ends - starts >= 2
     if max_run is not None:
         keep &= ends - starts <= max_run
     a_out, b_out = [], []
     for s, e in zip(starts[keep], ends[keep]):
-        if filt:
+        if threshold is not None:
             # size-ordered window emission: with run members ascending in
             # set size, the length filter's survivors of member i are a
             # CONTIGUOUS range (i, hi_i) — build exactly those pairs
@@ -242,8 +247,6 @@ def connected_components_distributed(pairs, *, max_rounds: int = 16,
         batch_format="pyarrow"), ["node"], _MIN_LABEL) \
         .repartition(n_blocks).materialize()
 
-    from .joins import hash_join
-
     def _pairs(name_a, name_b):
         # cast back to int64 every round: the join's null padding round-trips
         # through pandas, which would otherwise float-ify the key column and
@@ -339,21 +342,13 @@ def doc_shingle_arrays(docs, *, text_col="text", id_col="doc_id", ngram=5):
     return docs.map_batches(_arrays, batch_format="pyarrow")
 
 
-def join_pair_shingles(cands, docs, *, text_col="text", id_col="doc_id",
-                       ngram=5, arrays=None):
+def join_pair_shingles(cands, arrays, *, id_col="doc_id"):
     """Co-locate each candidate pair with its two pre-computed shingle
-    arrays (``__sh_a`` / ``__sh_b``) via two Arrow-native gather joins
+    arrays (``__sh_a`` / ``__sh_b``, from the (id, ``__sh``) dataset
+    ``arrays``) via two Arrow-native gather joins
     (:func:`~.joins.gather_join` — the list payloads never round-trip
     through pandas) — the verify downstream is a pure sorted-array
-    intersection, no re-shingling.  Pass ``arrays`` (a materialized (id, __sh) dataset,
-    e.g. the pair-involved subset) to reuse already-computed shingles
-    instead of re-shingling the corpus."""
-    from .joins import gather_join
-
-    if arrays is None:
-        arrays = doc_shingle_arrays(docs, text_col=text_col,
-                                    id_col=id_col, ngram=ngram) \
-            .materialize()
+    intersection, no re-shingling."""
     with_a = gather_join(cands, arrays, "id_a", id_col, ["__sh"],
                          attach_as={"__sh": "__sh_a"})
     return gather_join(with_a, arrays, "id_b", id_col, ["__sh"],
@@ -372,13 +367,38 @@ def _popcount_rows(v: np.ndarray) -> np.ndarray:
     return v.sum(axis=1, dtype=np.int64)
 
 
+# the bitmap fast path of VerifyJaccardBroadcast: at most 2^17 vocabulary
+# bits (16 KiB) per document and 256 MiB for the whole matrix
+_BITMAP_VOCAB_CAP = 1 << 17
+_BITMAP_MEM_CAP = 256 << 20
+
+
+def _set_jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    """Jaccard similarity of two sorted unique int64 shingle sets (two
+    empty sets are identical: 1.0)."""
+    inter = np.intersect1d(a, b, assume_unique=True).size
+    union = a.size + b.size - inter
+    return (inter / union) if union else 1.0
+
+
+def _similar_pairs(t: pa.Table, sims: np.ndarray, threshold) -> pa.Table:
+    """``(id_a, id_b, jaccard)`` of the pairs in ``t`` whose raw
+    similarity reaches ``threshold``, emitted half-away-rounded to 6
+    places — the one output contract of both verify plans."""
+    keep = sims >= threshold
+    out = t.select(["id_a", "id_b"]).filter(pa.array(keep))
+    return out.append_column(
+        "jaccard", pa.array(round_half_away(sims[keep], 6)))
+
+
 class VerifyJaccardBroadcast:
-    """Actor-pool verifier over BROADCAST shingle arrays: each actor
-    ``ray.get``s the shared array blocks once in ``__init__`` (object
-    refs travel in the constructor args — the map never touches the
-    driver) and verifies candidate pairs with C-speed sorted-set
+    """Verifier over BROADCAST shingle arrays, mapped through
+    :func:`~.taskcache.class_task` (one instance per worker): the
+    instance ``ray.get``s the shared array blocks once in ``__init__``
+    (object refs travel in the constructor args — the map never touches
+    the driver) and verifies candidate pairs with C-speed sorted-set
     intersections.  Used when the candidate-involved documents' arrays
-    fit the broadcast cap; past it, :func:`ngram_jaccard_pairs` falls
+    fit the broadcast cap; past it, :func:`exact_jaccard_verify` falls
     back to the gather-join plan.
 
     When the involved documents' COMBINED vocabulary is small (low-
@@ -387,34 +407,26 @@ class VerifyJaccardBroadcast:
     bitmap over the sorted vocabulary and ``__call__`` verifies whole
     pair batches vectorized: ``popcount(bm[a] & bm[b])`` via SWAR
     uint64 ops, identical integers to the per-pair ``intersect1d`` loop.
-    Caps (``vocab ≤ 2^17`` bits = 16 KiB/doc, matrix ≤ 256 MiB) keep the
-    fast path memory-bounded; past them the loop path runs unchanged."""
+    ``_BITMAP_VOCAB_CAP`` and ``_BITMAP_MEM_CAP`` keep the fast path
+    memory-bounded; past them the loop path runs unchanged."""
 
-    def __init__(self, refs, id_col="doc_id", threshold=0.8,
-                 bitmap_vocab_cap: int = 1 << 17,
-                 bitmap_mem_cap: int = 256 << 20):
-        from ..functions.rounding import round_half_away
+    def __init__(self, refs, id_col="doc_id", threshold=0.8):
         self.threshold = threshold
-        self._round = round_half_away
         self._sh: dict = {}
         for tbl in nonempty_blocks(refs):
             ids = tbl[id_col].to_pandas().to_numpy()
-            col = tbl["__sh"]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
+            col = tbl["__sh"].combine_chunks()
             vals = col.values.to_numpy(zero_copy_only=False)
             offs = col.offsets.to_numpy()
             for i, d in enumerate(ids):
                 self._sh[d] = vals[offs[i]:offs[i + 1]]
         self._bm = None
         if self._sh:
-            vocab = np.unique(np.concatenate(list(self._sh.values()))) \
-                if any(a.size for a in self._sh.values()) \
-                else np.empty(0, np.int64)
+            vocab = np.unique(np.concatenate(list(self._sh.values())))
             row_bytes = (vocab.size + 7) // 8
             row_words = (row_bytes + 7) // 8
-            if vocab.size and vocab.size <= bitmap_vocab_cap \
-                    and len(self._sh) * row_words * 8 <= bitmap_mem_cap:
+            if vocab.size and vocab.size <= _BITMAP_VOCAB_CAP \
+                    and len(self._sh) * row_words * 8 <= _BITMAP_MEM_CAP:
                 bm = np.zeros((len(self._sh), row_words * 8),
                               dtype=np.uint8)
                 doc_ids, ns = [], []
@@ -429,18 +441,11 @@ class VerifyJaccardBroadcast:
                 self._bm_index = pd.Index(np.array(doc_ids))
                 self._bm_n = np.array(ns, dtype=np.int64)
 
-    def _sims_loop(self, ia, ib, sims, rows):
-        sh = self._sh
-        for i in rows:
-            a, b = sh[ia[i]], sh[ib[i]]
-            inter = np.intersect1d(a, b, assume_unique=True).size
-            union = a.size + b.size - inter
-            sims[i] = (inter / union) if union else 1.0
-
     def __call__(self, t: pa.Table) -> pa.Table:
         ia = t["id_a"].to_pandas().to_numpy()
         ib = t["id_b"].to_pandas().to_numpy()
         sims = np.empty(len(t), dtype=np.float64)
+        loop = range(len(t))
         if self._bm is not None:
             ra = self._bm_index.get_indexer(ia)
             rb = self._bm_index.get_indexer(ib)
@@ -457,74 +462,28 @@ class VerifyJaccardBroadcast:
                 union = self._bm_n[a] + self._bm_n[b] - inter
                 sims[sel] = np.where(union > 0,
                                      inter / np.maximum(union, 1), 1.0)
-            if not ok.all():
-                self._sims_loop(ia, ib, sims, np.flatnonzero(~ok))
-        else:
-            self._sims_loop(ia, ib, sims, range(len(t)))
-        keep = sims >= self.threshold
-        out = t.select(["id_a", "id_b"]).filter(pa.array(keep))
-        return out.append_column(
-            "jaccard", pa.array(self._round(sims[keep], 6)))
-
-
-_VERIFY_CACHE: dict = {}
-# broadcast arrays + bitmap can be hundreds of MB per entry, so keep the
-# bound tight — but >1 so two verify stages interleaving on one worker
-# (e.g. minhash + ngram pipelines in the same bench run) don't rebuild
-# the broadcast state on every alternating batch
-_VERIFY_CACHE_MAX = 2
-
-
-def _verify_broadcast_task(t: pa.Table, *, _refs, _id_col, _threshold
-                           ) -> pa.Table:
-    """Task-mode wrapper around :class:`VerifyJaccardBroadcast`: one
-    verifier instance per (refs, threshold) PER WORKER PROCESS — the
-    first task on a worker pays the broadcast ``ray.get`` (zero-copy
-    from the local object store) and the bitmap build; later tasks on
-    that worker reuse it, so the stage gets actor-style state on warm
-    task workers.  The cache is LRU-bounded by entry count (not
-    cleared wholesale on a key miss) so interleaved verify stages
-    keep their state."""
-    key = (tuple(r.hex() for r in _refs), _id_col, _threshold)
-    v = _VERIFY_CACHE.get(key)
-    if v is None:
-        while len(_VERIFY_CACHE) >= _VERIFY_CACHE_MAX:
-            _VERIFY_CACHE.pop(next(iter(_VERIFY_CACHE)))
-        v = VerifyJaccardBroadcast(list(_refs), _id_col, _threshold)
-        _VERIFY_CACHE[key] = v
-    else:
-        _VERIFY_CACHE[key] = _VERIFY_CACHE.pop(key)  # LRU: move to back
-    return v(t)
+            loop = np.flatnonzero(~ok)
+        for i in loop:
+            sims[i] = _set_jaccard(self._sh[ia[i]], self._sh[ib[i]])
+        return _similar_pairs(t, sims, self.threshold)
 
 
 def verify_jaccard_arrays(with_sh, *, threshold=0.8):
     """Task-parallel exact-Jaccard verify over co-located shingle arrays:
-    per pair, one C-speed ``np.intersect1d`` over the two sorted unique
-    int64 sets read zero-copy from the Arrow list buffers.  Same output
-    contract as :class:`VerifyJaccardBroadcast` (threshold the raw similarity,
-    emit half-away-rounded values)."""
-    from ..functions.rounding import round_half_away
-
+    per pair, one :func:`_set_jaccard` over the two sorted unique int64
+    sets read zero-copy from the Arrow list buffers; the same output
+    contract as :class:`VerifyJaccardBroadcast` (:func:`_similar_pairs`)."""
     def _verify(t: pa.Table) -> pa.Table:
-        sims = np.empty(len(t), dtype=np.float64)
-        la = t["__sh_a"].combine_chunks() if isinstance(
-            t["__sh_a"], pa.ChunkedArray) else t["__sh_a"]
-        lb = t["__sh_b"].combine_chunks() if isinstance(
-            t["__sh_b"], pa.ChunkedArray) else t["__sh_b"]
+        la = t["__sh_a"].combine_chunks()
+        lb = t["__sh_b"].combine_chunks()
         va = la.values.to_numpy(zero_copy_only=False)
         vb = lb.values.to_numpy(zero_copy_only=False)
         oa = la.offsets.to_numpy()
         ob = lb.offsets.to_numpy()
-        for i in range(len(t)):
-            a = va[oa[i]:oa[i + 1]]
-            b = vb[ob[i]:ob[i + 1]]
-            inter = np.intersect1d(a, b, assume_unique=True).size
-            union = a.size + b.size - inter
-            sims[i] = (inter / union) if union else 1.0
-        keep = sims >= threshold
-        out = t.select(["id_a", "id_b"]).filter(pa.array(keep))
-        return out.append_column(
-            "jaccard", pa.array(round_half_away(sims[keep], 6)))
+        sims = np.fromiter(
+            (_set_jaccard(va[oa[i]:oa[i + 1]], vb[ob[i]:ob[i + 1]])
+             for i in range(len(t))), dtype=np.float64, count=len(t))
+        return _similar_pairs(t, sims, threshold)
     _verify.__name__ = "verify_jaccard_arrays"
 
     return with_sh.map_batches(_verify, batch_format="pyarrow")
@@ -537,17 +496,13 @@ def verify_jaccard_arrays(with_sh, *, threshold=0.8):
 _CC_DRIVER_PAIR_BUDGET = 20_000_000
 
 
-def _cluster_pairs(verified, distributed_cc: bool | None) -> pd.DataFrame:
+def _cluster_pairs(verified) -> pd.DataFrame:
     """Label verified pair Dataset → (doc_id, cluster_id) pandas frame,
-    auto-routing on pair count: ``distributed_cc=None`` (default) picks
-    the distributed log-round propagation when the verified-pair count
-    exceeds ``_CC_DRIVER_PAIR_BUDGET``, else the faster driver-side
-    union-find; True/False force a path.  Both paths are
-    equivalence-tested."""
+    routed on pair count: the distributed log-round propagation when the
+    verified-pair count exceeds ``_CC_DRIVER_PAIR_BUDGET``, else the
+    faster driver-side union-find.  Both paths are equivalence-tested."""
     verified = verified.materialize()
-    if distributed_cc is None:
-        distributed_cc = verified.count() > _CC_DRIVER_PAIR_BUDGET
-    if distributed_cc:
+    if verified.count() > _CC_DRIVER_PAIR_BUDGET:
         return connected_components_distributed(
             verified.map_batches(
                 lambda t: t.select(["id_a", "id_b"]),
@@ -556,15 +511,14 @@ def _cluster_pairs(verified, distributed_cc: bool | None) -> pd.DataFrame:
 
 
 def minhash_lsh_dedup(docs, *, text_col="text", id_col="doc_id",
-                      num_perm=128, bands=16, ngram=5, threshold=0.8,
-                      distributed_cc: bool | None = None):
+                      num_perm=128, bands=16, ngram=5, threshold=0.8):
     """Full near-dup pipeline → pandas (doc_id, cluster_id) for docs that
     belong to a near-duplicate cluster (singletons omitted).
 
-    The final labeling auto-routes (see :func:`_cluster_pairs`):
+    The final labeling routes on pair count (see :func:`_cluster_pairs`):
     driver-side union-find while the verified pairs fit a driver budget,
     log-round min-label propagation over the pair Dataset past it (the
-    100 TB path); ``distributed_cc`` forces a path.
+    100 TB path).
 
     The verify stage never materializes anything on the driver: the
     pair-involved documents' shingle arrays either broadcast through the
@@ -574,16 +528,10 @@ def minhash_lsh_dedup(docs, *, text_col="text", id_col="doc_id",
     bands_ds = docs.map_batches(
         MinHashBands(text_col, id_col, num_perm, bands, ngram),
         batch_format="pyarrow")
-    cands = candidate_pairs(bands_ds, id_col).materialize()
-    if cands.count() == 0:
-        # zero candidates: Ray drops all-empty blocks and the text join
-        # would see a schema-less input — the cluster frame is empty
-        return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
-                             "cluster_id": pd.Series([], dtype=np.int64)})
-    verified = exact_jaccard_verify(cands, docs, ngram=ngram,
-                                    threshold=threshold, text_col=text_col,
-                                    id_col=id_col)
-    return _cluster_pairs(verified, distributed_cc)
+    verified = exact_jaccard_verify(candidate_pairs(bands_ds, id_col), docs,
+                                    ngram=ngram, threshold=threshold,
+                                    text_col=text_col, id_col=id_col)
+    return _cluster_pairs(verified)
 
 
 # --- exact n-gram Jaccard --------------------------------------------------
@@ -616,8 +564,6 @@ def shingle_df_map(docs, *, text_col="text", id_col="doc_id", ngram=5,
     ones whose prefix eviction matters) are exactly the ones a sample
     still sees.
     """
-    from .relational import topk_by
-
     def _partial(t: pa.Table) -> pa.Table:
         if doc_sample_mod > 1:
             keep = stable_hash_array(t[id_col]) \
@@ -640,7 +586,6 @@ def shingle_df_map(docs, *, text_col="text", id_col="doc_id", ngram=5,
                   ["h"], sums_of("c"))
 
     def _hot(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         return t.filter(pc.greater_equal(t["c"], pa.scalar(2)))
 
     hot = topk_by(tot.map_batches(_hot, batch_format="pyarrow"),
@@ -656,22 +601,24 @@ def shingle_df_map(docs, *, text_col="text", id_col="doc_id", ngram=5,
 
 class ShingleRows:
     """map_batches: doc → one (band_id=0, band_hash=shingle_hash, doc_id)
-    row per distinct character n-gram — the inverted-index emit of exact
+    row per indexed character n-gram — the inverted-index emit of exact
     n-gram-Jaccard dedup.
 
-    ``prefix_t`` enables PREFIX FILTERING (AllPairs / PPJoin, Bayardo et
-    al. 2007): under a fixed global total order of shingles, indexing
-    only the first ``n - ceil(t*n) + 1`` shingles of each n-shingle set
-    still catches every pair with Jaccard ≥ t (their prefixes provably
-    intersect), while hot common shingles mostly fall OUT of the indexed
-    prefix — without it, natural-text shingles shared by every document
-    emit |docs|²/2 candidate pairs per bucket.  The order is hash
-    ascending by default (``char_ngram_shingles`` returns sorted
-    hashes); passing ``df_map`` (from :func:`shingle_df_map`, usually
-    as a ``ray.put`` ref) switches to ASCENDING GLOBAL DOCUMENT
+    PREFIX FILTERING at Jaccard ``threshold`` t (AllPairs / PPJoin,
+    Bayardo et al. 2007): under a fixed global total order of shingles,
+    indexing only the first ``n - ceil(t*n) + 1`` shingles of each
+    n-shingle set still catches every pair with Jaccard ≥ t (their
+    prefixes provably intersect), while hot common shingles mostly fall
+    OUT of the indexed prefix — without it, natural-text shingles shared
+    by every document emit |docs|²/2 candidate pairs per bucket.  The
+    order is hash ascending by default (``char_ngram_shingles`` returns
+    sorted hashes); passing ``df_map`` (a ``ray.put`` ref of
+    :func:`shingle_df_map`'s arrays) switches to ASCENDING GLOBAL DOCUMENT
     FREQUENCY with hash tie-break — rarest first, so the hot shingles
     leave every prefix; same exact-recall guarantee (any fixed total
-    order works) at the price of one counting pre-pass.
+    order works) at the price of one counting pre-pass.  Each row also
+    carries the PPJoin metadata ``__n`` (full set size) and ``__pos``
+    (the shingle's position in the full sorted order).
 
     ``sample_mod = m`` additionally keeps only shingles with
     ``hash % m == 0`` (a deterministic 1/m sketch — both docs of a pair
@@ -679,22 +626,18 @@ class ShingleRows:
     missed only with probability (1-1/m)^shared; NOT exact, unlike the
     prefix filter)."""
 
-    def __init__(self, text_col="text", id_col="doc_id", ngram=5,
-                 sample_mod=1, prefix_t: float | None = None,
-                 df_map=None):
+    def __init__(self, threshold, text_col="text", id_col="doc_id",
+                 ngram=5, sample_mod=1, df_map=None):
+        self.threshold = threshold
         self.text_col, self.id_col = text_col, id_col
         self.ngram, self.sample_mod = ngram, sample_mod
-        self.prefix_t = prefix_t
-        self._df_map = df_map  # (hashes, df) tuple or ObjectRef thereof
+        self._df_map = df_map  # ObjectRef of the (hashes, df) arrays
         self._df = None
 
     def _df_arrays(self):
         if self._df is None and self._df_map is not None:
-            m = self._df_map
-            if not isinstance(m, tuple):
-                import ray
-                m = ray.get(m)  # local after first task on the node
-            self._df = m
+            import ray
+            self._df = ray.get(self._df_map)  # local after the first task
         return self._df
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -707,71 +650,81 @@ class ShingleRows:
             if self.sample_mod > 1:
                 sh = sh[sh % np.uint64(self.sample_mod) == 0]
             n = len(sh)
-            if self.prefix_t is not None and n:
-                if dfm is not None and dfm[0].size:
-                    # re-sort into the global (df asc, hash asc) order;
-                    # shingles outside the capped map count as df = 1
-                    dh, dc = dfm
-                    pos = np.searchsorted(dh, sh)
-                    posc = np.minimum(pos, dh.size - 1)
-                    d = np.where(dh[posc] == sh, dc[posc], 1)
-                    sh = sh[np.lexsort((sh, d))]
-                # sh is now in the global total order (hash ascending
-                # from np.unique, or (df, hash) above) — the prefix is
-                # its head.  ceil over a FLOAT product over-ceils when
-                # t·n is a real integer (0.56*25 → 14.000000000000002
-                # → 15), silently shortening the prefix below the
-                # recall-exact length; nudge down by an epsilon — an
-                # occasional one-longer prefix only costs a few extra
-                # candidates.
-                keep = n - int(np.ceil(self.prefix_t * n - 1e-9)) + 1
-                sh = sh[:max(keep, 1)]
+            if dfm is not None and dfm[0].size:
+                # re-sort into the global (df asc, hash asc) order;
+                # shingles outside the capped map count as df = 1
+                dh, dc = dfm
+                pos = np.searchsorted(dh, sh)
+                posc = np.minimum(pos, dh.size - 1)
+                d = np.where(dh[posc] == sh, dc[posc], 1)
+                sh = sh[np.lexsort((sh, d))]
+            # sh is now in the global total order (hash ascending from
+            # np.unique, or (df, hash) above) — the prefix is its head.
+            # ceil over a FLOAT product over-ceils when t·n is a real
+            # integer (0.56*25 → 14.000000000000002 → 15), silently
+            # shortening the prefix below the recall-exact length; nudge
+            # down by an epsilon — an occasional one-longer prefix only
+            # costs a few extra candidates.
+            keep = n - int(np.ceil(self.threshold * n - 1e-9)) + 1
+            sh = sh[:max(keep, 1)]
             sh_out.append(sh.astype(np.int64))
             id_out.append(np.full(len(sh), ids[i],
                                   dtype=None if ids.dtype == object
                                   else ids.dtype))
-            if self.prefix_t is not None:
-                # PPJoin metadata: full set size + position of each
-                # prefix shingle in the full sorted order (= its index,
-                # since the prefix is the head of that order)
-                n_out.append(np.full(len(sh), n, dtype=np.int32))
-                pos_out.append(np.arange(len(sh), dtype=np.int32))
-        total = sum(len(s) for s in sh_out)
-        cols = {
-            "band_id": pa.array(np.zeros(total, dtype=np.int32)),
-            "band_hash": pa.array(np.concatenate(sh_out)
-                                  if sh_out else np.empty(0, np.int64)),
-            self.id_col: pa.array(np.concatenate(id_out)
-                                  if id_out else ids[:0]),
-        }
-        if self.prefix_t is not None:
-            cols["__n"] = pa.array(np.concatenate(n_out)
-                                   if n_out else np.empty(0, np.int32))
-            cols["__pos"] = pa.array(np.concatenate(pos_out)
-                                     if pos_out else np.empty(0, np.int32))
-        return pa.table(cols)
+            # the position of a prefix shingle in the full sorted order
+            # is its index: the prefix is the head of that order
+            n_out.append(np.full(len(sh), n, dtype=np.int32))
+            pos_out.append(np.arange(len(sh), dtype=np.int32))
+        band_hash = np.concatenate(sh_out)
+        return pa.table({
+            "band_id": pa.array(np.zeros(len(band_hash), dtype=np.int32)),
+            "band_hash": pa.array(band_hash),
+            self.id_col: pa.array(np.concatenate(id_out)),
+            "__n": pa.array(np.concatenate(n_out)),
+            "__pos": pa.array(np.concatenate(pos_out)),
+        })
+
+
+# the candidate-involved documents' shingle arrays broadcast to the
+# verify tasks up to this size; past it each pair carries its two arrays
+# through gather joins
+_BROADCAST_LIMIT_BYTES = 512 << 20
 
 
 def exact_jaccard_verify(cands, docs, *, ngram=5, threshold=0.8,
-                         text_col="text", id_col="doc_id",
-                         broadcast_limit_bytes: int = 512 << 20):
+                         text_col="text", id_col="doc_id"):
     """Exact-Jaccard verification of a candidate-pair Dataset, shared by
-    the prefix-filtered exact pipeline and MinHash-LSH.
+    the prefix-filtered exact pipeline and MinHash-LSH → Dataset of
+    ``(id_a, id_b, jaccard)``.
 
     Verify plan choice: the shingle arrays of the candidate-INVOLVED
     documents (not the corpus — a semi-join prunes the rest) are usually
     tiny relative to |pairs| × array payload, so broadcast them through
-    the object store (block refs into each verify actor — the driver
+    the object store (block refs into each verify task — the driver
     never materializes a row) and keep the pair stream array-free.  Past
-    the cap, fall back to co-locating arrays onto pairs with two gather
-    joins — fully streaming, but each pair then carries ~2 array
-    payloads through a shuffle.  Both plans are equality-tested."""
-    from .joins import semi_join
+    ``_BROADCAST_LIMIT_BYTES``, fall back to co-locating arrays onto
+    pairs with two gather joins — fully streaming, but each pair then
+    carries ~2 array payloads through a shuffle.  Both plans are
+    equality-tested.
+
+    Zero candidates give a typed empty result: Ray drops all-empty
+    blocks, so the joins downstream would see a SCHEMA-LESS input."""
+    cands = cands.materialize()
+    if cands.count() == 0:
+        import ray.data as rd
+        sch = docs.schema()
+        id_t = dict(zip(sch.names, sch.types))[id_col] if sch else None
+        if not isinstance(id_t, pa.DataType):
+            # a pandas-backed object column reports `object`, and an
+            # empty corpus may have no schema at all
+            id_t = pa.string()
+        return rd.from_arrow(pa.table({
+            "id_a": pa.nulls(0, id_t), "id_b": pa.nulls(0, id_t),
+            "jaccard": pa.nulls(0, pa.float64())}))
 
     def _pair_ids(t: pa.Table) -> pa.Table:
-        both = pa.concat_arrays(
-            [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-             for c in (t["id_a"], t["id_b"])])
+        both = pa.concat_arrays([t["id_a"].combine_chunks(),
+                                 t["id_b"].combine_chunks()])
         # per-block distinct: the semi-join's shuffle then ships at most
         # |involved docs| ids per block instead of 2 rows per pair
         return pa.table({id_col: both.unique()})
@@ -783,20 +736,14 @@ def exact_jaccard_verify(cands, docs, *, ngram=5, threshold=0.8,
     docs_involved = semi_join(docs, involved, id_col)
     arrays = doc_shingle_arrays(docs_involved, text_col=text_col,
                                 id_col=id_col, ngram=ngram).materialize()
-    if arrays.size_bytes() <= broadcast_limit_bytes:
-        import functools
-
-        refs = arrays.to_arrow_refs()
+    if arrays.size_bytes() <= _BROADCAST_LIMIT_BYTES:
         # TASK pool over whole-block batches (per-batch slice/emit
         # overhead dominates 1024-row batches; measured 20 s → 12 s):
-        # tasks run on the session's already-warm workers, where an
-        # actor pool spawns FRESH processes that each pay the package
-        # import (~2 s of stage wall).  The verifier state (broadcast
-        # arrays + bitmap) is rebuilt at most once per worker process
-        # via the keyed cache in _verify_broadcast_task.
+        # class_task builds the verifier state (broadcast arrays +
+        # bitmap) at most once per warm worker process
         out = cands.map_batches(
-            functools.partial(_verify_broadcast_task, _refs=tuple(refs),
-                              _id_col=id_col, _threshold=threshold),
+            class_task(VerifyJaccardBroadcast, arrays.to_arrow_refs(),
+                       id_col, threshold),
             batch_format="pyarrow", batch_size=None)
         # pin the broadcast blocks to the lazy pipeline (ray#53727: a
         # retried task must still find the refs alive)
@@ -804,16 +751,14 @@ def exact_jaccard_verify(cands, docs, *, ngram=5, threshold=0.8,
         return out
     # past the cap: co-locate the ALREADY-COMPUTED pair-involved arrays
     # onto the pairs (never re-shingle the corpus for the fallback)
-    with_sh = join_pair_shingles(cands, docs, text_col=text_col,
-                                 id_col=id_col, ngram=ngram,
-                                 arrays=arrays)
-    return verify_jaccard_arrays(with_sh, threshold=threshold)
+    return verify_jaccard_arrays(
+        join_pair_shingles(cands, arrays, id_col=id_col),
+        threshold=threshold)
 
 
 def ngram_jaccard_pairs(docs, *, text_col="text", id_col="doc_id", ngram=5,
                         threshold=0.8, sample_mod=1, max_df=None,
-                        prefix_filter=True, df_order=True,
-                        broadcast_limit_bytes: int = 512 << 20):
+                        df_order=True):
     """Exact character-n-gram Jaccard near-dup pairs — Dataset of
     (id_a, id_b, jaccard) with id_a < id_b and jaccard ≥ threshold.
 
@@ -824,56 +769,23 @@ def ngram_jaccard_pairs(docs, *, text_col="text", id_col="doc_id", ngram=5,
     still exact) → partition-grouped candidate pairs with recall-exact
     PPJoin length + positional pruning (one keyed shuffle; ``max_df``
     bounds hot-shingle buckets, ``sample_mod`` sketches the index, both
-    lossy) → full shingle arrays co-located onto pairs by two hash
-    joins → exact re-verification by sorted-set intersection.  With the
-    defaults the result is exactly the brute-force all-pairs answer."""
+    lossy) → :func:`exact_jaccard_verify`.  With the defaults the result
+    is exactly the brute-force all-pairs answer."""
     df_ref = None
-    if prefix_filter and df_order:
+    if df_order:
         import ray
         df_ref = ray.put(shingle_df_map(
             docs, text_col=text_col, id_col=id_col, ngram=ngram,
             sample_mod=sample_mod, doc_sample_mod=4))
     rows = docs.map_batches(
-        ShingleRows(text_col, id_col, ngram, sample_mod,
-                    threshold if prefix_filter else None, df_map=df_ref),
+        ShingleRows(threshold, text_col, id_col, ngram, sample_mod,
+                    df_map=df_ref),
         batch_format="pyarrow")
     cands = candidate_pairs(rows, id_col, max_run=max_df,
-                            threshold=threshold if prefix_filter else None) \
-        .materialize()
-    if cands.count() == 0:
-        # no candidates at all: Ray drops all-empty blocks, so the
-        # downstream joins would see a SCHEMA-LESS input — emit a typed
-        # empty result instead
-        import ray.data as rd
-        sch = docs.schema()
-        id_t = dict(zip(sch.names, sch.types))[id_col]
-        if not isinstance(id_t, pa.DataType):
-            # pandas-backed inputs report numpy dtypes / Python classes
-            try:
-                id_t = pa.from_numpy_dtype(np.dtype(id_t))
-            except Exception:
-                id_t = pa.string()
-        return rd.from_arrow(pa.table({
-            "id_a": pa.nulls(0, id_t), "id_b": pa.nulls(0, id_t),
-            "jaccard": pa.nulls(0, pa.float64())}))
-
+                            threshold=threshold)
     return exact_jaccard_verify(
         cands, docs, ngram=ngram, threshold=threshold, text_col=text_col,
-        id_col=id_col, broadcast_limit_bytes=broadcast_limit_bytes)
-
-
-def ngram_jaccard_dedup(docs, *, text_col="text", id_col="doc_id", ngram=5,
-                        threshold=0.8, sample_mod=1, max_df=None,
-                        prefix_filter=True,
-                        distributed_cc: bool | None = None):
-    """n-gram-Jaccard near-dup clusters → pandas (doc_id, cluster_id),
-    singletons omitted — same labeling contract (and the same auto-routed
-    connected-components, :func:`_cluster_pairs`) as minhash_lsh_dedup."""
-    verified = ngram_jaccard_pairs(
-        docs, text_col=text_col, id_col=id_col, ngram=ngram,
-        threshold=threshold, sample_mod=sample_mod, max_df=max_df,
-        prefix_filter=prefix_filter)
-    return _cluster_pairs(verified, distributed_cc)
+        id_col=id_col)
 
 
 # --- SimHash ---------------------------------------------------------------
@@ -889,14 +801,11 @@ class SimHashStage:
     bytes == codepoints)."""
 
     def __init__(self, text_col="text"):
-        from ..functions.text import BPE_RE
         self.text_col = text_col
-        self.re = BPE_RE
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.text import rolling_fingerprint
         texts = batch[self.text_col].to_pandas()
-        tok_lists = [self.re.findall(t or "") for t in texts]
+        tok_lists = [BPE_RE.findall(t or "") for t in texts]
         flat = pd.Series([tok for ts in tok_lists for tok in ts],
                          dtype=object)
         hashes = rolling_fingerprint(flat) if len(flat) else \
@@ -919,9 +828,7 @@ class HyperplaneLSH:
         self.vec_col, self.id_col = vec_col, id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch[self.vec_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = batch[self.vec_col].combine_chunks()
         vecs = np.asarray(col.flatten(), dtype=np.float64)
         n = len(batch)
         vecs = vecs.reshape(n, -1)
@@ -944,25 +851,15 @@ def _cosine_pairs_in_partition(g: pa.Table, id_col, vec_col, threshold
     The vector matrix reads straight from the Arrow list buffers
     (similarity._vec_matrix) — the rows never round-trip through pandas
     object cells."""
-    from .similarity import _vec_matrix
     id_type = g[id_col].type
-    if len(g) < 2:
-        return pa.table({"id_a": pa.nulls(0, id_type),
-                         "id_b": pa.nulls(0, id_type),
-                         "cosine": pa.nulls(0, pa.float64())})
     buckets = g["bucket"].to_numpy(zero_copy_only=False)
-    ids = g[id_col].to_numpy(zero_copy_only=False)
     order = np.argsort(buckets, kind="stable")
-    buckets = buckets[order]
-    ids = ids[order]
+    ids = g[id_col].to_numpy(zero_copy_only=False)[order]
     M_all = _vec_matrix(g[vec_col])
-    change = np.ones(len(ids), dtype=bool)
-    if len(ids) > 1:
-        change[1:] = buckets[1:] != buckets[:-1]
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], len(ids))
+    starts, ends = _segment_starts(buckets[order])
+    multi = ends - starts >= 2
     out_a, out_b, out_c = [], [], []
-    for s, e in zip(starts[ends - starts >= 2], ends[ends - starts >= 2]):
+    for s, e in zip(starts[multi], ends[multi]):
         sids = ids[s:e]
         M = M_all[order[s:e]]
         M = M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-12)
@@ -1019,9 +916,6 @@ def _span_pairs_partial(batch: pa.Table, k: int, text_col: str,
     live in exactly ONE input block, so the triples are unique
     corpus-wide by construction — the span groupby sees each (span,
     doc) once and its row count IS the distinct-doc count."""
-    from collections import Counter
-
-    from ..functions.text import RE2_WS_RE
     spans: "Counter[tuple]" = Counter()
     ids = batch[id_col].to_pandas().to_numpy()
     for d, txt in zip(ids, batch[text_col].to_pandas()):
@@ -1040,7 +934,6 @@ def _span_totals_partial(batch: pa.Table, k: int, text_col: str,
                          id_col: str) -> pa.Table:
     """Per-document span-position totals ``n_spans = max(n_tok-k+1, 0)``
     — same tokenizer as :func:`_span_pairs_partial`, map-only."""
-    from ..functions.text import RE2_WS_RE
     texts = batch[text_col].to_pandas()
     n = np.fromiter((len(RE2_WS_RE.split(t or "")) for t in texts),
                     dtype=np.int64, count=len(texts))
@@ -1063,7 +956,6 @@ class _DupSpanEmit:
         self.id_col = id_col
 
     def __call__(self, g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         codes = pc.dictionary_encode(g["span"].combine_chunks()) \
             .indices.to_numpy(zero_copy_only=False).astype(np.int64)
         docs_per_span = np.bincount(codes)
@@ -1091,24 +983,18 @@ def dup_span_stats(docs, *, k: int = 8, text_col: str = "text",
     shuffle — k·tokens bytes worst case) → doc-keyed Sum groupby over
     zero-padded partials (|docs| rows).  No driver-side materialization
     at any point."""
-    import functools
-
     docs = docs.materialize()
-    pairs = docs.map_batches(
-        functools.partial(_span_pairs_partial, k=k, text_col=text_col,
-                          id_col=id_col),
-        batch_format="pyarrow")
+    kw = {"k": k, "text_col": text_col, "id_col": id_col}
+    pairs = docs.map_batches(_span_pairs_partial, batch_format="pyarrow",
+                             fn_kwargs=kw)
     dup_rows = partition_groups(
         pairs, "span", _DupSpanEmit(id_col), batch_format="pyarrow")
-    totals = docs.map_batches(
-        functools.partial(_span_totals_partial, k=k, text_col=text_col,
-                          id_col=id_col),
-        batch_format="pyarrow")
+    totals = docs.map_batches(_span_totals_partial, batch_format="pyarrow",
+                              fn_kwargs=kw)
     combined = combine(totals.union(dup_rows), [id_col],
                        sums_of("n_spans", "n_dup"))
 
     def _close(t: pa.Table) -> pa.Table:
-        from ..functions.rounding import round_half_away
         ns = t["n_spans"].to_numpy(zero_copy_only=False).astype(np.int64)
         nd = t["n_dup"].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = ns > 0                      # short docs have no spans
@@ -1125,8 +1011,7 @@ def dup_span_stats(docs, *, k: int = 8, text_col: str = "text",
 
 def semantic_dedup(embeddings, *, vec_col="embedding", id_col="vec_id",
                    threshold: float = 0.95, planes: int = 12,
-                   dim: int = 64, distributed_cc: bool | None = None
-                   ) -> pd.DataFrame:
+                   dim: int = 64) -> pd.DataFrame:
     """SemDeDup-shaped semantic deduplication (Abbas et al. 2023,
     arXiv:2303.09540 shape): vectors whose cosine similarity exceeds
     ``threshold`` inside hyperplane-LSH buckets form clusters; each
@@ -1142,13 +1027,6 @@ def semantic_dedup(embeddings, *, vec_col="embedding", id_col="vec_id",
     pairs = embedding_near_dup(embeddings, vec_col=vec_col,
                                id_col=id_col, threshold=threshold,
                                planes=planes, dim=dim)
-    pairs = pairs.map_batches(
-        lambda t: pa.table({"id_a": t[id_col + "_a"],
-                            "id_b": t[id_col + "_b"]})
-        if (id_col + "_a") in t.column_names else
-        t.select(["id_a", "id_b"]),
-        batch_format="pyarrow")
-    labeled = _cluster_pairs(pairs, distributed_cc)
-    labeled = labeled.rename(columns={"doc_id": id_col})
+    labeled = _cluster_pairs(pairs).rename(columns={"doc_id": id_col})
     labeled["keep"] = labeled[id_col] == labeled["cluster_id"]
     return labeled

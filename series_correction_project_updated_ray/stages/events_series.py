@@ -23,7 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .joins import partition_groups
+from .joins import _segment_starts, partition_groups
 from .. import kernels as K
 from ..functions.rounding import round_half_away
 
@@ -229,28 +229,15 @@ class _PerSeriesPartition:
             .astype(np.int64)
         v = tbl[self.value_col].to_numpy(zero_copy_only=False) \
             .astype(np.float64)
-        n = len(tbl)
         codes, _ = pd.factorize(key_arr.to_pandas(), sort=False)
         order = np.lexsort((ids, t, codes))
-        codes_s = codes[order]
         t_s, v_s, ids_s = t[order], v[order], ids[order]
-        if n:
-            starts = np.flatnonzero(np.r_[True, codes_s[1:] != codes_s[:-1]])
-            ends = np.r_[starts[1:], n]
-        else:
-            starts = ends = np.empty(0, np.int64)
         outs, key_rows, out_lens = [], [], []
-        for s, e in zip(starts, ends):
+        for s, e in zip(*_segment_starts(codes[order])):
             out = self.afn(ids_s[s:e], t_s[s:e], v_s[s:e], **self.kwargs)
             outs.append(out)
             key_rows.append(order[s])
             out_lens.append(len(next(iter(out.values()))))
-        if not outs:
-            # empty partition: synthesize the schema from an empty kernel run
-            out = self.afn(np.empty(0, np.int64), np.empty(0, np.int64),
-                           np.empty(0, np.float64), **self.kwargs)
-            return pa.table({self.key_col: key_arr.slice(0, 0),
-                             **{c: pa.array(a) for c, a in out.items()}})
         names = list(outs[0].keys())
         data = {c: np.concatenate([o[c] for o in outs]) for c in names}
         key_idx = np.repeat(np.asarray(key_rows, np.int64),

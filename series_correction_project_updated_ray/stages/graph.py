@@ -36,6 +36,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .dedup import _cluster_pairs
 from .rollup import combine, sums_of
 
 
@@ -136,8 +137,7 @@ def copurchase_support_edges(lineitem, *, min_support: int = 2):
     return cells.map_batches(_keep, batch_format="pyarrow")
 
 
-def copurchase_components(lineitem, *, min_support: int = 2,
-                          distributed_cc: bool | None = None):
+def copurchase_components(lineitem, *, min_support: int = 2):
     """Connected components of the support-filtered co-purchase graph —
     ``(part_key, component_id)`` with ``component_id`` = the component's
     minimum part key (only parts with ≥ 1 surviving edge are labeled).
@@ -149,14 +149,12 @@ def copurchase_components(lineitem, *, min_support: int = 2,
     same pair budget the near-dup pipelines use."""
     import ray.data as rd
 
-    from .dedup import _cluster_pairs
-
     edges = copurchase_support_edges(
         lineitem, min_support=min_support)
     pairs = edges.map_batches(
         lambda t: pa.table({"id_a": t["u"], "id_b": t["v"]}),
         batch_format="pyarrow")
-    labeled = _cluster_pairs(pairs, distributed_cc)
+    labeled = _cluster_pairs(pairs)
     return rd.from_pandas(pd.DataFrame({
         "part_key": labeled["doc_id"].to_numpy(np.int64),
         "component_id": labeled["cluster_id"].to_numpy(np.int64)}))

@@ -116,10 +116,10 @@ def test_exact_dedup_with_injected_duplicates(ray_session):
     assert sorted(out["doc_id"]) == [1, 2, 4]
 
 
-def test_minhash_lsh_finds_near_duplicates(ray_session):
+def test_minhash_lsh_finds_near_duplicates(ray_session, monkeypatch):
+    import pytest
     import ray.data as rd
-    from series_correction_project_updated_ray.stages.dedup import (
-        minhash_lsh_dedup)
+    from series_correction_project_updated_ray.stages import dedup
     base = ("the quick brown fox jumps over the lazy dog and then runs far "
             "away into the deep dark forest to hide from hunters") * 3
     near = base.replace("lazy", "sleepy")
@@ -127,18 +127,21 @@ def test_minhash_lsh_finds_near_duplicates(ray_session):
              "processing large parquet tables with shuffles") * 3
     df = pd.DataFrame({"doc_id": [10, 11, 12],
                        "text": [base, near, other]})
-    clusters = minhash_lsh_dedup(rd.from_pandas(df), threshold=0.7)
+    clusters = dedup.minhash_lsh_dedup(rd.from_pandas(df), threshold=0.7)
     assert set(clusters["doc_id"]) == {10, 11}
     assert clusters["cluster_id"].nunique() == 1
     # the scale path (log-round label propagation) labels identically
-    dist = minhash_lsh_dedup(rd.from_pandas(df), threshold=0.7,
-                             distributed_cc=True)
+    monkeypatch.setattr(dedup, "_CC_DRIVER_PAIR_BUDGET", 0)
+    dist = dedup.minhash_lsh_dedup(rd.from_pandas(df), threshold=0.7)
     pd.testing.assert_frame_equal(clusters.reset_index(drop=True),
                                   dist.reset_index(drop=True))
+    # the bands must split the permutations evenly, also under python -O
+    with pytest.raises(ValueError, match="multiple of bands"):
+        dedup.MinHashBands(num_perm=100, bands=16)
 
 
 def test_dedup_cc_auto_routes_on_pair_count(ray_session, monkeypatch):
-    """distributed_cc=None (the default) must pick the driver union-find
+    """The labeling must pick the driver union-find
     under the pair budget and the distributed propagation past it, with
     identical labels either way."""
     import ray.data as rd
@@ -848,15 +851,16 @@ def test_hash_join_composite_keys(ray_session):
                 norm(g[c]), norm(w[c]), err_msg=f"{how}:{c}")
 
 
-def test_ngram_jaccard_matches_brute_force(ray_session):
+def test_ngram_jaccard_matches_brute_force(ray_session, monkeypatch):
     """Default settings (no sampling, no df cap) must equal the exact
     all-pairs n-gram Jaccard computed directly in numpy."""
     import itertools
     import ray.data as rd
     from series_correction_project_updated_ray.functions.text import (
         char_ngram_shingles, jaccard)
+    from series_correction_project_updated_ray.stages import dedup
     from series_correction_project_updated_ray.stages.dedup import (
-        ngram_jaccard_dedup, ngram_jaccard_pairs)
+        ngram_jaccard_pairs)
     rng = np.random.default_rng(42)
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta",
              "theta", "iota", "kappa"]
@@ -887,16 +891,19 @@ def test_ngram_jaccard_matches_brute_force(ray_session):
         assert abs(r["jaccard"] - direct) < 1e-6
 
     # clustering contract mirrors minhash_lsh_dedup (singletons omitted)
-    clusters = ngram_jaccard_dedup(rd.from_pandas(df), threshold=thr)
+    clusters = dedup._cluster_pairs(
+        ngram_jaccard_pairs(rd.from_pandas(df), threshold=thr))
     in_pairs = {d for p in want for d in p}
     assert set(clusters["doc_id"]) == in_pairs
-    dist = ngram_jaccard_dedup(rd.from_pandas(df), threshold=thr,
-                               distributed_cc=True)
+    monkeypatch.setattr(dedup, "_CC_DRIVER_PAIR_BUDGET", 0)
+    dist = dedup._cluster_pairs(
+        ngram_jaccard_pairs(rd.from_pandas(df), threshold=thr))
     pd.testing.assert_frame_equal(clusters.reset_index(drop=True),
                                   dist.reset_index(drop=True))
 
 
-def test_ngram_jaccard_df_order_and_bitmap_verify(ray_session):
+def test_ngram_jaccard_df_order_and_bitmap_verify(ray_session,
+                                                  monkeypatch):
     """The df-ascending prefix order (rarest-first, from shingle_df_map)
     must return exactly the hash-order result — any fixed global total
     order preserves AllPairs recall — and the small-vocab bitmap verify
@@ -905,6 +912,7 @@ def test_ngram_jaccard_df_order_and_bitmap_verify(ray_session):
     import ray.data as rd
     from series_correction_project_updated_ray.functions.text import (
         char_ngram_shingles)
+    from series_correction_project_updated_ray.stages import dedup
     from series_correction_project_updated_ray.stages.dedup import (
         VerifyJaccardBroadcast, doc_shingle_arrays, ngram_jaccard_pairs,
         shingle_df_map)
@@ -945,8 +953,8 @@ def test_ngram_jaccard_df_order_and_bitmap_verify(ray_session):
                       "id_b": pa.array(ib[mask])})
     fast = VerifyJaccardBroadcast(refs, "doc_id", 0.0)
     assert fast._bm is not None
-    slow = VerifyJaccardBroadcast(refs, "doc_id", 0.0,
-                                  bitmap_vocab_cap=0)
+    monkeypatch.setattr(dedup, "_BITMAP_VOCAB_CAP", 0)
+    slow = VerifyJaccardBroadcast(refs, "doc_id", 0.0)
     assert slow._bm is None
     pd.testing.assert_frame_equal(fast(pairs).to_pandas(),
                                   slow(pairs).to_pandas())
@@ -1022,6 +1030,28 @@ def test_redact_pii_matches_duckdb(ray_session):
     for c in ["text_redacted", "n_url", "n_email", "n_ip"]:
         np.testing.assert_array_equal(got[c].to_numpy(), want[c].to_numpy(),
                                       err_msg=c)
+
+
+def test_quality_features_null_text():
+    """A NULL text counts 0 chars, words, punctuation and stopwords (both
+    ratios 0.0); the other rows are exactly what they are without it."""
+    from series_correction_project_updated_ray.functions.text import (
+        quality_features)
+    from series_correction_project_updated_ray.stages.textstage import (
+        quality_batch)
+    texts = ["The cat, and a dog!", "", "x y z"]
+    want = quality_features(pd.Series(texts, dtype=object))
+    got = quality_features(pd.Series(texts[:1] + [None] + texts[1:],
+                                     dtype=object))
+    for c, v in want.items():
+        np.testing.assert_array_equal(np.delete(got[c], 1), v, err_msg=c)
+        assert got[c][1] == 0, c
+        assert got[c].dtype == v.dtype, c
+    assert want["n_words"][0] == 5 and want["stop_ratio"][0] == 0.6
+    out = quality_batch(pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                                  "text": pa.array([None, "the end"])}))
+    assert out["stop_ratio"].to_pylist() == [0.0, 0.5]
+    assert out["n_chars"].to_pylist() == [0, 7]
 
 
 def test_repetition_features_edges(ray_session):
@@ -1147,15 +1177,49 @@ def test_stratified_sample_null_groups_get_default(ray_session):
 def test_dedup_wrappers_handle_zero_pairs(ray_session):
     import ray.data as rd
     from series_correction_project_updated_ray.stages.dedup import (
-        minhash_lsh_dedup, ngram_jaccard_dedup)
+        _cluster_pairs, minhash_lsh_dedup, ngram_jaccard_pairs)
     df = pd.DataFrame({"doc_id": [1, 2, 3],
                        "text": ["alpha beta gamma " * 5,
                                 "delta epsilon zeta " * 5,
                                 "eta theta iota " * 5]})
-    got = ngram_jaccard_dedup(rd.from_pandas(df), max_df=1)
+    got = _cluster_pairs(ngram_jaccard_pairs(rd.from_pandas(df), max_df=1))
     assert len(got) == 0 and list(got.columns) == ["doc_id", "cluster_id"]
     got2 = minhash_lsh_dedup(rd.from_pandas(df), threshold=0.99)
     assert len(got2) == 0
+
+
+def test_exact_jaccard_verify_zero_candidates_is_typed(ray_session):
+    """An empty candidate set (Ray's column-less 0-row blocks) verifies
+    to a typed empty (id_a, id_b, jaccard) Dataset whose id type follows
+    the documents' id column."""
+    import ray.data as rd
+    from series_correction_project_updated_ray.stages.dedup import (
+        exact_jaccard_verify, ngram_jaccard_pairs)
+    texts = ["alpha beta gamma " * 5, "delta epsilon zeta " * 5,
+             "eta theta iota " * 5]
+    for ids, id_t in (([1, 2, 3], pa.int64()),
+                      (["a", "b", "c"], pa.string())):
+        docs = rd.from_pandas(pd.DataFrame({"doc_id": ids, "text": texts}))
+        cands = rd.from_pandas(pd.DataFrame({"id_a": ids, "id_b": ids})) \
+            .filter(lambda r: False)
+        out = exact_jaccard_verify(cands, docs).materialize()
+        assert out.count() == 0
+        assert out.schema().names == ["id_a", "id_b", "jaccard"]
+        assert list(out.schema().types) == [id_t, id_t, pa.float64()]
+    # the n-gram pipeline reaches the same guard: max_df=1 drops every
+    # candidate bucket
+    out = ngram_jaccard_pairs(rd.from_arrow(pa.table({
+        "doc_id": pa.array([1, 2, 3], pa.int64()), "text": texts})),
+        max_df=1).materialize()
+    assert out.count() == 0
+    assert list(out.schema().types) == [pa.int64(), pa.int64(),
+                                        pa.float64()]
+    # an empty corpus may carry no schema at all: the ids read as string
+    empty = rd.from_arrow(pa.table({"doc_id": [1], "text": ["x"]})) \
+        .filter(lambda r: False)
+    out = ngram_jaccard_pairs(empty).materialize()
+    assert out.count() == 0
+    assert out.schema().names == ["id_a", "id_b", "jaccard"]
 
 
 def test_hash_join_same_name_cross_position_keys(ray_session):
@@ -1215,12 +1279,12 @@ def test_gather_join_semantics(ray_session):
                     "k", "id").materialize()
 
 
-def test_ngram_jaccard_gather_fallback_matches_broadcast(ray_session):
+def test_ngram_jaccard_gather_fallback_matches_broadcast(ray_session,
+                                                         monkeypatch):
     """Past the broadcast cap the gather-join verify plan must produce
     the identical pair set and similarities."""
     import ray.data as rd
-    from series_correction_project_updated_ray.stages.dedup import (
-        ngram_jaccard_pairs)
+    from series_correction_project_updated_ray.stages import dedup
     rng = np.random.default_rng(7)
     words = ["alpha", "beta", "gamma", "delta", "epsilon"]
     docs, ids = [], []
@@ -1229,10 +1293,10 @@ def test_ngram_jaccard_gather_fallback_matches_broadcast(ray_session):
         docs.append(t); ids.append(i)
         docs.append(t.replace("alpha", "omega", 1)); ids.append(100 + i)
     df = pd.DataFrame({"doc_id": ids, "text": docs})
-    via_bcast = ngram_jaccard_pairs(rd.from_pandas(df), threshold=0.6) \
+    via_bcast = dedup.ngram_jaccard_pairs(rd.from_pandas(df), threshold=0.6) \
         .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    via_gather = ngram_jaccard_pairs(rd.from_pandas(df), threshold=0.6,
-                                     broadcast_limit_bytes=0) \
+    monkeypatch.setattr(dedup, "_BROADCAST_LIMIT_BYTES", 0)
+    via_gather = dedup.ngram_jaccard_pairs(rd.from_pandas(df), threshold=0.6) \
         .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
     assert len(via_bcast) > 0
     pd.testing.assert_frame_equal(via_bcast, via_gather)
@@ -3808,12 +3872,13 @@ def test_copurchase_triangles_empty(ray_session):
     assert out.count() == 0
 
 
-def test_copurchase_components_end_to_end(ray_session):
+def test_copurchase_components_end_to_end(ray_session, monkeypatch):
     """Support-2 co-purchase components over sf0.001 equal the
     recursive min-label oracle; every component id is its own minimum
     member and both CC routes (driver union-find, distributed
     log-round propagation) agree."""
     import ray.data as rd
+    from series_correction_project_updated_ray.stages import dedup
     from series_correction_project_updated_ray.stages.graph import (
         copurchase_components)
     d = "/root/testdata/sf0.001"
@@ -3829,7 +3894,8 @@ def test_copurchase_components_end_to_end(ray_session):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
     mins = got.groupby("component_id")["part_key"].min()
     assert (mins.index == mins.to_numpy()).all()
-    dist = copurchase_components(li, distributed_cc=True).to_pandas() \
+    monkeypatch.setattr(dedup, "_CC_DRIVER_PAIR_BUDGET", 0)
+    dist = copurchase_components(li).to_pandas() \
         .sort_values("part_key").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, dist, check_dtype=False)
 
