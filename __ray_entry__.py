@@ -45,11 +45,14 @@ def entry() -> Any:
 # ---------------------------------------------------------------------------
 
 class Query(NamedTuple):
-    """One pipeline.  ``spec`` is ``"module:function"``; a leading-dot
-    module is relative to the package, and the module path is the
-    query's family.  Without a ``body`` the row calls the function on its
-    ``reads`` (each a ``(table, columns)`` pair or an ``sf_dir -> input``
-    callable), then ``args`` and ``kwargs``; with one it calls
+    """One pipeline.  ``spec`` is ``"module:function"`` or, for a per-key
+    event kernel, ``"module:KernelClass"``; a leading-dot module is
+    relative to the package, and the module path is the query's family.
+    Without a ``body`` the row calls the function on its ``reads`` (each
+    a ``(table, columns)`` pair or an ``sf_dir -> input`` callable), then
+    ``args`` and ``kwargs``; a class is built from ``args`` and
+    ``kwargs`` and runs on the one read through
+    ``stages.windows.run_per_key``.  With a ``body`` the row calls
     ``body(function, sf_dir, *args, **kwargs)``."""
     name: str
     spec: str
@@ -69,6 +72,10 @@ class Query(NamedTuple):
             return self.body(fn, sf_dir, *self.args, **self.kwargs)
         inputs = [r(sf_dir) if callable(r) else _read(sf_dir, *r)
                   for r in self.reads]
+        if isinstance(fn, type):
+            from series_correction_project_updated_ray.stages.windows import (
+                run_per_key)
+            return run_per_key(*inputs, fn(*self.args, **self.kwargs))
         return fn(*inputs, *self.args, **self.kwargs)
 
 
@@ -1001,40 +1008,40 @@ REGISTRY: tuple[Query, ...] = (
     # cumulative frame, LAG deltas, reset-aware counter rate (PromQL
     # increase/rate), gaps-and-islands interval union, regular-grid
     # forward-fill and linear-interp resamples (ASOF-join semantics)
-    _q("running_sum_per_user", ".stages.windows:running_sum", EV_SERIES),
-    _q("lag_deltas_per_user", ".stages.windows:lag_deltas", EV_SERIES),
-    _q("rate_counter_1h", ".stages.timeseries:rate_counter",
+    _q("running_sum_per_user", ".stages.windows:RunningSumGroup", EV_SERIES),
+    _q("lag_deltas_per_user", ".stages.windows:LagDeltaGroup", EV_SERIES),
+    _q("rate_counter_1h", ".stages.timeseries:RateCounterGroup",
        EV_SERIES, width_s=3600),
-    _q("interval_coverage", ".stages.timeseries:interval_coverage", EV_USER_TS,
-       width_s=300),
-    _q("resample_ffill_1h", ".stages.timeseries:resample_ffill",
+    _q("interval_coverage", ".stages.timeseries:IntervalCoverageGroup",
+       EV_USER_TS, width_s=300),
+    _q("resample_ffill_1h", ".stages.timeseries:ResampleFfillGroup",
        EV_SERIES, width_s=3600),
-    _q("resample_interp_1h", ".stages.timeseries:resample_interp", EV_SERIES,
-       width_s=3600),
+    _q("resample_interp_1h", ".stages.timeseries:ResampleInterpGroup",
+       EV_SERIES, width_s=3600),
     # EWMA / Holt / hysteresis recursions, bit-exact via recursive CTEs
     # running the identical operand order; lag-1 autocorrelation and the
     # hour-of-day profile from exact integer moments
-    _q("ewma_per_user", ".stages.timeseries:ewma_per_user",
+    _q("ewma_per_user", ".stages.timeseries:EwmaGroup",
        EV_SERIES, alpha=0.5),
-    _q("autocorr_lag1", ".stages.timeseries:autocorr_lag1", EV_SERIES),
+    _q("autocorr_lag1", ".stages.timeseries:AutocorrGroup", EV_SERIES),
     _q("seasonal_profile", ".stages.timeseries:seasonal_profile",
        EV_TYPE_TS_VALUE),
-    _q("holt_per_user", ".stages.timeseries:holt_per_user", EV_SERIES,
+    _q("holt_per_user", ".stages.timeseries:HoltGroup", EV_SERIES,
        alpha=0.5, beta=0.5),
-    _q("alert_hysteresis", ".stages.timeseries:alert_hysteresis", EV_SERIES,
+    _q("alert_hysteresis", ".stages.timeseries:HysteresisGroup", EV_SERIES,
        hi=150.0, lo=50.0),
     # LTTB: exact integer-area argmax replayed by chained SQL argmax
     # steps; n_out=4 (not the bench's 100) so the ~7-events/user corpora
     # exercise the pick chain rather than the n ≤ n_out pass-through
-    _q("lttb_downsample", ".stages.timeseries:lttb_downsample",
+    _q("lttb_downsample", ".stages.timeseries:LttbGroup",
        EV_SERIES, n_out=4),
     # percentile continuous aggregate — rows-only (KLL sketch)
     _q("rollup_quantiles_1d", ".stages.rollup:rollup_quantiles",
        EV_TYPE_TS_VALUE, width_s=86400),
     # SAX, over-threshold runs, pairwise DTW over hour-of-day profiles
     # (exact int64 DP), M4 first/last/min/max anchors
-    _q("sax_symbols", ".stages.tsmining:sax_symbols", EV_SERIES, w=8),
-    _q("threshold_excursions", ".stages.tsmining:threshold_excursions",
+    _q("sax_symbols", ".stages.tsmining:SaxGroup", EV_SERIES, w=8),
+    _q("threshold_excursions", ".stages.tsmining:ExcursionGroup",
        EV_SERIES, thresh=150.0),
     _q("dtw_profile_pairs", ".stages.tsmining:dtw_profile_pairs",
        EV_USER_TS_VALUE, k_users=12),
@@ -1046,17 +1053,18 @@ REGISTRY: tuple[Query, ...] = (
        _poly_tokenized, k=5, w=4),
     _q("winnow_matches", ".stages.textstage:winnow_matches", _poly_tokenized,
        k=5, w=4, min_docs=2),
-    _q("max_drawdown", ".stages.timeseries:max_drawdown", EV_SERIES),
-    _q("changepoint_user", ".stages.timeseries:changepoint_user", EV_SERIES),
-    _q("theil_sen_slope", ".stages.timeseries:theil_sen", EV_SERIES),
-    _q("kalman_per_user", ".stages.timeseries:kalman_per_user", EV_SERIES),
+    _q("max_drawdown", ".stages.timeseries:DrawdownGroup", EV_SERIES),
+    _q("changepoint_user", ".stages.timeseries:ChangepointGroup", EV_SERIES),
+    _q("theil_sen_slope", ".stages.timeseries:TheilSenGroup", EV_SERIES),
+    _q("kalman_per_user", ".stages.timeseries:KalmanGroup", EV_SERIES),
     _q("session_cooccurrence", ".stages.windows:session_cooccurrence", EV_PATH,
        timeout_s=1800),
-    _q("holt_winters_per_user", ".stages.timeseries:holt_winters_per_user",
+    _q("holt_winters_per_user", ".stages.timeseries:HoltWintersGroup",
        EV_SERIES),
     _q("type_entropy", ".stages.relational:type_entropy",
        ("events", ["user_id", "event_type"])),
-    _q("matrix_profile", ".stages.tsmining:matrix_profile", EV_SERIES, w=8),
+    _q("matrix_profile", ".stages.tsmining:MatrixProfileGroup", EV_SERIES,
+       w=8),
     _q("mp_discords", ".stages.tsmining:mp_discords", EV_SERIES, w=8),
     _q("welch_ttest_weekend", ".stages.relational:welch_ttest_weekend",
        EV_TYPE_TS_VALUE),
@@ -1067,39 +1075,40 @@ REGISTRY: tuple[Query, ...] = (
     _q("active_day_streaks", ".stages.relational:active_day_streaks",
        EV_USER_TS),
     _q("zipf_fit", ".stages.textstage:zipf_fit", DOCS_TEXT, top_k=1000),
-    _q("pla_segments", ".stages.timeseries:pla_segments", EV_SERIES, width=16),
+    _q("pla_segments", ".stages.timeseries:PlaSegmentsGroup", EV_SERIES,
+       width=16),
     _q("gini_activity", ".stages.relational:gini_activity", EV_TYPE_USER),
-    _q("transition_entropy", ".stages.relational:transition_entropy",
+    _q("transition_entropy", ".stages.relational:_TransitionEntropyGroup",
        EV_TRANSITIONS),
     _q("benford_digits", ".stages.relational:benford_digits", EV_TYPE_VALUE),
     _q("pmi_pairs", ".stages.textstage:pmi_pairs",
        DOCS_TEXT, top_k=50, min_cooc=5),
-    _q("runs_test", ".stages.relational:runs_test", EV_SERIES),
+    _q("runs_test", ".stages.relational:_RunsTestGroup", EV_SERIES),
     _q("fano_factor", ".stages.relational:fano_factor", EV_USER_TS),
     _q("source_kl", ".stages.textstage:source_kl", DOCS_SRC_TEXT),
     _q("cohort_retention", ".stages.relational:cohort_retention", EV_USER_TS),
-    _q("page_hinkley", ".stages.timeseries:page_hinkley", EV_SERIES),
-    _q("variance_ratio", ".stages.timeseries:variance_ratio", EV_SERIES),
+    _q("page_hinkley", ".stages.timeseries:PageHinkleyGroup", EV_SERIES),
+    _q("variance_ratio", ".stages.timeseries:VarianceRatioGroup", EV_SERIES),
     _q("lexical_richness", ".stages.textstage:lexical_richness",
        DOCS_SRC_TEXT),
-    _q("ewm_bands", ".stages.timeseries:ewm_bands", EV_SERIES),
-    _q("seasonal_decompose", ".stages.timeseries:seasonal_decompose",
+    _q("ewm_bands", ".stages.timeseries:EwmBandsGroup", EV_SERIES),
+    _q("seasonal_decompose", ".stages.timeseries:SeasonalDecomposeGroup",
        EV_SERIES),
     _q("tukey_fences", ".stages.rollup:tukey_fences", EV_USER_VALUE),
-    _q("peak_detection", ".stages.timeseries:peak_detection", EV_SERIES),
-    _q("haar_energy", ".stages.timeseries:haar_energy", EV_SERIES),
-    _q("ljung_box", ".stages.timeseries:ljung_box", EV_SERIES),
-    _q("sample_entropy", ".stages.timeseries:sample_entropy", EV_SERIES),
+    _q("peak_detection", ".stages.timeseries:PeakDetectGroup", EV_SERIES),
+    _q("haar_energy", ".stages.timeseries:HaarEnergyGroup", EV_SERIES),
+    _q("ljung_box", ".stages.timeseries:LjungBoxGroup", EV_SERIES),
+    _q("sample_entropy", ".stages.timeseries:SampleEntropyGroup", EV_SERIES),
     _q("bigram_logprob", ".stages.textstage:bigram_logprob", DOCS),
     _q("dup_span_stats", ".stages.dedup:dup_span_stats", DOCS),
     _q("bm25_topk", ".stages.textstage:bm25_topk", DOCS),
-    _q("croston_demand", ".stages.timeseries:croston_demand", EV_USER_TS),
+    _q("croston_demand", ".stages.timeseries:CrostonGroup", EV_USER_TS),
     # DSIR importance weights vs the lang='en' target slice
     _q("dsir_weights", ".stages.textstage:dsir_weights",
        ("documents", ["doc_id", "lang", "text"])),
-    _q("hurst_rs", ".stages.timeseries:hurst_rs", EV_SERIES),
-    _q("mann_kendall", ".stages.timeseries:mann_kendall", EV_SERIES),
-    _q("spearman_trend", ".stages.timeseries:spearman_trend", EV_SERIES),
+    _q("hurst_rs", ".stages.timeseries:HurstRSGroup", EV_SERIES),
+    _q("mann_kendall", ".stages.timeseries:MannKendallGroup", EV_SERIES),
+    _q("spearman_trend", ".stages.timeseries:SpearmanTrendGroup", EV_SERIES),
     # TPC-H Q14 / Q12 shapes
     _q("promo_revenue_share", ".stages.relational:promo_revenue_share",
        ("lineitem", ["l_partkey", "l_extendedprice", "l_discount"]),
@@ -1109,7 +1118,7 @@ REGISTRY: tuple[Query, ...] = (
     _q("grubbs_test", ".stages.relational:grubbs_test",
        ("events", ["event_type", "event_id", "value"])),
     _q("char_entropy", ".stages.textstage:char_entropy", DOCS),
-    _q("drift_chi2", ".stages.relational:drift_chi2",
+    _q("drift_chi2", ".stages.relational:_DriftChi2Group",
        ("events", ["event_type", "event_id", "ts", "value"])),
     _q("embedding_dim_stats", ".stages.similarity:embedding_dim_stats",
        ("embeddings", ["embedding"])),
@@ -1127,12 +1136,12 @@ REGISTRY: tuple[Query, ...] = (
        EV_TYPE_TS_VALUE),
     _q("user_value_ranks", ".stages.relational:user_value_ranks",
        EV_USER_VALUE),
-    _q("pacf_lags", ".stages.timeseries:pacf_lags", EV_SERIES),
+    _q("pacf_lags", ".stages.timeseries:PacfGroup", EV_SERIES),
     # TPC-H Q4 shape
     _q("order_priority_check", ".stages.relational:order_priority_check",
        LI_SHIP, ORDERS_PRIO),
-    _q("isotonic_fit", ".stages.timeseries:isotonic_fit", EV_SERIES),
-    _q("next_higher_event", ".stages.timeseries:next_higher_event", EV_SERIES),
+    _q("isotonic_fit", ".stages.timeseries:IsotonicGroup", EV_SERIES),
+    _q("next_higher_event", ".stages.timeseries:NextHigherGroup", EV_SERIES),
     _q("top_event_paths", ".stages.windows:top_event_paths", EV_PATH),
     _q("bounce_rate", ".stages.windows:bounce_rate", EV_SESSION),
     _q("rfm_scores", ".stages.relational:rfm_scores", EV_USER_TS_VALUE),
@@ -1166,7 +1175,7 @@ REGISTRY: tuple[Query, ...] = (
     _q("inactive_high_balance", ".stages.relational:inactive_high_balance",
        ("customer", ["c_custkey", "c_nationkey", "c_acctbal"]),
        ORDERS_CUST_PRIO),
-    _q("rsi_per_user", ".stages.timeseries:rsi_per_user", EV_SERIES),
+    _q("rsi_per_user", ".stages.timeseries:RsiGroup", EV_SERIES),
     _q("rolling_active_users", ".stages.windows:rolling_active_users",
        EV_USER_TS),
     # Efraimidis–Spirakis over the stable hash, weight = n_chars
@@ -1184,7 +1193,7 @@ REGISTRY: tuple[Query, ...] = (
        LI_OP),
     _q("clustering_coefficient", ".stages.graph:clustering_coefficient",
        LI_OP),
-    _q("spectral_power", ".stages.timeseries:spectral_power", EV_SERIES),
+    _q("spectral_power", ".stages.timeseries:SpectralGroup", EV_SERIES),
     # the 20 most active users' hourly totals: all-pairs Pearson and the
     # best ±24 h lag of the zero-padded cross-correlation
     _q("corr_pairs_hourly", ".stages.timeseries:corr_pairs_hourly",
@@ -1206,7 +1215,7 @@ REGISTRY: tuple[Query, ...] = (
     # C4-style boilerplate removal (common word-3-grams dropped)
     _q("remove_common_ngrams", ".stages.textstage:remove_common_ngrams", DOCS,
        n=3, min_df=5),
-    _q("user_event_sequences", ".stages.windows:user_event_sequences",
+    _q("user_event_sequences", ".stages.windows:EventSequenceGroup",
        EV_TRANSITIONS),
     _q("value_quartiles", ".stages.relational:value_quartiles",
        ("events", ["event_id", "value"]), k=4),
@@ -1215,9 +1224,9 @@ REGISTRY: tuple[Query, ...] = (
     _q("chunk_documents", ".stages.textstage:chunk_documents", DOCS,
        chunk_tokens=64, stride=48),
     _q("ohlc_user_1h", ".stages.rollup:ohlc_bars", EV_SERIES, width=3600),
-    _q("twa_user_1h", ".stages.windows:time_weighted_avg",
+    _q("twa_user_1h", ".stages.windows:TimeWeightedAvgGroup",
        EV_SERIES, width_s=3600),
-    _q("trend_user_1h", ".stages.windows:window_trend", EV_USER_TS_VALUE,
+    _q("trend_user_1h", ".stages.windows:TrendGroup", EV_USER_TS_VALUE,
        width_s=3600),
     _q("winsorize_events", ".stages.relational:winsorize_events",
        EV_ID_TYPE_VALUE),
@@ -1225,7 +1234,7 @@ REGISTRY: tuple[Query, ...] = (
        DOCS_SRC),
     _q("token_budget_sample", ".stages.textstage:token_budget_sample",
        DOCS_SRC, budget_tokens=1000),
-    _q("interarrival_stats", ".stages.windows:interarrival_stats", EV_SESSION),
+    _q("interarrival_stats", ".stages.windows:InterarrivalGroup", EV_SESSION),
     _q("value_histogram", ".stages.relational:value_histogram", EV_TYPE_VALUE,
        width_cents=5000),
     _q("zscore_events", ".stages.relational:zscore_events", EV_ID_TYPE_VALUE),

@@ -43,6 +43,36 @@ SYNTH_DIR = f"/tmp/graft_synth_bucketed_v3_{SYNTH_DOCS}"
 METRIC = ("rolled-up points/sec and end-to-end 3-tier rollup wall-time over "
           "tokenized sequences; plus operator pipeline wall-times")
 
+# Registry rows (``__ray_entry__.REGISTRY``) timed by name, each consumed
+# with ``.count()`` (a Dataset) or ``len()`` (a frame or table).  Scaling
+# children time only the first three.
+QUERIES = (
+    "corrected_events", "hampel_flags", "dedup_exact", "minhash_dedup",
+    "ngram_jaccard_pairs", "redact_pii", "tfidf_top_term",
+    "remove_common_ngrams", "chunk_documents", "winnow_matches",
+    "rate_counter_1h", "resample_ffill_1h", "ewma_per_user", "autocorr_lag1",
+    "lttb_downsample", "changepoint_user", "corr_pairs_hourly",
+    "session_cooccurrence", "holt_winters_per_user", "kalman_per_user",
+    "spectral_power", "xcorr_best_lag", "theil_sen_slope", "ewm_bands",
+    "seasonal_decompose", "tukey_fences", "page_hinkley", "variance_ratio",
+    "peak_detection", "haar_energy", "ljung_box", "sample_entropy",
+    "croston_demand", "hurst_rs", "mann_kendall", "spearman_trend",
+    "pacf_lags", "isotonic_fit", "next_higher_event", "top_event_paths",
+    "bounce_rate", "user_value_ranks", "rfm_scores", "grubbs_test",
+    "seasonal_quantiles", "drift_chi2", "embedding_dim_stats",
+    "embedding_quantize", "semantic_dedup", "type_entropy",
+    "welch_ttest_weekend", "ks_test_weekend", "mannwhitney_weekend",
+    "active_day_streaks", "unigram_logprob", "bigram_logprob",
+    "dup_span_stats", "bm25_topk", "dsir_weights", "heaps_law",
+    "distinct_ngrams", "oov_rate", "source_mix_weights",
+    "vocab_overlap_sources", "char_entropy", "promo_revenue_share",
+    "order_priority_check", "late_shipment_priority", "gini_activity",
+    "transition_entropy", "benford_digits", "runs_test", "fano_factor",
+    "cohort_retention", "pla_segments", "zipf_fit", "pmi_pairs", "source_kl",
+    "lexical_richness", "matrix_profile", "m4_downsample", "sax_symbols",
+    "threshold_excursions",
+)
+
 
 def ensure_synth():
     marker = os.path.join(SYNTH_DIR, "_DONE")
@@ -70,12 +100,9 @@ def run_bench() -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
 
+    import __ray_entry__ as E
     from series_correction_project_updated_ray.stages.correction import (
         correct_and_rollup, correct_and_rollup_local)
-    from series_correction_project_updated_ray.stages.events_series import (
-        corrected_series, hampel_flags)
-    from series_correction_project_updated_ray.stages.dedup import (
-        exact_dedup_survivors)
     from series_correction_project_updated_ray.stages.rollup import rollup_tiers
     from series_correction_project_updated_ray.sources.sequences import (
         read_sequences)
@@ -145,426 +172,19 @@ def run_bench() -> dict:
             t.count()
     timed("rollup_events_tiers", _tiers)
 
-    timed("corrected_events",
-          lambda: corrected_series(rd.read_parquet(
-              f"{SF_DIR}/events.parquet",
-              columns=["user_id", "event_id", "ts", "value"])).count())
+    queries = E.queries()
 
-    timed("hampel_flags",
-          lambda: hampel_flags(rd.read_parquet(
-              f"{SF_DIR}/events.parquet",
-              columns=["user_id", "event_id", "ts", "value"])).count())
+    def _run(name: str) -> int:
+        out = queries[name](SF_DIR)
+        return out.count() if isinstance(out, rd.Dataset) else len(out)
 
-    timed("dedup_exact",
-          lambda: exact_dedup_survivors(rd.read_parquet(
-              f"{SF_DIR}/documents.parquet",
-              columns=["doc_id", "text"])).count())
+    # scaling children skip the operator pipelines: the scaling criterion
+    # measures the headline rollup, and 12 child runs would pay these
+    # timings for nothing
+    for name in QUERIES[:3] if scaling_child else QUERIES:
+        timed(name, lambda: _run(name))
 
-    # LLM-pipeline operators (skipped in scaling children: the scaling
-    # criterion measures the headline rollup, and 12 child runs would
-    # pay these timings for nothing)
     if not scaling_child:
-        from series_correction_project_updated_ray.stages.dedup import (
-            minhash_lsh_dedup, ngram_jaccard_pairs)
-        from series_correction_project_updated_ray.stages.textstage import (
-            chunk_documents, redact_pii, remove_common_ngrams,
-            tfidf_top_term)
-
-        docs_path = f"{SF_DIR}/documents.parquet"
-
-        timed("minhash_dedup",
-              lambda: minhash_lsh_dedup(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])))
-
-        timed("ngram_jaccard_pairs",
-              lambda: ngram_jaccard_pairs(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])).count())
-
-        timed("redact_pii",
-              lambda: redact_pii(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])).count())
-
-        timed("tfidf_top_term",
-              lambda: tfidf_top_term(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])).count())
-
-        timed("remove_common_ngrams",
-              lambda: remove_common_ngrams(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"]),
-                  n=3, min_df=5).count())
-
-        timed("chunk_documents",
-              lambda: chunk_documents(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])).count())
-
-        def _winnow():
-            import __ray_entry__ as E
-            return E.queries()["winnow_matches"](SF_DIR).count()
-        timed("winnow_matches", _winnow)
-
-        from series_correction_project_updated_ray.stages.timeseries import (
-            autocorr_lag1, ewma_per_user, lttb_downsample, rate_counter,
-            resample_ffill)
-
-        ev_path = f"{SF_DIR}/events.parquet"
-        ev_cols = ["user_id", "event_id", "ts", "value"]
-
-        timed("rate_counter_1h",
-              lambda: rate_counter(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        timed("resample_ffill_1h",
-              lambda: resample_ffill(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        timed("ewma_per_user",
-              lambda: ewma_per_user(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        timed("autocorr_lag1",
-              lambda: autocorr_lag1(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        timed("lttb_downsample",
-              lambda: lttb_downsample(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-
-        from series_correction_project_updated_ray.stages.timeseries import (
-            changepoint_user, corr_pairs_hourly, kalman_per_user, theil_sen)
-
-        timed("changepoint_user",
-              lambda: changepoint_user(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        timed("corr_pairs_hourly",
-              lambda: corr_pairs_hourly(rd.read_parquet(
-                  ev_path, columns=["user_id", "ts", "value"]),
-                  k=20).count())
-        from series_correction_project_updated_ray.stages.windows import (
-            session_cooccurrence)
-        timed("session_cooccurrence",
-              lambda: session_cooccurrence(rd.read_parquet(
-                  ev_path, columns=["user_id", "event_id", "ts",
-                                    "event_type"])).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            holt_winters_per_user)
-        timed("holt_winters_per_user",
-              lambda: holt_winters_per_user(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        timed("kalman_per_user",
-              lambda: kalman_per_user(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            spectral_power)
-        timed("spectral_power",
-              lambda: spectral_power(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            xcorr_best_lag)
-        timed("xcorr_best_lag",
-              lambda: xcorr_best_lag(rd.read_parquet(
-                  ev_path, columns=["user_id", "ts", "value"])).count())
-        timed("theil_sen_slope",
-              lambda: theil_sen(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            ewm_bands, page_hinkley, seasonal_decompose, variance_ratio)
-        timed("ewm_bands",
-              lambda: ewm_bands(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        timed("seasonal_decompose",
-              lambda: seasonal_decompose(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.rollup import (
-            tukey_fences)
-        timed("tukey_fences",
-              lambda: tukey_fences(rd.read_parquet(
-                  ev_path, columns=["user_id", "value"])).count())
-        timed("page_hinkley",
-              lambda: page_hinkley(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        timed("variance_ratio",
-              lambda: variance_ratio(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            haar_energy, peak_detection)
-        timed("peak_detection",
-              lambda: peak_detection(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        timed("haar_energy",
-              lambda: haar_energy(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            ljung_box)
-        timed("ljung_box",
-              lambda: ljung_box(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            sample_entropy)
-        timed("sample_entropy",
-              lambda: sample_entropy(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            croston_demand)
-        timed("croston_demand",
-              lambda: croston_demand(rd.read_parquet(
-                  ev_path, columns=["user_id", "ts"])).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            hurst_rs)
-        timed("hurst_rs",
-              lambda: hurst_rs(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            mann_kendall)
-        timed("mann_kendall",
-              lambda: mann_kendall(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            spearman_trend)
-        timed("spearman_trend",
-              lambda: spearman_trend(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            pacf_lags)
-        timed("pacf_lags",
-              lambda: pacf_lags(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            isotonic_fit)
-        timed("isotonic_fit",
-              lambda: isotonic_fit(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            next_higher_event)
-        timed("next_higher_event",
-              lambda: next_higher_event(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.windows import (
-            top_event_paths)
-        timed("top_event_paths",
-              lambda: top_event_paths(rd.read_parquet(
-                  ev_path, columns=["user_id", "event_id", "ts",
-                                    "event_type"])).count())
-        from series_correction_project_updated_ray.stages.windows import (
-            bounce_rate)
-        timed("bounce_rate",
-              lambda: bounce_rate(rd.read_parquet(
-                  ev_path,
-                  columns=["user_id", "event_id", "ts"])).count())
-        from series_correction_project_updated_ray.stages.relational import (
-            user_value_ranks)
-        timed("user_value_ranks",
-              lambda: user_value_ranks(rd.read_parquet(
-                  ev_path, columns=["user_id", "value"])).count())
-        from series_correction_project_updated_ray.stages.relational import (
-            rfm_scores)
-        timed("rfm_scores",
-              lambda: rfm_scores(rd.read_parquet(
-                  ev_path, columns=["user_id", "ts", "value"])).count())
-        from series_correction_project_updated_ray.stages.relational import (
-            grubbs_test)
-        timed("grubbs_test",
-              lambda: grubbs_test(rd.read_parquet(
-                  ev_path,
-                  columns=["event_type", "event_id", "value"])).count())
-        from series_correction_project_updated_ray.stages.rollup import (
-            seasonal_quantiles)
-        timed("seasonal_quantiles",
-              lambda: seasonal_quantiles(rd.read_parquet(
-                  ev_path,
-                  columns=["event_type", "ts", "value"])).count())
-        from series_correction_project_updated_ray.stages.relational import (
-            drift_chi2)
-        timed("drift_chi2",
-              lambda: drift_chi2(rd.read_parquet(
-                  ev_path, columns=["event_type", "event_id", "ts",
-                                    "value"])).count())
-        emb_path = f"{SF_DIR}/embeddings.parquet"
-        if os.path.exists(emb_path):
-            from series_correction_project_updated_ray.stages.similarity import (
-                embedding_dim_stats, embedding_quantize)
-            timed("embedding_dim_stats",
-                  lambda: embedding_dim_stats(rd.read_parquet(
-                      emb_path, columns=["embedding"])).count())
-            timed("embedding_quantize",
-                  lambda: embedding_quantize(rd.read_parquet(
-                      emb_path,
-                      columns=["vec_id", "embedding"])).count())
-            from series_correction_project_updated_ray.stages.dedup import (
-                semantic_dedup)
-            timed("semantic_dedup",
-                  lambda: len(semantic_dedup(rd.read_parquet(
-                      emb_path, columns=["vec_id", "embedding"]),
-                      threshold=0.4, planes=6)))
-
-        from series_correction_project_updated_ray.stages.textstage import (
-            unigram_logprob)
-
-        from series_correction_project_updated_ray.stages.relational import (
-            ks_test_weekend, type_entropy, welch_ttest_weekend)
-        timed("type_entropy",
-              lambda: type_entropy(rd.read_parquet(
-                  ev_path, columns=["user_id", "event_type"])).count())
-        timed("welch_ttest_weekend",
-              lambda: welch_ttest_weekend(rd.read_parquet(
-                  ev_path, columns=["event_type", "ts", "value"])).count())
-        timed("ks_test_weekend",
-              lambda: ks_test_weekend(rd.read_parquet(
-                  ev_path, columns=["event_type", "ts", "value"])).count())
-        from series_correction_project_updated_ray.stages.relational import (
-            mannwhitney_weekend)
-        timed("mannwhitney_weekend",
-              lambda: mannwhitney_weekend(rd.read_parquet(
-                  ev_path, columns=["event_type", "ts", "value"])).count())
-        from series_correction_project_updated_ray.stages.relational import (
-            active_day_streaks)
-        timed("active_day_streaks",
-              lambda: active_day_streaks(rd.read_parquet(
-                  ev_path, columns=["user_id", "ts"])).count())
-        timed("unigram_logprob",
-              lambda: unigram_logprob(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])).count())
-        from series_correction_project_updated_ray.stages.textstage import (
-            bigram_logprob)
-        timed("bigram_logprob",
-              lambda: bigram_logprob(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])).count())
-        from series_correction_project_updated_ray.stages.dedup import (
-            dup_span_stats)
-        timed("dup_span_stats",
-              lambda: dup_span_stats(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])).count())
-        from series_correction_project_updated_ray.stages.textstage import (
-            bm25_topk)
-        timed("bm25_topk",
-              lambda: bm25_topk(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])).count())
-        from series_correction_project_updated_ray.stages.textstage import (
-            dsir_weights)
-        timed("dsir_weights",
-              lambda: dsir_weights(rd.read_parquet(
-                  docs_path,
-                  columns=["doc_id", "lang", "text"])).count())
-        from series_correction_project_updated_ray.stages.textstage import (
-            heaps_law)
-        timed("heaps_law",
-              lambda: heaps_law(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])).count())
-        from series_correction_project_updated_ray.stages.textstage import (
-            distinct_ngrams, oov_rate)
-        timed("distinct_ngrams",
-              lambda: distinct_ngrams(rd.read_parquet(
-                  docs_path, columns=["text"])).count())
-        timed("oov_rate",
-              lambda: oov_rate(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])).count())
-        from series_correction_project_updated_ray.stages.textstage import (
-            source_mix_weights)
-        timed("source_mix_weights",
-              lambda: source_mix_weights(rd.read_parquet(
-                  docs_path, columns=["source"])).count())
-        from series_correction_project_updated_ray.stages.textstage import (
-            vocab_overlap_sources)
-        timed("vocab_overlap_sources",
-              lambda: vocab_overlap_sources(rd.read_parquet(
-                  docs_path, columns=["source", "text"])).count())
-        from series_correction_project_updated_ray.stages.textstage import (
-            char_entropy)
-        timed("char_entropy",
-              lambda: char_entropy(rd.read_parquet(
-                  docs_path, columns=["doc_id", "text"])).count())
-        from series_correction_project_updated_ray.stages.relational import (
-            late_shipment_priority, promo_revenue_share)
-        li_path = f"{SF_DIR}/lineitem.parquet"
-        ord_path = f"{SF_DIR}/orders.parquet"
-        part_path = f"{SF_DIR}/part.parquet"
-        if os.path.exists(li_path):
-            timed("promo_revenue_share",
-                  lambda: promo_revenue_share(
-                      rd.read_parquet(li_path,
-                                      columns=["l_partkey",
-                                               "l_extendedprice",
-                                               "l_discount"]),
-                      rd.read_parquet(part_path,
-                                      columns=["p_partkey",
-                                               "p_type"])).count())
-            from series_correction_project_updated_ray.stages.relational import (
-                order_priority_check)
-            timed("order_priority_check",
-                  lambda: order_priority_check(
-                      rd.read_parquet(li_path,
-                                      columns=["l_orderkey",
-                                               "l_shipdate"]),
-                      rd.read_parquet(ord_path,
-                                      columns=["o_orderkey",
-                                               "o_orderdate",
-                                               "o_orderpriority"])).count())
-            timed("late_shipment_priority",
-                  lambda: late_shipment_priority(
-                      rd.read_parquet(li_path,
-                                      columns=["l_orderkey",
-                                               "l_shipdate"]),
-                      rd.read_parquet(ord_path,
-                                      columns=["o_orderkey",
-                                               "o_orderdate",
-                                               "o_orderpriority"])).count())
-
-        # round-5 additions
-        from series_correction_project_updated_ray.stages.relational import (
-            benford_digits, cohort_retention, fano_factor, gini_activity,
-            runs_test, transition_entropy)
-        timed("gini_activity",
-              lambda: gini_activity(rd.read_parquet(
-                  ev_path, columns=["event_type", "user_id"])).count())
-        timed("transition_entropy",
-              lambda: transition_entropy(rd.read_parquet(
-                  ev_path, columns=["user_id", "event_id", "event_type",
-                                    "ts"])).count())
-        timed("benford_digits",
-              lambda: benford_digits(rd.read_parquet(
-                  ev_path, columns=["event_type", "value"])).count())
-        timed("runs_test",
-              lambda: runs_test(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        timed("fano_factor",
-              lambda: fano_factor(rd.read_parquet(
-                  ev_path, columns=["user_id", "ts"])).count())
-        timed("cohort_retention",
-              lambda: cohort_retention(rd.read_parquet(
-                  ev_path, columns=["user_id", "ts"])).count())
-        from series_correction_project_updated_ray.stages.timeseries import (
-            pla_segments)
-        timed("pla_segments",
-              lambda: pla_segments(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        from series_correction_project_updated_ray.stages.textstage import (
-            lexical_richness, pmi_pairs, source_kl, zipf_fit)
-        timed("zipf_fit",
-              lambda: zipf_fit(rd.read_parquet(
-                  docs_path, columns=["text"])).count())
-        timed("pmi_pairs",
-              lambda: pmi_pairs(rd.read_parquet(
-                  docs_path, columns=["text"])).count())
-        timed("source_kl",
-              lambda: source_kl(rd.read_parquet(
-                  docs_path, columns=["source", "text"])).count())
-        timed("lexical_richness",
-              lambda: lexical_richness(rd.read_parquet(
-                  docs_path, columns=["source", "text"])).count())
-
-        from series_correction_project_updated_ray.stages.tsmining import (
-            m4_downsample, matrix_profile, sax_symbols,
-            threshold_excursions)
-
-        timed("matrix_profile",
-              lambda: matrix_profile(rd.read_parquet(
-                  ev_path, columns=ev_cols), w=8).count())
-
-        timed("m4_downsample",
-              lambda: m4_downsample(rd.read_parquet(
-                  ev_path, columns=ev_cols), width_s=86400).count())
-        timed("sax_symbols",
-              lambda: sax_symbols(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-        timed("threshold_excursions",
-              lambda: threshold_excursions(rd.read_parquet(
-                  ev_path, columns=ev_cols)).count())
-
         # Gorilla segment compression over ~26M synthetic points (64
         # series, distributed generation, materialized untimed).  Timed
         # with the production actor pool — includes pool startup, so the

@@ -55,8 +55,8 @@ def escape_series(s: pd.Series) -> pd.Series:
 
 
 def validate_sheet_name(sheet_name: Any) -> None:
-    if sheet_name is None:
-        return
+    """Excel sheet-name rules (reference spreadsheet_safety.py:278-306):
+    string, non-empty, ≤31 chars, none of ``\\ * ? : / [ ]``."""
     if not isinstance(sheet_name, str):
         raise ValueError(
             f"sheet_name must be a string, got {type(sheet_name).__name__}")

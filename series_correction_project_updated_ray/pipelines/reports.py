@@ -18,7 +18,7 @@ import pandas as pd
 
 from .. import kernels as K
 from ..functions.parsing import safe_round
-from ..functions.sanitize import sanitize_dataframe
+from ..functions.sanitize import sanitize_dataframe, validate_sheet_name
 from ..stages.joins import each_key
 
 
@@ -37,25 +37,6 @@ def write_parquet_output(ds, path: str, **kwargs):
     ds.write_parquet(path, **kwargs)
 
 
-_INVALID_SHEET_NAME_CHARS = r"[\\*?:/\[\]]"
-
-
-def _validate_sheet_name(sheet_name) -> None:
-    """Excel sheet-name rules (reference spreadsheet_safety.py:278-306):
-    string, non-empty, ≤31 chars, none of ``\\ * ? : / [ ]``."""
-    import re
-    if not isinstance(sheet_name, str):
-        raise ValueError(
-            f"sheet_name must be a string, got {type(sheet_name).__name__}")
-    if not sheet_name:
-        raise ValueError("sheet_name cannot be empty")
-    if len(sheet_name) > 31:
-        raise ValueError(f"sheet_name exceeds 31 characters: {sheet_name!r}")
-    if re.search(_INVALID_SHEET_NAME_CHARS, sheet_name):
-        raise ValueError(
-            f"sheet_name contains invalid characters: {sheet_name!r}")
-
-
 def write_excel_safely(df: pd.DataFrame, path: str, *,
                        sheet_name: str = "Sheet1", index: bool = False,
                        **kwargs):
@@ -68,7 +49,7 @@ def write_excel_safely(df: pd.DataFrame, path: str, *,
     not installed; only the final engine call needs the library."""
     if not isinstance(df, pd.DataFrame):
         raise TypeError("Expected a pandas DataFrame")
-    _validate_sheet_name(sheet_name)
+    validate_sheet_name(sheet_name)
     sanitized = sanitize_dataframe(df)
     try:
         import openpyxl  # noqa: F401  (pandas' xlsx engine)

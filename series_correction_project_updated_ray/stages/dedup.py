@@ -83,9 +83,14 @@ class MinHashBands:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch[self.text_col].to_pandas()
-        ids = batch[self.id_col].to_pandas().to_numpy()
         shingles = [char_ngram_shingles(t or "", self.ngram) for t in texts]
-        sigs = minhash_signatures(shingles, self.num_perm, self.seed)
+        # an empty shingle set (a NULL or "" text) gets no band bucket,
+        # as ShingleRows emits no row for it: two empty texts are not
+        # near-duplicates
+        has = np.array([len(sh) > 0 for sh in shingles], dtype=bool)
+        ids = batch[self.id_col].to_pandas().to_numpy()[has]
+        sigs = minhash_signatures([sh for sh in shingles if len(sh)],
+                                  self.num_perm, self.seed)
         r = self.rows_per_band
         band_ids, band_hashes, doc_ids = [], [], []
         with np.errstate(over="ignore"):  # uint64 wraparound digest

@@ -180,22 +180,12 @@ def corrected_full_arrays(ids, t, v):
     identical on both engines, so the full composition — all five
     reference correction operators chained — is oracle-exact.
     Returns (t, value_corrected, inserted)."""
-    t_all, v_all, flag = _gap_fill_base(t, v)
-    v_filled = round_half_away(K.interp_positional(v_all, "linear"), 6)
-    idx = K.hampel_outliers(v_filled, 5, 3.0, variant="processor")
-    v_out = K.correct_outliers(v_filled, idx, 5, "median") \
-        if len(idx) else v_filled
-    v2 = round_half_away(v_out, 6)
+    out = corrected_nojump_arrays(ids, t, v)
+    v2 = out["value_corrected"]
     jumps = K.cusum_jumps_quantized(v2, 5, 3.0)
     v3 = K.correct_jumps(v2, jumps, 5) if len(jumps) else v2
-    return {
-        "t": t_all.astype(np.int64),
-        "value_corrected": round_half_away(v3, 6),
-        "inserted": flag,
-    }
+    return {**out, "value_corrected": round_half_away(v3, 6)}
 
-
-# --- pandas wrappers (direct per-series use; tests pin their semantics) -----
 
 # --- the partition-group driver ---------------------------------------------
 

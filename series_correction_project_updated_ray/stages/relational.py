@@ -10,7 +10,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .joins import _segment_starts, key_runs, partition_groups
-from .rollup import combine, sums_of
+from .rollup import combine, combine_all, sums_of
 from .windows import _epoch_micros, _prep_events
 from ..functions.sanitize import sanitize_batch
 
@@ -1468,13 +1468,18 @@ def gini_activity(events):
 # --- event-type transition entropy ------------------------------------------
 
 class _TransitionEntropyGroup:
-    """Per-partition kernel for :func:`transition_entropy`: order each
+    """Per-partition kernel: conditional entropy of each user's
+    event-type transitions, the sequence-predictability screen
+    (0 = deterministic flows, ln|types| = memoryless).  Order each
     key's typed events by (t, event_id), count consecutive-pair
     (prev_type, next_type) bigrams, and close the conditional entropy
     H(next|prev) = −Σ_ab (c_ab/N)·ln(c_ab/c_a·) with libm ``math.log``
     per cell and the fold LEFT IN (ta, tb) STRING ORDER — bit-identical
     to the SQL ``list_reduce(list(term ORDER BY ta, tb))``.  Keys with
-    fewer than 2 typed events emit nothing (the oracle's inner joins)."""
+    fewer than 2 typed events emit nothing (the oracle's inner joins);
+    a key's bigram cells are bounded by |types|²."""
+
+    COLS = ("user_id", "event_id", "event_type")
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
@@ -1534,17 +1539,6 @@ class _TransitionEntropyGroup:
             "trans_entropy": round_half_away(
                 np.array(out_h, dtype=np.float64), 6),
         })
-
-
-def transition_entropy(events):
-    """Conditional entropy of each user's event-type TRANSITIONS
-    (H(next|prev) over consecutive typed events) — the sequence-
-    predictability screen (0 = deterministic flows, ln|types| =
-    memoryless).  One partition-group shuffle; the bigram cells per
-    key are bounded by |types|², so the libm close is tiny."""
-    prepped = _prep_events(events, cols=("user_id", "event_id",
-                                         "event_type"))
-    return partition_groups(prepped, "user_id", _TransitionEntropyGroup())
 
 
 # --- Benford first-digit screen ---------------------------------------------
@@ -1625,7 +1619,9 @@ def benford_digits(events):
 # --- Wald–Wolfowitz runs test -----------------------------------------------
 
 class _RunsTestGroup:
-    """Per-partition kernel for :func:`runs_test`: per key, median of
+    """Per-partition kernel: Wald–Wolfowitz runs test — is the value
+    sequence random around its median, or does it trend/oscillate?
+    Per key, median of
     the values ((lo+hi)/2 on even counts == DuckDB quantile_cont(0.5)
     bitwise), drop exact-median rows, then count sign runs in
     (t, event_id) order and close the normal z in the oracle's exact
@@ -1685,15 +1681,6 @@ class _RunsTestGroup:
             "n_below": n2,
             "runs": runs.astype(np.int64),
             "z": np.where(ok, round_half_away(z, 6), np.nan)})
-
-
-def runs_test(events):
-    """Wald–Wolfowitz runs test per user — is the value sequence
-    random around its median, or does it trend/oscillate?  One
-    partition-group shuffle; medians, run counting and the z close
-    are all vectorized across co-located keys."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", _RunsTestGroup())
 
 
 # --- burstiness (Fano factor) -----------------------------------------------
@@ -1880,7 +1867,6 @@ def promo_revenue_share(lineitem, part):
     three output doubles."""
     import pyarrow.compute as pc
     import ray
-    from ray.data.aggregate import Sum
 
     from .taskcache import class_task, nonempty_blocks
 
@@ -1900,11 +1886,10 @@ def promo_revenue_share(lineitem, part):
     partials = lineitem.map_batches(
         class_task(_PromoScore, keys_ref, promo_ref),
         batch_format="pyarrow")
-    g = partials.aggregate(Sum("prom", alias_name="prom"),
-                           Sum("tot", alias_name="tot"))
+    g = combine_all(partials, sums_of("prom", "tot"))
     from ..functions.rounding import round_half_away
-    prom = int(g["prom"] or 0)
-    tot = int(g["tot"] or 0)
+    prom = int(g.get("prom") or 0)
+    tot = int(g.get("tot") or 0)
     out = {
         "promo_rev": pa.array([round_half_away(
             np.float64(float(prom) / 10000.0), 6)], pa.float64()),
@@ -2031,14 +2016,17 @@ def grubbs_test(events):
 # --- distribution drift (split-half chi-square) --------------------------------
 
 class _DriftChi2Group:
-    """Per-partition kernel for :func:`drift_chi2`: per event type the
-    stream splits at ``nk // 2`` in (t, event_id) order, values bucket
+    """Per-partition kernel: split-half distribution drift, the
+    ops-monitoring drift screen, keyed on the bounded event-type
+    domain.  Per event type the stream splits at ``nk // 2`` in
+    (t, event_id) order, values bucket
     into 20 fixed-width cents bins (clamped), and the chi-square
     homogeneity statistic folds over PRESENT bins in ascending bin
     order — expected counts are exact-integer ratios cast once, each
     bin term is a fixed double expression, so the SQL twin matches at
     6dp.  Types with < 2 rows drop."""
 
+    COLS, KEY = ("event_type", "event_id", "value"), "event_type"
     BIN_CENTS, N_BINS = 1000, 20
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
@@ -2087,17 +2075,6 @@ class _DriftChi2Group:
             "n": np.array(nn, dtype=np.int64),
             "dof": np.array(dof, dtype=np.int64),
             "chi2": np.array(x2, dtype=np.float64)})
-
-
-def drift_chi2(events):
-    """Per-event-type split-half distribution drift: the chi-square
-    homogeneity statistic between the first and second half of the
-    type's value stream over 20 fixed cents bins — the ops-monitoring
-    drift screen.  One partition-group shuffle over the bounded type
-    domain; integer counts, ordered per-bin double folds."""
-    prepped = _prep_events(events, cols=("event_type", "event_id",
-                                         "value"))
-    return partition_groups(prepped, "event_type", _DriftChi2Group())
 
 
 # --- global user value ranks ----------------------------------------------------
@@ -2485,9 +2462,8 @@ def top_supplier_revenue(lineitem, supplier):
     per_supp = combine(
         lineitem.map_batches(_li_partial, batch_format="pyarrow"),
         ["l_suppkey"], sums_of("rev1e4")).materialize()
-    from ray.data.aggregate import Max
-    row = per_supp.aggregate(Max("rev1e4", alias_name="m"))
-    if not row or row["m"] is None:   # empty lineitem: no top supplier
+    row = combine_all(per_supp, [("rev1e4", "max", "m")])
+    if row.get("m") is None:   # empty lineitem: no top supplier
         import ray.data as rd
         return rd.from_arrow(pa.table({
             "s_suppkey": pa.array([], pa.int64()),
@@ -2523,8 +2499,6 @@ def small_quantity_revenue(lineitem):
     multiplies to ``5·q100·n < Σq100`` in int64, exactly the SQL
     predicate after the same rewrite.  The close is one Sum and one
     division by 7.0 (Q17's yearly scaling)."""
-    from ray.data.aggregate import Sum
-
     from .joins import hash_join
 
     def _per_part(t: pa.Table) -> pa.Table:
@@ -2554,11 +2528,12 @@ def small_quantity_revenue(lineitem):
         p100 = _scaled_cents(t["l_extendedprice"])[keep]
         return pa.table({"p100": pa.array([int(p100.sum())], pa.int64())})
 
-    total = j.map_batches(_filtered_partial, batch_format="pyarrow") \
-        .aggregate(Sum("p100", alias_name="p100"))
+    total = combine_all(j.map_batches(_filtered_partial,
+                                      batch_format="pyarrow"),
+                        sums_of("p100"))
     import ray.data as rd
     from ..functions.rounding import round_half_away
-    cents = int(total["p100"] or 0)
+    cents = int(total.get("p100") or 0)
     return rd.from_arrow(pa.table({
         "avg_yearly": pa.array([round_half_away(
             np.float64(float(cents) / 700.0), 6)], pa.float64())}))
@@ -2638,8 +2613,6 @@ def disjunctive_revenue(lineitem, part, *, clauses=_Q19_CLAUSES):
     not broadcastable at real scale), every clause evaluates as one
     vectorized boolean column, and each batch emits a single exact-
     integer partial."""
-    from ray.data.aggregate import Sum
-
     from .joins import hash_join
 
     j = hash_join(lineitem.select_columns(
@@ -2660,11 +2633,11 @@ def disjunctive_revenue(lineitem, part, *, clauses=_Q19_CLAUSES):
         return pa.table({"rev1e4": pa.array(
             [int((p100 * (100 - d100)).sum())], pa.int64())})
 
-    total = j.map_batches(_partial, batch_format="pyarrow") \
-        .aggregate(Sum("rev1e4", alias_name="rev1e4"))
+    total = combine_all(j.map_batches(_partial, batch_format="pyarrow"),
+                        sums_of("rev1e4"))
     import ray.data as rd
     return rd.from_arrow(pa.table({
-        "revenue": pa.array([int(total["rev1e4"] or 0) / 10000.0],
+        "revenue": pa.array([int(total.get("rev1e4") or 0) / 10000.0],
                             pa.float64())}))
 
 
@@ -2683,7 +2656,6 @@ def inactive_high_balance(customer, orders, *,
     it (semi_join machinery); the close is a |nations|-row integer
     groupby."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from .joins import semi_join
 
@@ -2694,9 +2666,10 @@ def inactive_high_balance(customer, orders, *,
                          "s100": pa.array([int(bal100[pos].sum())],
                                           pa.int64())})
 
-    g = customer.map_batches(_bal_partial, batch_format="pyarrow") \
-        .aggregate(Sum("n", alias_name="n"), Sum("s100", alias_name="s100"))
-    n, s100 = int(g["n"] or 0), int(g["s100"] or 0)
+    g = combine_all(customer.map_batches(_bal_partial,
+                                         batch_format="pyarrow"),
+                    sums_of("n", "s100"))
+    n, s100 = int(g.get("n") or 0), int(g.get("s100") or 0)
 
     def _above(t: pa.Table) -> pa.Table:
         bal100 = _scaled_cents(t["c_acctbal"])

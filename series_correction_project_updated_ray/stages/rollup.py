@@ -148,6 +148,12 @@ def combine(ds, keys: list[str], aggs: list[tuple]):
         [(ds, lambda t: _with_hash(t.select(cols), keys))], _fold)
 
 
+def combine_all(ds, aggs: list[tuple]) -> dict:
+    """``combine`` without keys: the one row of ``aggs`` over all of
+    ``ds`` as a dict, empty when ``ds`` has no rows."""
+    return next(iter(combine(ds, [], aggs).take_all()), {})
+
+
 def sums_of(*cols: str) -> list[tuple]:
     """``combine`` entries summing each of ``cols`` under its own name."""
     return [(c, "sum", c) for c in cols]

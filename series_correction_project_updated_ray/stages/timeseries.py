@@ -17,11 +17,11 @@ rounding out the north rule's "rollup + downsample + retention engine":
   bucket's pick feeds the next triangle), so per-key inside
   partition groups.
 
-All use the one-shuffle partition-group primitive
-:func:`stages.joins.partition_groups`: a sort on the key hash co-locates
-whole keys in blocks sized by the input, each kernel handles
-every co-located key vectorized (boundary scans / reduceat), never one
-Python call per key.
+Each is a kernel class that a registry row names and
+:func:`stages.windows.run_per_key` runs: one keyed exchange
+(:func:`stages.joins.partition_groups`) co-locates whole keys in blocks
+sized by the input, and the kernel handles every co-located key
+vectorized (boundary scans / reduceat), never one Python call per key.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .joins import _segment_starts, key_runs, partition_groups
+from .joins import _segment_starts, key_runs
 from .rollup import combine, sums_of
 from .windows import _epoch_micros, _prep_events
 from ..functions.rounding import round_half_away, scaled_int
@@ -52,7 +52,10 @@ class RateCounterGroup:
         self.width_s = width_s
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        rows, keys, codes, kstarts, _ = key_runs(g)
+        # NULL/NaN values drop (a NaN's scaled_int sentinel would poison
+        # the deltas)
+        rows, keys, codes, kstarts, _ = key_runs(
+            g, keep=np.isfinite(g["value"].to_numpy(np.float64)))
         t = rows["t"].to_numpy(np.int64)
         cents = scaled_int(rows["value"].to_numpy(np.float64))
         dc = np.zeros(len(t), dtype=np.int64)
@@ -77,13 +80,6 @@ class RateCounterGroup:
         })
 
 
-def rate_counter(events, *, width_s: int = 3600):
-    """Reset-aware counter rate per (user, tumbling window) — one
-    partition-group shuffle of (key, id, t, cents)-width rows."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", RateCounterGroup(width_s))
-
-
 # --- max drawdown (running-peak regression) ---------------------------------
 
 class DrawdownGroup:
@@ -97,9 +93,10 @@ class DrawdownGroup:
     with an exact python-int fallback when the shift could overflow."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        # oracle's equi-join drops null keys
+        # oracle's equi-join drops null keys; NULL/NaN values drop (a
+        # NaN's scaled_int sentinel would poison the running peak)
         rows, keys, codes, starts, ends = key_runs(
-            g, keep=g["user_id"].notna())
+            g, keep=g["user_id"].notna() & np.isfinite(g["value"].to_numpy(np.float64)))
         if len(rows) == 0:
             return pd.DataFrame({
                 "user_id": rows["user_id"],
@@ -144,14 +141,6 @@ class DrawdownGroup:
         })
 
 
-def max_drawdown(events):
-    """Per-user max drawdown (largest drop from the running peak) with
-    the earliest trough timestamp — one partition-group shuffle, exact
-    integer cents."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", DrawdownGroup())
-
-
 # --- interval coverage (gaps and islands) ----------------------------------
 
 class IntervalCoverageGroup:
@@ -160,6 +149,8 @@ class IntervalCoverageGroup:
     at or before the running max end extends the current island) and
     emit per key the merged-interval count and the union's total length
     in integer microseconds."""
+
+    COLS = ("user_id",)
 
     def __init__(self, width_s: int = 300):
         self.width_us = width_s * 1_000_000
@@ -186,13 +177,6 @@ class IntervalCoverageGroup:
         })
 
 
-def interval_coverage(events, *, width_s: int = 300):
-    """Per-user union of fixed-width event intervals: merged count +
-    covered span (integer µs) — one partition-group shuffle."""
-    prepped = _prep_events(events, cols=("user_id",))
-    return partition_groups(prepped, "user_id", IntervalCoverageGroup(width_s))
-
-
 # --- grid resample with forward fill ---------------------------------------
 
 def _segmented_last(codes: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -210,14 +194,21 @@ def _segmented_last(codes: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 class ResampleFfillGroup:
-    """Per-partition kernel: union of grid rows (side 1) and event rows
-    (side 0) in (key, t, side, event_id) order; each grid row takes the
-    value of the latest event at or before it (ties at the same
-    microsecond resolve to the highest event_id — the engine-wide
-    convention)."""
+    """Per-partition kernel: regular-grid forward-fill resample, the
+    UPSAMPLE dual of the rollup downsample.  Per key, one row per
+    ``width_s`` boundary inside the key's observed span
+    (:func:`_append_local_grid`), in (key, t, side, event_id) order;
+    each grid row takes the value of the latest event at or before it
+    (ties at the same microsecond resolve to the highest event_id — the
+    engine-wide convention)."""
+
+    def __init__(self, width_s: int = 3600):
+        self.width_s = width_s
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        rows, keys, codes, _, _ = key_runs(g, by=("t", "__side", "event_id"))
+        rows, keys, codes, _, _ = key_runs(
+            _append_local_grid(g, self.width_s),
+            by=("t", "__side", "event_id"))
         t = rows["t"].to_numpy(np.int64)
         vals = rows["value"].to_numpy(np.float64)
         is_event = rows["__side"].to_numpy(np.int64) == 0
@@ -262,29 +253,6 @@ def _append_local_grid(g: pd.DataFrame, width_s: int) -> pd.DataFrame:
         "__side": np.ones(total, dtype=np.int64),
     })
     return pd.concat([ev, grid], ignore_index=True)
-
-
-class LocalGridResample:
-    """Partition-group wrapper: build the key-local grid, then run the
-    union-shaped resample kernel on it."""
-
-    def __init__(self, inner, width_s: int):
-        self.inner, self.width_s = inner, width_s
-        self.__name__ = type(inner).__name__ + "LocalGrid"
-
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        return self.inner(_append_local_grid(g, self.width_s))
-
-
-def resample_ffill(events, *, width_s: int = 3600):
-    """Regular-grid forward-fill resample: per user, one row per
-    ``width_s`` boundary inside the user's observed span, carrying the
-    latest prior-or-equal observation.  ONE partition-group shuffle;
-    the grid is generated inside each group (keys are co-located) —
-    the UPSAMPLE dual of the rollup downsample."""
-    prepped = _prep_events(events)
-    return partition_groups(
-        prepped, "user_id", LocalGridResample(ResampleFfillGroup(), width_s))
 
 
 # --- EWMA ------------------------------------------------------------------
@@ -358,13 +326,6 @@ class EwmaGroup:
         })
 
 
-def ewma_per_user(events, *, alpha: float = 0.5):
-    """Per-user EWMA of value in event-time order — one partition-group
-    shuffle; the recursion is bit-exact against a recursive CTE."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", EwmaGroup(alpha))
-
-
 # --- LTTB downsample -------------------------------------------------------
 
 def lttb_select(t: np.ndarray, v: np.ndarray, n_out: int) -> np.ndarray:
@@ -434,7 +395,8 @@ class LttbGroup:
         self.n_out = n_out
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        rows, keys, _, starts, ends = key_runs(g)
+        # NULL/NaN values drop (no triangle area is defined on them)
+        rows, keys, _, starts, ends = key_runs(g, keep=np.isfinite(g["value"].to_numpy(np.float64)))
         t = rows["t"].to_numpy(np.int64)
         ids = rows["event_id"].to_numpy()
         vals = rows["value"].to_numpy(np.float64)
@@ -449,13 +411,6 @@ class LttbGroup:
         })
 
 
-def lttb_downsample(events, *, n_out: int = 100):
-    """Shape-preserving per-user downsample to ``n_out`` points
-    (largest-triangle-three-buckets) — one partition-group shuffle."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", LttbGroup(n_out))
-
-
 # --- lag-1 autocorrelation -------------------------------------------------
 
 class AutocorrGroup:
@@ -468,7 +423,9 @@ class AutocorrGroup:
     Keys with < 2 pairs or a zero-variance side emit NULL r."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        rows, keys, _, starts, ends = key_runs(g)
+        # NULL/NaN values drop (a NaN's scaled_int sentinel would poison
+        # the moments)
+        rows, keys, _, starts, ends = key_runs(g, keep=np.isfinite(g["value"].to_numpy(np.float64)))
         c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
         # pair arrays aligned to positions 1..n-1, zeroed at key firsts
@@ -508,13 +465,6 @@ class AutocorrGroup:
             "n_pairs": np_pairs[keep].astype(np.int64),
             "r1": r,
         })
-
-
-def autocorr_lag1(events):
-    """Per-user lag-1 autocorrelation of value — one partition-group
-    shuffle; integer-exact moments, double-identical closing formula."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", AutocorrGroup())
 
 
 # --- seasonal profile ------------------------------------------------------
@@ -642,20 +592,14 @@ class HoltGroup:
         })
 
 
-def holt_per_user(events, *, alpha: float = 0.5, beta: float = 0.5):
-    """Per-user Holt linear-trend smoothing — one partition-group
-    shuffle; the two-state float recursion is recursive-CTE-certified
-    bit-exactly."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", HoltGroup(alpha, beta))
-
-
 # --- grid resample with linear interpolation -------------------------------
 
 class ResampleInterpGroup:
-    """Per-partition kernel: union of grid and event rows; each grid
-    row linearly interpolates between the latest observation at or
-    before it and the next strictly-after one —
+    """Per-partition kernel: regular-grid linear-interpolation resample,
+    the smooth variant of :class:`ResampleFfillGroup` on the same
+    key-local grid; each grid row linearly interpolates between the
+    latest observation at or before it and the next strictly-after
+    one —
 
         v = v_prev + (v_next - v_prev) · ((h - t_prev) / (t_next - t_prev))
 
@@ -666,8 +610,13 @@ class ResampleInterpGroup:
     CASE arm); the grid never extends past the span, so a missing next
     neighbor implies t_prev = h."""
 
+    def __init__(self, width_s: int = 3600):
+        self.width_s = width_s
+
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        rows, keys, codes, _, _ = key_runs(g, by=("t", "__side", "event_id"))
+        rows, keys, codes, _, _ = key_runs(
+            _append_local_grid(g, self.width_s),
+            by=("t", "__side", "event_id"))
         t = rows["t"].to_numpy(np.int64)
         vals = rows["value"].to_numpy(np.float64)
         n = len(t)
@@ -705,15 +654,6 @@ class ResampleInterpGroup:
             "window_start": h // 1_000_000,
             "value": round_half_away(out, 6),
         })
-
-
-def resample_interp(events, *, width_s: int = 3600):
-    """Regular-grid linear-interpolation resample — the smooth variant
-    of :func:`resample_ffill`, same key-local grid and single-shuffle
-    shape."""
-    prepped = _prep_events(events)
-    return partition_groups(
-        prepped, "user_id", LocalGridResample(ResampleInterpGroup(), width_s))
 
 
 # --- hysteresis alerting ---------------------------------------------------
@@ -778,13 +718,6 @@ class HysteresisGroup:
         })
 
 
-def alert_hysteresis(events, *, hi: float = 150.0, lo: float = 50.0):
-    """Per-user two-threshold alert state (1 above ``hi`` until dropping
-    below ``lo``) — one partition-group shuffle, exact integer fold."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", HysteresisGroup(hi, lo))
-
-
 # --- changepoint (binary segmentation, depth 1) -----------------------------
 
 class ChangepointGroup:
@@ -806,7 +739,9 @@ class ChangepointGroup:
     :class:`AutocorrGroup` past the wrap bound."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        rows, keys, codes, starts, ends = key_runs(g)
+        # NULL/NaN values drop (a NaN's scaled_int sentinel would poison
+        # the prefix sums)
+        rows, keys, codes, starts, ends = key_runs(g, keep=np.isfinite(g["value"].to_numpy(np.float64)))
         c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
         lens = ends - starts
@@ -847,13 +782,6 @@ class ChangepointGroup:
             "split_pos": pos[valid][pick].astype(np.int64),
             "gain": round_half_away((maxv - base) / 10000.0, 6),
         })
-
-
-def changepoint_user(events):
-    """Per-user best mean-shift split (depth-1 binary segmentation) —
-    one partition-group shuffle of (key, id, t, cents)-width rows."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", ChangepointGroup())
 
 
 # --- cross-series correlation (top-k users, hourly grid) --------------------
@@ -1117,9 +1045,10 @@ class TheilSenGroup:
     no strict-t pair (singletons, all-tied timestamps) emit nothing."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        # oracle's equi-self-join drops null keys
+        # oracle's equi-self-join drops null keys; NULL/NaN values drop
+        # (a NaN's scaled_int sentinel would poison the slopes)
         rows, keys, codes, starts, ends = key_runs(
-            g, keep=g["user_id"].notna())
+            g, keep=g["user_id"].notna() & np.isfinite(g["value"].to_numpy(np.float64)))
         t = rows["t"].to_numpy(np.int64)
         c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
@@ -1158,14 +1087,6 @@ class TheilSenGroup:
             "n_pairs": plens.astype(np.int64),
             "slope_per_hour": round_half_away(med * 36000000.0, 6),
         })
-
-
-def theil_sen(events):
-    """Per-user Theil-Sen robust slope (median pairwise slope, per
-    hour) — one partition-group shuffle; quadratic per key by the
-    estimator's definition (document/window long series upstream)."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", TheilSenGroup())
 
 
 # --- 1-D Kalman filter (local-level model) ---------------------------------
@@ -1231,15 +1152,6 @@ class KalmanGroup:
             "level": round_half_away(lv, 6),
             "gain": round_half_away(kg, 6),
         })
-
-
-def kalman_per_user(events, *, q: float = 1.0, r: float = 4.0,
-                    p0: float = 1.0):
-    """Per-user scalar Kalman filtering (local-level model) — one
-    partition-group shuffle; the two-state recursion with its per-step
-    division gain is recursive-CTE-certified bit-exactly."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", KalmanGroup(q, r, p0))
 
 
 # --- Holt-Winters additive (triple exponential smoothing) -------------------
@@ -1326,18 +1238,6 @@ class HoltWintersGroup:
         })
 
 
-def holt_winters_per_user(events, *, alpha: float = 0.5,
-                          beta: float = 0.5, gamma: float = 0.25,
-                          m: int = 4):
-    """Per-user Holt-Winters additive seasonal smoothing — one
-    partition-group shuffle; the (level, trend, m seasonals) float
-    recursion is recursive-CTE-certified bit-exactly (scalar phase
-    columns, no list carry)."""
-    prepped = _prep_events(events)
-    return partition_groups(
-        prepped, "user_id", HoltWintersGroup(alpha, beta, gamma, m))
-
-
 # --- spectral power (DFT at fixed calendar periods) --------------------------
 
 class SpectralGroup:
@@ -1414,14 +1314,6 @@ class SpectralGroup:
         return pd.DataFrame(out)
 
 
-def spectral_power(events):
-    """Per-user DFT power at the daily and weekly calendar periods —
-    one partition-group shuffle; trig terms + ordered float folds are
-    bit-exact vs the libm-trig ``list_reduce`` oracle."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", SpectralGroup())
-
-
 # --- fixed-width piecewise-linear approximation (PLA) -----------------------
 
 class PlaSegmentsGroup:
@@ -1494,21 +1386,12 @@ class PlaSegmentsGroup:
         })
 
 
-def pla_segments(events, *, width: int = 16):
-    """Fixed-width piecewise-linear approximation per series — the
-    linear-coefficient downsample tier (slope, intercept, max abs
-    residual per width-point segment).  One partition-group shuffle;
-    integer-exact sufficient statistics, oracle-exact closes."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", PlaSegmentsGroup(width))
-
-
 # --- Page-Hinkley drift test -------------------------------------------------
 
 class PageHinkleyGroup:
     """Per-partition kernel: two-sided Page-Hinkley mean-drift test
-    (Page 1954; Hinkley 1971) per key in (t, event_id) order over
-    CENTS —
+    (Page 1954; Hinkley 1971), the streaming mean-shift monitor of an
+    ingest pipeline, per key in (t, event_id) order over CENTS —
 
         d_t  = cents_t − S_t/t                (running-mean deviation)
         m⁺_t = m⁺_{t−1} + (d_t − δ);  PH⁺_t = m⁺_t − min_{i≤t} m⁺_i
@@ -1595,22 +1478,13 @@ class PageHinkleyGroup:
         })
 
 
-def page_hinkley(events, *, delta: float = 100.0, lam: float = 50000.0):
-    """Per-user two-sided Page-Hinkley drift detection — the streaming
-    mean-shift monitor of a training-data ingest pipeline (has this
-    source's value distribution drifted since the cohort started?).
-    One partition-group shuffle; the running-mean deviation folds are
-    recursive-CTE-certified bit-exactly."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", PageHinkleyGroup(delta, lam))
-
-
 # --- variance-ratio random-walk test ----------------------------------------
 
 class VarianceRatioGroup:
     """Per-partition kernel: Lo–MacKinlay variance-ratio test (Lo &
-    MacKinlay 1988) per key over the (t, event_id)-ordered cents
-    sequence —
+    MacKinlay 1988) — is the series a random walk (VR≈1),
+    mean-reverting (VR<1) or trending (VR>1)? — per key over the
+    (t, event_id)-ordered cents sequence —
 
         VR(q) = (Var[x_{i+q} − x_i] / q) / Var[x_{i+1} − x_i]
 
@@ -1696,21 +1570,14 @@ class VarianceRatioGroup:
         })
 
 
-def variance_ratio(events, *, q: int = 4):
-    """Per-user Lo–MacKinlay variance-ratio test: is the series a
-    random walk (VR≈1), mean-reverting (VR<1) or trending (VR>1)?
-    One partition-group shuffle; integer-exact moments, one double
-    ratio close."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", VarianceRatioGroup(q))
-
-
 # --- EWM control bands (EWMA level + EW variance) ---------------------------
 
 class EwmBandsGroup:
     """Per-partition kernel: exponentially-weighted control bands
     (the EWMA control chart of Roberts 1959 with an EW variance
-    estimate) per key in (t, event_id) order —
+    estimate), the per-point anomaly monitor next to
+    :class:`PageHinkleyGroup`'s cumulative drift view, per key in
+    (t, event_id) order —
 
         pe_t   = x_t − l_{t−1}                    (prediction error)
         flag_t = v_{t−1} > 0  AND  |pe_t| > k·sqrt(v_{t−1})
@@ -1784,17 +1651,6 @@ class EwmBandsGroup:
             "ewm_std": round_half_away(sd, 6),
             "flag": fl,
         })
-
-
-def ewm_bands(events, *, alpha: float = 0.25, k: float = 3.0):
-    """Per-user EWMA control chart with exponentially-weighted
-    variance bands — the streaming per-point anomaly monitor (is THIS
-    observation surprising given the series so far?), complementing
-    page_hinkley's cumulative mean-drift view.  One partition-group
-    shuffle; the (l, v) recursion INCLUDING the per-row sqrt band test
-    is recursive-CTE-certified bit-exactly."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", EwmBandsGroup(alpha, k))
 
 
 # --- classic additive seasonal decomposition --------------------------------
@@ -1874,20 +1730,12 @@ class SeasonalDecomposeGroup:
         })
 
 
-def seasonal_decompose(events, *, m: int = 24):
-    """Per-user classic additive seasonal decomposition (period ``m``
-    observations): 2×m centered-MA detrend — integer-exact via the
-    2m-scaling — then per-phase seasonal means.  One partition-group
-    shuffle; the close is one double chain per (user, phase) cell."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", SeasonalDecomposeGroup(m))
-
-
 # --- peak detection ----------------------------------------------------------
 
 class PeakDetectGroup:
     """Per-partition kernel: strict local maxima per key in
-    (t, event_id) order with a prominence floor — row i is a peak when
+    (t, event_id) order with a prominence floor, the event-stream
+    spike inventory — row i is a peak when
     ``v_i > v_{i-1}``, ``v_i > v_{i+1}`` and
     ``v_i - max(v_{i-1}, v_{i+1}) >= min_prom``, all on RAW doubles
     (lag/lead compares and one subtraction — no float fold, so the SQL
@@ -1933,22 +1781,16 @@ class PeakDetectGroup:
         })
 
 
-def peak_detection(events, *, min_prom: float = 0.5):
-    """Per-user strict local maxima with a prominence floor — the
-    event-stream spike inventory (alerting / motif seeding).  One
-    partition-group shuffle; raw-double compares only."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", PeakDetectGroup(min_prom))
-
-
 # --- Haar wavelet energies ---------------------------------------------------
 
 class HaarEnergyGroup:
-    """Per-partition kernel: unnormalized Haar lifting over each key's
-    cents series in (t, event_id) order, truncated to a multiple of 8
-    so three detail levels exist; pair sums/differences stay exact
-    int64 (``s = a+b``, ``d = a-b``), the orthonormal energy per level
-    is ``Σ d² / 2^level`` closed with ONE double divide per cell
+    """Per-partition kernel: Haar wavelet detail energy at levels 1–3 —
+    which timescale carries the series' power — by unnormalized Haar
+    lifting over each key's cents series in (t, event_id) order,
+    truncated to a multiple of 8 so three detail levels exist; pair
+    sums/differences stay exact int64 (``s = a+b``, ``d = a-b``), the
+    orthonormal energy per level is ``Σ d² / 2^level`` closed with ONE
+    double divide per cell
     (÷ 2^level·10⁴ back to value units).  Keys shorter than 8 rows
     emit nothing (no level-3 coefficient).  Σd² guards int64 overflow
     with an exact Python-int fallback, mirroring the HUGEINT oracle."""
@@ -2003,24 +1845,16 @@ class HaarEnergyGroup:
             "energy": np.concatenate(out_energy)})
 
 
-def haar_energy(events):
-    """Per-user Haar wavelet detail energy at levels 1–3 — the classic
-    multi-resolution variance split (which timescale carries the
-    signal's power).  One partition-group shuffle, integer-exact
-    lifting, one double divide per output cell."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", HaarEnergyGroup())
-
-
 # --- Ljung-Box portmanteau test ---------------------------------------------
 
 class LjungBoxGroup:
     """Per-partition kernel: the Ljung-Box white-noise portmanteau
-    statistic ``Q = n(n+2)·Σ_{k=1..K} ρ_k²/(n-k)`` per key over lags
-    1..K.  Mean-centering is n-scaled into exact integers
-    (``y_t = n·c_t − Σc`` — the n² cancels inside ρ), lag products and
-    Σy² reduce exactly (Python-int fallback past the int64 bound, the
-    oracle's HUGEINT), and the close casts each statistic to double
+    (residual-autocorrelation screen) statistic
+    ``Q = n(n+2)·Σ_{k=1..K} ρ_k²/(n-k)`` per key over lags 1..K.
+    Mean-centering is n-scaled into exact integers (``y_t = n·c_t −
+    Σc`` — the n² cancels inside ρ), lag products and Σy² reduce
+    exactly (Python-int fallback past the int64 bound, the oracle's
+    HUGEINT), and the close casts each statistic to double
     FIRST then folds the K terms in ascending-lag order — the SQL
     twin's exact operand order.  Keys with n < 10 or zero variance
     emit nothing."""
@@ -2069,28 +1903,20 @@ class LjungBoxGroup:
             "q_stat": round_half_away(q, 6)})
 
 
-def ljung_box(events, *, lags: int = 5):
-    """Per-user Ljung-Box portmanteau white-noise test over lags
-    1..``lags`` — the classic residual-autocorrelation screen.  One
-    partition-group shuffle, integer-exact moments, double-identical
-    ascending-lag closing fold."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", LjungBoxGroup(lags))
-
-
 # --- sample entropy ----------------------------------------------------------
 
 class SampleEntropyGroup:
     """Per-partition kernel: Richman-Moorman sample entropy per key,
-    template length m=2, Chebyshev radius ``r`` in exact integer cents.
+    the regularity / predictability score: template length m=2,
+    Chebyshev radius ``r`` in exact integer cents.
     A and B count template-match pairs ``i < j <= n-2`` (length-2 and
     length-3 matches respectively) — pure integer compares, so the SQL
     self-join twin is exact; the close is one ``-ln(A/B)`` via
     ``math.log`` (glibc libm == DuckDB ``ln`` bit-for-bit), NULL when
     either count is zero.  Quadratic in each key's length BY DEFINITION
     — vectorized row-chunked broadcasting bounds the working set, and
-    the partitioning assumption (bounded per-key series, the package's
-    per-series contract) is documented in :func:`sample_entropy`."""
+    the partitioning assumes bounded per-key series (the package's
+    per-series contract)."""
 
     CHUNK = 1024
 
@@ -2142,22 +1968,12 @@ class SampleEntropyGroup:
             "sampen": np.array(out_s, dtype=np.float64)})
 
 
-def sample_entropy(events, *, r_cents: int = 200):
-    """Per-user sample entropy SampEn(m=2, r) — the regularity /
-    predictability score of each series.  One partition-group shuffle;
-    integer-exact match counts, one libm ln per key.  PARTITIONING
-    ASSUMPTION: per-key series are bounded (the package-wide per-series
-    contract) — the match count is quadratic in series length by
-    definition, computed in CHUNK-row vectorized slabs."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", SampleEntropyGroup(r_cents))
-
-
 # --- Croston intermittent-demand forecast ------------------------------------
 
 class CrostonGroup:
-    """Per-partition kernel: Croston's method per key over the key's
-    demand hours (hour cells with ≥ 1 event; the demand grid is sparse
+    """Per-partition kernel: Croston's method, the standard
+    intermittent-demand forecast, per key over the key's demand hours
+    (hour cells with ≥ 1 event; the demand grid is sparse
     BY CONSTRUCTION, intermittence lives in the hour gaps).  With the
     demand sizes ``d_i`` and inter-demand intervals ``q_i = hr_i −
     hr_{i−1}`` in hour order, the two exponential recursions anchor at
@@ -2167,6 +1983,8 @@ class CrostonGroup:
     Forecast per key = ``z/p`` demand per hour.  Keys with < 2 demand
     hours emit nothing.  Vectorized across keys via the position-major
     layout (state is one vector per key rank)."""
+
+    COLS = ("user_id",)
 
     def __init__(self, alpha: float = 0.2):
         self.alpha = alpha
@@ -2221,20 +2039,11 @@ class CrostonGroup:
             "forecast": round_half_away(z[sel] / p[sel], 6)})
 
 
-def croston_demand(events, *, alpha: float = 0.2):
-    """Per-user Croston intermittent-demand forecast over the hourly
-    demand grid — the standard sparse-demand smoother (demand size and
-    inter-demand interval smoothed separately).  One partition-group
-    shuffle; bit-exact vs a recursive-CTE oracle."""
-
-    prepped = _prep_events(events, cols=("user_id",))
-    return partition_groups(prepped, "user_id", CrostonGroup(alpha))
-
-
 # --- Hurst exponent (rescaled range) -----------------------------------------
 
 class HurstRSGroup:
-    """Per-partition kernel: rescaled-range Hurst exponent per key.
+    """Per-partition kernel: rescaled-range Hurst exponent per key, the
+    long-memory / trend-persistence score.
     For window sizes w ∈ {8, 16, 32}, the key's series (t, event_id
     order, cents) splits into ⌊n/w⌋ consecutive blocks; per block the
     mean-centering is w-scaled into exact integers (``y = w·c − Σc``,
@@ -2323,19 +2132,11 @@ class HurstRSGroup:
             "hurst": np.array(out_h, dtype=np.float64)})
 
 
-def hurst_rs(events):
-    """Per-user rescaled-range Hurst exponent over window sizes
-    8/16/32 — the long-memory / trend-persistence score.  One
-    partition-group shuffle; integer-exact block statistics, ordered
-    double folds, 3-point log-log least squares."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", HurstRSGroup())
-
-
 # --- Mann-Kendall trend test --------------------------------------------------
 
 class MannKendallGroup:
-    """Per-partition kernel: the Mann-Kendall trend statistic per key —
+    """Per-partition kernel: the Mann-Kendall trend statistic per key,
+    the distribution-free monotone-trend screen —
     ``S = Σ_{i<j} sign(c_j − c_i)`` over cents in (t, event_id) order
     (pure integer pair compares, chunk-vectorized like SampEn), with
     Kendall's tau-a ``2S/(n(n−1))`` as the one double close.  Quadratic
@@ -2379,14 +2180,6 @@ class MannKendallGroup:
             "n": np.array(out_n, dtype=np.int64),
             "s_stat": np.array(out_s, dtype=np.int64),
             "tau": np.array(out_tau, dtype=np.float64)})
-
-
-def mann_kendall(events):
-    """Per-user Mann-Kendall monotone-trend test (S statistic +
-    Kendall tau-a) — the distribution-free trend screen.  One
-    partition-group shuffle; exact integer pair signs."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", MannKendallGroup())
 
 
 # --- Spearman rank trend ------------------------------------------------------
@@ -2453,20 +2246,12 @@ class SpearmanTrendGroup:
             "rho": rho})
 
 
-def spearman_trend(events):
-    """Per-user Spearman rank correlation of value against time order
-    — the tie-robust monotone-trend strength.  One partition-group
-    shuffle; 2-scaled integer ranks, exact moments, autocorr-style
-    double close."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", SpearmanTrendGroup())
-
-
 # --- partial autocorrelation (Durbin-Levinson, lags 1-3) ----------------------
 
 class PacfGroup:
     """Per-partition kernel: partial autocorrelations at lags 1-3 per
-    key via the Durbin-Levinson closed forms — ``φ11 = ρ1``,
+    key, the AR-order identification screen, via the Durbin-Levinson
+    closed forms — ``φ11 = ρ1``,
     ``φ22 = (ρ2 − ρ1²)/(1 − ρ1²)``, ``φ33 = (ρ3 − φ21·ρ2 − φ22·ρ1) /
     (1 − φ21·ρ1 − φ22·ρ2)`` with ``φ21 = ρ1 − φ22·ρ1``.  The ρ_k come
     from the same n-scaled exact integer ACF moments as
@@ -2520,19 +2305,12 @@ class PacfGroup:
             "pacf3": round_half_away(p33, 6)})
 
 
-def pacf_lags(events):
-    """Per-user partial autocorrelations at lags 1-3 (Durbin-Levinson
-    closed forms) — the AR-order identification screen.  One
-    partition-group shuffle; integer ACF moments, fixed double chains."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", PacfGroup())
-
-
 # --- isotonic regression (minimax PAVA) ---------------------------------------
 
 class IsotonicGroup:
     """Per-partition kernel: isotonic (monotone non-decreasing)
-    regression of value on time order per key, via the EXACT minimax
+    regression of value on time order per key, the monotone
+    calibration fit, via the EXACT minimax
     characterization of the PAVA solution —
     ``ŷ_i = max_{j≤i} min_{k≥i} mean(x[j..k])`` — which needs no
     data-dependent pooling loop: interval means come from exact integer
@@ -2564,15 +2342,6 @@ class IsotonicGroup:
             "user_id": keys,
             "event_id": rows["event_id"].to_numpy(np.int64),
             "fitted": fitted})
-
-
-def isotonic_fit(events):
-    """Per-user isotonic regression of value on time order — the
-    monotone calibration fit (PAVA solution via the exact minimax
-    formula).  One partition-group shuffle; exact integer interval
-    sums, two window extrema."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", IsotonicGroup())
 
 
 # --- next higher value (monotonic stack) ---------------------------------------
@@ -2608,15 +2377,6 @@ class NextHigherGroup:
             "wait_us": pd.array(wait, dtype="Int64")})
         out.loc[out["wait_us"] < 0, "wait_us"] = pd.NA
         return out
-
-
-def next_higher_event(events):
-    """Per-event wait until the user's next strictly higher value —
-    O(rows) monotonic-stack scan per key (the oracle's first-match
-    self-join is quadratic; the engine never pays it).  One
-    partition-group shuffle."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", NextHigherGroup())
 
 
 # --- Wilder RSI -------------------------------------------------------------
@@ -2683,11 +2443,3 @@ class RsiGroup:
             "event_id": rows["event_id"].to_numpy(),
             "t": t,
             "rsi": rsi})
-
-
-def rsi_per_user(events, *, period: int = 14):
-    """Per-user Wilder RSI in event-time order — one partition-group
-    shuffle; the double recursion is bit-exact against a recursive
-    CTE replaying the identical operand order."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", RsiGroup(period))

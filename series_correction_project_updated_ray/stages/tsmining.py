@@ -39,7 +39,7 @@ import pyarrow as pa
 
 from .joins import _segment_starts, key_runs, partition_groups
 from .rollup import combine, sums_of
-from .windows import _epoch_micros, _prep_events
+from .windows import _epoch_micros, run_per_key
 from ..functions.rounding import round_half_away, scaled_int
 
 # N(0,1) quantiles at 1/4, 2/4, 3/4 — the SAX alphabet-4 breakpoints
@@ -69,7 +69,9 @@ class SaxGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         w = self.w
-        rows, keys, _, starts, ends = key_runs(g)
+        # NULL/NaN values drop (a NaN's scaled_int sentinel would poison
+        # the moments)
+        rows, keys, _, starts, ends = key_runs(g, keep=np.isfinite(g["value"].to_numpy(np.float64)))
         c = scaled_int(rows["value"].to_numpy(np.float64))
         lens = ends - starts
         keep = lens >= w
@@ -130,14 +132,6 @@ class SaxGroup:
         })
 
 
-def sax_symbols(events, *, w: int = 8):
-    """SAX symbolization (w segments, alphabet abcd) of each user's
-    value series — one partition-group shuffle; integer-exact moments
-    make the symbols value-exact against the SQL oracle."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", SaxGroup(w))
-
-
 # --- threshold excursions (value-conditioned gaps-and-islands) --------------
 
 class ExcursionGroup:
@@ -183,13 +177,6 @@ class ExcursionGroup:
             "n_over": np.add.reduceat(run_len, ks).astype(np.int64),
             "max_dur_us": np.maximum.reduceat(dur, ks).astype(np.int64),
         })
-
-
-def threshold_excursions(events, *, thresh: float = 150.0):
-    """Per-user maximal over-threshold runs (count / longest / total /
-    longest duration) — one partition-group shuffle."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", ExcursionGroup(thresh))
 
 
 # --- M4 visual downsample (Jugel et al., VLDB 2014) --------------------------
@@ -391,14 +378,18 @@ class MatrixProfileGroup:
     numpy call that dwarfs the loop overhead (unlike per-row kernels,
     which this module never loops).  Keys with fewer than 2 windows
     (n < w+1) emit nothing.  Σ window² must not wrap int64; past the
-    bound the Gram falls back to exact object ints (rare)."""
+    bound the Gram falls back to exact object ints (rare).  Quadratic
+    in windows per key by definition: bound series length upstream for
+    long keys."""
 
     def __init__(self, w: int = 8):
         self.w = w
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        # oracle equi-joins drop null keys
-        rows, keys, _, starts, ends = key_runs(g, keep=g["user_id"].notna())
+        # oracle equi-joins drop null keys; NULL/NaN values drop (a NaN's
+        # scaled_int sentinel would poison the distances)
+        rows, keys, _, starts, ends = key_runs(
+            g, keep=g["user_id"].notna() & np.isfinite(g["value"].to_numpy(np.float64)))
         c = scaled_int(rows["value"].to_numpy(np.float64))
         w = self.w
         out_k, out_p, out_d, out_j = [], [], [], []
@@ -445,23 +436,14 @@ class MatrixProfileGroup:
         })
 
 
-def matrix_profile(events, *, w: int = 8):
-    """Exact unnormalized matrix profile per user (window ``w``) — one
-    partition-group shuffle; quadratic in windows per key by the
-    primitive's definition (bound series length upstream for long
-    keys, or use an anchored subset)."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", MatrixProfileGroup(w))
-
-
 def mp_discords(events, *, w: int = 8):
     """Top discord per user — the position whose nearest-neighbor
     window distance is LARGEST (the classic matrix-profile anomaly
     read, Yeh et al. 2016 §IV): max mp_dist2, earliest position on
-    ties.  Pure composition: :func:`matrix_profile` → the distributed
-    per-group top-1 (no global sort)."""
+    ties.  Pure composition: :class:`MatrixProfileGroup` → the
+    distributed per-group top-1 (no global sort)."""
     from .windows import topn_per_group
-    prof = matrix_profile(events, w=w)
+    prof = run_per_key(events, MatrixProfileGroup(w))
     out = topn_per_group(prof, "user_id", ["mp_dist2", "pos"],
                          [True, False], 1)
     return out.drop_columns(["rn"])

@@ -42,6 +42,17 @@ def _prep_events(events, cols=("user_id", "event_id", "value")):
     return events.map_batches(_prep, batch_format="pyarrow")
 
 
+def run_per_key(events, kernel):
+    """The one driver of the per-key event kernels: project ``events`` to
+    the kernel class's ``COLS`` (default user_id, event_id, value) plus
+    ``t``, co-locate whole keys of its ``KEY`` (default user_id) in one
+    keyed exchange, and run ``kernel`` once per block.  A registry row
+    that names a kernel class runs through here."""
+    cols = getattr(kernel, "COLS", ("user_id", "event_id", "value"))
+    return partition_groups(_prep_events(events, cols),
+                            getattr(kernel, "KEY", "user_id"), kernel)
+
+
 def _epoch_seconds(ts: pd.Series) -> np.ndarray:
     """Seconds-resolution epoch ints — the session-gap time base."""
     if pd.api.types.is_datetime64_any_dtype(ts):
@@ -266,7 +277,10 @@ class RangeJoinAggGroup:
                 "vsum": pd.Series([], dtype=np.float64)})
         t = rows["t"].to_numpy(np.int64)
         is_l = rows["__side"].to_numpy() == "l"
-        v100_all = scaled_int(rows["value"].to_numpy(np.float64))
+        # a NULL right value counts in n_in_range and adds 0 to vsum (the
+        # oracle's COALESCE(SUM(cents), 0))
+        v = rows["value"].to_numpy(np.float64)
+        v100_all = scaled_int(np.where(np.isnan(v), 0.0, v))
         ids = rows["event_id"].to_numpy()
         frames = []
         for s, e in zip(starts, ends):
@@ -383,7 +397,11 @@ class RunningSumGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         rows, keys, _, starts, ends = key_runs(g)
-        v100 = scaled_int(rows["value"].to_numpy(np.float64))
+        # a NULL value adds nothing to SQL's SUM OVER, and the sum stays
+        # NULL until the key's first non-NULL value
+        v = rows["value"].to_numpy(np.float64)
+        has = ~np.isnan(v)
+        v100 = scaled_int(np.where(has, v, 0.0))
         # segmented prefix sums via one global cumsum; the guard keeps the
         # GLOBAL magnitude inside int64 (per-key prefixes alone don't
         # bound it once many keys share a partition)
@@ -396,23 +414,17 @@ class RunningSumGroup:
         cs = np.cumsum(v100)
         base = cs[starts] - v100[starts]
         running = cs - np.repeat(base, lens)
+        n_has = np.cumsum(has)
+        n_has -= np.repeat(n_has[starts] - has[starts], lens)
         counts = (np.arange(len(rows), dtype=np.int64)
                   - np.repeat(starts, lens) + 1)
         return pd.DataFrame({
             "user_id": keys,
             "event_id": rows["event_id"].to_numpy(),
             "t": rows["t"].to_numpy(np.int64),
-            "running_sum": running / 100.0,
+            "running_sum": np.where(n_has > 0, running / 100.0, np.nan),
             "running_count": counts,
         })
-
-
-def running_sum(events):
-    """Per-user cumulative value sum in event-time order — one
-    partition-group shuffle, segmented cumsum across all co-located
-    users."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", RunningSumGroup())
 
 
 class LagDeltaGroup:
@@ -424,10 +436,13 @@ class LagDeltaGroup:
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         rows, keys, _, starts, _ = key_runs(g)
         t = rows["t"].to_numpy(np.int64)
-        v100 = scaled_int(rows["value"].to_numpy(np.float64))
+        v = rows["value"].to_numpy(np.float64)
+        null = np.isnan(v)
+        v100 = scaled_int(np.where(null, 0.0, v))
         dv = np.full(len(t), np.nan)
         dt = np.full(len(t), np.nan)
         dv[1:] = (v100[1:] - v100[:-1]) / 100.0
+        dv[1:][null[1:] | null[:-1]] = np.nan   # a NULL operand → NULL
         dt[1:] = (t[1:] - t[:-1]).astype(np.float64)
         dv[starts] = np.nan
         dt[starts] = np.nan
@@ -440,18 +455,12 @@ class LagDeltaGroup:
         })
 
 
-def lag_deltas(events):
-    """Per-user consecutive-event deltas (the LAG window-function shape):
-    value and time diffs in (ts, event_id) order — one partition-group
-    shuffle, segmented vectorized diffs for all co-located keys."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", LagDeltaGroup())
-
-
 class EventSequenceGroup:
     """Per-partition kernel: each user's event-type sequence joined in
     (ts, event_id) order — the string_agg / collect_list shape that
     builds behavioral sequences for sequence-model training."""
+
+    COLS = ("user_id", "event_id", "event_type")
 
     def __init__(self, sep: str = "->"):
         self.sep = sep
@@ -472,15 +481,6 @@ class EventSequenceGroup:
             "seq": pd.Series(seqs, dtype=object),
             "n_events": (ends - starts).astype(np.int64),
         })
-
-
-def user_event_sequences(events, *, sep: str = "->"):
-    """Per-user ordered event-type sequences (string_agg ORDER BY shape)
-    — one partition-group shuffle; only (user, type, ts, id) rows move,
-    and each key's sequence is assembled exactly once."""
-    prepped = _prep_events(events, cols=("user_id", "event_id",
-                                         "event_type"))
-    return partition_groups(prepped, "user_id", EventSequenceGroup(sep))
 
 
 class TimeWeightedAvgGroup:
@@ -507,7 +507,7 @@ class TimeWeightedAvgGroup:
         t = rows["t"].to_numpy(np.int64)
         w = t // self.width_us * self.width_us
         v = rows["value"].to_numpy(np.float64)
-        c = scaled_int(v)
+        c = scaled_int(np.where(np.isnan(v), 0.0, v))  # bridged below
         n = len(t)
         starts, ends = _segment_starts(codes, w)
         has_term = np.zeros(len(starts), dtype=bool)
@@ -550,22 +550,17 @@ class TimeWeightedAvgGroup:
         })
 
 
-def time_weighted_avg(events, *, width_s: int = 3600):
-    """Trapezoidal time-weighted average per (user, window) — the
-    irregular-sampling analogue of the plain window mean.  One
-    partition-group shuffle of (user, t, id, cents) rows; every cell's
-    integral is computed segment-vectorized."""
-    prepped = _prep_events(events)
-    return partition_groups(prepped, "user_id", TimeWeightedAvgGroup(width_s))
-
-
 class TrendGroup:
-    """Per-partition kernel: least-squares slope/intercept of value vs
-    time for every (key, window) cell.  All five sums (n, Σt, Σv, Σtv,
-    Σt²) are exact int64 — t is SECONDS relative to the window start
-    (≤ width, so t² stays tiny) and v is cents — and the closed-form
-    division runs the identical float op order as the oracle.  Cells
-    with <2 points or zero time variance emit NULL."""
+    """Per-partition kernel: least-squares trend of every (key, window)
+    cell — slope in value/second, intercept at the window start — the
+    drift detector and regression analogue of the window mean.  All
+    five sums (n, Σt, Σv, Σtv, Σt²) are exact int64 — t is SECONDS
+    relative to the window start (≤ width, so t² stays tiny) and v is
+    cents — and the closed-form division runs the identical float op
+    order as the oracle.  Cells with <2 points, zero time variance or
+    no non-NULL value emit NULL."""
+
+    COLS = ("user_id", "value")
 
     def __init__(self, width_s: int):
         self.width_s = width_s
@@ -576,7 +571,10 @@ class TrendGroup:
             g, by=(ts - ts % self.width_s, ts))
         ts = rows["t"].to_numpy(np.int64) // 1_000_000
         w = ts - ts % self.width_s
-        v = scaled_int(rows["value"].to_numpy(np.float64))
+        val = rows["value"].to_numpy(np.float64)
+        # SQL's SUM(cents) skips a NULL value; COUNT(*) keeps its row
+        has = ~np.isnan(val)
+        v = scaled_int(np.where(has, val, 0.0))
         t = ts - w  # 0 ≤ t < width
         starts, ends = _segment_starts(codes, w)
         cnt = (ends - starts).astype(np.int64)
@@ -596,7 +594,8 @@ class TrendGroup:
         numf = np.array([float(x) for x in num_i], dtype=np.float64)
         nf = cnt.astype(np.float64)
         stf, svf = st.astype(np.float64), sv.astype(np.float64)
-        ok = (cnt >= 2) & (denom > 0.0)
+        ok = (cnt >= 2) & (denom > 0.0) \
+            & np.logical_or.reduceat(has, starts)
         slope = np.full(len(starts), np.nan)
         intercept = np.full(len(starts), np.nan)
         with np.errstate(invalid="ignore"):
@@ -614,15 +613,6 @@ class TrendGroup:
         })
 
 
-def window_trend(events, *, width_s: int = 3600):
-    """Per-(user, window) least-squares trend (slope in value/second,
-    intercept at the window start) — detection of drifting series, the
-    regression analogue of the window mean.  One partition-group
-    shuffle; integer-exact sufficient statistics."""
-    prepped = _prep_events(events, cols=("user_id", "value"))
-    return partition_groups(prepped, "user_id", TrendGroup(width_s))
-
-
 class InterarrivalGroup:
     """Per-partition kernel: inter-event-time statistics per key — count,
     mean gap, and coefficient of variation (the burstiness signal: CV≈1
@@ -630,6 +620,8 @@ class InterarrivalGroup:
     (ts, event_id) order, so Σdt telescopes to an exact span and Σdt² is
     an exact (guarded) int64 sum; the float formula runs in oracle op
     order.  Keys with <2 gaps or zero mean emit NULL stats."""
+
+    COLS = ("user_id", "event_id")
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         rows, keys, _, starts, ends = key_runs(g)
@@ -676,13 +668,6 @@ class InterarrivalGroup:
                                   np.nan),
             "cv_dt": np.where(good, round_half_away(cv, 6), np.nan),
         })
-
-
-def interarrival_stats(events):
-    """Per-user inter-event-time mean and coefficient of variation —
-    one partition-group shuffle; exact integer micros moments."""
-    prepped = _prep_events(events, cols=("user_id", "event_id"))
-    return partition_groups(prepped, "user_id", InterarrivalGroup())
 
 
 class SessionCooccurrence:

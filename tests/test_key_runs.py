@@ -9,6 +9,8 @@ the same column names as its output on a normal frame and the same
 dtypes for every column but the key (a null-bearing int key arrives as
 float64)."""
 
+import warnings
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -127,10 +129,6 @@ def _base_table() -> pa.Table:
     })
 
 
-def _with_grid(g: pd.DataFrame) -> pd.DataFrame:
-    return T._append_local_grid(g, 3600)
-
-
 def _sided(g: pd.DataFrame) -> pd.DataFrame:
     return g.rename(columns={"__lr": "__side"})
 
@@ -140,12 +138,12 @@ _KERNELS = [
     ("rate_counter", T.RateCounterGroup(3600), "user_id", None),
     ("drawdown", T.DrawdownGroup(), "user_id", None),
     ("interval_coverage", T.IntervalCoverageGroup(300), "user_id", None),
-    ("resample_ffill", T.ResampleFfillGroup(), "user_id", _with_grid),
+    ("resample_ffill", T.ResampleFfillGroup(3600), "user_id", None),
     ("ewma", T.EwmaGroup(0.5), "user_id", None),
     ("lttb", T.LttbGroup(10), "user_id", None),
     ("autocorr", T.AutocorrGroup(), "user_id", None),
     ("holt", T.HoltGroup(), "user_id", None),
-    ("resample_interp", T.ResampleInterpGroup(), "user_id", _with_grid),
+    ("resample_interp", T.ResampleInterpGroup(3600), "user_id", None),
     ("hysteresis", T.HysteresisGroup(150.0, 50.0), "user_id", None),
     ("changepoint", T.ChangepointGroup(), "user_id", None),
     ("theil_sen", T.TheilSenGroup(), "user_id", None),
@@ -233,9 +231,49 @@ def test_kernel_degenerate_inputs_keep_schema(name, kernel, key, prep, case):
     base = _base_table()
     want = kernel(prep(base.to_pandas()))
     assert len(want), f"{name}: the reference frame must give output rows"
-    got = kernel(prep(_degenerate(base, key, case).to_pandas()))
+    # a NaN value cast to int64 cents warns; the kernels must drop or
+    # mask NULL/NaN values before scaling them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = kernel(prep(_degenerate(base, key, case).to_pandas()))
     assert list(got.columns) == list(want.columns)
     for col in want.columns:
         if col != key:
             assert got[col].dtype == want[col].dtype, (col, got[col].dtype,
                                                        want[col].dtype)
+
+
+# (registry query, kernel, input transform) for the kernels whose oracle
+# keeps NULL-valued rows: SQL's SUM skips the NULL, COUNT(*) keeps the row
+_NULL_VALUE_ORACLES = [
+    ("running_sum_per_user", W.RunningSumGroup(), None),
+    ("lag_deltas_per_user", W.LagDeltaGroup(), None),
+    ("twa_user_1h", W.TimeWeightedAvgGroup(3600), None),
+    ("trend_user_1h", W.TrendGroup(3600), None),
+    ("range_join_purchases", W.RangeJoinAggGroup(3_600_000_000),
+     lambda g: g[g["event_type"] != "view"].assign(__side=lambda f: np.where(
+         f["event_type"] == "purchase", "l", "r"))),
+]
+
+
+@pytest.mark.parametrize("name,kernel,prep", _NULL_VALUE_ORACLES,
+                         ids=[k[0] for k in _NULL_VALUE_ORACLES])
+def test_null_values_match_the_oracle(name, kernel, prep):
+    import duckdb
+
+    import __ray_entry__ as E
+    ev = _base_table().to_pandas()[["user_id", "event_id", "event_type",
+                                    "ts", "value"]]
+    ev["ts"] = ev["ts"].astype("datetime64[us]")
+    ev.loc[ev.index % 4 == 2, "value"] = np.nan      # NULL in DuckDB
+    ev.loc[ev["user_id"] == 3, "value"] = np.nan     # an all-NULL key
+    con = duckdb.connect()
+    con.register("events", ev)
+    want = con.execute(E.oracle_sql()[name]).df()
+    g = ev.assign(t=ev["ts"].astype(np.int64))
+    got = kernel((prep or (lambda f: f))(g))
+    cols = sorted(want.columns)
+    by = [c for c in ("user_id", "event_id", "window_start") if c in cols]
+    pd.testing.assert_frame_equal(
+        got[cols].sort_values(by).reset_index(drop=True),
+        want[cols].sort_values(by).reset_index(drop=True), check_dtype=False)

@@ -138,6 +138,15 @@ def test_minhash_lsh_finds_near_duplicates(ray_session, monkeypatch):
     # the bands must split the permutations evenly, also under python -O
     with pytest.raises(ValueError, match="multiple of bands"):
         dedup.MinHashBands(num_perm=100, bands=16)
+    # a NULL or "" text has no shingles, so neither plan pairs it
+    df4 = pd.DataFrame({"doc_id": [1, 2, 3, 4],
+                        "text": [base, None, near, ""]})
+    clusters = dedup.minhash_lsh_dedup(rd.from_pandas(df4), threshold=0.7)
+    assert set(clusters["doc_id"]) == {1, 3}
+    assert clusters["cluster_id"].nunique() == 1
+    pairs = dedup.ngram_jaccard_pairs(rd.from_pandas(df4),
+                                      threshold=0.7).to_pandas()
+    assert not (set(pairs["id_a"]) | set(pairs["id_b"])) & {2, 4}
 
 
 def test_dedup_cc_auto_routes_on_pair_count(ray_session, monkeypatch):
@@ -304,6 +313,37 @@ def test_driver_window_rejects_short_registry():
         E.driver_window(rows, {f"q{i}" for i in range(49)})
     assert issubclass(E.DriverWindowError, ValueError)
     assert len(E.driver_window(rows, {f"q{i}" for i in range(50)})) == 50
+
+
+def test_bench_times_registry_rows():
+    """bench.py times the pipelines by registry name, so each timed
+    entry runs exactly what the oracles check."""
+    import bench
+    import __ray_entry__ as E
+    assert set(bench.QUERIES) <= {r.name for r in E.REGISTRY}
+    assert len(set(bench.QUERIES)) == len(bench.QUERIES)
+
+
+def test_class_named_row_runs_through_query_call(ray_session):
+    """A row naming a kernel class builds it from the row's arguments and
+    runs it over the row's read with the class's projection and key: the
+    result equals the kernel on the whole frame."""
+    import __ray_entry__ as E
+    from series_correction_project_updated_ray.stages import (
+        relational as R, timeseries as T)
+    sf = "/root/testdata/sf0.001"
+    ev = pd.read_parquet(f"{sf}/events.parquet")
+    ev["t"] = ev["ts"].astype("datetime64[ns]").astype(np.int64) // 1000
+    qs = E.queries()
+    for name, kernel in (("interval_coverage", T.IntervalCoverageGroup(300)),
+                         ("drift_chi2", R._DriftChi2Group())):
+        assert qs[name].spec.endswith(":" + type(kernel).__name__)
+        got, want = qs[name](sf).to_pandas(), kernel(ev)
+        cols = sorted(want.columns)
+        pd.testing.assert_frame_equal(
+            got[cols].sort_values(cols).reset_index(drop=True),
+            want[cols].sort_values(cols).reset_index(drop=True),
+            check_dtype=False)
 
 
 def test_connected_components_distributed_matches_driver(ray_session):
@@ -1304,13 +1344,14 @@ def test_ngram_jaccard_gather_fallback_matches_broadcast(ray_session,
 
 def test_lag_deltas_small(ray_session):
     import ray.data as rd
-    from series_correction_project_updated_ray.stages.windows import lag_deltas
+    from series_correction_project_updated_ray.stages.windows import (
+        LagDeltaGroup, run_per_key)
     ts = pd.to_datetime([1, 2, 5, 3, 7], unit="s")
     df = pd.DataFrame({"user_id": ["u1", "u1", "u1", "u2", "u2"],
                        "event_id": [1, 2, 3, 4, 5],
                        "ts": ts,
                        "value": [1.00, 2.50, 2.00, 10.00, 9.25]})
-    out = lag_deltas(rd.from_pandas(df)).to_pandas() \
+    out = run_per_key(rd.from_pandas(df), LagDeltaGroup()).to_pandas() \
         .sort_values(["user_id", "t"]).reset_index(drop=True)
     assert out["dv"].isna().tolist() == [True, False, False, True, False]
     assert out["dv"].dropna().tolist() == [1.5, -0.5, -0.75]
@@ -1392,7 +1433,7 @@ def test_user_event_sequences_and_quartiles(ray_session):
     from series_correction_project_updated_ray.stages.relational import (
         value_quartiles)
     from series_correction_project_updated_ray.stages.windows import (
-        user_event_sequences)
+        EventSequenceGroup, run_per_key)
     rng = np.random.default_rng(11)
     n = 500
     df = pd.DataFrame({
@@ -1405,7 +1446,7 @@ def test_user_event_sequences_and_quartiles(ray_session):
     con = duckdb.connect()
     con.register("ev", df)
 
-    seq = user_event_sequences(rd.from_pandas(df)).to_pandas() \
+    seq = run_per_key(rd.from_pandas(df), EventSequenceGroup()).to_pandas() \
         .sort_values("user_id").reset_index(drop=True)
     want = con.execute("""
         SELECT user_id, string_agg(event_type, '->' ORDER BY ts, event_id)
@@ -1522,7 +1563,7 @@ def test_ohlc_bars_anchors_across_blocks(ray_session):
 def test_time_weighted_avg_edges(ray_session):
     import ray.data as rd
     from series_correction_project_updated_ray.stages.windows import (
-        time_weighted_avg)
+        TimeWeightedAvgGroup, run_per_key)
     df = pd.DataFrame({
         "user_id": ["a", "a", "a", "b", "c", "c"],
         "event_id": [1, 2, 3, 4, 5, 6],
@@ -1530,7 +1571,7 @@ def test_time_weighted_avg_edges(ray_session):
         # SAME instant (zero span)
         "ts": pd.to_datetime([0, 100, 200, 50, 70, 70], unit="s"),
         "value": [1.00, 3.00, 5.00, 9.00, 2.00, 4.00]})
-    out = time_weighted_avg(rd.from_pandas(df), width_s=3600) \
+    out = run_per_key(rd.from_pandas(df), TimeWeightedAvgGroup(3600)) \
         .to_pandas().sort_values("user_id").reset_index(drop=True)
     # a: trapezoid of (1,3) over 100s + (3,5) over 100s = (100*4 +
     # 100*8)/2 / 200 = 3.0
@@ -1542,20 +1583,20 @@ def test_time_weighted_avg_edges(ray_session):
 def test_window_trend_known_slope(ray_session):
     import ray.data as rd
     from series_correction_project_updated_ray.stages.windows import (
-        window_trend)
+        TrendGroup, run_per_key)
     # perfect line: v = 2 + 0.5*t -> slope 0.5/s, intercept 2.0
     t = np.array([0, 10, 20, 30], dtype=np.int64)
     df = pd.DataFrame({"user_id": ["u"] * 4,
                        "ts": pd.to_datetime(t, unit="s"),
                        "value": 2.0 + 0.5 * t})
-    out = window_trend(rd.from_pandas(df), width_s=3600).to_pandas()
+    out = run_per_key(rd.from_pandas(df), TrendGroup(3600)).to_pandas()
     assert len(out) == 1
     assert out.loc[0, "slope"] == 0.5 and out.loc[0, "intercept"] == 2.0
     # single point and zero-time-variance cells -> NULL
     df2 = pd.DataFrame({"user_id": ["x", "y", "y"],
                         "ts": pd.to_datetime([5, 7, 7], unit="s"),
                         "value": [1.0, 2.0, 4.0]})
-    out2 = window_trend(rd.from_pandas(df2), width_s=3600).to_pandas() \
+    out2 = run_per_key(rd.from_pandas(df2), TrendGroup(3600)).to_pandas() \
         .sort_values("user_id").reset_index(drop=True)
     assert out2["slope"].isna().all()
 
@@ -1642,7 +1683,7 @@ def test_user_event_sequences_null_groups(ray_session):
     import duckdb
     import ray.data as rd
     from series_correction_project_updated_ray.stages.windows import (
-        user_event_sequences)
+        EventSequenceGroup, run_per_key)
     rng = np.random.default_rng(17)
     n = 200
     df = pd.DataFrame({
@@ -1656,7 +1697,7 @@ def test_user_event_sequences_null_groups(ray_session):
     # COUNT(*) keeps them)
     df.loc[df.index[:6], "user_id"] = None
     df.loc[df.index[10:13], "event_type"] = None
-    out = user_event_sequences(rd.from_pandas(df)).to_pandas() \
+    out = run_per_key(rd.from_pandas(df), EventSequenceGroup()).to_pandas() \
         .sort_values("user_id", na_position="last") \
         .reset_index(drop=True)
     con = duckdb.connect()
@@ -1674,7 +1715,7 @@ def test_user_event_sequences_null_groups(ray_session):
         "user_id": ["x", "x"], "event_id": [0, 1],
         "event_type": pd.Series([None, None], dtype=object),
         "ts": pd.to_datetime([1, 2], unit="s")})
-    out3 = user_event_sequences(rd.from_pandas(df3)).to_pandas()
+    out3 = run_per_key(rd.from_pandas(df3), EventSequenceGroup()).to_pandas()
     assert len(out3) == 1
     assert out3["seq"].isna().all()
     assert out3["n_events"].tolist() == [2]

@@ -8,8 +8,8 @@ import pytest
 
 from series_correction_project_updated_ray.stages.timeseries import (
     EwmaGroup, IntervalCoverageGroup, LttbGroup, RateCounterGroup,
-    ResampleFfillGroup, ewma_per_user, interval_coverage, lttb_downsample,
-    lttb_select, rate_counter, resample_ffill)
+    ResampleFfillGroup, lttb_select)
+from series_correction_project_updated_ray.stages.windows import run_per_key
 
 
 def _mk(n=200, seed=0, users=5, with_null=False):
@@ -182,20 +182,20 @@ def test_timeseries_ray_end_to_end(ray_session):
 
     ds = rd.read_parquet(sf, columns=["user_id", "event_id", "ts", "value"])
 
-    got = rate_counter(ds).to_pandas()
+    got = run_per_key(ds, RateCounterGroup(3600)).to_pandas()
     _cmp(got, RateCounterGroup(3600)(frame))
 
-    got = interval_coverage(
-        rd.read_parquet(sf, columns=["user_id", "ts"])).to_pandas()
+    got = run_per_key(rd.read_parquet(sf, columns=["user_id", "ts"]),
+                      IntervalCoverageGroup(300)).to_pandas()
     _cmp(got, IntervalCoverageGroup(300)(frame[["user_id", "t"]]))
 
-    got = ewma_per_user(ds).to_pandas()
+    got = run_per_key(ds, EwmaGroup(0.5)).to_pandas()
     _cmp(got, EwmaGroup(0.5)(frame))
 
-    got = lttb_downsample(ds, n_out=50).to_pandas()
+    got = run_per_key(ds, LttbGroup(50)).to_pandas()
     _cmp(got, LttbGroup(50)(frame))
 
-    got = resample_ffill(ds).to_pandas()
+    got = run_per_key(ds, ResampleFfillGroup(3600)).to_pandas()
     want = _duck(frame, """
 WITH c0 AS (
   SELECT user_id, t, value,
@@ -420,20 +420,7 @@ def test_resample_interp_kernel_edges():
                        3 * 3600 * 1_000_000], np.int64),
         "value": [11.0, 22.0, 33.0]})
     df = pd.concat([df, extra], ignore_index=True)
-    W = 3600 * 1_000_000
-    lohi = df.groupby("user_id")["t"].agg(["min", "max"]).reset_index()
-    rows = []
-    for _, r in lohi.iterrows():
-        for h in range(-(-int(r["min"]) // W), int(r["max"]) // W + 1):
-            rows.append((int(r["user_id"]), 0, np.nan, h * W, 1))
-    grid = pd.DataFrame(rows, columns=["user_id", "event_id", "value",
-                                       "t", "__side"])
-    grid["user_id"] = grid["user_id"].astype("Int64")
-    pe = df.copy()
-    pe["__side"] = 0
-    both = pd.concat([pe[["user_id", "event_id", "value", "t",
-                          "__side"]], grid], ignore_index=True)
-    got = ResampleInterpGroup()(both)
+    got = ResampleInterpGroup(3600)(df)
     want = _duck(df, """
 WITH c0 AS (
   SELECT user_id, t, value,
@@ -2135,13 +2122,9 @@ def test_rsi_per_user_oracle(ray_session):
     values live in [0, 100] and a monotone-gain user pins at 100."""
     import duckdb
 
-    import ray.data as rd
     import __ray_entry__ as E
-    from series_correction_project_updated_ray.stages.timeseries import (
-        rsi_per_user)
     sf = "/root/testdata/sf0.001/events.parquet"
-    got = rsi_per_user(rd.read_parquet(
-        sf, columns=["user_id", "event_id", "ts", "value"])).to_pandas()
+    got = E.queries()["rsi_per_user"]("/root/testdata/sf0.001").to_pandas()
     con = duckdb.connect()
     con.execute(f"CREATE VIEW events AS SELECT * FROM '{sf}'")
     want = con.execute(E.oracle_sql()["rsi_per_user"]).df()

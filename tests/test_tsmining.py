@@ -10,7 +10,8 @@ import pytest
 
 from series_correction_project_updated_ray.stages.tsmining import (
     ExcursionGroup, M4Finalize, PartialM4, SaxGroup, dtw_pairwise_int,
-    dtw_profile_pairs, m4_downsample, sax_symbols, threshold_excursions)
+    dtw_profile_pairs, m4_downsample)
+from series_correction_project_updated_ray.stages.windows import run_per_key
 
 
 def _mk(n=300, seed=3, users=8):
@@ -303,14 +304,14 @@ def test_tsmining_ray_end_to_end(ray_session):
     })
     ds = ray.data.from_pandas(df).repartition(8)
 
-    sax = sax_symbols(ds, w=8).to_pandas()
+    sax = run_per_key(ds, SaxGroup(8)).to_pandas()
     want_sax = _duck(
         df.assign(t=df["ts"].astype("datetime64[ns]").astype(np.int64)
                   // 1000)[["user_id", "event_id", "t", "value"]],
         SAX_SQL.format(w=8))
     _cmp(sax, want_sax)
 
-    exc = threshold_excursions(ds, thresh=150.0).to_pandas()
+    exc = run_per_key(ds, ExcursionGroup(150.0)).to_pandas()
     want_exc = _duck(
         df.assign(t=df["ts"].astype("datetime64[ns]").astype(np.int64)
                   // 1000)[["user_id", "event_id", "t", "value"]],
