@@ -233,8 +233,7 @@ def _on_sf_dir(fn, sf_dir: str, **kw):
 
 def _broadcast_enrich(broadcast_enrich, sf_dir: str):
     orders = _read(sf_dir, *ORDERS_JOIN)
-    cust = _read(sf_dir, "customer",
-                 ["c_custkey", "c_mktsegment"]).to_pandas()
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     out = broadcast_enrich(orders, cust, "o_custkey", "c_custkey",
                            {"c_mktsegment": "c_mktsegment"})
     return out.select_columns(["o_orderkey", "o_totalprice", "c_mktsegment"])
@@ -520,7 +519,7 @@ def _media_features(media_features, sf_dir: str):
     from series_correction_project_updated_ray.stages.multimodal import (
         synth_media_table)
     ds = ray.data.from_arrow(synth_media_table(256))
-    feats = media_features(ds, concurrency=2, batch_size=16)
+    feats = media_features(ds)
 
     def _proj(batch: pa.Table) -> pa.Table:
         from series_correction_project_updated_ray.stages.multimodal import (

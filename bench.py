@@ -187,9 +187,9 @@ def run_bench() -> dict:
     if not scaling_child:
         # Gorilla segment compression over ~26M synthetic points (64
         # series, distributed generation, materialized untimed).  Timed
-        # with the production actor pool — includes pool startup, so the
-        # steady-state encode throughput is higher; the per-core codec
-        # number lives in tools/gorilla_microbench.py / BASELINE.md.
+        # through the production stage: one plain map_batches task per
+        # block, so the wall includes Ray's task scheduling; the per-core
+        # codec number lives in tools/gorilla_microbench.py / BASELINE.md.
         from series_correction_project_updated_ray.stages.compress import (
             compress_series)
 
@@ -212,9 +212,8 @@ def run_bench() -> dict:
         pts = rd.range(64, override_num_blocks=64).map_batches(
             _gen_points, batch_format="pyarrow").materialize()
 
-        # fixed pool (autoscaling ramps from the floor and costs ~40%
-        # here); ~2s of the wall is one-off pool startup — steady-state
-        # encode is ~1.9M pts/s/actor (see tools/gorilla_microbench.py)
+        # concurrency=12 only caps how many of the 64 block tasks run at
+        # once; no actor pool starts
         timed("compress_series",
               lambda: compress_series(pts, concurrency=12).count())
 

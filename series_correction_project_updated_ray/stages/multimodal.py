@@ -83,10 +83,10 @@ class MediaFeatureExtractor:
         })
 
 
-def media_features(media_ds, *, concurrency=2, batch_size: int = 16):
+def media_features(media_ds):
     return media_ds.map_batches(
         MediaFeatureExtractor, batch_format="pyarrow",
-        batch_size=batch_size, concurrency=concurrency)
+        batch_size=16, concurrency=2)
 
 
 class FrameSampleStub:
@@ -123,12 +123,10 @@ class FrameSampleStub:
         })
 
 
-def sample_frames(media_ds, *, stride: int = 4, concurrency=2,
-                  batch_size: int = 16):
+def sample_frames(media_ds, *, stride: int = 4, batch_size: int = 16):
     """Every-stride-th frame of each media row (fan-out stage: output has
     MORE rows than input — small batch_size bounds the expansion held in
     one worker heap at a time)."""
     return media_ds.map_batches(
         FrameSampleStub, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_kwargs={"stride": stride})
+        concurrency=2, fn_constructor_kwargs={"stride": stride})

@@ -78,30 +78,28 @@ class BroadcastLookup:
         return batch
 
 
-def broadcast_enrich(ds, small_df: pd.DataFrame, key_col: str,
-                     index_col: str, out_cols: dict[str, str],
-                     concurrency: int | None = None):
-    """Enrich ``ds`` with columns from ``small_df`` (indexed by
-    ``index_col``) matched on ``ds[key_col]``.
+def broadcast_enrich(ds, small, key_col: str, index_col: str,
+                     out_cols: dict[str, str]):
+    """Enrich ``ds`` with columns of the small dimension Dataset
+    ``small`` (indexed by ``index_col``) matched on ``ds[key_col]``.
 
-    Default runs as a task-cached stage (``class_task``): the lookup
-    builds once per warm worker and the stage reserves NO fixed actor
-    slots — a pipeline composing several enrich stages therefore can't
-    starve its own shuffle of CPUs on a small cluster (two fixed
-    ``concurrency=2`` pools deadlocked a 3-join chain at 4 CPUs).
-    Pass an int to pin a dedicated actor pool instead (only worth it
-    when the lookup is expensive enough to amortize a process)."""
+    ``small`` is read into the driver once; Ray's ``to_pandas()`` gives
+    a 0-row Dataset no columns, so an empty ``small`` is built from its
+    schema instead.  Runs as a task-cached stage (``class_task``): the
+    lookup builds once per warm worker and the stage reserves NO fixed
+    actor slots — a pipeline composing several enrich stages therefore
+    can't starve its own shuffle of CPUs on a small cluster (two fixed
+    ``concurrency=2`` pools deadlocked a 3-join chain at 4 CPUs)."""
     import ray
 
     from .taskcache import class_task
+    small_df = small.to_pandas()
+    if len(small_df.columns) == 0:
+        small_df = small.schema().base_schema.empty_table().to_pandas()
     ref = ray.put(small_df.set_index(index_col))
-    if concurrency is None:
-        return ds.map_batches(class_task(BroadcastLookup, ref, key_col,
-                                         out_cols),
-                              batch_format="pyarrow")
-    return ds.map_batches(BroadcastLookup, batch_format="pyarrow",
-                          concurrency=concurrency,
-                          fn_constructor_args=(ref, key_col, out_cols))
+    return ds.map_batches(class_task(BroadcastLookup, ref, key_col,
+                                     out_cols),
+                          batch_format="pyarrow")
 
 
 def sanitize_dataset(ds):
@@ -469,8 +467,7 @@ def revenue_by_nation(lineitem, orders, customer, nation):
                    how="inner")
     j2 = hash_join(j1, customer, "o_custkey", "c_custkey",
                    how="inner")
-    nat = nation.to_pandas()
-    enriched = broadcast_enrich(j2, nat, "c_nationkey", "n_nationkey",
+    enriched = broadcast_enrich(j2, nation, "c_nationkey", "n_nationkey",
                                 {"n_name": "n_name"})
 
     # a missed nationkey leaves n_name NULL; the null group must SURVIVE
@@ -943,12 +940,6 @@ class _EntropyGroup:
         rows, keys, codes, _, _ = key_runs(
             g, self.key_col, (self.type_col,),
             keep=g[self.key_col].notna())
-        if len(rows) == 0:
-            return pd.DataFrame({
-                self.key_col: rows[self.key_col],
-                "n_types": pd.Series([], dtype=np.int64),
-                "n_events": pd.Series([], dtype=np.int64),
-                "entropy": pd.Series([], dtype=np.float64)})
         # per-block partials of the same (key, type) arrive unmerged
         # (ONE shuffle, no keyed pre-groupby): combine in-group
         cell, _ = _segment_starts(codes, rows[self.type_col].to_numpy())
@@ -961,7 +952,7 @@ class _EntropyGroup:
         x = np.array([qi * math.log(qi) for qi in q])
         # left fold per key in binary type order (position-major mask)
         acc = np.zeros(len(starts))
-        for j in range(int(lens.max())):
+        for j in range(int(lens.max(initial=0))):
             m = lens > j
             acc[m] += x[starts[m] + j]
         from ..functions.rounding import round_half_away
@@ -1114,13 +1105,6 @@ class _KsGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import round_half_away
-        empty = pd.DataFrame({
-            self.type_col: pd.Series([], dtype=object),
-            "n_weekday": pd.Series([], dtype=np.int64),
-            "n_weekend": pd.Series([], dtype=np.int64),
-            "d_num": pd.Series([], dtype=np.int64),
-            "d_stat": pd.Series([], dtype=np.float64),
-            "at_value": pd.Series([], dtype=np.float64)})
         # null types drop (oracle join)
         rows, keys, tcodes, _, _ = key_runs(
             g, self.type_col, ("cents",), keep=g[self.type_col].notna())
@@ -1143,8 +1127,6 @@ class _KsGroup:
             n1, n2 = n1.astype(object), n2.astype(object)
         num = np.abs(n2 * C1 - n1 * C2)
         valid = (n1 > 0) & (n2 > 0)
-        if not valid.any():
-            return empty
         numv = num[valid]
         vstarts, vends = _segment_starts(tcodes[valid])
         maxv = np.maximum.reduceat(numv, vstarts)
@@ -1240,13 +1222,6 @@ class _MannWhitneyGroup:
         import math
 
         from ..functions.rounding import round_half_away
-        empty = pd.DataFrame({
-            self.type_col: pd.Series([], dtype=object),
-            "n_weekday": pd.Series([], dtype=np.int64),
-            "n_weekend": pd.Series([], dtype=np.int64),
-            "u_num": pd.Series([], dtype=np.int64),
-            "u_stat": pd.Series([], dtype=np.float64),
-            "z_stat": pd.Series([], dtype=np.float64)})
         # null types drop (oracle scan)
         rows, keys, tcodes, _, _ = key_runs(
             g, self.type_col, ("cents",), keep=g[self.type_col].notna())
@@ -1271,8 +1246,6 @@ class _MannWhitneyGroup:
         t = c1 + c2
         tt = np.add.reduceat(t * t * t - t, starts)
         valid = (n1 > 0) & (n2 > 0)
-        if not valid.any():
-            return empty
         out_z = []
         for i in np.flatnonzero(valid):
             n1d, n2d = float(n1[i]), float(n2[i])
@@ -1401,17 +1374,10 @@ class _GiniGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import round_half_away
-        empty = pd.DataFrame({
-            "event_type": pd.Series([], dtype=object),
-            "n_users": pd.Series([], dtype=np.int64),
-            "total_events": pd.Series([], dtype=np.int64),
-            "gini": pd.Series([], dtype=np.float64)})
         # null types and users drop (the oracle's WHERE)
         rows, keys, tcode, _, _ = key_runs(
             g, "event_type", ("user_id",),
             keep=g["event_type"].notna() & g["user_id"].notna())
-        if len(rows) == 0:
-            return empty
         cell, _ = _segment_starts(tcode, rows["user_id"].to_numpy())
         x = np.add.reduceat(rows["c"].to_numpy(np.int64), cell)  # merge
         tcode, keys = tcode[cell], keys[cell]           # block partials
@@ -1420,7 +1386,7 @@ class _GiniGroup:
         starts, ends = _segment_starts(tcode)
         n = (ends - starts).astype(np.int64)
         sx = np.add.reduceat(x, starts)
-        if float(n.max()) * float(sx.max()) >= float(1 << 62):
+        if float(n.max(initial=0)) * float(sx.max(initial=0)) >= float(1 << 62):
             raise OverflowError(
                 "gini_activity: n·Σx approaching int64 — accumulate "
                 "Σi·x in (hi, lo) limbs")
@@ -1485,18 +1451,12 @@ class _TransitionEntropyGroup:
         import math
 
         from ..functions.rounding import round_half_away
-        empty = pd.DataFrame({
-            "user_id": pd.Series([], dtype=np.int64),
-            "n_bigrams": pd.Series([], dtype=np.int64),
-            "trans_entropy": pd.Series([], dtype=np.float64)})
         rows, keys, _, starts, ends = key_runs(
             g, keep=g["user_id"].notna() & g["event_type"].notna())
         # each row's key ordinal (keys are sorted, so this is their rank)
         ucodes = np.repeat(np.arange(len(starts)), ends - starts)
         tcodes, tuniq = pd.factorize(rows["event_type"], sort=False)
         same = ucodes[1:] == ucodes[:-1]
-        if not same.any():
-            return empty
         uu0 = ucodes[:-1][same].astype(np.int64)
         a0 = tcodes[:-1][same].astype(np.int64)
         b0 = tcodes[1:][same].astype(np.int64)
@@ -1519,25 +1479,21 @@ class _TransitionEntropyGroup:
         sa = np.asarray(tuniq, dtype=object)[aa]
         sb = np.asarray(tuniq, dtype=object)[bb]
         o2 = np.lexsort((sb, sa, uu))
-        uu, cnt = uu[o2], cnt[o2]
+        uu, cf = uu[o2], cnt[o2].astype(np.float64)
         ca_cell, nf_cell = ca_cell[o2], nf_cell[o2]
-        out_u, out_n, out_h = [], [], []
-        prev_u, acc = -1, 0.0
-        for i in range(len(uu)):
-            if uu[i] != prev_u:
-                if prev_u >= 0:
-                    out_h.append(-acc)
-                prev_u, acc = uu[i], 0.0
-                out_u.append(prev_u)
-                out_n.append(int(nf_cell[i]))
-            acc += (float(cnt[i]) / float(nf_cell[i])) \
-                * math.log(float(cnt[i]) / float(ca_cell[i]))
-        out_h.append(-acc)
+        x = cf / nf_cell * np.array(
+            [math.log(r) for r in cf / ca_cell], dtype=np.float64)
+        # left fold per user from 0.0 (position-major mask)
+        us, ue = _segment_starts(uu)
+        lens = ue - us
+        acc = np.zeros(len(us))
+        for j in range(int(lens.max(initial=0))):
+            m = lens > j
+            acc[m] += x[us[m] + j]
         return pd.DataFrame({
-            "user_id": keys[starts][np.array(out_u, dtype=np.int64)],
-            "n_bigrams": np.array(out_n, dtype=np.int64),
-            "trans_entropy": round_half_away(
-                np.array(out_h, dtype=np.float64), 6),
+            "user_id": keys[starts][uu[us]],
+            "n_bigrams": nf_cell[us],
+            "trans_entropy": round_half_away(-acc, 6),
         })
 
 
@@ -1648,13 +1604,6 @@ class _RunsTestGroup:
         keep = v != m_row
         codes2, v2, keys2 = codes[keep], v[keep], keys[keep]
         m2 = m_row[keep]
-        if len(v2) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"].iloc[:0],
-                "n_above": pd.Series([], dtype=np.int64),
-                "n_below": pd.Series([], dtype=np.int64),
-                "runs": pd.Series([], dtype=np.int64),
-                "z": pd.Series([], dtype=np.float64)})
         sgn = (v2 > m2).astype(np.int64)
         starts, ends = _segment_starts(codes2)
         cnt = (ends - starts).astype(np.int64)
@@ -1694,22 +1643,15 @@ class _FanoGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import round_half_away
-        empty = pd.DataFrame({
-            "user_id": pd.Series([], dtype=np.int64),
-            "n_events": pd.Series([], dtype=np.int64),
-            "span_hours": pd.Series([], dtype=np.int64),
-            "fano": pd.Series([], dtype=np.float64)})
         # null users drop (the oracle's WHERE)
         rows, keys, uc, _, _ = key_runs(g, by=("h",),
                                         keep=g["user_id"].notna())
-        if len(rows) == 0:
-            return empty
         h = rows["h"].to_numpy(np.int64)
         # merge same-(user, hour) partials from different blocks
         cs, _ = _segment_starts(uc, h)
         cm = np.add.reduceat(rows["c"].to_numpy(np.int64), cs)
         ucm, hm, keys = uc[cs], h[cs], keys[cs]
-        if float(np.abs(cm).max()) ** 2 * len(cm) >= float(1 << 62):
+        if float(np.abs(cm).max(initial=0)) ** 2 * len(cm) >= float(1 << 62):
             raise OverflowError(
                 "fano_factor: Σc² approaching int64 — accumulate in "
                 "(hi, lo) limbs")
@@ -1945,12 +1887,6 @@ class _GrubbsGroup:
         import math
 
         from ..functions.rounding import round_half_away, scaled_int
-        empty = pd.DataFrame({
-            "event_type": pd.Series([], dtype=object),
-            "n": pd.Series([], dtype=np.int64),
-            "outlier_event_id": pd.Series([], dtype=np.int64),
-            "outlier_value": pd.Series([], dtype=np.float64),
-            "g_stat": pd.Series([], dtype=np.float64)})
         rows, types, _, starts, ends = key_runs(
             g, "event_type", ("event_id",),
             keep=g["event_type"].notna()
@@ -1969,7 +1905,10 @@ class _GrubbsGroup:
         sc2 = (np.add.reduceat(c.astype(object) * c.astype(object), starts)
                if cmax and cmax * cmax * n >= (1 << 62)
                else np.add.reduceat(c * c, starts))
-        out = []
+        ok = np.zeros(len(starts), dtype=bool)
+        eid = np.zeros(len(starts), dtype=np.int64)
+        val = np.zeros(len(starts))
+        gstat = np.zeros(len(starts))
         for i, (s, ln) in enumerate(zip(starts, lens)):
             if ln < 3:
                 continue
@@ -1980,22 +1919,18 @@ class _GrubbsGroup:
             m = int(m_grp[i])
             seg = slice(s, s + ln)
             hit = np.flatnonzero(absy[seg] == m)
-            eid = int(ids[seg][hit].min())
-            val = float(vals[seg][hit[np.argmin(ids[seg][hit])]])
-            gstat = ((float(m) / float(nk))
-                     / math.sqrt(float(d_exact)
-                                 / float(nk * nk * (nk - 1))))
-            out.append((types[s], nk, eid, val,
-                        round_half_away(gstat, 6)))
-        if not out:
-            return empty
-        et, nn, ei, ov, gs = zip(*out)
+            ok[i] = True
+            eid[i] = ids[seg][hit].min()
+            val[i] = vals[seg][hit[np.argmin(ids[seg][hit])]]
+            gstat[i] = ((float(m) / float(nk))
+                        / math.sqrt(float(d_exact)
+                                    / float(nk * nk * (nk - 1))))
         return pd.DataFrame({
-            "event_type": list(et),
-            "n": np.array(nn, dtype=np.int64),
-            "outlier_event_id": np.array(ei, dtype=np.int64),
-            "outlier_value": np.array(ov, dtype=np.float64),
-            "g_stat": np.array(gs, dtype=np.float64)})
+            "event_type": types[starts][ok],
+            "n": lens[ok].astype(np.int64),
+            "outlier_event_id": eid[ok],
+            "outlier_value": val[ok],
+            "g_stat": round_half_away(gstat[ok], 6)})
 
 
 def grubbs_test(events):
@@ -2031,11 +1966,6 @@ class _DriftChi2Group:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import round_half_away, scaled_int
-        empty = pd.DataFrame({
-            "event_type": pd.Series([], dtype=object),
-            "n": pd.Series([], dtype=np.int64),
-            "dof": pd.Series([], dtype=np.int64),
-            "chi2": pd.Series([], dtype=np.float64)})
         rows, types, _, starts, ends = key_runs(
             g, "event_type", keep=g["event_type"].notna()
             & ~np.isnan(g["value"].to_numpy(np.float64)))
@@ -2050,31 +1980,28 @@ class _DriftChi2Group:
         slot = (seg * self.N_BINS + bins) * 2 + second
         cnt = np.bincount(slot, minlength=len(starts) * self.N_BINS * 2)
         cnt = cnt.reshape(len(starts), self.N_BINS, 2)
-        out = []
-        for i, (s, nk) in enumerate(zip(starts, lens)):
+        dof = np.zeros(len(starts), dtype=np.int64)
+        chi2 = np.zeros(len(starts))
+        for i, nk in enumerate(lens):
             if nk < 2:
                 continue
             n1, n2 = int(nk // 2), int(nk - nk // 2)
             o1, o2 = cnt[i, :, 0], cnt[i, :, 1]
             present = np.flatnonzero(o1 + o2 > 0)
-            chi2 = 0.0
             for b in present:                  # ≤ N_BINS, bin order
                 tot = int(o1[b] + o2[b])
                 e1 = float(n1 * tot) / float(nk)
                 e2 = float(n2 * tot) / float(nk)
                 d1 = float(o1[b]) - e1
                 d2 = float(o2[b]) - e2
-                chi2 += d1 * d1 / e1 + d2 * d2 / e2
-            out.append((types[s], int(nk), len(present) - 1,
-                        round_half_away(chi2, 6)))
-        if not out:
-            return empty
-        et, nn, dof, x2 = zip(*out)
+                chi2[i] += d1 * d1 / e1 + d2 * d2 / e2
+            dof[i] = len(present) - 1
+        ok = lens >= 2
         return pd.DataFrame({
-            "event_type": list(et),
-            "n": np.array(nn, dtype=np.int64),
-            "dof": np.array(dof, dtype=np.int64),
-            "chi2": np.array(x2, dtype=np.float64)})
+            "event_type": types[starts][ok],
+            "n": lens[ok].astype(np.int64),
+            "dof": dof[ok],
+            "chi2": round_half_away(chi2[ok], 6)})
 
 
 # --- global user value ranks ----------------------------------------------------
@@ -2276,10 +2203,9 @@ def volume_shipping(lineitem, orders, customer, supplier, nation):
     j3 = hash_join(j2, customer.select_columns(
         ["c_custkey", "c_nationkey"]), "o_custkey", "c_custkey",
         how="inner")
-    nat = nation.to_pandas()
-    e1 = broadcast_enrich(j3, nat, "s_nationkey", "n_nationkey",
+    e1 = broadcast_enrich(j3, nation, "s_nationkey", "n_nationkey",
                           {"n_name": "supp_nation"})
-    e2 = broadcast_enrich(e1, nat, "c_nationkey", "n_nationkey",
+    e2 = broadcast_enrich(e1, nation, "c_nationkey", "n_nationkey",
                           {"n_name": "cust_nation"})
 
     def _partial(t: pa.Table) -> pa.Table:
@@ -2365,7 +2291,7 @@ def returned_item_revenue(lineitem, orders, customer, nation, *, k: int = 20):
     j2 = hash_join(per_cust, customer.select_columns(
         ["c_custkey", "c_name", "c_nationkey"]), "o_custkey", "c_custkey",
         how="inner")
-    enriched = broadcast_enrich(j2, nation.to_pandas(), "c_nationkey",
+    enriched = broadcast_enrich(j2, nation, "c_nationkey",
                                 "n_nationkey", {"n_name": "n_name"})
     top = topk_by(enriched, ["rev1e4", "c_custkey"], [True, False], k)
     return top.map_batches(
@@ -2801,15 +2727,10 @@ class _BigramCellsGroup:
     per partition regardless of event count."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"u": pd.Series([], dtype=object),
-                              "v": pd.Series([], dtype=object),
-                              "w": pd.Series([], dtype=np.int64)})
         rows, _, codes, _, _ = key_runs(
             g, keep=g["event_type"].notna() & g["user_id"].notna())
         typ = rows["event_type"].to_numpy()
         same = codes[1:] == codes[:-1]
-        if not same.any():
-            return empty
         df = pd.DataFrame({"u": typ[:-1][same], "v": typ[1:][same],
                            "w": np.int64(1)})
         return df.groupby(["u", "v"], as_index=False, sort=False).sum()

@@ -575,13 +575,6 @@ class TukeyFencesGroup:
         rows, keys, _, starts, ends = key_runs(
             g, self.key_col, (val,),
             keep=g[self.key_col].notna() & np.isfinite(val))
-        if len(rows) == 0:
-            return pd.DataFrame({
-                self.key_col: rows[self.key_col],
-                "n": pd.Series([], dtype=np.int64),
-                "q1": pd.Series([], dtype=np.float64),
-                "q3": pd.Series([], dtype=np.float64),
-                "n_outliers": pd.Series([], dtype=np.int64)})
         val = rows["value"].to_numpy(np.float64)
         length = ends - starts
         q1 = _quantile_lerp(val, starts, length, 0.25)

@@ -97,18 +97,12 @@ class DrawdownGroup:
         # NaN's scaled_int sentinel would poison the running peak)
         rows, keys, codes, starts, ends = key_runs(
             g, keep=g["user_id"].notna() & np.isfinite(g["value"].to_numpy(np.float64)))
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"],
-                "n_events": pd.Series([], dtype=np.int64),
-                "max_drawdown": pd.Series([], dtype=np.float64),
-                "t_trough": pd.Series([], dtype=np.int64)})
         t = rows["t"].to_numpy(np.int64)
         cents = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(t)
-        lo = int(cents.min())
-        span = int(cents.max()) - lo + 1
-        ncodes = int(codes.max()) + 1
+        lo = int(cents.min(initial=0))
+        span = int(cents.max(initial=0)) - lo + 1
+        ncodes = int(codes.max(initial=-1)) + 1
         if ncodes * span < (1 << 62):
             shifted = (cents - lo) + codes.astype(np.int64) * span
             runmax = np.maximum.accumulate(shifted) - codes * span + lo
@@ -232,8 +226,6 @@ def _append_local_grid(g: pd.DataFrame, width_s: int) -> pd.DataFrame:
     for the whole resample instead of two)."""
     width_us = width_s * 1_000_000
     ev = g.assign(__side=np.int64(0))
-    if len(g) == 0:
-        return ev
     # NULL keys get no grid: the oracle's ASOF equi-join drops them
     # (pandas groupby drops NaN/NA keys by default, matching)
     span = g.groupby("user_id")["t"].agg(["min", "max"])
@@ -274,7 +266,7 @@ def _pos_major_layout(codes: np.ndarray, n: int):
     row = np.repeat(np.arange(K), lens)
     pos = np.arange(n) - np.repeat(starts, lens)
     pm = np.lexsort((rank_of[row], pos))
-    counts = np.bincount(pos)
+    counts = np.bincount(pos, minlength=1)
     offs = np.concatenate([[0], np.cumsum(counts)])
     return pm, offs
 
@@ -295,12 +287,6 @@ class EwmaGroup:
         # join (only the anchor row would survive) — define the op over
         # non-null keys, like SQL's inner joins everywhere else
         rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"],
-                "event_id": pd.Series([], dtype=np.int64),
-                "t": pd.Series([], dtype=np.int64),
-                "ewma": pd.Series([], dtype=np.float64)})
         t = rows["t"].to_numpy(np.int64)
         x = rows["value"].to_numpy(np.float64)
         n = len(t)
@@ -541,13 +527,6 @@ class HoltGroup:
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         # recursive-CTE equality join drops nulls
         rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"],
-                "event_id": pd.Series([], dtype=np.int64),
-                "t": pd.Series([], dtype=np.int64),
-                "level": pd.Series([], dtype=np.float64),
-                "trend": pd.Series([], dtype=np.float64)})
         t = rows["t"].to_numpy(np.int64)
         x = rows["value"].to_numpy(np.float64)
         n = len(t)
@@ -684,12 +663,6 @@ class HysteresisGroup:
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         # recursive-CTE equality join drops nulls
         rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"],
-                "event_id": pd.Series([], dtype=np.int64),
-                "t": pd.Series([], dtype=np.int64),
-                "alert": pd.Series([], dtype=np.int64)})
         t = rows["t"].to_numpy(np.int64)
         x = rows["value"].to_numpy(np.float64)
         n = len(t)
@@ -756,12 +729,6 @@ class ChangepointGroup:
         pos = np.arange(n, dtype=np.int64) - np.repeat(starts, lens) + 1
         nk = np.repeat(lens, lens)
         valid = (pos < nk) & (nk >= 2)
-        if not valid.any():
-            return pd.DataFrame({
-                "user_id": rows["user_id"].iloc[:0],
-                "n": pd.Series([], dtype=np.int64),
-                "split_pos": pd.Series([], dtype=np.int64),
-                "gain": pd.Series([], dtype=np.float64)})
         sl = S[valid].astype(np.float64)
         rl = (stot - S)[valid].astype(np.float64)
         sp = pos[valid].astype(np.float64)
@@ -1063,11 +1030,6 @@ class TheilSenGroup:
         dt = t[b_idx] - t[a_idx]
         keep = dt > 0                      # strict time order only
         a_idx, b_idx, dt = a_idx[keep], b_idx[keep], dt[keep]
-        if len(dt) == 0:          # no pairs, or every pair tied in t
-            return pd.DataFrame({
-                "user_id": rows["user_id"].iloc[:0],
-                "n_pairs": pd.Series([], dtype=np.int64),
-                "slope_per_hour": pd.Series([], dtype=np.float64)})
         sl = (c[b_idx] - c[a_idx]).astype(np.float64) \
             / dt.astype(np.float64)
         pc = codes[a_idx]
@@ -1075,9 +1037,8 @@ class TheilSenGroup:
         # counts — DuckDB quantile_cont's exact arithmetic)
         so = np.lexsort((sl, pc))
         pc, sl = pc[so], sl[so]
-        pfirst = np.r_[True, pc[1:] != pc[:-1]]
-        pstarts = np.flatnonzero(pfirst)
-        plens = np.r_[pstarts[1:], len(pc)] - pstarts
+        pstarts, pends = _segment_starts(pc)
+        plens = pends - pstarts
         lo = pstarts + (plens - 1) // 2
         hi = pstarts + plens // 2
         med = (sl[lo] + sl[hi]) / 2.0
@@ -1111,13 +1072,6 @@ class KalmanGroup:
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         # recursive-CTE equality join drops nulls
         rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"],
-                "event_id": pd.Series([], dtype=np.int64),
-                "t": pd.Series([], dtype=np.int64),
-                "level": pd.Series([], dtype=np.float64),
-                "gain": pd.Series([], dtype=np.float64)})
         t = rows["t"].to_numpy(np.int64)
         z = rows["value"].to_numpy(np.float64)
         n = len(t)
@@ -1181,14 +1135,6 @@ class HoltWintersGroup:
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         # recursive-CTE equality join drops nulls
         rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"],
-                "event_id": pd.Series([], dtype=np.int64),
-                "t": pd.Series([], dtype=np.int64),
-                "level": pd.Series([], dtype=np.float64),
-                "trend": pd.Series([], dtype=np.float64),
-                "seasonal": pd.Series([], dtype=np.float64)})
         t = rows["t"].to_numpy(np.int64)
         z = rows["value"].to_numpy(np.float64)
         n = len(t)
@@ -1260,18 +1206,11 @@ class SpectralGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
-        empty = pd.DataFrame({
-            "user_id": pd.Series([], dtype=np.int64),
-            "n_events": pd.Series([], dtype=np.int64),
-            "power_daily": pd.Series([], dtype=np.float64),
-            "power_weekly": pd.Series([], dtype=np.float64)})
         # NULL keys and NULL/NaN values drop (oracle WHERE; a NaN's
         # scaled_int sentinel would poison the folded sums)
         rows, keys, codes, starts, ends = key_runs(
             g, keep=g["user_id"].notna()
             & np.isfinite(g["value"].to_numpy(np.float64)))
-        if len(rows) == 0:
-            return empty
         t = rows["t"].to_numpy(np.int64)
         cf = scaled_int(rows["value"].to_numpy(np.float64)) \
             .astype(np.float64)
@@ -1417,14 +1356,6 @@ class PageHinkleyGroup:
         rows, keys, codes, _, _ = key_runs(
             g, keep=g["user_id"].notna()
             & np.isfinite(g["value"].to_numpy(np.float64)))
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"],
-                "event_id": pd.Series([], dtype=np.int64),
-                "t": pd.Series([], dtype=np.int64),
-                "ph_inc": pd.Series([], dtype=np.float64),
-                "ph_dec": pd.Series([], dtype=np.float64),
-                "alarm": pd.Series([], dtype=np.int64)})
         t = rows["t"].to_numpy(np.int64)
         c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(t)
@@ -1501,21 +1432,15 @@ class VarianceRatioGroup:
         self.q = q
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "n": pd.Series([], dtype=np.int64),
-            "vr": pd.Series([], dtype=np.float64)})
         # NULL keys and NULL/NaN values drop (oracle WHERE; a NaN's
         # scaled_int sentinel would silently wrap the diff moments)
-        rows, keys, codes, _, _ = key_runs(
+        rows, keys, codes, starts, _ = key_runs(
             g, keep=g["user_id"].notna()
             & np.isfinite(g["value"].to_numpy(np.float64)))
-        if len(rows) == 0:
-            return empty
         c = scaled_int(rows["value"].to_numpy(np.float64))
         n = len(c)
         q = self.q
-        K = int(codes.max()) + 1
+        K = int(codes.max(initial=-1)) + 1
         out_rows = []
         for lag in (1, q):
             ok = np.zeros(n, dtype=bool)
@@ -1542,9 +1467,8 @@ class VarianceRatioGroup:
             np.add.at(sdd, kd, d * d)
             out_rows.append((cnt, sd, sdd))
         (n1, s1, ss1), (nq, sq_, ssq) = out_rows
-        first = np.r_[True, codes[1:] != codes[:-1]]
-        kidx = codes[first]
-        key_of = keys[first]
+        kidx = codes[starts]
+        key_of = keys[starts]
         res_u, res_n, res_vr = [], [], []
         for i, k in enumerate(kidx):
             if nq[k] < 1:
@@ -1561,12 +1485,9 @@ class VarianceRatioGroup:
             res_n.append(n1k + 1)
             res_vr.append(vr)
         return pd.DataFrame({
-            "user_id": np.asarray(res_u, dtype=key_of.dtype)
-            if res_u else key_of[:0],
+            "user_id": np.asarray(res_u, dtype=key_of.dtype),
             "n": np.asarray(res_n, dtype=np.int64),
-            "vr": round_half_away(np.asarray(res_vr, dtype=np.float64),
-                                  6) if res_vr
-            else np.array([], dtype=np.float64),
+            "vr": round_half_away(np.asarray(res_vr, dtype=np.float64), 6),
         })
 
 
@@ -1596,20 +1517,11 @@ class EwmBandsGroup:
         self.alpha, self.k = alpha, k
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "event_id": pd.Series([], dtype=np.int64),
-            "t": pd.Series([], dtype=np.int64),
-            "level": pd.Series([], dtype=np.float64),
-            "ewm_std": pd.Series([], dtype=np.float64),
-            "flag": pd.Series([], dtype=np.int64)})
         # NULL keys and NULL/NaN values drop (oracle WHERE; a NaN
         # would poison the recursion with NaN≠NULL semantics)
         rows, keys, codes, _, _ = key_runs(
             g, keep=g["user_id"].notna()
             & np.isfinite(g["value"].to_numpy(np.float64)))
-        if len(rows) == 0:
-            return empty
         t = rows["t"].to_numpy(np.int64)
         x = rows["value"].to_numpy(np.float64)
         n = len(t)
@@ -1679,11 +1591,6 @@ class SeasonalDecomposeGroup:
         self.m = m
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "phase": pd.Series([], dtype=np.int64),
-            "n": pd.Series([], dtype=np.int64),
-            "seasonal": pd.Series([], dtype=np.float64)})
         rows, keys, _, starts, ends = key_runs(
             g, keep=g["user_id"].notna()
             & np.isfinite(g["value"].to_numpy(np.float64)))
@@ -1695,8 +1602,6 @@ class SeasonalDecomposeGroup:
         local = np.arange(n) - np.repeat(starts, lens)
         valid = (local >= h) & (local <= np.repeat(lens, lens) - 1 - h)
         i = np.flatnonzero(valid)
-        if len(i) == 0:
-            return empty
         cs0 = np.concatenate([[0], np.cumsum(c)])
         wsum = cs0[i + h + 1] - cs0[i - h]   # windows never cross keys
         tnum = 2 * wsum - c[i - h] - c[i + h]
@@ -1747,12 +1652,6 @@ class PeakDetectGroup:
         self.min_prom = min_prom
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "event_id": pd.Series([], dtype=np.int64),
-            "t": pd.Series([], dtype=np.int64),
-            "value": pd.Series([], dtype=np.float64),
-            "prom": pd.Series([], dtype=np.float64)})
         rows, keys, codes, _, _ = key_runs(
             g, keep=g["user_id"].notna()
             & ~np.isnan(g["value"].to_numpy(np.float64)))
@@ -1760,14 +1659,10 @@ class PeakDetectGroup:
         ids = rows["event_id"].to_numpy()
         v = rows["value"].to_numpy(np.float64)
         n = len(v)
+        same = codes[1:] == codes[:-1]
         interior = np.zeros(n, dtype=bool)
-        if n >= 3:
-            same_prev = np.r_[False, codes[1:] == codes[:-1]]
-            same_next = np.r_[codes[:-1] == codes[1:], False]
-            interior = same_prev & same_next
+        interior[1:-1] = same[:-1] & same[1:]
         i = np.flatnonzero(interior)
-        if len(i) == 0:
-            return empty
         pv, nv = v[i - 1], v[i + 1]
         hi = np.maximum(pv, nv)
         is_peak = (v[i] > pv) & (v[i] > nv) & (v[i] - hi >= self.min_prom)
@@ -1798,11 +1693,6 @@ class HaarEnergyGroup:
     LEVELS = 3
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "level": pd.Series([], dtype=np.int64),
-            "n_coef": pd.Series([], dtype=np.int64),
-            "energy": pd.Series([], dtype=np.float64)})
         rows, keys, _, starts, ends = key_runs(
             g, keep=g["user_id"].notna()
             & ~np.isnan(g["value"].to_numpy(np.float64)))
@@ -1815,17 +1705,15 @@ class HaarEnergyGroup:
         x = x[kept]
         seg_keys = keys[starts][trunc > 0]
         lens = trunc[trunc > 0]
-        if len(lens) == 0:
-            return empty
         out_user, out_level, out_ncoef, out_energy = [], [], [], []
         for level in range(1, self.LEVELS + 1):
-            starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+            starts = np.cumsum(lens) - lens
             local = np.arange(len(x)) - np.repeat(starts, lens)
             first = np.flatnonzero(local % 2 == 0)
             d = x[first] - x[first + 1]
             x = x[first] + x[first + 1]          # next level's input
             lens = lens // 2
-            dstarts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+            dstarts = np.cumsum(lens) - lens
             dmax = int(np.abs(d).max()) if len(d) else 0
             if dmax and dmax * dmax * len(d) >= (1 << 62):
                 e2 = np.array([sum(int(v) * int(v) for v in seg)
@@ -1863,10 +1751,6 @@ class LjungBoxGroup:
         self.lags = lags
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "n": pd.Series([], dtype=np.int64),
-            "q_stat": pd.Series([], dtype=np.float64)})
         rows, keys, codes, starts, ends = key_runs(
             g, keep=g["user_id"].notna()
             & ~np.isnan(g["value"].to_numpy(np.float64)))
@@ -1888,8 +1772,6 @@ class LjungBoxGroup:
                 a[k:][codes[k:] != codes[:-k]] = 0
             nums.append(np.add.reduceat(a * y, starts))
         sel = (lens >= 10) & (d.astype(np.float64) > 0)
-        if not sel.any():
-            return empty
         nd = lens[sel]
         dd = d[sel].astype(np.float64)
         acc = np.zeros(len(nd))
@@ -1925,12 +1807,6 @@ class SampleEntropyGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "n": pd.Series([], dtype=np.int64),
-            "b_cnt": pd.Series([], dtype=np.int64),
-            "a_cnt": pd.Series([], dtype=np.int64),
-            "sampen": pd.Series([], dtype=np.float64)})
         rows, keys, _, starts, ends = key_runs(
             g, keep=g["user_id"].notna()
             & ~np.isnan(g["value"].to_numpy(np.float64)))
@@ -1958,10 +1834,8 @@ class SampleEntropyGroup:
             out_a.append(a_cnt)
             out_s.append(round_half_away(-math.log(a_cnt / b_cnt), 6)
                          if a_cnt > 0 and b_cnt > 0 else np.nan)
-        if not out_key:
-            return empty
         return pd.DataFrame({
-            "user_id": np.array(out_key),
+            "user_id": np.array(out_key, dtype=keys.dtype),
             "n": np.array(out_n, dtype=np.int64),
             "b_cnt": np.array(out_b, dtype=np.int64),
             "a_cnt": np.array(out_a, dtype=np.int64),
@@ -2001,13 +1875,6 @@ class CrostonGroup:
         pm, offs = _pos_major_layout(ccodes, len(cs))
         d_pm, h_pm = d[pm], chour[pm]
         max_len = len(offs) - 1
-        if max_len < 2:       # no key with two demand hours (or no rows)
-            return pd.DataFrame({
-                "user_id": rows["user_id"].iloc[:0],
-                "n_hours": pd.Series([], dtype=np.int64),
-                "level": pd.Series([], dtype=np.float64),
-                "smooth_interval": pd.Series([], dtype=np.float64),
-                "forecast": pd.Series([], dtype=np.float64)})
         m0 = offs[1] - offs[0]
         rank_keys = ckeys[pm[offs[0]:offs[1]]]
         lens = np.zeros(m0, dtype=np.int64)
@@ -2060,10 +1927,6 @@ class HurstRSGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         import math
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "n": pd.Series([], dtype=np.int64),
-            "hurst": pd.Series([], dtype=np.float64)})
         rows, keys, _, starts, ends = key_runs(
             g, keep=g["user_id"].notna()
             & ~np.isnan(g["value"].to_numpy(np.float64)))
@@ -2124,10 +1987,8 @@ class HurstRSGroup:
             out_key.append(keys[starts[ki]])
             out_n.append(lens[ki])
             out_h.append(round_half_away(slope, 6))
-        if not out_key:
-            return empty
         return pd.DataFrame({
-            "user_id": np.array(out_key),
+            "user_id": np.array(out_key, dtype=keys.dtype),
             "n": np.array(out_n, dtype=np.int64),
             "hurst": np.array(out_h, dtype=np.float64)})
 
@@ -2146,11 +2007,6 @@ class MannKendallGroup:
     CHUNK = 1024
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "n": pd.Series([], dtype=np.int64),
-            "s_stat": pd.Series([], dtype=np.int64),
-            "tau": pd.Series([], dtype=np.float64)})
         rows, keys, _, starts, ends = key_runs(
             g, keep=g["user_id"].notna()
             & ~np.isnan(g["value"].to_numpy(np.float64)))
@@ -2173,10 +2029,8 @@ class MannKendallGroup:
             out_s.append(s_stat)
             out_tau.append(round_half_away(
                 float(2 * s_stat) / float(denom), 6))
-        if not out_key:
-            return empty
         return pd.DataFrame({
-            "user_id": np.array(out_key),
+            "user_id": np.array(out_key, dtype=keys.dtype),
             "n": np.array(out_n, dtype=np.int64),
             "s_stat": np.array(out_s, dtype=np.int64),
             "tau": np.array(out_tau, dtype=np.float64)})
@@ -2196,10 +2050,6 @@ class SpearmanTrendGroup:
     rho."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "n": pd.Series([], dtype=np.int64),
-            "rho": pd.Series([], dtype=np.float64)})
         rows, keys, codes, starts, ends = key_runs(
             g, keep=g["user_id"].notna()
             & ~np.isnan(g["value"].to_numpy(np.float64)))
@@ -2226,8 +2076,6 @@ class SpearmanTrendGroup:
         sxx = np.add.reduceat(r2x * r2x, starts)
         syy = np.add.reduceat(r2y * r2y, starts)
         sel = lens >= 2
-        if not sel.any():
-            return empty
         nd = lens[sel].astype(np.float64)
         sxd, syd = sx[sel].astype(np.float64), sy[sel].astype(np.float64)
         sxyd = sxy[sel].astype(np.float64)
@@ -2260,12 +2108,6 @@ class PacfGroup:
     zero variance emit nothing."""
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "user_id": g["user_id"].iloc[:0],
-            "n": pd.Series([], dtype=np.int64),
-            "pacf1": pd.Series([], dtype=np.float64),
-            "pacf2": pd.Series([], dtype=np.float64),
-            "pacf3": pd.Series([], dtype=np.float64)})
         rows, keys, codes, starts, ends = key_runs(
             g, keep=g["user_id"].notna()
             & ~np.isnan(g["value"].to_numpy(np.float64)))
@@ -2287,8 +2129,6 @@ class PacfGroup:
                 a[k:][codes[k:] != codes[:-k]] = 0
             nums.append(np.add.reduceat(a * y, starts))
         sel = (lens >= 10) & (d.astype(np.float64) > 0)
-        if not sel.any():
-            return empty
         dd = d[sel].astype(np.float64)
         r1 = nums[0][sel].astype(np.float64) / dd
         r2 = nums[1][sel].astype(np.float64) / dd
@@ -2399,12 +2239,6 @@ class RsiGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         rows, keys, codes, _, _ = key_runs(g, keep=g["user_id"].notna())
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"],
-                "event_id": pd.Series([], dtype=np.int64),
-                "t": pd.Series([], dtype=np.int64),
-                "rsi": pd.Series([], dtype=np.float64)})
         t = rows["t"].to_numpy(np.int64)
         x = rows["value"].to_numpy(np.float64)
         n = len(t)

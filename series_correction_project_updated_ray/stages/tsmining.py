@@ -75,11 +75,6 @@ class SaxGroup:
         c = scaled_int(rows["value"].to_numpy(np.float64))
         lens = ends - starts
         keep = lens >= w
-        if not keep.any():
-            return pd.DataFrame({
-                "user_id": rows["user_id"].iloc[:0],
-                "n_events": pd.Series([], dtype=np.int64),
-                "sax": pd.Series([], dtype=object)})
         klens = lens[keep]
         K = len(klens)
         # compact to kept keys so reduceat segments never bleed into a
@@ -97,7 +92,7 @@ class SaxGroup:
         max_len = int(klens.max()) if K else 0
         cs = cc.astype(object) if amax and \
             (max_len * amax) ** 2 >= (1 << 62) else cc
-        new_starts = np.r_[np.int64(0), np.cumsum(klens)[:-1]]
+        new_starts = np.cumsum(klens) - klens
         sc = np.add.reduceat(cs, new_starts)
         ss = np.add.reduceat(cs * cs, new_starts)
         var_num = klens.astype(object) * ss - sc * sc \
@@ -158,15 +153,7 @@ class ExcursionGroup:
         # compress to the over-threshold subsequence: runs are
         # contiguous there, so reduceat over its island starts works
         oidx = np.flatnonzero(over)
-        if len(oidx) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"].iloc[:0],
-                "n_excursions": pd.Series([], dtype=np.int64),
-                "max_run": pd.Series([], dtype=np.int64),
-                "n_over": pd.Series([], dtype=np.int64),
-                "max_dur_us": pd.Series([], dtype=np.int64)})
-        si = np.flatnonzero(istart[oidx])        # island starts in oidx
-        se = np.r_[si[1:], len(oidx)]
+        si, se = _segment_starts(np.cumsum(istart[oidx]))  # islands in oidx
         run_len = se - si
         dur = t[oidx[se - 1]] - t[oidx[si]]
         ks, ke = _segment_starts(codes[oidx[si]])
@@ -392,10 +379,13 @@ class MatrixProfileGroup:
             g, keep=g["user_id"].notna() & np.isfinite(g["value"].to_numpy(np.float64)))
         c = scaled_int(rows["value"].to_numpy(np.float64))
         w = self.w
-        out_k, out_p, out_d, out_j = [], [], [], []
-        for s, e in zip(starts, ends):
-            m = (e - s) - w + 1
-            if m < 2:
+        m_k = ends - starts - w + 1
+        m_k[m_k < 2] = 0
+        off = np.cumsum(m_k) - m_k
+        dist2 = np.empty(int(m_k.sum()), dtype=np.int64)
+        idx = np.empty_like(dist2)
+        for s, e, o, m in zip(starts, ends, off, m_k):
+            if m == 0:
                 continue
             W = np.lib.stride_tricks.sliding_window_view(c[s:e], w)
             amax = float(np.abs(W).max())
@@ -418,21 +408,13 @@ class MatrixProfileGroup:
                 raise OverflowError(
                     "matrix_profile: a nearest-neighbor distance "
                     "exceeds int64 — rescale the value column")
-            out_k.append(keys[s:s + m])
-            out_p.append(np.arange(1, m + 1, dtype=np.int64))
-            out_d.append(mins.astype(np.int64))
-            out_j.append((j + 1).astype(np.int64))
-        if not out_k:
-            return pd.DataFrame({
-                "user_id": rows["user_id"].iloc[:0],
-                "pos": pd.Series([], dtype=np.int64),
-                "mp_dist2": pd.Series([], dtype=np.int64),
-                "mp_idx": pd.Series([], dtype=np.int64)})
+            dist2[o:o + m] = mins
+            idx[o:o + m] = j + 1
         return pd.DataFrame({
-            "user_id": np.concatenate(out_k),
-            "pos": np.concatenate(out_p),
-            "mp_dist2": np.concatenate(out_d),
-            "mp_idx": np.concatenate(out_j),
+            "user_id": np.repeat(keys[starts], m_k),
+            "pos": np.arange(len(dist2)) - np.repeat(off, m_k) + 1,
+            "mp_dist2": dist2,
+            "mp_idx": idx,
         })
 
 

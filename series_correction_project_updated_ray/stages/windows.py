@@ -154,33 +154,23 @@ class AsofJoinGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         rows, keys, _, starts, ends = key_runs(g)
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"], "event_id": rows["event_id"],
-                "last_purchase_value": pd.Series([], dtype=np.float64)})
         t = rows["t"].to_numpy(np.int64)
         ids = rows["event_id"].to_numpy()
         is_l = rows["__side"].to_numpy() == "l"
         rv_all = rows["value"].to_numpy(np.float64)
-        out_k, out_i, out_v = [], [], []
+        matched = np.full(len(t), np.nan)
         for s, e in zip(starts, ends):
             m = is_l[s:e]
-            lt = t[s:e][m]
             rt = t[s:e][~m]
-            if len(rt) == 0:
-                matched = np.full(len(lt), np.nan)
-            else:
+            if len(rt):
                 rv = rv_all[s:e][~m]
-                pos = np.searchsorted(rt, lt, side="right") - 1
-                matched = np.where(pos >= 0, rv[np.clip(pos, 0, None)],
-                                   np.nan)
-            out_k.append(keys[s:e][m])
-            out_i.append(ids[s:e][m])
-            out_v.append(matched)
+                pos = np.searchsorted(rt, t[s:e][m], side="right") - 1
+                matched[s:e][m] = np.where(
+                    pos >= 0, rv[np.clip(pos, 0, None)], np.nan)
         return pd.DataFrame({
-            "user_id": np.concatenate(out_k),
-            "event_id": np.concatenate(out_i),
-            "last_purchase_value": round_half_away(np.concatenate(out_v), 6),
+            "user_id": keys[is_l],
+            "event_id": ids[is_l],
+            "last_purchase_value": round_half_away(matched[is_l], 6),
         })
 
 
@@ -269,36 +259,30 @@ class RangeJoinAggGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         rows, keys, _, starts, ends = key_runs(g, by=("t",))
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"], "event_id": rows["event_id"],
-                "t": pd.Series([], dtype=np.int64),
-                "n_in_range": pd.Series([], dtype=np.int64),
-                "vsum": pd.Series([], dtype=np.float64)})
         t = rows["t"].to_numpy(np.int64)
         is_l = rows["__side"].to_numpy() == "l"
         # a NULL right value counts in n_in_range and adds 0 to vsum (the
         # oracle's COALESCE(SUM(cents), 0))
         v = rows["value"].to_numpy(np.float64)
         v100_all = scaled_int(np.where(np.isnan(v), 0.0, v))
-        ids = rows["event_id"].to_numpy()
-        frames = []
+        n_in = np.zeros(len(t), dtype=np.int64)
+        vsum = np.zeros(len(t))
         for s, e in zip(starts, ends):
             m = is_l[s:e]
             tl = t[s:e][m]
             tr = t[s:e][~m]
-            v100 = v100_all[s:e][~m]
-            csum = np.concatenate([[0], np.cumsum(v100)])
+            csum = np.concatenate([[0], np.cumsum(v100_all[s:e][~m])])
             lo = np.searchsorted(tr, tl - self.window_us, side="left")
             hi = np.searchsorted(tr, tl, side="right")
-            frames.append(pd.DataFrame({
-                "user_id": keys[s:e][m],
-                "event_id": ids[s:e][m],
-                "t": tl,
-                "n_in_range": (hi - lo).astype(np.int64),
-                "vsum": (csum[hi] - csum[lo]) / 100.0,
-            }))
-        return pd.concat(frames, ignore_index=True)
+            n_in[s:e][m] = hi - lo
+            vsum[s:e][m] = (csum[hi] - csum[lo]) / 100.0
+        return pd.DataFrame({
+            "user_id": keys[is_l],
+            "event_id": rows["event_id"].to_numpy()[is_l],
+            "t": t[is_l],
+            "n_in_range": n_in[is_l],
+            "vsum": vsum[is_l],
+        })
 
 
 def range_join_agg(events, *, left_type="purchase", right_type="click",
@@ -341,12 +325,6 @@ class FunnelGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         rows, keys, _, starts, ends = key_runs(g, by=())
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"],
-                "t_first": pd.Series([], dtype=np.int64),
-                "t_then": pd.Series([], dtype=np.int64),
-                "latency_s": pd.Series([], dtype=np.int64)})
         ts = rows["t"].to_numpy(np.int64)
         typ = rows["event_type"].to_numpy()
         lens = ends - starts
@@ -498,12 +476,6 @@ class TimeWeightedAvgGroup:
         t = g["t"].to_numpy(np.int64)
         rows, keys, codes, _, _ = key_runs(
             g, by=(t // self.width_us, "t", "event_id"))
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"],
-                "window_start": pd.Series([], dtype=np.int64),
-                "twa": pd.Series([], dtype=np.float64),
-                "n": pd.Series([], dtype=np.int64)})
         t = rows["t"].to_numpy(np.int64)
         w = t // self.width_us * self.width_us
         v = rows["value"].to_numpy(np.float64)
@@ -625,12 +597,6 @@ class InterarrivalGroup:
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         rows, keys, _, starts, ends = key_runs(g)
-        if len(rows) == 0:
-            return pd.DataFrame({
-                "user_id": rows["user_id"],
-                "n_events": pd.Series([], dtype=np.int64),
-                "mean_dt_s": pd.Series([], dtype=np.float64),
-                "cv_dt": pd.Series([], dtype=np.float64)})
         # epoch seconds (flooring preserves order)
         ts = rows["t"].to_numpy(np.int64) // 1_000_000
         cnt = (ends - starts).astype(np.int64)
@@ -698,11 +664,6 @@ class SessionCooccurrence:
         # NULL — so drop them AFTER sessionizing
         nn = ~pd.isnull(types)
         gsid, types = gsid[nn], types[nn]
-        if len(types) == 0:
-            return pd.DataFrame({
-                "type_a": pd.Series([], dtype=object),
-                "type_b": pd.Series([], dtype=object),
-                "cnt": pd.Series([], dtype=np.int64)})
         uniq_types = np.unique(types)           # SORTED: code order ==
         ntypes = len(uniq_types)                # lexicographic order
         tcode = np.searchsorted(uniq_types, types)
@@ -710,9 +671,7 @@ class SessionCooccurrence:
         cells = np.unique(gsid * np.int64(ntypes) + tcode)
         sess_of = cells // ntypes
         tc = cells % ntypes
-        seg_first = np.r_[True, sess_of[1:] != sess_of[:-1]]
-        starts = np.flatnonzero(seg_first)
-        ends = np.r_[starts[1:], len(cells)]
+        starts, ends = _segment_starts(sess_of)
         m = len(cells)
         counts = np.repeat(ends, ends - starts) - np.arange(m) - 1
         P = int(counts.sum())

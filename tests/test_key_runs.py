@@ -9,6 +9,9 @@ the same column names as its output on a normal frame and the same
 dtypes for every column but the key (a null-bearing int key arrives as
 float64)."""
 
+import ast
+import inspect
+import pathlib
 import warnings
 
 import numpy as np
@@ -241,6 +244,50 @@ def test_kernel_degenerate_inputs_keep_schema(name, kernel, key, prep, case):
         if col != key:
             assert got[col].dtype == want[col].dtype, (col, got[col].dtype,
                                                        want[col].dtype)
+
+
+@pytest.mark.parametrize("case", ["empty", "one_row"])
+def test_kernel_empty_output_keeps_key_dtype(case):
+    """With non-null keys the key column keeps its dtype too when no key
+    emits a row: an int64 key must not become float64 (an empty list
+    through ``np.array``), which a block concat would have to unify."""
+    base = _base_table()
+    for name, kernel, key, prep in _KERNELS:
+        prep = prep or (lambda g: g)
+        want = kernel(prep(base.to_pandas()))
+        got = kernel(prep(_degenerate(base, key, case).to_pandas()))
+        if key in want.columns:
+            assert got[key].dtype == want[key].dtype, (name, got[key].dtype)
+
+
+def _typed_empty_series(cls: type) -> list[str]:
+    """``pd.Series([], dtype=...)`` calls in ``cls``'s source, as
+    ``"<class>:<line>"`` — a second, hand-built statement of the output
+    schema next to the kernel's one ``return``."""
+    path = inspect.getsourcefile(cls)
+    tree = ast.parse(pathlib.Path(path).read_text(), path)
+    node = next(n for n in ast.walk(tree)
+                if isinstance(n, ast.ClassDef) and n.name == cls.__name__)
+    return [f"{cls.__name__}:{c.lineno}" for c in ast.walk(node)
+            if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+            and c.func.attr == "Series" and c.args
+            and isinstance(c.args[0], ast.List) and not c.args[0].elts]
+
+
+def test_battery_kernels_build_no_typed_empty_frame():
+    """Every battery kernel's body handles zero rows, so its ``return``
+    is its only statement of columns and dtypes: no kernel class here
+    may build a typed-empty frame by hand again."""
+    hits = [h for _, kernel, _, _ in _KERNELS
+            for h in _typed_empty_series(type(kernel))]
+    assert hits == []
+
+
+def test_typed_empty_scan_sees_a_hand_built_frame():
+    class _Fixture:
+        def __call__(self, g):
+            return pd.DataFrame({"n": pd.Series([], dtype=np.int64)})
+    assert len(_typed_empty_series(_Fixture)) == 1
 
 
 # (registry query, kernel, input transform) for the kernels whose oracle

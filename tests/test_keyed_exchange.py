@@ -340,3 +340,24 @@ def test_map_functions_never_see_an_empty_batch(source, batch_format,
         blocks = ray.get(list(refs))
         assert any(b.num_rows == 0 and b.num_columns == 0 for b in blocks)
         assert [b.num_rows for b in nonempty_blocks(refs)] == [4]
+
+
+def test_typed_empty_dataset_has_a_schema_but_no_pandas_columns(
+        ray_session, tmp_path):
+    """The Ray 2.49 facts that rule out a per-kernel output schema as the
+    cure for column-less empty results: a typed 0-row Dataset reports its
+    schema, but ``to_pandas()`` builds its frame from ``iter_batches``,
+    which yields nothing for 0 rows, so the frame has no columns — from
+    ``from_arrow`` and from a 0-row Parquet file alike.  Code that needs
+    the columns of a possibly empty Dataset (``broadcast_enrich``) builds
+    them from ``schema()``."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    empty = pa.schema([("k", pa.int64()), ("name", pa.string())]) \
+        .empty_table()
+    pq.write_table(empty, tmp_path / "empty.parquet")
+    for ds in (rd.from_arrow(empty),
+               rd.read_parquet(str(tmp_path / "empty.parquet"))):
+        assert ds.schema().base_schema == empty.schema
+        df = ds.to_pandas()
+        assert len(df) == 0 and list(df.columns) == []

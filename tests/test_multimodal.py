@@ -31,7 +31,7 @@ def test_feature_extractor_direct():
 def test_media_pipeline_actor_pool(ray_session):
     import ray.data as rd
     ds = rd.from_arrow(synth_media_table(48))
-    feats = media_features(ds, concurrency=2, batch_size=16).to_pandas()
+    feats = media_features(ds).to_pandas()
     assert len(feats) == 48
 
 
