@@ -135,6 +135,8 @@ def _query_vector(sf_dir: str):
     tbl = pads.dataset(os.path.join(sf_dir, "embeddings.parquet")).to_table(
         columns=["vec_id", "embedding"],
         filter=pads.field("vec_id") == 0)
+    if tbl.num_rows == 0:
+        raise ValueError(f"no embedding with vec_id 0 in {sf_dir} to query")
     return np.asarray(tbl["embedding"][0].as_py(), dtype=np.float64)
 
 
@@ -419,10 +421,11 @@ def _top_users(topk_by, sf_dir: str):
     from series_correction_project_updated_ray.stages.rollup import combine
     sums = combine(_read(sf_dir, *EV_USER_VALUE), ["user_id"],
                    [("value", "sum", "total_value")])
+    # reindex: 0 events give a column-less frame
     top = topk_by(sums, ["total_value", "user_id"], [True, False], 10) \
-        .to_pandas()
+        .to_pandas().reindex(columns=["user_id", "total_value"])
     top["total_value"] = round_half_away(top["total_value"].to_numpy(), 6)
-    return top[["user_id", "total_value"]].reset_index(drop=True)
+    return top.reset_index(drop=True)
 
 
 def _filter_pushdown(read_parquet, sf_dir: str):

@@ -161,6 +161,18 @@ def _segment_starts(*sort_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.append(starts[1:], n)
 
 
+def _segment_left_fold(x: np.ndarray, starts: np.ndarray,
+                       lens: np.ndarray) -> np.ndarray:
+    """Sum of each segment ``x[starts[i]:starts[i] + lens[i]]`` as a left
+    fold from 0.0: one masked add per position across all segments, so
+    each sum adds its terms in the order a per-segment loop would."""
+    acc = np.zeros(len(starts))
+    for j in range(int(lens.max(initial=0))):
+        m = lens > j
+        acc[m] += x[starts[m] + j]
+    return acc
+
+
 class KeyRuns(NamedTuple):
     rows: pd.DataFrame      # the kept rows in (key, *by) order
     keys: np.ndarray        # rows[key] values

@@ -9,7 +9,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .joins import _segment_starts, key_runs, partition_groups
+from .joins import (_segment_left_fold, _segment_starts, key_runs,
+                    partition_groups)
 from .rollup import combine, combine_all, sums_of
 from .windows import _epoch_micros, _prep_events
 from ..functions.sanitize import sanitize_batch
@@ -226,8 +227,9 @@ def revenue_summary(lineitem, disc_lo: int = 5, disc_hi: int = 7,
                                                   d100[keep]).sum())])})
 
     total = lineitem.map_batches(_partial, batch_format="pyarrow") \
-        .sum("rev1e4")
-    return pd.DataFrame({"revenue": [total / 10000.0]})
+        .sum("rev1e4")   # None: no lineitem rows, so no revenue row
+    return pd.DataFrame({"revenue": np.array(
+        [] if total is None else [total / 10000.0], dtype=np.float64)})
 
 
 def topk_by(ds, sort_cols: list[str], descending: list[bool], k: int):
@@ -646,8 +648,9 @@ def value_quartiles(events, *, k: int = 4):
 
     with_c = events.map_batches(_cents, batch_format="pyarrow") \
         .materialize()
+    # reindex: 0 events give a column-less frame
     counts = combine(with_c, ["cents"], [([], "count_all", "cnt")]) \
-        .to_pandas().sort_values("cents")
+        .to_pandas().reindex(columns=["cents", "cnt"]).sort_values("cents")
     # |distinct cents| ≤ value-domain width — driver-sized by construction
     cents_sorted = counts["cents"].to_numpy(np.int64)
     below = np.concatenate([[0], np.cumsum(
@@ -950,11 +953,8 @@ class _EntropyGroup:
         tot = np.add.reduceat(c, starts)
         q = c.astype(np.float64) / np.repeat(tot, lens).astype(np.float64)
         x = np.array([qi * math.log(qi) for qi in q])
-        # left fold per key in binary type order (position-major mask)
-        acc = np.zeros(len(starts))
-        for j in range(int(lens.max(initial=0))):
-            m = lens > j
-            acc[m] += x[starts[m] + j]
+        # left fold per key in binary type order
+        acc = _segment_left_fold(x, starts, lens)
         from ..functions.rounding import round_half_away
         return pd.DataFrame({
             self.key_col: keys[starts],
@@ -1483,13 +1483,9 @@ class _TransitionEntropyGroup:
         ca_cell, nf_cell = ca_cell[o2], nf_cell[o2]
         x = cf / nf_cell * np.array(
             [math.log(r) for r in cf / ca_cell], dtype=np.float64)
-        # left fold per user from 0.0 (position-major mask)
+        # left fold per user from 0.0
         us, ue = _segment_starts(uu)
-        lens = ue - us
-        acc = np.zeros(len(us))
-        for j in range(int(lens.max(initial=0))):
-            m = lens > j
-            acc[m] += x[us[m] + j]
+        acc = _segment_left_fold(x, us, ue - us)
         return pd.DataFrame({
             "user_id": keys[starts][uu[us]],
             "n_bigrams": nf_cell[us],

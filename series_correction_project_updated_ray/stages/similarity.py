@@ -189,6 +189,8 @@ def kmeans_distributed(embeddings, n_clusters=8, iters=10, seed=7,
     from .relational import topk_by
     pool_size = max(50, 8 * n_clusters)
     pool = topk_by(embeddings, [id_col], [False], pool_size).take_all()
+    if not pool:
+        raise ValueError("kmeans_distributed: no vectors to cluster")
     P = np.stack([np.asarray(r[vec_col], dtype=np.float64) for r in pool])
     P /= np.maximum(np.linalg.norm(P, axis=1, keepdims=True), 1e-12)
     chosen = [0]
@@ -291,9 +293,10 @@ def embedding_centroid_dist(embeddings, *, label_col: str = "label",
     stats = combine(embeddings.map_batches(_partial, batch_format="pyarrow"),
                     [label_col, "dim"],
                     sums_of("ssum", "n")).to_pandas()
-    # |labels| × dims rows — driver-sized by construction
+    # |labels| × dims rows — driver-sized by construction; column-less
+    # for 0 vectors, which need no centroid
     cents: dict = {}
-    for lab, grp in stats.groupby(label_col):
+    for lab, grp in stats.groupby(label_col) if len(stats) else ():
         grp = grp.sort_values("dim")
         # identical op order as the oracle: (double(ssum)/SCALE)/n —
         # each (label, dim) row's n is that label's vector count

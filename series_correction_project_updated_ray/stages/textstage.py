@@ -16,7 +16,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .joins import each_key
+from .joins import _segment_left_fold, each_key
 from .rollup import combine, sums_of
 from .taskcache import broadcast_map, class_task, nonempty_blocks
 from ..functions import text as T
@@ -771,14 +771,8 @@ class _LogWeightScore:
                                       dtype=np.float64))
         keep = lens > 0
         ids, lens = ids[keep], lens[keep]
-        if len(lens) == 0:
-            return self.empty(self.id_col)
-        flat = np.concatenate(parts)
-        offs = np.r_[0, np.cumsum(lens)][:-1]
-        acc = np.zeros(len(lens), dtype=np.float64)
-        for j in range(int(lens.max())):
-            m = lens > j
-            acc[m] += flat[offs[m] + j]
+        flat = np.concatenate([np.empty(0), *parts])
+        acc = _segment_left_fold(flat, np.cumsum(lens) - lens, lens)
         n, total, avg = self.NAMES
         return pa.table({
             self.id_col: pa.array(ids),

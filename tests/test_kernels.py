@@ -7,7 +7,12 @@ test_updated_processor.py, test_apply_refined_corrections.py) — expected
 values are the reference tests' own assertions.
 """
 
+import logging
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +70,7 @@ def test_jump_basic():
 
 
 def test_jump_matches_python_loop_reference():
-    """Cross-check vectorized CUSUM scan against a literal port of the
+    """Cross-check the CUSUM reset fold against a literal port of the
     reference Python loop on a random series."""
     rng = np.random.default_rng(7)
     v = rng.normal(0, 1, 500)
@@ -533,7 +538,7 @@ def _reference_correct_outliers(values, outlier_indices, window_size=5,
 
 def _differential_series(rng, kind, n):
     """Sensor-like series: ``dense`` noise (the CUSUM fires every few
-    points), ``sparse`` steps on flat stretches (≤ 8 resets in the probe),
+    points), ``sparse`` steps on flat stretches (a handful of resets),
     ``mixed`` with NaN runs, rounded ±0.0 values and constant stretches."""
     if kind == "sparse":
         v = np.repeat(rng.uniform(-5, 5, 6), n // 6 + 1)[:n]
@@ -574,18 +579,126 @@ def test_process_series_matches_nanmedian_reference(monkeypatch, kind,
         _assert_bits_equal(got_v, want_v)
 
 
-@pytest.mark.parametrize("kind", ["dense", "sparse"])
-def test_cusum_regime_probe_covers_both_paths(kind):
-    """The differential series reach both CUSUM paths (dense: > 8 resets
-    in the first 4096 prefix values; sparse: ≤ 8).  A NaN deviation stops
-    every later crossing, so ``mixed`` series mostly run sparse."""
-    v = _differential_series(np.random.default_rng(5), kind, 5000)
-    dev = K.cusum_deviations(v, 5)
-    base, resets = 0.0, 0
-    for p in np.cumsum(dev[5:])[:4096].tolist():
-        if abs(p - base) > 3.0:
-            resets, base = resets + 1, p
-    assert (resets > 8) == (kind != "sparse")
+def _literal_fold(prefix, thr, offset):
+    """The reset fold as the reference writes it, on Python numbers."""
+    jumps, c = [], 0
+    for i, p in enumerate(prefix.tolist()):
+        if abs(p - c) > thr:
+            jumps.append(i + offset)
+            c = p
+    return jumps
+
+
+def _assert_fold(prefix, thr, offset=0):
+    got = K._reset_fold(prefix, thr, offset)
+    assert got.dtype == np.int64
+    assert got.tolist() == _literal_fold(prefix, thr, offset)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "mixed"])
+def test_compiled_fold_matches_python_loop(kind):
+    """The compiled fold over the float and the quantized int64 prefix of
+    the differential series: dense noise fires every few points, sparse
+    steps a handful of times, and in ``mixed`` a NaN deviation stops
+    every later crossing."""
+    assert K._fold_lib(), "the compiled fold did not build"
+    rng = np.random.default_rng(5)
+    for n in (0, 7, 200, 5000):
+        v = _differential_series(rng, kind, max(n, 61))[:n]
+        for w in (3, 5, 8):
+            dev = K.cusum_deviations(v, w)[w:]
+            with np.errstate(invalid="ignore"):   # NaN → INT64_MIN
+                q = np.cumsum(np.round(dev * 1_000_000).astype(np.int64))
+            for thr in (0.5, 3.0, 50.0):
+                _assert_fold(np.cumsum(dev), thr, w)
+                _assert_fold(q, int(thr * 1_000_000), w)
+
+
+def test_compiled_fold_special_values():
+    """NaN never fires and inf - inf is NaN; an int64 difference that
+    overflows is an exceedance (C would wrap it to a small one); a
+    scaled threshold past int64 runs the Python loop (ctypes would
+    truncate it to INT64_MIN, so every point would fire)."""
+    assert K._fold_lib(), "the compiled fold did not build"
+    f = np.array([0.5, np.nan, 4.0, np.inf, np.inf, -np.inf, 1e300,
+                  -1e300, 1e300, 1e-9, np.nan, -4.0, -0.0, 0.0])
+    for thr in (0.0, 3.0, 1e300, np.inf, np.nan):
+        _assert_fold(f, thr)
+    top, bot = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    q = np.array([top, bot, bot + 1, 0, top, -1, bot, top], dtype=np.int64)
+    for thr in (0, 3, top, -5, 2**63, 2**64, -2**63, -2**70):
+        _assert_fold(q, thr, 5)
+    assert K._reset_fold(q, 3, 0).tolist() == [0, 1, 3, 4, 5, 6, 7]
+    assert K._reset_fold(q, 2**63, 0).tolist() == []
+
+
+@pytest.fixture
+def fresh_fold_cache(tmp_path, monkeypatch):
+    """An empty fold cache and no loaded fold in this process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(K, "_fold", None)
+    return tmp_path / K.__package__
+
+
+def test_fold_cold_cache_built_once_by_concurrent_processes(fresh_fold_cache):
+    """Four processes start on an empty cache at once: each builds into
+    its own temp file and renames it into place, so one ``.so`` is left,
+    no temp file, and every process folds the same jumps."""
+    code = ("import numpy as np\n"
+            "from series_correction_project_updated_ray import kernels as K\n"
+            "v = np.random.default_rng(3).normal(0, 1, 5000)\n"
+            "assert K._fold_lib()\n"
+            "print(K.cusum_jumps(v).tolist(), "
+            "K.cusum_jumps_quantized(v).tolist())\n")
+    root = str(Path(K.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": root}
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.PIPE, text=True)
+             for _ in range(4)]
+    outs = [p.communicate(timeout=300)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0] * 4
+    v = np.random.default_rng(3).normal(0, 1, 5000)
+    want = f"{K.cusum_jumps(v).tolist()} {K.cusum_jumps_quantized(v).tolist()}\n"
+    assert outs == [want] * 4
+    files = sorted(f.name for f in fresh_fold_cache.iterdir())
+    assert len(files) == 1 and files[0].endswith(".so"), files
+    assert fresh_fold_cache.stat().st_mode & 0o777 == 0o700
+
+
+def test_fold_warm_cache_starts_no_process(fresh_fold_cache, monkeypatch):
+    v = np.random.default_rng(4).normal(0, 1, 3000)
+    want = K.cusum_jumps(v)
+    assert K._fold
+    monkeypatch.setattr(K, "_fold", None)
+
+    def no_process(*a, **k):
+        raise AssertionError("a warm fold cache started a process")
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    np.testing.assert_array_equal(K.cusum_jumps(v), want)
+    assert K._fold
+
+
+@pytest.mark.parametrize("cause", ["no_compiler", "shared_cache_dir"])
+def test_fold_fallback_is_exact_and_logged_once(fresh_fold_cache, monkeypatch,
+                                                caplog, cause):
+    """Without a compiler, or with a cache directory others can write, the
+    Python loop folds the same jumps; one log record says so, nothing
+    raises, and nothing is loaded from the shared directory."""
+    rng = np.random.default_rng(6)
+    series = [_differential_series(rng, kind, 3000)
+              for kind in ("dense", "sparse")]
+    want = [(K.cusum_jumps(v), K.cusum_jumps_quantized(v)) for v in series]
+    monkeypatch.setattr(K, "_fold", None)
+    if cause == "no_compiler":
+        monkeypatch.setattr(K, "_FOLD_CC", ("no-such-cc",) + K._FOLD_CC[1:])
+    else:
+        fresh_fold_cache.chmod(0o777)
+    caplog.set_level(logging.INFO, logger=K._log.name)
+    for v, (j, jq) in zip(series, want):
+        np.testing.assert_array_equal(K.cusum_jumps(v), j)
+        np.testing.assert_array_equal(K.cusum_jumps_quantized(v), jq)
+    assert K._fold is False
+    assert [r.name for r in caplog.records] == [K._log.name]
 
 
 @pytest.mark.parametrize("window_size", [3, 5, 7, 9])

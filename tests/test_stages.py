@@ -349,10 +349,12 @@ def test_class_named_row_runs_through_query_call(ray_session):
 
 def test_empty_tables_give_empty_results(ray_session, sf_dir, tmp_path):
     """On the sf0.001 tables sliced to 0 rows (schemas kept), every row
-    naming a kernel class and the four queries that broadcast the small
-    nation/customer table return 0 rows without raising: the kernels are
-    never called on an empty block, and ``broadcast_enrich`` builds the
-    empty lookup's columns from its schema."""
+    naming a kernel class, the four queries that broadcast the small
+    nation/customer table and four driver-side folds return 0 rows
+    without raising: the kernels are never called on an empty block, and
+    ``broadcast_enrich`` builds the empty lookup's columns from its
+    schema.  The kNN queries (no query vector) and k-means (no vector to
+    seed a centroid) raise a ValueError that says so."""
     import importlib
     import pathlib
 
@@ -368,12 +370,20 @@ def test_empty_tables_give_empty_results(ray_session, sf_dir, tmp_path):
     assert len(rows) >= 44
     names = {r.name for r in rows} | {
         "broadcast_enrich_orders", "revenue_by_nation", "volume_shipping",
-        "returned_item_revenue"}
+        "returned_item_revenue", "embedding_centroid_dist",
+        "top_users_by_value", "value_quartiles", "revenue_summary"}
+    raises = {"knn_topk": "no embedding with vec_id 0",
+              "knn_ivf": "no embedding with vec_id 0",
+              "kmeans_clusters": "no vectors to cluster"}
     for r in E.REGISTRY:
-        if r.name in names:
+        if r.name in raises:
+            with pytest.raises(ValueError, match=raises.pop(r.name)):
+                r(str(tmp_path))
+        elif r.name in names:
             out = r(str(tmp_path))
             n = out.count() if isinstance(out, rd.Dataset) else len(out)
             assert n == 0, r.name
+    assert not raises
 
 def test_connected_components_distributed_matches_driver(ray_session):
     import ray.data as rd
@@ -2041,6 +2051,29 @@ def test_drawdown_null_keys_dropped():
     assert len(out) == 1 and out["user_id"].iloc[0] == 1
     assert out["max_drawdown"].iloc[0] == 2.0
     assert len(DrawdownGroup()(df[df["user_id"].isna()])) == 0
+
+
+def test_log_weight_score_without_grams_gives_typed_empty():
+    """A batch whose documents all lack a gram runs the scorer's body on
+    zero kept documents and returns the scorer's typed 0-row table."""
+    from series_correction_project_updated_ray.stages.textstage import (
+        _LogWeightScore)
+    docs = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                     "text": pa.array(["", None], pa.string())})
+    out = _LogWeightScore({}, "text", "doc_id")(docs)
+    assert out.num_rows == 0
+    assert out.schema == _LogWeightScore.empty("doc_id").schema
+
+
+def test_segment_left_fold_adds_in_position_order():
+    from series_correction_project_updated_ray.stages.joins import (
+        _segment_left_fold)
+    x = np.array([1e16, 1.0, -1e16, 1.0, 0.5, 2.0, 3.0])
+    starts, lens = np.array([0, 3, 4, 7]), np.array([3, 1, 3, 0])
+    got = _segment_left_fold(x, starts, lens)
+    want = [sum(x[s:s + n].tolist(), 0.0) for s, n in zip(starts, lens)]
+    assert got.tolist() == want == [0.0, 1.0, 5.5, 0.0]
+    assert _segment_left_fold(x, starts[:0], lens[:0]).dtype == np.float64
 
 
 def test_unigram_score_kernel_fold_order():
