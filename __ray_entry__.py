@@ -28,9 +28,10 @@ _PKG = "series_correction_project_updated_ray"
 
 
 def _read(sf_dir: str, table: str, columns=None):
-    import ray.data
-    return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
-                                 columns=columns)
+    from series_correction_project_updated_ray.functions.frames import (
+        read_parquet)
+    return read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
+                        columns=columns)
 
 
 def entry() -> Any:
@@ -399,13 +400,15 @@ def _distinct_users(read_parquet, sf_dir: str):
     """COUNT(DISTINCT) via partial distinct: batch-local dedup →
     distinct pairs → per-type count — only distinct pairs shuffle."""
     import pyarrow as pa
+    from series_correction_project_updated_ray.functions.frames import (
+        arrow_table)
     from series_correction_project_updated_ray.stages.rollup import combine
     ev = read_parquet(os.path.join(sf_dir, "events.parquet"),
                       columns=["event_type", "user_id"])
 
     def _local_distinct(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return arrow_table(df)
 
     pairs = combine(ev.map_batches(_local_distinct, batch_format="pyarrow"),
                     ["event_type", "user_id"], [])
@@ -544,8 +547,9 @@ def _pricing_summary(pricing_summary, sf_dir: str):
     """TPC-H-Q1-style exact-arithmetic pricing summary (scaled-int sums;
     shipdate predicate pushed into the parquet scan)."""
     import pyarrow.compute as pc
-    import ray.data
-    li = ray.data.read_parquet(
+    from series_correction_project_updated_ray.functions.frames import (
+        read_parquet)
+    li = read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount", "l_tax", "l_shipdate"],
@@ -624,6 +628,8 @@ def _grouping_sets(scaled_cents, sf_dir: str):
     total in one result (NULL key = the total row), cents-exact sums —
     multi-level aggregates as a union of grouped and global partials."""
     import pyarrow as pa
+    from series_correction_project_updated_ray.functions.frames import (
+        arrow_table)
     from series_correction_project_updated_ray.stages.rollup import (
         combine, sums_of)
     ev = _read(sf_dir, *EV_TYPE_VALUE)
@@ -642,8 +648,7 @@ def _grouping_sets(scaled_cents, sf_dir: str):
         total = pd.DataFrame({"event_type": [sentinel],
                               "v100": [df["v100"].sum()],
                               "n": [np.int64(len(df))]})
-        return pa.Table.from_pandas(pd.concat([per_key, total]),
-                                    preserve_index=False)
+        return arrow_table(pd.concat([per_key, total]))
 
     agg = combine(ev.map_batches(_partial, batch_format="pyarrow"),
                   ["event_type"], sums_of("v100", "n"))
@@ -684,6 +689,7 @@ def _incremental_rollup(ingest, sf_dir: str):
     as 3 waves into a delta store; reading the store must equal the batch
     1h rollup SQL — its oracle is the 1h rollup's."""
     import hashlib
+    import shutil
 
     import pyarrow.parquet as pq
     from series_correction_project_updated_ray.state.ingest import (
@@ -709,7 +715,10 @@ def _incremental_rollup(ingest, sf_dir: str):
                            os.path.join(waves_dir, f"wave{i}.parquet"))
         with open(marker, "w") as f:
             f.write("ok")
-    store = os.path.join(base, "store")
+    # a fresh store per process: an older store holds deltas that older
+    # code wrote, and re-ingesting into it would read them unchanged
+    store = os.path.join(base, f"store-{os.getpid()}")
+    shutil.rmtree(store, ignore_errors=True)
     for w in sorted(glob.glob(os.path.join(waves_dir, "*.parquet"))):
         ingest(store, [w], width=3600)  # one ingest call per arriving wave
     return read_rollup(store)
@@ -776,9 +785,10 @@ def _left_join_customer_orders(hash_join, sf_dir: str):
     only their high-value orders (filter pushed into the orders scan) —
     customers with none survive with typed-null order columns."""
     import pyarrow.compute as pc
-    import ray.data
+    from series_correction_project_updated_ray.functions.frames import (
+        read_parquet)
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
-    orders = ray.data.read_parquet(
+    orders = read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
         filter=(pc.field("o_totalprice") > 400000.0))
@@ -790,14 +800,15 @@ def _shipping_priority(shipping_priority, sf_dir: str):
     join + partial agg + distributed top-k); date predicates pushed into
     both parquet scans."""
     import pyarrow.compute as pc
-    import ray.data
+    from series_correction_project_updated_ray.functions.frames import (
+        read_parquet)
     cutoff = pc.scalar(np.datetime64(Q3_CUTOFF, "us"))
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    orders = ray.data.read_parquet(
+    orders = read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
         filter=(pc.field("o_orderdate") < cutoff))
-    li = ray.data.read_parquet(
+    li = read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
         filter=(pc.field("l_shipdate") > cutoff))
@@ -853,7 +864,8 @@ REGISTRY: tuple[Query, ...] = (
     _q("broadcast_enrich_orders", ".stages.relational:broadcast_enrich",
        body=_broadcast_enrich),
     _q("sanitize_docs", ".stages.relational:sanitize_dataset", DOCS),
-    _q("summary_by_source", "ray.data:read_parquet", body=_summary_by_source),
+    _q("summary_by_source", ".functions.frames:read_parquet",
+       body=_summary_by_source),
     # large-×-large partitioned hash join (one bucket shuffle)
     _q("join_lineitem_orders", ".stages.joins:hash_join", body=_join_li_orders,
        how="inner"),
@@ -861,9 +873,10 @@ REGISTRY: tuple[Query, ...] = (
        body=_user_type_totals_join),
     _q("rollup_user_1h", ".stages.rollup:rollup_events", EV_USER_TS_VALUE,
        key_col="user_id", width=3600),
-    _q("distinct_users", "ray.data:read_parquet", body=_distinct_users),
+    _q("distinct_users", ".functions.frames:read_parquet",
+       body=_distinct_users),
     _q("top_users_by_value", ".stages.relational:topk_by", body=_top_users),
-    _q("filter_pushdown_events", "ray.data:read_parquet",
+    _q("filter_pushdown_events", ".functions.frames:read_parquet",
        body=_filter_pushdown),
     _q("rollup_1m_retention", ".stages.rollup:rollup_events",
        body=_rollup_retention),

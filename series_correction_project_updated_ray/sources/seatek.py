@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.frames import arrow_table
 from ..functions.parsing import parse_raw_filename
 
 
@@ -146,8 +147,7 @@ class SeatekParser:
         if not frames:
             return pa.table({"series": pa.array([], pa.string()),
                              "year_idx": pa.array([], pa.int32())})
-        return pa.Table.from_pandas(pd.concat(frames, ignore_index=True),
-                                    preserve_index=False)
+        return arrow_table(pd.concat(frames, ignore_index=True))
 
 
 def load_raw_frame(path: str) -> pd.DataFrame:

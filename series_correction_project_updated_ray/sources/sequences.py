@@ -22,6 +22,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
+from ..functions.frames import read_parquet
 from ..functions.text import tokenize_to_ids
 
 SEQUENCES_SCHEMA = pa.schema([
@@ -55,8 +56,8 @@ def sequences_from_documents(sf_dir: str, *, columns=("doc_id", "text", "source"
                              ) -> "ray.data.Dataset":
     """Read documents.parquet (pruned to the needed columns) and tokenize it
     into the canonical sequences shape as a streaming map_batches stage."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=list(columns))
+    ds = read_parquet(os.path.join(sf_dir, "documents.parquet"),
+                      columns=list(columns))
     return ds.map_batches(_tokenize_batch, batch_format="pyarrow")
 
 

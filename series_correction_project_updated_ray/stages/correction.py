@@ -25,6 +25,7 @@ import pyarrow.compute as pc
 from .. import kernels as K
 from ..functions.hashing import series_bucket, stable_hash_array
 from .joins import each_key, partition_groups
+from .taskcache import map_files
 
 SERIES_STEP_SECONDS = 13090  # Seatek cadence (/root/reference/data/S26_Y01.txt)
 TIERS = (("1m", 60), ("1h", 3600), ("1d", 86400))
@@ -221,16 +222,10 @@ class BucketFileKernel:
         self.buckets = buckets_per_source
         self.kernel = CorrectAndRollupGroup(config, step_seconds=step_seconds)
 
-    def __call__(self, batch) -> pa.Table:
+    def __call__(self, path: str) -> pa.Table:
         import pyarrow.parquet as pq
-        outs = []
-        for path in batch["item"]:
-            tbl = pq.read_table(str(path),
-                                columns=["doc_id", "tokens", "source"])
-            outs.append(self.kernel(add_series_key(tbl, self.buckets)))
-        if not outs:
-            return ROLLUP_SCHEMA.empty_table()
-        return pa.concat_tables(outs)
+        tbl = pq.read_table(path, columns=["doc_id", "tokens", "source"])
+        return self.kernel(add_series_key(tbl, self.buckets))
 
 
 def correct_and_rollup_local(bucketed_dir_or_files, *,
@@ -247,16 +242,13 @@ def correct_and_rollup_local(bucketed_dir_or_files, *,
     and processes whole files (series can never split)."""
     import glob as _glob
     import os as _os
-    import ray.data
     if isinstance(bucketed_dir_or_files, (list, tuple)):
         files = sorted(bucketed_dir_or_files)
     else:
         files = sorted(_glob.glob(
             _os.path.join(bucketed_dir_or_files, "*.parquet")))
-    ds = ray.data.from_items(files, override_num_blocks=len(files))
-    return ds.map_batches(
-        BucketFileKernel(buckets_per_source, config, step_seconds),
-        batch_format="numpy", batch_size=1)
+    return map_files(
+        files, BucketFileKernel(buckets_per_source, config, step_seconds))
 
 
 def correct_sequences(sequences, *, buckets_per_source: int = 64,

@@ -38,6 +38,7 @@ import pyarrow as pa
 
 from .dedup import _cluster_pairs
 from .rollup import combine, sums_of
+from ..functions.frames import arrow_table
 
 
 _EMPTY_PAIRS = pd.DataFrame({"u": pd.Series([], dtype=np.int64),
@@ -299,7 +300,7 @@ def link_prediction_jaccard(lineitem, *, min_support: int = 2,
             df = out.to_pandas().sort_values(
                 ["jaccard", "part_a", "part_b"],
                 ascending=[False, True, True]).head(k)
-            out = pa.Table.from_pandas(df, preserve_index=False)
+            out = arrow_table(df)
         return out
     _score.__name__ = "score_prune_topk"
 

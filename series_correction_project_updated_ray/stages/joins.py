@@ -33,6 +33,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.frames import arrow_table
 from ..functions.hashing import stable_hash_array
 
 _SORT_BLOCK_ROWS = 1 << 16
@@ -864,7 +865,7 @@ def skew_join(left, right, left_key: str, right_key: str, *,
         _join_field_plan(l_sch, r_sch, left_key, right_key, suffixes)
     if clash:
         hot_l = _rename_stage(hot_l, {c: c + suffixes[0] for c in clash})
-    r_tbl = pa.Table.from_pandas(hot_r.to_pandas(), preserve_index=False)
+    r_tbl = arrow_table(hot_r.to_pandas())
     if clash:
         r_tbl = r_tbl.rename_columns(
             [c + suffixes[1] if c in clash else c

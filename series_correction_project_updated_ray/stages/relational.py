@@ -13,6 +13,7 @@ from .joins import (_segment_left_fold, _segment_starts, key_runs,
                     partition_groups)
 from .rollup import combine, combine_all, sums_of
 from .windows import _epoch_micros, _prep_events
+from ..functions.frames import arrow_table
 from ..functions.sanitize import sanitize_batch
 
 
@@ -163,7 +164,7 @@ def _pricing_partial(batch: pa.Table) -> pa.Table:
         ("disc1e4_hi", pa.int64()), ("disc1e4_lo", pa.int64()),
         ("charge1e6_hi", pa.int64()), ("charge1e6_lo", pa.int64()),
     ])
-    return pa.Table.from_pandas(part, schema=schema, preserve_index=False)
+    return arrow_table(part, schema=schema)
 
 
 def pricing_summary(lineitem):
@@ -223,13 +224,15 @@ def revenue_summary(lineitem, disc_lo: int = 5, disc_hi: int = 7,
         p100 = _scaled_cents(batch["l_extendedprice"])
         d100 = _scaled_cents(batch["l_discount"])
         keep = (d100 >= disc_lo) & (d100 <= disc_hi) & (q100 < qty_below * 100)
-        return pa.table({"rev1e4": pa.array([int((p100[keep] *
-                                                  d100[keep]).sum())])})
+        # no partial where no row passes: SQL's SUM over no rows is NULL
+        return pa.table({"rev1e4": pa.array(
+            [int((p100[keep] * d100[keep]).sum())] if keep.any() else [],
+            pa.int64())})
 
     total = lineitem.map_batches(_partial, batch_format="pyarrow") \
-        .sum("rev1e4")   # None: no lineitem rows, so no revenue row
+        .sum("rev1e4")
     return pd.DataFrame({"revenue": np.array(
-        [] if total is None else [total / 10000.0], dtype=np.float64)})
+        [np.nan if total is None else total / 10000.0], dtype=np.float64)})
 
 
 def topk_by(ds, sort_cols: list[str], descending: list[bool], k: int):
@@ -292,8 +295,7 @@ def shipping_priority(customer, orders, lineitem, *, segment: str = "BUILDING",
             ("o_orderdate", t["o_orderdate"].type),
             ("o_orderpriority", pa.string()),
             ("rev1e4", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     agg = combine(j.map_batches(_partial, batch_format="pyarrow"),
                   ["l_orderkey", "o_orderdate", "o_orderpriority"],
@@ -336,8 +338,7 @@ def pivot_sum_exact(ds, index_col: str, pivot_col: str, value_col: str,
         schema = pa.schema([(index_col, t[index_col].type)]
                            + [(c, pa.int64()) for c in categories]
                            + [("n_events", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     agg = combine(ds.map_batches(_partial, batch_format="pyarrow"),
                   [index_col], sums_of(*categories, "n_events"))
@@ -459,8 +460,7 @@ def revenue_by_nation(lineitem, orders, customer, nation):
                           dropna=False).sum()
         schema = pa.schema([("l_orderkey", t["l_orderkey"].type),
                             ("rev1e4", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     # pre-combine lineitem to one row per order BEFORE the join: the
     # shuffle then moves |orders| rows instead of |lineitems|
@@ -483,8 +483,7 @@ def revenue_by_nation(lineitem, orders, customer, nation):
                           dropna=False).sum()
         schema = pa.schema([("n_name", pa.string()),
                             ("rev1e4", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     agg = combine(enriched.map_batches(_nat_partial, batch_format="pyarrow"),
                   ["n_name"], sums_of("rev1e4"))
@@ -1791,9 +1790,11 @@ class _PromoScore:
         idx_c = np.minimum(idx, len(self.keys) - 1)
         present = self.keys[idx_c] == pk
         is_promo = present & self.promo[idx_c]
+        # no partial where no row joins: SQL's SUM over no rows is NULL
+        n = int(present.any())
         return pa.table({
-            "prom": pa.array([int(rev4[is_promo].sum())], pa.int64()),
-            "tot": pa.array([int(rev4[present].sum())], pa.int64())})
+            "prom": pa.array([int(rev4[is_promo].sum())] * n, pa.int64()),
+            "tot": pa.array([int(rev4[present].sum())] * n, pa.int64())})
 
 
 def promo_revenue_share(lineitem, part):
@@ -1826,19 +1827,15 @@ def promo_revenue_share(lineitem, part):
         batch_format="pyarrow")
     g = combine_all(partials, sums_of("prom", "tot"))
     from ..functions.rounding import round_half_away
-    prom = int(g.get("prom") or 0)
-    tot = int(g.get("tot") or 0)
-    out = {
-        "promo_rev": pa.array([round_half_away(
-            np.float64(float(prom) / 10000.0), 6)], pa.float64()),
-        "total_rev": pa.array([round_half_away(
-            np.float64(float(tot) / 10000.0), 6)], pa.float64()),
-        "promo_share": pa.array(
-            [round_half_away(np.float64(100.0 * float(prom) / float(tot)),
-                             6)] if tot else [None], pa.float64()),
-    }
+    prom, tot = float(g.get("prom", 0)), float(g.get("tot", 0))
+    # no joined row (``g`` empty): every close is SQL's NULL
+    out = {"promo_rev": prom / 10000.0 if g else None,
+           "total_rev": tot / 10000.0 if g else None,
+           "promo_share": 100.0 * prom / tot if tot else None}
     import ray.data as rd
-    return rd.from_arrow(pa.table(out))
+    return rd.from_arrow(pa.table({
+        c: pa.array([None if v is None else round_half_away(np.float64(v), 6)],
+                    pa.float64()) for c, v in out.items()}))
 
 
 # --- TPC-H-Q12-shaped late-shipment priority counts --------------------------
@@ -2186,8 +2183,7 @@ def volume_shipping(lineitem, orders, customer, supplier, nation):
                             ("l_suppkey", t["l_suppkey"].type),
                             ("l_year", pa.int64()),
                             ("rev1e4", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     li_pre = lineitem.map_batches(_li_partial, batch_format="pyarrow")
     j1 = hash_join(li_pre, supplier.select_columns(
@@ -2217,8 +2213,7 @@ def volume_shipping(lineitem, orders, customer, supplier, nation):
                             ("cust_nation", pa.string()),
                             ("l_year", pa.int64()),
                             ("rev1e4", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     agg = combine(e2.map_batches(_partial, batch_format="pyarrow"),
                   ["supp_nation", "cust_nation", "l_year"], sums_of("rev1e4"))
@@ -2262,8 +2257,7 @@ def returned_item_revenue(lineitem, orders, customer, nation, *, k: int = 20):
                           dropna=False).sum()
         schema = pa.schema([("l_orderkey", t["l_orderkey"].type),
                             ("rev1e4", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     li_pre = lineitem.map_batches(_li_partial, batch_format="pyarrow")
     j1 = hash_join(li_pre, orders.select_columns(
@@ -2279,8 +2273,7 @@ def returned_item_revenue(lineitem, orders, customer, nation, *, k: int = 20):
                           dropna=False).sum()
         schema = pa.schema([("o_custkey", t["o_custkey"].type),
                             ("rev1e4", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     per_cust = combine(j1.map_batches(_cust_partial, batch_format="pyarrow"),
                        ["o_custkey"], sums_of("rev1e4"))
@@ -2329,8 +2322,7 @@ def order_count_distribution(customer, orders, *,
                           dropna=False).sum()
         schema = pa.schema([("o_custkey", t["o_custkey"].type),
                             ("n_orders", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     per_cust = combine(
         orders.map_batches(_ord_partial, batch_format="pyarrow"),
@@ -2344,10 +2336,9 @@ def order_count_distribution(customer, orders, *,
                            "custdist": np.ones(len(n), dtype=np.int64)})
         part = df.groupby("c_count", as_index=False, sort=False,
                           dropna=False).sum()
-        return pa.Table.from_pandas(
+        return arrow_table(
             part, schema=pa.schema([("c_count", pa.int64()),
-                                    ("custdist", pa.int64())]),
-            preserve_index=False)
+                                    ("custdist", pa.int64())]))
 
     return combine(j.map_batches(_cnt_partial, batch_format="pyarrow"),
                    ["c_count"], sums_of("custdist"))
@@ -2378,8 +2369,7 @@ def top_supplier_revenue(lineitem, supplier):
                           dropna=False).sum()
         schema = pa.schema([("l_suppkey", t["l_suppkey"].type),
                             ("rev1e4", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     per_supp = combine(
         lineitem.map_batches(_li_partial, batch_format="pyarrow"),
@@ -2433,8 +2423,7 @@ def small_quantity_revenue(lineitem):
                           dropna=False).sum()
         schema = pa.schema([("l_partkey", t["l_partkey"].type),
                             ("n", pa.int64()), ("sumq100", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     stats = combine(lineitem.map_batches(_per_part, batch_format="pyarrow"),
                     ["l_partkey"], sums_of("n", "sumq100"))
@@ -2484,8 +2473,7 @@ def large_volume_customers(lineitem, orders, customer, *,
                           dropna=False).sum()
         schema = pa.schema([("l_orderkey", t["l_orderkey"].type),
                             ("q100", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     thresh100 = int(round(min_qty * 100))
     import pyarrow.compute as pc
@@ -2558,8 +2546,9 @@ def disjunctive_revenue(lineitem, part, *, clauses=_Q19_CLAUSES):
     total = combine_all(j.map_batches(_partial, batch_format="pyarrow"),
                         sums_of("rev1e4"))
     import ray.data as rd
+    # no joined row (``total`` empty): SQL's SUM over no rows is NULL
     return rd.from_arrow(pa.table({
-        "revenue": pa.array([int(total.get("rev1e4") or 0) / 10000.0],
+        "revenue": pa.array([total["rev1e4"] / 10000.0 if total else None],
                             pa.float64())}))
 
 
@@ -2615,8 +2604,7 @@ def inactive_high_balance(customer, orders, *,
         schema = pa.schema([("c_nationkey", t["c_nationkey"].type),
                             ("numcust", pa.int64()),
                             ("bal100", pa.int64())])
-        return pa.Table.from_pandas(part, schema=schema,
-                                    preserve_index=False)
+        return arrow_table(part, schema=schema)
 
     agg = combine(quiet.map_batches(_nat_partial, batch_format="pyarrow"),
                   ["c_nationkey"], sums_of("numcust", "bal100"))
@@ -2691,11 +2679,10 @@ def mode_per_type(events):
                            "n": np.ones(len(t), dtype=np.int64)})
         part = df.groupby(["event_type", "cents"], as_index=False,
                           sort=False, dropna=True).sum()
-        return pa.Table.from_pandas(
+        return arrow_table(
             part, schema=pa.schema([("event_type", pa.string()),
                                     ("cents", pa.int64()),
-                                    ("n", pa.int64())]),
-            preserve_index=False)
+                                    ("n", pa.int64())]))
 
     cells = combine(events.map_batches(_cell_partial, batch_format="pyarrow"),
                     ["event_type", "cents"], sums_of("n"))
@@ -2820,8 +2807,7 @@ def latest_event_per_user(events):
                       "t": pa.array(_epoch_micros(batch["ts"])),
                       "event_type": batch["event_type"],
                       "value": batch["value"]})
-        return pa.Table.from_pandas(_local_latest(t.to_pandas()),
-                                    preserve_index=False)
+        return arrow_table(_local_latest(t.to_pandas()))
 
     compacted = events.map_batches(_prep, batch_format="pyarrow")
     # partition-group close: one kernel call per group, not per user

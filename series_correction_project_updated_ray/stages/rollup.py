@@ -136,16 +136,22 @@ def combine(ds, keys: list[str], aggs: list[tuple]):
     cols = list(dict.fromkeys([*keys, *(c for c, _, _ in aggs if c)]))
 
     def _fold(t: pa.Table) -> pa.Table:
-        order = sorted(keys, key=lambda k: _is_var_width(t[k].type))
-        aliases = [alias for _, _, alias in aggs]
-        out = t.group_by(order, use_threads=False) \
-            .aggregate([(c, f) for c, f, _ in aggs])
-        # pyarrow puts the group keys first, then the aggregates in order
-        return out.rename_columns([*order, *aliases]) \
-            .select([*keys, *aliases])
+        return group_fold(t, keys, aggs)
 
     return keyed_exchange(
         [(ds, lambda t: _with_hash(t.select(cols), keys))], _fold)
+
+
+def group_fold(t: pa.Table, keys: list[str], aggs: list[tuple]) -> pa.Table:
+    """``combine``'s fold of one table that holds its groups whole: one
+    ``group_by(keys)`` with the variable-width keys last (see
+    ``combine``), the aggregates named by their aliases after the keys."""
+    order = sorted(keys, key=lambda k: _is_var_width(t[k].type))
+    aliases = [alias for _, _, alias in aggs]
+    out = t.group_by(order, use_threads=False) \
+        .aggregate([(c, f) for c, f, _ in aggs])
+    # pyarrow puts the group keys first, then the aggregates in order
+    return out.rename_columns([*order, *aliases]).select([*keys, *aliases])
 
 
 def combine_all(ds, aggs: list[tuple]) -> dict:
@@ -168,6 +174,36 @@ def merge_partials(partials, key_cols: list[str]):
     rows into one row per cell — the mergeable-tuple fold of every rollup
     and of the incremental store."""
     return combine(partials, [*key_cols, "window_start"], _MERGE_AGGS)
+
+
+def cells_schema(key_col: str, key_type: pa.DataType) -> pa.Schema:
+    """The partial row of ``PartialRollup`` and ``merge_partials``."""
+    return pa.schema([(key_col, key_type), ("window_start", pa.int64()),
+                      ("vmin", pa.float64()), ("vmax", pa.float64()),
+                      ("vsum", pa.float64()), ("vcount", pa.int64())])
+
+
+class FilePartials:
+    """Per-file partial rollup for a task that reads its own file: each
+    record batch's ``PartialRollup`` is folded into the file's cells with
+    ``merge_partials``'s aggregates, so the task holds one batch plus one
+    row per (key, window) cell of its file, and emits one row per cell."""
+
+    def __init__(self, key_col: str, ts_col: str, value_col: str,
+                 width: int):
+        self.partial = PartialRollup(key_col, ts_col, value_col, width)
+        self.key_col, self.cols = key_col, [key_col, ts_col, value_col]
+
+    def __call__(self, path: str) -> pa.Table:
+        import pyarrow.parquet as pq
+        f = pq.ParquetFile(path)
+        key = self.key_col
+        cells = cells_schema(key, f.schema_arrow.field(key).type).empty_table()
+        for batch in f.iter_batches(columns=self.cols):
+            part = self.partial(pa.Table.from_batches([batch]))
+            cells = group_fold(pa.concat_tables([cells, part]),
+                               [key, "window_start"], _MERGE_AGGS)
+        return cells
 
 
 def rollup_events(events, key_col: str = "event_type", ts_col: str = "ts",

@@ -97,3 +97,17 @@ def nonempty_blocks(refs) -> list:
     columns at all; every direct block reader skips them here."""
     import ray
     return [t for t in ray.get(list(refs)) if t.num_rows]
+
+
+def map_files(files: list[str], fn):
+    """One task per file: ``fn(path)`` reads the file itself and returns
+    its output table.  What one file holds never splits across tasks
+    (Ray may re-slice the blocks of a read) and its rows never pass
+    through the object store before ``fn``."""
+    import ray.data
+
+    def _file(batch):
+        return fn(str(batch["item"][0]))
+    _file.__name__ = getattr(fn, "__name__", type(fn).__name__)
+    return ray.data.from_items(list(files), override_num_blocks=len(files)) \
+        .map_batches(_file, batch_format="numpy", batch_size=1)

@@ -20,6 +20,7 @@ import pyarrow as pa
 from .joins import (_segment_starts, _with_hash, key_runs, keyed_exchange,
                     partition_groups)
 from .rollup import _epoch_seconds, combine, sums_of
+from ..functions.frames import arrow_table
 from ..functions.rounding import round_half_away, scaled_int
 
 
@@ -831,10 +832,9 @@ def rolling_active_users(events, *, window_days: int = 7):
         df = pd.DataFrame({"day": t["day"].to_numpy(zero_copy_only=False),
                            "active": np.ones(len(t), dtype=np.int64)})
         part = df.groupby("day", as_index=False, sort=False).sum()
-        return pa.Table.from_pandas(
+        return arrow_table(
             part, schema=pa.schema([("day", pa.int64()),
-                                    ("active", pa.int64())]),
-            preserve_index=False)
+                                    ("active", pa.int64())]))
 
     return combine(
         expanded.map_batches(_count_partial, batch_format="pyarrow"),

@@ -10,6 +10,15 @@ continuous-aggregate maintenance loop of a timeseries store:
     <store>/deltas/delta-<fingerprint>/   one per ingest wave
     <store>/_ingested.json                ledger: files seen + LIVE deltas
 
+Cell invariant: every delta holds one row per (key, window_start) cell,
+because ingest, compact and expire each write a merge output.  So a merge
+(``merge_partials``, one keyed exchange) is needed only where two sources
+can hold the same cell, and ``_merged`` is the one place that decides:
+an ingest wave of two or more files merges its files' cells, and reading,
+compacting or expiring two or more live deltas merges the deltas.  A
+one-file wave (each file is folded to its cells by one task that reads
+it), and a read or expire of one live delta, run with no exchange.
+
 Crash-safety invariant: the ledger is the single source of truth and is
 replaced atomically LAST in every operation.  An ingest crash before the
 ledger update re-ingests into an identically-named delta (same wave
@@ -29,7 +38,9 @@ import os
 
 import pandas as pd
 
-from ..stages.rollup import PartialRollup, _finalize, merge_partials
+from ..stages.rollup import (FilePartials, _finalize, cells_schema,
+                              merge_partials)
+from ..stages.taskcache import map_files
 
 _LEDGER = "_ingested.json"
 
@@ -99,12 +110,25 @@ def _delta_files(store: str, delta_names: list[str]) -> list[str]:
         for f in glob.glob(os.path.join(store, "deltas", name, "*.parquet")))
 
 
+def _merged(ds, n_sources: int, key_col: str):
+    """The store's one merge rule: rows from one source (one delta, one
+    wave file) already hold one row per (key, window_start) cell, so
+    only rows from two or more sources go through ``merge_partials``."""
+    return ds if n_sources == 1 else merge_partials(ds, [key_col])
+
+
 def _merge_deltas(store: str, delta_names: list[str], key_col: str):
     import ray.data as rd
     paths = _delta_files(store, delta_names)
     if not paths:
         raise FileNotFoundError(f"no deltas ingested under {store}")
-    return merge_partials(rd.read_parquet(paths), [key_col])
+    # one delta passes through as one block per file (a re-sliced file
+    # would be written back as two); deltas to merge are read in Ray's
+    # own blocks, which compact sorted 10-20 % faster than one per file
+    one = len(delta_names) == 1
+    ds = rd.read_parquet(paths, override_num_blocks=len(paths) if one
+                         else None)
+    return _merged(ds, len(delta_names), key_col)
 
 
 def ingest(store: str, files: list[str], *, key_col: str = "event_type",
@@ -119,8 +143,6 @@ def ingest(store: str, files: list[str], *, key_col: str = "event_type",
 
 def _ingest_locked(store, files, *, key_col, ts_col, value_col, width):
     import shutil
-
-    import ray.data as rd
 
     ledger = _load_ledger(store)
     done = set(ledger["files"])
@@ -149,24 +171,16 @@ def _ingest_locked(store, files, *, key_col, ts_col, value_col, width):
     # next to the stale ones and double-count once the ledger references
     # the delta
     shutil.rmtree(delta_dir, ignore_errors=True)
-    partials = rd.read_parquet(new, columns=[key_col, ts_col, value_col]) \
-        .map_batches(PartialRollup(key_col, ts_col, value_col, width),
-                     batch_format="pyarrow")
+    cells = map_files(new, FilePartials(key_col, ts_col, value_col, width))
     # merge within the wave (unrounded — rounding happens once, at read)
-    merge_partials(partials, [key_col]).write_parquet(delta_dir)
+    _merged(cells, len(new), key_col).write_parquet(delta_dir)
     if not glob.glob(os.path.join(delta_dir, "*.parquet")):
         # empty wave (all-empty input files): Ray skips empty blocks, but
         # a ledger entry must never reference a fileless dir
-        import pyarrow as pa
         import pyarrow.parquet as pq
         key_type = pq.read_schema(new[0]).field(key_col).type
-        schema = pa.schema([(key_col, key_type),
-                            ("window_start", pa.int64()),
-                            ("vmin", pa.float64()), ("vmax", pa.float64()),
-                            ("vsum", pa.float64()),
-                            ("vcount", pa.int64())])
         os.makedirs(delta_dir, exist_ok=True)
-        pq.write_table(schema.empty_table(),
+        pq.write_table(cells_schema(key_col, key_type).empty_table(),
                        os.path.join(delta_dir, "empty.parquet"))
     ledger["files"] = sorted(done | {os.path.abspath(f) for f in new})
     ledger["sigs"].update({os.path.abspath(f): _file_sig(f) for f in new})

@@ -353,8 +353,10 @@ def test_empty_tables_give_empty_results(ray_session, sf_dir, tmp_path):
     nation/customer table and four driver-side folds return 0 rows
     without raising: the kernels are never called on an empty block, and
     ``broadcast_enrich`` builds the empty lookup's columns from its
-    schema.  The kNN queries (no query vector) and k-means (no vector to
-    seed a centroid) raise a ValueError that says so."""
+    schema.  The keyless revenue aggregates return their oracle's one
+    row: SQL's SUM over no rows is NULL (``small_qty_revenue``'s oracle
+    coalesces it to 0).  The kNN queries (no query vector) and k-means
+    (no vector to seed a centroid) raise a ValueError that says so."""
     import importlib
     import pathlib
 
@@ -371,7 +373,14 @@ def test_empty_tables_give_empty_results(ray_session, sf_dir, tmp_path):
     names = {r.name for r in rows} | {
         "broadcast_enrich_orders", "revenue_by_nation", "volume_shipping",
         "returned_item_revenue", "embedding_centroid_dist",
-        "top_users_by_value", "value_quartiles", "revenue_summary"}
+        "top_users_by_value", "value_quartiles"}
+    nan = float("nan")
+    one_row = {"revenue_summary": {"revenue": [nan]},
+               "disjunctive_revenue": {"revenue": [nan]},
+               "small_qty_revenue": {"avg_yearly": [0.0]},
+               "promo_revenue_share": {"promo_rev": [nan],
+                                       "total_rev": [nan],
+                                       "promo_share": [nan]}}
     raises = {"knn_topk": "no embedding with vec_id 0",
               "knn_ivf": "no embedding with vec_id 0",
               "kmeans_clusters": "no vectors to cluster"}
@@ -379,11 +388,17 @@ def test_empty_tables_give_empty_results(ray_session, sf_dir, tmp_path):
         if r.name in raises:
             with pytest.raises(ValueError, match=raises.pop(r.name)):
                 r(str(tmp_path))
+        elif r.name in one_row:
+            out = r(str(tmp_path))
+            out = out.to_pandas() if isinstance(out, rd.Dataset) else out
+            pd.testing.assert_frame_equal(
+                out.reset_index(drop=True),
+                pd.DataFrame(one_row.pop(r.name), dtype="float64"))
         elif r.name in names:
             out = r(str(tmp_path))
             n = out.count() if isinstance(out, rd.Dataset) else len(out)
             assert n == 0, r.name
-    assert not raises
+    assert not raises and not one_row
 
 def test_connected_components_distributed_matches_driver(ray_session):
     import ray.data as rd

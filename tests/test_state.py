@@ -502,6 +502,21 @@ def test_compactor_actor_death_no_duplicates(ray_session, tmp_path):
                                   b["value"].to_numpy().view(np.uint64))
 
 
+def _assert_one_row_per_cell(store, key_col="event_type"):
+    """The store's invariant: every live delta holds one row per
+    (key, window_start) cell."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from series_correction_project_updated_ray.state import ingest as ING
+
+    for name in ING._load_ledger(store)["deltas"]:
+        t = pa.concat_tables(pq.read_table(f)
+                             for f in ING._delta_files(store, [name]))
+        cells = t.group_by([key_col, "window_start"]).aggregate([])
+        assert cells.num_rows == t.num_rows, name
+
+
 def test_incremental_ingest_matches_batch_rollup(ray_session, tmp_path):
     """3 ingest waves over a split events table == the batch rollup over
     the whole table; re-ingest is a no-op; compaction preserves results."""
@@ -524,9 +539,13 @@ def test_incremental_ingest_matches_batch_rollup(ray_session, tmp_path):
 
     store = str(tmp_path / "store")
     assert ING.ingest(store, waves[:1], width=3600) == 1
+    _assert_one_row_per_cell(store)
     assert ING.ingest(store, waves[:2], width=3600) == 1  # only wave1 is new
+    _assert_one_row_per_cell(store)
     assert ING.ingest(store, waves, width=3600) == 1
+    _assert_one_row_per_cell(store)
     assert ING.ingest(store, waves, width=3600) == 0      # idempotent
+    _assert_one_row_per_cell(store)
 
     def canon(df):
         return df[sorted(df.columns)] \
@@ -541,6 +560,7 @@ def test_incremental_ingest_matches_batch_rollup(ray_session, tmp_path):
     pd.testing.assert_frame_equal(got, want)
 
     assert ING.compact(store) == 3
+    _assert_one_row_per_cell(store)
     assert len(ING._load_ledger(store)["deltas"]) == 1
     got2 = canon(ING.read_rollup(store).to_pandas())
     pd.testing.assert_frame_equal(got2, want)
@@ -548,6 +568,7 @@ def test_incremental_ingest_matches_batch_rollup(ray_session, tmp_path):
     extra = str(tmp_path / "wave3.parquet")
     pq.write_table(src.slice(0, 500), extra)  # duplicate rows, new file
     assert ING.ingest(store, [extra], width=3600) == 1
+    _assert_one_row_per_cell(store)
     got3 = ING.read_rollup(store).to_pandas()
     assert got3["vcount"].sum() == want["vcount"].sum() + 500
 
@@ -566,7 +587,9 @@ def test_ingest_compaction_crash_recovery(ray_session, tmp_path):
     pq.write_table(src.slice(500, 500), w1)
     store = str(tmp_path / "store")
     ING.ingest(store, [w0], width=3600)
+    _assert_one_row_per_cell(store)
     ING.ingest(store, [w1], width=3600)
+    _assert_one_row_per_cell(store)
     want = ING.read_rollup(store).to_pandas() \
         .sort_values(["event_type", "window_start"]).reset_index(drop=True)
     # simulate a crashed compaction: half-built base dir, ledger untouched
@@ -579,6 +602,7 @@ def test_ingest_compaction_crash_recovery(ray_session, tmp_path):
         .sort_values(["event_type", "window_start"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want)  # stray dir not double-counted
     ING.compact(store)
+    _assert_one_row_per_cell(store)
     assert not os.path.isdir(stray)  # swept
     got2 = ING.read_rollup(store).to_pandas() \
         .sort_values(["event_type", "window_start"]).reset_index(drop=True)
@@ -596,9 +620,11 @@ def test_ingest_retention_expiry(ray_session, tmp_path):
     pq.write_table(src, w)
     store = str(tmp_path / "store")
     ING.ingest(store, [w], width=3600)
+    _assert_one_row_per_cell(store)
     full = ING.read_rollup(store).to_pandas()
     cutoff = int(full["window_start"].median())
     ING.expire(store, cutoff)
+    _assert_one_row_per_cell(store)
     kept = ING.read_rollup(store).to_pandas()
     want = full[full["window_start"] >= cutoff]
     assert len(kept) == len(want)
@@ -621,7 +647,9 @@ def test_ingest_same_basename_different_dirs(ray_session, tmp_path):
     pq.write_table(src.slice(500, 500), str(d2 / "events.parquet"))
     store = str(tmp_path / "store")
     assert ING.ingest(store, [str(d1 / "events.parquet")], width=3600) == 1
+    _assert_one_row_per_cell(store)
     assert ING.ingest(store, [str(d2 / "events.parquet")], width=3600) == 1
+    _assert_one_row_per_cell(store)
     out = ING.read_rollup(store).to_pandas()
     assert out["vcount"].sum() == 1000
 
@@ -646,6 +674,7 @@ def test_ingest_crash_retry_no_double_count(ray_session, tmp_path):
     pq.write_table(src.slice(0, 500), os.path.join(crash_dir,
                                                    "deadbeef_0_0.parquet"))
     assert ING.ingest(store, [w], width=3600) == 1
+    _assert_one_row_per_cell(store)
     out = ING.read_rollup(store).to_pandas()
     assert out["vcount"].sum() == 1000  # stale file cleared, not added
 
@@ -661,7 +690,9 @@ def test_expire_everything_leaves_readable_store(ray_session, tmp_path):
     pq.write_table(src.slice(0, 1000), w)
     store = str(tmp_path / "store")
     ING.ingest(store, [w], width=3600)
+    _assert_one_row_per_cell(store)
     ING.expire(store, 2**62)  # cutoff beyond every window
+    _assert_one_row_per_cell(store)
     out = ING.read_rollup(store).to_pandas()
     assert len(out) == 0
 
@@ -680,8 +711,100 @@ def test_compact_all_empty_deltas_keeps_store_readable(ray_session, tmp_path):
     pq.write_table(empty, w1)
     store = str(tmp_path / "store")
     assert ING.ingest(store, [w0], width=3600) == 1
+    _assert_one_row_per_cell(store)
     assert ING.ingest(store, [w1], width=3600) == 1
+    _assert_one_row_per_cell(store)
     assert ING.compact(store) == 2
+    _assert_one_row_per_cell(store)
     out = ING.read_rollup(store).to_pandas()
     assert len(out) == 0
     assert ING.expire(store, 0) == 1  # still operable after compaction
+    _assert_one_row_per_cell(store)
+
+
+def test_store_merges_only_across_sources(ray_session, sf_dir, tmp_path,
+                                          monkeypatch):
+    """One source (a wave file, a live delta) already holds one row per
+    cell: a one-file wave and a read or expire of one delta run no
+    merge; a multi-file wave, a multi-delta read and compact merge."""
+    import pyarrow.parquet as pq
+
+    from series_correction_project_updated_ray.state import ingest as ING
+
+    src = pq.read_table(os.path.join(sf_dir, "events.parquet"),
+                        columns=["event_type", "ts", "value"])
+    w0, w1, w2 = (str(tmp_path / f"w{i}.parquet") for i in range(3))
+    pq.write_table(src.slice(0, 400), w0)
+    pq.write_table(src.slice(400, 400), w1)
+    pq.write_table(src.slice(800, 400), w2)
+
+    class Merged(Exception):
+        pass
+
+    def merge(ds, keys):
+        raise Merged(keys)
+    monkeypatch.setattr(ING, "merge_partials", merge)
+
+    store = str(tmp_path / "store")
+    assert ING.ingest(store, [w0], width=3600) == 1
+    full = ING.read_rollup(store).to_pandas()
+    assert full["vcount"].sum() == 400
+    cutoff = int(full["window_start"].median())
+    assert ING.expire(store, cutoff) == 1
+    _assert_one_row_per_cell(store)
+    kept = ING.read_rollup(store).to_pandas()
+    assert kept["vcount"].sum() == \
+        full.loc[full["window_start"] >= cutoff, "vcount"].sum()
+    assert ING.ingest(store, [w1], width=3600) == 1
+    with pytest.raises(Merged):
+        ING.read_rollup(store)
+    with pytest.raises(Merged):
+        ING.compact(store)
+    with pytest.raises(Merged):
+        ING.expire(store, cutoff)
+    with pytest.raises(Merged):
+        ING.ingest(str(tmp_path / "store2"), [w1, w2], width=3600)
+
+    monkeypatch.undo()
+    assert ING.ingest(str(tmp_path / "store2"), [w1, w2], width=3600) == 2
+    _assert_one_row_per_cell(str(tmp_path / "store2"))
+    assert ING.compact(store) == 2
+    _assert_one_row_per_cell(store)
+    assert ING.read_rollup(store).to_pandas()["vcount"].sum() == \
+        kept["vcount"].sum() + 400
+
+
+def test_ingest_file_of_many_batches(ray_session, tmp_path):
+    """A wave file read in several record batches, each holding the same
+    cells, ingests as one row per cell equal to the batch rollup."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from series_correction_project_updated_ray.state import ingest as ING
+    from series_correction_project_updated_ray.stages.rollup import (
+        rollup_events)
+
+    n = 150_000
+    i = np.arange(n)
+    keys = np.array(["a", "b", "c", None], dtype=object)[i % 4]
+    rng = np.random.default_rng(3)
+    w = str(tmp_path / "w.parquet")
+    pq.write_table(pa.table({"event_type": pa.array(keys, pa.string()),
+                             "ts": pa.array((i * 7) % 7200, pa.int64()),
+                             "value": rng.normal(size=n)}),
+                   w, row_group_size=20_000)
+    assert sum(1 for _ in pq.ParquetFile(w).iter_batches()) > 1
+    store = str(tmp_path / "store")
+    assert ING.ingest(store, [w], width=60) == 1
+    _assert_one_row_per_cell(store)
+
+    def canon(df):
+        return df[sorted(df.columns)] \
+            .sort_values(["event_type", "window_start"]) \
+            .reset_index(drop=True)
+
+    got = canon(ING.read_rollup(store).to_pandas())
+    want = canon(rollup_events(rd.read_parquet(w), width=60).to_pandas())
+    assert len(got) == 4 * 120
+    pd.testing.assert_frame_equal(got, want)
